@@ -15,9 +15,9 @@ from .povm import (PovmSeed, build_ml_seed, build_parity_seed, build_srm_seed,
                    dmc_apply, dmc_expectation, optimal_likelihood,
                    seed_overlap_likelihood, srm_likelihood)
 from .distribution import (DensityMap, SummaryStats, argmax,
-                           closed_form_sandwich, cross_sector_dmc, density_at,
+                           closed_form_sandwich, density_at,
                            group_average_sandwich, moments,
-                           normalization_check, scan)
+                           normalization_check, scan, window_statistics)
 from .asymptotics import (AsymptoticModel, IsotropicSolution, heisenberg_ratio,
                           isotropic_params, model_density, rms_predictions,
                           separate_optima, uncertainty_product_ratio)

@@ -147,7 +147,7 @@ def load_sampled_state(path: str, normalize: bool = True) -> StateVector:
     """Read a state from CSV with header y,re,im on a midpoint-offset grid."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read sampled state: {exc}") from exc
     if data.shape[1] not in (2, 3):
         raise ConfigError("sampled state file needs columns y,re[,im]")
@@ -157,11 +157,14 @@ def load_sampled_state(path: str, normalize: bool = True) -> StateVector:
         raise ConfigError("sampled state needs an even number of rows")
     dy = y[1] - y[0]
     y_max = y[-1] + dy / 2.0
-    grid = QuadratureGrid(y_max, n)
-    if not np.allclose(grid.nodes, y, rtol=0, atol=1e-9 * max(y_max, 1.0)):
-        raise ConfigError("sampled state nodes are not a midpoint-offset grid")
     amps = data[:, 1] + (1j * data[:, 2] if data.shape[1] == 3 else 0.0)
-    return make_sampled(grid, amps, normalize=normalize)
+    try:
+        grid = QuadratureGrid(y_max, n)
+        if not np.allclose(grid.nodes, y, rtol=0, atol=1e-9 * max(y_max, 1.0)):
+            raise ConfigError("sampled state nodes are not a midpoint-offset grid")
+        return make_sampled(grid, amps, normalize=normalize)
+    except ValueError as exc:
+        raise ConfigError(f"bad sampled state {path}: {exc}") from exc
 
 
 def build_state(cfg: RunConfig) -> StateVector:
@@ -219,27 +222,16 @@ def run_density(cfg: RunConfig) -> int:
     seed = build_seed(cfg, psi)
     window = default_window(cfg)
     dmap = distribution.scan(seed, psi, window, cfg.resolution)
-    ax, ar, _ = distribution.argmax(dmap)
-    # summary statistics are over the scanned window; the library-level
-    # moments() additionally enforces the mass > 0.9 contract
-    x = dmap.x_nodes
-    r = dmap.r_nodes
-    wx = distribution._trapezoid_weights(x)
-    wr = distribution._trapezoid_weights(r) * np.exp(-r)
-    weighted = dmap.values * np.outer(wx, wr)
-    total = float(weighted.sum())
-    mean_x = float((weighted.sum(axis=1) * x).sum()) / total
-    mean_r = float((weighted.sum(axis=0) * r).sum()) / total
-    delta_x = math.sqrt(max(float((weighted.sum(axis=1) * (x - mean_x) ** 2).sum()) / total, 0.0))
-    delta_r = math.sqrt(max(float((weighted.sum(axis=0) * (r - mean_r) ** 2).sum()) / total, 0.0))
+    # statistics over the scanned window; moments() would also demand mass > 0.9
+    stats = distribution.window_statistics(dmap)
     summary = {
         "likelihood": seed.likelihood,
-        "argmax_x": ax,
-        "argmax_r": ar,
-        "mean_x": mean_x,
-        "mean_r": mean_r,
-        "delta_x": delta_x,
-        "delta_r": delta_r,
+        "argmax_x": stats.argmax_x,
+        "argmax_r": stats.argmax_r,
+        "mean_x": stats.mean_x,
+        "mean_r": stats.mean_r,
+        "delta_x": stats.delta_x,
+        "delta_r": stats.delta_r,
         "mass": dmap.mass,
         "seed_kind": seed.kind,
         "state": _state_label(cfg),

@@ -24,12 +24,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import DivergenceDetected, GridMismatch, GridTooNarrow, InsufficientMass
-from .grids import GROWTH_FACTOR, MAX_NODES, QuadratureGrid, StateVector
+from .errors import DivergenceDetected, GridMismatch, InsufficientMass
+from .grids import (QuadratureGrid, StateVector, fourier_at, phase_resolving_grid,
+                    refine_by_doubling)
 from .group import GroupElement, inverse
 from .povm import PovmSeed
 
@@ -38,8 +39,6 @@ MEASURE_CONVENTION = "left-haar: probability = p(x,r) * exp(-r) dx dr"
 # Empirically fixed modular sign: conjugating the averaged operator by U_h
 # rescales the group average by exp(MODULAR_SIGN * r_h).
 MODULAR_SIGN = +1.0
-
-_PHASE_NODES_PER_RADIAN = 8.0 / math.pi  # dy <= pi / (8 |x|_max)
 
 
 @dataclass
@@ -52,6 +51,14 @@ class DensityMap:
     window: Tuple[float, float, float, float]  # (x_lo, x_hi, r_lo, r_hi)
     measure_convention: str = MEASURE_CONVENTION
     mass: float = 0.0
+
+    @classmethod
+    def from_values(cls, x_nodes: np.ndarray, r_nodes: np.ndarray, values: np.ndarray,
+                    window: Tuple[float, float, float, float]) -> "DensityMap":
+        """Map with its windowed mass, the integral of p e^{-r} dx dr."""
+        wx, wr = _haar_weights(x_nodes, r_nodes)
+        return cls(x_nodes=x_nodes, r_nodes=r_nodes, values=values, window=window,
+                   mass=float(wx @ values @ wr))
 
 
 @dataclass
@@ -73,6 +80,11 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     w[:-1] += d / 2.0
     w[1:] += d / 2.0
     return w
+
+
+def _haar_weights(x_nodes: np.ndarray, r_nodes: np.ndarray):
+    """Trapezoid weights in x and in r, the latter times the left-Haar e^{-r}."""
+    return _trapezoid_weights(x_nodes), _trapezoid_weights(r_nodes) * np.exp(-r_nodes)
 
 
 def _compatible_grids(seed: PovmSeed, psi: StateVector):
@@ -97,19 +109,11 @@ def _refine_for_window(seed: PovmSeed, psi: StateVector,
                        window: Tuple[float, float, float, float]):
     """Resample seed and state so the grid resolves scan phase oscillations."""
     x_lo, x_hi, r_lo, r_hi = window
-    grid = psi.grid
     freq = max(abs(x_lo), abs(x_hi)) * math.exp(max(-r_lo, -r_hi, 0.0))
     for src in (psi.evaluator, seed.source.evaluator):
         if src is not None:
             freq += abs(src.linear_phase)
-    dy_req = math.pi / (8.0 * max(1.0, freq))
-    if grid.dy <= dy_req:
-        return seed, psi
-    n = 2 ** math.ceil(math.log2(2.0 * grid.y_max / dy_req))
-    if n > MAX_NODES:
-        raise GridTooNarrow(
-            f"scan window needs {n} nodes to control oscillation, cap is {MAX_NODES}")
-    fine = QuadratureGrid(grid.y_max, n)
+    fine = phase_resolving_grid(psi.grid, psi.grid.y_max, freq)
     return seed.on_grid(fine), psi.with_grid(fine)
 
 
@@ -145,14 +149,8 @@ def scan(seed: PovmSeed, psi: StateVector,
         rp = -r_hat
         xp = -math.exp(-r_hat) * x_nodes  # x components of the inverse elements
         base = eta_conj * psi.evaluate_at(math.exp(rp) * y) * (math.exp(rp / 2.0) * grid.dy)
-        phases = np.exp(-2.0j * np.outer(xp, y))
-        values[:, j] = np.abs(phases @ base) ** 2
-
-    wx = _trapezoid_weights(x_nodes)
-    wr = _trapezoid_weights(r_nodes) * np.exp(-r_nodes)
-    mass = float(wx @ values @ wr)
-    return DensityMap(x_nodes=x_nodes, r_nodes=r_nodes, values=values,
-                      window=(x_lo, x_hi, r_lo, r_hi), mass=mass)
+        values[:, j] = np.abs(fourier_at(xp, y, base)) ** 2
+    return DensityMap.from_values(x_nodes, r_nodes, values, (x_lo, x_hi, r_lo, r_hi))
 
 
 def _quadratic_peak(values: np.ndarray, i: int, j: int,
@@ -194,16 +192,12 @@ def argmax(density_map: DensityMap) -> Tuple[float, float, float]:
     return _quadratic_peak(values, i, j, density_map.x_nodes, density_map.r_nodes)
 
 
-def moments(density_map: DensityMap) -> SummaryStats:
-    """Means and r.m.s. widths under the weight p(x,r) e^{-r}."""
-    if density_map.mass <= 0.9:
-        raise InsufficientMass(
-            f"window captures mass {density_map.mass:.4f} <= 0.9")
+def window_statistics(density_map: DensityMap) -> SummaryStats:
+    """Means, r.m.s. widths and peak under the weight p(x,r) e^{-r} over the
+    scanned window, whatever mass the window captures."""
     x = density_map.x_nodes
     r = density_map.r_nodes
-    wx = _trapezoid_weights(x)
-    wr = _trapezoid_weights(r) * np.exp(-r)
-    weighted = density_map.values * np.outer(wx, wr)
+    weighted = density_map.values * np.outer(*_haar_weights(x, r))
     total = float(weighted.sum())
     mean_x = float((weighted.sum(axis=1) * x).sum()) / total
     mean_r = float((weighted.sum(axis=0) * r).sum()) / total
@@ -214,6 +208,14 @@ def moments(density_map: DensityMap) -> SummaryStats:
                         delta_x=math.sqrt(max(var_x, 0.0)),
                         delta_r=math.sqrt(max(var_r, 0.0)),
                         argmax_x=ax, argmax_r=ar, peak_value=peak)
+
+
+def moments(density_map: DensityMap) -> SummaryStats:
+    """window_statistics of a map whose window captures mass > 0.9."""
+    if density_map.mass <= 0.9:
+        raise InsufficientMass(
+            f"window captures mass {density_map.mass:.4f} <= 0.9")
+    return window_statistics(density_map)
 
 
 def _freq_window(y: np.ndarray, kernel: np.ndarray) -> Tuple[float, float]:
@@ -235,18 +237,27 @@ def _freq_window(y: np.ndarray, kernel: np.ndarray) -> Tuple[float, float]:
     return center, 6.0 / sigma
 
 
-def _fourier_line_integral(kernel: np.ndarray, y: np.ndarray, dy: float,
-                           lo: float, hi: float, halfwidth: float) -> float:
-    """Direct quadrature of |FT kernel|^2 over the frequency window [lo, hi]."""
-    if halfwidth <= 0.0 or hi <= lo:
+def _slice_integral(y: np.ndarray, dy: float, lo: float, hi: float,
+                    h1: np.ndarray, h2: Optional[np.ndarray] = None) -> complex:
+    """integral over lo <= x <= hi of FT[h1](x) conj(FT[h2](x)) dx, where
+    FT[h](x) = sum_k h_k e^{-2i x y_k} dy; ``h2`` defaults to ``h1``.
+
+    Parseval gives pi <h2|h1> when [lo, hi] covers the frequency window of
+    each factor; otherwise the truncated x integral is evaluated directly.
+    """
+    kernels = [h1] if h2 is None else [h1, h2]
+    windows = [_freq_window(y, h) for h in kernels]
+    if any(halfwidth == 0.0 for _, halfwidth in windows):
         return 0.0
+    if (lo <= min(c - hw for c, hw in windows)
+            and hi >= max(c + hw for c, hw in windows)):
+        return math.pi * complex(np.sum(h1 * np.conj(kernels[-1]))) * dy
     # FT features have scale ~ halfwidth / 6; keep ~20 nodes per feature
-    dx = halfwidth / 120.0
+    dx = min(hw for _, hw in windows) / 120.0
     nxs = min(max(int(math.ceil((hi - lo) / dx)), 8), 8192)
     xs = np.linspace(lo, hi, nxs)
-    ft = np.exp(-2.0j * np.outer(xs, y)) @ (kernel * dy)
-    wts = _trapezoid_weights(xs)
-    return float((np.abs(ft) ** 2 * wts).sum())
+    ft = fourier_at(xs, y, np.stack(kernels, axis=1) * dy)
+    return complex((ft[:, 0] * np.conj(ft[:, -1]) * _trapezoid_weights(xs)).sum())
 
 
 def normalization_check(seed: PovmSeed, psi_test: StateVector,
@@ -270,17 +281,10 @@ def normalization_check(seed: PovmSeed, psi_test: StateVector,
     total = 0.0
     for r_hat, wgt in zip(r_nodes, wr):
         kernel = np.conj(eta) * psi_test.evaluate_at(math.exp(-r_hat) * y)
-        norm2 = float(np.sum(np.abs(kernel) ** 2)) * grid.dy
-        if norm2 == 0.0:
-            continue
         # slice integral in the scaled frequency variable x' = -e^{-r} x
         scale = math.exp(-r_hat)
         lo, hi = sorted((-scale * x_lo, -scale * x_hi))
-        center, halfwidth = _freq_window(y, kernel)
-        if lo <= center - halfwidth and hi >= center + halfwidth:
-            slice_val = math.pi * norm2  # Parseval: full-line value
-        else:
-            slice_val = _fourier_line_integral(kernel, y, grid.dy, lo, hi, halfwidth)
+        slice_val = _slice_integral(y, grid.dy, lo, hi, kernel).real
         # dx = e^{r} dx'; the squared e^{r'/2} = e^{-r_hat/2} amplitude factor
         # cancels it, leaving the bare slice value times the Haar weight.
         total += wgt * math.exp(-r_hat) * slice_val
@@ -313,24 +317,8 @@ def group_average_sandwich(psi: StateVector, phi: StateVector,
         s = math.exp(r)
         h1 = np.conj(u.amplitudes) * psi.evaluate_at(s * y)
         h2 = np.conj(v.amplitudes) * phi.evaluate_at(s * y)
-        c1, hw1 = _freq_window(y, h1)
-        c2, hw2 = _freq_window(y, h2)
-        if hw1 == 0.0 or hw2 == 0.0:
-            continue
-        lo_need = min(c1 - hw1, c2 - hw2)
-        hi_need = max(c1 + hw1, c2 + hw2)
         # e^{-r} Haar weight cancels the e^{r} from the two amplitude factors
-        if x_lo <= lo_need and x_hi >= hi_need:
-            val = math.pi * complex(np.sum(h1 * np.conj(h2))) * grid.dy
-        else:
-            dx = min(hw1, hw2) / 120.0
-            nxs = min(max(int(math.ceil((x_hi - x_lo) / dx)), 8), 8192)
-            xs = np.linspace(x_lo, x_hi, nxs)
-            phases = np.exp(-2.0j * np.outer(xs, y))
-            ft1 = phases @ (h1 * grid.dy)
-            ft2 = phases @ (h2 * grid.dy)
-            val = complex((ft1 * np.conj(ft2) * _trapezoid_weights(xs)).sum())
-        total += wgt * val
+        total += wgt * _slice_integral(y, grid.dy, x_lo, x_hi, h1, h2)
     return total
 
 
@@ -343,39 +331,8 @@ def _cross_sector_term(phi: StateVector, psi: StateVector, sign: int):
         f = np.conj(phi.evaluate_at(yy[mask])) * psi.evaluate_at(yy[mask])
         return complex(np.sum(f / np.abs(yy[mask])) * grid.dy)
 
-    grid = psi.grid
-    v0 = weighted(grid)
-    v1 = weighted(grid.refined(2))
-    v2 = weighted(grid.refined(4))
-    grows = (abs(v1) > abs(v0) * GROWTH_FACTOR
-             and abs(v2) > abs(v1) * GROWTH_FACTOR)
-    value = v2
-    g = grid.refined(4)
-    while not grows and g.n < MAX_NODES:
-        g = g.refined(2)
-        nxt = weighted(g)
-        done = abs(nxt - value) <= 1e-9 * abs(nxt) + 1e-300
-        value = nxt
-        if done:
-            break
-    return value, grows
-
-
-def cross_sector_dmc(phi: StateVector, psi: StateVector, sign: int) -> complex:
-    """<phi| theta(sY)/|Y| |psi> with the divergence growth screen.
-
-    Values below 1e-9 in magnitude are treated as numerically zero rather
-    than screened: a log-divergent tail at that scale cannot move any
-    downstream comparison made at the oracle tolerances.
-    """
-    if not phi.grid.matches(psi.grid):
-        raise GridMismatch("states must share a grid")
-    value, grows = _cross_sector_term(phi, psi, sign)
-    if grows and abs(value) > 1e-9:
-        raise DivergenceDetected(
-            f"cross-sector <theta({'+' if sign > 0 else '-'}Y)/|Y|> grows under "
-            f"grid doubling (magnitude {abs(value):.4g})")
-    return value
+    values, grows = refine_by_doubling(psi.grid, weighted, growth_floor=0.0)
+    return values[-1], grows
 
 
 def _screened_cross_terms(phi: StateVector, psi: StateVector):

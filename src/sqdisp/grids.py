@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -128,13 +128,14 @@ class StateVector:
     @classmethod
     def from_samples(cls, grid: QuadratureGrid, amplitudes: np.ndarray,
                      normalize: bool = True) -> "StateVector":
-        amps = np.asarray(amplitudes, dtype=complex)
-        if normalize:
-            nrm = math.sqrt(float(np.sum(np.abs(amps) ** 2)) * grid.dy)
-            if nrm == 0.0:
-                raise ValueError("cannot normalize a zero state")
-            amps = amps / nrm
-        return cls(grid, amps)
+        state = cls(grid, amplitudes)
+        if not np.all(np.isfinite(state.amplitudes)):
+            raise ValueError("state amplitudes must be finite")
+        if not normalize:
+            return state
+        if state.norm_certificate == 0.0:
+            raise ValueError("cannot normalize a zero state")
+        return cls(grid, state.amplitudes / state.norm_certificate)
 
     def evaluate_at(self, y: np.ndarray) -> np.ndarray:
         """Amplitudes at arbitrary points: closed form for Gaussian states,
@@ -203,7 +204,33 @@ def inner_product(phi: StateVector, psi: StateVector) -> complex:
 
 
 def state_norm(psi: StateVector) -> float:
-    return math.sqrt(float(np.sum(np.abs(psi.amplitudes) ** 2)) * psi.grid.dy)
+    return psi.norm_certificate
+
+
+def phase_resolving_grid(grid: QuadratureGrid, y_max: float, freq: float) -> QuadratureGrid:
+    """Grid on [-y_max, y_max] fine enough for both ``grid`` and e^{-2i freq y}.
+
+    The phase needs dy <= pi / (8 max(1, |freq|)), 16 nodes per period.
+    ``grid`` itself is kept when it spans the same window finely enough;
+    otherwise the node count is the next power of two.
+    """
+    dy_req = min(grid.dy, math.pi / (8.0 * max(1.0, abs(freq))))
+    if y_max == grid.y_max and dy_req == grid.dy:
+        return grid
+    n = 2 ** math.ceil(math.log2(max(2.0 * y_max / dy_req, 2.0)))
+    if n > MAX_NODES:
+        raise GridTooNarrow(
+            f"resolving phase frequency {freq:.3g} on |y| <= {y_max:.4g} needs "
+            f"{n} nodes, cap is {MAX_NODES}")
+    return QuadratureGrid(y_max, n)
+
+
+def fourier_at(x: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_k h_k e^{-2i x_j y_k} for every x_j, by a dense phase matrix.
+
+    ``h`` is one vector of length len(y) or a (len(y), m) stack of them.
+    """
+    return np.exp(-2.0j * np.outer(x, y)) @ h
 
 
 def _weighted_sum(psi: StateVector, grid: QuadratureGrid,
@@ -215,18 +242,43 @@ def _weighted_sum(psi: StateVector, grid: QuadratureGrid,
     return float(np.sum(weight_fn(grid.nodes) * density) * grid.dy)
 
 
+def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid], complex],
+                       growth_floor: Optional[float] = None, rtol: float = ADAPTIVE_RTOL,
+                       max_nodes: int = MAX_NODES) -> Tuple[List[complex], bool]:
+    """Limit of ``evaluate(grid)`` under doubling n at fixed y_max.
+
+    Doubles until two successive values agree to ``rtol`` relative or the
+    node cap is reached.  With ``growth_floor`` set, the first two doublings
+    are screened first: a value of magnitude at least the floor that grows
+    by more than GROWTH_FACTOR on both is the signature of a logarithmic
+    divergence at y = 0, and refinement stops there.
+
+    Returns (values, grows): the value on each grid in turn, so values[-1]
+    is the result, and whether the growth screen fired.
+    """
+    values = [evaluate(grid)]
+    if growth_floor is not None:
+        values.append(evaluate(grid.refined(2)))
+        grid = grid.refined(4)
+        values.append(evaluate(grid))
+        v0, v1, v2 = (abs(v) for v in values)
+        if v0 >= growth_floor and v1 > v0 * GROWTH_FACTOR and v2 > v1 * GROWTH_FACTOR:
+            return values, True
+    while grid.n < max_nodes:
+        grid = grid.refined(2)
+        values.append(evaluate(grid))
+        if abs(values[-1] - values[-2]) <= rtol * abs(values[-1]) + 1e-300:
+            break
+    return values, False
+
+
 def adaptive_quadrature(grid: QuadratureGrid, integrand: Callable[[np.ndarray], np.ndarray],
                         rtol: float = ADAPTIVE_RTOL, max_nodes: int = MAX_NODES) -> complex:
     """integral of integrand(y) dy over the grid window, refined by doubling."""
-    value = complex(np.sum(integrand(grid.nodes)) * grid.dy)
-    while grid.n < max_nodes:
-        grid = grid.refined(2)
-        nxt = complex(np.sum(integrand(grid.nodes)) * grid.dy)
-        done = abs(nxt - value) <= rtol * abs(nxt) + 1e-300
-        value = nxt
-        if done:
-            break
-    return value
+    values, _ = refine_by_doubling(
+        grid, lambda g: complex(np.sum(integrand(g.nodes)) * g.dy),
+        rtol=rtol, max_nodes=max_nodes)
+    return values[-1]
 
 
 def adaptive_expectation(psi: StateVector, weight_fn: Callable[[np.ndarray], np.ndarray],
@@ -234,32 +286,17 @@ def adaptive_expectation(psi: StateVector, weight_fn: Callable[[np.ndarray], np.
                          max_nodes: int = MAX_NODES) -> float:
     """integral of weight(y) |psi(y)|^2 dy by midpoint sums with grid doubling.
 
-    Doubles n at fixed y_max until two successive values agree to ``rtol``
-    relative or the node cap is reached.  With ``divergence_test`` the first
-    two doublings are screened for sustained growth beyond GROWTH_FACTOR,
-    the signature of a logarithmic divergence at y = 0.
+    With ``divergence_test`` a value above 1e-12 that keeps growing under
+    the first two doublings raises DivergenceDetected.
     """
-    grid = psi.grid
-    value = _weighted_sum(psi, grid, weight_fn)
-    if divergence_test:
-        g1 = grid.refined(2)
-        g2 = grid.refined(4)
-        v1 = _weighted_sum(psi, g1, weight_fn)
-        v2 = _weighted_sum(psi, g2, weight_fn)
-        if (abs(value) > 1e-12 and v1 > value * GROWTH_FACTOR
-                and v2 > v1 * GROWTH_FACTOR):
-            raise DivergenceDetected(
-                f"quadrature grows by >{GROWTH_FACTOR}x per grid doubling "
-                f"({value:.6g} -> {v1:.6g} -> {v2:.6g})")
-        grid, value = g2, v2
-    while grid.n < max_nodes:
-        finer = grid.refined(2)
-        nxt = _weighted_sum(psi, finer, weight_fn)
-        done = abs(nxt - value) <= rtol * abs(nxt) + 1e-300
-        grid, value = finer, nxt
-        if done:
-            break
-    return value
+    values, grows = refine_by_doubling(
+        psi.grid, lambda g: _weighted_sum(psi, g, weight_fn),
+        growth_floor=1e-12 if divergence_test else None, rtol=rtol, max_nodes=max_nodes)
+    if grows:
+        raise DivergenceDetected(
+            f"quadrature grows by >{GROWTH_FACTOR}x per grid doubling "
+            f"({values[0]:.6g} -> {values[1]:.6g} -> {values[2]:.6g})")
+    return values[-1]
 
 
 def half_line_moment(psi: StateVector, sign: int, power: int,

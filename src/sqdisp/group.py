@@ -24,8 +24,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import GridTooNarrow
-from .grids import (MAX_NODES, GaussianStateParams, QuadratureGrid, StateVector,
-                    default_grid)
+from .grids import (GaussianStateParams, QuadratureGrid, StateVector, default_grid,
+                    phase_resolving_grid)
 
 SAMPLED_ACTION_RMAX = 3.0
 
@@ -69,17 +69,6 @@ def right_haar_weight(g: GroupElement) -> float:
     return 1.0
 
 
-def _phase_limited_n(base_grid: QuadratureGrid, y_max: float, max_freq: float) -> int:
-    """Node count so dy resolves both the old spacing and phase e^{-2i c y}."""
-    dy_req = min(base_grid.dy, math.pi / (8.0 * max(1.0, max_freq)))
-    n = 2 ** math.ceil(math.log2(max(2.0 * y_max / dy_req, 2.0)))
-    if n > MAX_NODES:
-        raise GridTooNarrow(
-            f"action requires {n} nodes to resolve phase frequency {max_freq:.3g}, "
-            f"cap is {MAX_NODES}")
-    return n
-
-
 def act(g: GroupElement, psi: StateVector,
         grid: Optional[QuadratureGrid] = None) -> StateVector:
     """Apply U_{x,r} = D(x) S(r) to a state.
@@ -97,9 +86,8 @@ def act(g: GroupElement, psi: StateVector,
             global_phase=p.global_phase,
         )
         if grid is None:
-            base = default_grid(new.center, new.log_width)
-            n = _phase_limited_n(psi.grid, base.y_max, abs(new.linear_phase))
-            grid = QuadratureGrid(base.y_max, n)
+            y_max = default_grid(new.center, new.log_width).y_max
+            grid = phase_resolving_grid(psi.grid, y_max, new.linear_phase)
         return StateVector.from_params(new, grid)
 
     if abs(g.r) > SAMPLED_ACTION_RMAX:
@@ -108,8 +96,7 @@ def act(g: GroupElement, psi: StateVector,
             "application; compose smaller steps")
     if grid is None:
         y_max = psi.grid.y_max * max(1.0, math.exp(-g.r))
-        n = _phase_limited_n(psi.grid, y_max, abs(g.x))
-        grid = QuadratureGrid(y_max, n)
+        grid = phase_resolving_grid(psi.grid, y_max, g.x)
     y = grid.nodes
     amps = math.exp(g.r / 2.0) * np.exp(-2.0j * g.x * y) * psi.evaluate_at(math.exp(g.r) * y)
     return StateVector(grid, amps)

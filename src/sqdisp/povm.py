@@ -22,7 +22,7 @@ D = pi / |Y|.  Every constructed seed carries normalization certificates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -37,8 +37,19 @@ KIND_ML = "ml"
 KIND_SRM = "srm"
 KIND_PARITY = "ml-parity"
 
+_SECTOR_LABELS = {+1: "+", -1: "-", 0: "full"}
 
-@dataclass
+
+def _multiplier(coeffs: Dict[int, complex], power: int, y: np.ndarray) -> np.ndarray:
+    """sum_s coeffs[s] |y|^power theta(s y), with s = 0 the full line."""
+    m = np.zeros_like(y, dtype=complex)
+    for s, cf in coeffs.items():
+        mask = np.ones_like(y, dtype=bool) if s == 0 else (s * y > 0)
+        m[mask] += cf * np.abs(y[mask]) ** power
+    return m
+
+
+@dataclass(frozen=True)
 class PovmSeed:
     """Covariant POVM seed vector |eta> with per-sector metadata.
 
@@ -60,11 +71,7 @@ class PovmSeed:
     weight_power: int = field(repr=False, default=1)
 
     def multiplier(self, y: np.ndarray) -> np.ndarray:
-        m = np.zeros_like(y, dtype=complex)
-        for s, cf in self.sector_coeffs.items():
-            mask = np.ones_like(y, dtype=bool) if s == 0 else (s * y > 0)
-            m[mask] += cf * np.abs(y[mask]) ** self.weight_power
-        return m
+        return _multiplier(self.sector_coeffs, self.weight_power, y)
 
     def evaluate_at(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -76,9 +83,7 @@ class PovmSeed:
             return self
         src = self.source.with_grid(grid)
         eta = StateVector(grid, self.multiplier(grid.nodes) * src.amplitudes)
-        return PovmSeed(self.kind, eta, src, self.w_plus, self.w_minus,
-                        self.sector_phases, self.certificates, self.likelihood,
-                        self.sector_coeffs, self.weight_power)
+        return replace(self, eta=eta, source=src)
 
 
 def dmc_apply(psi: StateVector, sign: int, power: float) -> StateVector:
@@ -118,52 +123,88 @@ def _sector_phase(psi: StateVector, sign: int) -> complex:
     return u / abs(u)
 
 
-def _certificate(seed: PovmSeed, sign: int) -> float:
-    """<eta_s| D_s |eta_s> via the same adaptive quadrature as the weights."""
-
-    def weight(y):
-        m = np.abs(seed.multiplier(y)) ** 2
-        w = np.zeros_like(y)
-        mask = np.ones_like(y, dtype=bool) if sign == 0 else (sign * y > 0)
-        w[mask] = math.pi * m[mask] / np.abs(y[mask])
-        return w
-
-    return adaptive_expectation(seed.source, weight)
+def _half_line_weights(psi: StateVector) -> Dict[int, float]:
+    """w_s = <psi| |Y| theta(sY) |psi> for s = +1, -1."""
+    return {s: half_line_moment(psi, s, 1) for s in (+1, -1)}
 
 
-def build_ml_seed(psi: StateVector) -> PovmSeed:
-    """Optimal maximum-likelihood seed eta = sum_s |Y| theta(sY) psi / sqrt(pi w_s)."""
-    weights = {s: half_line_moment(psi, s, 1) for s in (+1, -1)}
-    kept = {s: w for s, w in weights.items() if w > SECTOR_THRESHOLD}
+def _populated(values: Dict[int, float], message: str) -> Dict[int, float]:
+    kept = {s: v for s, v in values.items() if v > SECTOR_THRESHOLD}
     if not kept:
-        raise EmptySupport("both sector weights are below threshold")
-    phases = {s: _sector_phase(psi, s) for s in kept}
-    coeffs = {s: phases[s] / math.sqrt(math.pi * w) for s, w in kept.items()}
+        raise EmptySupport(message)
+    return kept
 
-    seed = PovmSeed(
-        kind=KIND_ML,
-        eta=None,  # filled below
+
+def _ml_likelihood(kept: Dict[int, float]) -> float:
+    return sum(math.sqrt(w) for w in kept.values()) ** 2 / math.pi
+
+
+def _srm_sectors(psi: StateVector):
+    """Populated sector masses m_s and <psi| D_s |psi> for the square-root
+    measurement; DomainViolation when some <D_s> diverges."""
+    masses = _populated({s: half_line_moment(psi, s, 0) for s in (+1, -1)},
+                        "state has no sector mass")
+    dvals = {}
+    for s in masses:
+        try:
+            dvals[s] = math.pi * half_line_moment(psi, s, -1)
+        except DivergenceDetected as exc:
+            raise DomainViolation(
+                "square-root measurement undefined: <D> diverges on sector "
+                f"{_SECTOR_LABELS[s]}; the state is outside the domain of "
+                f"D^(1/2) ({exc})") from exc
+    return masses, dvals
+
+
+def _srm_likelihood(masses: Dict[int, float], dvals: Dict[int, float]) -> float:
+    return sum(m / math.sqrt(dvals[s]) for s, m in masses.items()) ** 2
+
+
+def _make_seed(kind: str, psi: StateVector, weights: Dict[int, float],
+               phases: Dict[int, complex], coeffs: Dict[int, complex],
+               weight_power: int, likelihood: float) -> PovmSeed:
+    """Seed eta = multiplier * psi with a certificate <eta_s| D_s |eta_s> per
+    sector, computed by the same adaptive quadrature as the weights."""
+
+    def certificate(sign):
+        def weight(y):
+            m = np.abs(_multiplier(coeffs, weight_power, y)) ** 2
+            w = np.zeros_like(y)
+            mask = np.ones_like(y, dtype=bool) if sign == 0 else (sign * y > 0)
+            w[mask] = math.pi * m[mask] / np.abs(y[mask])
+            return w
+
+        return adaptive_expectation(psi, weight)
+
+    eta = StateVector(psi.grid, _multiplier(coeffs, weight_power, psi.grid.nodes)
+                      * psi.amplitudes)
+    return PovmSeed(
+        kind=kind,
+        eta=eta,
         source=psi,
         w_plus=weights[+1],
         w_minus=weights[-1],
         sector_phases=phases,
-        certificates={},
-        likelihood=sum(math.sqrt(w) for w in kept.values()) ** 2 / math.pi,
+        certificates={_SECTOR_LABELS[s]: certificate(s) for s in coeffs},
+        likelihood=likelihood,
         sector_coeffs=coeffs,
-        weight_power=1,
+        weight_power=weight_power,
     )
-    seed.eta = StateVector(psi.grid, seed.multiplier(psi.grid.nodes) * psi.amplitudes)
-    seed.certificates = {("+" if s > 0 else "-"): _certificate(seed, s) for s in kept}
-    return seed
+
+
+def build_ml_seed(psi: StateVector) -> PovmSeed:
+    """Optimal maximum-likelihood seed eta = sum_s |Y| theta(sY) psi / sqrt(pi w_s)."""
+    weights = _half_line_weights(psi)
+    kept = _populated(weights, "both sector weights are below threshold")
+    phases = {s: _sector_phase(psi, s) for s in kept}
+    coeffs = {s: phases[s] / math.sqrt(math.pi * w) for s, w in kept.items()}
+    return _make_seed(KIND_ML, psi, weights, phases, coeffs, 1, _ml_likelihood(kept))
 
 
 def optimal_likelihood(psi: StateVector) -> float:
     """L_opt = (sqrt(w_+) + sqrt(w_-))^2 / pi."""
-    w = [half_line_moment(psi, s, 1) for s in (+1, -1)]
-    kept = [v for v in w if v > SECTOR_THRESHOLD]
-    if not kept:
-        raise EmptySupport("both sector weights are below threshold")
-    return sum(math.sqrt(v) for v in kept) ** 2 / math.pi
+    return _ml_likelihood(
+        _populated(_half_line_weights(psi), "both sector weights are below threshold"))
 
 
 def build_srm_seed(psi: StateVector) -> PovmSeed:
@@ -173,54 +214,16 @@ def build_srm_seed(psi: StateVector) -> PovmSeed:
     D_s^{1/2}; the grid-doubling growth test operationalizes that condition
     and a divergent <D_s> raises DomainViolation.
     """
-    masses = {s: half_line_moment(psi, s, 0) for s in (+1, -1)}
-    kept = {s: m for s, m in masses.items() if m > SECTOR_THRESHOLD}
-    if not kept:
-        raise EmptySupport("state has no sector mass")
-    dvals = {}
-    for s in kept:
-        try:
-            dvals[s] = math.pi * half_line_moment(psi, s, -1)
-        except DivergenceDetected as exc:
-            raise DomainViolation(
-                "square-root seed undefined: <D> diverges on sector "
-                f"{'+' if s > 0 else '-'}; the state is outside the domain of "
-                f"D^(1/2) ({exc})") from exc
-    phases = {s: _sector_phase(psi, s) for s in kept}
-    coeffs = {s: phases[s] / math.sqrt(dvals[s]) for s in kept}
-    seed = PovmSeed(
-        kind=KIND_SRM,
-        eta=None,
-        source=psi,
-        w_plus=half_line_moment(psi, +1, 1),
-        w_minus=half_line_moment(psi, -1, 1),
-        sector_phases=phases,
-        certificates={},
-        likelihood=sum(m / math.sqrt(dvals[s]) for s, m in kept.items()) ** 2,
-        sector_coeffs=coeffs,
-        weight_power=0,
-    )
-    seed.eta = StateVector(psi.grid, seed.multiplier(psi.grid.nodes) * psi.amplitudes)
-    seed.certificates = {("+" if s > 0 else "-"): _certificate(seed, s) for s in kept}
-    return seed
+    masses, dvals = _srm_sectors(psi)
+    phases = {s: _sector_phase(psi, s) for s in masses}
+    coeffs = {s: phases[s] / math.sqrt(dvals[s]) for s in masses}
+    return _make_seed(KIND_SRM, psi, _half_line_weights(psi), phases, coeffs, 0,
+                      _srm_likelihood(masses, dvals))
 
 
 def srm_likelihood(psi: StateVector) -> float:
     """L_srm = (sum_s m_s / sqrt(<psi| D_s |psi>))^2 with m_s the sector mass."""
-    masses = {s: half_line_moment(psi, s, 0) for s in (+1, -1)}
-    kept = {s: m for s, m in masses.items() if m > SECTOR_THRESHOLD}
-    if not kept:
-        raise EmptySupport("state has no sector mass")
-    total = 0.0
-    for s, m in kept.items():
-        try:
-            d = math.pi * half_line_moment(psi, s, -1)
-        except DivergenceDetected as exc:
-            raise DomainViolation(
-                "square-root likelihood undefined: <D> diverges on sector "
-                f"{'+' if s > 0 else '-'} ({exc})") from exc
-        total += m / math.sqrt(d)
-    return total ** 2
+    return _srm_likelihood(*_srm_sectors(psi))
 
 
 def build_parity_seed(psi: StateVector) -> PovmSeed:
@@ -230,21 +233,8 @@ def build_parity_seed(psi: StateVector) -> PovmSeed:
         raise EmptySupport("<|Y|> vanishes")
     phase = 1.0 + 0.0j if psi.is_real else _sector_phase(psi, +1)
     coeffs = {0: phase / math.sqrt(math.pi * t)}
-    seed = PovmSeed(
-        kind=KIND_PARITY,
-        eta=None,
-        source=psi,
-        w_plus=half_line_moment(psi, +1, 1),
-        w_minus=half_line_moment(psi, -1, 1),
-        sector_phases={0: phase},
-        certificates={},
-        likelihood=t / math.pi,
-        sector_coeffs=coeffs,
-        weight_power=1,
-    )
-    seed.eta = StateVector(psi.grid, seed.multiplier(psi.grid.nodes) * psi.amplitudes)
-    seed.certificates = {"full": _certificate(seed, 0)}
-    return seed
+    return _make_seed(KIND_PARITY, psi, _half_line_weights(psi), {0: phase}, coeffs, 1,
+                      t / math.pi)
 
 
 def seed_overlap_likelihood(seed: PovmSeed, psi: Optional[StateVector] = None) -> float:

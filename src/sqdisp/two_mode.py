@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import CutoffTooSmall, GridMismatch
 from .distribution import DensityMap, _trapezoid_weights
-from .grids import QuadratureGrid
+from .grids import QuadratureGrid, fourier_at
 from .group import GroupElement
 
 DEFAULT_TEST_LAMBDAS = (0.9, 0.95, 0.99)
@@ -222,20 +222,13 @@ def concentration_profile(lam: float, n_max: int,
     for j, r in enumerate(r_nodes):
         Hs = hermite_functions(n_max, math.exp(r) * y)
         ket = _mode1_waves(p_plus, Hs)
-        kern_p = (bra_p * ket).sum(axis=0) * grid.dy
-        kern_m = (bra_m * ket).sum(axis=0) * grid.dy
-        phases = np.exp(-2.0j * np.outer(x_nodes, y))
+        kernels = np.stack([(bra_p * ket).sum(axis=0), (bra_m * ket).sum(axis=0)],
+                           axis=1) * grid.dy
         amp = math.exp(r / 2.0)
-        values[:, j] = (np.abs(amp * (phases @ kern_p)) ** 2
-                        + np.abs(amp * (phases @ kern_m)) ** 2)
+        values[:, j] = (np.abs(amp * fourier_at(x_nodes, y, kernels)) ** 2).sum(axis=1)
 
-    wx = _trapezoid_weights(x_nodes)
-    wr = _trapezoid_weights(r_nodes) * np.exp(-r_nodes)
-    mass = float(wx @ values @ wr)
-    dmap = DensityMap(x_nodes=x_nodes, r_nodes=r_nodes, values=values,
-                      window=window, mass=mass)
-    flat_wr = _trapezoid_weights(r_nodes)
-    weighted = values * np.outer(wx, flat_wr)
+    dmap = DensityMap.from_values(x_nodes, r_nodes, values, window)
+    weighted = values * np.outer(_trapezoid_weights(x_nodes), _trapezoid_weights(r_nodes))
     total = float(weighted.sum())
     width_x = math.sqrt(float((weighted.sum(axis=1) * x_nodes ** 2).sum()) / total)
     width_r = math.sqrt(float((weighted.sum(axis=0) * r_nodes ** 2).sum()) / total)

@@ -136,6 +136,26 @@ class TestSampledFile:
         code, out, err = run(capsys, "likelihood", "--state", "sampled-file")
         assert code == 2
 
+    @pytest.mark.parametrize("defect", ["nan", "all-zero", "non-numeric"])
+    def test_bad_amplitudes_are_config_errors(self, tmp_path, capsys, defect):
+        import numpy as np
+        from sqdisp import default_grid
+        grid = default_grid(0.0, n=64)
+        y = grid.nodes
+        amps = [f"{aa:.17g}" for aa in y * np.exp(-y ** 2)]
+        if defect == "all-zero":
+            amps = ["0"] * len(amps)
+        else:
+            amps[20] = "nan" if defect == "nan" else "abc"
+        path = tmp_path / f"{defect}.csv"
+        lines = ["y,re,im"] + [f"{yy:.17g},{aa},0" for yy, aa in zip(y, amps)]
+        path.write_text("\n".join(lines))
+        code, out, err = run(capsys, "likelihood", "--state", "sampled-file",
+                             "--sampled-path", str(path))
+        assert code == 2
+        assert "config error" in err
+        assert "Traceback" not in err
+
 
 class TestAsymptoticsCommand:
     def test_payload(self, capsys):

@@ -196,6 +196,15 @@ class TestSampledStates:
         psi = make_sampled(grid, np.exp(-grid.nodes ** 2))
         assert psi.evaluate_at(np.array([7.0]))[0] == 0.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_amplitudes_rejected(self, bad):
+        grid = QuadratureGrid(5.0, 64)
+        amps = np.exp(-grid.nodes ** 2).astype(complex)
+        amps[20] = bad
+        for normalize in (True, False):
+            with pytest.raises(ValueError, match="finite"):
+                make_sampled(grid, amps, normalize=normalize)
+
     def test_params_object_norm(self):
         p = GaussianStateParams(center=1.0, log_width=0.3, linear_phase=2.0)
         grid = default_grid(1.0, 0.3)
