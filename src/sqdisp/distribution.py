@@ -40,6 +40,9 @@ MEASURE_CONVENTION = "left-haar: probability = p(x,r) * exp(-r) dx dr"
 # rescales the group average by exp(MODULAR_SIGN * r_h).
 MODULAR_SIGN = +1.0
 
+# Relative gap below the maximum within which argmax treats grid nodes as tied.
+ARGMAX_TIE_RTOL = 1e-12
+
 
 @dataclass
 class DensityMap:
@@ -123,8 +126,10 @@ def scan(seed: PovmSeed, psi: StateVector,
     """Fill a DensityMap with density_at over a tensor grid.
 
     ``resolution`` is an int or an (nx, nr) pair, at least 16 per axis.
-    Each r row is evaluated as one matrix product over the quadrature grid,
-    so the result does not depend on evaluation order.
+    Each r row is one chirp-z transform (``grids.fourier_at``) of the
+    quadrature integrand over the uniformly spaced x nodes, so a row costs
+    O((nx + n) log) time and O(nx + n) memory for n quadrature nodes, and
+    the result does not depend on evaluation order.
     """
     x_lo, x_hi, r_lo, r_hi = window
     if not all(math.isfinite(v) for v in window):
@@ -184,10 +189,13 @@ def _quadratic_peak(values: np.ndarray, i: int, j: int,
 def argmax(density_map: DensityMap) -> Tuple[float, float, float]:
     """Location and value of the density peak, refined by a quadratic fit.
 
-    Exact grid ties resolve to the lexicographically smallest (x, r).
+    Grid ties resolve to the lexicographically smallest (x, r).  Nodes within
+    ARGMAX_TIE_RTOL of the maximum count as tied, so the mirror-image twin
+    peaks of a real state do not pick a side by round-off.
     """
     values = density_map.values
-    flat = int(np.argmax(values))  # first occurrence: smallest (x, r) on ties
+    near_peak = values >= values.max() * (1.0 - ARGMAX_TIE_RTOL)
+    flat = int(np.argmax(near_peak))  # first True: smallest (x, r)
     i, j = np.unravel_index(flat, values.shape)
     return _quadratic_peak(values, i, j, density_map.x_nodes, density_map.r_nodes)
 

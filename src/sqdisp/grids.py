@@ -225,12 +225,73 @@ def phase_resolving_grid(grid: QuadratureGrid, y_max: float, freq: float) -> Qua
     return QuadratureGrid(y_max, n)
 
 
-def fourier_at(x: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """sum_k h_k e^{-2i x_j y_k} for every x_j, by a dense phase matrix.
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy.fft transforms quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
 
-    ``h`` is one vector of length len(y) or a (len(y), m) stack of them.
+
+def _chirp(alpha: float, m: np.ndarray) -> np.ndarray:
+    """e^{-i alpha m^2} for integers |m| < 2^20.
+
+    The phase is reduced modulo one turn in pieces: alpha/(2 pi) is split
+    into 12-bit parts, each part times m^2 (< 2^40) is exact in float64 and
+    so is its remainder modulo 1.  The phase error then stays at round-off
+    of one turn however large alpha m^2 grows.
     """
-    return np.exp(-2.0j * np.outer(x, y)) @ h
+    m2 = np.asarray(m, dtype=float) ** 2
+    rest = alpha / (2.0 * math.pi)
+    turns = np.zeros_like(m2)
+    for _ in range(3):
+        mant, e = math.frexp(rest)
+        part = math.ldexp(round(math.ldexp(mant, 12)), e - 12)
+        turns += np.mod(part * m2, 1.0)
+        rest -= part
+    turns += rest * m2
+    return np.exp(-2.0j * math.pi * turns)
+
+
+def fourier_at(x: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """sum_k h_k e^{-2i x_j y_k} for every x_j, by a chirp-z transform.
+
+    ``x`` and ``y`` are uniformly spaced, increasing or decreasing; ``h`` is
+    one vector of length len(y) or a (len(y), m) stack of them.  With
+    x_j = x_0 + j dx, y_k = y_0 + k dy and alpha = dx dy, Bluestein's
+    identity 2jk = j^2 + k^2 - (j - k)^2 gives
+
+        e^{-2i x_j y_0 - i alpha j^2} sum_k [h_k e^{-2i x_0 (y_k - y_0) - i alpha k^2}]
+                                         e^{i alpha (j - k)^2},
+
+    a convolution evaluated with FFTs of length >= len(x) + len(y) - 1:
+    O((nx + n) log(nx + n)) time and O(nx + n) memory per column of ``h``.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    h = np.asarray(h)
+    nx, n = len(x), len(y)
+    dx = (x[-1] - x[0]) / (nx - 1) if nx > 1 else 0.0
+    dy = (y[-1] - y[0]) / (n - 1) if n > 1 else 0.0
+    chirp = _chirp(dx * dy, np.arange(max(nx, n)))
+    chirp_x, chirp_y = chirp[:nx], chirp[:n]
+    length = _fft_length(nx + n - 1)
+    lags = np.zeros(length, dtype=complex)  # e^{i alpha m^2} for m = -(n-1) .. nx-1
+    lags[:nx] = np.conj(chirp_x)
+    lags[length - n + 1:] = np.conj(chirp_y[:0:-1])
+    column = (slice(None),) + (None,) * (h.ndim - 1)
+    pre = np.exp(-2.0j * x[0] * (y - y[0])) * chirp_y
+    conv = np.fft.ifft(np.fft.fft(pre[column] * h, length, axis=0)
+                       * np.fft.fft(lags)[column], axis=0)[:nx]
+    return conv * (np.exp(-2.0j * x * y[0]) * chirp_x)[column]
 
 
 def _weighted_sum(psi: StateVector, grid: QuadratureGrid,

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import sqdisp
 from sqdisp.cli import main
 
 
@@ -190,3 +194,15 @@ class TestValidateCommand:
     def test_check_count(self):
         from sqdisp.validate import build_checks
         assert len(build_checks()) >= 12
+
+
+def test_import_skips_scipy_signal():
+    # scipy.signal takes over a second to import; keep it off the start-up path
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sqdisp.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sqdisp, sqdisp.cli; print('scipy.signal' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -1,6 +1,7 @@
 """Estimation densities, scans, moments, normalization, group-average oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,19 @@ class TestScanAndArgmax:
             assert np.all(m.values >= 0)
             assert np.all(np.isfinite(m.values))
 
+    def test_wide_window_memory_bounded(self, vacuum_seed):
+        # (+-20, +-6) refines the vacuum grid to 524288 nodes; a dense phase
+        # matrix would need more than 1 GB per r row
+        seed, vac = vacuum_seed
+        tracemalloc.start()
+        try:
+            m = scan(seed, vac, (-20.0, 20.0, -6.0, 6.0), (128, 16))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(m.values))
+        assert peak < 400 * 2 ** 20
+
     def test_mass_bounded_and_monotone(self, vacuum_seed, vacuum_map):
         seed, vac = vacuum_seed
         inner = scan(seed, vac, (-1.5, 1.5, -1.5, 1.5), 48)
@@ -169,6 +183,28 @@ class TestMoments:
         assert ar == pytest.approx(0.0, abs=1e-12)
         # the fitted peak value is a quadratic estimate of a Gaussian crest
         assert peak == pytest.approx(1.0, rel=1e-3)
+
+    def test_argmax_twin_peaks_resolve_left(self):
+        # a map mirror-symmetric in x peaks on two twin nodes, whose quadratic
+        # fits land on either side of x = 0; raising the right twin by
+        # round-off must not move the peak off the left one
+        from sqdisp.distribution import DensityMap
+        half = (np.arange(32) + 0.5) * (2.0 / 32)
+        xs = np.concatenate([-half[::-1], half])
+        rs = np.linspace(-1, 1, 65)
+        X, R = np.meshgrid(xs, rs, indexing="ij")
+        vals = np.exp(-X ** 2 - 10 * (R - X ** 2) ** 2)
+        window = (xs[0], xs[-1], -1, 1)
+        left = argmax(DensityMap(x_nodes=xs, r_nodes=rs, values=vals, window=window))
+        assert left[0] < -1e-4
+        for bump, side in ((1e-14, -1.0), (1e-6, +1.0)):
+            raised = vals.copy()
+            raised[32, 32] *= 1.0 + bump
+            ax, ar, _ = argmax(DensityMap(x_nodes=xs, r_nodes=rs, values=raised,
+                                          window=window))
+            assert ax * side > 1e-4
+            if side < 0:  # the raised node sits in the left twin's fit patch
+                assert (ax, ar) == pytest.approx(left[:2], rel=1e-9)
 
 
 class TestNormalization:

@@ -15,6 +15,7 @@ from sqdisp import (DivergenceDetected, GaussianStateParams, GridMismatch,
                     GridTooNarrow, QuadratureGrid, abs_moment, default_grid,
                     half_line_moment, inner_product, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum)
+from sqdisp.grids import fourier_at
 
 VACUUM_PEAK = (2.0 / math.pi) ** 0.25           # 0.8932438417380024
 VACUUM_HALF_MOMENT = math.sqrt(2.0 / math.pi) / 4.0  # 0.19947114020071635
@@ -211,3 +212,37 @@ class TestSampledStates:
         amps = p(grid.nodes)
         assert float(np.sum(np.abs(amps) ** 2) * grid.dy) == pytest.approx(
             1.0, abs=1e-12)
+
+
+def dense_fourier(x, y, h, rows=512):
+    """sum_k h_k e^{-2i x_j y_k} by explicit phase matrices, ``rows`` x at a time."""
+    return np.concatenate([np.exp(-2j * np.outer(x[i:i + rows], y)) @ h
+                           for i in range(0, len(x), rows)])
+
+
+class TestFourierAt:
+    # (n, nx, x range, kernel); decreasing ranges are the scan's inverse
+    # elements x' = -e^{-r} x, nx = 1 a single-point transform
+    @pytest.mark.parametrize("n, nx, x_lo, x_hi, kind", [
+        (4096, 128, -4.0, 4.0, "gaussian"),
+        (4096, 96, 2.5, -2.5, "gaussian"),
+        (8192, 1, 0.7, 0.7, "gaussian"),
+        (1024, 1, -3.0, -3.0, "random"),
+        (2048, 64, -20.0, 20.0, "stack"),
+        (8192, 8192, -30.0, 30.0, "random"),
+        (64, 8192, 300.0, -300.0, "stack"),
+    ])
+    def test_matches_dense_sum(self, n, nx, x_lo, x_hi, kind):
+        y = QuadratureGrid(10.0, n).nodes
+        x = np.linspace(x_lo, x_hi, nx)
+        rng = np.random.default_rng(n + nx)
+        if kind == "gaussian":
+            h = np.exp(-(y - 1.0) ** 2 - 3.0j * y)
+        elif kind == "random":
+            h = rng.normal(size=n) + 1j * rng.normal(size=n)
+        else:
+            h = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+        got = fourier_at(x, y, h)
+        ref = dense_fourier(x, y, h)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
