@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoConvergence, SupportViolation
 from .grids import StateVector
@@ -131,18 +130,25 @@ class IsotropicSolution:
 
 
 def isotropic_params(nbar: float) -> IsotropicSolution:
-    """Solve a = e^{-2z} with a^2 + sinh^2 z = nbar for the isotropic input."""
+    """Solve a = e^{-2z} with a^2 + sinh^2 z = nbar for the isotropic input.
+
+    With sinh^2 z = (sqrt(a) - 1/sqrt(a))^2 / 4 the condition is excess(a) = 0
+    for excess(a) = a^2 + sinh^2 z - nbar, increasing and convex on a >= 1
+    (excess' = 2a + (1 - 1/a^2)/4).  Newton's iteration started at
+    sqrt(nbar) + 1, where excess > 0, then falls monotonically onto the root.
+    """
     if not nbar > 1:
         raise ValueError("nbar must exceed 1")
-
-    def excess(a: float) -> float:
+    a = math.sqrt(nbar) + 1.0
+    for _ in range(100):  # under 10 steps from this start in practice
         root = math.sqrt(a)
-        return a * a + 0.25 * (root - 1.0 / root) ** 2 - nbar
-
-    try:
-        a = brentq(excess, 1.0, math.sqrt(nbar) + 1.0, xtol=1e-12, rtol=1e-14)
-    except ValueError as exc:
-        raise NoConvergence(f"isotropy root bracketing failed: {exc}") from exc
+        excess = a * a + 0.25 * (root - 1.0 / root) ** 2 - nbar
+        step = excess / (2.0 * a + 0.25 * (1.0 - 1.0 / (a * a)))
+        a -= step
+        if abs(step) <= 1e-15 * a:
+            break
+    else:
+        raise NoConvergence(f"isotropy Newton iteration for nbar={nbar} did not converge")
     z = -0.5 * math.log(a)
     fig_a = math.sqrt(nbar - math.sqrt(nbar))
     fig_z = -math.asinh(nbar ** 0.25)

@@ -71,8 +71,14 @@ class RunConfig:
             raise ConfigError("resolution must be at least 16")
         if not 0.0 < self.lam < 1.0:
             raise ConfigError("lam must lie strictly between 0 and 1")
+        if self.y_max < 0:
+            raise ConfigError("y_max must be 0 (automatic) or positive")
         if self.n and (self.n < 2 or self.n % 2):
             raise ConfigError("n must be an even integer >= 2")
+        if not self.nbar > 1:
+            raise ConfigError("nbar must exceed 1")
+        if self.n_max < two_mode.MIN_N_MAX:
+            raise ConfigError(f"n_max must be at least {two_mode.MIN_N_MAX}")
         if self.state == "sampled-file" and not self.sampled_path:
             raise ConfigError("sampled-file state requires sampled_path")
         window = (self.x_lo, self.x_hi, self.r_lo, self.r_hi)

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DivergenceDetected, GridMismatch, GridTooNarrow
 
@@ -104,8 +103,8 @@ class StateVector:
 
     States are immutable after construction; ``amplitudes`` is read-only.
     When ``evaluator`` is present the state is exactly Gaussian and can be
-    evaluated anywhere in closed form; sampled states fall back to cubic
-    interpolation inside the grid window and zero outside.
+    evaluated anywhere in closed form; sampled states fall back to a
+    not-a-knot cubic spline (numpy) inside the grid window and zero outside.
     """
 
     def __init__(self, grid: QuadratureGrid, amplitudes: np.ndarray,
@@ -139,14 +138,13 @@ class StateVector:
 
     def evaluate_at(self, y: np.ndarray) -> np.ndarray:
         """Amplitudes at arbitrary points: closed form for Gaussian states,
-        cubic interpolation (zero outside the window) for sampled ones."""
+        not-a-knot cubic spline (zero outside the window) for sampled ones."""
         y = np.asarray(y, dtype=float)
         if self.evaluator is not None:
             return self.evaluator(y)
         if self._spline is None:
-            self._spline = CubicSpline(self.grid.nodes, self.amplitudes, extrapolate=False)
-        out = self._spline(y)
-        return np.nan_to_num(out, nan=0.0)
+            self._spline = _NotAKnotSpline(self.grid, self.amplitudes)
+        return self._spline(y)
 
     def with_grid(self, grid: QuadratureGrid) -> "StateVector":
         if grid.matches(self.grid):
@@ -292,6 +290,99 @@ def fourier_at(x: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
     conv = np.fft.ifft(np.fft.fft(pre[column] * h, length, axis=0)
                        * np.fft.fft(lags)[column], axis=0)[:nx]
     return conv * (np.exp(-2.0j * x * y[0]) * chirp_x)[column]
+
+
+_SPLINE_CHUNK = 2**14  # points per pass, so the temporaries stay in cache
+_RHO = math.sqrt(3.0) - 2.0  # root of t^2 + 4t + 1 with |t| < 1
+
+
+def _dst1(v: np.ndarray) -> np.ndarray:
+    """DST-I, sum_j v_j sin(pi (j+1)(k+1)/(N+1)) for k < N, by one FFT of
+    the odd extension [0, v, 0, -reversed(v)] of length 2(N+1)."""
+    n = len(v)
+    ext = np.zeros(2 * n + 2, dtype=complex)
+    ext[1:n + 1] = v
+    ext[n + 2:] = -v[::-1]
+    return 0.5j * np.fft.fft(ext)[1:n + 1]
+
+
+def _solve_141(b: np.ndarray) -> np.ndarray:
+    """x with x_{i-1} + 4 x_i + x_{i+1} = b_i for i = 1..N, x_0 = x_{N+1} = 0.
+
+    The DST-I of size L - 1 diagonalises this (1, 4, 1) Toeplitz system,
+    with eigenvalues 4 + 2 cos(pi k / L).  It is solved at the size with
+    L = _fft_length(N + 2), where the FFTs are fast, on ``b`` padded with
+    zeros.  That solution y obeys rows 1..N but has y_{N+1} != 0; adding
+    -y_{N+1} rho^{N+1-i} (1 - rho^{2i}) / (1 - rho^{2(N+1)}), a solution of
+    the homogeneous rows that vanishes at i = 0, restores x_{N+1} = 0.
+    Since |rho|^64 < 1e-36, only the last 64 entries need it.
+    """
+    n = len(b)
+    size = _fft_length(n + 2)
+    padded = np.zeros(size - 1, dtype=complex)
+    padded[:n] = b
+    eig = 4.0 + 2.0 * np.cos(np.pi * np.arange(1, size) / size)
+    x = _dst1(_dst1(padded) / eig) * (2.0 / size)
+    i = np.arange(max(n - 63, 1), n + 1)
+    x[i - 1] -= x[n] * _RHO ** (n + 1 - i) * (1.0 - _RHO ** (2 * i)) / (1.0 - _RHO ** (2 * n + 2))
+    return x[:n]
+
+
+class _NotAKnotSpline:
+    """Not-a-knot cubic spline through samples on a QuadratureGrid, zero
+    outside [nodes[0], nodes[-1]] and at NaN points.
+
+    In the unit coordinate u = (y - y_i)/dy of interval i the spline is
+    f_i + c1_i u + c2_i u^2 + c3_i u^3, written through the curvatures
+    m_i = dy^2 S''(y_i).  These obey m_{i-1} + 4 m_i + m_{i+1} = 6 d_i at
+    interior nodes, d_i = f_{i-1} - 2 f_i + f_{i+1}; not-a-knot (m_0 =
+    2 m_1 - m_2 and its mirror) folds the end rows into m_1 = d_1 and
+    m_{n-2} = d_{n-2}, and the rest is a (1, 4, 1) Toeplitz system.  n = 2
+    gives the straight line and n = 4 the single cubic through all four
+    points, as scipy's CubicSpline does.
+    """
+
+    def __init__(self, grid: QuadratureGrid, f: np.ndarray):
+        n = grid.n
+        m = np.zeros(n, dtype=complex)
+        if n >= 4:
+            d = f[:-2] - 2.0 * f[1:-1] + f[2:]
+            m[1], m[-2] = d[0], d[-1]
+            if n > 4:
+                rhs = 6.0 * d[1:-1]
+                rhs[0] -= m[1]
+                rhs[-1] -= m[-2]
+                m[2:-2] = _solve_141(rhs)
+            m[0], m[-1] = 2.0 * m[1] - m[2], 2.0 * m[-2] - m[-3]
+        # interval n-1 is the constant f_{n-1}, used only at y = nodes[-1]
+        zero = np.zeros(1, dtype=complex)
+        self.c0 = np.ascontiguousarray(f, dtype=complex)
+        self.c1 = np.concatenate([f[1:] - f[:-1] - (2.0 * m[:-1] + m[1:]) / 6.0, zero])
+        self.c2 = np.concatenate([m[:-1] / 2.0, zero])
+        self.c3 = np.concatenate([(m[1:] - m[:-1]) / 6.0, zero])
+        self.nodes = grid.nodes
+        self.dy = grid.dy
+
+    def __call__(self, y: np.ndarray) -> np.ndarray:
+        flat = y.ravel()
+        out = np.empty(flat.shape, dtype=complex)
+        lo, hi = self.nodes[0], self.nodes[-1]
+        for start in range(0, len(flat), _SPLINE_CHUNK):
+            part = flat[start:start + _SPLINE_CHUNK]
+            inside = (part >= lo) & (part <= hi)
+            part = np.where(inside, part, lo)
+            # nearest node k, then the interval on the side of y; at a node
+            # u = 0 exactly, so node values come back exactly
+            k = np.rint((part - lo) / self.dy).astype(np.intp)
+            u = (part - self.nodes.take(k)) / self.dy
+            left = u < 0.0
+            i = k - left
+            u += left
+            val = self.c0.take(i) + u * (self.c1.take(i) + u * (self.c2.take(i)
+                                                                + u * self.c3.take(i)))
+            val[~inside] = 0.0
+            out[start:start + _SPLINE_CHUNK] = val
+        return out.reshape(y.shape)
 
 
 def _weighted_sum(psi: StateVector, grid: QuadratureGrid,

@@ -36,6 +36,7 @@ from .group import GroupElement
 
 DEFAULT_TEST_LAMBDAS = (0.9, 0.95, 0.99)
 DEFAULT_N_MAX = 60
+MIN_N_MAX = 20
 TAIL_TOL = 1e-4
 
 
@@ -130,8 +131,8 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie strictly between 0 and 1")
-    if n_max < 20:
-        raise ValueError("n_max must be at least 20")
+    if n_max < MIN_N_MAX:
+        raise ValueError(f"n_max must be at least {MIN_N_MAX}")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     if grid is None:

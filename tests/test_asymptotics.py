@@ -132,3 +132,14 @@ class TestIsotropicParams:
     def test_rejects_small_nbar(self):
         with pytest.raises(ValueError):
             isotropic_params(0.5)
+
+    @pytest.mark.parametrize("nbar", [1.01, 10.0, 100.0, 4000.0])
+    def test_matches_brentq_root(self, nbar):
+        from scipy.optimize import brentq
+
+        def excess(a):
+            root = math.sqrt(a)
+            return a * a + 0.25 * (root - 1.0 / root) ** 2 - nbar
+
+        ref = brentq(excess, 1.0, math.sqrt(nbar) + 1.0, xtol=1e-14, rtol=1e-15)
+        assert isotropic_params(nbar).a == pytest.approx(ref, rel=1e-12)

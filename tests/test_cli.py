@@ -161,6 +161,20 @@ class TestSampledFile:
         assert "Traceback" not in err
 
 
+class TestOutOfRangeOptions:
+    @pytest.mark.parametrize("argv", [
+        ("asymptotics", "--nbar", "0.5"),
+        ("two-mode", "--n-max", "0"),
+        ("likelihood", "--state", "coherent", "--a", "3", "--y-max", "-5"),
+        ("likelihood", "--state", "coherent", "--a", "3", "--n", "-4096"),
+    ], ids=["nbar", "n-max", "y-max", "n"])
+    def test_config_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("config error:")
+        assert out == ""
+
+
 class TestAsymptoticsCommand:
     def test_payload(self, capsys):
         code, out, err = run(capsys, "asymptotics", "--a", "10",
@@ -206,3 +220,16 @@ def test_import_skips_scipy_signal():
          "import sys, sqdisp, sqdisp.cli; print('scipy.signal' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+def test_import_loads_no_scipy():
+    # the library and CLI need numpy only; scipy is a test dependency
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sqdisp.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, sqdisp, sqdisp.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -206,6 +206,31 @@ class TestSampledStates:
             with pytest.raises(ValueError, match="finite"):
                 make_sampled(grid, amps, normalize=normalize)
 
+    @pytest.mark.parametrize("n", [2, 4, 6, 4096])
+    def test_spline_matches_scipy_not_a_knot(self, n):
+        from scipy.interpolate import CubicSpline
+        grid = QuadratureGrid(3.0, n)
+        rng = np.random.default_rng(n)
+        amps = rng.normal(size=n) + 1j * rng.normal(size=n)
+        psi = make_sampled(grid, amps, normalize=False)
+        lo, hi = grid.nodes[0], grid.nodes[-1]
+        y = np.concatenate([rng.uniform(lo, hi, 20000),      # inside, two chunks
+                            rng.uniform(-4.0, 4.0, 2000),    # straddles the window
+                            [lo, hi, np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf),
+                             -3.0, 3.0, np.nan, -np.inf, np.inf]])
+        ref = np.nan_to_num(CubicSpline(grid.nodes, amps, extrapolate=False)(y), nan=0.0)
+        got = psi.evaluate_at(y)
+        assert got.shape == y.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(amps))
+        assert np.all(got[-7:] == 0.0)
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 4096])
+    def test_spline_returns_amplitudes_at_nodes(self, n):
+        grid = QuadratureGrid(3.0, n)
+        amps = np.exp(-grid.nodes ** 2) * np.exp(1.5j * grid.nodes)
+        psi = make_sampled(grid, amps)
+        assert np.array_equal(psi.evaluate_at(grid.nodes), psi.amplitudes)
+
     def test_params_object_norm(self):
         p = GaussianStateParams(center=1.0, log_width=0.3, linear_phase=2.0)
         grid = default_grid(1.0, 0.3)
