@@ -1,14 +1,16 @@
 """Command-line front end.
 
 Subcommands: density, likelihood, compare-srm, asymptotics, two-mode,
-validate.  Configuration is a flat key=value text file plus command-line
-overrides; unknown keys are rejected.  ``--print-config`` dumps the
-effective configuration, so any frozen regression output can be reproduced
-exactly.  CSV output carries full double precision (17 significant digits)
-and is bit-identical across runs for a fixed configuration.
+validate.  Each ``RunConfig`` field is one option: the flag ``--`` + its name
+with ``_`` as ``-``, and the key of that name in a flat key=value config file
+(unknown keys rejected).  ``None`` means not given; ``_DEFAULTS`` holds each
+subcommand's defaults.  ``--print-config`` dumps the effective configuration,
+values not given as empty, so the dump fed back through ``--config``
+reproduces the run.  CSV output carries full double precision (17
+significant digits) and is bit-identical across runs for a fixed configuration.
 
-Exit codes: 0 success, 1 validation-suite failure, 2 configuration error,
-3 numeric failure.
+Exit codes: 0 success, 1 validation-suite failure, 2 configuration error
+(also a config file or output path that cannot be opened), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -18,16 +20,18 @@ import dataclasses
 import json
 import math
 import sys
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from . import asymptotics, distribution, two_mode, validate
 from .errors import ConfigError, EstimationError
-from .grids import (QuadratureGrid, StateVector, default_grid, make_coherent,
-                    make_displaced_squeezed, make_sampled, make_vacuum)
+from .grids import (MAX_NODES, QuadratureGrid, StateVector, default_grid,
+                    make_coherent, make_displaced_squeezed, make_sampled,
+                    make_vacuum)
 from .povm import (KIND_ML, KIND_PARITY, KIND_SRM, build_ml_seed,
                    build_parity_seed, build_srm_seed, optimal_likelihood,
                    srm_likelihood)
@@ -38,71 +42,81 @@ SEED_KINDS = (KIND_ML, KIND_SRM, KIND_PARITY)
 
 @dataclass
 class RunConfig:
-    state: str = "vacuum"
+    state: str = field(default="vacuum", metadata={"choices": STATE_KINDS})
     a: float = 0.0
     z: float = 0.0
-    sampled_path: str = ""
-    y_max: float = 0.0          # 0 = automatic
-    n: int = 0                  # 0 = default (4096)
-    x_lo: float = math.nan      # nan = default window for the state
-    x_hi: float = math.nan
-    r_lo: float = math.nan
-    r_hi: float = math.nan
-    resolution: int = 128
-    seed_kind: str = KIND_ML
+    sampled_path: Optional[str] = None
+    y_max: Optional[float] = None       # None: the state's default grid
+    n: Optional[int] = None
+    x_lo: Optional[float] = None        # None: the state's default window
+    x_hi: Optional[float] = None
+    r_lo: Optional[float] = None
+    r_hi: Optional[float] = None
+    resolution: Optional[int] = None
+    seed_kind: str = field(default=KIND_ML, metadata={"choices": SEED_KINDS})
     lam: float = 0.95
     n_max: int = 60
-    tail_tol: float = 0.0       # 0 = no truncation check; >0 enforces it
+    tail_tol: Optional[float] = None    # None: no truncation check
     nbar: float = 100.0
-    mass_tol: float = 1e-2
-    out_csv: str = ""
-    out_json: str = ""
+    out_csv: Optional[str] = None
+    out_json: Optional[str] = None
 
     def validate(self):
-        if self.state not in STATE_KINDS:
-            raise ConfigError(f"unknown state kind {self.state!r}")
-        if self.seed_kind not in SEED_KINDS:
-            raise ConfigError(f"unknown seed kind {self.seed_kind!r}")
-        for name in ("a", "z", "y_max", "lam", "nbar", "mass_tol", "tail_tol"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ConfigError(f"{name} must be finite, got {v}")
-        if self.resolution < 16:
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
+            if "choices" in f.metadata and v not in f.metadata["choices"]:
+                raise ConfigError(f"unknown {f.name} {v!r}")
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ConfigError(f"{f.name} must be finite, got {v}")
+        if self.resolution is not None and self.resolution < 16:
             raise ConfigError("resolution must be at least 16")
         if not 0.0 < self.lam < 1.0:
             raise ConfigError("lam must lie strictly between 0 and 1")
-        if self.y_max < 0:
-            raise ConfigError("y_max must be 0 (automatic) or positive")
-        if self.n and (self.n < 2 or self.n % 2):
-            raise ConfigError("n must be an even integer >= 2")
+        if self.y_max is not None and not self.y_max > 0:
+            raise ConfigError("y_max must be positive")
+        if self.n is not None and not (2 <= self.n <= MAX_NODES and self.n % 2 == 0):
+            raise ConfigError(f"n must be an even integer in [2, {MAX_NODES}]")
+        if self.tail_tol is not None and not self.tail_tol > 0:
+            raise ConfigError("tail_tol must be positive")
         if not self.nbar > 1:
             raise ConfigError("nbar must exceed 1")
         if self.n_max < two_mode.MIN_N_MAX:
             raise ConfigError(f"n_max must be at least {two_mode.MIN_N_MAX}")
-        if self.state == "sampled-file" and not self.sampled_path:
-            raise ConfigError("sampled-file state requires sampled_path")
+        if self.state == "sampled-file":
+            if not self.sampled_path:
+                raise ConfigError("sampled-file state requires sampled_path")
+            if self.y_max is not None or self.n is not None:
+                raise ConfigError("a sampled file takes its grid from the file; "
+                                  "y_max and n do not apply")
         window = (self.x_lo, self.x_hi, self.r_lo, self.r_hi)
-        if any(not math.isnan(v) for v in window):
-            if any(math.isnan(v) for v in window):
+        if any(v is not None for v in window):
+            if any(v is None for v in window):
                 raise ConfigError("window requires all of x_lo, x_hi, r_lo, r_hi")
             if not (self.x_lo < self.x_hi and self.r_lo < self.r_hi):
                 raise ConfigError("window must satisfy x_lo < x_hi and r_lo < r_hi")
 
 
-_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+def _base_type(hint) -> type:
+    """int, float or str: the annotation with ``Optional`` taken off."""
+    args = [t for t in typing.get_args(hint) if t is not type(None)]
+    return args[0] if args else hint
 
 
-def _parse_value(key: str, raw: str):
-    kind = _FIELD_TYPES[key]
-    raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
+_FIELD_TYPES = {name: _base_type(hint)
+                for name, hint in typing.get_type_hints(RunConfig).items()}
+
+# What a subcommand assumes for an option not given.  Applied after
+# validation, so a window given in part is rejected rather than completed.
+_DEFAULTS = {
+    "density": {"resolution": 128},
+    "two-mode": {"resolution": 96, "x_lo": -1.5, "x_hi": 1.5,
+                 "r_lo": -1.5, "r_hi": 1.5},
+    "asymptotics": {"a": 10.0},
+}
 
 
 def load_config_file(path: str) -> dict:
+    """Values given in a key = value file; an empty value is not given."""
     values = {}
     text = Path(path).read_text()
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -114,29 +128,31 @@ def load_config_file(path: str) -> dict:
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in _FIELD_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if not raw:
+            continue
         try:
-            values[key] = _parse_value(key, raw)
+            values[key] = _FIELD_TYPES[key](raw)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return values
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(load_config_file(args.config))
+    given = load_config_file(args.config) if args.config else {}
     for key in _FIELD_TYPES:
-        arg = getattr(args, key, None)
-        if arg is not None:
-            values[key] = arg
-    cfg = RunConfig(**values)
+        if getattr(args, key) is not None:
+            given[key] = getattr(args, key)
+    cfg = RunConfig(**given)
     cfg.validate()
-    return cfg
+    defaults = _DEFAULTS.get(args.command, {})
+    return dataclasses.replace(
+        cfg, **{k: v for k, v in defaults.items() if k not in given})
 
 
 def print_config(cfg: RunConfig):
     for f in dataclasses.fields(RunConfig):
-        print(f"{f.name} = {getattr(cfg, f.name)}")
+        v = getattr(cfg, f.name)
+        print(f"{f.name} =" if v is None else f"{f.name} = {v}")
 
 
 def _state_label(cfg: RunConfig) -> str:
@@ -175,10 +191,11 @@ def load_sampled_state(path: str, normalize: bool = True) -> StateVector:
 
 def build_state(cfg: RunConfig) -> StateVector:
     grid = None
-    if cfg.y_max > 0 or cfg.n > 0:
+    if cfg.y_max is not None or cfg.n is not None:
         base = default_grid(cfg.a if cfg.state != "vacuum" else 0.0,
                             cfg.z if cfg.state == "displaced-squeezed" else 0.0)
-        grid = QuadratureGrid(cfg.y_max or base.y_max, cfg.n or base.n)
+        grid = QuadratureGrid(base.y_max if cfg.y_max is None else cfg.y_max,
+                              base.n if cfg.n is None else cfg.n)
     if cfg.state == "vacuum":
         return make_vacuum(grid)
     if cfg.state == "coherent":
@@ -197,7 +214,7 @@ def build_seed(cfg: RunConfig, psi: StateVector):
 
 
 def default_window(cfg: RunConfig) -> Tuple[float, float, float, float]:
-    if not math.isnan(cfg.x_lo):
+    if cfg.x_lo is not None:
         return (cfg.x_lo, cfg.x_hi, cfg.r_lo, cfg.r_hi)
     if cfg.state == "vacuum":
         return (-3.0, 3.0, -3.0, 3.0)
@@ -215,7 +232,7 @@ def write_csv(path: str, dmap: distribution.DensityMap):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_json(path: str, payload: dict):
+def write_json(path: Optional[str], payload: dict):
     text = json.dumps(payload, sort_keys=True, indent=2)
     if path:
         Path(path).write_text(text + "\n")
@@ -274,12 +291,13 @@ def run_compare(cfg: RunConfig) -> int:
 
 
 def run_asymptotics(cfg: RunConfig) -> int:
-    a = cfg.a if cfg.a > 0 else 10.0
-    dx, dr = asymptotics.rms_predictions(a, cfg.z)
-    ox, orr = asymptotics.separate_optima(a, cfg.z)
+    if not cfg.a > 0:
+        raise ConfigError(f"asymptotics needs a > 0, got {cfg.a}")
+    dx, dr = asymptotics.rms_predictions(cfg.a, cfg.z)
+    ox, orr = asymptotics.separate_optima(cfg.a, cfg.z)
     iso = asymptotics.isotropic_params(cfg.nbar)
     write_json(cfg.out_json, {
-        "a": a,
+        "a": cfg.a,
         "z": cfg.z,
         "delta_x": dx,
         "delta_r": dr,
@@ -297,18 +315,14 @@ def run_asymptotics(cfg: RunConfig) -> int:
 
 def run_two_mode(cfg: RunConfig) -> int:
     window = (cfg.x_lo, cfg.x_hi, cfg.r_lo, cfg.r_hi)
-    if math.isnan(cfg.x_lo):
-        window = (-1.5, 1.5, -1.5, 1.5)
-    tail_tol = cfg.tail_tol if cfg.tail_tol > 0 else None
-    resolution = min(cfg.resolution, 96)
     prof = two_mode.concentration_profile(cfg.lam, cfg.n_max, window,
-                                          resolution, tail_tol=tail_tol)
-    pointer = two_mode.make_pointer(cfg.lam, +1, cfg.n_max, tail_tol=tail_tol)
+                                          cfg.resolution, tail_tol=cfg.tail_tol)
+    pointer = two_mode.make_pointer(cfg.lam, +1, cfg.n_max, tail_tol=cfg.tail_tol)
     C = two_mode.raw_pointer_coefficients(cfg.n_max)
     k = np.arange(cfg.n_max + 1)
     parity_max = float(np.max(np.abs(C[(k[:, None] + k[None, :]) % 2 == 1])))
     minus = two_mode.make_pointer(cfg.lam, -1, cfg.n_max, grid=pointer.grid,
-                                  tail_tol=tail_tol)
+                                  tail_tol=cfg.tail_tol)
     cross = abs(two_mode.pointer_overlap(minus, two_mode.GroupElement(0.0, 0.0),
                                          pointer))
     if cfg.out_csv:
@@ -327,7 +341,7 @@ def run_two_mode(cfg: RunConfig) -> int:
 
 
 def run_validate(cfg: RunConfig) -> int:
-    results = validate.run_checks(cfg.n or None)
+    results = validate.run_checks(cfg.n)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -335,24 +349,10 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--config", help="flat key=value configuration file")
     parser.add_argument("--print-config", action="store_true",
                         help="print the effective configuration and exit")
-    parser.add_argument("--state", choices=STATE_KINDS)
-    parser.add_argument("--a", type=float)
-    parser.add_argument("--z", type=float)
-    parser.add_argument("--sampled-path", dest="sampled_path")
-    parser.add_argument("--y-max", dest="y_max", type=float)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--x-lo", dest="x_lo", type=float)
-    parser.add_argument("--x-hi", dest="x_hi", type=float)
-    parser.add_argument("--r-lo", dest="r_lo", type=float)
-    parser.add_argument("--r-hi", dest="r_hi", type=float)
-    parser.add_argument("--resolution", type=int)
-    parser.add_argument("--seed-kind", dest="seed_kind", choices=SEED_KINDS)
-    parser.add_argument("--lam", type=float)
-    parser.add_argument("--n-max", dest="n_max", type=int)
-    parser.add_argument("--tail-tol", dest="tail_tol", type=float)
-    parser.add_argument("--nbar", type=float)
-    parser.add_argument("--out-csv", dest="out_csv")
-    parser.add_argument("--out-json", dest="out_json")
+    for f in dataclasses.fields(RunConfig):
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            type=_FIELD_TYPES[f.name],
+                            choices=f.metadata.get("choices"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -388,15 +388,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = effective_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    if args.print_config:
-        print_config(cfg)
-        return 0
-    try:
+        if args.print_config:
+            print_config(cfg)
+            return 0
         return _RUNNERS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
+        # every path the program opens comes from the configuration
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except EstimationError as exc:

@@ -395,15 +395,14 @@ def _weighted_sum(psi: StateVector, grid: QuadratureGrid,
 
 
 def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid], complex],
-                       growth_floor: Optional[float] = None, rtol: float = ADAPTIVE_RTOL,
-                       max_nodes: int = MAX_NODES) -> Tuple[List[complex], bool]:
+                       growth_floor: Optional[float] = None) -> Tuple[List[complex], bool]:
     """Limit of ``evaluate(grid)`` under doubling n at fixed y_max.
 
-    Doubles until two successive values agree to ``rtol`` relative or the
-    node cap is reached.  With ``growth_floor`` set, the first two doublings
-    are screened first: a value of magnitude at least the floor that grows
-    by more than GROWTH_FACTOR on both is the signature of a logarithmic
-    divergence at y = 0, and refinement stops there.
+    Doubles until two successive values agree to ADAPTIVE_RTOL relative or
+    the MAX_NODES cap is reached.  With ``growth_floor`` set, the first two
+    doublings are screened first: a value of magnitude at least the floor
+    that grows by more than GROWTH_FACTOR on both is the signature of a
+    logarithmic divergence at y = 0, and refinement stops there.
 
     Returns (values, grows): the value on each grid in turn, so values[-1]
     is the result, and whether the growth screen fired.
@@ -416,26 +415,24 @@ def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid]
         v0, v1, v2 = (abs(v) for v in values)
         if v0 >= growth_floor and v1 > v0 * GROWTH_FACTOR and v2 > v1 * GROWTH_FACTOR:
             return values, True
-    while grid.n < max_nodes:
+    while grid.n < MAX_NODES:
         grid = grid.refined(2)
         values.append(evaluate(grid))
-        if abs(values[-1] - values[-2]) <= rtol * abs(values[-1]) + 1e-300:
+        if abs(values[-1] - values[-2]) <= ADAPTIVE_RTOL * abs(values[-1]) + 1e-300:
             break
     return values, False
 
 
-def adaptive_quadrature(grid: QuadratureGrid, integrand: Callable[[np.ndarray], np.ndarray],
-                        rtol: float = ADAPTIVE_RTOL, max_nodes: int = MAX_NODES) -> complex:
+def adaptive_quadrature(grid: QuadratureGrid,
+                        integrand: Callable[[np.ndarray], np.ndarray]) -> complex:
     """integral of integrand(y) dy over the grid window, refined by doubling."""
     values, _ = refine_by_doubling(
-        grid, lambda g: complex(np.sum(integrand(g.nodes)) * g.dy),
-        rtol=rtol, max_nodes=max_nodes)
+        grid, lambda g: complex(np.sum(integrand(g.nodes)) * g.dy))
     return values[-1]
 
 
 def adaptive_expectation(psi: StateVector, weight_fn: Callable[[np.ndarray], np.ndarray],
-                         rtol: float = ADAPTIVE_RTOL, divergence_test: bool = False,
-                         max_nodes: int = MAX_NODES) -> float:
+                         divergence_test: bool = False) -> float:
     """integral of weight(y) |psi(y)|^2 dy by midpoint sums with grid doubling.
 
     With ``divergence_test`` a value above 1e-12 that keeps growing under
@@ -443,7 +440,7 @@ def adaptive_expectation(psi: StateVector, weight_fn: Callable[[np.ndarray], np.
     """
     values, grows = refine_by_doubling(
         psi.grid, lambda g: _weighted_sum(psi, g, weight_fn),
-        growth_floor=1e-12 if divergence_test else None, rtol=rtol, max_nodes=max_nodes)
+        growth_floor=1e-12 if divergence_test else None)
     if grows:
         raise DivergenceDetected(
             f"quadrature grows by >{GROWTH_FACTOR}x per grid doubling "

@@ -38,6 +38,7 @@ DEFAULT_TEST_LAMBDAS = (0.9, 0.95, 0.99)
 DEFAULT_N_MAX = 60
 MIN_N_MAX = 20
 TAIL_TOL = 1e-4
+COEFF_QUAD_NODES = 2048   # midpoint nodes in t for raw_pointer_coefficients
 
 
 def hermite_functions(n_max: int, y: np.ndarray) -> np.ndarray:
@@ -81,8 +82,7 @@ class TwoModePointer:
         return float(((k[:, None] + k[None, :]) * self.coeffs ** 2).sum())
 
 
-def raw_pointer_coefficients(n_max: int, sign: int = +1,
-                             n_quad: int = 2048) -> np.ndarray:
+def raw_pointer_coefficients(n_max: int, sign: int = +1) -> np.ndarray:
     """c_nm = (1/sqrt(pi)) integral sqrt(|y|) h_n(y) h_m(sign y) dy.
 
     Parity reduces this to 2/sqrt(pi) times the half-line integral for even
@@ -92,8 +92,8 @@ def raw_pointer_coefficients(n_max: int, sign: int = +1,
         c_nm = (4/sqrt(pi)) integral_0^inf t^2 h_n(t^2) h_m(t^2) dt.
     """
     y_max = _pointer_grid(n_max).y_max
-    dt = math.sqrt(y_max) / n_quad
-    t = (np.arange(n_quad) + 0.5) * dt
+    dt = math.sqrt(y_max) / COEFF_QUAD_NODES
+    t = (np.arange(COEFF_QUAD_NODES) + 0.5) * dt
     Ht = hermite_functions(n_max, t * t)
     C = (4.0 / math.sqrt(math.pi)) * (Ht * (t * t * dt)) @ Ht.T
     k = np.arange(n_max + 1)

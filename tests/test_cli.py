@@ -114,6 +114,31 @@ class TestConfigHandling:
         assert code2 == 0
         assert "a = 3.0" in out2
 
+    def test_print_config_round_trip_unfiltered(self, tmp_path, capsys):
+        # values not given print as empty and read back as not given
+        code, out, err = run(capsys, "two-mode", "--lam", "0.9", "--print-config")
+        assert code == 0
+        assert "tail_tol =\n" in out
+        cfg = tmp_path / "echo.cfg"
+        cfg.write_text(out)
+        code2, out2, err2 = run(capsys, "two-mode", "--config", str(cfg),
+                                "--print-config")
+        assert code2 == 0
+        assert out2 == out
+
+    def test_flag_surface(self):
+        from sqdisp.cli import build_parser
+        options = {"--state", "--a", "--z", "--sampled-path", "--y-max", "--n",
+                   "--x-lo", "--x-hi", "--r-lo", "--r-hi", "--resolution",
+                   "--seed-kind", "--lam", "--n-max", "--tail-tol", "--nbar",
+                   "--out-csv", "--out-json"}
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        assert set(subparsers) == {"density", "likelihood", "compare-srm",
+                                   "asymptotics", "two-mode", "validate"}
+        for sub in subparsers.values():
+            flags = {s for a in sub._actions for s in a.option_strings}
+            assert flags - {"-h", "--help"} == options | {"--config", "--print-config"}
+
     def test_invalid_lambda(self, capsys):
         code, out, err = run(capsys, "two-mode", "--lam", "1.5")
         assert code == 2
@@ -161,15 +186,34 @@ class TestSampledFile:
         assert "Traceback" not in err
 
 
+SAMPLED = ("likelihood", "--state", "sampled-file", "--sampled-path", "{tmp}/state.csv")
+
+
 class TestOutOfRangeOptions:
+    # "{tmp}" stands for a fresh directory holding a valid sampled state.csv
     @pytest.mark.parametrize("argv", [
         ("asymptotics", "--nbar", "0.5"),
         ("two-mode", "--n-max", "0"),
         ("likelihood", "--state", "coherent", "--a", "3", "--y-max", "-5"),
         ("likelihood", "--state", "coherent", "--a", "3", "--n", "-4096"),
-    ], ids=["nbar", "n-max", "y-max", "n"])
-    def test_config_error(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+        ("asymptotics", "--a", "-5"),
+        ("two-mode", "--tail-tol", "-1", "--resolution", "16"),
+        SAMPLED + ("--n", "64"),
+        SAMPLED + ("--y-max", "3"),
+        ("likelihood", "--state", "coherent", "--a", "3", "--n", "2097152"),
+        ("likelihood", "--config", "{tmp}/missing.cfg"),
+        ("density", "--resolution", "16", "--out-csv", "{tmp}/missing/map.csv"),
+        ("asymptotics", "--out-json", "{tmp}/missing/summary.json"),
+    ], ids=["nbar", "n-max", "y-max", "n", "asymptotics-a", "tail-tol",
+            "sampled-n", "sampled-y-max", "n-above-cap", "missing-config",
+            "out-csv-dir", "out-json-dir"])
+    def test_config_error(self, tmp_path, capsys, argv):
+        import numpy as np
+        from sqdisp import default_grid
+        y = default_grid(0.0, n=64).nodes
+        rows = [f"{yy:.17g},{aa:.17g},0" for yy, aa in zip(y, y * np.exp(-y ** 2))]
+        (tmp_path / "state.csv").write_text("\n".join(["y,re,im"] + rows))
+        code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert code == 2
         assert err.startswith("config error:")
         assert out == ""
@@ -196,6 +240,13 @@ class TestTwoModeCommand:
         assert payload["parity_violation"] == 0.0
         assert payload["norm_deviation"] < 1e-8
         assert payload["width_x"] > 0
+
+    def test_resolution_honoured(self, tmp_path, capsys):
+        csv = tmp_path / "map.csv"
+        code, out, err = run(capsys, "two-mode", "--lam", "0.9", "--n-max", "40",
+                             "--resolution", "100", "--out-csv", str(csv))
+        assert code == 0
+        assert len(csv.read_text().splitlines()) == 1 + 100 * 100
 
 
 class TestValidateCommand:
