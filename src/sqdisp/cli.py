@@ -68,8 +68,9 @@ class RunConfig:
                 raise ConfigError(f"unknown {f.name} {v!r}")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{f.name} must be finite, got {v}")
-        if self.resolution is not None and self.resolution < 16:
-            raise ConfigError("resolution must be at least 16")
+        if self.resolution is not None and not 16 <= self.resolution <= math.isqrt(MAX_NODES):
+            raise ConfigError(f"resolution must lie in [16, {math.isqrt(MAX_NODES)}], "
+                              f"a map of at most {MAX_NODES} cells")
         if not 0.0 < self.lam < 1.0:
             raise ConfigError("lam must lie strictly between 0 and 1")
         if self.y_max is not None and not self.y_max > 0:

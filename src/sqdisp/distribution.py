@@ -24,21 +24,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .errors import DivergenceDetected, GridMismatch, InsufficientMass
-from .grids import (QuadratureGrid, StateVector, fourier_at, phase_resolving_grid,
-                    refine_by_doubling)
+from .grids import (QuadratureGrid, StateVector, _fft_length, fourier_at,
+                    phase_resolving_grid, refine_by_doubling)
 from .group import GroupElement, inverse
 from .povm import PovmSeed
 
 MEASURE_CONVENTION = "left-haar: probability = p(x,r) * exp(-r) dx dr"
-
-# Empirically fixed modular sign: conjugating the averaged operator by U_h
-# rescales the group average by exp(MODULAR_SIGN * r_h).
-MODULAR_SIGN = +1.0
 
 # Relative gap below the maximum within which argmax treats grid nodes as tied.
 ARGMAX_TIE_RTOL = 1e-12
@@ -226,46 +222,21 @@ def moments(density_map: DensityMap) -> SummaryStats:
     return window_statistics(density_map)
 
 
-def _freq_window(y: np.ndarray, kernel: np.ndarray) -> Tuple[float, float]:
-    """Center and half-width of the frequency support of FT[kernel].
-
-    The transform convention is khat(x) = integral k(y) exp(-2ixy) dy, so a
-    spatial width sigma maps to frequency extent ~1/sigma and a linear phase
-    exp(-2icy) shifts the center to -c.
-    """
-    w = np.abs(kernel) ** 2
-    total = float(w.sum())
-    if total == 0.0:
-        return 0.0, 0.0
-    mu = float((w * y).sum()) / total
-    var = float((w * (y - mu) ** 2).sum()) / total
-    sigma = math.sqrt(max(var, 1e-300))
-    grad = np.gradient(kernel, y)
-    center = 0.5 * float(np.imag(np.sum(np.conj(kernel) * grad))) / total
-    return center, 6.0 / sigma
-
-
-def _slice_integral(y: np.ndarray, dy: float, lo: float, hi: float,
-                    h1: np.ndarray, h2: Optional[np.ndarray] = None) -> complex:
-    """integral over lo <= x <= hi of FT[h1](x) conj(FT[h2](x)) dx, where
-    FT[h](x) = sum_k h_k e^{-2i x y_k} dy; ``h2`` defaults to ``h1``.
-
-    Parseval gives pi <h2|h1> when [lo, hi] covers the frequency window of
-    each factor; otherwise the truncated x integral is evaluated directly.
-    """
-    kernels = [h1] if h2 is None else [h1, h2]
-    windows = [_freq_window(y, h) for h in kernels]
-    if any(halfwidth == 0.0 for _, halfwidth in windows):
-        return 0.0
-    if (lo <= min(c - hw for c, hw in windows)
-            and hi >= max(c + hw for c, hw in windows)):
-        return math.pi * complex(np.sum(h1 * np.conj(kernels[-1]))) * dy
-    # FT features have scale ~ halfwidth / 6; keep ~20 nodes per feature
-    dx = min(hw for _, hw in windows) / 120.0
-    nxs = min(max(int(math.ceil((hi - lo) / dx)), 8), 8192)
-    xs = np.linspace(lo, hi, nxs)
-    ft = fourier_at(xs, y, np.stack(kernels, axis=1) * dy)
-    return complex((ft[:, 0] * np.conj(ft[:, -1]) * _trapezoid_weights(xs)).sum())
+def _band_spectrum(n: int, dy: float, lo: float, hi: float) -> np.ndarray:
+    """K with  integral_lo^hi FT[h1] conj(FT[h2]) dx = dy^2 sum_j F1_j conj(F2_j) K_j
+    for FT[h](x) = sum_k h_k e^{-2i x y_k} dy on n uniform nodes and F = fft(h)
+    zero-padded to len(K) = _fft_length(2n - 1).  K = ifft(T) of the Toeplitz
+    kernel T(m) = (hi - lo) sinc((hi - lo) m dy / pi) e^{-i (hi + lo) m dy},
+    with [lo, hi] first clipped to one period |x| <= pi/(2 dy) of FT[h]."""
+    band = math.pi / (2.0 * dy)
+    lo, hi = max(lo, -band), min(hi, band)
+    width = max(hi - lo, 0.0)
+    m_dy = np.arange(n) * dy
+    lags = width * np.sinc(width * m_dy / math.pi) * np.exp(-1j * (hi + lo) * m_dy)
+    t = np.zeros(_fft_length(2 * n - 1), dtype=complex)
+    t[:n] = lags
+    t[len(t) - n + 1:] = np.conj(lags[:0:-1])  # T(-m) = conj(T(m)), so K is real
+    return np.fft.ifft(t).real
 
 
 def normalization_check(seed: PovmSeed, psi_test: StateVector,
@@ -273,16 +244,17 @@ def normalization_check(seed: PovmSeed, psi_test: StateVector,
                         r_resolution: int = 1024) -> float:
     """integral over the window of p(g) e^{-r} dx dr for input psi_test.
 
-    Slices in r are reduced to one-dimensional y quadratures by Parseval
-    whenever the window's x range covers the slice's effective support
-    (wider than 6 sigma of the Fourier transform); otherwise the truncated
-    x integral is evaluated directly.  Tends to 1 on generous windows for
-    states in the span probed by the seed.
+    Each r slice is the exact integral of |FT[kernel]|^2 over the slice's x
+    range (``_band_spectrum``); a range covering the whole band is its
+    Parseval value.  Tends to 1 on generous windows for states in the span
+    probed by the seed.
     """
     _compatible_grids(seed, psi_test)
     x_lo, x_hi, r_lo, r_hi = window
     grid = psi_test.grid
     y = grid.nodes
+    dy = grid.dy
+    band = math.pi / (2.0 * dy)
     eta = seed.eta.amplitudes
     r_nodes = np.linspace(r_lo, r_hi, r_resolution)
     wr = _trapezoid_weights(r_nodes)
@@ -292,7 +264,13 @@ def normalization_check(seed: PovmSeed, psi_test: StateVector,
         # slice integral in the scaled frequency variable x' = -e^{-r} x
         scale = math.exp(-r_hat)
         lo, hi = sorted((-scale * x_lo, -scale * x_hi))
-        slice_val = _slice_integral(y, grid.dy, lo, hi, kernel).real
+        if lo <= -band and hi >= band:
+            # the whole period, where T(m) = (pi/dy) delta_m0
+            slice_val = math.pi * dy * float(np.vdot(kernel, kernel).real)
+        else:
+            spectrum = _band_spectrum(grid.n, dy, lo, hi)
+            power = np.abs(np.fft.fft(kernel, len(spectrum))) ** 2
+            slice_val = dy * dy * float(power @ spectrum)
         # dx = e^{r} dx'; the squared e^{r'/2} = e^{-r_hat/2} amplitude factor
         # cancels it, leaving the bare slice value times the Haar weight.
         total += wgt * math.exp(-r_hat) * slice_val
@@ -305,6 +283,8 @@ def group_average_sandwich(psi: StateVector, phi: StateVector,
                            r_resolution: int = 1024) -> complex:
     """Brute-force  integral d_L g <u|U_g|psi> <phi|U_g^dag|v>  over the window.
 
+    Each r slice is the exact x integral of FT[conj(u) psi(e^r y)]
+    conj(FT[conj(v) phi(e^r y)]) (``_band_spectrum``, built once per call).
     The closed-form comparison target is
     sum_s pi <phi| theta(sY)/|Y| |psi> <u| theta(sY) |v>.
     Raises DivergenceDetected (via the cross-sector screen) for inadmissible
@@ -318,15 +298,18 @@ def group_average_sandwich(psi: StateVector, phi: StateVector,
     x_lo, x_hi, r_lo, r_hi = window
     grid = psi.grid
     y = grid.nodes
+    spectrum = _band_spectrum(grid.n, grid.dy, x_lo, x_hi) * grid.dy ** 2
+    length = len(spectrum)
+    same = phi is psi and v is u
     r_nodes = np.linspace(r_lo, r_hi, r_resolution)
     wr = _trapezoid_weights(r_nodes)
     total = 0.0 + 0.0j
     for r, wgt in zip(r_nodes, wr):
         s = math.exp(r)
-        h1 = np.conj(u.amplitudes) * psi.evaluate_at(s * y)
-        h2 = np.conj(v.amplitudes) * phi.evaluate_at(s * y)
+        f1 = np.fft.fft(np.conj(u.amplitudes) * psi.evaluate_at(s * y), length)
+        f2 = f1 if same else np.fft.fft(np.conj(v.amplitudes) * phi.evaluate_at(s * y), length)
         # e^{-r} Haar weight cancels the e^{r} from the two amplitude factors
-        total += wgt * _slice_integral(y, grid.dy, x_lo, x_hi, h1, h2)
+        total += wgt * complex(np.vdot(f2, f1 * spectrum))
     return total
 
 

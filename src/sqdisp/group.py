@@ -12,7 +12,9 @@ composition convention matches affine-map composition:
     g1 * g2 = (x1 + e^{r1} x2, r1 + r2).
 
 The group is nonunimodular: the left-invariant Haar measure is
-e^{-r} dr dx while the right-invariant one is dr dx.
+e^{-r} dr dx while the right-invariant one is dr dx.  Conjugating a group
+average by U_h rescales it by Delta(h)^{-1} = e^{r_h}, the inverse of the
+ax+b modular function (Folland, A Course in Abstract Harmonic Analysis, 2.4).
 """
 
 from __future__ import annotations

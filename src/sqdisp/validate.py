@@ -1,14 +1,16 @@
 """Named invariant checks, runnable end to end from the command line.
 
 Each check returns (ok, detail).  The runner prints one PASS/FAIL line per
-check; any failure makes the suite fail.  The grid-size override exists so
-a deliberately coarse grid demonstrably breaks the quadrature-convergence
-check without touching the others.
+check with its wall time, then a summary with the total; any failure makes
+the suite fail.  The grid-size override exists so a deliberately coarse grid
+demonstrably breaks the quadrature-convergence check without touching the
+others.
 """
 
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -276,9 +278,10 @@ def check_modular_rescaling() -> Tuple[bool, str]:
         h = GroupElement(0.0, r_h)
         moved = act(h, odd, grid=grid)
         val = distribution.group_average_sandwich(moved, moved, odd, odd, window)
-        expected = math.exp(distribution.MODULAR_SIGN * r_h)
+        # Delta(h)^{-1} = e^{r_h}, the inverse of the ax+b modular function (Folland 2.4)
+        expected = math.exp(r_h)
         worst = max(worst, abs(abs(val) / abs(base) - expected) / expected)
-    return worst < 0.02, f"max rescaling defect {worst:.2e} (sign {distribution.MODULAR_SIGN:+.0f})"
+    return worst < 0.02, f"max rescaling defect {worst:.2e}"
 
 
 def check_uncertainty_product() -> Tuple[bool, str]:
@@ -373,7 +376,9 @@ def build_checks(n_override: Optional[int] = None) -> List[Tuple[str, CheckFn]]:
 def run_checks(n_override: Optional[int] = None,
                printer: Callable[[str], None] = print) -> List[CheckResult]:
     results = []
+    suite_start = time.perf_counter()
     for name, fn in build_checks(n_override):
+        start = time.perf_counter()
         try:
             ok, detail = fn()
         except EstimationError as exc:
@@ -381,7 +386,8 @@ def run_checks(n_override: Optional[int] = None,
         except Exception as exc:  # pragma: no cover - defensive
             ok, detail = False, f"unexpected error: {exc}"
         results.append(CheckResult(name, ok, detail))
-        printer(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+        printer(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({time.perf_counter() - start:.2f} s)")
     failures = sum(1 for r in results if not r.passed)
-    printer(f"done: {len(results)} checks, {failures} failures")
+    printer(f"done: {len(results)} checks, {failures} failures "
+            f"in {time.perf_counter() - suite_start:.1f} s")
     return results

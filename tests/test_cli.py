@@ -204,9 +204,10 @@ class TestOutOfRangeOptions:
         ("likelihood", "--config", "{tmp}/missing.cfg"),
         ("density", "--resolution", "16", "--out-csv", "{tmp}/missing/map.csv"),
         ("asymptotics", "--out-json", "{tmp}/missing/summary.json"),
+        ("density", "--resolution", "1000000", "--print-config"),
     ], ids=["nbar", "n-max", "y-max", "n", "asymptotics-a", "tail-tol",
             "sampled-n", "sampled-y-max", "n-above-cap", "missing-config",
-            "out-csv-dir", "out-json-dir"])
+            "out-csv-dir", "out-json-dir", "resolution-above-cap"])
     def test_config_error(self, tmp_path, capsys, argv):
         import numpy as np
         from sqdisp import default_grid

@@ -12,7 +12,8 @@ from sqdisp import (DivergenceDetected, GroupElement, IDENTITY,
                     group_average_sandwich, inverse, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum,
                     moments, normalization_check, scan)
-from sqdisp.distribution import MODULAR_SIGN
+from sqdisp.distribution import _band_spectrum, _trapezoid_weights
+from sqdisp.grids import fourier_at
 
 VACUUM_L_OPT = math.sqrt(2.0 / math.pi) / math.pi
 ASY_COH10_AT_R01 = (10.0 / math.pi) * math.exp(-1.0)  # 1.1709966304863835
@@ -227,6 +228,79 @@ class TestNormalization:
         assert narrow < wide
 
 
+def band_integral(h1, h2, dy, lo, hi):
+    """integral_lo^hi FT[h1] conj(FT[h2]) dx as the oracles evaluate it."""
+    spectrum = _band_spectrum(len(h1), dy, lo, hi)
+    f1 = np.fft.fft(h1, len(spectrum))
+    f2 = np.fft.fft(h2, len(spectrum))
+    return dy * dy * complex(np.vdot(f2, f1 * spectrum))
+
+
+def simpson_integral(h1, h2, y, dy, lo, hi, nx=40001):
+    """The same integral by composite Simpson over nx x nodes."""
+    xs = np.linspace(lo, hi, nx)
+    w = np.ones(nx)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    ft = fourier_at(xs, y, np.stack([h1, h2], axis=1) * dy)
+    return complex((ft[:, 0] * np.conj(ft[:, 1]) * w).sum() * (xs[1] - xs[0]) / 3.0)
+
+
+class TestBandIntegral:
+    @pytest.fixture(scope="class")
+    def kernels(self):
+        grid = default_grid(0.0)
+        y = grid.nodes
+        h1 = np.exp(-(y - 1.0) ** 2 + 6.0j * y)  # transform centred at x = 3
+        h2 = y * np.exp(-0.5 * y ** 2 + 4.0j * y)  # and at x = 2
+        return y, grid.dy, h1, h2
+
+    @pytest.mark.parametrize("lo, hi, pair", [
+        (-1.0, 1.0, "same"),
+        (0.5, 4.0, "same"),
+        (0.5, 4.0, "mixed"),
+        (-2.0, 7.0, "mixed"),
+    ], ids=["narrow-symmetric", "offset", "offset-mixed", "wide-mixed"])
+    def test_matches_simpson(self, kernels, lo, hi, pair):
+        y, dy, h1, h2 = kernels
+        other = h1 if pair == "same" else h2
+        value = band_integral(h1, other, dy, lo, hi)
+        ref = simpson_integral(h1, other, y, dy, lo, hi)
+        assert abs(value - ref) <= 1e-10 * abs(ref)
+
+    def test_window_wider_than_band_is_parseval(self, kernels):
+        _, dy, h1, h2 = kernels
+        parseval = math.pi * dy * complex(np.vdot(h2, h1))
+        for lo, hi in ((-math.pi / dy, math.pi / dy), (-1e6, 2e6)):
+            value = band_integral(h1, h2, dy, lo, hi)
+            assert abs(value - parseval) <= 1e-12 * abs(parseval)
+
+    def test_additive_in_window(self, kernels):
+        _, dy, h1, h2 = kernels
+        whole = band_integral(h1, h2, dy, -2.0, 7.0)
+        split = band_integral(h1, h2, dy, -2.0, 2.5) + band_integral(h1, h2, dy, 2.5, 7.0)
+        assert abs(split - whole) <= 1e-12 * abs(whole)
+
+    # the second window reaches past the band |x| <= pi/(2 dy) on one side only
+    @pytest.mark.parametrize("window", [(-1.0, 1.0, -1.0, 1.0), (-1.0, 1000.0, -7.0, -5.0)],
+                             ids=["narrow", "one-side-clipped"])
+    def test_normalization_matches_simpson(self, window):
+        c2 = make_coherent(2.0)
+        seed = build_ml_seed(c2)
+        value = normalization_check(seed, c2, window, r_resolution=8)
+        y, dy = c2.grid.nodes, c2.grid.dy
+        band = math.pi / (2.0 * dy)
+        x_lo, x_hi, r_lo, r_hi = window
+        r_nodes = np.linspace(r_lo, r_hi, 8)
+        ref = 0.0
+        for r, wgt in zip(r_nodes, _trapezoid_weights(r_nodes)):
+            scale = math.exp(-r)
+            kernel = np.conj(seed.eta.amplitudes) * c2.evaluate_at(scale * y)
+            lo, hi = sorted((-scale * x_lo, -scale * x_hi))
+            ref += wgt * scale * simpson_integral(kernel, kernel, y, dy, max(lo, -band),
+                                                  min(hi, band)).real
+        assert value == pytest.approx(ref, rel=1e-9)
+
+
 class TestGroupAverage:
     def test_odd_state_matches_closed_form(self):
         grid = default_grid(0.0)
@@ -254,7 +328,7 @@ class TestGroupAverage:
         moved = act(h, psi, grid=grid)
         val = group_average_sandwich(moved, moved, psi, psi, window)
         assert abs(val) / abs(base) == pytest.approx(
-            math.exp(MODULAR_SIGN * 0.5), rel=1e-3)
+            math.exp(0.5), rel=1e-3)
 
     def test_inadmissible_states_rejected(self):
         vac = make_vacuum()

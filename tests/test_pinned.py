@@ -4,10 +4,16 @@ The values were recorded with the implementation that still carried
 separate copies of the grid-doubling loop, the Fourier phase-matrix kernel,
 the r-slice integral and the seed assembly, before those were merged into
 one implementation each.  They cover the seed builders and likelihoods on
-the validation suites, both slice branches of the normalization and
-group-average oracles, scan statistics and the pointer profile widths.
-A value near zero is compared against the scale of its quantity instead
-of against itself.
+the validation suites, the normalization and group-average oracles, scan
+statistics and the pointer profile widths.  A value near zero is compared
+against the scale of its quantity instead of against itself.
+
+Five oracle values were re-recorded when the oracles' r slices became the
+exact band-limited x integral in place of a trapezoid x quadrature:
+NORMALIZATION for vacuum and coherent(2) on the wide and the narrow window,
+and GROUP_AVERAGE_ODD.  The old values carried that quadrature's error, up
+to 1.5e-3 relative on the narrow window; each new value lies within 1e-11
+relative of a 40,001-node Simpson quadrature in x.
 """
 
 import pytest
@@ -91,17 +97,19 @@ LIKELIHOODS = {
     ('srm_suite', 'two-bump(3)'): (1.9098592918305406, 1.8533294547686987),
 }
 
-# r_resolution = 64; the wide window runs Parseval slices, the narrow one
-# direct x quadratures
+# r_resolution = 64; the wide window covers the whole band |x| <= pi/(2 dy)
+# in about half of its slices, the narrow one in none.  All four were re-recorded from the
+# exact band-limited slice integral; each lies within 1e-11 relative of a
+# 40,001-node Simpson quadrature in x.
 NORMALIZATION = {
-    ('vacuum', 'wide'): 0.9994820520772186,
-    ('vacuum', 'narrow'): 0.46406334592832665,
-    ('coherent(2)', 'wide'): 1.000005077933188,
-    ('coherent(2)', 'narrow'): 0.7872320839629484,
+    ('vacuum', 'wide'): 0.9994803754962932,
+    ('vacuum', 'narrow'): 0.46442685467310535,
+    ('coherent(2)', 'wide'): 0.999999656236899,
+    ('coherent(2)', 'narrow'): 0.7887377332239555,
 }
 NORM_WINDOWS = {'wide': (-1000.0, 1000.0, -8.0, 9.0), 'narrow': (-1.0, 1.0, -1.0, 1.0)}
 
-GROUP_AVERAGE_ODD = complex(2.505469660914249, -1.0227079054814895e-35)
+GROUP_AVERAGE_ODD = complex(2.5054704397433203, -4.25960734501919e-21)
 GROUP_AVERAGE_CROSS = complex(-2.1357657554471015e-15, 1.5843074029911032e-15)
 
 # 32 x 32 scan of coherent(10) on (-4, 4, -0.6, 0.6)
