@@ -81,8 +81,14 @@ class RunConfig:
             raise ConfigError("tail_tol must be positive")
         if not self.nbar > 1:
             raise ConfigError("nbar must exceed 1")
-        if self.n_max < two_mode.MIN_N_MAX:
-            raise ConfigError(f"n_max must be at least {two_mode.MIN_N_MAX}")
+        if not two_mode.MIN_N_MAX <= self.n_max < math.isqrt(MAX_NODES):
+            raise ConfigError(f"n_max must lie in [{two_mode.MIN_N_MAX}, "
+                              f"{math.isqrt(MAX_NODES) - 1}], a coefficient table of at "
+                              f"most {MAX_NODES} entries")
+        if abs(self.z) > math.log(MAX_NODES):
+            # e^{|z|} would exceed the node count of the largest grid
+            raise ConfigError(f"z must lie in [-ln {MAX_NODES}, ln {MAX_NODES}] = "
+                              f"±{math.log(MAX_NODES):.4g}")
         if self.state == "sampled-file":
             if not self.sampled_path:
                 raise ConfigError("sampled-file state requires sampled_path")
@@ -166,7 +172,7 @@ def _state_label(cfg: RunConfig) -> str:
     return f"sampled-file({cfg.sampled_path})"
 
 
-def load_sampled_state(path: str, normalize: bool = True) -> StateVector:
+def load_sampled_state(path: str) -> StateVector:
     """Read a state from CSV with header y,re,im on a midpoint-offset grid."""
     try:
         data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
@@ -185,7 +191,7 @@ def load_sampled_state(path: str, normalize: bool = True) -> StateVector:
         grid = QuadratureGrid(y_max, n)
         if not np.allclose(grid.nodes, y, rtol=0, atol=1e-9 * max(y_max, 1.0)):
             raise ConfigError("sampled state nodes are not a midpoint-offset grid")
-        return make_sampled(grid, amps, normalize=normalize)
+        return make_sampled(grid, amps)
     except ValueError as exc:
         raise ConfigError(f"bad sampled state {path}: {exc}") from exc
 
@@ -322,8 +328,7 @@ def run_two_mode(cfg: RunConfig) -> int:
     C = two_mode.raw_pointer_coefficients(cfg.n_max)
     k = np.arange(cfg.n_max + 1)
     parity_max = float(np.max(np.abs(C[(k[:, None] + k[None, :]) % 2 == 1])))
-    minus = two_mode.make_pointer(cfg.lam, -1, cfg.n_max, grid=pointer.grid,
-                                  tail_tol=cfg.tail_tol)
+    minus = two_mode.make_pointer(cfg.lam, -1, cfg.n_max, tail_tol=cfg.tail_tol)
     cross = abs(two_mode.pointer_overlap(minus, two_mode.GroupElement(0.0, 0.0),
                                          pointer))
     if cfg.out_csv:

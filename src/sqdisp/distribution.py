@@ -29,8 +29,8 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DivergenceDetected, GridMismatch, InsufficientMass
-from .grids import (QuadratureGrid, StateVector, _fft_length, fourier_at,
-                    phase_resolving_grid, refine_by_doubling)
+from .grids import (StateVector, _fft_length, _sector_sum, fourier_at,
+                    phase_resolving_grid, sector_integral)
 from .group import GroupElement, inverse
 from .povm import PovmSeed
 
@@ -313,30 +313,18 @@ def group_average_sandwich(psi: StateVector, phi: StateVector,
     return total
 
 
-def _cross_sector_term(phi: StateVector, psi: StateVector, sign: int):
-    """(value, grows) for <phi| theta(sY)/|Y| |psi> under grid doubling."""
-
-    def weighted(grid: QuadratureGrid) -> complex:
-        yy = grid.nodes
-        mask = sign * yy > 0
-        f = np.conj(phi.evaluate_at(yy[mask])) * psi.evaluate_at(yy[mask])
-        return complex(np.sum(f / np.abs(yy[mask])) * grid.dy)
-
-    values, grows = refine_by_doubling(psi.grid, weighted, growth_floor=0.0)
-    return values[-1], grows
-
-
 def _screened_cross_terms(phi: StateVector, psi: StateVector):
-    """Both sector cross terms, flagging divergence only where it is material
-    relative to the dominant sector (1e-6 relative floor)."""
-    terms = {s: _cross_sector_term(phi, psi, s) for s in (+1, -1)}
-    scale = max(abs(v) for v, _ in terms.values())
-    for s, (v, grows) in terms.items():
-        if grows and abs(v) > max(1e-6 * scale, 1e-9):
+    """Both sector cross terms <phi| theta(sY)/|Y| |psi> under grid doubling,
+    flagging divergence only where it is material relative to the dominant
+    sector (1e-6 relative floor)."""
+    terms = {s: sector_integral(phi, psi, s, -1, growth_floor=0.0) for s in (+1, -1)}
+    scale = max(abs(values[-1]) for values, _ in terms.values())
+    for s, (values, grows) in terms.items():
+        if grows and abs(values[-1]) > max(1e-6 * scale, 1e-9):
             raise DivergenceDetected(
                 f"cross-sector <theta({'+' if s > 0 else '-'}Y)/|Y|> grows under "
-                f"grid doubling (magnitude {abs(v):.4g}); states inadmissible")
-    return {s: v for s, (v, _) in terms.items()}
+                f"grid doubling (magnitude {abs(values[-1]):.4g}); states inadmissible")
+    return {s: values[-1] for s, (values, _) in terms.items()}
 
 
 def closed_form_sandwich(psi: StateVector, phi: StateVector,
@@ -344,11 +332,5 @@ def closed_form_sandwich(psi: StateVector, phi: StateVector,
     """sum_s pi <phi|theta(sY)/|Y||psi> <u|theta(sY)|v> (the two-sector
     closed form of the group average)."""
     cross = _screened_cross_terms(phi, psi)
-    total = 0.0 + 0.0j
-    y = u.grid.nodes
-    dy = u.grid.dy
-    for s in (+1, -1):
-        mask = s * y > 0
-        proj = complex(np.sum(np.conj(u.amplitudes[mask]) * v.amplitudes[mask]) * dy)
-        total += math.pi * cross[s] * proj
-    return total
+    return complex(sum(math.pi * cross[s] * _sector_sum(u, v, u.grid, s, 0)
+                       for s in (+1, -1)))

@@ -7,7 +7,14 @@ Wavefunctions are sampled on a midpoint-offset uniform grid
 so no node sits at y = 0 and the node set is exactly symmetric under
 reflection.  Integrals are midpoint sums (identical to the trapezoid rule on
 offset nodes), which converge superalgebraically for smooth decaying
-integrands.  Half-line moments with negative powers are screened by a
+integrands.  Every half-line quantity is one sector integral,
+
+    integral over s*y > 0 of |y|^p conj(phi(y)) psi(y) dy,
+
+refined by grid doubling (``sector_integral``): the moments w_s of |psi|^2,
+the square-root-measurement values <psi| D_s |psi>, the oracle cross terms
+and the seed certificates <eta_s| D_s |eta_s>, which are adaptive
+quadratures of the seed eta itself.  Negative powers are screened by a
 grid-doubling growth test: a value that keeps growing by more than
 ``GROWTH_FACTOR`` per doubling is reported as divergent rather than returned.
 
@@ -385,15 +392,6 @@ class _NotAKnotSpline:
         return out.reshape(y.shape)
 
 
-def _weighted_sum(psi: StateVector, grid: QuadratureGrid,
-                  weight_fn: Callable[[np.ndarray], np.ndarray]) -> float:
-    if grid.matches(psi.grid):
-        density = np.abs(psi.amplitudes) ** 2
-    else:
-        density = np.abs(psi.evaluate_at(grid.nodes)) ** 2
-    return float(np.sum(weight_fn(grid.nodes) * density) * grid.dy)
-
-
 def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid], complex],
                        growth_floor: Optional[float] = None) -> Tuple[List[complex], bool]:
     """Limit of ``evaluate(grid)`` under doubling n at fixed y_max.
@@ -423,24 +421,43 @@ def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid]
     return values, False
 
 
-def adaptive_quadrature(grid: QuadratureGrid,
-                        integrand: Callable[[np.ndarray], np.ndarray]) -> complex:
-    """integral of integrand(y) dy over the grid window, refined by doubling."""
-    values, _ = refine_by_doubling(
-        grid, lambda g: complex(np.sum(integrand(g.nodes)) * g.dy))
-    return values[-1]
+def _sector_sum(phi, psi, grid: QuadratureGrid, sign: int, power: int):
+    """Midpoint sum of |y|^power conj(phi(y)) psi(y) dy over sign*y > 0 on
+    ``grid``, sign 0 the whole line; real when ``phi is psi``.
 
-
-def adaptive_expectation(psi: StateVector, weight_fn: Callable[[np.ndarray], np.ndarray],
-                         divergence_test: bool = False) -> float:
-    """integral of weight(y) |psi(y)|^2 dy by midpoint sums with grid doubling.
-
-    With ``divergence_test`` a value above 1e-12 that keeps growing under
-    the first two doublings raises DivergenceDetected.
+    The nodes mirror about y = 0 with none on it, so a half line is exactly
+    one half of them, and psi is evaluated there once.
     """
-    values, grows = refine_by_doubling(
-        psi.grid, lambda g: _weighted_sum(psi, g, weight_fn),
-        growth_floor=1e-12 if divergence_test else None)
+    half = grid.n // 2
+    y = grid.nodes[half:] if sign > 0 else grid.nodes[:half] if sign < 0 else grid.nodes
+    f = psi.evaluate_at(y)
+    f = np.abs(f) ** 2 if phi is psi else np.conj(phi.evaluate_at(y)) * f
+    if power != 0:
+        f = f * np.abs(y) ** power
+    total = np.sum(f) * grid.dy
+    return float(total) if phi is psi else complex(total)
+
+
+def sector_integral(phi, psi, sign: int, power: int,
+                    growth_floor: Optional[float] = None) -> Tuple[List[complex], bool]:
+    """integral over sign*y > 0 (sign 0: the whole line) of
+    |y|^power conj(phi(y)) psi(y) dy, by ``refine_by_doubling`` from psi.grid.
+
+    ``phi`` and ``psi`` are states or seeds, anything with ``evaluate_at``
+    and ``grid``.  Returns refine_by_doubling's (values, grows).
+    """
+    return refine_by_doubling(psi.grid, lambda g: _sector_sum(phi, psi, g, sign, power),
+                              growth_floor)
+
+
+def _moment(psi: StateVector, sign: int, power: int, adaptive: bool) -> float:
+    """Moment of |y|^power under |psi|^2 over sign*y > 0, sign 0 the whole
+    line.  For power <= -1 a value that keeps growing under the first two
+    doublings raises DivergenceDetected."""
+    if not adaptive:
+        return _sector_sum(psi, psi, psi.grid, sign, power)
+    values, grows = sector_integral(psi, psi, sign, power,
+                                    growth_floor=1e-12 if power <= -1 else None)
     if grows:
         raise DivergenceDetected(
             f"quadrature grows by >{GROWTH_FACTOR}x per grid doubling "
@@ -457,24 +474,9 @@ def half_line_moment(psi: StateVector, sign: int, power: int,
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-
-    def weight(y):
-        w = np.zeros_like(y)
-        mask = sign * y > 0
-        w[mask] = np.abs(y[mask]) ** power
-        return w
-
-    if not adaptive:
-        return _weighted_sum(psi, psi.grid, weight)
-    return adaptive_expectation(psi, weight, divergence_test=power <= -1)
+    return _moment(psi, sign, power, adaptive)
 
 
 def abs_moment(psi: StateVector, power: int, adaptive: bool = True) -> float:
     """Full-line moment of |y|^power under |psi|^2."""
-
-    def weight(y):
-        return np.abs(y) ** power
-
-    if not adaptive:
-        return _weighted_sum(psi, psi.grid, weight)
-    return adaptive_expectation(psi, weight, divergence_test=power <= -1)
+    return _moment(psi, 0, power, adaptive)

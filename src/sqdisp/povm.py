@@ -17,19 +17,21 @@ sqrt(<psi| D_s |psi>) instead (defined only when that expectation is
 finite), and the parity-extended seed uses the full-line weight |Y| with
 D = pi / |Y|.  Every constructed seed carries normalization certificates
 <eta_s| D_s |eta_s>, which equal 1 by construction up to quadrature error.
+Each is an adaptive quadrature of eta itself (``grids.sector_integral``
+through ``PovmSeed.evaluate_at``), so it checks the seed as built rather
+than restating the identity pi |c_s|^2 w_s = 1.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
 from .errors import DivergenceDetected, DomainViolation, EmptySupport
-from .grids import (StateVector, abs_moment, adaptive_expectation,
-                    adaptive_quadrature, half_line_moment)
+from .grids import StateVector, abs_moment, half_line_moment, sector_integral
 
 SECTOR_THRESHOLD = 1e-14
 
@@ -69,6 +71,11 @@ class PovmSeed:
     likelihood: float
     sector_coeffs: Dict[int, complex] = field(repr=False, default_factory=dict)
     weight_power: int = field(repr=False, default=1)
+
+    @property
+    def grid(self):
+        """Grid of ``eta``, where quadratures of the seed start."""
+        return self.eta.grid
 
     def multiplier(self, y: np.ndarray) -> np.ndarray:
         return _multiplier(self.sector_coeffs, self.weight_power, y)
@@ -164,32 +171,24 @@ def _make_seed(kind: str, psi: StateVector, weights: Dict[int, float],
                phases: Dict[int, complex], coeffs: Dict[int, complex],
                weight_power: int, likelihood: float) -> PovmSeed:
     """Seed eta = multiplier * psi with a certificate <eta_s| D_s |eta_s> per
-    sector, computed by the same adaptive quadrature as the weights."""
-
-    def certificate(sign):
-        def weight(y):
-            m = np.abs(_multiplier(coeffs, weight_power, y)) ** 2
-            w = np.zeros_like(y)
-            mask = np.ones_like(y, dtype=bool) if sign == 0 else (sign * y > 0)
-            w[mask] = math.pi * m[mask] / np.abs(y[mask])
-            return w
-
-        return adaptive_expectation(psi, weight)
-
+    sector: the sector integral of pi |eta|^2 / |y|, refined like the weights."""
     eta = StateVector(psi.grid, _multiplier(coeffs, weight_power, psi.grid.nodes)
                       * psi.amplitudes)
-    return PovmSeed(
+    seed = PovmSeed(
         kind=kind,
         eta=eta,
         source=psi,
         w_plus=weights[+1],
         w_minus=weights[-1],
         sector_phases=phases,
-        certificates={_SECTOR_LABELS[s]: certificate(s) for s in coeffs},
+        certificates={},
         likelihood=likelihood,
         sector_coeffs=coeffs,
         weight_power=weight_power,
     )
+    return replace(seed, certificates={
+        _SECTOR_LABELS[s]: math.pi * sector_integral(seed, seed, s, -1)[0][-1]
+        for s in coeffs})
 
 
 def build_ml_seed(psi: StateVector) -> PovmSeed:
@@ -237,12 +236,7 @@ def build_parity_seed(psi: StateVector) -> PovmSeed:
                       t / math.pi)
 
 
-def seed_overlap_likelihood(seed: PovmSeed, psi: Optional[StateVector] = None) -> float:
-    """|<eta|psi>|^2 recomputed by adaptive quadrature (consistency oracle)."""
-    if psi is None:
-        psi = seed.source
-
-    def integrand(y):
-        return np.conj(seed.evaluate_at(y)) * psi.evaluate_at(y)
-
-    return abs(adaptive_quadrature(psi.grid, integrand)) ** 2
+def seed_overlap_likelihood(seed: PovmSeed) -> float:
+    """|<eta|psi>|^2 for the seed's source psi, recomputed by adaptive
+    quadrature (consistency oracle)."""
+    return abs(sector_integral(seed, seed.source, 0, 0)[0][-1]) ** 2

@@ -210,7 +210,7 @@ def concentration_profile(lam: float, n_max: int,
     else:
         nx, nr = resolution
     p_plus = make_pointer(lam, +1, n_max, tail_tol=tail_tol)
-    p_minus = make_pointer(lam, -1, n_max, grid=p_plus.grid, tail_tol=tail_tol)
+    p_minus = make_pointer(lam, -1, n_max, tail_tol=tail_tol)
     grid = p_plus.grid
     y = grid.nodes
     H = hermite_functions(n_max, y)

@@ -205,9 +205,14 @@ class TestOutOfRangeOptions:
         ("density", "--resolution", "16", "--out-csv", "{tmp}/missing/map.csv"),
         ("asymptotics", "--out-json", "{tmp}/missing/summary.json"),
         ("density", "--resolution", "1000000", "--print-config"),
+        ("likelihood", "--state", "displaced-squeezed", "--a", "5", "--z", "800"),
+        ("likelihood", "--state", "displaced-squeezed", "--a", "5", "--z", "-800"),
+        ("asymptotics", "--a", "5", "--z", "800"),
+        ("two-mode", "--n-max", "100000", "--print-config"),
     ], ids=["nbar", "n-max", "y-max", "n", "asymptotics-a", "tail-tol",
             "sampled-n", "sampled-y-max", "n-above-cap", "missing-config",
-            "out-csv-dir", "out-json-dir", "resolution-above-cap"])
+            "out-csv-dir", "out-json-dir", "resolution-above-cap",
+            "z-above-bound", "z-below-bound", "asymptotics-z", "n-max-above-cap"])
     def test_config_error(self, tmp_path, capsys, argv):
         import numpy as np
         from sqdisp import default_grid

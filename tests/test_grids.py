@@ -179,6 +179,43 @@ class TestHalfLineMoments:
         assert a == pytest.approx(b, rel=1e-8)
 
 
+class TestWorkPerGrid:
+    """A doubling sequence evaluates psi once per grid, on the sector's half
+    of the nodes: n/2, n, 2n, ... points for a start grid of n nodes."""
+
+    @staticmethod
+    def doubling_runs(psi, call):
+        sizes = []
+        evaluate = psi.evaluate_at
+
+        def counting(y):
+            sizes.append(np.size(y))
+            return evaluate(y)
+
+        psi.evaluate_at = counting
+        call()
+        half = psi.grid.n // 2
+        runs = []
+        for size in sizes:
+            if size == half:
+                runs.append(1)
+            else:
+                assert runs and size == half * 2 ** runs[-1], sizes
+                runs[-1] += 1
+        return runs
+
+    def test_half_line_moment(self):
+        psi = make_displaced_squeezed(4.0, 0.2)
+        runs = self.doubling_runs(psi, lambda: half_line_moment(psi, +1, 1))
+        assert len(runs) == 1 and runs[0] >= 2
+
+    def test_cross_terms(self):
+        from sqdisp.distribution import _screened_cross_terms
+        psi = make_displaced_squeezed(4.0, 0.2)
+        runs = self.doubling_runs(psi, lambda: _screened_cross_terms(psi, psi))
+        assert len(runs) == 2 and min(runs) >= 2
+
+
 class TestSampledStates:
     def test_normalization_and_interpolation(self):
         grid = default_grid(0.0)

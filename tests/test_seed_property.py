@@ -1,0 +1,38 @@
+"""Property test: optimal seeds of random displaced squeezed states.
+
+For psi = make_displaced_squeezed(a, z) the sector weights have the closed
+form w_+- = +-a P(+-Y > 0) + sigma phi(a/sigma) with sigma = 1/(2 e^z), the
+|psi|^2 standard deviation.  The seed built from the quadrature weights must
+match it, certify <eta_s| D_s |eta_s> = 1 on every kept sector, and
+reproduce its likelihood as the overlap |<eta|psi>|^2.
+"""
+
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sqdisp import build_ml_seed, make_displaced_squeezed, seed_overlap_likelihood
+
+
+def gaussian_weights(a, z):
+    sigma = 0.5 * math.exp(-z)
+    t = a / sigma
+    density = sigma * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
+    return (a * 0.5 * math.erfc(-t / math.sqrt(2.0)) + density,
+            -a * 0.5 * math.erfc(t / math.sqrt(2.0)) + density)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(a=st.floats(-12.0, 12.0), z=st.floats(-0.8, 0.8))
+def test_ml_seed_of_displaced_squeezed(a, z):
+    seed = build_ml_seed(make_displaced_squeezed(a, z))
+    w_plus, w_minus = gaussian_weights(a, z)
+    scale = w_plus + w_minus
+    assert abs(seed.w_plus - w_plus) <= 1e-8 * scale
+    assert abs(seed.w_minus - w_minus) <= 1e-8 * scale
+    assert seed.certificates
+    for value in seed.certificates.values():
+        assert abs(value - 1.0) <= 1e-12
+    overlap = seed_overlap_likelihood(seed)
+    assert abs(overlap - seed.likelihood) <= 1e-8 * seed.likelihood
