@@ -3,11 +3,12 @@
 Subcommands: density, likelihood, compare-srm, asymptotics, two-mode,
 validate.  Each ``RunConfig`` field is one option: the flag ``--`` + its name
 with ``_`` as ``-``, and the key of that name in a flat key=value config file
-(unknown keys rejected).  ``None`` means not given; ``_DEFAULTS`` holds each
-subcommand's defaults.  ``--print-config`` dumps the effective configuration,
-values not given as empty, so the dump fed back through ``--config``
-reproduces the run.  CSV output carries full double precision (17
-significant digits) and is bit-identical across runs for a fixed configuration.
+(unknown keys rejected).  ``None`` means not given; a flag that ``_READS``
+does not list for the subcommand is rejected.  ``--print-config`` dumps the
+effective configuration, values not given as empty, so the dump fed back
+through ``--config`` reproduces the run.  CSV output carries full double
+precision (17 significant digits) and is bit-identical across runs for a
+fixed configuration.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 configuration error
 (also a config file or output path that cannot be opened), 3 numeric failure.
@@ -112,13 +113,22 @@ def _base_type(hint) -> type:
 _FIELD_TYPES = {name: _base_type(hint)
                 for name, hint in typing.get_type_hints(RunConfig).items()}
 
-# What a subcommand assumes for an option not given.  Applied after
+_STATE = dict.fromkeys(("state", "a", "z", "sampled_path", "y_max", "n"))
+_WINDOW = dict.fromkeys(("x_lo", "x_hi", "r_lo", "r_hi"))
+
+# The options each subcommand reads, each with what the subcommand assumes
+# when it is not given (None: RunConfig's default).  Applied after
 # validation, so a window given in part is rejected rather than completed.
-_DEFAULTS = {
-    "density": {"resolution": 128},
-    "two-mode": {"resolution": 96, "x_lo": -1.5, "x_hi": 1.5,
-                 "r_lo": -1.5, "r_hi": 1.5},
-    "asymptotics": {"a": 10.0},
+_READS = {
+    "density": {**_STATE, **_WINDOW, "resolution": 128, "seed_kind": None,
+                "out_csv": None, "out_json": None},
+    "likelihood": {**_STATE, "seed_kind": None, "out_json": None},
+    "compare-srm": {**_STATE, "out_json": None},
+    "asymptotics": {"a": 10.0, "z": None, "nbar": None, "out_json": None},
+    "two-mode": {"lam": None, "n_max": None, "tail_tol": None, "x_lo": -1.5, "x_hi": 1.5,
+                 "r_lo": -1.5, "r_hi": 1.5, "resolution": 96, "out_csv": None,
+                 "out_json": None},
+    "validate": {"n": None},
 }
 
 
@@ -145,15 +155,18 @@ def load_config_file(path: str) -> dict:
 
 
 def effective_config(args: argparse.Namespace) -> RunConfig:
+    reads = _READS[args.command]
+    flags = {key: getattr(args, key) for key in _FIELD_TYPES
+             if getattr(args, key) is not None}
+    unread = ["--" + key.replace("_", "-") for key in flags if key not in reads]
+    if unread:
+        raise ConfigError(f"{args.command} does not read {', '.join(unread)}")
     given = load_config_file(args.config) if args.config else {}
-    for key in _FIELD_TYPES:
-        if getattr(args, key) is not None:
-            given[key] = getattr(args, key)
+    given.update(flags)
     cfg = RunConfig(**given)
     cfg.validate()
-    defaults = _DEFAULTS.get(args.command, {})
     return dataclasses.replace(
-        cfg, **{k: v for k, v in defaults.items() if k not in given})
+        cfg, **{k: v for k, v in reads.items() if v is not None and k not in given})
 
 
 def print_config(cfg: RunConfig):

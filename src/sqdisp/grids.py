@@ -300,39 +300,23 @@ def fourier_at(x: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 _SPLINE_CHUNK = 2**14  # points per pass, so the temporaries stay in cache
-_RHO = math.sqrt(3.0) - 2.0  # root of t^2 + 4t + 1 with |t| < 1
-
-
-def _dst1(v: np.ndarray) -> np.ndarray:
-    """DST-I, sum_j v_j sin(pi (j+1)(k+1)/(N+1)) for k < N, by one FFT of
-    the odd extension [0, v, 0, -reversed(v)] of length 2(N+1)."""
-    n = len(v)
-    ext = np.zeros(2 * n + 2, dtype=complex)
-    ext[1:n + 1] = v
-    ext[n + 2:] = -v[::-1]
-    return 0.5j * np.fft.fft(ext)[1:n + 1]
+# rho^|m| / (2 sqrt 3), |m| <= 64: the Green's function of (1, 4, 1) on the
+# integers, rho = sqrt(3) - 2 the pole of the recursive cubic-spline prefilter
+# (Unser, IEEE SPM 16(6), 1999).  Later taps are below |rho|^65 < 2e-37.
+_GREEN = (math.sqrt(3.0) - 2.0) ** np.abs(np.arange(-64, 65)) / (2.0 * math.sqrt(3.0))
 
 
 def _solve_141(b: np.ndarray) -> np.ndarray:
     """x with x_{i-1} + 4 x_i + x_{i+1} = b_i for i = 1..N, x_0 = x_{N+1} = 0.
 
-    The DST-I of size L - 1 diagonalises this (1, 4, 1) Toeplitz system,
-    with eigenvalues 4 + 2 cos(pi k / L).  It is solved at the size with
-    L = _fft_length(N + 2), where the FFTs are fast, on ``b`` padded with
-    zeros.  That solution y obeys rows 1..N but has y_{N+1} != 0; adding
-    -y_{N+1} rho^{N+1-i} (1 - rho^{2i}) / (1 - rho^{2(N+1)}), a solution of
-    the homogeneous rows that vanishes at i = 0, restores x_{N+1} = 0.
-    Since |rho|^64 < 1e-36, only the last 64 entries need it.
+    _GREEN convolved with the odd periodic extension of b, period
+    [0, b, 0, -reversed(b)] of length 2(N + 1), obeys every row and is odd
+    about i = 0 and i = N + 1, so both ends vanish.  For N < 64 the kernel
+    spans more than a period, and the index modulo 2(N + 1) wraps it.
     """
     n = len(b)
-    size = _fft_length(n + 2)
-    padded = np.zeros(size - 1, dtype=complex)
-    padded[:n] = b
-    eig = 4.0 + 2.0 * np.cos(np.pi * np.arange(1, size) / size)
-    x = _dst1(_dst1(padded) / eig) * (2.0 / size)
-    i = np.arange(max(n - 63, 1), n + 1)
-    x[i - 1] -= x[n] * _RHO ** (n + 1 - i) * (1.0 - _RHO ** (2 * i)) / (1.0 - _RHO ** (2 * n + 2))
-    return x[:n]
+    period = np.concatenate([[0.0], b, [0.0], -b[::-1]])
+    return np.convolve(period[np.arange(-63, n + 65) % (2 * n + 2)], _GREEN, mode="valid")
 
 
 class _NotAKnotSpline:
@@ -343,10 +327,11 @@ class _NotAKnotSpline:
     f_i + c1_i u + c2_i u^2 + c3_i u^3, written through the curvatures
     m_i = dy^2 S''(y_i).  These obey m_{i-1} + 4 m_i + m_{i+1} = 6 d_i at
     interior nodes, d_i = f_{i-1} - 2 f_i + f_{i+1}; not-a-knot (m_0 =
-    2 m_1 - m_2 and its mirror) folds the end rows into m_1 = d_1 and
-    m_{n-2} = d_{n-2}, and the rest is a (1, 4, 1) Toeplitz system.  n = 2
-    gives the straight line and n = 4 the single cubic through all four
-    points, as scipy's CubicSpline does.
+    2 m_1 - m_2 and its mirror; de Boor) folds the end rows into m_1 = d_1
+    and m_{n-2} = d_{n-2}, and the rest is the (1, 4, 1) system that
+    ``_solve_141`` solves by one O(n) convolution.  n = 2 gives the straight
+    line and n = 4 the single cubic through all four points, as scipy's
+    CubicSpline does.
     """
 
     def __init__(self, grid: QuadratureGrid, f: np.ndarray):

@@ -43,12 +43,10 @@ _SECTOR_LABELS = {+1: "+", -1: "-", 0: "full"}
 
 
 def _multiplier(coeffs: Dict[int, complex], power: int, y: np.ndarray) -> np.ndarray:
-    """sum_s coeffs[s] |y|^power theta(s y), with s = 0 the full line."""
-    m = np.zeros_like(y, dtype=complex)
-    for s, cf in coeffs.items():
-        mask = np.ones_like(y, dtype=bool) if s == 0 else (s * y > 0)
-        m[mask] += cf * np.abs(y[mask]) ** power
-    return m
+    """sum_s coeffs[s] |y|^power theta(s y), with s = 0 the full line (the
+    default of a sector without its own; y = 0, never a node, counts as -)."""
+    full = coeffs.get(0, 0.0)
+    return np.where(y > 0, coeffs.get(+1, full), coeffs.get(-1, full)) * np.abs(y) ** power
 
 
 @dataclass(frozen=True)

@@ -73,7 +73,11 @@ class TwoModePointer:
     n_max: int
     coeffs: np.ndarray  # normalized N_lambda lambda^{n+m} c_nm, (n_max+1)^2
     norm_constant: float
-    grid: QuadratureGrid
+
+    @property
+    def grid(self) -> QuadratureGrid:
+        """Grid the mode-1 wavefunctions are synthesized on."""
+        return _pointer_grid(self.n_max)
 
     @property
     def mean_energy(self) -> float:
@@ -121,7 +125,6 @@ def _tail_estimate(shell_mass: np.ndarray) -> float:
 
 
 def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
-                 grid: Optional[QuadratureGrid] = None,
                  tail_tol: Optional[float] = TAIL_TOL) -> TwoModePointer:
     """Build the normalized truncated pointer |Phi(lambda)_sign>.
 
@@ -135,8 +138,6 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
         raise ValueError(f"n_max must be at least {MIN_N_MAX}")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    if grid is None:
-        grid = _pointer_grid(n_max)
     C = raw_pointer_coefficients(n_max, sign)
     k = np.arange(n_max + 1)
     A = lam ** (k[:, None] + k[None, :]) * C
@@ -157,7 +158,7 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
     norm_constant = 1.0 / math.sqrt(total)
     return TwoModePointer(lam=lam, sign=sign, n_max=n_max,
                           coeffs=norm_constant * A,
-                          norm_constant=norm_constant, grid=grid)
+                          norm_constant=norm_constant)
 
 
 def _mode1_waves(p: TwoModePointer, H: np.ndarray) -> np.ndarray:
@@ -174,8 +175,6 @@ def pointer_overlap(p1: TwoModePointer, g: GroupElement,
     """
     if p1.n_max != p2.n_max:
         raise GridMismatch("pointers must share n_max")
-    if not p1.grid.matches(p2.grid):
-        raise GridMismatch("pointers must share the synthesis grid")
     grid = p1.grid
     y = grid.nodes
     H = hermite_functions(p1.n_max, y)

@@ -209,10 +209,16 @@ class TestOutOfRangeOptions:
         ("likelihood", "--state", "displaced-squeezed", "--a", "5", "--z", "-800"),
         ("asymptotics", "--a", "5", "--z", "800"),
         ("two-mode", "--n-max", "100000", "--print-config"),
+        ("likelihood", "--state", "vacuum", "--a", "5", "--out-csv", "{tmp}/x.csv"),
+        ("validate", "--lam", "0.9"),
+        ("compare-srm", "--seed-kind", "srm"),
+        ("asymptotics", "--state", "coherent"),
     ], ids=["nbar", "n-max", "y-max", "n", "asymptotics-a", "tail-tol",
             "sampled-n", "sampled-y-max", "n-above-cap", "missing-config",
             "out-csv-dir", "out-json-dir", "resolution-above-cap",
-            "z-above-bound", "z-below-bound", "asymptotics-z", "n-max-above-cap"])
+            "z-above-bound", "z-below-bound", "asymptotics-z", "n-max-above-cap",
+            "likelihood-out-csv", "validate-lam", "compare-seed-kind",
+            "asymptotics-state"])
     def test_config_error(self, tmp_path, capsys, argv):
         import numpy as np
         from sqdisp import default_grid
@@ -223,6 +229,15 @@ class TestOutOfRangeOptions:
         assert code == 2
         assert err.startswith("config error:")
         assert out == ""
+
+    def test_unread_flag_named(self, tmp_path, capsys):
+        csv = tmp_path / "x.csv"
+        code, out, err = run(capsys, "likelihood", "--state", "vacuum", "--a", "5",
+                             "--out-csv", str(csv))
+        assert code == 2
+        assert err == "config error: likelihood does not read --out-csv\n"
+        assert out == ""
+        assert not csv.exists()
 
 
 class TestAsymptoticsCommand:

@@ -15,7 +15,7 @@ from sqdisp import (DivergenceDetected, GaussianStateParams, GridMismatch,
                     GridTooNarrow, QuadratureGrid, abs_moment, default_grid,
                     half_line_moment, inner_product, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum)
-from sqdisp.grids import fourier_at
+from sqdisp.grids import _solve_141, fourier_at
 
 VACUUM_PEAK = (2.0 / math.pi) ** 0.25           # 0.8932438417380024
 VACUUM_HALF_MOMENT = math.sqrt(2.0 / math.pi) / 4.0  # 0.19947114020071635
@@ -243,7 +243,7 @@ class TestSampledStates:
             with pytest.raises(ValueError, match="finite"):
                 make_sampled(grid, amps, normalize=normalize)
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 4096])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 66, 68, 70, 132, 4096])
     def test_spline_matches_scipy_not_a_knot(self, n):
         from scipy.interpolate import CubicSpline
         grid = QuadratureGrid(3.0, n)
@@ -261,12 +261,21 @@ class TestSampledStates:
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(amps))
         assert np.all(got[-7:] == 0.0)
 
-    @pytest.mark.parametrize("n", [2, 4, 6, 4096])
+    @pytest.mark.parametrize("n", [2, 4, 6, 8, 66, 68, 70, 132, 4096])
     def test_spline_returns_amplitudes_at_nodes(self, n):
         grid = QuadratureGrid(3.0, n)
         amps = np.exp(-grid.nodes ** 2) * np.exp(1.5j * grid.nodes)
         psi = make_sampled(grid, amps)
         assert np.array_equal(psi.evaluate_at(grid.nodes), psi.amplitudes)
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 4092])
+    def test_solve_141_rows_and_ends(self, n):
+        # n on both sides of the 64-tap kernel; below it the images wrap
+        rng = np.random.default_rng(n)
+        b = rng.normal(size=n) + 1j * rng.normal(size=n)
+        x = np.concatenate([[0.0], _solve_141(b), [0.0]])
+        residual = x[:-2] + 4.0 * x[1:-1] + x[2:] - b
+        assert np.max(np.abs(residual)) <= 1e-14 * np.max(np.abs(b))
 
     def test_params_object_norm(self):
         p = GaussianStateParams(center=1.0, log_width=0.3, linear_phase=2.0)

@@ -90,7 +90,7 @@ class TestPointerOverlap:
 
     def test_cross_sector_small(self):
         p = make_pointer(0.95, +1, 60, tail_tol=None)
-        m = make_pointer(0.95, -1, 60, grid=p.grid, tail_tol=None)
+        m = make_pointer(0.95, -1, 60, tail_tol=None)
         val = abs(pointer_overlap(m, IDENTITY, p))
         assert val <= 0.05
         assert val == pytest.approx(0.0088937, abs=2e-4)  # frozen regression
