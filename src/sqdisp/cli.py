@@ -86,10 +86,12 @@ class RunConfig:
             raise ConfigError(f"n_max must lie in [{two_mode.MIN_N_MAX}, "
                               f"{math.isqrt(MAX_NODES) - 1}], a coefficient table of at "
                               f"most {MAX_NODES} entries")
-        if abs(self.z) > math.log(MAX_NODES):
-            # e^{|z|} would exceed the node count of the largest grid
-            raise ConfigError(f"z must lie in [-ln {MAX_NODES}, ln {MAX_NODES}] = "
-                              f"±{math.log(MAX_NODES):.4g}")
+        for name in ("z", "r_lo", "r_hi"):
+            v = getattr(self, name)
+            if v is not None and abs(v) > math.log(MAX_NODES):
+                # e^{|v|} would exceed the node count of the largest grid
+                raise ConfigError(f"{name} must lie in [-ln {MAX_NODES}, ln {MAX_NODES}] = "
+                                  f"±{math.log(MAX_NODES):.4g}")
         if self.state == "sampled-file":
             if not self.sampled_path:
                 raise ConfigError("sampled-file state requires sampled_path")
@@ -213,9 +215,8 @@ def build_state(cfg: RunConfig) -> StateVector:
     grid = None
     if cfg.y_max is not None or cfg.n is not None:
         base = default_grid(cfg.a if cfg.state != "vacuum" else 0.0,
-                            cfg.z if cfg.state == "displaced-squeezed" else 0.0)
-        grid = QuadratureGrid(base.y_max if cfg.y_max is None else cfg.y_max,
-                              base.n if cfg.n is None else cfg.n)
+                            cfg.z if cfg.state == "displaced-squeezed" else 0.0, cfg.n)
+        grid = QuadratureGrid(base.y_max if cfg.y_max is None else cfg.y_max, base.n)
     if cfg.state == "vacuum":
         return make_vacuum(grid)
     if cfg.state == "coherent":
@@ -337,13 +338,11 @@ def run_two_mode(cfg: RunConfig) -> int:
     window = (cfg.x_lo, cfg.x_hi, cfg.r_lo, cfg.r_hi)
     prof = two_mode.concentration_profile(cfg.lam, cfg.n_max, window,
                                           cfg.resolution, tail_tol=cfg.tail_tol)
-    pointer = two_mode.make_pointer(cfg.lam, +1, cfg.n_max, tail_tol=cfg.tail_tol)
-    C = two_mode.raw_pointer_coefficients(cfg.n_max)
+    plus = prof.plus
     k = np.arange(cfg.n_max + 1)
-    parity_max = float(np.max(np.abs(C[(k[:, None] + k[None, :]) % 2 == 1])))
-    minus = two_mode.make_pointer(cfg.lam, -1, cfg.n_max, tail_tol=cfg.tail_tol)
-    cross = abs(two_mode.pointer_overlap(minus, two_mode.GroupElement(0.0, 0.0),
-                                         pointer))
+    # coeffs = N lambda^{n+m} c_nm, so odd n + m is as exactly zero as c_nm
+    parity_max = float(np.max(np.abs(plus.coeffs[(k[:, None] + k[None, :]) % 2 == 1])))
+    cross = abs(two_mode.pointer_overlap(prof.minus, two_mode.GroupElement(0.0, 0.0), plus))
     if cfg.out_csv:
         write_csv(cfg.out_csv, prof.map)
     write_json(cfg.out_json, {
@@ -351,8 +350,8 @@ def run_two_mode(cfg: RunConfig) -> int:
         "n_max": cfg.n_max,
         "width_x": prof.width_x,
         "width_r": prof.width_r,
-        "mean_energy": pointer.mean_energy,
-        "norm_deviation": abs(float((pointer.coeffs ** 2).sum()) - 1.0),
+        "mean_energy": plus.mean_energy,
+        "norm_deviation": abs(float((plus.coeffs ** 2).sum()) - 1.0),
         "parity_violation": parity_max,
         "cross_overlap": cross,
     })

@@ -34,8 +34,6 @@ from .grids import (StateVector, _fft_length, _sector_sum, fourier_at,
 from .group import GroupElement, inverse
 from .povm import PovmSeed
 
-MEASURE_CONVENTION = "left-haar: probability = p(x,r) * exp(-r) dx dr"
-
 # Relative gap below the maximum within which argmax treats grid nodes as tied.
 ARGMAX_TIE_RTOL = 1e-12
 
@@ -48,7 +46,6 @@ class DensityMap:
     r_nodes: np.ndarray
     values: np.ndarray  # shape (len(x_nodes), len(r_nodes))
     window: Tuple[float, float, float, float]  # (x_lo, x_hi, r_lo, r_hi)
-    measure_convention: str = MEASURE_CONVENTION
     mass: float = 0.0
 
     @classmethod
@@ -87,7 +84,7 @@ def _haar_weights(x_nodes: np.ndarray, r_nodes: np.ndarray):
 
 
 def _compatible_grids(seed: PovmSeed, psi: StateVector):
-    if not seed.eta.grid.matches(psi.grid):
+    if seed.eta.grid != psi.grid:
         raise GridMismatch("seed and state must share a quadrature grid")
 
 
@@ -291,7 +288,7 @@ def group_average_sandwich(psi: StateVector, phi: StateVector,
     pairs, i.e. when <phi| theta(sY)/|Y| |psi> fails the growth test.
     """
     for other in (phi, u, v):
-        if not psi.grid.matches(other.grid):
+        if psi.grid != other.grid:
             raise GridMismatch("sandwich states must share a grid")
     _screened_cross_terms(phi, psi)  # admissibility screen
 

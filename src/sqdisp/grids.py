@@ -67,9 +67,6 @@ class QuadratureGrid:
     def refined(self, factor: int = 2) -> "QuadratureGrid":
         return QuadratureGrid(self.y_max, self.n * factor)
 
-    def matches(self, other: "QuadratureGrid") -> bool:
-        return self.y_max == other.y_max and self.n == other.n
-
 
 @dataclass(frozen=True)
 class GaussianStateParams:
@@ -78,7 +75,6 @@ class GaussianStateParams:
     center: float
     log_width: float = 0.0
     linear_phase: float = 0.0
-    global_phase: float = 0.0
 
     def __call__(self, y: np.ndarray) -> np.ndarray:
         s = math.exp(2.0 * self.log_width)
@@ -86,23 +82,32 @@ class GaussianStateParams:
         wave = np.exp(-s * (y - self.center) ** 2).astype(complex)
         if self.linear_phase != 0.0:
             wave = wave * np.exp(-2.0j * self.linear_phase * y)
-        if self.global_phase != 0.0:
-            wave = wave * complex(math.cos(self.global_phase), math.sin(self.global_phase))
         return amp * wave
 
     @property
     def probability_std(self) -> float:
         return 0.5 * math.exp(-self.log_width)
 
-    @property
-    def amplitude_std(self) -> float:
-        return math.exp(-self.log_width) / math.sqrt(2.0)
 
+def default_grid(center: float = 0.0, log_width: float = 0.0,
+                 n: Optional[int] = None) -> QuadratureGrid:
+    """Grid sized for a Gaussian at ``center``: y_max = |a| + 10 max(amp std, 1).
 
-def default_grid(center: float = 0.0, log_width: float = 0.0, n: int = DEFAULT_N) -> QuadratureGrid:
-    """Grid sized for a Gaussian at ``center``: y_max = |a| + 10 max(amp std, 1)."""
+    Without ``n`` the node count is the smallest power of two >= DEFAULT_N
+    with dy at most the |psi|^2 standard deviation 0.5 e^{-z}.  Above
+    MAX_NODES / 2, where refinement could no longer double, that raises
+    GridTooNarrow.
+    """
     amp_std = math.exp(-log_width) / math.sqrt(2.0)
-    return QuadratureGrid(abs(center) + 10.0 * max(amp_std, 1.0), n)
+    y_max = abs(center) + 10.0 * max(amp_std, 1.0)
+    if n is None:
+        needed = 2.0 * y_max / (0.5 * math.exp(-log_width))
+        if needed > MAX_NODES // 2:
+            raise GridTooNarrow(
+                f"state with log-width {log_width:.4g} needs {needed:.3g} nodes on "
+                f"|y| <= {y_max:.4g} to resolve its std, cap is {MAX_NODES // 2}")
+        n = max(DEFAULT_N, 2 ** math.ceil(math.log2(needed)))
+    return QuadratureGrid(y_max, n)
 
 
 class StateVector:
@@ -131,18 +136,6 @@ class StateVector:
     def from_params(cls, params: GaussianStateParams, grid: QuadratureGrid) -> "StateVector":
         return cls(grid, params(grid.nodes), evaluator=params)
 
-    @classmethod
-    def from_samples(cls, grid: QuadratureGrid, amplitudes: np.ndarray,
-                     normalize: bool = True) -> "StateVector":
-        state = cls(grid, amplitudes)
-        if not np.all(np.isfinite(state.amplitudes)):
-            raise ValueError("state amplitudes must be finite")
-        if not normalize:
-            return state
-        if state.norm_certificate == 0.0:
-            raise ValueError("cannot normalize a zero state")
-        return cls(grid, state.amplitudes / state.norm_certificate)
-
     def evaluate_at(self, y: np.ndarray) -> np.ndarray:
         """Amplitudes at arbitrary points: closed form for Gaussian states,
         not-a-knot cubic spline (zero outside the window) for sampled ones."""
@@ -154,7 +147,7 @@ class StateVector:
         return self._spline(y)
 
     def with_grid(self, grid: QuadratureGrid) -> "StateVector":
-        if grid.matches(self.grid):
+        if grid == self.grid:
             return self
         return StateVector(grid, self.evaluate_at(grid.nodes), evaluator=self.evaluator)
 
@@ -176,10 +169,7 @@ def _check_window(center: float, prob_std: float, grid: QuadratureGrid):
 
 def make_coherent(a: float, grid: Optional[QuadratureGrid] = None) -> StateVector:
     """Coherent state |i a>: wavefunction (2/pi)^{1/4} exp(-(y - a)^2)."""
-    if grid is None:
-        grid = default_grid(a)
-    _check_window(a, 0.5, grid)
-    return StateVector.from_params(GaussianStateParams(center=a), grid)
+    return make_displaced_squeezed(a, 0.0, grid)
 
 
 def make_displaced_squeezed(a: float, z: float,
@@ -196,14 +186,20 @@ def make_vacuum(grid: Optional[QuadratureGrid] = None) -> StateVector:
     return make_coherent(0.0, grid)
 
 
-def make_sampled(grid: QuadratureGrid, amplitudes: np.ndarray,
-                 normalize: bool = True) -> StateVector:
-    return StateVector.from_samples(grid, amplitudes, normalize=normalize)
+def make_sampled(grid: QuadratureGrid, amplitudes: np.ndarray) -> StateVector:
+    """Sampled state with finite ``amplitudes``, normalized; ``StateVector(grid,
+    amplitudes)`` keeps raw samples as given."""
+    state = StateVector(grid, amplitudes)
+    if not np.all(np.isfinite(state.amplitudes)):
+        raise ValueError("state amplitudes must be finite")
+    if state.norm_certificate == 0.0:
+        raise ValueError("cannot normalize a zero state")
+    return StateVector(grid, state.amplitudes / state.norm_certificate)
 
 
 def inner_product(phi: StateVector, psi: StateVector) -> complex:
     """Midpoint quadrature of conj(phi(y)) psi(y); conjugate symmetric."""
-    if not phi.grid.matches(psi.grid):
+    if phi.grid != psi.grid:
         raise GridMismatch("inner_product requires states on the same grid")
     return complex(np.sum(np.conj(phi.amplitudes) * psi.amplitudes) * phi.grid.dy)
 
@@ -222,12 +218,12 @@ def phase_resolving_grid(grid: QuadratureGrid, y_max: float, freq: float) -> Qua
     dy_req = min(grid.dy, math.pi / (8.0 * max(1.0, abs(freq))))
     if y_max == grid.y_max and dy_req == grid.dy:
         return grid
-    n = 2 ** math.ceil(math.log2(max(2.0 * y_max / dy_req, 2.0)))
-    if n > MAX_NODES:
+    needed = 2.0 * y_max / dy_req if dy_req > 0 else math.inf
+    if needed > MAX_NODES:
         raise GridTooNarrow(
             f"resolving phase frequency {freq:.3g} on |y| <= {y_max:.4g} needs "
-            f"{n} nodes, cap is {MAX_NODES}")
-    return QuadratureGrid(y_max, n)
+            f"{needed:.3g} nodes, cap is {MAX_NODES}")
+    return QuadratureGrid(y_max, 2 ** math.ceil(math.log2(max(needed, 2.0))))
 
 
 def _fft_length(n: int) -> int:

@@ -85,7 +85,6 @@ def act(g: GroupElement, psi: StateVector,
             center=math.exp(-g.r) * p.center,
             log_width=p.log_width + g.r,
             linear_phase=math.exp(g.r) * p.linear_phase + g.x,
-            global_phase=p.global_phase,
         )
         if grid is None:
             y_max = default_grid(new.center, new.log_width).y_max
@@ -109,8 +108,7 @@ def parity_act(psi: StateVector) -> StateVector:
     p = psi.evaluator
     if p is not None:
         new = GaussianStateParams(center=-p.center, log_width=p.log_width,
-                                  linear_phase=-p.linear_phase,
-                                  global_phase=p.global_phase)
+                                  linear_phase=-p.linear_phase)
         return StateVector.from_params(new, psi.grid)
     return StateVector(psi.grid, psi.amplitudes[::-1])
 

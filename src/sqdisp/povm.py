@@ -42,7 +42,7 @@ KIND_PARITY = "ml-parity"
 _SECTOR_LABELS = {+1: "+", -1: "-", 0: "full"}
 
 
-def _multiplier(coeffs: Dict[int, complex], power: int, y: np.ndarray) -> np.ndarray:
+def _multiplier(coeffs: Dict[int, complex], power: float, y: np.ndarray) -> np.ndarray:
     """sum_s coeffs[s] |y|^power theta(s y), with s = 0 the full line (the
     default of a sector without its own; y = 0, never a node, counts as -)."""
     full = coeffs.get(0, 0.0)
@@ -84,7 +84,7 @@ class PovmSeed:
 
     def on_grid(self, grid) -> "PovmSeed":
         """Same seed resampled on another grid (exact for Gaussian sources)."""
-        if grid.matches(self.eta.grid):
+        if grid == self.eta.grid:
             return self
         src = self.source.with_grid(grid)
         eta = StateVector(grid, self.multiplier(grid.nodes) * src.amplitudes)
@@ -99,11 +99,8 @@ def dmc_apply(psi: StateVector, sign: int, power: float) -> StateVector:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    y = psi.grid.nodes
-    w = np.zeros(psi.grid.n)
-    mask = sign * y > 0
-    w[mask] = (math.pi / np.abs(y[mask])) ** power
-    return StateVector(psi.grid, w * psi.amplitudes)
+    return StateVector(psi.grid, _multiplier({sign: math.pi ** power}, -power, psi.grid.nodes)
+                       * psi.amplitudes)
 
 
 def dmc_expectation(psi: StateVector, sign: int, power: float) -> float:

@@ -72,7 +72,6 @@ class TwoModePointer:
     sign: int
     n_max: int
     coeffs: np.ndarray  # normalized N_lambda lambda^{n+m} c_nm, (n_max+1)^2
-    norm_constant: float
 
     @property
     def grid(self) -> QuadratureGrid:
@@ -155,23 +154,17 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
             f"estimated dropped tail {tail:.3e} exceeds {tail_tol:.1e} for "
             f"lambda={lam}, n_max={n_max}")
 
-    norm_constant = 1.0 / math.sqrt(total)
     return TwoModePointer(lam=lam, sign=sign, n_max=n_max,
-                          coeffs=norm_constant * A,
-                          norm_constant=norm_constant)
-
-
-def _mode1_waves(p: TwoModePointer, H: np.ndarray) -> np.ndarray:
-    """f_m(y) = sum_n coeffs[n, m] h_n(y), one row per mode-2 index m."""
-    return p.coeffs.T @ H
+                          coeffs=(1.0 / math.sqrt(total)) * A)
 
 
 def pointer_overlap(p1: TwoModePointer, g: GroupElement,
                     p2: TwoModePointer) -> complex:
     """<<Phi(lambda1)_{s1}| U_g (x) 1 |Phi(lambda2)_{s2}>>.
 
-    Synthesizes the mode-1 wavefunctions on the grid, applies the affine
-    action to the ket, and contracts over the mode-2 Fock index.
+    Synthesizes the mode-1 wavefunctions f_m(y) = sum_n coeffs[n, m] h_n(y)
+    (``coeffs.T @ H``, one row per mode-2 index m) on the grid, applies the
+    affine action to the ket, and contracts over the mode-2 Fock index.
     """
     if p1.n_max != p2.n_max:
         raise GridMismatch("pointers must share n_max")
@@ -179,8 +172,8 @@ def pointer_overlap(p1: TwoModePointer, g: GroupElement,
     y = grid.nodes
     H = hermite_functions(p1.n_max, y)
     Hs = hermite_functions(p1.n_max, math.exp(g.r) * y)
-    bra = _mode1_waves(p1, H)
-    ket = _mode1_waves(p2, Hs)
+    bra = p1.coeffs.T @ H
+    ket = p2.coeffs.T @ Hs
     kernel = (bra * ket).sum(axis=0)  # coefficients are real
     phase = np.exp(-2.0j * g.x * y)
     return complex(math.exp(g.r / 2.0) * np.sum(kernel * phase) * grid.dy)
@@ -188,11 +181,14 @@ def pointer_overlap(p1: TwoModePointer, g: GroupElement,
 
 @dataclass
 class ConcentrationProfile:
-    """Self-overlap profile of the pointer pair with its second-moment widths."""
+    """Self-overlap profile of the pointer pair with its second-moment widths,
+    and the pair ``plus`` and ``minus`` it was computed from."""
 
     map: DensityMap
     width_x: float
     width_r: float
+    plus: TwoModePointer
+    minus: TwoModePointer
 
 
 def concentration_profile(lam: float, n_max: int,
@@ -213,15 +209,14 @@ def concentration_profile(lam: float, n_max: int,
     grid = p_plus.grid
     y = grid.nodes
     H = hermite_functions(n_max, y)
-    bra_p = _mode1_waves(p_plus, H)
-    bra_m = _mode1_waves(p_minus, H)
+    bra_p = p_plus.coeffs.T @ H
+    bra_m = p_minus.coeffs.T @ H
 
     x_nodes = np.linspace(x_lo, x_hi, nx)
     r_nodes = np.linspace(r_lo, r_hi, nr)
     values = np.empty((nx, nr))
     for j, r in enumerate(r_nodes):
-        Hs = hermite_functions(n_max, math.exp(r) * y)
-        ket = _mode1_waves(p_plus, Hs)
+        ket = p_plus.coeffs.T @ hermite_functions(n_max, math.exp(r) * y)
         kernels = np.stack([(bra_p * ket).sum(axis=0), (bra_m * ket).sum(axis=0)],
                            axis=1) * grid.dy
         amp = math.exp(r / 2.0)
@@ -232,4 +227,5 @@ def concentration_profile(lam: float, n_max: int,
     total = float(weighted.sum())
     width_x = math.sqrt(float((weighted.sum(axis=1) * x_nodes ** 2).sum()) / total)
     width_r = math.sqrt(float((weighted.sum(axis=0) * r_nodes ** 2).sum()) / total)
-    return ConcentrationProfile(map=dmap, width_x=width_x, width_r=width_r)
+    return ConcentrationProfile(map=dmap, width_x=width_x, width_r=width_r,
+                                plus=p_plus, minus=p_minus)

@@ -47,9 +47,9 @@ def _odd_state(grid: QuadratureGrid, width: float = 1.0) -> StateVector:
     return make_sampled(grid, y * np.exp(-(y / width) ** 2))
 
 
-def _two_bump(grid: QuadratureGrid, a: float = 3.0) -> StateVector:
+def _two_bump(grid: QuadratureGrid) -> StateVector:
     y = grid.nodes
-    return make_sampled(grid, np.exp(-(y - a) ** 2) + np.exp(-(y + a) ** 2))
+    return make_sampled(grid, np.exp(-(y - 3.0) ** 2) + np.exp(-(y + 3.0) ** 2))
 
 
 def check_grid_symmetry() -> Tuple[bool, str]:
@@ -177,10 +177,9 @@ def check_displacement_invariance() -> Tuple[bool, str]:
     return worst < 1e-9, f"max displacement defect {worst:.2e}"
 
 
-def srm_admissible_suite(grid: Optional[QuadratureGrid] = None):
+def srm_admissible_suite():
     """Five admissible states for the square-root-measurement comparison."""
-    if grid is None:
-        grid = default_grid(10.0)
+    grid = default_grid(10.0)
     return [
         ("coherent(4)", make_coherent(4.0, grid=grid)),
         ("coherent(10)", make_coherent(10.0, grid=grid)),

@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from sqdisp import (AsymptoticModel, SupportViolation, heisenberg_ratio,
+from sqdisp import (AsymptoticModel, StateVector, SupportViolation, heisenberg_ratio,
                     isotropic_params, make_coherent, make_displaced_squeezed,
-                    make_sampled, model_density, rms_predictions,
-                    separate_optima, uncertainty_product_ratio)
+                    model_density, rms_predictions, separate_optima,
+                    uncertainty_product_ratio)
 # several algebraic-identity tests intentionally probe sub-asymptotic (a, z)
 pytestmark = pytest.mark.filterwarnings("ignore:a e.z is small")
 
@@ -102,7 +102,7 @@ class TestHeisenbergRatio:
 
     def test_sampled_state_spectral_path(self):
         gauss = make_displaced_squeezed(50.0, 0.0)
-        sampled = make_sampled(gauss.grid, gauss.amplitudes, normalize=False)
+        sampled = StateVector(gauss.grid, gauss.amplitudes)
         assert heisenberg_ratio(sampled, 50.0) == pytest.approx(
             heisenberg_ratio(gauss, 50.0), rel=1e-6)
 

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sqdisp
@@ -213,12 +214,19 @@ class TestOutOfRangeOptions:
         ("validate", "--lam", "0.9"),
         ("compare-srm", "--seed-kind", "srm"),
         ("asymptotics", "--state", "coherent"),
+        ("density", "--x-lo", "-1", "--x-hi", "1", "--r-lo", "-800", "--r-hi", "800",
+         "--resolution", "16"),
+        ("two-mode", "--x-lo", "-1", "--x-hi", "1", "--r-lo", "-800", "--r-hi", "800",
+         "--resolution", "16"),
+        ("density", "--x-lo", "-1", "--x-hi", "1", "--r-lo", "0", "--r-hi", "14",
+         "--resolution", "16"),
     ], ids=["nbar", "n-max", "y-max", "n", "asymptotics-a", "tail-tol",
             "sampled-n", "sampled-y-max", "n-above-cap", "missing-config",
             "out-csv-dir", "out-json-dir", "resolution-above-cap",
             "z-above-bound", "z-below-bound", "asymptotics-z", "n-max-above-cap",
             "likelihood-out-csv", "validate-lam", "compare-seed-kind",
-            "asymptotics-state"])
+            "asymptotics-state", "r-above-bound", "two-mode-r-above-bound",
+            "r-hi-above-bound"])
     def test_config_error(self, tmp_path, capsys, argv):
         import numpy as np
         from sqdisp import default_grid
@@ -238,6 +246,26 @@ class TestOutOfRangeOptions:
         assert err == "config error: likelihood does not read --out-csv\n"
         assert out == ""
         assert not csv.exists()
+
+
+class TestGridLimits:
+    @pytest.mark.parametrize("z", ["10", "11"])
+    def test_unresolvable_squeezing(self, capsys, z):
+        code, out, err = run(capsys, "likelihood", "--state", "displaced-squeezed",
+                             "--a", "5", "--z", z)
+        assert code == 3
+        assert err.startswith("numeric failure: GridTooNarrow:")
+        assert out == ""
+
+    @pytest.mark.parametrize("x", ["1e308", "1e300"])
+    def test_unresolvable_window(self, capsys, x):
+        code, out, err = run(capsys, "density", "--state", "vacuum", f"--x-lo=-{x}",
+                             f"--x-hi={x}", "--r-lo", "-1", "--r-hi", "1",
+                             "--resolution", "16")
+        assert code == 3
+        assert err.startswith("numeric failure: GridTooNarrow:")
+        assert len(err) < 200
+        assert out == ""
 
 
 class TestAsymptoticsCommand:
@@ -261,6 +289,29 @@ class TestTwoModeCommand:
         assert payload["parity_violation"] == 0.0
         assert payload["norm_deviation"] < 1e-8
         assert payload["width_x"] > 0
+
+    def test_one_pointer_build_per_run(self, capsys, monkeypatch):
+        from sqdisp import two_mode
+        calls = {"make_pointer": 0, "raw_pointer_coefficients": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(two_mode, name), **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(two_mode, name, counted)
+        profiles = []
+
+        def recorded(*args, _fn=two_mode.concentration_profile, **kwargs):
+            profiles.append(_fn(*args, **kwargs))
+            return profiles[-1]
+        monkeypatch.setattr(two_mode, "concentration_profile", recorded)
+        code, out, err = run(capsys, "two-mode", "--lam", "0.95", "--n-max", "40",
+                             "--resolution", "16")
+        assert code == 0
+        assert calls == {"make_pointer": 2, "raw_pointer_coefficients": 2}
+        monkeypatch.undo()
+        ref = two_mode.make_pointer(0.95, +1, 40, tail_tol=None)
+        assert np.array_equal(profiles[0].plus.coeffs, ref.coeffs)
+        assert json.loads(out)["mean_energy"] == ref.mean_energy
 
     def test_resolution_honoured(self, tmp_path, capsys):
         csv = tmp_path / "map.csv"

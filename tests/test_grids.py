@@ -12,8 +12,8 @@ import pytest
 from scipy.integrate import quad
 
 from sqdisp import (DivergenceDetected, GaussianStateParams, GridMismatch,
-                    GridTooNarrow, QuadratureGrid, abs_moment, default_grid,
-                    half_line_moment, inner_product, make_coherent,
+                    GridTooNarrow, QuadratureGrid, StateVector, abs_moment,
+                    default_grid, half_line_moment, inner_product, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum)
 from sqdisp.grids import _solve_141, fourier_at
 
@@ -45,6 +45,19 @@ class TestQuadratureGrid:
         assert g.y_max == pytest.approx(20.0)
         g = default_grid(2.0, log_width=-1.0)
         assert g.y_max == pytest.approx(2.0 + 10.0 * math.e / math.sqrt(2.0))
+
+    @pytest.mark.parametrize("z, n", [(0.0, 4096), (5.0, 16384), (9.0, 2**19)])
+    def test_default_grid_resolves_squeezing(self, z, n):
+        g = default_grid(5.0, z)
+        assert g.n == n
+        assert g.dy <= 0.5 * math.exp(-z)
+        if n > 4096:  # the smallest such power of two
+            assert 2.0 * g.dy > 0.5 * math.exp(-z)
+
+    def test_default_grid_rejects_unresolvable_squeezing(self):
+        with pytest.raises(GridTooNarrow, match="nodes"):
+            default_grid(5.0, 9.5)
+        assert default_grid(5.0, 9.5, n=4096).n == 4096
 
 
 class TestGaussianStates:
@@ -152,6 +165,11 @@ class TestHalfLineMoments:
         assert half_line_moment(c10, +1, 1) == pytest.approx(10.0, abs=1e-3)
         assert half_line_moment(c10, -1, 1) < 1e-12
 
+    def test_strongly_squeezed_moment(self):
+        # the default grid resolves |psi|^2 of std 0.5 e^{-9} = 6e-5
+        psi = make_displaced_squeezed(5.0, 9.0)
+        assert half_line_moment(psi, +1, 1) == pytest.approx(5.0, rel=1e-9)
+
     def test_partition_identity(self):
         psi = make_displaced_squeezed(0.7, 0.2)
         wp = half_line_moment(psi, +1, 1, adaptive=False)
@@ -239,9 +257,8 @@ class TestSampledStates:
         grid = QuadratureGrid(5.0, 64)
         amps = np.exp(-grid.nodes ** 2).astype(complex)
         amps[20] = bad
-        for normalize in (True, False):
-            with pytest.raises(ValueError, match="finite"):
-                make_sampled(grid, amps, normalize=normalize)
+        with pytest.raises(ValueError, match="finite"):
+            make_sampled(grid, amps)
 
     @pytest.mark.parametrize("n", [2, 4, 6, 8, 66, 68, 70, 132, 4096])
     def test_spline_matches_scipy_not_a_knot(self, n):
@@ -249,7 +266,7 @@ class TestSampledStates:
         grid = QuadratureGrid(3.0, n)
         rng = np.random.default_rng(n)
         amps = rng.normal(size=n) + 1j * rng.normal(size=n)
-        psi = make_sampled(grid, amps, normalize=False)
+        psi = StateVector(grid, amps)
         lo, hi = grid.nodes[0], grid.nodes[-1]
         y = np.concatenate([rng.uniform(lo, hi, 20000),      # inside, two chunks
                             rng.uniform(-4.0, 4.0, 2000),    # straddles the window

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from sqdisp import (IDENTITY, ExtendedElement, GroupElement, act, act_extended,
-                    compose, default_grid, inverse, left_haar_weight,
+from sqdisp import (IDENTITY, ExtendedElement, GroupElement, StateVector, act,
+                    act_extended, compose, default_grid, inverse, left_haar_weight,
                     make_coherent, make_displaced_squeezed, make_sampled,
                     make_vacuum, parity_act, right_haar_weight)
 
@@ -111,7 +111,7 @@ class TestAction:
 
     def test_sampled_action_matches_gaussian(self):
         psi = make_displaced_squeezed(1.5, 0.3)
-        sampled = make_sampled(psi.grid, psi.amplitudes, normalize=False)
+        sampled = StateVector(psi.grid, psi.amplitudes)
         g = GroupElement(0.5, 0.6)
         out_s = act(g, sampled)
         out_g = act(g, psi, grid=out_s.grid)
