@@ -6,17 +6,24 @@ Wavefunctions are sampled on a midpoint-offset uniform grid
 
 so no node sits at y = 0 and the node set is exactly symmetric under
 reflection.  Integrals are midpoint sums (identical to the trapezoid rule on
-offset nodes), which converge superalgebraically for smooth decaying
-integrands.  Every half-line quantity is one sector integral,
+offset nodes), which converge superalgebraically only for integrands that
+are smooth on the whole line and decay inside the window.  Every half-line
+quantity is one sector integral,
 
     integral over s*y > 0 of |y|^p conj(phi(y)) psi(y) dy,
 
 refined by grid doubling (``sector_integral``): the moments w_s of |psi|^2,
 the square-root-measurement values <psi| D_s |psi>, the oracle cross terms
 and the seed certificates <eta_s| D_s |eta_s>, which are adaptive
-quadratures of the seed eta itself.  Negative powers are screened by a
-grid-doubling growth test: a value that keeps growing by more than
-``GROWTH_FACTOR`` per doubling is reported as divergent rather than returned.
+quadratures of the seed eta itself.  A half line ends at y = 0, a cell
+edge, where the integrand f is in general not flat: there the midpoint sum
+differs from the integral by the Euler-Maclaurin endpoint series
+c_2 dy^2 + c_4 dy^4 + ... (c_2 = f'(0)/24 on y > 0), in even powers of dy
+only.  ``refine_by_doubling`` therefore Richardson-extrapolates the doubling
+sequence, two Romberg columns deep, and stops when the extrapolated values
+agree.  Negative powers are screened by a grid-doubling growth test on the
+raw values: a value that keeps growing by more than ``GROWTH_FACTOR`` per
+doubling is reported as divergent rather than returned.
 
 The Gaussian family used throughout is
 
@@ -377,28 +384,53 @@ def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid]
                        growth_floor: Optional[float] = None) -> Tuple[List[complex], bool]:
     """Limit of ``evaluate(grid)`` under doubling n at fixed y_max.
 
-    Doubles until two successive values agree to ADAPTIVE_RTOL relative or
-    the MAX_NODES cap is reached.  With ``growth_floor`` set, the first two
-    doublings are screened first: a value of magnitude at least the floor
-    that grows by more than GROWTH_FACTOR on both is the signature of a
-    logarithmic divergence at y = 0, and refinement stops there.
+    The midpoint error of a sector integral expands in even powers of dy
+    (Euler-Maclaurin, with y = 0 a cell edge), so each new value extends a
+    Romberg table by two Richardson columns, weights (4, -1)/3 and then
+    (16, -1)/15.  Doubling stops when the last entries of two successive
+    rows (the raw value on the first grid, extrapolated ones after it)
+    agree to ADAPTIVE_RTOL relative, or at the MAX_NODES cap, where the raw
+    value is returned: a sequence whose extrapolation never settles is not
+    one the table models.  With ``growth_floor`` set, the first two
+    doublings are screened first, on the raw values: a value of magnitude
+    at least the floor that grows by more than GROWTH_FACTOR on both is the
+    signature of a logarithmic divergence at y = 0, and refinement stops
+    there.
 
-    Returns (values, grows): the value on each grid in turn, so values[-1]
-    is the result, and whether the growth screen fired.
+    Returns (values, grows): the raw value on each grid in turn, except that
+    values[-1] is the extrapolated limit when that converged, so values[-1]
+    is the result; and whether the growth screen fired.
     """
-    values = [evaluate(grid)]
+    values: List[complex] = []
+    row: List[complex] = []  # latest Romberg row: raw, then extrapolated
+    best: List[complex] = []
+
+    def extend(g: QuadratureGrid):
+        nonlocal row
+        new = [evaluate(g)]
+        for j, prev in enumerate(row[:2]):
+            new.append(new[j] + (new[j] - prev) / (4 ** (j + 1) - 1))
+        values.append(new[0])
+        best.append(new[-1])
+        row = new
+
+    def converged() -> bool:
+        return (len(best) > 1
+                and abs(best[-1] - best[-2]) <= ADAPTIVE_RTOL * abs(best[-1]) + 1e-300)
+
+    extend(grid)
     if growth_floor is not None:
-        values.append(evaluate(grid.refined(2)))
+        extend(grid.refined(2))
         grid = grid.refined(4)
-        values.append(evaluate(grid))
+        extend(grid)
         v0, v1, v2 = (abs(v) for v in values)
         if v0 >= growth_floor and v1 > v0 * GROWTH_FACTOR and v2 > v1 * GROWTH_FACTOR:
             return values, True
-    while grid.n < MAX_NODES:
+    while not converged() and grid.n < MAX_NODES:
         grid = grid.refined(2)
-        values.append(evaluate(grid))
-        if abs(values[-1] - values[-2]) <= ADAPTIVE_RTOL * abs(values[-1]) + 1e-300:
-            break
+        extend(grid)
+    if converged():
+        values[-1] = best[-1]
     return values, False
 
 

@@ -76,7 +76,9 @@ def act(g: GroupElement, psi: StateVector,
     """Apply U_{x,r} = D(x) S(r) to a state.
 
     Gaussian states transform in closed form, (a, z, c) -> (e^{-r} a, z + r,
-    e^r c + x), with no interpolation.  Sampled states are evaluated by cubic
+    e^r c + x), with no interpolation, on a grid with dy at most psi's and
+    at most the new |psi|^2 std 0.5 e^{-(z + r)} (GridTooNarrow past the
+    node cap, as ``default_grid``).  Sampled states are evaluated by cubic
     interpolation at the scaled nodes, with |r| capped per application.
     """
     p = psi.evaluator
@@ -87,8 +89,10 @@ def act(g: GroupElement, psi: StateVector,
             linear_phase=math.exp(g.r) * p.linear_phase + g.x,
         )
         if grid is None:
-            y_max = default_grid(new.center, new.log_width).y_max
-            grid = phase_resolving_grid(psi.grid, y_max, new.linear_phase)
+            # keep psi's spacing unless the squeezed state needs a finer one
+            target = default_grid(new.center, new.log_width)
+            base = psi.grid if psi.grid.dy <= target.dy else target
+            grid = phase_resolving_grid(base, target.y_max, new.linear_phase)
         return StateVector.from_params(new, grid)
 
     if abs(g.r) > SAMPLED_ACTION_RMAX:

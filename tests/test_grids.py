@@ -7,8 +7,11 @@ the package's midpoint quadrature.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sqdisp import (DivergenceDetected, GaussianStateParams, GridMismatch,
@@ -169,6 +172,26 @@ class TestHalfLineMoments:
         # the default grid resolves |psi|^2 of std 0.5 e^{-9} = 6e-5
         psi = make_displaced_squeezed(5.0, 9.0)
         assert half_line_moment(psi, +1, 1) == pytest.approx(5.0, rel=1e-9)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(a=st.floats(-12.0, 12.0), z=st.floats(-1.0, 3.0), sign=st.sampled_from([1, -1]))
+    def test_displaced_squeezed_first_moment_closed_form(self, a, z, sign):
+        # E[|Y|; sY > 0] = sigma phi(a/sigma) + s a Phi(s a/sigma), sigma = e^{-z}/2,
+        # in 40 digits: the two terms cancel deep in the far sector
+        with mpmath.workdps(40):
+            sigma = mpmath.exp(-mpmath.mpf(z)) / 2
+            t = mpmath.mpf(a) / sigma
+            ref = float(sigma * mpmath.npdf(t) + sign * a * mpmath.ncdf(sign * t))
+        if ref >= 1e-290:
+            value = half_line_moment(make_displaced_squeezed(a, z), sign, 1)
+            assert abs(value - ref) <= 1e-9 * ref, (value, ref)
+
+    @pytest.mark.parametrize("z", [2.0, 4.0])
+    def test_squeezed_vacuum_first_moment(self, z):
+        # the O(dy^2) endpoint error at y = 0 is extrapolated away below the cap
+        sigma = 0.5 * math.exp(-z)
+        value = half_line_moment(make_displaced_squeezed(0.0, z), +1, 1)
+        assert value == pytest.approx(sigma / math.sqrt(2.0 * math.pi), rel=1e-9)
 
     def test_partition_identity(self):
         psi = make_displaced_squeezed(0.7, 0.2)

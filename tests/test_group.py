@@ -109,6 +109,17 @@ class TestAction:
             g = GroupElement(rng.uniform(-3, 3), rng.uniform(-3, 3))
             assert abs(act(g, psi).norm_certificate - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("r", [5.0, 6.0, 7.0])
+    def test_strong_squeeze_resolves_new_width(self, r):
+        # the vacuum's 4096-node grid is coarser than the squeezed std e^{-r}/2
+        out = act(GroupElement(0.0, r), make_vacuum())
+        assert out.grid.dy <= 0.5 * math.exp(-r)
+        assert abs(out.norm_certificate - 1.0) <= 1e-6
+
+    def test_mild_squeeze_keeps_grid(self):
+        vac = make_vacuum()
+        assert act(GroupElement(0.0, 4.6), vac).grid == vac.grid
+
     def test_sampled_action_matches_gaussian(self):
         psi = make_displaced_squeezed(1.5, 0.3)
         sampled = StateVector(psi.grid, psi.amplitudes)

@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from sqdisp import grids
 from sqdisp import (DivergenceDetected, DomainViolation, EmptySupport,
                     GroupElement, act, build_ml_seed, build_parity_seed,
                     build_srm_seed, default_grid, dmc_apply, dmc_expectation,
                     half_line_moment, make_coherent, make_displaced_squeezed,
                     make_sampled, make_vacuum, optimal_likelihood,
                     seed_overlap_likelihood, srm_likelihood, state_norm)
+from sqdisp.validate import _seed_suite, srm_admissible_suite
 
 VACUUM_W = math.sqrt(2.0 / math.pi) / 4.0
 VACUUM_L_OPT = math.sqrt(2.0 / math.pi) / math.pi     # 0.25397454373696393
@@ -162,6 +164,47 @@ class TestParitySeed:
     def test_excited_coherent(self):
         seed = build_parity_seed(make_coherent(10.0))
         assert seed.likelihood == pytest.approx(10.0 / math.pi, rel=1e-3)
+
+
+class TestSeedNodeBudget:
+    """Grid sizes each seed build evaluates, recorded by wrapping
+    ``grids._sector_sum``, through which every sector integral runs."""
+
+    @staticmethod
+    def grid_sizes(monkeypatch, build, psi):
+        sizes = []
+        evaluate = grids._sector_sum
+
+        def counting(phi, chi, grid, sign, power):
+            sizes.append(grid.n)
+            return evaluate(phi, chi, grid, sign, power)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(grids, "_sector_sum", counting)
+            build(psi)
+        return sizes
+
+    def test_gaussian_seeds_converge_by_2_16_nodes(self, monkeypatch):
+        for name, psi in _seed_suite(default_grid(0.0)) + srm_admissible_suite():
+            if psi.evaluator is None:
+                continue
+            for build in (build_ml_seed, build_parity_seed, build_srm_seed):
+                if build is build_srm_seed and name in ("vacuum", "dsq(3,-0.4)"):
+                    with pytest.raises(DomainViolation):
+                        build(psi)
+                    continue
+                sizes = self.grid_sizes(monkeypatch, build, psi)
+                assert max(sizes) <= 2**16, (name, build.__name__, sizes)
+
+    def test_unsettled_log_divergence_returns_raw_cap_value(self, monkeypatch):
+        # two-bump(3) has psi(0) ~ 1e-4: <D_s> is log-divergent with a
+        # coefficient below the growth screen, so no extrapolation settles
+        psi = dict(srm_admissible_suite())["two-bump(3)"]
+        sizes = self.grid_sizes(monkeypatch, build_srm_seed, psi)
+        assert max(sizes) == grids.MAX_NODES
+        cap = grids.QuadratureGrid(psi.grid.y_max, grids.MAX_NODES)
+        for s in (+1, -1):
+            assert half_line_moment(psi, s, -1) == grids._sector_sum(psi, psi, cap, s, -1)
 
 
 class TestSeedSuiteInvariants:
