@@ -11,7 +11,8 @@ precision (17 significant digits) and is bit-identical across runs for a
 fixed configuration.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 configuration error
-(also a config file or output path that cannot be opened), 3 numeric failure.
+(also a config file or output path that cannot be opened), 3 numeric failure,
+4 internal error (any other exception, reported on one line).
 """
 
 from __future__ import annotations
@@ -417,6 +418,9 @@ def main(argv=None) -> int:
     except EstimationError as exc:
         print(f"numeric failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}:", *str(exc).splitlines(), file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -28,14 +28,15 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DivergenceDetected, GridMismatch, InsufficientMass
-from .grids import (StateVector, _fft_length, _sector_sum, fourier_at,
+from .errors import ConfigError, DivergenceDetected, GridMismatch, InsufficientMass
+from .grids import (MAX_NODES, StateVector, _fft_length, _sector_sum, fourier_at,
                     phase_resolving_grid, sector_integral)
 from .group import GroupElement, inverse
 from .povm import PovmSeed
 
 # Relative gap below the maximum within which argmax treats grid nodes as tied.
 ARGMAX_TIE_RTOL = 1e-12
+_SCAN_CHUNK = 2**14  # complex elements per FFT array of a chunk of scan rows
 
 
 @dataclass
@@ -66,6 +67,14 @@ class SummaryStats:
     argmax_x: float
     argmax_r: float
     peak_value: float
+
+
+def _map_shape(resolution) -> Tuple[int, int]:
+    """(nx, nr) of an int or pair; ConfigError above MAX_NODES cells."""
+    nx, nr = (resolution, resolution) if isinstance(resolution, int) else resolution
+    if nx * nr > MAX_NODES:
+        raise ConfigError(f"a {nx} x {nr} map exceeds {MAX_NODES} cells")
+    return nx, nr
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -118,21 +127,18 @@ def scan(seed: PovmSeed, psi: StateVector,
          resolution) -> DensityMap:
     """Fill a DensityMap with density_at over a tensor grid.
 
-    ``resolution`` is an int or an (nx, nr) pair, at least 16 per axis.
-    Each r row is one chirp-z transform (``grids.fourier_at``) of the
-    quadrature integrand over the uniformly spaced x nodes, so a row costs
-    O((nx + n) log) time and O(nx + n) memory for n quadrature nodes, and
-    the result does not depend on evaluation order.
+    ``resolution`` is an int or an (nx, nr) pair, at least 16 per axis and
+    at most MAX_NODES cells.  Each r row is a chirp-z transform of length
+    L >= nx + n - 1 on n quadrature nodes, max(1, _SCAN_CHUNK // L) rows per
+    ``grids.fourier_at`` call, so an FFT array holds at most _SCAN_CHUNK
+    complex elements or one row; the map depends on neither order nor chunks.
     """
     x_lo, x_hi, r_lo, r_hi = window
     if not all(math.isfinite(v) for v in window):
         raise ValueError("window must be finite")
     if not (x_lo < x_hi and r_lo < r_hi):
         raise ValueError("window must satisfy x_lo < x_hi and r_lo < r_hi")
-    if isinstance(resolution, int):
-        nx = nr = resolution
-    else:
-        nx, nr = resolution
+    nx, nr = _map_shape(resolution)
     if nx < 16 or nr < 16:
         raise ValueError("resolution must be at least 16 per axis")
     seed, psi = _refine_for_window(seed, psi, window)
@@ -143,11 +149,13 @@ def scan(seed: PovmSeed, psi: StateVector,
     y = grid.nodes
     eta_conj = np.conj(seed.eta.amplitudes)
     values = np.empty((nx, nr))
-    for j, r_hat in enumerate(r_nodes):
-        rp = -r_hat
-        xp = -math.exp(-r_hat) * x_nodes  # x components of the inverse elements
-        base = eta_conj * psi.evaluate_at(math.exp(rp) * y) * (math.exp(rp / 2.0) * grid.dy)
-        values[:, j] = np.abs(fourier_at(xp, y, base)) ** 2
+    rows = max(1, _SCAN_CHUNK // _fft_length(nx + grid.n - 1))
+    for j in range(0, nr, rows):
+        scale = np.exp(-r_nodes[j:j + rows])  # e^{r'} of the inverse elements
+        base = psi.evaluate_at(np.outer(scale, y)) * eta_conj  # one row per r
+        base *= (np.sqrt(scale) * grid.dy)[:, None]
+        xp = -np.outer(x_nodes, scale)  # x components of the inverse elements
+        values[:, j:j + rows] = np.abs(fourier_at(xp, y, base.T)) ** 2
     return DensityMap.from_values(x_nodes, r_nodes, values, (x_lo, x_hi, r_lo, r_hi))
 
 

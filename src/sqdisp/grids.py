@@ -37,6 +37,7 @@ package always refer to the probability (|psi|^2) standard deviation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
@@ -49,6 +50,7 @@ DEFAULT_N = 4096
 MAX_NODES = 2**20
 ADAPTIVE_RTOL = 1e-9
 GROWTH_FACTOR = 1.05
+_CHIRP_BLOCK = 64  # B in the chirps' m = B q + p
 
 
 @dataclass(frozen=True)
@@ -233,6 +235,7 @@ def phase_resolving_grid(grid: QuadratureGrid, y_max: float, freq: float) -> Qua
     return QuadratureGrid(y_max, 2 ** math.ceil(math.log2(max(needed, 2.0))))
 
 
+@functools.lru_cache(maxsize=None)
 def _fft_length(n: int) -> int:
     """Smallest 2^a 3^b 5^c >= n, a length numpy.fft transforms quickly."""
     best = 1 << (n - 1).bit_length()
@@ -249,60 +252,78 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _chirp(alpha: float, m: np.ndarray) -> np.ndarray:
-    """e^{-i alpha m^2} for integers |m| < 2^20.
+@functools.lru_cache(maxsize=64)
+def _chirp_integers(count: int) -> np.ndarray:
+    """What _chirp multiplies alpha by (row 0) and theta by (row 1), read-only."""
+    q = _CHIRP_BLOCK * np.arange(-(-count // _CHIRP_BLOCK), dtype=float)
+    p = np.arange(_CHIRP_BLOCK, dtype=float)
+    ints = np.array([np.r_[q * q, p * p, 2.0 * q], np.r_[q, p, 0.0 * q]])
+    ints.flags.writeable = False
+    return ints
 
-    The phase is reduced modulo one turn in pieces: alpha/(2 pi) is split
-    into 12-bit parts, each part times m^2 (< 2^40) is exact in float64 and
-    so is its remainder modulo 1.  The phase error then stays at round-off
-    of one turn however large alpha m^2 grows.
-    """
-    m2 = np.asarray(m, dtype=float) ** 2
-    rest = alpha / (2.0 * math.pi)
-    turns = np.zeros_like(m2)
-    for _ in range(3):
-        mant, e = math.frexp(rest)
-        part = math.ldexp(round(math.ldexp(mant, 12)), e - 12)
-        turns += np.mod(part * m2, 1.0)
-        rest -= part
-    turns += rest * m2
-    return np.exp(-2.0j * math.pi * turns)
+
+def _chirp(alpha, count: int, theta=0.0) -> np.ndarray:
+    """e^{-i (alpha m^2 + theta m)}, m = 0 .. count - 1 < 2^20, a row for each
+    alpha and theta.  For m = B q + p, B = _CHIRP_BLOCK, only the anchors
+    alpha (B q)^2 + theta B q, in-block terms alpha p^2 + theta p and steps
+    2 alpha B q are exponentiated, each phase reduced exactly: c = alpha/2pi
+    or theta/2pi is cut into parts of at most 13 bits, exact times an integer
+    k < 2^40 and so modulo 1, and a rest whose product with k is below 2^4 c.
+    The anchor times step^p is a running product over the block."""
+    alpha, theta = np.broadcast_arrays(alpha, theta)
+    c = np.stack([alpha, theta], axis=-1)[..., None] / (2.0 * math.pi)
+    k = _chirp_integers(count)
+    scale = np.ldexp(1.0, 12 * np.arange(1, 4).reshape((3,) + (1,) * c.ndim) - np.frexp(c)[1])
+    prefix = np.round(c * scale) / scale
+    turns = np.concatenate([prefix[:1], np.diff(prefix, axis=0)]) * k
+    turns -= np.rint(turns)
+    phase = np.exp(-2j * math.pi * (turns.sum(axis=0) + (c - prefix[-1]) * k).sum(axis=-2))
+    nq = (phase.shape[-1] - _CHIRP_BLOCK) // 2
+    block = np.repeat(phase[..., nq + _CHIRP_BLOCK:, None], _CHIRP_BLOCK, axis=-1)
+    block[..., 0] = phase[..., :nq]
+    np.cumprod(block, axis=-1, out=block)
+    block *= phase[..., None, nq:nq + _CHIRP_BLOCK]
+    return block.reshape(alpha.shape + (-1,))[..., :count]
 
 
 def fourier_at(x: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
     """sum_k h_k e^{-2i x_j y_k} for every x_j, by a chirp-z transform.
 
-    ``x`` and ``y`` are uniformly spaced, increasing or decreasing; ``h`` is
-    one vector of length len(y) or a (len(y), m) stack of them.  With
-    x_j = x_0 + j dx, y_k = y_0 + k dy and alpha = dx dy, Bluestein's
-    identity 2jk = j^2 + k^2 - (j - k)^2 gives
+    ``y`` is uniformly spaced; ``h`` is one vector of length len(y) or a
+    (len(y), m) stack.  ``x`` is uniformly spaced (increasing or decreasing)
+    and shared by the columns of ``h``, or an (nx, m) array of one such grid
+    per column.  With x_j = x_0 + j dx, y_k = y_0 + k dy and alpha = dx dy,
+    Bluestein's identity 2jk = j^2 + k^2 - (j - k)^2 gives
 
-        e^{-2i x_j y_0 - i alpha j^2} sum_k [h_k e^{-2i x_0 (y_k - y_0) - i alpha k^2}]
+        e^{-2i x_j y_0 - i alpha j^2} sum_k [h_k e^{-i (alpha k^2 + 2 x_0 dy k)}]
                                          e^{i alpha (j - k)^2},
 
-    a convolution evaluated with FFTs of length >= len(x) + len(y) - 1:
-    O((nx + n) log(nx + n)) time and O(nx + n) memory per column of ``h``.
+    a convolution by FFTs of length L >= len(x) + len(y) - 1: per column
+    O(L log L) time, O(L) memory and no exponential per node (``_chirp``).
     """
-    x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     h = np.asarray(h)
     nx, n = len(x), len(y)
-    dx = (x[-1] - x[0]) / (nx - 1) if nx > 1 else 0.0
+    x = np.asarray(x, dtype=float).reshape(nx, -1).T  # one row per grid, as every array below
     dy = (y[-1] - y[0]) / (n - 1) if n > 1 else 0.0
-    chirp = _chirp(dx * dy, np.arange(max(nx, n)))
-    chirp_x, chirp_y = chirp[:nx], chirp[:n]
+    alpha = dy * (x[:, -1] - x[:, 0]) / (nx - 1) if nx > 1 else 0.0 * x[:, 0]
     length = _fft_length(nx + n - 1)
-    lags = np.zeros(length, dtype=complex)  # e^{i alpha m^2} for m = -(n-1) .. nx-1
-    lags[:nx] = np.conj(chirp_x)
-    lags[length - n + 1:] = np.conj(chirp_y[:0:-1])
-    column = (slice(None),) + (None,) * (h.ndim - 1)
-    pre = np.exp(-2.0j * x[0] * (y - y[0])) * chirp_y
-    conv = np.fft.ifft(np.fft.fft(pre[column] * h, length, axis=0)
-                       * np.fft.fft(lags)[column], axis=0)[:nx]
-    return conv * (np.exp(-2.0j * x * y[0]) * chirp_x)[column]
+    # stage by stage, so at most three length-L arrays per row are alive
+    conv = np.zeros((h.size // n, length), dtype=complex)
+    np.multiply(_chirp(alpha, n, 2.0 * dy * x[:, 0]), h.reshape(n, -1).T, out=conv[:, :n])
+    conv = np.fft.fft(conv)
+    chirp = _chirp(alpha, max(nx, n))
+    lags = np.zeros((len(alpha), length), dtype=complex)  # e^{i alpha m^2}, m = -(n-1) .. nx-1
+    np.conjugate(chirp[:, :nx], out=lags[:, :nx])
+    np.conjugate(chirp[:, n - 1:0:-1], out=lags[:, length - n + 1:])
+    post = np.exp(-2.0j * y[0] * x) * chirp[:, :nx]
+    del chirp
+    conv *= np.fft.fft(lags)
+    del lags
+    return (np.fft.ifft(conv)[:, :nx] * post).T.reshape((nx,) + h.shape[1:])
 
 
-_SPLINE_CHUNK = 2**14  # points per pass, so the temporaries stay in cache
+_SPLINE_CHUNK = 2**12  # points per pass, so the temporaries stay in cache
 # rho^|m| / (2 sqrt 3), |m| <= 64: the Green's function of (1, 4, 1) on the
 # integers, rho = sqrt(3) - 2 the pole of the recursive cubic-spline prefilter
 # (Unser, IEEE SPM 16(6), 1999).  Later taps are below |rho|^65 < 2e-37.

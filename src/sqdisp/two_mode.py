@@ -30,7 +30,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import CutoffTooSmall, GridMismatch
-from .distribution import DensityMap, _trapezoid_weights
+from .distribution import DensityMap, _map_shape, _trapezoid_weights
 from .grids import QuadratureGrid, fourier_at
 from .group import GroupElement
 
@@ -200,10 +200,7 @@ def concentration_profile(lam: float, n_max: int,
     window; they shrink monotonically as lambda -> 1 (delta concentration).
     """
     x_lo, x_hi, r_lo, r_hi = window
-    if isinstance(resolution, int):
-        nx = nr = resolution
-    else:
-        nx, nr = resolution
+    nx, nr = _map_shape(resolution)
     p_plus = make_pointer(lam, +1, n_max, tail_tol=tail_tol)
     p_minus = make_pointer(lam, -1, n_max, tail_tol=tail_tol)
     grid = p_plus.grid

@@ -356,3 +356,16 @@ def test_import_loads_no_scipy():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env=env, capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+class TestInternalError:
+    def test_stray_exception_exits_4_on_one_line(self, capsys, monkeypatch):
+        from sqdisp import cli
+
+        def broken(cfg):
+            raise RuntimeError("kernel broke\nsecond line")
+        monkeypatch.setitem(cli._RUNNERS, "likelihood", broken)
+        code, out, err = run(capsys, "likelihood", "--state", "vacuum")
+        assert code == 4
+        assert out == ""
+        assert err == "internal error: RuntimeError: kernel broke second line\n"

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sqdisp import (DivergenceDetected, GroupElement, IDENTITY,
+from sqdisp import (ConfigError, DivergenceDetected, GroupElement, IDENTITY,
                     InsufficientMass, act, argmax, build_ml_seed,
                     closed_form_sandwich, compose, default_grid, density_at,
                     group_average_sandwich, inverse, make_coherent,
@@ -109,6 +109,19 @@ class TestScanAndArgmax:
             tracemalloc.stop()
         assert np.all(np.isfinite(m.values))
         assert peak < 400 * 2 ** 20
+
+    @pytest.mark.parametrize("resolution", [(2048, 1024), 1025])
+    def test_map_size_bounded_before_allocation(self, vacuum_seed, resolution):
+        # more than MAX_NODES = 2^20 cells; the map alone would take 8 MB or more
+        seed, vac = vacuum_seed
+        tracemalloc.start()
+        try:
+            with pytest.raises(ConfigError, match="exceeds 1048576 cells"):
+                scan(seed, vac, (-3.0, 3.0, -3.0, 3.0), resolution)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     def test_mass_bounded_and_monotone(self, vacuum_seed, vacuum_map):
         seed, vac = vacuum_seed

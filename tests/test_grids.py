@@ -6,6 +6,7 @@ the package's midpoint quadrature.
 """
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -18,7 +19,7 @@ from sqdisp import (DivergenceDetected, GaussianStateParams, GridMismatch,
                     GridTooNarrow, QuadratureGrid, StateVector, abs_moment,
                     default_grid, half_line_moment, inner_product, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum)
-from sqdisp.grids import _solve_141, fourier_at
+from sqdisp.grids import _chirp, _solve_141, fourier_at
 
 VACUUM_PEAK = (2.0 / math.pi) ** 0.25           # 0.8932438417380024
 VACUUM_HALF_MOMENT = math.sqrt(2.0 / math.pi) / 4.0  # 0.19947114020071635
@@ -357,3 +358,49 @@ class TestFourierAt:
         ref = dense_fourier(x, y, h)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_per_column_grids(self):
+        # x of shape (nx, m): column c is its own grid, one of them decreasing
+        y = QuadratureGrid(10.0, 2048).nodes
+        grids = [(-4.0, 4.0), (2.5, -2.5), (0.3, 7.0)]
+        x = np.stack([np.linspace(lo, hi, 96) for lo, hi in grids], axis=1)
+        rng = np.random.default_rng(3)
+        h = rng.normal(size=(2048, 3)) + 1j * rng.normal(size=(2048, 3))
+        got = fourier_at(x, y, h)
+        assert got.shape == (96, 3)
+        for c in range(3):
+            ref = dense_fourier(x[:, c], y, h[:, c])
+            assert np.max(np.abs(got[:, c] - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def exact_chirp(alpha, theta, m):
+    """e^{-i (alpha m^2 + theta m)}, its phase reduced modulo one turn in
+    rational arithmetic from the doubles alpha/(2 pi) and theta/(2 pi)."""
+    turns = (Fraction(alpha / (2.0 * math.pi)) * m * m
+             + Fraction(theta / (2.0 * math.pi)) * m) % 1
+    return complex(math.cos(2.0 * math.pi * float(turns)),
+                   -math.sin(2.0 * math.pi * float(turns)))
+
+
+CHIRP_POINTS = [0, 1, 63, 64, 65, 4095, 8191, 2**20 - 1]
+
+
+class TestChirp:
+    # alpha m^2 runs far past 2 pi for the larger alpha and m
+    @pytest.mark.parametrize("alpha", [1e-6, 0.0123456, 0.25, 3.7])
+    @pytest.mark.parametrize("theta", [0.0, 0.37, -2.9])
+    def test_exact_phase(self, alpha, theta):
+        chirp = _chirp(alpha, 2**20, theta)
+        assert chirp.shape == (2**20,)
+        for m in CHIRP_POINTS:
+            assert abs(chirp[m] - exact_chirp(alpha, theta, m)) <= 1e-12
+
+    def test_one_row_per_parameter(self):
+        alpha = np.array([1e-6, 0.0123456, 0.25, 3.7])
+        theta = np.array([0.37, 0.0, -2.9, 1.1])
+        chirp = _chirp(alpha, 8192, theta)
+        assert chirp.shape == (4, 8192)
+        for a, t, row in zip(alpha, theta, chirp):
+            assert np.max(np.abs(row - _chirp(a, 8192, t))) <= 1e-15
+            for m in CHIRP_POINTS[:-1]:
+                assert abs(row[m] - exact_chirp(a, t, m)) <= 1e-12

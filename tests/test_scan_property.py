@@ -3,16 +3,20 @@
 Random Gaussian inputs (center a, log-width z, linear phase c) and scan
 windows; a coarse base grid (n = 1024) sends some draws through the window
 refinement, so both the direct and the resampled scan are compared with
-``density_at`` on the grid the scan actually used.
+``density_at`` on the grid the scan actually used.  Two fixed cases pin the
+boundaries of the scan's row chunks, and the map must not depend on them.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqdisp import (GaussianStateParams, GroupElement, StateVector, build_ml_seed,
-                    default_grid, density_at, scan)
+                    default_grid, density_at, make_vacuum, scan)
+from sqdisp import distribution
 from sqdisp.distribution import _refine_for_window
+from sqdisp.grids import _fft_length
 
 RESOLUTION = 16
 
@@ -25,10 +29,42 @@ RESOLUTION = 16
 def test_scan_equals_density_at(a, z, c, x_lo, x_hi, r_lo, r_hi, n):
     params = GaussianStateParams(center=a, log_width=z, linear_phase=c)
     psi = StateVector.from_params(params, default_grid(a, z, n=n))
-    seed = build_ml_seed(psi)
-    window = (x_lo, x_hi, r_lo, r_hi)
-    dmap = scan(seed, psi, window, RESOLUTION)
+    assert_scan_equals_density_at(build_ml_seed(psi), psi, (x_lo, x_hi, r_lo, r_hi),
+                                  RESOLUTION)
+
+
+def assert_scan_equals_density_at(seed, psi, window, resolution):
+    dmap = scan(seed, psi, window, resolution)
     fine_seed, fine_psi = _refine_for_window(seed, psi, window)
     pointwise = np.array([[density_at(fine_seed, fine_psi, GroupElement(x, r))
                            for r in dmap.r_nodes] for x in dmap.x_nodes])
     assert np.max(np.abs(dmap.values - pointwise)) <= 1e-9 * np.max(pointwise)
+    return fine_psi.grid.n
+
+
+def chunk_rows(nx, n):
+    return max(1, distribution._SCAN_CHUNK // _fft_length(nx + n - 1))
+
+
+# the chunk boundaries of the row loop: a last chunk shorter than the rest
+# on 4096 nodes, and one-row chunks on a window that refines to 8192 nodes
+@pytest.mark.parametrize("window, resolution, nodes", [
+    ((-3.0, 3.0, -1.0, 1.0), (40, 17), 4096),
+    ((-80.0, 80.0, -0.2, 0.2), (17, 16), 8192),
+])
+def test_scan_chunk_boundaries(window, resolution, nodes):
+    vac = make_vacuum()
+    rows = chunk_rows(resolution[0], nodes)
+    assert (rows > 1 and resolution[1] % rows != 0) if nodes == 4096 else rows == 1
+    assert assert_scan_equals_density_at(build_ml_seed(vac), vac, window, resolution) == nodes
+
+
+def test_scan_independent_of_chunking(monkeypatch):
+    psi = StateVector.from_params(GaussianStateParams(1.5, -0.2, 0.7), default_grid(1.5, -0.2))
+    seed = build_ml_seed(psi)
+    window = (-4.0, 4.0, -1.2, 0.9)
+    chunked = scan(seed, psi, window, (64, 40))
+    assert chunk_rows(64, psi.grid.n) > 1
+    monkeypatch.setattr(distribution, "_SCAN_CHUNK", 1)  # one row per chunk
+    by_row = scan(seed, psi, window, (64, 40))
+    assert np.max(np.abs(by_row.values - chunked.values)) <= 1e-13 * np.max(chunked.values)

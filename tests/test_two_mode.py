@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from sqdisp import (CutoffTooSmall, GroupElement, IDENTITY, concentration_profile,
+from sqdisp import (ConfigError, CutoffTooSmall, GroupElement, IDENTITY,
+                    concentration_profile,
                     hermite_functions, make_pointer, pointer_overlap,
                     raw_pointer_coefficients)
 from sqdisp.errors import GridMismatch
@@ -102,6 +103,16 @@ class TestPointerOverlap:
             p = make_pointer(lam, +1, 60, tail_tol=None)
             vals.append(abs(pointer_overlap(p, g, p)) ** 2)
         assert vals[0] > vals[1] > vals[2]
+
+    def test_profile_size_bounded_before_allocation(self, monkeypatch):
+        from sqdisp import two_mode
+
+        def unexpected(*args, **kwargs):
+            raise AssertionError("pointer built for a map over the cell cap")
+        monkeypatch.setattr(two_mode, "make_pointer", unexpected)
+        with pytest.raises(ConfigError, match="exceeds 1048576 cells"):
+            concentration_profile(0.9, 20, (-1.5, 1.5, -1.5, 1.5), (1024, 1025),
+                                  tail_tol=None)
 
     def test_nmax_convergence(self):
         g = GroupElement(0.3, 0.2)

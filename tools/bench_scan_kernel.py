@@ -1,0 +1,162 @@
+"""Before/after record of the scan row kernel, written as BENCH_scan_kernel.json.
+
+    python3 tools/bench_scan_kernel.py --parent OLD_SRC [--repeats N] [--out FILE]
+
+OLD_SRC is the ``src`` directory of the checkout to compare against, for
+example ``git archive <commit> src | tar -x -C /tmp/old`` and then
+``--parent /tmp/old/src``.  The tree this script sits in is the change.  Both
+packages are imported into one process, as ``sqdisp`` and
+``sqdisp_parent``, and timed in alternation, so machine load falls on both.
+
+Recorded for each side:
+
+- ``row_s``: best-of-N time of one ``fourier_at`` call on one scan row,
+  128 x nodes against 4096 and 8192 quadrature nodes;
+- ``scan_s``: best-of-N time of ``distribution.scan`` for each of the eight
+  ``perfbench`` scan slot states, at the middle of every parameter range
+  (the seed is built once, outside the timing), and ``scan_row_s``, that
+  time over the number of r rows;
+- ``minflt``: the median number of minor page faults per scan call
+  (``resource.getrusage``).
+
+``max_rel_dev`` is the largest |change - parent| / parent over the map
+nodes holding at least 1e-3 of the peak, and ``max_abs_dev`` the largest
+|change - parent| over the peak, for each slot.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import json
+import os
+import platform
+import resource
+import statistics
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np  # noqa: E402
+
+from perfbench.workloads import ScanWorkload, odd_amplitude, two_bump_amplitude  # noqa: E402
+
+ROW_NODES = (4096, 8192)
+ROW_X = 128
+
+
+def load(name: str, src: Path):
+    """The package under ``src/sqdisp`` imported as ``name``, with its modules."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, src / "sqdisp" / "__init__.py",
+            submodule_search_locations=[str(src / "sqdisp")])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return {mod: importlib.import_module(f"{name}.{mod}")
+            for mod in ("grids", "povm", "distribution")}
+
+
+def build(pkg, job):
+    """State and ML seed of one scan slot job, as ``perfbench`` builds them."""
+    grids = pkg["grids"]
+    grid = grids.QuadratureGrid(job["y_max"], job["n"])
+    kind = job["kind"]
+    if kind == "vacuum":
+        psi = grids.make_vacuum(grid)
+    elif kind == "coherent":
+        psi = grids.make_coherent(job["a"], grid=grid)
+    elif kind == "displaced-squeezed":
+        psi = grids.make_displaced_squeezed(job["a"], job["z"], grid=grid)
+    else:
+        amp = odd_amplitude(job["width"]) if kind == "odd" else two_bump_amplitude(job["b"])
+        psi = grids.make_sampled(grid, amp(grid.nodes))
+    return pkg["povm"].build_ml_seed(psi), psi
+
+
+def timed(fn):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = time.perf_counter()
+    out = fn()
+    elapsed = time.perf_counter() - start
+    return out, elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def row_case(pkg, n):
+    """One scan row of the vacuum on n nodes: x' = -e^{-r} x at r = 0.3."""
+    grids = pkg["grids"]
+    y = grids.QuadratureGrid(10.0, n).nodes
+    x = -np.exp(-0.3) * np.linspace(-3.0, 3.0, ROW_X)
+    h = np.exp(-y ** 2 - np.exp(-0.6) * y ** 2) * (2.0 * y[1] - 2.0 * y[0])
+    return lambda: grids.fourier_at(x, y, h)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="src directory of the checkout to compare against")
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scan_kernel.json")
+    args = parser.parse_args(argv)
+
+    sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
+             "change": load("sqdisp", ROOT / "src")}
+    record = {side: {"row_s": {}, "scan_s": {}, "scan_row_s": {}, "minflt": {}}
+              for side in sides}
+
+    for n in ROW_NODES:
+        calls = {side: row_case(pkg, n) for side, pkg in sides.items()}
+        best = dict.fromkeys(sides, float("inf"))
+        for _ in range(20 * args.repeats):
+            for side, call in calls.items():
+                best[side] = min(best[side], timed(call)[1])
+        for side in sides:
+            record[side]["row_s"][str(n)] = best[side]
+
+    workload = ScanWorkload(seed=0, workdir=".", n_blocks=1)
+    deviation = {"max_rel_dev": {}, "max_abs_dev": {}}
+    for slot in ScanWorkload.slots:
+        job = getattr(workload, f"gen_{slot}")((0.5, 0.5, 0.5))
+        built = {side: build(pkg, job) for side, pkg in sides.items()}
+        maps, times, faults = {}, {s: [] for s in sides}, {s: [] for s in sides}
+        for _ in range(args.repeats):
+            for side, pkg in sides.items():
+                seed, psi = built[side]
+                maps[side], t, f = timed(lambda: pkg["distribution"].scan(
+                    seed, psi, job["window"], job["res"]))
+                times[side].append(t)
+                faults[side].append(f)
+        for side in sides:
+            record[side]["scan_s"][slot] = min(times[side])
+            record[side]["scan_row_s"][slot] = min(times[side]) / job["res"]
+            record[side]["minflt"][slot] = statistics.median(faults[side])
+        old, new = maps["parent"].values, maps["change"].values
+        bulk = old >= 1e-3 * old.max()
+        deviation["max_rel_dev"][slot] = float(np.max(np.abs(new - old)[bulk] / old[bulk]))
+        deviation["max_abs_dev"][slot] = float(np.max(np.abs(new - old)) / old.max())
+
+    result = {
+        "script": "tools/bench_scan_kernel.py",
+        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
+                    "python": platform.python_version(), "numpy": np.__version__},
+        "repeats": args.repeats,
+        **record,
+        **deviation,
+    }
+    args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    for key in ("row_s", "scan_s", "minflt"):
+        for case in record["parent"][key]:
+            print(f"{key:8s} {case:20s} {record['parent'][key][case]:12.6g} -> "
+                  f"{record['change'][key][case]:12.6g}")
+    print(f"max_rel_dev {max(deviation['max_rel_dev'].values()):.3g}  "
+          f"max_abs_dev {max(deviation['max_abs_dev'].values()):.3g}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
