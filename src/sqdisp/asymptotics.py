@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, SupportViolation
+from .errors import SupportViolation
 from .grids import StateVector
 
 NEG_MASS_TOL = 1e-6
@@ -132,23 +132,16 @@ class IsotropicSolution:
 def isotropic_params(nbar: float) -> IsotropicSolution:
     """Solve a = e^{-2z} with a^2 + sinh^2 z = nbar for the isotropic input.
 
-    With sinh^2 z = (sqrt(a) - 1/sqrt(a))^2 / 4 the condition is excess(a) = 0
-    for excess(a) = a^2 + sinh^2 z - nbar, increasing and convex on a >= 1
-    (excess' = 2a + (1 - 1/a^2)/4).  Newton's iteration started at
-    sqrt(nbar) + 1, where excess > 0, then falls monotonically onto the root.
+    With sinh^2 z = (a - 2 + 1/a)/4 the condition times 4a is the cubic
+    4a^3 + a^2 - (2 + 4 nbar) a + 1 = 0: 1 at a = 0 and 4 - 4 nbar < 0 at a = 1,
+    so its roots are real and the largest alone exceeds 1.  a = t - 1/12 gives
+    t^3 - p t + q = 0, whose largest root is 2m cos(arccos(-q/2m^3)/3), m = sqrt(p/3).
     """
     if not nbar > 1:
         raise ValueError("nbar must exceed 1")
-    a = math.sqrt(nbar) + 1.0
-    for _ in range(100):  # under 10 steps from this start in practice
-        root = math.sqrt(a)
-        excess = a * a + 0.25 * (root - 1.0 / root) ** 2 - nbar
-        step = excess / (2.0 * a + 0.25 * (1.0 - 1.0 / (a * a)))
-        a -= step
-        if abs(step) <= 1e-15 * a:
-            break
-    else:
-        raise NoConvergence(f"isotropy Newton iteration for nbar={nbar} did not converge")
+    m = math.sqrt((nbar + 0.5 + 1.0 / 48.0) / 3.0)
+    q = (nbar + 0.5) / 12.0 + 0.25 + 1.0 / 864.0
+    a = 2.0 * m * math.cos(math.acos(-q / (2.0 * m ** 3)) / 3.0) - 1.0 / 12.0
     z = -0.5 * math.log(a)
     fig_a = math.sqrt(nbar - math.sqrt(nbar))
     fig_z = -math.asinh(nbar ** 0.25)

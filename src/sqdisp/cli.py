@@ -21,6 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -388,6 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
             ("two-mode", "entangled-pointer concentration study"),
             ("validate", "run the named invariant suite")):
         p = sub.add_parser(name, help=help_text)
+        # a value such as -1e6 is a number, not a flag (as argparse reads it from 3.13)
+        p._negative_number_matcher = re.compile(r"^-\.?\d")
         _add_common(p)
     return parser
 

@@ -161,27 +161,24 @@ def scan(seed: PovmSeed, psi: StateVector,
 
 def _quadratic_peak(values: np.ndarray, i: int, j: int,
                     x_nodes: np.ndarray, r_nodes: np.ndarray):
-    """Refine a grid peak with a least-squares quadratic on its 3x3 patch."""
+    """Refine a grid peak with the least-squares quadratic c0 + cu u + cv v +
+    cuu u^2 + cvv v^2 + cuv u v on its 3x3 patch, u, v in {-1, 0, 1} along x and r:
+    on this fixed stencil, fixed sums of the patch (Savitzky & Golay 1964)."""
     nx, nr = values.shape
     if not (0 < i < nx - 1 and 0 < j < nr - 1):
         return x_nodes[i], r_nodes[j], values[i, j]
-    du = np.array([-1.0, 0.0, 1.0])
-    rows = []
-    rhs = []
-    for a in range(3):
-        for b in range(3):
-            u, v = du[a], du[b]
-            rows.append([1.0, u, v, u * u, v * v, u * v])
-            rhs.append(values[i - 1 + a, j - 1 + b])
-    c = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)[0]
-    hess = np.array([[2.0 * c[3], c[5]], [c[5], 2.0 * c[4]]])
-    det = np.linalg.det(hess)
+    f = values[i - 1:i + 2, j - 1:j + 2] - values[i, j]  # no cancellation; moves c0 only
+    R, C = f.sum(axis=1), f.sum(axis=0)
+    cu, cv = (R[2] - R[0]) / 6.0, (C[2] - C[0]) / 6.0
+    cuu, cvv = (R[0] - 2.0 * R[1] + R[2]) / 6.0, (C[0] - 2.0 * C[1] + C[2]) / 6.0
+    cuv = (f[0, 0] - f[0, 2] - f[2, 0] + f[2, 2]) / 4.0
+    det = 4.0 * cuu * cvv - cuv * cuv  # of the Hessian [[2 cuu, cuv], [cuv, 2 cvv]]
     if det <= 0:  # not a proper maximum; keep the grid point
         return x_nodes[i], r_nodes[j], values[i, j]
-    shift = np.linalg.solve(hess, -np.array([c[1], c[2]]))
-    shift = np.clip(shift, -1.0, 1.0)
-    u, v = shift
-    peak = float(c @ np.array([1.0, u, v, u * u, v * v, u * v]))
+    u = np.clip((cuv * cv - 2.0 * cvv * cu) / det, -1.0, 1.0)
+    v = np.clip((cuv * cu - 2.0 * cuu * cv) / det, -1.0, 1.0)
+    c0 = values[i, j] + f.mean() - 2.0 * (cuu + cvv) / 3.0
+    peak = float(c0 + cu * u + cv * v + cuu * u * u + cvv * v * v + cuv * u * v)
     dx = x_nodes[1] - x_nodes[0]
     dr = r_nodes[1] - r_nodes[0]
     return x_nodes[i] + u * dx, r_nodes[j] + v * dr, peak

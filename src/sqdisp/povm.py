@@ -31,7 +31,7 @@ from typing import Dict
 import numpy as np
 
 from .errors import DivergenceDetected, DomainViolation, EmptySupport
-from .grids import StateVector, abs_moment, half_line_moment, sector_integral
+from .grids import StateVector, half_line_moment, sector_integral
 
 SECTOR_THRESHOLD = 1e-14
 
@@ -222,13 +222,13 @@ def srm_likelihood(psi: StateVector) -> float:
 
 def build_parity_seed(psi: StateVector) -> PovmSeed:
     """Seed for the parity-extended group: eta = |Y| psi / sqrt(pi <|Y|>)."""
-    t = abs_moment(psi, 1)
+    weights = _half_line_weights(psi)
+    t = weights[+1] + weights[-1]  # <|Y|>: the two half lines hold every node
     if t <= SECTOR_THRESHOLD:
         raise EmptySupport("<|Y|> vanishes")
     phase = 1.0 + 0.0j if psi.is_real else _sector_phase(psi, +1)
     coeffs = {0: phase / math.sqrt(math.pi * t)}
-    return _make_seed(KIND_PARITY, psi, _half_line_weights(psi), {0: phase}, coeffs, 1,
-                      t / math.pi)
+    return _make_seed(KIND_PARITY, psi, weights, {0: phase}, coeffs, 1, t / math.pi)
 
 
 def seed_overlap_likelihood(seed: PovmSeed) -> float:

@@ -139,15 +139,14 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
         raise ValueError("sign must be +1 or -1")
     C = raw_pointer_coefficients(n_max, sign)
     k = np.arange(n_max + 1)
-    A = lam ** (k[:, None] + k[None, :]) * C
-    total = float((A ** 2).sum())
+    degrees = k[:, None] + k[None, :]
+    A = lam ** degrees * C
+    mass = A ** 2
+    total = float(mass.sum())
     if total == 0.0:
         raise ValueError("pointer coefficients vanished")
 
-    degrees = k[:, None] + k[None, :]
-    shell_mass = np.zeros(n_max + 1)
-    for kk in range(0, n_max + 1):  # complete shells only (n + m = kk <= n_max)
-        shell_mass[kk] = float((A[degrees == kk] ** 2).sum())
+    shell_mass = np.bincount(degrees.ravel(), mass.ravel())[:n_max + 1]  # complete shells only
     tail = _tail_estimate(shell_mass)
     if tail_tol is not None and tail > tail_tol:
         raise CutoffTooSmall(

@@ -133,7 +133,7 @@ class TestIsotropicParams:
         with pytest.raises(ValueError):
             isotropic_params(0.5)
 
-    @pytest.mark.parametrize("nbar", [1.01, 10.0, 100.0, 4000.0])
+    @pytest.mark.parametrize("nbar", [1.01, 10.0, 100.0, 4000.0, 1.0001, 1e6, 1e12])
     def test_matches_brentq_root(self, nbar):
         from scipy.optimize import brentq
 

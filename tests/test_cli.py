@@ -369,3 +369,41 @@ class TestInternalError:
         assert code == 4
         assert out == ""
         assert err == "internal error: RuntimeError: kernel broke second line\n"
+
+
+class TestNegativeValues:
+    """Option values in exponent form that start with a minus sign."""
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["asymptotics", "--z", "-2e-1"], "z", -0.2),
+        (["asymptotics", "--z", "-2E-1"], "z", -0.2),
+        (["density", "--x-lo", "-1e6", "--x-hi", "1", "--r-lo", "-1", "--r-hi", "1"],
+         "x_lo", -1e6),
+        (["density", "--x-lo=-1e6", "--x-hi", "1", "--r-lo", "-1", "--r-hi", "1"],
+         "x_lo", -1e6),
+        (["density", "--x-lo", "-1.5", "--x-hi", "1", "--r-lo", "-.5", "--r-hi", "1"],
+         "r_lo", -0.5),
+        (["two-mode", "--r-lo", "-1.5e0", "--r-hi", "1e-1", "--x-lo", "-1", "--x-hi", "1"],
+         "r_lo", -1.5),
+    ], ids=["asymptotics-z", "upper-case-e", "density-x-lo", "equals-form", "decimal",
+            "two-mode-r-lo"])
+    def test_accepted(self, capsys, argv, key, value):
+        code, out, err = run(capsys, *argv, "--print-config")
+        assert code == 0, err
+        assert f"{key} = {value!r}" in out.splitlines()
+
+    def test_asymptotics_runs(self, capsys):
+        code, out, err = run(capsys, "asymptotics", "--z", "-2e-1")
+        assert code == 0
+        assert json.loads(out)["z"] == -0.2
+
+    @pytest.mark.parametrize("argv", [
+        ["density", "--x-lo", "--x-hi", "1"],
+        ["asymptotics", "--z"],
+        ["asymptotics", "--z", "-inf"],
+        ["asymptotics", "--z", "-1x"],
+    ], ids=["flag-without-value", "last-flag-without-value", "minus-inf", "not-a-number"])
+    def test_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2

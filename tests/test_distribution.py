@@ -12,7 +12,7 @@ from sqdisp import (ConfigError, DivergenceDetected, GroupElement, IDENTITY,
                     group_average_sandwich, inverse, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum,
                     moments, normalization_check, scan)
-from sqdisp.distribution import _band_spectrum, _trapezoid_weights
+from sqdisp.distribution import _band_spectrum, _quadratic_peak, _trapezoid_weights
 from sqdisp.grids import fourier_at
 
 VACUUM_L_OPT = math.sqrt(2.0 / math.pi) / math.pi
@@ -220,6 +220,73 @@ class TestMoments:
             if side < 0:  # the raised node sits in the left twin's fit patch
                 assert (ax, ar) == pytest.approx(left[:2], rel=1e-9)
 
+
+
+def lstsq_peak(values, i, j, x_nodes, r_nodes):
+    """The 3x3 quadratic peak fit by a general least-squares solve (reference)."""
+    nx, nr = values.shape
+    if not (0 < i < nx - 1 and 0 < j < nr - 1):
+        return x_nodes[i], r_nodes[j], values[i, j]
+    u, v = (a.ravel() for a in np.meshgrid([-1.0, 0.0, 1.0], [-1.0, 0.0, 1.0], indexing="ij"))
+    design = np.stack([np.ones(9), u, v, u * u, v * v, u * v], axis=1)
+    c = np.linalg.lstsq(design, values[i - 1:i + 2, j - 1:j + 2].ravel(), rcond=None)[0]
+    hess = np.array([[2.0 * c[3], c[5]], [c[5], 2.0 * c[4]]])
+    if np.linalg.det(hess) <= 0:
+        return x_nodes[i], r_nodes[j], values[i, j]
+    su, sv = np.clip(np.linalg.solve(hess, -c[1:3]), -1.0, 1.0)
+    peak = c @ np.array([1.0, su, sv, su * su, sv * sv, su * sv])
+    return (x_nodes[i] + su * (x_nodes[1] - x_nodes[0]),
+            r_nodes[j] + sv * (r_nodes[1] - r_nodes[0]), peak)
+
+
+class TestQuadraticPeak:
+    XS = np.linspace(-1.0, 1.0, 5)
+    RS = np.linspace(-2.0, 3.0, 5)
+
+    def test_matches_lstsq_on_random_patches(self):
+        rng = np.random.default_rng(2)
+        fallbacks = 0
+        for _ in range(2000):
+            values = rng.normal(size=(5, 5))
+            values[2, 2] += rng.uniform(0.0, 4.0)
+            got = _quadratic_peak(values, 2, 2, self.XS, self.RS)
+            ref = lstsq_peak(values, 2, 2, self.XS, self.RS)
+            assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+            fallbacks += got[:2] == (self.XS[2], self.RS[2])
+        assert 0 < fallbacks < 2000  # both branches are exercised
+
+    @pytest.mark.parametrize("x0, r0, cross", [(0.1, -0.3, 0.0), (-0.37, 0.8, 0.6),
+                                               (0.49, 1.2, -1.1)])
+    def test_recovers_quadratic_vertex(self, x0, r0, cross):
+        X, R = np.meshgrid(self.XS, self.RS, indexing="ij")
+        du, dv = X - x0, R - r0
+        values = 7.0 - (3.0 * du ** 2 + 1.5 * dv ** 2 + cross * du * dv)
+        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+        ax, ar, peak = _quadratic_peak(values, i, j, self.XS, self.RS)
+        assert (ax, ar, peak) == pytest.approx((x0, r0, 7.0), rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("form", [lambda u, v: v * v - u * u,  # a saddle, det < 0
+                                      lambda u, v: -u * u])       # a ridge, det = 0
+    def test_no_proper_maximum_keeps_grid_node(self, form):
+        # the ridge's det is exactly 0 here; a general solver rounds it either way
+        U, V = np.meshgrid(np.arange(5.0) - 2.0, np.arange(5.0) - 2.0, indexing="ij")
+        values = form(U, V)
+        assert _quadratic_peak(values, 2, 2, self.XS, self.RS) == (
+            self.XS[2], self.RS[2], values[2, 2])
+
+    def test_minimum_shift_is_clipped(self):
+        # det > 0 at a minimum too: the stationary point is outside the patch
+        U, V = np.meshgrid(np.arange(5.0) - 2.0, np.arange(5.0) - 2.0, indexing="ij")
+        values = (U - 3.0) ** 2 + (V + 5.0) ** 2
+        got = _quadratic_peak(values, 2, 2, self.XS, self.RS)
+        assert got == pytest.approx(lstsq_peak(values, 2, 2, self.XS, self.RS), abs=1e-12)
+        assert got[:2] == (self.XS[3], self.RS[1])
+
+    @pytest.mark.parametrize("i, j", [(0, 2), (4, 2), (2, 0), (2, 4), (0, 0)])
+    def test_edge_keeps_grid_node(self, i, j):
+        values = np.random.default_rng(4).normal(size=(5, 5))
+        assert _quadratic_peak(values, i, j, self.XS, self.RS) == (
+            self.XS[i], self.RS[j], values[i, j])
 
 class TestNormalization:
     def test_vacuum_completeness(self, vacuum_seed):

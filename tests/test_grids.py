@@ -112,6 +112,40 @@ class TestGaussianStates:
         scale = np.max(np.abs(direct))
         assert np.max(np.abs(psi.amplitudes - direct)) <= 1e-12 * scale
 
+    @staticmethod
+    def gaussian_reference(p, y, phase=True):
+        """(2s/pi)^{1/4} e^{-s (y - a)^2} e^{-2icy} with s = e^{2z}, as written."""
+        s = math.exp(2.0 * p.log_width)
+        wave = np.exp(-s * (y - p.center) ** 2).astype(complex)
+        if phase:
+            wave = wave * np.exp(-2.0j * p.linear_phase * y)
+        return (2.0 * s / math.pi) ** 0.25 * wave
+
+    def scan_chunks(self):
+        # the points a scan chunk evaluates: e^{r'} y, one row per r
+        y = default_grid(0.0).nodes
+        rng = np.random.default_rng(6)
+        for _ in range(40):
+            params = GaussianStateParams(rng.uniform(-8, 8), rng.uniform(-1.5, 1.5),
+                                         rng.uniform(-5, 5))
+            yield params, np.outer(np.exp(rng.uniform(-2, 2, size=3)), y)
+
+    def test_evaluator_without_phase_is_bit_identical(self):
+        for params, y in self.scan_chunks():
+            params = GaussianStateParams(params.center, params.log_width)
+            got = params(y)
+            assert got.dtype == complex and got.shape == y.shape
+            assert got.tobytes() == self.gaussian_reference(params, y, phase=False).tobytes()
+
+    def test_evaluator_with_phase(self):
+        for params, y in self.scan_chunks():
+            ref = self.gaussian_reference(params, y)
+            normal = np.abs(ref) > 1e-290  # relative error means nothing in subnormals
+            got = params(y)
+            assert np.all(np.abs(got[~normal]) < 1e-289)
+            rel = np.abs(got[normal] - ref[normal]) / np.abs(ref[normal])
+            assert rel.max() <= 1e-15
+
     def test_amplitudes_read_only(self):
         psi = make_vacuum()
         with pytest.raises(ValueError):

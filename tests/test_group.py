@@ -4,11 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sqdisp import (IDENTITY, ExtendedElement, GroupElement, StateVector, act,
-                    act_extended, compose, default_grid, inverse, left_haar_weight,
+from sqdisp import (IDENTITY, ExtendedElement, GaussianStateParams, GroupElement,
+                    QuadratureGrid, StateVector, act, act_extended, compose,
+                    default_grid, inner_product, inverse, left_haar_weight,
                     make_coherent, make_displaced_squeezed, make_sampled,
                     make_vacuum, parity_act, right_haar_weight)
+
+# random Gaussian states (center, log-width, linear phase) and group elements
+gaussians = st.builds(GaussianStateParams, st.floats(-3.0, 3.0), st.floats(-0.5, 0.5),
+                      st.floats(-1.0, 1.0))
+elements = st.builds(GroupElement, st.floats(-2.0, 2.0), st.floats(-1.5, 1.5))
 
 
 class TestGroupLaw:
@@ -108,6 +116,25 @@ class TestAction:
         for _ in range(8):
             g = GroupElement(rng.uniform(-3, 3), rng.uniform(-3, 3))
             assert abs(act(g, psi).norm_certificate - 1.0) < 1e-9
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(params=gaussians, g1=elements, g2=elements)
+    def test_homomorphism_property(self, params, g1, g2):
+        psi = StateVector.from_params(params, default_grid(params.center, params.log_width))
+        rhs = act(compose(g1, g2), psi)
+        lhs = act(g1, act(g2, psi), grid=rhs.grid)
+        assert np.max(np.abs(lhs.amplitudes - rhs.amplitudes)) < 1e-9
+
+    @settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @given(phi=gaussians, psi=gaussians, g=elements)
+    def test_unitarity_property(self, phi, psi, g):
+        # U_g keeps norms and inner products, on a grid that holds both states
+        grid = QuadratureGrid(16.0, 8192)
+        phi, psi = (StateVector.from_params(p, grid) for p in (phi, psi))
+        moved = act(g, psi)
+        assert abs(moved.norm_certificate - 1.0) < 1e-9
+        overlap = inner_product(act(g, phi, grid=moved.grid), moved)
+        assert abs(overlap - inner_product(phi, psi)) < 1e-9
 
     @pytest.mark.parametrize("r", [5.0, 6.0, 7.0])
     def test_strong_squeeze_resolves_new_width(self, r):

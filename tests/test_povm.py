@@ -7,7 +7,7 @@ import pytest
 
 from sqdisp import grids
 from sqdisp import (DivergenceDetected, DomainViolation, EmptySupport,
-                    GroupElement, act, build_ml_seed, build_parity_seed,
+                    GroupElement, abs_moment, act, build_ml_seed, build_parity_seed,
                     build_srm_seed, default_grid, dmc_apply, dmc_expectation,
                     half_line_moment, make_coherent, make_displaced_squeezed,
                     make_sampled, make_vacuum, optimal_likelihood,
@@ -164,6 +164,14 @@ class TestParitySeed:
     def test_excited_coherent(self):
         seed = build_parity_seed(make_coherent(10.0))
         assert seed.likelihood == pytest.approx(10.0 / math.pi, rel=1e-3)
+
+    def test_likelihood_is_full_line_moment(self):
+        # <|Y|> is built as w_+ + w_-; the full-line quadrature must agree
+        for name, psi in _seed_suite(default_grid(0.0)) + srm_admissible_suite():
+            seed = build_parity_seed(psi)
+            assert seed.likelihood == pytest.approx(abs_moment(psi, 1) / math.pi,
+                                                    rel=1e-12), name
+            assert seed.likelihood == (seed.w_plus + seed.w_minus) / math.pi
 
 
 class TestSeedNodeBudget:

@@ -12,7 +12,8 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqdisp import build_ml_seed, make_displaced_squeezed, seed_overlap_likelihood
+from sqdisp import (build_ml_seed, make_displaced_squeezed, optimal_likelihood,
+                    seed_overlap_likelihood, srm_likelihood)
 
 
 def gaussian_weights(a, z):
@@ -36,3 +37,12 @@ def test_ml_seed_of_displaced_squeezed(a, z):
         assert abs(value - 1.0) <= 1e-12
     overlap = seed_overlap_likelihood(seed)
     assert abs(overlap - seed.likelihood) <= 1e-8 * seed.likelihood
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(scale=st.floats(4.5, 9.0), z=st.floats(-0.5, 0.8), sign=st.sampled_from([1, -1]))
+def test_srm_never_beats_optimal(scale, z, sign):
+    # a e^z >= 4.5 leaves below 1e-14 of the mass in the other sector, so the
+    # square-root measurement is defined
+    psi = make_displaced_squeezed(sign * scale * math.exp(-z), z)
+    assert srm_likelihood(psi) <= optimal_likelihood(psi) * (1.0 + 1e-12)
