@@ -136,13 +136,20 @@ def isotropic_params(nbar: float) -> IsotropicSolution:
     4a^3 + a^2 - (2 + 4 nbar) a + 1 = 0: 1 at a = 0 and 4 - 4 nbar < 0 at a = 1,
     so its roots are real and the largest alone exceeds 1.  a = t - 1/12 gives
     t^3 - p t + q = 0, whose largest root is 2m cos(arccos(-q/2m^3)/3), m = sqrt(p/3).
+
+    z needs d = a - 1 to full relative precision, which a - 1 loses as
+    nbar -> 1.  d is the positive root of the shifted cubic
+    4d^3 + 13d^2 + (8 - 4e) d - 4e = 0, e = nbar - 1, whose three roots
+    multiply to e; the other two, a_k - 1 for the other roots a_k of the
+    cubic in a, multiply to a + 5/4 - 1/(4a) by Vieta's formulas.  So
+    d = e / (a + 5/4 - 1/(4a)), with no cancellation, and z = -log1p(d)/2.
     """
     if not nbar > 1:
         raise ValueError("nbar must exceed 1")
     m = math.sqrt((nbar + 0.5 + 1.0 / 48.0) / 3.0)
     q = (nbar + 0.5) / 12.0 + 0.25 + 1.0 / 864.0
     a = 2.0 * m * math.cos(math.acos(-q / (2.0 * m ** 3)) / 3.0) - 1.0 / 12.0
-    z = -0.5 * math.log(a)
+    z = -0.5 * math.log1p((nbar - 1.0) / (a + 1.25 - 0.25 / a))
     fig_a = math.sqrt(nbar - math.sqrt(nbar))
     fig_z = -math.asinh(nbar ** 0.25)
     return IsotropicSolution(a=a, z=z, fig_a=fig_a, fig_z=fig_z)

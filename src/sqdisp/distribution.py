@@ -22,9 +22,11 @@ sum_s pi <phi| theta(sY) |Y|^{-1} |psi> <u| theta(sY) |v>.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from types import MappingProxyType
+from typing import Mapping, Tuple
 
 import numpy as np
 
@@ -227,18 +229,17 @@ def moments(density_map: DensityMap) -> SummaryStats:
 def _band_spectrum(n: int, dy: float, lo: float, hi: float) -> np.ndarray:
     """K with  integral_lo^hi FT[h1] conj(FT[h2]) dx = dy^2 sum_j F1_j conj(F2_j) K_j
     for FT[h](x) = sum_k h_k e^{-2i x y_k} dy on n uniform nodes and F = fft(h)
-    zero-padded to len(K) = _fft_length(2n - 1).  K = ifft(T) of the Toeplitz
+    zero-padded to L = len(K) = _fft_length(2n - 1).  K = ifft(T) of the Toeplitz
     kernel T(m) = (hi - lo) sinc((hi - lo) m dy / pi) e^{-i (hi + lo) m dy},
-    with [lo, hi] first clipped to one period |x| <= pi/(2 dy) of FT[h]."""
+    with [lo, hi] first clipped to one period |x| <= pi/(2 dy) of FT[h].
+    T(-m) = conj(T(m)) and n <= L/2 + 1, so K is the real inverse FFT of
+    T(0 .. n-1) zero-padded, with no mirrored complex buffer."""
     band = math.pi / (2.0 * dy)
     lo, hi = max(lo, -band), min(hi, band)
     width = max(hi - lo, 0.0)
     m_dy = np.arange(n) * dy
     lags = width * np.sinc(width * m_dy / math.pi) * np.exp(-1j * (hi + lo) * m_dy)
-    t = np.zeros(_fft_length(2 * n - 1), dtype=complex)
-    t[:n] = lags
-    t[len(t) - n + 1:] = np.conj(lags[:0:-1])  # T(-m) = conj(T(m)), so K is real
-    return np.fft.ifft(t).real
+    return np.fft.irfft(lags, _fft_length(2 * n - 1))
 
 
 def normalization_check(seed: PovmSeed, psi_test: StateVector,
@@ -287,10 +288,14 @@ def group_average_sandwich(psi: StateVector, phi: StateVector,
 
     Each r slice is the exact x integral of FT[conj(u) psi(e^r y)]
     conj(FT[conj(v) phi(e^r y)]) (``_band_spectrum``, built once per call).
+    psi(e^r y) is evaluated once per slice, and reused for phi when
+    ``phi is psi``; one FFT serves both factors when also ``v is u``.
     The closed-form comparison target is
     sum_s pi <phi| theta(sY)/|Y| |psi> <u| theta(sY) |v>.
     Raises DivergenceDetected (via the cross-sector screen) for inadmissible
-    pairs, i.e. when <phi| theta(sY)/|Y| |psi> fails the growth test.
+    pairs, i.e. when <phi| theta(sY)/|Y| |psi> fails the growth test.  The
+    screen is kept for the last (phi, psi) pair, so a ``closed_form_sandwich``
+    of the same pair that follows does not repeat it.
     """
     for other in (phi, u, v):
         if psi.grid != other.grid:
@@ -303,22 +308,31 @@ def group_average_sandwich(psi: StateVector, phi: StateVector,
     spectrum = _band_spectrum(grid.n, grid.dy, x_lo, x_hi) * grid.dy ** 2
     length = len(spectrum)
     same = phi is psi and v is u
+    u_conj, v_conj = np.conj(u.amplitudes), np.conj(v.amplitudes)
     r_nodes = np.linspace(r_lo, r_hi, r_resolution)
     wr = _trapezoid_weights(r_nodes)
     total = 0.0 + 0.0j
     for r, wgt in zip(r_nodes, wr):
-        s = math.exp(r)
-        f1 = np.fft.fft(np.conj(u.amplitudes) * psi.evaluate_at(s * y), length)
-        f2 = f1 if same else np.fft.fft(np.conj(v.amplitudes) * phi.evaluate_at(s * y), length)
+        sy = math.exp(r) * y
+        f = psi.evaluate_at(sy)
+        g = f if phi is psi else phi.evaluate_at(sy)
+        f1 = np.fft.fft(u_conj * f, length)
+        f2 = f1 if same else np.fft.fft(v_conj * g, length)
         # e^{-r} Haar weight cancels the e^{r} from the two amplitude factors
         total += wgt * complex(np.vdot(f2, f1 * spectrum))
     return total
 
 
-def _screened_cross_terms(phi: StateVector, psi: StateVector):
+@functools.lru_cache(maxsize=1)
+def _screened_cross_terms(phi: StateVector, psi: StateVector) -> Mapping[int, complex]:
     """Both sector cross terms <phi| theta(sY)/|Y| |psi> under grid doubling,
     flagging divergence only where it is material relative to the dominant
-    sector (1e-6 relative floor)."""
+    sector (1e-6 relative floor).
+
+    Kept for the last (phi, psi) pair: states are immutable and hash by
+    identity, and the cache's reference keeps an id from being reused.  The
+    result is read-only; a DivergenceDetected is raised again on every call.
+    """
     terms = {s: sector_integral(phi, psi, s, -1, growth_floor=0.0) for s in (+1, -1)}
     scale = max(abs(values[-1]) for values, _ in terms.values())
     for s, (values, grows) in terms.items():
@@ -326,7 +340,7 @@ def _screened_cross_terms(phi: StateVector, psi: StateVector):
             raise DivergenceDetected(
                 f"cross-sector <theta({'+' if s > 0 else '-'}Y)/|Y|> grows under "
                 f"grid doubling (magnitude {abs(values[-1]):.4g}); states inadmissible")
-    return {s: values[-1] for s, (values, _) in terms.items()}
+    return MappingProxyType({s: values[-1] for s, (values, _) in terms.items()})
 
 
 def closed_form_sandwich(psi: StateVector, phi: StateVector,

@@ -65,13 +65,23 @@ class QuadratureGrid:
             raise ValueError("y_max must be positive and finite")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError("n must be an even integer >= 2")
-        dy = 2.0 * self.y_max / self.n
-        # build the positive half and mirror so y_k = -y_{n-1-k} holds exactly
-        pos = (np.arange(self.n // 2) + 0.5) * dy
+        object.__setattr__(self, "dy", 2.0 * self.y_max / self.n)
+
+    @functools.cached_property
+    def _positive_half(self) -> np.ndarray:
+        """The n/2 nodes above 0, (k + 1/2) dy, read-only."""
+        pos = (np.arange(self.n // 2) + 0.5) * self.dy
+        pos.flags.writeable = False
+        return pos
+
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        """All n nodes, read-only, built on first use from the positive half
+        mirrored, so y_k = -y_{n-1-k} holds exactly."""
+        pos = self._positive_half
         nodes = np.concatenate([-pos[::-1], pos])
         nodes.flags.writeable = False
-        object.__setattr__(self, "dy", dy)
-        object.__setattr__(self, "nodes", nodes)
+        return nodes
 
     def refined(self, factor: int = 2) -> "QuadratureGrid":
         return QuadratureGrid(self.y_max, self.n * factor)
@@ -460,10 +470,12 @@ def _sector_sum(phi, psi, grid: QuadratureGrid, sign: int, power: int):
     ``grid``, sign 0 the whole line; real when ``phi is psi``.
 
     The nodes mirror about y = 0 with none on it, so a half line is exactly
-    one half of them, and psi is evaluated there once.
+    one half of them, and psi is evaluated there once.  A half line reads
+    the positive half alone (negated and reversed for sign < 0), so a grid
+    made by doubling never builds its full ``nodes``.
     """
-    half = grid.n // 2
-    y = grid.nodes[half:] if sign > 0 else grid.nodes[:half] if sign < 0 else grid.nodes
+    pos = grid._positive_half
+    y = pos if sign > 0 else -pos[::-1] if sign < 0 else grid.nodes
     f = psi.evaluate_at(y)
     f = np.abs(f) ** 2 if phi is psi else np.conj(phi.evaluate_at(y)) * f
     if power != 0:

@@ -143,3 +143,16 @@ class TestIsotropicParams:
 
         ref = brentq(excess, 1.0, math.sqrt(nbar) + 1.0, xtol=1e-14, rtol=1e-15)
         assert isotropic_params(nbar).a == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("nbar", [1.0001, 1.001, 1.01])
+    def test_z_near_one_photon(self, nbar):
+        """z = -ln(a)/2 to full relative precision where a - 1 is small,
+        against the root of the cubic in a at 50 digits."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            nb = mpmath.mpf(nbar)
+            a = mpmath.findroot(lambda a: 4 * a ** 3 + a ** 2 - (2 + 4 * nb) * a + 1,
+                                1 + (nb - 1) / 2)
+            assert a > 1
+            z = float(-mpmath.log(a) / 2)
+        assert abs(isotropic_params(nbar).z - z) <= 1e-15 * abs(z)

@@ -12,7 +12,9 @@ from sqdisp import (ConfigError, DivergenceDetected, GroupElement, IDENTITY,
                     group_average_sandwich, inverse, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum,
                     moments, normalization_check, scan)
-from sqdisp.distribution import _band_spectrum, _quadratic_peak, _trapezoid_weights
+from sqdisp import grids
+from sqdisp.distribution import (_band_spectrum, _quadratic_peak, _screened_cross_terms,
+                                 _trapezoid_weights)
 from sqdisp.grids import fourier_at
 
 VACUUM_L_OPT = math.sqrt(2.0 / math.pi) / math.pi
@@ -360,6 +362,27 @@ class TestBandIntegral:
         split = band_integral(h1, h2, dy, -2.0, 2.5) + band_integral(h1, h2, dy, 2.5, 7.0)
         assert abs(split - whole) <= 1e-12 * abs(whole)
 
+    # windows past the band |x| <= pi/(2 dy) = 2 pi are clipped to it, the
+    # last one on both sides, where T(m) = (pi/dy) delta_m0
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("lo, hi", [(-1.5, 1.5), (0.3, 2.5), (-40.0, 2.0), (-1e3, 1e3)],
+                             ids=["symmetric", "asymmetric", "clipped-below", "clipped-both"])
+    def test_matches_dense_toeplitz(self, n, lo, hi):
+        """dy^2 sum F1 conj(F2) K against dy^2 h2^H T h1, with T_lk = T(k - l)
+        the integral of e^{-2i x (k - l) dy} over the clipped window."""
+        dy = 0.25
+        band = math.pi / (2.0 * dy)
+        clo, chi = max(lo, -band), min(hi, band)
+        rng = np.random.default_rng(n)
+        h1, h2 = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        m = np.subtract.outer(np.arange(n), np.arange(n)).T * dy  # (k - l) dy at [l, k]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            toeplitz = (np.exp(-2j * chi * m) - np.exp(-2j * clo * m)) / (-2j * m)
+        toeplitz[m == 0] = chi - clo
+        ref = dy * dy * complex(np.conj(h2) @ toeplitz @ h1)
+        value = band_integral(h1, h2, dy, lo, hi)
+        assert abs(value - ref) <= 1e-13 * abs(ref)
+
     # the second window reaches past the band |x| <= pi/(2 dy) on one side only
     @pytest.mark.parametrize("window", [(-1.0, 1.0, -1.0, 1.0), (-1.0, 1000.0, -7.0, -5.0)],
                              ids=["narrow", "one-side-clipped"])
@@ -414,3 +437,68 @@ class TestGroupAverage:
         vac = make_vacuum()
         with pytest.raises(DivergenceDetected):
             group_average_sandwich(vac, vac, vac, vac, (-12, 12, -8, 8))
+
+
+class TestScreenOncePerPair:
+    """group_average_sandwich keeps its admissibility screen for the last
+    (phi, psi) pair, so closed_form_sandwich of that pair does not repeat it."""
+
+    @staticmethod
+    def count_screen_sums(monkeypatch):
+        """Grid sizes of the ``_sector_sum`` calls that ``sector_integral``
+        makes; the closed form's own <u| theta(sY) |v> sums are not counted."""
+        sizes = []
+        evaluate = grids._sector_sum
+
+        def counting(phi, psi, grid, sign, power):
+            sizes.append((grid.n, sign, power))
+            return evaluate(phi, psi, grid, sign, power)
+
+        monkeypatch.setattr(grids, "_sector_sum", counting)
+        return sizes
+
+    def test_oracle_and_closed_form_screen_once(self, monkeypatch):
+        grid = default_grid(0.0)
+        sizes = self.count_screen_sums(monkeypatch)
+        fresh = odd_state(grid)
+        _screened_cross_terms(fresh, fresh)
+        single = list(sizes)
+        sizes.clear()
+        psi = odd_state(grid)
+        group_average_sandwich(psi, psi, psi, psi, (-12, 12, -8, 8), r_resolution=8)
+        closed_form_sandwich(psi, psi, psi, psi)
+        assert single and sizes == single
+
+    def test_new_state_or_pair_screens_again(self, monkeypatch):
+        grid = default_grid(0.0)
+        sizes = self.count_screen_sums(monkeypatch)
+
+        def screens():  # each screen starts with the + sector on the state's grid
+            return sizes.count((grid.n, +1, -1))
+
+        psi = odd_state(grid)
+        first = closed_form_sandwich(psi, psi, psi, psi)
+        assert closed_form_sandwich(psi, psi, psi, psi) == first and screens() == 1
+        other = odd_state(grid)  # equal samples, another state
+        assert closed_form_sandwich(other, other, other, other) == first and screens() == 2
+        coherent = make_coherent(3.0, grid=grid)
+        closed_form_sandwich(psi, coherent, psi, psi)  # the pair (coherent, psi)
+        closed_form_sandwich(coherent, psi, psi, psi)  # and (psi, coherent)
+        assert screens() == 4
+
+    def test_cached_terms_read_only(self):
+        psi = odd_state(default_grid(0.0))
+        terms = _screened_cross_terms(psi, psi)
+        with pytest.raises(TypeError):
+            terms[+1] = 0.0
+        assert _screened_cross_terms(psi, psi) is terms
+        assert closed_form_sandwich(psi, psi, psi, psi).real == pytest.approx(
+            math.sqrt(2.0 * math.pi), rel=1e-6)
+
+    def test_divergence_raised_on_every_call(self):
+        vac = make_vacuum()
+        for _ in range(2):
+            with pytest.raises(DivergenceDetected):
+                group_average_sandwich(vac, vac, vac, vac, (-12, 12, -8, 8), r_resolution=8)
+            with pytest.raises(DivergenceDetected):
+                closed_form_sandwich(vac, vac, vac, vac)

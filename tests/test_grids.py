@@ -19,7 +19,7 @@ from sqdisp import (DivergenceDetected, GaussianStateParams, GridMismatch,
                     GridTooNarrow, QuadratureGrid, StateVector, abs_moment,
                     default_grid, half_line_moment, inner_product, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum)
-from sqdisp.grids import _chirp, _solve_141, fourier_at
+from sqdisp.grids import _chirp, _sector_sum, _solve_141, fourier_at
 
 VACUUM_PEAK = (2.0 / math.pi) ** 0.25           # 0.8932438417380024
 VACUUM_HALF_MOMENT = math.sqrt(2.0 / math.pi) / 4.0  # 0.19947114020071635
@@ -290,6 +290,33 @@ class TestWorkPerGrid:
         psi = make_displaced_squeezed(4.0, 0.2)
         runs = self.doubling_runs(psi, lambda: _screened_cross_terms(psi, psi))
         assert len(runs) == 2 and min(runs) >= 2
+
+
+    @pytest.mark.parametrize("kind", ["gaussian", "sampled"])
+    def test_half_line_sum_leaves_nodes_unbuilt(self, kind):
+        """A half-line sum on a refined grid reads the halves of ``nodes`` bit
+        for bit, sums to what those halves give, and builds no ``nodes``."""
+        grid = default_grid(0.0)
+        psi = (make_displaced_squeezed(1.0, 0.2, grid) if kind == "gaussian"
+               else make_sampled(grid, np.exp(-(grid.nodes - 1.0) ** 2)))
+        fine = grid.refined(2)
+        seen = []
+        evaluate = psi.evaluate_at
+
+        def recording(y):
+            seen.append(np.array(y))
+            return evaluate(y)
+
+        psi.evaluate_at = recording
+        cases = [(s, p) for s in (+1, -1) for p in (1, -1)]
+        sums = [_sector_sum(psi, psi, fine, s, p) for s, p in cases]
+        assert "nodes" not in vars(fine)
+        half = fine.n // 2
+        for (s, p), y, total in zip(cases, seen, sums):
+            part = fine.nodes[half:] if s > 0 else fine.nodes[:half]
+            assert np.array_equal(y, part)
+            f = np.abs(evaluate(part)) ** 2 * np.abs(part) ** p
+            assert total == float(np.sum(f) * fine.dy)
 
 
 class TestSampledStates:

@@ -4,16 +4,19 @@ For psi = make_displaced_squeezed(a, z) the sector weights have the closed
 form w_+- = +-a P(+-Y > 0) + sigma phi(a/sigma) with sigma = 1/(2 e^z), the
 |psi|^2 standard deviation.  The seed built from the quadrature weights must
 match it, certify <eta_s| D_s |eta_s> = 1 on every kept sector, and
-reproduce its likelihood as the overlap |<eta|psi>|^2.
+reproduce its likelihood as the overlap |<eta|psi>|^2.  The parity-extended
+and square-root-measurement seeds certify <eta_s| D_s |eta_s> = 1 as well.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqdisp import (build_ml_seed, make_displaced_squeezed, optimal_likelihood,
-                    seed_overlap_likelihood, srm_likelihood)
+from sqdisp import (build_ml_seed, build_parity_seed, build_srm_seed,
+                    make_displaced_squeezed, optimal_likelihood, seed_overlap_likelihood,
+                    srm_likelihood)
 
 
 def gaussian_weights(a, z):
@@ -46,3 +49,23 @@ def test_srm_never_beats_optimal(scale, z, sign):
     # square-root measurement is defined
     psi = make_displaced_squeezed(sign * scale * math.exp(-z), z)
     assert srm_likelihood(psi) <= optimal_likelihood(psi) * (1.0 + 1e-12)
+
+
+def assert_certified(seed):
+    assert seed.certificates
+    for value in seed.certificates.values():
+        assert abs(value - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("build", [build_ml_seed, build_parity_seed], ids=["ml", "ml-parity"])
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(a=st.floats(-12.0, 12.0), z=st.floats(-0.8, 0.8))
+def test_certificates_equal_one(build, a, z):
+    assert_certified(build(make_displaced_squeezed(a, z)))
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(scale=st.floats(4.5, 9.0), z=st.floats(-0.5, 0.8), sign=st.sampled_from([1, -1]))
+def test_srm_certificates_equal_one(scale, z, sign):
+    # a e^z >= 4.5: the square-root measurement is defined (see above)
+    assert_certified(build_srm_seed(make_displaced_squeezed(sign * scale * math.exp(-z), z)))

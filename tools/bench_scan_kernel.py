@@ -27,6 +27,7 @@ nodes holding at least 1e-3 of the peak, and ``max_abs_dev`` the largest
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import importlib.util
 import json
@@ -79,12 +80,36 @@ def build(pkg, job):
     return pkg["povm"].build_ml_seed(psi), psi
 
 
+def load_sides(parent: Path):
+    """The parent package under ``parent`` and this tree's, by side name."""
+    return {"parent": load("sqdisp_parent", parent.resolve()),
+            "change": load("sqdisp", ROOT / "src")}
+
+
+def machine():
+    return {"platform": platform.platform(), "cpus": os.cpu_count(),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
 def timed(fn):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     start = time.perf_counter()
     out = fn()
     elapsed = time.perf_counter() - start
     return out, elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+
+def alternate(calls, repeats):
+    """Run each side's call ``repeats`` times, the sides in turn, so machine
+    load falls on both.  Per side: the last output, and the time and minor
+    page faults of every run."""
+    outs, times, faults = {}, {side: [] for side in calls}, {side: [] for side in calls}
+    for _ in range(repeats):
+        for side, call in calls.items():
+            outs[side], elapsed, minflt = timed(call)
+            times[side].append(elapsed)
+            faults[side].append(minflt)
+    return outs, times, faults
 
 
 def row_case(pkg, n):
@@ -104,33 +129,24 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_scan_kernel.json")
     args = parser.parse_args(argv)
 
-    sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
-             "change": load("sqdisp", ROOT / "src")}
+    sides = load_sides(args.parent)
     record = {side: {"row_s": {}, "scan_s": {}, "scan_row_s": {}, "minflt": {}}
               for side in sides}
 
     for n in ROW_NODES:
-        calls = {side: row_case(pkg, n) for side, pkg in sides.items()}
-        best = dict.fromkeys(sides, float("inf"))
-        for _ in range(20 * args.repeats):
-            for side, call in calls.items():
-                best[side] = min(best[side], timed(call)[1])
+        _, times, _ = alternate({side: row_case(pkg, n) for side, pkg in sides.items()},
+                                20 * args.repeats)
         for side in sides:
-            record[side]["row_s"][str(n)] = best[side]
+            record[side]["row_s"][str(n)] = min(times[side])
 
     workload = ScanWorkload(seed=0, workdir=".", n_blocks=1)
     deviation = {"max_rel_dev": {}, "max_abs_dev": {}}
     for slot in ScanWorkload.slots:
         job = getattr(workload, f"gen_{slot}")((0.5, 0.5, 0.5))
-        built = {side: build(pkg, job) for side, pkg in sides.items()}
-        maps, times, faults = {}, {s: [] for s in sides}, {s: [] for s in sides}
-        for _ in range(args.repeats):
-            for side, pkg in sides.items():
-                seed, psi = built[side]
-                maps[side], t, f = timed(lambda: pkg["distribution"].scan(
-                    seed, psi, job["window"], job["res"]))
-                times[side].append(t)
-                faults[side].append(f)
+        calls = {side: functools.partial(pkg["distribution"].scan, *build(pkg, job),
+                                         job["window"], job["res"])
+                 for side, pkg in sides.items()}
+        maps, times, faults = alternate(calls, args.repeats)
         for side in sides:
             record[side]["scan_s"][slot] = min(times[side])
             record[side]["scan_row_s"][slot] = min(times[side]) / job["res"]
@@ -142,8 +158,7 @@ def main(argv=None) -> int:
 
     result = {
         "script": "tools/bench_scan_kernel.py",
-        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
-                    "python": platform.python_version(), "numpy": np.__version__},
+        "machine": machine(),
         "repeats": args.repeats,
         **record,
         **deviation,
