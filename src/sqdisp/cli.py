@@ -58,7 +58,7 @@ class RunConfig:
     resolution: Optional[int] = None
     seed_kind: str = field(default=KIND_ML, metadata={"choices": SEED_KINDS})
     lam: float = 0.95
-    n_max: int = 60
+    n_max: int = two_mode.DEFAULT_N_MAX
     tail_tol: Optional[float] = None    # None: no truncation check
     nbar: float = 100.0
     out_csv: Optional[str] = None

@@ -48,16 +48,12 @@ class DensityMap:
     x_nodes: np.ndarray
     r_nodes: np.ndarray
     values: np.ndarray  # shape (len(x_nodes), len(r_nodes))
-    window: Tuple[float, float, float, float]  # (x_lo, x_hi, r_lo, r_hi)
-    mass: float = 0.0
 
-    @classmethod
-    def from_values(cls, x_nodes: np.ndarray, r_nodes: np.ndarray, values: np.ndarray,
-                    window: Tuple[float, float, float, float]) -> "DensityMap":
-        """Map with its windowed mass, the integral of p e^{-r} dx dr."""
-        wx, wr = _haar_weights(x_nodes, r_nodes)
-        return cls(x_nodes=x_nodes, r_nodes=r_nodes, values=values, window=window,
-                   mass=float(wx @ values @ wr))
+    @property
+    def mass(self) -> float:
+        """Windowed mass, the trapezoid integral of p e^{-r} dx dr."""
+        wx, wr = _haar_weights(self.x_nodes, self.r_nodes)
+        return float(wx @ self.values @ wr)
 
 
 @dataclass
@@ -71,11 +67,20 @@ class SummaryStats:
     peak_value: float
 
 
-def _map_shape(resolution) -> Tuple[int, int]:
-    """(nx, nr) of an int or pair; ConfigError above MAX_NODES cells."""
+def _map_shape(window: Tuple[float, float, float, float], resolution) -> Tuple[int, int]:
+    """(nx, nr) of an int or pair, for a map over ``window``.  ValueError for
+    a non-finite or unordered window, then ConfigError above MAX_NODES cells,
+    then ValueError below 16 nodes per axis."""
+    x_lo, x_hi, r_lo, r_hi = window
+    if not all(math.isfinite(v) for v in window):
+        raise ValueError("window must be finite")
+    if not (x_lo < x_hi and r_lo < r_hi):
+        raise ValueError("window must satisfy x_lo < x_hi and r_lo < r_hi")
     nx, nr = (resolution, resolution) if isinstance(resolution, int) else resolution
     if nx * nr > MAX_NODES:
         raise ConfigError(f"a {nx} x {nr} map exceeds {MAX_NODES} cells")
+    if nx < 16 or nr < 16:
+        raise ValueError("resolution must be at least 16 per axis")
     return nx, nr
 
 
@@ -136,13 +141,7 @@ def scan(seed: PovmSeed, psi: StateVector,
     complex elements or one row; the map depends on neither order nor chunks.
     """
     x_lo, x_hi, r_lo, r_hi = window
-    if not all(math.isfinite(v) for v in window):
-        raise ValueError("window must be finite")
-    if not (x_lo < x_hi and r_lo < r_hi):
-        raise ValueError("window must satisfy x_lo < x_hi and r_lo < r_hi")
-    nx, nr = _map_shape(resolution)
-    if nx < 16 or nr < 16:
-        raise ValueError("resolution must be at least 16 per axis")
+    nx, nr = _map_shape(window, resolution)
     seed, psi = _refine_for_window(seed, psi, window)
 
     x_nodes = np.linspace(x_lo, x_hi, nx)
@@ -158,7 +157,7 @@ def scan(seed: PovmSeed, psi: StateVector,
         base *= (np.sqrt(scale) * grid.dy)[:, None]
         xp = -np.outer(x_nodes, scale)  # x components of the inverse elements
         values[:, j:j + rows] = np.abs(fourier_at(xp, y, base.T)) ** 2
-    return DensityMap.from_values(x_nodes, r_nodes, values, (x_lo, x_hi, r_lo, r_hi))
+    return DensityMap(x_nodes, r_nodes, values)
 
 
 def _quadratic_peak(values: np.ndarray, i: int, j: int,

@@ -422,11 +422,13 @@ def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid]
     rows (the raw value on the first grid, extrapolated ones after it)
     agree to ADAPTIVE_RTOL relative, or at the MAX_NODES cap, where the raw
     value is returned: a sequence whose extrapolation never settles is not
-    one the table models.  With ``growth_floor`` set, the first two
-    doublings are screened first, on the raw values: a value of magnitude
-    at least the floor that grows by more than GROWTH_FACTOR on both is the
-    signature of a logarithmic divergence at y = 0, and refinement stops
-    there.
+    one the table models.  No grid above the cap is evaluated.  With
+    ``growth_floor`` set, the raw values are screened before convergence is
+    first tested: when the third value arrives, or at the cap when a start
+    on MAX_NODES / 2 nodes leaves room for only two.  A value of magnitude
+    at least the floor that grows by more than GROWTH_FACTOR on every
+    doubling screened is the signature of a logarithmic divergence at
+    y = 0, and refinement stops there.
 
     Returns (values, grows): the raw value on each grid in turn, except that
     values[-1] is the extrapolated limit when that converged, so values[-1]
@@ -434,35 +436,26 @@ def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid]
     """
     values: List[complex] = []
     row: List[complex] = []  # latest Romberg row: raw, then extrapolated
-    best: List[complex] = []
-
-    def extend(g: QuadratureGrid):
-        nonlocal row
-        new = [evaluate(g)]
+    first_test = 2 if growth_floor is None else 3  # values before convergence is tested
+    while True:
+        new = [evaluate(grid)]
         for j, prev in enumerate(row[:2]):
             new.append(new[j] + (new[j] - prev) / (4 ** (j + 1) - 1))
         values.append(new[0])
-        best.append(new[-1])
+        capped = grid.n >= MAX_NODES
+        if growth_floor is not None and (len(values) == 3 or capped and len(values) == 2):
+            size = [abs(v) for v in values]
+            if size[0] >= growth_floor and all(
+                    later > earlier * GROWTH_FACTOR for earlier, later in zip(size, size[1:])):
+                return values, True
+        if (len(values) >= first_test
+                and abs(new[-1] - row[-1]) <= ADAPTIVE_RTOL * abs(new[-1]) + 1e-300):
+            values[-1] = new[-1]
+            return values, False
+        if capped:
+            return values, False
         row = new
-
-    def converged() -> bool:
-        return (len(best) > 1
-                and abs(best[-1] - best[-2]) <= ADAPTIVE_RTOL * abs(best[-1]) + 1e-300)
-
-    extend(grid)
-    if growth_floor is not None:
-        extend(grid.refined(2))
-        grid = grid.refined(4)
-        extend(grid)
-        v0, v1, v2 = (abs(v) for v in values)
-        if v0 >= growth_floor and v1 > v0 * GROWTH_FACTOR and v2 > v1 * GROWTH_FACTOR:
-            return values, True
-    while not converged() and grid.n < MAX_NODES:
         grid = grid.refined(2)
-        extend(grid)
-    if converged():
-        values[-1] = best[-1]
-    return values, False
 
 
 def _sector_sum(phi, psi, grid: QuadratureGrid, sign: int, power: int):
@@ -507,7 +500,7 @@ def _moment(psi: StateVector, sign: int, power: int, adaptive: bool) -> float:
     if grows:
         raise DivergenceDetected(
             f"quadrature grows by >{GROWTH_FACTOR}x per grid doubling "
-            f"({values[0]:.6g} -> {values[1]:.6g} -> {values[2]:.6g})")
+            f"({' -> '.join(f'{v:.6g}' for v in values)})")
     return values[-1]
 
 

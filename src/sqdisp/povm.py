@@ -24,6 +24,7 @@ than restating the identity pi |c_s|^2 w_s = 1.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Dict
@@ -60,7 +61,6 @@ class PovmSeed:
     """
 
     kind: str
-    eta: StateVector
     source: StateVector
     w_plus: float
     w_minus: float
@@ -70,10 +70,17 @@ class PovmSeed:
     sector_coeffs: Dict[int, complex] = field(repr=False, default_factory=dict)
     weight_power: int = field(repr=False, default=1)
 
+    @functools.cached_property
+    def eta(self) -> StateVector:
+        """The seed on the source's grid, multiplier times source, derived on
+        first use so that it always follows ``source``."""
+        grid = self.source.grid
+        return StateVector(grid, self.multiplier(grid.nodes) * self.source.amplitudes)
+
     @property
     def grid(self):
         """Grid of ``eta``, where quadratures of the seed start."""
-        return self.eta.grid
+        return self.source.grid
 
     def multiplier(self, y: np.ndarray) -> np.ndarray:
         return _multiplier(self.sector_coeffs, self.weight_power, y)
@@ -84,11 +91,9 @@ class PovmSeed:
 
     def on_grid(self, grid) -> "PovmSeed":
         """Same seed resampled on another grid (exact for Gaussian sources)."""
-        if grid == self.eta.grid:
+        if grid == self.grid:
             return self
-        src = self.source.with_grid(grid)
-        eta = StateVector(grid, self.multiplier(grid.nodes) * src.amplitudes)
-        return replace(self, eta=eta, source=src)
+        return replace(self, source=self.source.with_grid(grid))
 
 
 def dmc_apply(psi: StateVector, sign: int, power: float) -> StateVector:
@@ -167,11 +172,8 @@ def _make_seed(kind: str, psi: StateVector, weights: Dict[int, float],
                weight_power: int, likelihood: float) -> PovmSeed:
     """Seed eta = multiplier * psi with a certificate <eta_s| D_s |eta_s> per
     sector: the sector integral of pi |eta|^2 / |y|, refined like the weights."""
-    eta = StateVector(psi.grid, _multiplier(coeffs, weight_power, psi.grid.nodes)
-                      * psi.amplitudes)
     seed = PovmSeed(
         kind=kind,
-        eta=eta,
         source=psi,
         w_plus=weights[+1],
         w_minus=weights[-1],
@@ -226,7 +228,7 @@ def build_parity_seed(psi: StateVector) -> PovmSeed:
     t = weights[+1] + weights[-1]  # <|Y|>: the two half lines hold every node
     if t <= SECTOR_THRESHOLD:
         raise EmptySupport("<|Y|> vanishes")
-    phase = 1.0 + 0.0j if psi.is_real else _sector_phase(psi, +1)
+    phase = _sector_phase(psi, +1)
     coeffs = {0: phase / math.sqrt(math.pi * t)}
     return _make_seed(KIND_PARITY, psi, weights, {0: phase}, coeffs, 1, t / math.pi)
 

@@ -197,9 +197,10 @@ def concentration_profile(lam: float, n_max: int,
 
     Widths are the second moments of the profile about the origin over the
     window; they shrink monotonically as lambda -> 1 (delta concentration).
+    ``window`` and ``resolution`` are checked as ``scan`` checks them.
     """
     x_lo, x_hi, r_lo, r_hi = window
-    nx, nr = _map_shape(resolution)
+    nx, nr = _map_shape(window, resolution)
     p_plus = make_pointer(lam, +1, n_max, tail_tol=tail_tol)
     p_minus = make_pointer(lam, -1, n_max, tail_tol=tail_tol)
     grid = p_plus.grid
@@ -218,7 +219,7 @@ def concentration_profile(lam: float, n_max: int,
         amp = math.exp(r / 2.0)
         values[:, j] = (np.abs(amp * fourier_at(x_nodes, y, kernels)) ** 2).sum(axis=1)
 
-    dmap = DensityMap.from_values(x_nodes, r_nodes, values, window)
+    dmap = DensityMap(x_nodes, r_nodes, values)
     weighted = values * np.outer(_trapezoid_weights(x_nodes), _trapezoid_weights(r_nodes))
     total = float(weighted.sum())
     width_x = math.sqrt(float((weighted.sum(axis=1) * x_nodes ** 2).sum()) / total)

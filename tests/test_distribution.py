@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqdisp import (ConfigError, DivergenceDetected, GroupElement, IDENTITY,
                     InsufficientMass, act, argmax, build_ml_seed,
@@ -163,6 +165,22 @@ class TestScanAndArgmax:
             assert lhs == pytest.approx(rhs, rel=1e-6)
 
 
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(a=st.floats(-2.0, 2.0), z=st.floats(-0.4, 0.4),
+       hx=st.floats(-1.0, 1.0), hr=st.floats(-0.5, 0.5),
+       gx=st.floats(-1.0, 1.0), gr=st.floats(-0.5, 0.5))
+def test_covariance_over_random_gaussians(a, z, hx, hr, gx, gr):
+    # p'(g) = p(h^{-1} g) for the input shifted by h, with the seed of the
+    # unshifted input
+    psi = make_displaced_squeezed(a, z)
+    seed = build_ml_seed(psi)
+    h, g = GroupElement(hx, hr), GroupElement(gx, gr)
+    shifted = act(h, psi, grid=psi.grid)
+    lhs = density_at(seed, shifted, g)
+    rhs = density_at(seed, psi, compose(inverse(h), g))
+    assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
 class TestMoments:
     def test_coh10_widths_match_asymptotics(self, coh10_map):
         stats = moments(coh10_map)
@@ -192,13 +210,27 @@ class TestMoments:
         rs = np.linspace(-1, 1, 65)
         X, R = np.meshgrid(xs, rs, indexing="ij")
         vals = np.exp(-X ** 2 - 10 * R ** 2)
-        m = DensityMap(x_nodes=xs, r_nodes=rs, values=vals,
-                       window=(-2, 2, -1, 1), mass=1.0)
+        m = DensityMap(x_nodes=xs, r_nodes=rs, values=vals)
         ax, ar, peak = argmax(m)
         assert ax == pytest.approx(0.0, abs=1e-12)
         assert ar == pytest.approx(0.0, abs=1e-12)
         # the fitted peak value is a quadratic estimate of a Gaussian crest
         assert peak == pytest.approx(1.0, rel=1e-3)
+
+    def test_direct_map_reports_trapezoid_mass(self):
+        # p = e^{r} N(x) N(r) over +-5 sigma: p e^{-r} integrates to ~1
+        from sqdisp.distribution import DensityMap
+        xs = np.linspace(-5.0, 5.0, 81)
+        rs = np.linspace(-1.0, 1.0, 65)
+        X, R = np.meshgrid(xs, rs, indexing="ij")
+        vals = np.exp(R - X ** 2 / 2 - R ** 2 / 0.08) / (2.0 * math.pi * 0.2)
+        m = DensityMap(xs, rs, vals)
+        by_rows = np.trapezoid(np.trapezoid(vals * np.exp(-rs), rs, axis=1), xs)
+        assert m.mass == pytest.approx(by_rows, rel=1e-12)
+        assert m.mass == pytest.approx(1.0, abs=1e-3)
+        stats = moments(m)
+        assert stats.mean_x == pytest.approx(0.0, abs=1e-12)
+        assert stats.delta_r == pytest.approx(0.2, rel=1e-2)
 
     def test_argmax_twin_peaks_resolve_left(self):
         # a map mirror-symmetric in x peaks on two twin nodes, whose quadratic
@@ -210,14 +242,12 @@ class TestMoments:
         rs = np.linspace(-1, 1, 65)
         X, R = np.meshgrid(xs, rs, indexing="ij")
         vals = np.exp(-X ** 2 - 10 * (R - X ** 2) ** 2)
-        window = (xs[0], xs[-1], -1, 1)
-        left = argmax(DensityMap(x_nodes=xs, r_nodes=rs, values=vals, window=window))
+        left = argmax(DensityMap(x_nodes=xs, r_nodes=rs, values=vals))
         assert left[0] < -1e-4
         for bump, side in ((1e-14, -1.0), (1e-6, +1.0)):
             raised = vals.copy()
             raised[32, 32] *= 1.0 + bump
-            ax, ar, _ = argmax(DensityMap(x_nodes=xs, r_nodes=rs, values=raised,
-                                          window=window))
+            ax, ar, _ = argmax(DensityMap(x_nodes=xs, r_nodes=rs, values=raised))
             assert ax * side > 1e-4
             if side < 0:  # the raised node sits in the left twin's fit patch
                 assert (ax, ar) == pytest.approx(left[:2], rel=1e-9)

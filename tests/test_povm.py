@@ -1,6 +1,7 @@
 """DMC operators, optimal and square-root measurement seeds, likelihoods."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -149,6 +150,16 @@ class TestSrmSeed:
         assert srm_likelihood(make_coherent(6.0)) > 0.0
 
 
+class TestDerivedEta:
+    def test_replaced_source_gives_its_eta(self):
+        seed = build_ml_seed(make_vacuum())
+        other = make_coherent(1.0, grid=seed.grid)
+        moved = replace(seed, source=other)
+        expected = seed.multiplier(other.grid.nodes) * other.amplitudes
+        np.testing.assert_array_equal(moved.eta.amplitudes, expected)
+        np.testing.assert_array_equal(moved.eta.amplitudes, moved.evaluate_at(other.grid.nodes))
+
+
 class TestParitySeed:
     def test_vacuum_likelihood(self):
         seed = build_parity_seed(make_vacuum())
@@ -213,6 +224,28 @@ class TestSeedNodeBudget:
         cap = grids.QuadratureGrid(psi.grid.y_max, grids.MAX_NODES)
         for s in (+1, -1):
             assert half_line_moment(psi, s, -1) == grids._sector_sum(psi, psi, cap, s, -1)
+
+    @pytest.mark.parametrize("measure", [srm_likelihood,
+                                         lambda psi: half_line_moment(psi, +1, -1)],
+                             ids=["srm_likelihood", "half_line_moment"])
+    def test_screened_doubling_stays_within_cap(self, monkeypatch, measure):
+        # dsq(5, 9) starts on 2^19 nodes, so the growth screen's third value
+        # would need a 2^21-node grid
+        psi = make_displaced_squeezed(5.0, 9.0)
+        assert psi.grid.n == grids.MAX_NODES // 2
+        sizes = self.grid_sizes(monkeypatch, measure, psi)
+        assert max(sizes) == grids.MAX_NODES
+
+    def test_divergence_screened_within_cap(self, monkeypatch):
+        # dsq(0, 9) also starts on 2^19 nodes; psi(0) != 0 makes <D_+>
+        # diverge, and the one doubling below the cap shows the growth
+        psi = make_displaced_squeezed(0.0, 9.0)
+        assert psi.grid.n == grids.MAX_NODES // 2
+
+        def diverges(psi):
+            with pytest.raises(DomainViolation, match="grows"):
+                srm_likelihood(psi)
+        assert max(self.grid_sizes(monkeypatch, diverges, psi)) == grids.MAX_NODES
 
 
 class TestSeedSuiteInvariants:

@@ -114,6 +114,21 @@ class TestPointerOverlap:
             concentration_profile(0.9, 20, (-1.5, 1.5, -1.5, 1.5), (1024, 1025),
                                   tail_tol=None)
 
+    @pytest.mark.parametrize("window, resolution", [
+        ((1.5, -1.5, -1.5, 1.5), 16),
+        ((-1.5, 1.5, -1.5, math.inf), 16),
+        ((-1.5, math.nan, -1.5, 1.5), 16),
+        ((-1.5, 1.5, -1.5, 1.5), 15),
+    ], ids=["reversed", "infinite", "nan", "resolution-15"])
+    def test_bad_window_rejected_as_scan_rejects_it(self, window, resolution):
+        from sqdisp import build_ml_seed, make_vacuum, scan
+        vac = make_vacuum()
+        with pytest.raises(ValueError) as by_scan:
+            scan(build_ml_seed(vac), vac, window, resolution)
+        with pytest.raises(ValueError) as by_profile:
+            concentration_profile(0.9, 20, window, resolution, tail_tol=None)
+        assert str(by_profile.value) == str(by_scan.value)
+
     def test_nmax_convergence(self):
         g = GroupElement(0.3, 0.2)
         p60 = make_pointer(0.9, +1, 60)
