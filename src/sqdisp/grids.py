@@ -425,15 +425,18 @@ def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid]
     one the table models.  No grid above the cap is evaluated.  With
     ``growth_floor`` set, the raw values are screened before convergence is
     first tested: when the third value arrives, or at the cap when a start
-    on MAX_NODES / 2 nodes leaves room for only two.  A value of magnitude
-    at least the floor that grows by more than GROWTH_FACTOR on every
-    doubling screened is the signature of a logarithmic divergence at
-    y = 0, and refinement stops there.
+    on MAX_NODES / 2 nodes leaves room for only two; a start on the cap
+    leaves no doubling to screen, and raises GridTooNarrow before any value
+    is evaluated.  A value of magnitude at least the floor that grows by
+    more than GROWTH_FACTOR on every doubling screened is the signature of a
+    logarithmic divergence at y = 0, and refinement stops there.
 
     Returns (values, grows): the raw value on each grid in turn, except that
     values[-1] is the extrapolated limit when that converged, so values[-1]
     is the result; and whether the growth screen fired.
     """
+    if growth_floor is not None and grid.n >= MAX_NODES:
+        raise GridTooNarrow(f"screening needs a doubling of {grid.n} nodes, cap is {MAX_NODES}")
     values: List[complex] = []
     row: List[complex] = []  # latest Romberg row: raw, then extrapolated
     first_test = 2 if growth_floor is None else 3  # values before convergence is tested
@@ -509,7 +512,9 @@ def half_line_moment(psi: StateVector, sign: int, power: int,
     """integral over sign*y > 0 of |y|^power |psi(y)|^2 dy.
 
     Raises DivergenceDetected for power <= -1 when the grid-doubling growth
-    test fires (psi(0) != 0 makes the integral log-divergent).
+    test fires (psi(0) != 0 makes the integral log-divergent), and
+    GridTooNarrow when psi's grid is on MAX_NODES, with no doubling left to
+    screen.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")

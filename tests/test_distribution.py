@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqdisp import (ConfigError, DivergenceDetected, GroupElement, IDENTITY,
-                    InsufficientMass, act, argmax, build_ml_seed,
+from sqdisp import (ConfigError, DivergenceDetected, GridTooNarrow, GroupElement,
+                    IDENTITY, InsufficientMass, act, argmax, build_ml_seed,
                     closed_form_sandwich, compose, default_grid, density_at,
                     group_average_sandwich, inverse, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum,
@@ -498,6 +498,14 @@ class TestScreenOncePerPair:
         group_average_sandwich(psi, psi, psi, psi, (-12, 12, -8, 8), r_resolution=8)
         closed_form_sandwich(psi, psi, psi, psi)
         assert single and sizes == single
+
+    def test_screen_refused_on_the_cap(self, monkeypatch):
+        # a start on the cap leaves no doubling for the growth screen
+        sizes = self.count_screen_sums(monkeypatch)
+        psi = make_vacuum(grids.QuadratureGrid(10.0, grids.MAX_NODES))
+        with pytest.raises(GridTooNarrow, match="screening"):
+            _screened_cross_terms(psi, psi)
+        assert sizes == []
 
     def test_new_state_or_pair_screens_again(self, monkeypatch):
         grid = default_grid(0.0)

@@ -8,7 +8,7 @@ import pytest
 
 from sqdisp import grids
 from sqdisp import (DivergenceDetected, DomainViolation, EmptySupport,
-                    GroupElement, abs_moment, act, build_ml_seed, build_parity_seed,
+                    GridTooNarrow, GroupElement, abs_moment, act, build_ml_seed, build_parity_seed,
                     build_srm_seed, default_grid, dmc_apply, dmc_expectation,
                     half_line_moment, make_coherent, make_displaced_squeezed,
                     make_sampled, make_vacuum, optimal_likelihood,
@@ -246,6 +246,17 @@ class TestSeedNodeBudget:
             with pytest.raises(DomainViolation, match="grows"):
                 srm_likelihood(psi)
         assert max(self.grid_sizes(monkeypatch, diverges, psi)) == grids.MAX_NODES
+
+    def test_screen_refused_on_the_cap(self, monkeypatch):
+        # a start on the cap leaves no doubling for the growth screen
+        psi = make_vacuum(grids.QuadratureGrid(10.0, grids.MAX_NODES))
+
+        def refused(psi):
+            with pytest.raises(GridTooNarrow, match="screening"):
+                srm_likelihood(psi)
+            with pytest.raises(GridTooNarrow, match="screening"):
+                half_line_moment(psi, +1, -1)
+        assert set(self.grid_sizes(monkeypatch, refused, psi)) == {grids.MAX_NODES}
 
 
 class TestSeedSuiteInvariants:
