@@ -67,15 +67,19 @@ class SummaryStats:
     peak_value: float
 
 
-def _map_shape(window: Tuple[float, float, float, float], resolution) -> Tuple[int, int]:
-    """(nx, nr) of an int or pair, for a map over ``window``.  ValueError for
-    a non-finite or unordered window, then ConfigError above MAX_NODES cells,
-    then ValueError below 16 nodes per axis."""
+def _check_window(window: Tuple[float, float, float, float]) -> None:
+    """ValueError for a non-finite or unordered window (x_lo, x_hi, r_lo, r_hi)."""
     x_lo, x_hi, r_lo, r_hi = window
     if not all(math.isfinite(v) for v in window):
         raise ValueError("window must be finite")
     if not (x_lo < x_hi and r_lo < r_hi):
         raise ValueError("window must satisfy x_lo < x_hi and r_lo < r_hi")
+
+
+def _map_shape(window: Tuple[float, float, float, float], resolution) -> Tuple[int, int]:
+    """(nx, nr) of an int or pair, for a map over ``window``: ``_check_window``,
+    then ConfigError above MAX_NODES cells, then ValueError below 16 per axis."""
+    _check_window(window)
     nx, nr = (resolution, resolution) if isinstance(resolution, int) else resolution
     if nx * nr > MAX_NODES:
         raise ConfigError(f"a {nx} x {nr} map exceeds {MAX_NODES} cells")
@@ -99,14 +103,10 @@ def _haar_weights(x_nodes: np.ndarray, r_nodes: np.ndarray):
     return _trapezoid_weights(x_nodes), _trapezoid_weights(r_nodes) * np.exp(-r_nodes)
 
 
-def _compatible_grids(seed: PovmSeed, psi: StateVector):
-    if seed.eta.grid != psi.grid:
-        raise GridMismatch("seed and state must share a quadrature grid")
-
-
 def density_at(seed: PovmSeed, psi: StateVector, g: GroupElement) -> float:
     """p(g) = |<eta| U_{g^{-1}} |psi>|^2 at a single group element."""
-    _compatible_grids(seed, psi)
+    if seed.eta.grid != psi.grid:
+        raise GridMismatch("seed and state must share a quadrature grid")
     gi = inverse(g)
     grid = psi.grid
     y = grid.nodes
@@ -241,85 +241,80 @@ def _band_spectrum(n: int, dy: float, lo: float, hi: float) -> np.ndarray:
     return np.fft.irfft(lags, _fft_length(2 * n - 1))
 
 
+def _group_slices(psi: StateVector, phi: StateVector, u: StateVector, v: StateVector,
+                  window: Tuple[float, float, float, float], r_resolution: int,
+                  sigma: int) -> complex:
+    """integral over the window of d_L g <u|U_h|psi> <phi|U_h^dag|v>, h = g^sigma.
+
+    Node r maps to h = (c x, sigma r), c = sigma e^{(sigma-1) r/2}; its slice is
+    the exact integral of FT[conj(u) psi(e^{sigma r} y)] conj(FT[conj(v) phi(...)])
+    over the x_h band sorted((c x_lo, c x_hi)), Parseval once that holds the
+    period |x_h| <= pi/(2 dy), times |c| and the r trapezoid weight.
+    """
+    _check_window(window)
+    if r_resolution < 2:
+        raise ValueError("r_resolution must be at least 2")
+    for other in (phi, u, v):
+        if psi.grid != other.grid:
+            raise GridMismatch("oracle states must share a quadrature grid")
+    if sigma > 0:  # screen |psi><phi|; a seed's |eta><eta| (sigma = -1) is admissible
+        _screened_cross_terms(phi, psi)
+
+    x_lo, x_hi, r_lo, r_hi = window
+    grid = psi.grid
+    y, dy = grid.nodes, grid.dy
+    band = math.pi / (2.0 * dy)
+    spectrum_of = functools.lru_cache(maxsize=1)(
+        lambda lo, hi: _band_spectrum(grid.n, dy, lo, hi) * dy ** 2)
+    same = phi is psi and v is u
+    u_conj, v_conj = np.conj(u.amplitudes), np.conj(v.amplitudes)
+    r_nodes = np.linspace(r_lo, r_hi, r_resolution)
+    total = 0.0 + 0.0j
+    for r, wgt in zip(r_nodes, _trapezoid_weights(r_nodes)):
+        c = sigma * math.exp((sigma - 1) * r / 2.0)
+        lo, hi = sorted((c * x_lo, c * x_hi))
+        sy = math.exp(sigma * r) * y
+        f = psi.evaluate_at(sy)
+        h1 = u_conj * f
+        h2 = h1 if same else v_conj * (f if phi is psi else phi.evaluate_at(sy))
+        if lo <= -band and hi >= band:
+            # the whole period, where T(m) = (pi/dy) delta_m0
+            slice_val = math.pi * dy * complex(np.vdot(h2, h1))
+        else:
+            spectrum = spectrum_of(lo, hi)
+            f1 = np.fft.fft(h1, len(spectrum))
+            f2 = f1 if same else np.fft.fft(h2, len(spectrum))
+            slice_val = complex(np.vdot(f2, f1 * spectrum))
+        total += wgt * abs(c) * slice_val
+    return total
+
+
 def normalization_check(seed: PovmSeed, psi_test: StateVector,
                         window: Tuple[float, float, float, float],
                         r_resolution: int = 1024) -> float:
-    """integral over the window of p(g) e^{-r} dx dr for input psi_test.
-
-    Each r slice is the exact integral of |FT[kernel]|^2 over the slice's x
-    range (``_band_spectrum``); a range covering the whole band is its
-    Parseval value.  Tends to 1 on generous windows for states in the span
-    probed by the seed.
-    """
-    _compatible_grids(seed, psi_test)
-    x_lo, x_hi, r_lo, r_hi = window
-    grid = psi_test.grid
-    y = grid.nodes
-    dy = grid.dy
-    band = math.pi / (2.0 * dy)
-    eta = seed.eta.amplitudes
-    r_nodes = np.linspace(r_lo, r_hi, r_resolution)
-    wr = _trapezoid_weights(r_nodes)
-    total = 0.0
-    for r_hat, wgt in zip(r_nodes, wr):
-        kernel = np.conj(eta) * psi_test.evaluate_at(math.exp(-r_hat) * y)
-        # slice integral in the scaled frequency variable x' = -e^{-r} x
-        scale = math.exp(-r_hat)
-        lo, hi = sorted((-scale * x_lo, -scale * x_hi))
-        if lo <= -band and hi >= band:
-            # the whole period, where T(m) = (pi/dy) delta_m0
-            slice_val = math.pi * dy * float(np.vdot(kernel, kernel).real)
-        else:
-            spectrum = _band_spectrum(grid.n, dy, lo, hi)
-            power = np.abs(np.fft.fft(kernel, len(spectrum))) ** 2
-            slice_val = dy * dy * float(power @ spectrum)
-        # dx = e^{r} dx'; the squared e^{r'/2} = e^{-r_hat/2} amplitude factor
-        # cancels it, leaving the bare slice value times the Haar weight.
-        total += wgt * math.exp(-r_hat) * slice_val
-    return total
+    """integral over the window of p(g) e^{-r} dx dr for input psi_test: with
+    p(g) = |<psi_test|U_g|eta>|^2, the group average of |eta><eta| taken in
+    h = g^{-1} (``_group_slices``, sigma = -1), so the seed keeps its grid.
+    ValueError for a non-finite or unordered window or r_resolution < 2.
+    Tends to 1 on generous windows for states in the span probed by the seed."""
+    return _group_slices(psi_test, psi_test, seed.eta, seed.eta, window, r_resolution,
+                         -1).real
 
 
 def group_average_sandwich(psi: StateVector, phi: StateVector,
                            u: StateVector, v: StateVector,
                            window: Tuple[float, float, float, float],
                            r_resolution: int = 1024) -> complex:
-    """Brute-force  integral d_L g <u|U_g|psi> <phi|U_g^dag|v>  over the window.
-
-    Each r slice is the exact x integral of FT[conj(u) psi(e^r y)]
-    conj(FT[conj(v) phi(e^r y)]) (``_band_spectrum``, built once per call).
-    psi(e^r y) is evaluated once per slice, and reused for phi when
-    ``phi is psi``; one FFT serves both factors when also ``v is u``.
-    The closed-form comparison target is
+    """Brute-force  integral d_L g <u|U_g|psi> <phi|U_g^dag|v>  over the window
+    (``_group_slices``, sigma = +1).  ValueError for a non-finite or unordered
+    window or r_resolution < 2, before the screen.  The closed-form target is
     sum_s pi <phi| theta(sY)/|Y| |psi> <u| theta(sY) |v>.
     Raises DivergenceDetected (via the cross-sector screen) for inadmissible
     pairs, i.e. when <phi| theta(sY)/|Y| |psi> fails the growth test.  The
     screen is kept for the last (phi, psi) pair, so a ``closed_form_sandwich``
     of the same pair that follows does not repeat it.
     """
-    for other in (phi, u, v):
-        if psi.grid != other.grid:
-            raise GridMismatch("sandwich states must share a grid")
-    _screened_cross_terms(phi, psi)  # admissibility screen
-
-    x_lo, x_hi, r_lo, r_hi = window
-    grid = psi.grid
-    y = grid.nodes
-    spectrum = _band_spectrum(grid.n, grid.dy, x_lo, x_hi) * grid.dy ** 2
-    length = len(spectrum)
-    same = phi is psi and v is u
-    u_conj, v_conj = np.conj(u.amplitudes), np.conj(v.amplitudes)
-    r_nodes = np.linspace(r_lo, r_hi, r_resolution)
-    wr = _trapezoid_weights(r_nodes)
-    total = 0.0 + 0.0j
-    for r, wgt in zip(r_nodes, wr):
-        sy = math.exp(r) * y
-        f = psi.evaluate_at(sy)
-        g = f if phi is psi else phi.evaluate_at(sy)
-        f1 = np.fft.fft(u_conj * f, length)
-        f2 = f1 if same else np.fft.fft(v_conj * g, length)
-        # e^{-r} Haar weight cancels the e^{r} from the two amplitude factors
-        total += wgt * complex(np.vdot(f2, f1 * spectrum))
-    return total
+    return _group_slices(psi, phi, u, v, window, r_resolution, +1)
 
 
 @functools.lru_cache(maxsize=1)
