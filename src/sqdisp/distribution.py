@@ -38,7 +38,7 @@ from .povm import PovmSeed
 
 # Relative gap below the maximum within which argmax treats grid nodes as tied.
 ARGMAX_TIE_RTOL = 1e-12
-_SCAN_CHUNK = 2**14  # complex elements per FFT array of a chunk of scan rows
+_SCAN_CHUNK = 2**14  # complex elements per FFT array of a chunk of map rows
 
 
 @dataclass
@@ -90,8 +90,6 @@ def _map_shape(window: Tuple[float, float, float, float], resolution) -> Tuple[i
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     w = np.zeros_like(nodes)
-    if len(nodes) == 1:
-        return np.ones(1)
     d = np.diff(nodes)
     w[:-1] += d / 2.0
     w[1:] += d / 2.0
@@ -129,6 +127,25 @@ def _refine_for_window(seed: PovmSeed, psi: StateVector,
     return seed.on_grid(fine), psi.with_grid(fine)
 
 
+def _row_map(window: Tuple[float, float, float, float], nx: int, nr: int,
+             y: np.ndarray, rows_at, per_row: int = 1) -> DensityMap:
+    """DensityMap of sum_c |sum_k K_kc e^{-2i s x y_k}|^2, c over a row's per_row
+    kernel columns.  ``rows_at(r)`` gives each row's x scale s and the kernels,
+    (len(y), per_row * len(r)), for a chunk of r nodes.  A chunk holds max(1,
+    _SCAN_CHUNK // (per_row L)) rows, L = _fft_length(nx + len(y) - 1), so an FFT
+    array of ``grids.fourier_at`` holds at most _SCAN_CHUNK complex elements or
+    one row; the map depends on neither order nor chunks."""
+    x_nodes = np.linspace(*window[:2], nx)
+    r_nodes = np.linspace(*window[2:], nr)
+    values = np.empty((nx, nr))
+    rows = max(1, _SCAN_CHUNK // (per_row * _fft_length(nx + len(y) - 1)))
+    for j in range(0, nr, rows):
+        scale, kernels = rows_at(r_nodes[j:j + rows])
+        amps = fourier_at(np.outer(x_nodes, np.repeat(scale, per_row)), y, kernels)
+        values[:, j:j + rows] = (np.abs(amps) ** 2).reshape(nx, -1, per_row).sum(axis=2)
+    return DensityMap(x_nodes, r_nodes, values)
+
+
 def scan(seed: PovmSeed, psi: StateVector,
          window: Tuple[float, float, float, float],
          resolution) -> DensityMap:
@@ -136,28 +153,20 @@ def scan(seed: PovmSeed, psi: StateVector,
 
     ``resolution`` is an int or an (nx, nr) pair, at least 16 per axis and
     at most MAX_NODES cells.  Each r row is a chirp-z transform of length
-    L >= nx + n - 1 on n quadrature nodes, max(1, _SCAN_CHUNK // L) rows per
-    ``grids.fourier_at`` call, so an FFT array holds at most _SCAN_CHUNK
-    complex elements or one row; the map depends on neither order nor chunks.
+    L >= nx + n - 1 on n quadrature nodes, in the row chunks of ``_row_map``.
     """
-    x_lo, x_hi, r_lo, r_hi = window
     nx, nr = _map_shape(window, resolution)
     seed, psi = _refine_for_window(seed, psi, window)
-
-    x_nodes = np.linspace(x_lo, x_hi, nx)
-    r_nodes = np.linspace(r_lo, r_hi, nr)
-    grid = psi.grid
-    y = grid.nodes
+    y = psi.grid.nodes
     eta_conj = np.conj(seed.eta.amplitudes)
-    values = np.empty((nx, nr))
-    rows = max(1, _SCAN_CHUNK // _fft_length(nx + grid.n - 1))
-    for j in range(0, nr, rows):
-        scale = np.exp(-r_nodes[j:j + rows])  # e^{r'} of the inverse elements
+
+    def rows_at(r):
+        scale = np.exp(-r)  # e^{r'} of the inverse elements
         base = psi.evaluate_at(np.outer(scale, y)) * eta_conj  # one row per r
-        base *= (np.sqrt(scale) * grid.dy)[:, None]
-        xp = -np.outer(x_nodes, scale)  # x components of the inverse elements
-        values[:, j:j + rows] = np.abs(fourier_at(xp, y, base.T)) ** 2
-    return DensityMap(x_nodes, r_nodes, values)
+        base *= (np.sqrt(scale) * psi.grid.dy)[:, None]
+        return -scale, base.T  # x' = -e^{-r} x of the inverse elements
+
+    return _row_map(window, nx, nr, y, rows_at)
 
 
 def _quadratic_peak(values: np.ndarray, i: int, j: int,

@@ -179,7 +179,7 @@ class StateVector:
         return float(np.max(np.abs(self.amplitudes.imag))) <= 1e-12 * scale
 
 
-def _check_window(center: float, prob_std: float, grid: QuadratureGrid):
+def _check_state_fits_grid(center: float, prob_std: float, grid: QuadratureGrid):
     if abs(center) + 6.0 * prob_std > grid.y_max:
         raise GridTooNarrow(
             f"state centered at {center} with std {prob_std:.4g} needs "
@@ -197,7 +197,7 @@ def make_displaced_squeezed(a: float, z: float,
     params = GaussianStateParams(center=a, log_width=z)
     if grid is None:
         grid = default_grid(a, z)
-    _check_window(a, params.probability_std, grid)
+    _check_state_fits_grid(a, params.probability_std, grid)
     return StateVector.from_params(params, grid)
 
 

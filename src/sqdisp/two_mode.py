@@ -30,8 +30,8 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import CutoffTooSmall, GridMismatch
-from .distribution import DensityMap, _map_shape, _trapezoid_weights
-from .grids import QuadratureGrid, fourier_at
+from .distribution import DensityMap, _map_shape, _row_map, _trapezoid_weights
+from .grids import QuadratureGrid
 from .group import GroupElement
 
 DEFAULT_TEST_LAMBDAS = (0.9, 0.95, 0.99)
@@ -42,14 +42,14 @@ COEFF_QUAD_NODES = 2048   # midpoint nodes in t for raw_pointer_coefficients
 
 
 def hermite_functions(n_max: int, y: np.ndarray) -> np.ndarray:
-    """Oscillator eigenfunctions h_0 .. h_{n_max} at the points y.
+    """Oscillator eigenfunctions h_0 .. h_{n_max} at the points y, of any shape.
 
     Quadrature scaling: h_n(y) = 2^{1/4} phi_n(sqrt(2) y) with phi_n the
     standard orthonormal Hermite functions, so that the h_n are orthonormal
     in integral dy.
     """
     u = math.sqrt(2.0) * np.asarray(y, dtype=float)
-    H = np.zeros((n_max + 1, len(u)))
+    H = np.zeros((n_max + 1,) + u.shape)
     H[0] = (2.0 / math.pi) ** 0.25 * np.exp(-0.5 * u * u)
     if n_max >= 1:
         H[1] = math.sqrt(2.0) * u * H[0]
@@ -196,31 +196,27 @@ def concentration_profile(lam: float, n_max: int,
     """Map of sum_s |<<Phi(lambda)_s| U_{x,r} (x) 1 |Phi(lambda)_+>>|^2.
 
     Widths are the second moments of the profile about the origin over the
-    window; they shrink monotonically as lambda -> 1 (delta concentration).
+    window, under dx dr; ``map.mass`` integrates it under d_L g = e^{-r} dx dr.
+    The widths shrink monotonically as lambda -> 1 (delta concentration).
     ``window`` and ``resolution`` are checked as ``scan`` checks them.
     """
-    x_lo, x_hi, r_lo, r_hi = window
     nx, nr = _map_shape(window, resolution)
     p_plus = make_pointer(lam, +1, n_max, tail_tol=tail_tol)
     p_minus = make_pointer(lam, -1, n_max, tail_tol=tail_tol)
     grid = p_plus.grid
     y = grid.nodes
     H = hermite_functions(n_max, y)
-    bra_p = p_plus.coeffs.T @ H
-    bra_m = p_minus.coeffs.T @ H
+    # sum_m bra_sm(y) ket_m(e^r y) = sum_k h_k(e^r y) G_sk(y), G_s = C_+ C_s^T H
+    G = np.stack([p_plus.coeffs @ (p.coeffs.T @ H) for p in (p_plus, p_minus)], axis=1)
 
-    x_nodes = np.linspace(x_lo, x_hi, nx)
-    r_nodes = np.linspace(r_lo, r_hi, nr)
-    values = np.empty((nx, nr))
-    for j, r in enumerate(r_nodes):
-        ket = p_plus.coeffs.T @ hermite_functions(n_max, math.exp(r) * y)
-        kernels = np.stack([(bra_p * ket).sum(axis=0), (bra_m * ket).sum(axis=0)],
-                           axis=1) * grid.dy
-        amp = math.exp(r / 2.0)
-        values[:, j] = (np.abs(amp * fourier_at(x_nodes, y, kernels)) ** 2).sum(axis=1)
+    def rows_at(r):
+        Hs = hermite_functions(n_max, np.outer(np.exp(r), y))  # one table per chunk
+        kernels = np.einsum("kjy,ksy,j->yjs", Hs, G, np.exp(r / 2.0) * grid.dy)
+        return np.ones(len(r)), kernels.reshape(len(y), -1)
 
-    dmap = DensityMap(x_nodes, r_nodes, values)
-    weighted = values * np.outer(_trapezoid_weights(x_nodes), _trapezoid_weights(r_nodes))
+    dmap = _row_map(window, nx, nr, y, rows_at, per_row=2)
+    x_nodes, r_nodes = dmap.x_nodes, dmap.r_nodes
+    weighted = dmap.values * np.outer(_trapezoid_weights(x_nodes), _trapezoid_weights(r_nodes))
     total = float(weighted.sum())
     width_x = math.sqrt(float((weighted.sum(axis=1) * x_nodes ** 2).sum()) / total)
     width_r = math.sqrt(float((weighted.sum(axis=0) * r_nodes ** 2).sum()) / total)

@@ -231,6 +231,9 @@ class TestMoments:
         stats = moments(m)
         assert stats.mean_x == pytest.approx(0.0, abs=1e-12)
         assert stats.delta_r == pytest.approx(0.2, rel=1e-2)
+        # one r node: the trapezoid rule over an r range of zero width gives 0
+        line = DensityMap(np.linspace(-1.0, 1.0, 17), np.array([0.3]), np.ones((17, 1)))
+        assert line.mass == 0.0
 
     def test_argmax_twin_peaks_resolve_left(self):
         # a map mirror-symmetric in x peaks on two twin nodes, whose quadratic

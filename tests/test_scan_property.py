@@ -4,7 +4,8 @@ Random Gaussian inputs (center a, log-width z, linear phase c) and scan
 windows; a coarse base grid (n = 1024) sends some draws through the window
 refinement, so both the direct and the resampled scan are compared with
 ``density_at`` on the grid the scan actually used.  Two fixed cases pin the
-boundaries of the scan's row chunks, and the map must not depend on them.
+boundaries of the scan's row chunks, and neither the scan nor the two-mode
+profile, which share the row loop, may depend on them.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqdisp import (GaussianStateParams, GroupElement, StateVector, build_ml_seed,
-                    default_grid, density_at, make_vacuum, scan)
+                    concentration_profile, default_grid, density_at, make_vacuum, scan)
 from sqdisp import distribution
 from sqdisp.distribution import _refine_for_window
 from sqdisp.grids import _fft_length
@@ -42,8 +43,8 @@ def assert_scan_equals_density_at(seed, psi, window, resolution):
     return fine_psi.grid.n
 
 
-def chunk_rows(nx, n):
-    return max(1, distribution._SCAN_CHUNK // _fft_length(nx + n - 1))
+def chunk_rows(nx, n, per_row=1):
+    return max(1, distribution._SCAN_CHUNK // (per_row * _fft_length(nx + n - 1)))
 
 
 # the chunk boundaries of the row loop: a last chunk shorter than the rest
@@ -60,11 +61,15 @@ def test_scan_chunk_boundaries(window, resolution, nodes):
 
 
 def test_scan_independent_of_chunking(monkeypatch):
+    # both maps of the one row loop: the scan and the two-mode profile
     psi = StateVector.from_params(GaussianStateParams(1.5, -0.2, 0.7), default_grid(1.5, -0.2))
     seed = build_ml_seed(psi)
     window = (-4.0, 4.0, -1.2, 0.9)
-    chunked = scan(seed, psi, window, (64, 40))
-    assert chunk_rows(64, psi.grid.n) > 1
+    maps = (lambda: scan(seed, psi, window, (64, 40)),
+            lambda: concentration_profile(0.9, 20, window, (64, 40), tail_tol=None).map)
+    chunked = [make() for make in maps]
+    assert chunk_rows(64, psi.grid.n) > 1 and chunk_rows(64, 2048, per_row=2) > 1
     monkeypatch.setattr(distribution, "_SCAN_CHUNK", 1)  # one row per chunk
-    by_row = scan(seed, psi, window, (64, 40))
-    assert np.max(np.abs(by_row.values - chunked.values)) <= 1e-13 * np.max(chunked.values)
+    for make, whole in zip(maps, chunked):
+        by_row = make()
+        assert np.max(np.abs(by_row.values - whole.values)) <= 1e-13 * np.max(whole.values)

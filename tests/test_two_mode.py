@@ -171,3 +171,20 @@ class TestConcentrationProfile:
         j = int(np.argmin(np.abs(m.r_nodes)))
         col = m.values[:, j]
         assert np.max(np.abs(col - col[::-1])) < 1e-10 * col.max()
+
+    # both cases end on a short chunk: 23 and 19 rows in chunks of 3
+    @pytest.mark.parametrize("lam, n_max, resolution", [(0.9, 20, (17, 23)),
+                                                         (0.95, 60, (24, 19))])
+    def test_map_equals_pointwise_overlaps(self, lam, n_max, resolution):
+        from sqdisp import distribution
+        from sqdisp.grids import _fft_length
+        prof = concentration_profile(lam, n_max, (-1.5, 1.5, -1.5, 1.5), resolution,
+                                     tail_tol=None)
+        m = prof.map
+        nx, nr = resolution
+        rows = distribution._SCAN_CHUNK // (2 * _fft_length(nx + prof.plus.grid.n - 1))
+        assert rows > 1 and nr % rows != 0
+        pointwise = np.array([[sum(abs(pointer_overlap(p, GroupElement(x, r), prof.plus)) ** 2
+                                   for p in (prof.plus, prof.minus))
+                               for r in m.r_nodes] for x in m.x_nodes])
+        assert np.max(np.abs(m.values - pointwise) / pointwise) <= 1e-12

@@ -1,4 +1,5 @@
-"""Before/after record of the scan row kernel, written as BENCH_scan_kernel.json.
+"""Before/after record of the scan row kernel and of the two-mode profile,
+written as BENCH_scan_kernel.json.
 
     python3 tools/bench_scan_kernel.py --parent OLD_SRC [--repeats N] [--out FILE]
 
@@ -16,12 +17,16 @@ Recorded for each side:
   ``perfbench`` scan slot states, at the middle of every parameter range
   (the seed is built once, outside the timing), and ``scan_row_s``, that
   time over the number of r rows;
-- ``minflt``: the median number of minor page faults per scan call
-  (``resource.getrusage``).
+- ``profile_s``: best-of-N time of ``two_mode.concentration_profile`` at
+  the ``sqdisp two-mode`` defaults (n_max 60, a 96 x 96 map over +-1.5, no
+  tail check), one slot for each lambda of ``perfbench.workloads.LAMBDAS``;
+- ``minflt``: the median number of minor page faults per scan or profile
+  call (``resource.getrusage``).
 
 ``max_rel_dev`` is the largest |change - parent| / parent over the map
 nodes holding at least 1e-3 of the peak, and ``max_abs_dev`` the largest
-|change - parent| over the peak, for each slot.
+|change - parent| over the peak, for each scan slot; ``profile_max_rel_dev``
+and ``profile_max_abs_dev`` are the same for each profile slot.
 """
 
 from __future__ import annotations
@@ -44,10 +49,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import numpy as np  # noqa: E402
 
-from perfbench.workloads import ScanWorkload, odd_amplitude, two_bump_amplitude  # noqa: E402
+from perfbench.workloads import (LAMBDAS, ScanWorkload, odd_amplitude,  # noqa: E402
+                                 two_bump_amplitude)
 
 ROW_NODES = (4096, 8192)
 ROW_X = 128
+PROFILE = (60, (-1.5, 1.5, -1.5, 1.5), 96)  # n_max, window, resolution
 
 
 def load(name: str, src: Path):
@@ -60,7 +67,7 @@ def load(name: str, src: Path):
         sys.modules[name] = module
         spec.loader.exec_module(module)
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("grids", "povm", "distribution")}
+            for mod in ("grids", "povm", "distribution", "two_mode")}
 
 
 def build(pkg, job):
@@ -121,6 +128,19 @@ def row_case(pkg, n):
     return lambda: grids.fourier_at(x, y, h)
 
 
+def compare(calls, repeats, record, deviation, slot, time_key, prefix=""):
+    """Time ``calls`` into ``record[side][time_key][slot]`` and ``minflt``, and
+    the change's map against the parent's into ``deviation[prefix + ...][slot]``."""
+    maps, times, faults = alternate(calls, repeats)
+    for side in calls:
+        record[side][time_key][slot] = min(times[side])
+        record[side]["minflt"][slot] = statistics.median(faults[side])
+    old, new = maps["parent"].values, maps["change"].values
+    bulk = old >= 1e-3 * old.max()
+    deviation[prefix + "max_rel_dev"][slot] = float(np.max(np.abs(new - old)[bulk] / old[bulk]))
+    deviation[prefix + "max_abs_dev"][slot] = float(np.max(np.abs(new - old)) / old.max())
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", required=True, type=Path,
@@ -130,7 +150,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     sides = load_sides(args.parent)
-    record = {side: {"row_s": {}, "scan_s": {}, "scan_row_s": {}, "minflt": {}}
+    record = {side: {"row_s": {}, "scan_s": {}, "scan_row_s": {}, "profile_s": {},
+                     "minflt": {}}
               for side in sides}
 
     for n in ROW_NODES:
@@ -140,21 +161,24 @@ def main(argv=None) -> int:
             record[side]["row_s"][str(n)] = min(times[side])
 
     workload = ScanWorkload(seed=0, workdir=".", n_blocks=1)
-    deviation = {"max_rel_dev": {}, "max_abs_dev": {}}
+    deviation = {key: {} for key in ("max_rel_dev", "max_abs_dev",
+                                     "profile_max_rel_dev", "profile_max_abs_dev")}
     for slot in ScanWorkload.slots:
         job = getattr(workload, f"gen_{slot}")((0.5, 0.5, 0.5))
         calls = {side: functools.partial(pkg["distribution"].scan, *build(pkg, job),
                                          job["window"], job["res"])
                  for side, pkg in sides.items()}
-        maps, times, faults = alternate(calls, args.repeats)
+        compare(calls, args.repeats, record, deviation, slot, "scan_s")
         for side in sides:
-            record[side]["scan_s"][slot] = min(times[side])
-            record[side]["scan_row_s"][slot] = min(times[side]) / job["res"]
-            record[side]["minflt"][slot] = statistics.median(faults[side])
-        old, new = maps["parent"].values, maps["change"].values
-        bulk = old >= 1e-3 * old.max()
-        deviation["max_rel_dev"][slot] = float(np.max(np.abs(new - old)[bulk] / old[bulk]))
-        deviation["max_abs_dev"][slot] = float(np.max(np.abs(new - old)) / old.max())
+            record[side]["scan_row_s"][slot] = record[side]["scan_s"][slot] / job["res"]
+
+    n_max, window, resolution = PROFILE
+    for lam in LAMBDAS:
+        calls = {side: lambda pkg=pkg: pkg["two_mode"].concentration_profile(
+                     lam, n_max, window, resolution, tail_tol=None).map
+                 for side, pkg in sides.items()}
+        compare(calls, args.repeats, record, deviation, f"profile_{lam}", "profile_s",
+                "profile_")
 
     result = {
         "script": "tools/bench_scan_kernel.py",
@@ -164,12 +188,12 @@ def main(argv=None) -> int:
         **deviation,
     }
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    for key in ("row_s", "scan_s", "minflt"):
+    for key in ("row_s", "scan_s", "profile_s", "minflt"):
         for case in record["parent"][key]:
             print(f"{key:8s} {case:20s} {record['parent'][key][case]:12.6g} -> "
                   f"{record['change'][key][case]:12.6g}")
-    print(f"max_rel_dev {max(deviation['max_rel_dev'].values()):.3g}  "
-          f"max_abs_dev {max(deviation['max_abs_dev'].values()):.3g}")
+    for key, cases in deviation.items():
+        print(f"{key} {max(cases.values()):.3g}")
     return 0
 
 
