@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SupportViolation
-from .grids import StateVector
+from .grids import StateVector, _sector_sum
 
 NEG_MASS_TOL = 1e-6
 ASYMPTOTIC_WARN_THRESHOLD = 3.0
@@ -47,10 +47,10 @@ class AsymptoticModel:
 
 
 def model_density(m: AsymptoticModel, x: float, r: float) -> float:
-    """(a/pi) exp(-(a e^z r)^2) exp(-(x e^{-z})^2)."""
+    """(a/pi) exp(-(a e^z r)^2) exp(-(x e^{-z})^2), elementwise on arrays."""
     sr = m.a * math.exp(m.z) * r
     sx = x * math.exp(-m.z)
-    return (m.a / math.pi) * math.exp(-sr * sr) * math.exp(-sx * sx)
+    return (m.a / math.pi) * np.exp(-sr * sr) * np.exp(-sx * sx)
 
 
 def rms_predictions(a: float, z: float = 0.0):
@@ -82,27 +82,23 @@ def heisenberg_ratio(psi: StateVector, a: float,
                      neg_mass_tol: float = NEG_MASS_TOL) -> float:
     """LHS/RHS of Delta X * Delta ln(|Y|/a) >= |<1/(4Y)>| for a state with <Y> = a.
 
-    Delta X comes from the Gaussian closed form when an evaluator is present
-    and from spectral differentiation X = (i/2) d/dy otherwise.  Raises
+    Delta X comes from spectral differentiation X = (i/2) d/dy.  Raises
     SupportViolation when the |psi|^2 mass at y < 0 exceeds ``neg_mass_tol``
     (the ln|Y| treatment degenerates there).
     """
     grid = psi.grid
     y = grid.nodes
     density = psi.probability_density()
-    neg_mass = float(density[y < 0].sum()) * grid.dy
+    neg_mass = _sector_sum(psi, psi, grid, -1, 0)
     if neg_mass > neg_mass_tol:
         raise SupportViolation(
             f"mass {neg_mass:.3g} at y < 0 exceeds {neg_mass_tol:.1g}")
 
-    if psi.evaluator is not None:
-        delta_x = math.exp(psi.evaluator.log_width) / 2.0
-    else:
-        k = 2.0 * math.pi * np.fft.fftfreq(grid.n, grid.dy)
-        dpsi = np.fft.ifft(1.0j * k * np.fft.fft(psi.amplitudes))
-        x_mean = float(np.real(0.5j * np.sum(np.conj(psi.amplitudes) * dpsi)) * grid.dy)
-        x2_mean = 0.25 * float(np.sum(np.abs(dpsi) ** 2)) * grid.dy
-        delta_x = math.sqrt(max(x2_mean - x_mean ** 2, 0.0))
+    k = 2.0 * math.pi * np.fft.fftfreq(grid.n, grid.dy)
+    dpsi = np.fft.ifft(1.0j * k * np.fft.fft(psi.amplitudes))
+    x_mean = float(np.real(0.5j * np.sum(np.conj(psi.amplitudes) * dpsi)) * grid.dy)
+    x2_mean = 0.25 * float(np.sum(np.abs(dpsi) ** 2)) * grid.dy
+    delta_x = math.sqrt(max(x2_mean - x_mean ** 2, 0.0))
 
     log_ratio = np.log(np.abs(y) / a)
     m1 = float(np.sum(log_ratio * density)) * grid.dy

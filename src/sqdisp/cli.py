@@ -341,9 +341,8 @@ def run_two_mode(cfg: RunConfig) -> int:
     prof = two_mode.concentration_profile(cfg.lam, cfg.n_max, window,
                                           cfg.resolution, tail_tol=cfg.tail_tol)
     plus = prof.plus
-    k = np.arange(cfg.n_max + 1)
     # coeffs = N lambda^{n+m} c_nm, so odd n + m is as exactly zero as c_nm
-    parity_max = float(np.max(np.abs(plus.coeffs[(k[:, None] + k[None, :]) % 2 == 1])))
+    parity_max = float(np.max(np.abs(plus.coeffs[two_mode._degrees(cfg.n_max) % 2 == 1])))
     cross = abs(two_mode.pointer_overlap(prof.minus, two_mode.GroupElement(0.0, 0.0), plus))
     if cfg.out_csv:
         write_csv(cfg.out_csv, prof.map)

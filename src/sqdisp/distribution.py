@@ -52,8 +52,7 @@ class DensityMap:
     @property
     def mass(self) -> float:
         """Windowed mass, the trapezoid integral of p e^{-r} dx dr."""
-        wx, wr = _haar_weights(self.x_nodes, self.r_nodes)
-        return float(wx @ self.values @ wr)
+        return float(_marginals(self, np.exp(-self.r_nodes))[0].sum())
 
 
 @dataclass
@@ -96,9 +95,12 @@ def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
     return w
 
 
-def _haar_weights(x_nodes: np.ndarray, r_nodes: np.ndarray):
-    """Trapezoid weights in x and in r, the latter times the left-Haar e^{-r}."""
-    return _trapezoid_weights(x_nodes), _trapezoid_weights(r_nodes) * np.exp(-r_nodes)
+def _marginals(density_map: DensityMap, r_weight) -> Tuple[np.ndarray, np.ndarray]:
+    """Trapezoid marginals in x and in r of the map under r_weight dx dr,
+    r_weight e^{-r} at each r node for d_L g, or 1."""
+    wr = _trapezoid_weights(density_map.r_nodes) * r_weight
+    weighted = density_map.values * np.outer(_trapezoid_weights(density_map.x_nodes), wr)
+    return weighted.sum(axis=1), weighted.sum(axis=0)
 
 
 def density_at(seed: PovmSeed, psi: StateVector, g: GroupElement) -> float:
@@ -211,14 +213,13 @@ def argmax(density_map: DensityMap) -> Tuple[float, float, float]:
 def window_statistics(density_map: DensityMap) -> SummaryStats:
     """Means, r.m.s. widths and peak under the weight p(x,r) e^{-r} over the
     scanned window, whatever mass the window captures."""
-    x = density_map.x_nodes
-    r = density_map.r_nodes
-    weighted = density_map.values * np.outer(*_haar_weights(x, r))
-    total = float(weighted.sum())
-    mean_x = float((weighted.sum(axis=1) * x).sum()) / total
-    mean_r = float((weighted.sum(axis=0) * r).sum()) / total
-    var_x = float((weighted.sum(axis=1) * (x - mean_x) ** 2).sum()) / total
-    var_r = float((weighted.sum(axis=0) * (r - mean_r) ** 2).sum()) / total
+    x, r = density_map.x_nodes, density_map.r_nodes
+    px, pr = _marginals(density_map, np.exp(-r))
+    total = float(px.sum())
+    mean_x = float((px * x).sum()) / total
+    mean_r = float((pr * r).sum()) / total
+    var_x = float((px * (x - mean_x) ** 2).sum()) / total
+    var_r = float((pr * (r - mean_r) ** 2).sum()) / total
     ax, ar, peak = argmax(density_map)
     return SummaryStats(mean_x=mean_x, mean_r=mean_r,
                         delta_x=math.sqrt(max(var_x, 0.0)),
@@ -263,6 +264,8 @@ def _group_slices(psi: StateVector, phi: StateVector, u: StateVector, v: StateVe
     _check_window(window)
     if r_resolution < 2:
         raise ValueError("r_resolution must be at least 2")
+    if r_resolution > MAX_NODES:
+        raise ConfigError(f"r_resolution {r_resolution} exceeds {MAX_NODES}")
     for other in (phi, u, v):
         if psi.grid != other.grid:
             raise GridMismatch("oracle states must share a quadrature grid")
@@ -300,12 +303,13 @@ def _group_slices(psi: StateVector, phi: StateVector, u: StateVector, v: StateVe
 
 def normalization_check(seed: PovmSeed, psi_test: StateVector,
                         window: Tuple[float, float, float, float],
-                        r_resolution: int = 1024) -> float:
+                        r_resolution: int = 128) -> float:
     """integral over the window of p(g) e^{-r} dx dr for input psi_test: with
     p(g) = |<psi_test|U_g|eta>|^2, the group average of |eta><eta| taken in
     h = g^{-1} (``_group_slices``, sigma = -1), so the seed keeps its grid.
-    ValueError for a non-finite or unordered window or r_resolution < 2.
-    Tends to 1 on generous windows for states in the span probed by the seed."""
+    ValueError for a non-finite or unordered window or r_resolution < 2,
+    ConfigError for r_resolution > MAX_NODES.  Tends to 1 on generous
+    windows for states in the span probed by the seed."""
     return _group_slices(psi_test, psi_test, seed.eta, seed.eta, window, r_resolution,
                          -1).real
 
@@ -313,10 +317,11 @@ def normalization_check(seed: PovmSeed, psi_test: StateVector,
 def group_average_sandwich(psi: StateVector, phi: StateVector,
                            u: StateVector, v: StateVector,
                            window: Tuple[float, float, float, float],
-                           r_resolution: int = 1024) -> complex:
+                           r_resolution: int = 128) -> complex:
     """Brute-force  integral d_L g <u|U_g|psi> <phi|U_g^dag|v>  over the window
     (``_group_slices``, sigma = +1).  ValueError for a non-finite or unordered
-    window or r_resolution < 2, before the screen.  The closed-form target is
+    window or r_resolution < 2, ConfigError for r_resolution > MAX_NODES,
+    both before the screen.  The closed-form target is
     sum_s pi <phi| theta(sY)/|Y| |psi> <u| theta(sY) |v>.
     Raises DivergenceDetected (via the cross-sector screen) for inadmissible
     pairs, i.e. when <phi| theta(sY)/|Y| |psi> fails the growth test.  The

@@ -44,7 +44,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DivergenceDetected, GridMismatch, GridTooNarrow
+from .errors import ConfigError, DivergenceDetected, GridMismatch, GridTooNarrow
 
 DEFAULT_N = 4096
 MAX_NODES = 2**20
@@ -55,7 +55,7 @@ _CHIRP_BLOCK = 64  # B in the chirps' m = B q + p
 
 @dataclass(frozen=True)
 class QuadratureGrid:
-    """Midpoint-offset uniform grid on [-y_max, y_max] with n (even) nodes."""
+    """Midpoint-offset uniform grid on [-y_max, y_max], n even and <= MAX_NODES."""
 
     y_max: float
     n: int
@@ -65,6 +65,8 @@ class QuadratureGrid:
             raise ValueError("y_max must be positive and finite")
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError("n must be an even integer >= 2")
+        if self.n > MAX_NODES:
+            raise ConfigError(f"a grid of {self.n} nodes exceeds {MAX_NODES}")
         object.__setattr__(self, "dy", 2.0 * self.y_max / self.n)
 
     @functools.cached_property
@@ -423,20 +425,19 @@ def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid]
     agree to ADAPTIVE_RTOL relative, or at the MAX_NODES cap, where the raw
     value is returned: a sequence whose extrapolation never settles is not
     one the table models.  No grid above the cap is evaluated.  With
-    ``growth_floor`` set, the raw values are screened before convergence is
-    first tested: when the third value arrives, or at the cap when a start
-    on MAX_NODES / 2 nodes leaves room for only two; a start on the cap
-    leaves no doubling to screen, and raises GridTooNarrow before any value
-    is evaluated.  A value of magnitude at least the floor that grows by
-    more than GROWTH_FACTOR on every doubling screened is the signature of a
-    logarithmic divergence at y = 0, and refinement stops there.
+    ``growth_floor`` set, the first three raw values are screened before
+    convergence is first tested; a start above MAX_NODES / 4 nodes, short of
+    those two doublings, raises GridTooNarrow before any evaluation.  A value
+    of magnitude at least the floor that grows by more than GROWTH_FACTOR on
+    both doublings is the signature of a logarithmic divergence at y = 0,
+    and refinement stops there.
 
     Returns (values, grows): the raw value on each grid in turn, except that
     values[-1] is the extrapolated limit when that converged, so values[-1]
     is the result; and whether the growth screen fired.
     """
-    if growth_floor is not None and grid.n >= MAX_NODES:
-        raise GridTooNarrow(f"screening needs a doubling of {grid.n} nodes, cap is {MAX_NODES}")
+    if growth_floor is not None and grid.n * 4 > MAX_NODES:
+        raise GridTooNarrow(f"screening needs 2 doublings of {grid.n} nodes, cap is {MAX_NODES}")
     values: List[complex] = []
     row: List[complex] = []  # latest Romberg row: raw, then extrapolated
     first_test = 2 if growth_floor is None else 3  # values before convergence is tested
@@ -445,8 +446,7 @@ def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid]
         for j, prev in enumerate(row[:2]):
             new.append(new[j] + (new[j] - prev) / (4 ** (j + 1) - 1))
         values.append(new[0])
-        capped = grid.n >= MAX_NODES
-        if growth_floor is not None and (len(values) == 3 or capped and len(values) == 2):
+        if growth_floor is not None and len(values) == 3:
             size = [abs(v) for v in values]
             if size[0] >= growth_floor and all(
                     later > earlier * GROWTH_FACTOR for earlier, later in zip(size, size[1:])):
@@ -455,7 +455,7 @@ def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid]
                 and abs(new[-1] - row[-1]) <= ADAPTIVE_RTOL * abs(new[-1]) + 1e-300):
             values[-1] = new[-1]
             return values, False
-        if capped:
+        if grid.n * 2 > MAX_NODES:
             return values, False
         row = new
         grid = grid.refined(2)
@@ -513,8 +513,8 @@ def half_line_moment(psi: StateVector, sign: int, power: int,
 
     Raises DivergenceDetected for power <= -1 when the grid-doubling growth
     test fires (psi(0) != 0 makes the integral log-divergent), and
-    GridTooNarrow when psi's grid is on MAX_NODES, with no doubling left to
-    screen.
+    GridTooNarrow when psi's grid has more than MAX_NODES / 4 nodes, too
+    many for the two doublings the screen needs.
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")

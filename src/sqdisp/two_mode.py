@@ -29,9 +29,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import CutoffTooSmall, GridMismatch
-from .distribution import DensityMap, _map_shape, _row_map, _trapezoid_weights
-from .grids import QuadratureGrid
+from .errors import ConfigError, CutoffTooSmall, GridMismatch
+from .distribution import DensityMap, _map_shape, _marginals, _row_map
+from .grids import MAX_NODES, QuadratureGrid
 from .group import GroupElement
 
 DEFAULT_TEST_LAMBDAS = (0.9, 0.95, 0.99)
@@ -58,6 +58,12 @@ def hermite_functions(n_max: int, y: np.ndarray) -> np.ndarray:
     return H
 
 
+def _degrees(n_max: int) -> np.ndarray:
+    """Total degree n + m of each two-mode Fock amplitude, (n_max+1)^2."""
+    k = np.arange(n_max + 1)
+    return np.add.outer(k, k)
+
+
 def _pointer_grid(n_max: int) -> QuadratureGrid:
     # h_n lives inside |y| <= sqrt(2 n_max + 1)/sqrt(2); keep a safety margin
     y_max = 1.25 * math.sqrt(2.0 * n_max + 1.0) / math.sqrt(2.0) + 2.0
@@ -81,8 +87,7 @@ class TwoModePointer:
     @property
     def mean_energy(self) -> float:
         """<a^dag a + b^dag b> of the truncated pointer."""
-        k = np.arange(self.n_max + 1)
-        return float(((k[:, None] + k[None, :]) * self.coeffs ** 2).sum())
+        return float((_degrees(self.n_max) * self.coeffs ** 2).sum())
 
 
 def raw_pointer_coefficients(n_max: int, sign: int = +1) -> np.ndarray:
@@ -93,17 +98,19 @@ def raw_pointer_coefficients(n_max: int, sign: int = +1) -> np.ndarray:
     sqrt(|y|) kink so the midpoint sum converges superalgebraically:
 
         c_nm = (4/sqrt(pi)) integral_0^inf t^2 h_n(t^2) h_m(t^2) dt.
+
+    ConfigError above MAX_NODES coefficients (n_max >= 1024), before any table.
     """
+    if (n_max + 1) ** 2 > MAX_NODES:
+        raise ConfigError(f"a {n_max + 1}^2 coefficient table exceeds {MAX_NODES} entries")
     y_max = _pointer_grid(n_max).y_max
     dt = math.sqrt(y_max) / COEFF_QUAD_NODES
     t = (np.arange(COEFF_QUAD_NODES) + 0.5) * dt
     Ht = hermite_functions(n_max, t * t)
     C = (4.0 / math.sqrt(math.pi)) * (Ht * (t * t * dt)) @ Ht.T
-    k = np.arange(n_max + 1)
-    parity = (k[:, None] + k[None, :]) % 2 == 1
-    C[parity] = 0.0
+    C[_degrees(n_max) % 2 == 1] = 0.0
     if sign < 0:
-        C = C * ((-1.0) ** k)[None, :]
+        C = C * (-1.0) ** np.arange(n_max + 1)
     return C
 
 
@@ -138,8 +145,7 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     C = raw_pointer_coefficients(n_max, sign)
-    k = np.arange(n_max + 1)
-    degrees = k[:, None] + k[None, :]
+    degrees = _degrees(n_max)
     A = lam ** degrees * C
     mass = A ** 2
     total = float(mass.sum())
@@ -215,10 +221,8 @@ def concentration_profile(lam: float, n_max: int,
         return np.ones(len(r)), kernels.reshape(len(y), -1)
 
     dmap = _row_map(window, nx, nr, y, rows_at, per_row=2)
-    x_nodes, r_nodes = dmap.x_nodes, dmap.r_nodes
-    weighted = dmap.values * np.outer(_trapezoid_weights(x_nodes), _trapezoid_weights(r_nodes))
-    total = float(weighted.sum())
-    width_x = math.sqrt(float((weighted.sum(axis=1) * x_nodes ** 2).sum()) / total)
-    width_r = math.sqrt(float((weighted.sum(axis=0) * r_nodes ** 2).sum()) / total)
+    px, pr = _marginals(dmap, 1.0)
+    width_x, width_r = (math.sqrt(float((p * nodes ** 2).sum()) / float(px.sum()))
+                        for p, nodes in ((px, dmap.x_nodes), (pr, dmap.r_nodes)))
     return ConcentrationProfile(map=dmap, width_x=width_x, width_r=width_r,
                                 plus=p_plus, minus=p_minus)

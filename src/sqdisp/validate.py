@@ -18,9 +18,9 @@ import numpy as np
 
 from . import asymptotics, distribution, two_mode
 from .errors import DomainViolation, EstimationError
-from .grids import (QuadratureGrid, StateVector, default_grid, half_line_moment,
-                    inner_product, make_coherent, make_displaced_squeezed,
-                    make_sampled, make_vacuum)
+from .grids import (QuadratureGrid, StateVector, abs_moment, default_grid,
+                    half_line_moment, inner_product, make_coherent,
+                    make_displaced_squeezed, make_sampled, make_vacuum)
 from .group import GroupElement, act, compose, inverse
 from .povm import (build_ml_seed, build_parity_seed, optimal_likelihood,
                    seed_overlap_likelihood, srm_likelihood)
@@ -92,7 +92,7 @@ def check_half_line_partition() -> Tuple[bool, str]:
     for psi in (make_vacuum(grid), make_displaced_squeezed(0.0, 0.5, grid=grid)):
         wp = half_line_moment(psi, +1, 1, adaptive=False)
         wm = half_line_moment(psi, -1, 1, adaptive=False)
-        full = float(np.sum(np.abs(grid.nodes) * psi.probability_density()) * grid.dy)
+        full = abs_moment(psi, 1, adaptive=False)
         worst = max(worst, abs(wp + wm - full) / full, abs(wp - wm) / full)
     return worst < 1e-12, f"max partition defect {worst:.2e}"
 
@@ -122,18 +122,11 @@ def check_unitarity() -> Tuple[bool, str]:
 
 def check_left_invariance() -> Tuple[bool, str]:
     h = GroupElement(0.7, 0.4)
-    xs = np.linspace(-9, 9, 601)
-    rs = np.linspace(-9, 9, 601)
-    X, R = np.meshgrid(xs, rs, indexing="ij")
-
-    def f(x, r):
-        return np.exp(-x ** 2 - r ** 2)
-
-    w = np.exp(-R) * (xs[1] - xs[0]) * (rs[1] - rs[0])
-    base = float((f(X, R) * w).sum())
-    hx = h.x + math.exp(h.r) * X
-    hr = h.r + R
-    shifted = float((f(hx, hr) * w).sum())
+    xs = rs = np.linspace(-9, 9, 601)
+    g = GroupElement(*np.meshgrid(xs, rs, indexing="ij"))
+    # the d_L g mass of exp(-x^2 - r^2) at g and at h g
+    base, shifted = (distribution.DensityMap(xs, rs, np.exp(-e.x ** 2 - e.r ** 2)).mass
+                     for e in (g, compose(h, g)))
     rel = abs(shifted - base) / abs(base)
     return rel < 1e-4, f"left-invariance defect {rel:.2e}"
 
@@ -298,27 +291,30 @@ def check_model_normalization() -> Tuple[bool, str]:
     worst = 0.0
     for a, z in ((10.0, 0.0), (7.4, -1.0)):
         m = asymptotics.AsymptoticModel(a, z)
-        sx = math.exp(z) / math.sqrt(2.0)
-        sr = 1.0 / (math.sqrt(2.0) * a * math.exp(z))
+        sx, sr = (math.sqrt(2.0) * v for v in asymptotics.separate_optima(a, z))
         xs = np.linspace(-6 * sx, 6 * sx, 801)
         rs = np.linspace(-6 * sr, 6 * sr, 801)
-        X, R = np.meshgrid(xs, rs, indexing="ij")
-        vals = (m.a / math.pi) * np.exp(-(m.a * math.exp(m.z) * R) ** 2
-                                        - (X * math.exp(-m.z)) ** 2)
+        vals = asymptotics.model_density(m, *np.meshgrid(xs, rs, indexing="ij"))
         integral = float(vals.sum()) * (xs[1] - xs[0]) * (rs[1] - rs[0])
         worst = max(worst, abs(integral - 1.0))
     return worst < 1e-6, f"max |integral - 1| = {worst:.2e}"
 
 
 def check_pointer_parity() -> Tuple[bool, str]:
-    C = two_mode.raw_pointer_coefficients(40)
-    k = np.arange(41)
-    odd = (k[:, None] + k[None, :]) % 2 == 1
-    max_odd = float(np.max(np.abs(C[odd])))
-    Cm = two_mode.raw_pointer_coefficients(40, sign=-1)
-    flip = float(np.max(np.abs(Cm - C * ((-1.0) ** k)[None, :])))
-    ok = max_odd == 0.0 and flip == 0.0
-    return ok, f"odd-shell max {max_odd:.1e}, sign-flip defect {flip:.1e}"
+    # c^s_nm = (1/sqrt(pi)) integral sqrt(|y|) h_n(y) h_m(s y) dy as defined: both
+    # half lines y = u t^2 on raw_pointer_coefficients' t nodes, no parity rule
+    dt = math.sqrt(two_mode._pointer_grid(40).y_max) / two_mode.COEFF_QUAD_NODES
+    t = (np.arange(two_mode.COEFF_QUAD_NODES) + 0.5) * dt
+    H = {u: two_mode.hermite_functions(40, u * t * t) for u in (+1, -1)}
+    C = {s: 2.0 / math.sqrt(math.pi) * sum((H[u] * (t * t * dt)) @ H[s * u].T for u in (+1, -1))
+         for s in (+1, -1)}
+    max_odd = float(np.max(np.abs(C[+1][two_mode._degrees(40) % 2 == 1])))
+    flip = float(np.max(np.abs(C[-1] - C[+1] * (-1.0) ** np.arange(41))))
+    lib = max(float(np.max(np.abs(two_mode.raw_pointer_coefficients(40, s) - C[s])))
+              for s in (+1, -1)) / float(np.max(np.abs(C[+1])))
+    ok = max_odd == 0.0 and flip == 0.0 and lib <= 1e-14
+    return ok, (f"odd-shell max {max_odd:.1e}, sign-flip defect {flip:.1e}, "
+                f"library vs definition {lib:.1e}")
 
 
 def check_pointer_normalization() -> Tuple[bool, str]:

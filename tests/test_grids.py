@@ -15,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from sqdisp import (DivergenceDetected, GaussianStateParams, GridMismatch,
+from sqdisp import (ConfigError, DivergenceDetected, GaussianStateParams, GridMismatch,
                     GridTooNarrow, QuadratureGrid, StateVector, abs_moment,
                     default_grid, half_line_moment, inner_product, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum)
-from sqdisp.grids import _chirp, _sector_sum, _solve_141, fourier_at
+from sqdisp.grids import (MAX_NODES, _chirp, _sector_sum, _solve_141, fourier_at,
+                          refine_by_doubling)
 
 VACUUM_PEAK = (2.0 / math.pi) ** 0.25           # 0.8932438417380024
 VACUUM_HALF_MOMENT = math.sqrt(2.0 / math.pi) / 4.0  # 0.19947114020071635
@@ -43,6 +44,8 @@ class TestQuadratureGrid:
             QuadratureGrid(10.0, 7)
         with pytest.raises(ValueError):
             QuadratureGrid(-1.0, 64)
+        with pytest.raises(ConfigError, match="exceeds"):
+            QuadratureGrid(10.0, 2 * MAX_NODES)
 
     def test_default_grid_sizing(self):
         g = default_grid(10.0)
@@ -290,6 +293,14 @@ class TestWorkPerGrid:
         psi = make_displaced_squeezed(4.0, 0.2)
         runs = self.doubling_runs(psi, lambda: _screened_cross_terms(psi, psi))
         assert len(runs) == 2 and min(runs) >= 2
+
+    def test_no_grid_above_the_cap(self):
+        # off the powers of two, the sequence stops where a doubling would
+        # pass MAX_NODES, rather than evaluating a grid above it
+        sizes = []
+        refine_by_doubling(QuadratureGrid(1.0, 3 * 2**18),
+                           lambda grid: sizes.append(grid.n) or float(grid.n))
+        assert sizes == [3 * 2**18]
 
 
     @pytest.mark.parametrize("kind", ["gaussian", "sampled"])

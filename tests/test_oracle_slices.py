@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from sqdisp import (build_ml_seed, default_grid, group_average_sandwich, make_sampled,
+from sqdisp import (ConfigError, build_ml_seed, default_grid, group_average_sandwich, make_sampled,
                     make_vacuum, normalization_check)
 from sqdisp import grids
 from sqdisp.distribution import _group_slices
@@ -41,22 +41,24 @@ def group_average(_):
 
 class TestOracleInputs:
     """A bad window or r_resolution raises ValueError before any screen or
-    slice runs, by the rule ``scan`` applies to its window."""
+    slice runs, by the rule ``scan`` applies to its window; more than
+    MAX_NODES slices raise ConfigError there."""
 
     @pytest.mark.parametrize("oracle", [normalization, group_average],
                              ids=["normalization", "group_average"])
-    @pytest.mark.parametrize("window, r_resolution", [
-        ((-12.0, 12.0, 8.0, -8.0), 16),
-        ((12.0, -12.0, -8.0, 8.0), 16),
-        ((-12.0, 12.0, -8.0, -8.0), 16),
-        ((-12.0, 12.0, NAN, 8.0), 16),
-        ((-INF, 12.0, -8.0, 8.0), 16),
-        ((-12.0, 12.0, -8.0, 8.0), 0),
-        ((-12.0, 12.0, -8.0, 8.0), 1),
+    @pytest.mark.parametrize("window, r_resolution, error", [
+        ((-12.0, 12.0, 8.0, -8.0), 16, ValueError),
+        ((12.0, -12.0, -8.0, 8.0), 16, ValueError),
+        ((-12.0, 12.0, -8.0, -8.0), 16, ValueError),
+        ((-12.0, 12.0, NAN, 8.0), 16, ValueError),
+        ((-INF, 12.0, -8.0, 8.0), 16, ValueError),
+        ((-12.0, 12.0, -8.0, 8.0), 0, ValueError),
+        ((-12.0, 12.0, -8.0, 8.0), 1, ValueError),
+        ((-12.0, 12.0, -8.0, 8.0), grids.MAX_NODES + 1, ConfigError),
     ], ids=["reversed-r", "reversed-x", "empty-r", "nan", "inf", "r_resolution-0",
-            "r_resolution-1"])
+            "r_resolution-1", "r_resolution-2^20+1"])
     def test_rejected_before_screen(self, monkeypatch, vacuum_seed, oracle, window,
-                                    r_resolution):
+                                    r_resolution, error):
         call = oracle(vacuum_seed)
         sums = []
         evaluate = grids._sector_sum
@@ -66,7 +68,7 @@ class TestOracleInputs:
             return evaluate(*args)
 
         monkeypatch.setattr(grids, "_sector_sum", counting)
-        with pytest.raises(ValueError):
+        with pytest.raises(error):
             call(window, r_resolution)
         assert sums == []
 

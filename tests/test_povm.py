@@ -225,27 +225,38 @@ class TestSeedNodeBudget:
         for s in (+1, -1):
             assert half_line_moment(psi, s, -1) == grids._sector_sum(psi, psi, cap, s, -1)
 
+    @staticmethod
+    def refused_powers(monkeypatch, measure, psi):
+        """Powers of the sector sums ``measure(psi)`` runs before the growth
+        screen refuses psi's grid with GridTooNarrow."""
+        powers = []
+        evaluate = grids._sector_sum
+
+        def counting(phi, chi, grid, sign, power):
+            powers.append(power)
+            return evaluate(phi, chi, grid, sign, power)
+
+        monkeypatch.setattr(grids, "_sector_sum", counting)
+        with pytest.raises(GridTooNarrow, match="screening"):
+            measure(psi)
+        return powers
+
     @pytest.mark.parametrize("measure", [srm_likelihood,
                                          lambda psi: half_line_moment(psi, +1, -1)],
                              ids=["srm_likelihood", "half_line_moment"])
     def test_screened_doubling_stays_within_cap(self, monkeypatch, measure):
         # dsq(5, 9) starts on 2^19 nodes, so the growth screen's third value
-        # would need a 2^21-node grid
+        # would need a 2^21-node grid: refused before any power -1 sum
         psi = make_displaced_squeezed(5.0, 9.0)
         assert psi.grid.n == grids.MAX_NODES // 2
-        sizes = self.grid_sizes(monkeypatch, measure, psi)
-        assert max(sizes) == grids.MAX_NODES
+        assert -1 not in self.refused_powers(monkeypatch, measure, psi)
 
     def test_divergence_screened_within_cap(self, monkeypatch):
-        # dsq(0, 9) also starts on 2^19 nodes; psi(0) != 0 makes <D_+>
-        # diverge, and the one doubling below the cap shows the growth
+        # dsq(0, 9) also starts on 2^19 nodes, where <D_+> diverges; with one
+        # doubling left under the cap it is refused, not screened
         psi = make_displaced_squeezed(0.0, 9.0)
         assert psi.grid.n == grids.MAX_NODES // 2
-
-        def diverges(psi):
-            with pytest.raises(DomainViolation, match="grows"):
-                srm_likelihood(psi)
-        assert max(self.grid_sizes(monkeypatch, diverges, psi)) == grids.MAX_NODES
+        assert -1 not in self.refused_powers(monkeypatch, srm_likelihood, psi)
 
     def test_screen_refused_on_the_cap(self, monkeypatch):
         # a start on the cap leaves no doubling for the growth screen

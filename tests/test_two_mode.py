@@ -77,6 +77,8 @@ class TestMakePointer:
             make_pointer(0.9, +1, 10)
         with pytest.raises(ValueError):
             make_pointer(0.9, 0, 60)
+        with pytest.raises(ConfigError, match="exceeds"):
+            make_pointer(0.9, +1, 1024)
 
     def test_energy_increases_with_lambda(self):
         energies = [make_pointer(lam, +1, 60, tail_tol=None).mean_energy
