@@ -85,8 +85,9 @@ class QuadratureGrid:
         nodes.flags.writeable = False
         return nodes
 
-    def refined(self, factor: int = 2) -> "QuadratureGrid":
-        return QuadratureGrid(self.y_max, self.n * factor)
+    def refined(self) -> "QuadratureGrid":
+        """The grid with twice the nodes on the same window."""
+        return QuadratureGrid(self.y_max, 2 * self.n)
 
 
 @dataclass(frozen=True)
@@ -174,11 +175,6 @@ class StateVector:
 
     def probability_density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
-
-    @property
-    def is_real(self) -> bool:
-        scale = float(np.max(np.abs(self.amplitudes))) or 1.0
-        return float(np.max(np.abs(self.amplitudes.imag))) <= 1e-12 * scale
 
 
 def _check_state_fits_grid(center: float, prob_std: float, grid: QuadratureGrid):
@@ -458,7 +454,7 @@ def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid]
         if grid.n * 2 > MAX_NODES:
             return values, False
         row = new
-        grid = grid.refined(2)
+        grid = grid.refined()
 
 
 def _sector_sum(phi, psi, grid: QuadratureGrid, sign: int, power: int):

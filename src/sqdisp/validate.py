@@ -137,6 +137,7 @@ def _seed_suite(grid: QuadratureGrid):
         ("coherent(4)", make_coherent(4.0, grid=grid)),
         ("dsq(3,-0.4)", make_displaced_squeezed(3.0, -0.4, grid=grid)),
         ("odd", _odd_state(grid)),
+        ("D(0.7) odd", act(GroupElement(0.7, 0.0), _odd_state(grid), grid=grid)),
     ]
 
 

@@ -162,6 +162,28 @@ class TestSampledFile:
         assert payload["likelihood"] == pytest.approx(
             2.0 * math.sqrt(2.0 / math.pi) / math.pi, rel=1e-4)
 
+    def test_complex_file_density_at_identity_is_likelihood(self, tmp_path, capsys):
+        # the phase e^{-1.4iy} leaves |psi|^2 and so the optimal likelihood
+        # unchanged; the ML map attains it at the true value, the identity
+        from sqdisp import default_grid
+        y = default_grid(0.0).nodes
+        amp = (2.0 / math.pi) ** 0.25 * np.exp(-y ** 2 - 1.4j * y)
+        path = tmp_path / "phased.csv"
+        lines = ["y,re,im"] + [f"{yy:.17g},{aa.real:.17g},{aa.imag:.17g}"
+                               for yy, aa in zip(y, amp)]
+        path.write_text("\n".join(lines))
+        csv = tmp_path / "map.csv"
+        # an odd resolution puts a node at (0, 0)
+        code, out, err = run(capsys, "density", "--state", "sampled-file",
+                             "--sampled-path", str(path), "--x-lo", "-1", "--x-hi", "1",
+                             "--r-lo", "-1", "--r-hi", "1", "--resolution", "17",
+                             "--out-csv", str(csv))
+        assert code == 0
+        rows = csv.read_text().strip().splitlines()[1:]
+        at_identity = [float(line.split(",")[2]) for line in rows
+                       if line.startswith("0,0,")]
+        assert at_identity == [pytest.approx(json.loads(out)["likelihood"], rel=1e-3)]
+
     def test_missing_path_rejected(self, capsys):
         code, out, err = run(capsys, "likelihood", "--state", "sampled-file")
         assert code == 2

@@ -310,7 +310,7 @@ class TestWorkPerGrid:
         grid = default_grid(0.0)
         psi = (make_displaced_squeezed(1.0, 0.2, grid) if kind == "gaussian"
                else make_sampled(grid, np.exp(-(grid.nodes - 1.0) ** 2)))
-        fine = grid.refined(2)
+        fine = grid.refined()
         seen = []
         evaluate = psi.evaluate_at
 

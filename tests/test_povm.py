@@ -63,18 +63,6 @@ class TestMlSeed:
         assert set(seed.sector_coeffs) == {+1}
         assert seed.w_minus <= 1e-12 * seed.w_plus
 
-    def test_real_input_phases(self):
-        for psi in (make_vacuum(), odd_state()):
-            seed = build_ml_seed(psi)
-            for phase in seed.sector_phases.values():
-                assert phase == 1.0 + 0.0j
-
-    def test_complex_input_phase_is_unit(self):
-        psi = act(GroupElement(0.9, 0.0), make_coherent(2.0))
-        seed = build_ml_seed(psi)
-        for phase in seed.sector_phases.values():
-            assert abs(abs(phase) - 1.0) < 1e-12
-
     def test_empty_support(self):
         grid = default_grid(0.0)
         amps = np.zeros(grid.n, dtype=complex)

@@ -4,7 +4,10 @@ For psi = make_displaced_squeezed(a, z) the sector weights have the closed
 form w_+- = +-a P(+-Y > 0) + sigma phi(a/sigma) with sigma = 1/(2 e^z), the
 |psi|^2 standard deviation.  The seed built from the quadrature weights must
 match it, certify <eta_s| D_s |eta_s> = 1 on every kept sector, and
-reproduce its likelihood as the overlap |<eta|psi>|^2.  The parity-extended
+reproduce its likelihood as the overlap |<eta|psi>|^2.  A displacement D(x)
+multiplies psi by a phase and leaves |psi|^2 unchanged, so the same closed
+form and the same equality hold for the complex input D(x) psi, the
+equality case of the paper's optimality theorem.  The parity-extended
 and square-root-measurement seeds certify <eta_s| D_s |eta_s> = 1 as well.
 """
 
@@ -14,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqdisp import (build_ml_seed, build_parity_seed, build_srm_seed,
+from sqdisp import (GroupElement, act, build_ml_seed, build_parity_seed, build_srm_seed,
                     make_displaced_squeezed, optimal_likelihood, seed_overlap_likelihood,
                     srm_likelihood)
 
@@ -28,9 +31,10 @@ def gaussian_weights(a, z):
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)
-@given(a=st.floats(-12.0, 12.0), z=st.floats(-0.8, 0.8))
-def test_ml_seed_of_displaced_squeezed(a, z):
-    seed = build_ml_seed(make_displaced_squeezed(a, z))
+@given(a=st.floats(-12.0, 12.0), z=st.floats(-0.8, 0.8), x=st.floats(-3.0, 3.0))
+def test_ml_seed_of_displaced_squeezed(a, z, x):
+    psi = make_displaced_squeezed(a, z)
+    seed = build_ml_seed(act(GroupElement(x, 0.0), psi, grid=psi.grid))
     w_plus, w_minus = gaussian_weights(a, z)
     scale = w_plus + w_minus
     assert abs(seed.w_plus - w_plus) <= 1e-8 * scale
