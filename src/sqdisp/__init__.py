@@ -5,15 +5,12 @@ from .errors import (ConfigError, CutoffTooSmall, DivergenceDetected,
                      GridMismatch, GridTooNarrow, InsufficientMass,
                      NoConvergence, SupportViolation)
 from .grids import (GaussianStateParams, QuadratureGrid, StateVector,
-                    abs_moment, default_grid, half_line_moment, inner_product,
-                    make_coherent, make_displaced_squeezed, make_sampled,
-                    make_vacuum, state_norm)
-from .group import (IDENTITY, ExtendedElement, GroupElement, act, act_extended,
-                    compose, inverse, left_haar_weight, parity_act,
-                    right_haar_weight)
+                    default_grid, half_line_moment, inner_product, make_coherent,
+                    make_displaced_squeezed, make_sampled, make_vacuum)
+from .group import IDENTITY, GroupElement, act, compose, inverse, parity_act
 from .povm import (PovmSeed, build_ml_seed, build_parity_seed, build_srm_seed,
-                   dmc_apply, dmc_expectation, optimal_likelihood,
-                   seed_overlap_likelihood, srm_likelihood)
+                   dmc_expectation, optimal_likelihood, seed_overlap_likelihood,
+                   srm_likelihood)
 from .distribution import (DensityMap, SummaryStats, argmax,
                            closed_form_sandwich, density_at,
                            group_average_sandwich, moments,

@@ -78,21 +78,20 @@ def uncertainty_product_ratio(a: float, z: float = 0.0) -> float:
     return (dx * dr) / (ox * orr)
 
 
-def heisenberg_ratio(psi: StateVector, a: float,
-                     neg_mass_tol: float = NEG_MASS_TOL) -> float:
+def heisenberg_ratio(psi: StateVector, a: float) -> float:
     """LHS/RHS of Delta X * Delta ln(|Y|/a) >= |<1/(4Y)>| for a state with <Y> = a.
 
     Delta X comes from spectral differentiation X = (i/2) d/dy.  Raises
-    SupportViolation when the |psi|^2 mass at y < 0 exceeds ``neg_mass_tol``
+    SupportViolation when the |psi|^2 mass at y < 0 exceeds NEG_MASS_TOL
     (the ln|Y| treatment degenerates there).
     """
     grid = psi.grid
     y = grid.nodes
     density = psi.probability_density()
     neg_mass = _sector_sum(psi, psi, grid, -1, 0)
-    if neg_mass > neg_mass_tol:
+    if neg_mass > NEG_MASS_TOL:
         raise SupportViolation(
-            f"mass {neg_mass:.3g} at y < 0 exceeds {neg_mass_tol:.1g}")
+            f"mass {neg_mass:.3g} at y < 0 exceeds {NEG_MASS_TOL:.1g}")
 
     k = 2.0 * math.pi * np.fft.fftfreq(grid.n, grid.dy)
     dpsi = np.fft.ifft(1.0j * k * np.fft.fft(psi.amplitudes))

@@ -327,6 +327,11 @@ def group_average_sandwich(psi: StateVector, phi: StateVector,
     pairs, i.e. when <phi| theta(sY)/|Y| |psi> fails the growth test.  The
     screen is kept for the last (phi, psi) pair, so a ``closed_form_sandwich``
     of the same pair that follows does not repeat it.
+
+    A kinked psi, phi (a seed) has Fourier tails past the band |x| <= pi/(2 dy)
+    that alias on wider x windows: the vacuum's ML seed on (-1000, 1000, -8, 9)
+    is 5.5e-4 off.  ``normalization_check``, which squeezes the smooth test
+    state, is the oracle for the integral of p d_L g (4.0e-6 off there).
     """
     return _group_slices(psi, phi, u, v, window, r_resolution, +1)
 

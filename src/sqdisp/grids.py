@@ -221,10 +221,6 @@ def inner_product(phi: StateVector, psi: StateVector) -> complex:
     return complex(np.sum(np.conj(phi.amplitudes) * psi.amplitudes) * phi.grid.dy)
 
 
-def state_norm(psi: StateVector) -> float:
-    return psi.norm_certificate
-
-
 def phase_resolving_grid(grid: QuadratureGrid, y_max: float, freq: float) -> QuadratureGrid:
     """Grid on [-y_max, y_max] fine enough for both ``grid`` and e^{-2i freq y}.
 
@@ -488,24 +484,8 @@ def sector_integral(phi, psi, sign: int, power: int,
                               growth_floor)
 
 
-def _moment(psi: StateVector, sign: int, power: int, adaptive: bool) -> float:
-    """Moment of |y|^power under |psi|^2 over sign*y > 0, sign 0 the whole
-    line.  For power <= -1 a value that keeps growing under the first two
-    doublings raises DivergenceDetected."""
-    if not adaptive:
-        return _sector_sum(psi, psi, psi.grid, sign, power)
-    values, grows = sector_integral(psi, psi, sign, power,
-                                    growth_floor=1e-12 if power <= -1 else None)
-    if grows:
-        raise DivergenceDetected(
-            f"quadrature grows by >{GROWTH_FACTOR}x per grid doubling "
-            f"({' -> '.join(f'{v:.6g}' for v in values)})")
-    return values[-1]
-
-
-def half_line_moment(psi: StateVector, sign: int, power: int,
-                     adaptive: bool = True) -> float:
-    """integral over sign*y > 0 of |y|^power |psi(y)|^2 dy.
+def half_line_moment(psi: StateVector, sign: int, power: int) -> float:
+    """integral over sign*y > 0 of |y|^power |psi(y)|^2 dy, by ``sector_integral``.
 
     Raises DivergenceDetected for power <= -1 when the grid-doubling growth
     test fires (psi(0) != 0 makes the integral log-divergent), and
@@ -514,9 +494,10 @@ def half_line_moment(psi: StateVector, sign: int, power: int,
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    return _moment(psi, sign, power, adaptive)
-
-
-def abs_moment(psi: StateVector, power: int, adaptive: bool = True) -> float:
-    """Full-line moment of |y|^power under |psi|^2."""
-    return _moment(psi, 0, power, adaptive)
+    values, grows = sector_integral(psi, psi, sign, power,
+                                    growth_floor=1e-12 if power <= -1 else None)
+    if grows:
+        raise DivergenceDetected(
+            f"quadrature grows by >{GROWTH_FACTOR}x per grid doubling "
+            f"({' -> '.join(f'{v:.6g}' for v in values)})")
+    return values[-1]

@@ -38,18 +38,6 @@ class GroupElement:
     r: float
 
 
-@dataclass(frozen=True)
-class ExtendedElement:
-    """Affine element extended by a parity (reflection) bit."""
-
-    eps: int
-    g: GroupElement
-
-    def __post_init__(self):
-        if self.eps not in (0, 1):
-            raise ValueError("parity flag must be 0 or 1")
-
-
 IDENTITY = GroupElement(0.0, 0.0)
 
 
@@ -59,16 +47,6 @@ def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
 
 def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(-math.exp(-g.r) * g.x, -g.r)
-
-
-def left_haar_weight(g: GroupElement) -> float:
-    """Density of the left-invariant measure e^{-r} dr dx at g."""
-    return math.exp(-g.r)
-
-
-def right_haar_weight(g: GroupElement) -> float:
-    """Density of the right-invariant measure dr dx at g."""
-    return 1.0
 
 
 def act(g: GroupElement, psi: StateVector,
@@ -115,12 +93,3 @@ def parity_act(psi: StateVector) -> StateVector:
                                   linear_phase=-p.linear_phase)
         return StateVector.from_params(new, psi.grid)
     return StateVector(psi.grid, psi.amplitudes[::-1])
-
-
-def act_extended(e: ExtendedElement, psi: StateVector,
-                 grid: Optional[QuadratureGrid] = None) -> StateVector:
-    """Apply P^eps D(x) S(r)."""
-    out = act(e.g, psi, grid=grid)
-    if e.eps:
-        out = parity_act(out)
-    return out

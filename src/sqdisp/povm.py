@@ -46,13 +46,6 @@ KIND_PARITY = "ml-parity"
 _SECTOR_LABELS = {+1: "+", -1: "-", 0: "full"}
 
 
-def _multiplier(coeffs: Dict[int, float], power: float, y: np.ndarray) -> np.ndarray:
-    """sum_s coeffs[s] |y|^power theta(s y), with s = 0 the full line (the
-    default of a sector without its own; y = 0, never a node, counts as -)."""
-    full = coeffs.get(0, 0.0)
-    return np.where(y > 0, coeffs.get(+1, full), coeffs.get(-1, full)) * np.abs(y) ** power
-
-
 @dataclass(frozen=True)
 class PovmSeed:
     """Covariant POVM seed vector |eta> with per-sector metadata.
@@ -91,7 +84,11 @@ class PovmSeed:
         return self.source.grid
 
     def multiplier(self, y: np.ndarray) -> np.ndarray:
-        return _multiplier(self.sector_coeffs, self.weight_power, y)
+        """sum_s c_s |y|^weight_power theta(s y), with s = 0 the full line (the
+        default of a sector without its own; y = 0, never a node, counts as -)."""
+        c = self.sector_coeffs
+        full = c.get(0, 0.0)
+        return np.where(y > 0, c.get(+1, full), c.get(-1, full)) * np.abs(y) ** self.weight_power
 
     def evaluate_at(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -102,18 +99,6 @@ class PovmSeed:
         if grid == self.grid:
             return self
         return replace(self, source=self.source.with_grid(grid))
-
-
-def dmc_apply(psi: StateVector, sign: int, power: float) -> StateVector:
-    """Apply D_sign^power = (pi/|Y|)^power theta(sign Y) at the node level.
-
-    power = 0 gives the bare sector projection.  The result is generally not
-    normalized; divergences surface only in downstream quadratures.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    return StateVector(psi.grid, _multiplier({sign: math.pi ** power}, -power, psi.grid.nodes)
-                       * psi.amplitudes)
 
 
 def dmc_expectation(psi: StateVector, sign: int, power: float) -> float:

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import asymptotics, distribution, two_mode
 from .errors import DomainViolation, EstimationError
-from .grids import (QuadratureGrid, StateVector, abs_moment, default_grid,
-                    half_line_moment, inner_product, make_coherent,
+from .grids import (DEFAULT_N, QuadratureGrid, StateVector, _sector_sum,
+                    default_grid, inner_product, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum)
 from .group import GroupElement, act, compose, inverse
 from .povm import (build_ml_seed, build_parity_seed, optimal_likelihood,
@@ -62,12 +62,11 @@ def check_grid_symmetry() -> Tuple[bool, str]:
     return worst == 0.0, f"max |y_k + y_(n-1-k)| = {worst:.1e}"
 
 
-def check_quadrature_convergence(n: int = 4096) -> Tuple[bool, str]:
+def check_quadrature_convergence(n: int) -> Tuple[bool, str]:
     grid = default_grid(0.0, n=n)
     vac = make_vacuum(grid)
-    w1 = half_line_moment(vac, +1, 1, adaptive=False)
-    vac2 = make_vacuum(QuadratureGrid(grid.y_max, 2 * n))
-    w2 = half_line_moment(vac2, +1, 1, adaptive=False)
+    w1 = _sector_sum(vac, vac, grid, +1, 1)
+    w2 = _sector_sum(vac, vac, grid.refined(), +1, 1)
     rel = abs(w2 - w1) / abs(w2)
     ok = rel < 1e-5
     return ok, f"half-line moment changes {rel:.2e} under doubling (n={n})"
@@ -90,9 +89,7 @@ def check_half_line_partition() -> Tuple[bool, str]:
     grid = default_grid(0.0)
     worst = 0.0
     for psi in (make_vacuum(grid), make_displaced_squeezed(0.0, 0.5, grid=grid)):
-        wp = half_line_moment(psi, +1, 1, adaptive=False)
-        wm = half_line_moment(psi, -1, 1, adaptive=False)
-        full = abs_moment(psi, 1, adaptive=False)
+        wp, wm, full = (_sector_sum(psi, psi, grid, s, 1) for s in (+1, -1, 0))
         worst = max(worst, abs(wp + wm - full) / full, abs(wp - wm) / full)
     return worst < 1e-12, f"max partition defect {worst:.2e}"
 
@@ -232,10 +229,8 @@ def check_mass_monotonic() -> Tuple[bool, str]:
     return ok, f"mass {inner:.4f} < {outer:.4f} <= 1"
 
 
-def group_average_suite(grid: Optional[QuadratureGrid] = None):
+def group_average_suite(grid: QuadratureGrid):
     """Five admissible states for the group-average oracle."""
-    if grid is None:
-        grid = default_grid(0.0)
     return [
         ("odd", _odd_state(grid)),
         ("odd-wide", _odd_state(grid, width=2.0)),
@@ -342,7 +337,7 @@ def check_heisenberg() -> Tuple[bool, str]:
 
 
 def build_checks(n_override: Optional[int] = None) -> List[Tuple[str, CheckFn]]:
-    n = n_override or 4096
+    n = n_override or DEFAULT_N
     return [
         ("grid-node-symmetry", check_grid_symmetry),
         ("quadrature-convergence", lambda: check_quadrature_convergence(n)),
@@ -369,8 +364,7 @@ def build_checks(n_override: Optional[int] = None) -> List[Tuple[str, CheckFn]]:
     ]
 
 
-def run_checks(n_override: Optional[int] = None,
-               printer: Callable[[str], None] = print) -> List[CheckResult]:
+def run_checks(n_override: Optional[int] = None) -> List[CheckResult]:
     results = []
     suite_start = time.perf_counter()
     for name, fn in build_checks(n_override):
@@ -382,8 +376,8 @@ def run_checks(n_override: Optional[int] = None,
         except Exception as exc:  # pragma: no cover - defensive
             ok, detail = False, f"unexpected error: {exc}"
         results.append(CheckResult(name, ok, detail))
-        printer(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({time.perf_counter() - start:.2f} s)")
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail} ({time.perf_counter() - start:.2f} s)")
     failures = sum(1 for r in results if not r.passed)
-    printer(f"done: {len(results)} checks, {failures} failures "
-            f"in {time.perf_counter() - suite_start:.1f} s")
+    print(f"done: {len(results)} checks, {failures} failures "
+          f"in {time.perf_counter() - suite_start:.1f} s")
     return results

@@ -190,7 +190,7 @@ def test_criterion_10_two_mode_concentration():
 def test_criterion_11_validation_suite():
     from sqdisp.validate import run_checks
     t0 = time.perf_counter()
-    results = run_checks(printer=lambda s: None)
+    results = run_checks()
     elapsed = time.perf_counter() - t0
     failed = [r.name for r in results if not r.passed]
     assert not failed, f"failing checks: {failed}"

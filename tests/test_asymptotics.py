@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sqdisp import asymptotics
 from sqdisp import (AsymptoticModel, StateVector, SupportViolation, heisenberg_ratio,
                     isotropic_params, make_coherent, make_displaced_squeezed,
                     model_density, rms_predictions, separate_optima,
@@ -95,9 +96,10 @@ class TestHeisenbergRatio:
         with pytest.raises(SupportViolation):
             heisenberg_ratio(make_coherent(2.0), 2.0)
 
-    def test_subasymptotic_ratio_exceeds_one(self):
+    def test_subasymptotic_ratio_exceeds_one(self, monkeypatch):
         # the inequality is strict away from the asymptotic regime
-        ratio = heisenberg_ratio(make_coherent(2.0), 2.0, neg_mass_tol=1e-3)
+        monkeypatch.setattr(asymptotics, "NEG_MASS_TOL", 1e-3)
+        ratio = heisenberg_ratio(make_coherent(2.0), 2.0)
         assert ratio > 1.0
 
     def test_sampled_state_spectral_path(self):

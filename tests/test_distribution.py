@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import trapezoid
 
 from sqdisp import (ConfigError, DivergenceDetected, GridTooNarrow, GroupElement,
                     IDENTITY, InsufficientMass, act, argmax, build_ml_seed,
@@ -225,7 +226,7 @@ class TestMoments:
         X, R = np.meshgrid(xs, rs, indexing="ij")
         vals = np.exp(R - X ** 2 / 2 - R ** 2 / 0.08) / (2.0 * math.pi * 0.2)
         m = DensityMap(xs, rs, vals)
-        by_rows = np.trapezoid(np.trapezoid(vals * np.exp(-rs), rs, axis=1), xs)
+        by_rows = trapezoid(trapezoid(vals * np.exp(-rs), rs, axis=1), xs)
         assert m.mass == pytest.approx(by_rows, rel=1e-12)
         assert m.mass == pytest.approx(1.0, abs=1e-3)
         stats = moments(m)

@@ -1,4 +1,4 @@
-"""Affine group law, Haar weights, and the unitary action."""
+"""Affine group law, Haar measure, and the unitary action."""
 
 import math
 
@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqdisp import (IDENTITY, ExtendedElement, GaussianStateParams, GroupElement,
-                    QuadratureGrid, StateVector, act, act_extended, compose,
-                    default_grid, inner_product, inverse, left_haar_weight,
+from sqdisp import (IDENTITY, GaussianStateParams, GroupElement, QuadratureGrid,
+                    StateVector, act, compose, default_grid, inner_product, inverse,
                     make_coherent, make_displaced_squeezed, make_sampled,
-                    make_vacuum, parity_act, right_haar_weight)
+                    make_vacuum, parity_act)
 
 # random Gaussian states (center, log-width, linear phase) and group elements
 gaussians = st.builds(GaussianStateParams, st.floats(-3.0, 3.0), st.floats(-0.5, 0.5),
@@ -63,12 +62,6 @@ class TestGroupLaw:
 
 
 class TestHaarWeights:
-    def test_weight_values(self):
-        assert left_haar_weight(GroupElement(2.0, 0.0)) == 1.0
-        assert left_haar_weight(GroupElement(0.0, 1.0)) == pytest.approx(
-            math.exp(-1.0))
-        assert right_haar_weight(GroupElement(5.0, -2.0)) == 1.0
-
     def test_left_invariance_by_quadrature(self):
         # 2-D quadrature oracle on a compactly concentrated test function
         h = GroupElement(0.6, 0.5)
@@ -195,12 +188,3 @@ class TestParity:
         y = grid.nodes
         psi = make_sampled(grid, y * np.exp(-y ** 2))
         assert np.array_equal(parity_act(psi).amplitudes, psi.amplitudes[::-1])
-
-    def test_extended_element(self):
-        with pytest.raises(ValueError):
-            ExtendedElement(2, IDENTITY)
-        psi = make_coherent(1.0)
-        e = ExtendedElement(1, GroupElement(0.0, 0.0))
-        out = act_extended(e, psi, grid=psi.grid)
-        ref = make_coherent(-1.0, grid=psi.grid)
-        assert np.max(np.abs(out.amplitudes - ref.amplitudes)) < 1e-12

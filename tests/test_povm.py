@@ -8,11 +8,11 @@ import pytest
 
 from sqdisp import grids
 from sqdisp import (DivergenceDetected, DomainViolation, EmptySupport,
-                    GridTooNarrow, GroupElement, abs_moment, act, build_ml_seed, build_parity_seed,
-                    build_srm_seed, default_grid, dmc_apply, dmc_expectation,
+                    GridTooNarrow, GroupElement, act, build_ml_seed, build_parity_seed,
+                    build_srm_seed, default_grid, dmc_expectation,
                     half_line_moment, make_coherent, make_displaced_squeezed,
                     make_sampled, make_vacuum, optimal_likelihood,
-                    seed_overlap_likelihood, srm_likelihood, state_norm)
+                    seed_overlap_likelihood, srm_likelihood)
 from sqdisp.validate import _seed_suite, srm_admissible_suite
 
 VACUUM_W = math.sqrt(2.0 / math.pi) / 4.0
@@ -29,10 +29,6 @@ def odd_state(grid=None):
 
 
 class TestDmcOperators:
-    def test_projection_splits_even_state(self):
-        proj = dmc_apply(make_vacuum(), +1, 0.0)
-        assert state_norm(proj) ** 2 == pytest.approx(0.5, rel=1e-10)
-
     def test_inverse_dmc_expectation(self):
         val = dmc_expectation(make_vacuum(), +1, -1.0)
         assert val == pytest.approx(VACUUM_W / math.pi, rel=1e-8)
@@ -41,15 +37,6 @@ class TestDmcOperators:
     def test_dmc_expectation_diverges_on_vacuum(self):
         with pytest.raises(DivergenceDetected):
             dmc_expectation(make_vacuum(), +1, 1.0)
-
-    def test_apply_weights_nodes(self):
-        vac = make_vacuum()
-        out = dmc_apply(vac, -1, -1.0)
-        y = vac.grid.nodes
-        mask = y < 0
-        expect = np.zeros_like(vac.amplitudes)
-        expect[mask] = (np.abs(y[mask]) / math.pi) * vac.amplitudes[mask]
-        assert np.max(np.abs(out.amplitudes - expect)) < 1e-15
 
 
 class TestMlSeed:
@@ -168,8 +155,8 @@ class TestParitySeed:
         # <|Y|> is built as w_+ + w_-; the full-line quadrature must agree
         for name, psi in _seed_suite(default_grid(0.0)) + srm_admissible_suite():
             seed = build_parity_seed(psi)
-            assert seed.likelihood == pytest.approx(abs_moment(psi, 1) / math.pi,
-                                                    rel=1e-12), name
+            full = grids.sector_integral(psi, psi, 0, 1)[0][-1]
+            assert seed.likelihood == pytest.approx(full / math.pi, rel=1e-12), name
             assert seed.likelihood == (seed.w_plus + seed.w_minus) / math.pi
 
 
