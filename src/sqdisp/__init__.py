@@ -9,8 +9,7 @@ from .grids import (GaussianStateParams, QuadratureGrid, StateVector,
                     make_displaced_squeezed, make_sampled, make_vacuum)
 from .group import IDENTITY, GroupElement, act, compose, inverse, parity_act
 from .povm import (PovmSeed, build_ml_seed, build_parity_seed, build_srm_seed,
-                   dmc_expectation, optimal_likelihood, seed_overlap_likelihood,
-                   srm_likelihood)
+                   optimal_likelihood, seed_overlap_likelihood, srm_likelihood)
 from .distribution import (DensityMap, SummaryStats, argmax,
                            closed_form_sandwich, density_at,
                            group_average_sandwich, moments,

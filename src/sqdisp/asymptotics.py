@@ -143,7 +143,9 @@ def isotropic_params(nbar: float) -> IsotropicSolution:
         raise ValueError("nbar must exceed 1")
     m = math.sqrt((nbar + 0.5 + 1.0 / 48.0) / 3.0)
     q = (nbar + 0.5) / 12.0 + 0.25 + 1.0 / 864.0
-    a = 2.0 * m * math.cos(math.acos(-q / (2.0 * m ** 3)) / 3.0) - 1.0 / 12.0
+    e = math.frexp(m)[1]  # q / m^3 scaled by 2^(3e) exactly, so m^3 cannot overflow
+    arg = -math.ldexp(q, -3 * e) / (2.0 * math.ldexp(m, -e) ** 3)
+    a = 2.0 * m * math.cos(math.acos(arg) / 3.0) - 1.0 / 12.0
     z = -0.5 * math.log1p((nbar - 1.0) / (a + 1.25 - 0.25 / a))
     fig_a = math.sqrt(nbar - math.sqrt(nbar))
     fig_z = -math.asinh(nbar ** 0.25)

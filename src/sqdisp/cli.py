@@ -256,7 +256,7 @@ def write_csv(path: str, dmap: distribution.DensityMap):
 
 
 def write_json(path: Optional[str], payload: dict):
-    text = json.dumps(payload, sort_keys=True, indent=2)
+    text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False)
     if path:
         Path(path).write_text(text + "\n")
     else:
@@ -319,20 +319,24 @@ def run_asymptotics(cfg: RunConfig) -> int:
     dx, dr = asymptotics.rms_predictions(cfg.a, cfg.z)
     ox, orr = asymptotics.separate_optima(cfg.a, cfg.z)
     iso = asymptotics.isotropic_params(cfg.nbar)
-    write_json(cfg.out_json, {
+    payload = {
         "a": cfg.a,
         "z": cfg.z,
         "delta_x": dx,
         "delta_r": dr,
         "delta_x_opt": ox,
         "delta_r_opt": orr,
-        "product_ratio": (dx * dr) / (ox * orr),
+        "product_ratio": (dx * dr) / (ox * orr) if ox * orr > 0 else math.nan,
         "isotropic_a": iso.a,
         "isotropic_z": iso.z,
         "fig_split_a": iso.fig_a,
         "fig_split_z": iso.fig_z,
         "nbar": cfg.nbar,
-    })
+    }
+    if not all(map(math.isfinite, payload.values())):
+        raise ConfigError(f"a = {cfg.a} puts the error laws at z = {cfg.z} outside "
+                          "the floating-point range")
+    write_json(cfg.out_json, payload)
     return 0
 
 

@@ -3,26 +3,28 @@
 The representation splits into two irreducible sectors, wavefunctions
 supported on y > 0 and y < 0, with sector projectors theta(+-Y) and
 operators D_+- = pi theta(+-Y) / |Y| entering the nonunimodular
-orthogonality relations.  For an input state psi with half-line weights
+orthogonality relations.  Every seed of an input state psi follows one
+rule.  With <A>_s = <psi| A theta_s |psi> on a sector s,
 
-    w_s = <psi| |Y| theta(sY) |psi>,
+    eta = sum_s c_s |Y|^p theta_s psi,    c_s = 1 / sqrt(pi <|Y|^(2p-1)>_s),
 
-the maximum-likelihood seed and its likelihood are
+so <eta_s| D_s |eta_s> = 1, and L = |<eta|psi>|^2 = (sum_s c_s <|Y|^p>_s)^2.
+The kinds differ only in the weight power p and in the sectors (``_RULES``):
 
-    eta = sum_s |Y| theta(sY) |psi> / sqrt(pi w_s),
-    L_opt = (sqrt(w_+) + sqrt(w_-))^2 / pi,
+    kind        p   sectors   c_s                L
+    ml          1   +, -      1/sqrt(pi w_s)     (sqrt(w_+) + sqrt(w_-))^2 / pi
+    srm         0   +, -      1/sqrt(<D_s>)      (sum_s m_s / sqrt(<D_s>))^2
+    ml-parity   1   full      1/sqrt(pi <|Y|>)   <|Y|> / pi
 
-the square-root-measurement seed divides each sector by
-sqrt(<psi| D_s |psi>) instead (defined only when that expectation is
-finite), and the parity-extended seed uses the full-line weight |Y| with
-D = pi / |Y|.  Every sector coefficient is real and positive, for complex
-inputs too: on each sector eta is a positive multiple of |Y|^p theta(sY) psi,
-so <eta|psi> is a sum of positive sector moments and the ML seed attains
-L_opt for every psi.  A seed's normalization certificates <eta_s| D_s |eta_s>,
-which equal 1 by construction up to quadrature error, are derived on first
-read like eta.  Each is an adaptive quadrature of eta itself
-(``grids.sector_integral`` through ``PovmSeed.evaluate_at``), so it checks
-the seed as built rather than restating the identity pi c_s^2 w_s = 1.
+with w_s = <|Y|>_s, m_s = <1>_s and the full line (sector 0) both half
+lines, so <|Y|> = w_+ + w_-.  A sector with <|Y|^p>_s <= SECTOR_THRESHOLD
+is left out; the square-root measurement is defined only when each kept
+<D_s> is finite.  Every c_s is real and positive, for complex inputs too,
+so the ML seed attains L_opt for every psi.  The normalization certificates
+<eta_s| D_s |eta_s> are derived on first read like eta, each an adaptive
+quadrature of eta itself (``grids.sector_integral`` through
+``PovmSeed.evaluate_at``): they check the seed as built rather than
+restating pi c_s^2 <|Y|^(2p-1)>_s = 1.
 """
 
 from __future__ import annotations
@@ -43,6 +45,8 @@ KIND_ML = "ml"
 KIND_SRM = "srm"
 KIND_PARITY = "ml-parity"
 
+# kind: (weight power p, sectors), sector 0 the full line
+_RULES = {KIND_ML: (1, (+1, -1)), KIND_SRM: (0, (+1, -1)), KIND_PARITY: (1, (0,))}
 _SECTOR_LABELS = {+1: "+", -1: "-", 0: "full"}
 
 
@@ -62,7 +66,11 @@ class PovmSeed:
     w_minus: float
     likelihood: float
     sector_coeffs: Dict[int, float] = field(repr=False)
-    weight_power: int = field(repr=False)
+
+    @property
+    def weight_power(self) -> int:
+        """p of the seed's kind: 1 for ML and parity seeds, 0 for SRM seeds."""
+        return _RULES[self.kind][0]
 
     @functools.cached_property
     def eta(self) -> StateVector:
@@ -101,87 +109,64 @@ class PovmSeed:
         return replace(self, source=self.source.with_grid(grid))
 
 
-def dmc_expectation(psi: StateVector, sign: int, power: float) -> float:
-    """<psi| D_sign^power |psi>; raises DivergenceDetected when it blows up."""
-    return math.pi ** power * half_line_moment(psi, sign, int(-power))
-
-
-def _half_line_weights(psi: StateVector) -> Dict[int, float]:
-    """w_s = <psi| |Y| theta(sY) |psi> for s = +1, -1."""
-    return {s: half_line_moment(psi, s, 1) for s in (+1, -1)}
-
-
-def _populated(values: Dict[int, float], message: str) -> Dict[int, float]:
-    kept = {s: v for s, v in values.items() if v > SECTOR_THRESHOLD}
+def _rule(psi: StateVector, kind: str) -> Tuple[Dict[int, float], Dict[int, float], float]:
+    """Half-line moments <|Y|^p>_+-, coefficients c_s of the kept sectors and
+    L of a ``kind`` seed of psi (module docstring); DomainViolation when some
+    <|Y|^(2p-1)>_s diverges."""
+    power, sectors = _RULES[kind]
+    half = {s: half_line_moment(psi, s, power) for s in (+1, -1)}
+    moments = {s: half[s] if s else half[+1] + half[-1] for s in sectors}
+    kept = {s: m for s, m in moments.items() if m > SECTOR_THRESHOLD}
     if not kept:
-        raise EmptySupport(message)
-    return kept
+        raise EmptySupport(f"<|Y|^{power}> is below threshold on every {kind} sector")
+    coeffs, overlap = {}, 0.0
+    for s, m in kept.items():
+        norm = m
+        if 2 * power - 1 != power:
+            try:
+                norm = half_line_moment(psi, s, 2 * power - 1)
+            except DivergenceDetected as exc:
+                raise DomainViolation(
+                    "square-root measurement undefined: <D> diverges on sector "
+                    f"{_SECTOR_LABELS[s]}; the state is outside the domain of "
+                    f"D^(1/2) ({exc})") from exc
+        root = math.sqrt(math.pi * norm)
+        coeffs[s] = 1.0 / root
+        overlap += m / root
+    return half, coeffs, overlap ** 2
 
 
-def _ml(psi: StateVector) -> Tuple[Dict[int, float], Dict[int, float], float]:
-    """Half-line weights w_s, coefficients 1/sqrt(pi w_s) of the populated
-    sectors and L_opt = (sqrt(w_+) + sqrt(w_-))^2 / pi."""
-    weights = _half_line_weights(psi)
-    kept = _populated(weights, "both sector weights are below threshold")
-    coeffs = {s: 1.0 / math.sqrt(math.pi * w) for s, w in kept.items()}
-    return weights, coeffs, sum(math.sqrt(w) for w in kept.values()) ** 2 / math.pi
-
-
-def _srm(psi: StateVector) -> Tuple[Dict[int, float], float]:
-    """Coefficients 1/sqrt(<D_s>) of the populated sectors and
-    L_srm = (sum_s m_s / sqrt(<D_s>))^2 with m_s the sector mass;
-    DomainViolation when some <D_s> diverges."""
-    masses = _populated({s: half_line_moment(psi, s, 0) for s in (+1, -1)},
-                        "state has no sector mass")
-    dvals = {}
-    for s in masses:
-        try:
-            dvals[s] = dmc_expectation(psi, s, 1.0)
-        except DivergenceDetected as exc:
-            raise DomainViolation(
-                "square-root measurement undefined: <D> diverges on sector "
-                f"{_SECTOR_LABELS[s]}; the state is outside the domain of "
-                f"D^(1/2) ({exc})") from exc
-    coeffs = {s: 1.0 / math.sqrt(d) for s, d in dvals.items()}
-    return coeffs, sum(m / math.sqrt(dvals[s]) for s, m in masses.items()) ** 2
+def _seed(psi: StateVector, kind: str) -> PovmSeed:
+    """A ``kind`` seed of psi; its w_+- are the rule's half-line moments if p = 1."""
+    half, coeffs, likelihood = _rule(psi, kind)
+    w = half if _RULES[kind][0] == 1 else {s: half_line_moment(psi, s, 1) for s in (+1, -1)}
+    return PovmSeed(kind, psi, w[+1], w[-1], likelihood, coeffs)
 
 
 def build_ml_seed(psi: StateVector) -> PovmSeed:
     """Optimal maximum-likelihood seed eta = sum_s |Y| theta(sY) psi / sqrt(pi w_s)."""
-    weights, coeffs, likelihood = _ml(psi)
-    return PovmSeed(KIND_ML, psi, weights[+1], weights[-1], likelihood, coeffs, 1)
+    return _seed(psi, KIND_ML)
 
 
 def optimal_likelihood(psi: StateVector) -> float:
     """L_opt = (sqrt(w_+) + sqrt(w_-))^2 / pi."""
-    return _ml(psi)[2]
+    return _rule(psi, KIND_ML)[2]
 
 
 def build_srm_seed(psi: StateVector) -> PovmSeed:
-    """Square-root-measurement seed: each sector divided by sqrt(<D_s>).
-
-    Defined only when every populated sector lies in the domain of
-    D_s^{1/2}; the grid-doubling growth test operationalizes that condition
-    and a divergent <D_s> raises DomainViolation.
-    """
-    coeffs, likelihood = _srm(psi)
-    weights = _half_line_weights(psi)
-    return PovmSeed(KIND_SRM, psi, weights[+1], weights[-1], likelihood, coeffs, 0)
+    """Square-root-measurement seed, each sector divided by sqrt(<D_s>);
+    DomainViolation when the growth test finds a kept <D_s> divergent."""
+    return _seed(psi, KIND_SRM)
 
 
 def srm_likelihood(psi: StateVector) -> float:
     """L_srm = (sum_s m_s / sqrt(<psi| D_s |psi>))^2 with m_s the sector mass."""
-    return _srm(psi)[1]
+    return _rule(psi, KIND_SRM)[2]
 
 
 def build_parity_seed(psi: StateVector) -> PovmSeed:
     """Seed for the parity-extended group: eta = |Y| psi / sqrt(pi <|Y|>)."""
-    weights = _half_line_weights(psi)
-    t = weights[+1] + weights[-1]  # <|Y|>: the two half lines hold every node
-    if t <= SECTOR_THRESHOLD:
-        raise EmptySupport("<|Y|> vanishes")
-    return PovmSeed(KIND_PARITY, psi, weights[+1], weights[-1], t / math.pi,
-                    {0: 1.0 / math.sqrt(math.pi * t)}, 1)
+    return _seed(psi, KIND_PARITY)
 
 
 def seed_overlap_likelihood(seed: PovmSeed) -> float:

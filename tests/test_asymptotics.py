@@ -120,6 +120,13 @@ class TestIsotropicParams:
         assert sol.a ** 2 + math.sinh(sol.z) ** 2 == pytest.approx(100.0,
                                                                    rel=1e-10)
 
+    @pytest.mark.parametrize("nbar", [1e206, 1e300, 1.7e308])
+    def test_isotropy_at_huge_photon_number(self, nbar):
+        # the cubic's m^3 alone would overflow from nbar ~ 1e206
+        sol = isotropic_params(nbar)
+        assert sol.a == pytest.approx(math.exp(-2.0 * sol.z), rel=1e-12)
+        assert sol.a ** 2 + math.sinh(sol.z) ** 2 == pytest.approx(nbar, rel=1e-10)
+
     def test_monotone_in_photon_number(self):
         sols = [isotropic_params(nbar) for nbar in (10.0, 100.0, 1000.0)]
         assert sols[0].a < sols[1].a < sols[2].a

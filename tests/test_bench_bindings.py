@@ -43,3 +43,22 @@ def test_oracles_take_r_resolution():
     for fn in (sqdisp.distribution.group_average_sandwich,
                sqdisp.distribution.normalization_check):
         assert "r_resolution" in inspect.signature(fn).parameters
+
+
+def test_cli_seed_paths_reach_traced_builders(capsys):
+    # a builder called through a table or alias the tracer does not rebind
+    # would drop out of the povm.* and grids.* per-layer metrics
+    tracer = Tracer()
+    tracer.install()
+    try:
+        for kind in sqdisp.cli.SEED_KINDS:
+            assert sqdisp.cli.main(["likelihood", "--state", "coherent", "--a", "5",
+                                    "--seed-kind", kind]) == 0
+        assert sqdisp.cli.main(["compare-srm", "--state", "coherent", "--a", "5"]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    names = [record["name"] for record in tracer.records()]
+    assert names.count("povm.build_seed") == 3
+    assert names.count("povm.likelihood") == 2
+    assert names.count("grids.half_line_moment") == 14

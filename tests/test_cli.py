@@ -242,13 +242,14 @@ class TestOutOfRangeOptions:
          "--resolution", "16"),
         ("density", "--x-lo", "-1", "--x-hi", "1", "--r-lo", "0", "--r-hi", "14",
          "--resolution", "16"),
+        ("asymptotics", "--a", "1e-309"),
     ], ids=["nbar", "n-max", "y-max", "n", "asymptotics-a", "tail-tol",
             "sampled-n", "sampled-y-max", "n-above-cap", "missing-config",
             "out-csv-dir", "out-json-dir", "resolution-above-cap",
             "z-above-bound", "z-below-bound", "asymptotics-z", "n-max-above-cap",
             "likelihood-out-csv", "validate-lam", "compare-seed-kind",
             "asymptotics-state", "r-above-bound", "two-mode-r-above-bound",
-            "r-hi-above-bound"])
+            "r-hi-above-bound", "asymptotics-a-overflow"])
     def test_config_error(self, tmp_path, capsys, argv):
         import numpy as np
         from sqdisp import default_grid
@@ -300,6 +301,16 @@ class TestAsymptoticsCommand:
         assert payload["delta_r_opt"] == pytest.approx(0.05)
         assert payload["product_ratio"] == pytest.approx(2.0, abs=1e-12)
         assert payload["isotropic_a"] == pytest.approx(9.8995, abs=1e-3)
+
+    @pytest.mark.parametrize("nbar", ["1e206", "1e300"])
+    def test_large_nbar_strict_json(self, capsys, nbar):
+        code, out, err = run(capsys, "asymptotics", "--nbar", nbar)
+        assert code == 0, err
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+        payload = json.loads(out, parse_constant=reject)
+        assert all(math.isfinite(v) for v in payload.values())
 
 
 class TestTwoModeCommand:

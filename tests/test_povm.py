@@ -1,4 +1,4 @@
-"""DMC operators, optimal and square-root measurement seeds, likelihoods."""
+"""Optimal, square-root-measurement and parity seeds and their likelihoods."""
 
 import math
 from dataclasses import replace
@@ -7,36 +7,24 @@ import numpy as np
 import pytest
 
 from sqdisp import grids
-from sqdisp import (DivergenceDetected, DomainViolation, EmptySupport,
-                    GridTooNarrow, GroupElement, act, build_ml_seed, build_parity_seed,
-                    build_srm_seed, default_grid, dmc_expectation,
-                    half_line_moment, make_coherent, make_displaced_squeezed,
-                    make_sampled, make_vacuum, optimal_likelihood,
-                    seed_overlap_likelihood, srm_likelihood)
+from sqdisp import (DomainViolation, EmptySupport, GridTooNarrow, GroupElement,
+                    act, build_ml_seed, build_parity_seed, build_srm_seed,
+                    default_grid, half_line_moment, make_coherent,
+                    make_displaced_squeezed, make_sampled, make_vacuum,
+                    optimal_likelihood, seed_overlap_likelihood, srm_likelihood)
 from sqdisp.validate import _seed_suite, srm_admissible_suite
 
-VACUUM_W = math.sqrt(2.0 / math.pi) / 4.0
 VACUUM_L_OPT = math.sqrt(2.0 / math.pi) / math.pi     # 0.25397454373696393
 VACUUM_L_PARITY = VACUUM_L_OPT / 2.0                  # 0.12698727186848196
 ODD_L_OPT = 2.0 * math.sqrt(2.0 / math.pi) / math.pi  # 0.50794908747392786
 ODD_L_SRM = 1.0 / math.sqrt(2.0 * math.pi)            # 0.3989422804014327
+SRM_UNDEFINED = ("vacuum", "dsq(3,-0.4)")  # seed-suite states with psi(0) != 0
 
 
 def odd_state(grid=None):
     grid = grid or default_grid(0.0)
     y = grid.nodes
     return make_sampled(grid, y * np.exp(-y ** 2))
-
-
-class TestDmcOperators:
-    def test_inverse_dmc_expectation(self):
-        val = dmc_expectation(make_vacuum(), +1, -1.0)
-        assert val == pytest.approx(VACUUM_W / math.pi, rel=1e-8)
-        assert val == pytest.approx(0.06349363593424097, rel=1e-8)
-
-    def test_dmc_expectation_diverges_on_vacuum(self):
-        with pytest.raises(DivergenceDetected):
-            dmc_expectation(make_vacuum(), +1, 1.0)
 
 
 class TestMlSeed:
@@ -74,10 +62,14 @@ class TestOptimalLikelihood:
             make_coherent(10.0))
 
     def test_overlap_consistency(self):
-        for psi in (make_vacuum(), make_coherent(4.0), odd_state()):
-            seed = build_ml_seed(psi)
-            assert seed_overlap_likelihood(seed) == pytest.approx(
-                seed.likelihood, rel=1e-8)
+        # L = |<eta|psi>|^2 for every kind, SRM on the states it is defined for
+        for name, psi in _seed_suite(default_grid(0.0)) + srm_admissible_suite():
+            for build in (build_ml_seed, build_parity_seed, build_srm_seed):
+                if build is build_srm_seed and name in SRM_UNDEFINED:
+                    continue
+                seed = build(psi)
+                assert seed_overlap_likelihood(seed) == pytest.approx(
+                    seed.likelihood, rel=1e-12), (name, seed.kind)
 
     def test_displacement_invariance(self):
         psi = make_coherent(3.0)
@@ -157,33 +149,51 @@ class TestParitySeed:
             seed = build_parity_seed(psi)
             full = grids.sector_integral(psi, psi, 0, 1)[0][-1]
             assert seed.likelihood == pytest.approx(full / math.pi, rel=1e-12), name
-            assert seed.likelihood == (seed.w_plus + seed.w_minus) / math.pi
+            t = seed.w_plus + seed.w_minus
+            assert seed.sector_coeffs[0] == 1.0 / math.sqrt(math.pi * t), name
+            assert seed.likelihood == pytest.approx(t / math.pi, rel=1e-15), name
 
 
 class TestSeedNodeBudget:
-    """Grid sizes each seed build evaluates, recorded by wrapping
+    """Sector sums each seed build evaluates, recorded by wrapping
     ``grids._sector_sum``, through which every sector integral runs."""
 
     @staticmethod
-    def grid_sizes(monkeypatch, build, psi):
-        sizes = []
+    def sector_sums(monkeypatch, run, psi):
+        """(sign, power, grid size) of each sector sum ``run(psi)`` evaluates."""
+        sums = []
         evaluate = grids._sector_sum
 
         def counting(phi, chi, grid, sign, power):
-            sizes.append(grid.n)
+            sums.append((sign, power, grid.n))
             return evaluate(phi, chi, grid, sign, power)
 
         with monkeypatch.context() as patch:
             patch.setattr(grids, "_sector_sum", counting)
-            build(psi)
-        return sizes
+            run(psi)
+        return sums
+
+    @classmethod
+    def grid_sizes(cls, monkeypatch, run, psi):
+        return [n for _, _, n in cls.sector_sums(monkeypatch, run, psi)]
+
+    def test_no_sector_integral_twice(self, monkeypatch):
+        # a likelihood evaluates exactly its seed's sector sums, and the SRM
+        # seed adds only the power-1 half-line weights the ML seed evaluates
+        for name, psi in _seed_suite(default_grid(0.0)) + srm_admissible_suite():
+            ml = self.sector_sums(monkeypatch, build_ml_seed, psi)
+            assert {power for _, power, _ in ml} == {1}
+            assert self.sector_sums(monkeypatch, optimal_likelihood, psi) == ml, name
+            if name not in SRM_UNDEFINED:
+                srm = self.sector_sums(monkeypatch, srm_likelihood, psi)
+                assert self.sector_sums(monkeypatch, build_srm_seed, psi) == srm + ml, name
 
     def test_gaussian_seeds_converge_by_2_16_nodes(self, monkeypatch):
         for name, psi in _seed_suite(default_grid(0.0)) + srm_admissible_suite():
             if psi.evaluator is None:
                 continue
             for build in (build_ml_seed, build_parity_seed, build_srm_seed):
-                if build is build_srm_seed and name in ("vacuum", "dsq(3,-0.4)"):
+                if build is build_srm_seed and name in SRM_UNDEFINED:
                     with pytest.raises(DomainViolation):
                         build(psi)
                     continue
@@ -200,21 +210,14 @@ class TestSeedNodeBudget:
         for s in (+1, -1):
             assert half_line_moment(psi, s, -1) == grids._sector_sum(psi, psi, cap, s, -1)
 
-    @staticmethod
-    def refused_powers(monkeypatch, measure, psi):
+    @classmethod
+    def refused_powers(cls, monkeypatch, measure, psi):
         """Powers of the sector sums ``measure(psi)`` runs before the growth
         screen refuses psi's grid with GridTooNarrow."""
-        powers = []
-        evaluate = grids._sector_sum
-
-        def counting(phi, chi, grid, sign, power):
-            powers.append(power)
-            return evaluate(phi, chi, grid, sign, power)
-
-        monkeypatch.setattr(grids, "_sector_sum", counting)
-        with pytest.raises(GridTooNarrow, match="screening"):
-            measure(psi)
-        return powers
+        def refused(psi):
+            with pytest.raises(GridTooNarrow, match="screening"):
+                measure(psi)
+        return [power for _, power, _ in cls.sector_sums(monkeypatch, refused, psi)]
 
     @pytest.mark.parametrize("measure", [srm_likelihood,
                                          lambda psi: half_line_moment(psi, +1, -1)],
@@ -255,6 +258,9 @@ class TestSeedSuiteInvariants:
             for builder in (build_ml_seed, build_parity_seed):
                 for v in builder(psi).certificates.values():
                     assert v == pytest.approx(1.0, abs=1e-6)
+        for name, psi in srm_admissible_suite():
+            for v in build_srm_seed(psi).certificates.values():
+                assert v == pytest.approx(1.0, abs=1e-6), name
 
     def test_srm_never_beats_optimal(self):
         grid = default_grid(10.0)
