@@ -67,7 +67,9 @@ def rms_predictions(a: float, z: float = 0.0):
 
 
 def separate_optima(a: float, z: float = 0.0):
-    """Optimal separate-measurement errors (Delta x_opt, Delta r_opt)."""
+    """Optimal separate-measurement errors (Delta x_opt, Delta r_opt), a > 0."""
+    if not a > 0:
+        raise ValueError("a must be positive")
     return math.exp(z) / 2.0, 1.0 / (2.0 * a * math.exp(z))
 
 

@@ -316,8 +316,14 @@ def run_compare(cfg: RunConfig) -> int:
 def run_asymptotics(cfg: RunConfig) -> int:
     if not cfg.a > 0:
         raise ConfigError(f"asymptotics needs a > 0, got {cfg.a}")
-    dx, dr = asymptotics.rms_predictions(cfg.a, cfg.z)
     ox, orr = asymptotics.separate_optima(cfg.a, cfg.z)
+    # rms_predictions is sqrt(2) times these and warns for a small a e^z, so the
+    # range of every reported number is checked first: a rejected run prints one line
+    root2 = math.sqrt(2.0)
+    if not (ox * orr > 0 and math.isfinite((root2 * ox) * (root2 * orr))):
+        raise ConfigError(f"a = {cfg.a} puts the error laws at z = {cfg.z} outside "
+                          "the floating-point range")
+    dx, dr = asymptotics.rms_predictions(cfg.a, cfg.z)
     iso = asymptotics.isotropic_params(cfg.nbar)
     payload = {
         "a": cfg.a,
@@ -326,16 +332,13 @@ def run_asymptotics(cfg: RunConfig) -> int:
         "delta_r": dr,
         "delta_x_opt": ox,
         "delta_r_opt": orr,
-        "product_ratio": (dx * dr) / (ox * orr) if ox * orr > 0 else math.nan,
+        "product_ratio": (dx * dr) / (ox * orr),
         "isotropic_a": iso.a,
         "isotropic_z": iso.z,
         "fig_split_a": iso.fig_a,
         "fig_split_z": iso.fig_z,
         "nbar": cfg.nbar,
     }
-    if not all(map(math.isfinite, payload.values())):
-        raise ConfigError(f"a = {cfg.a} puts the error laws at z = {cfg.z} outside "
-                          "the floating-point range")
     write_json(cfg.out_json, payload)
     return 0
 

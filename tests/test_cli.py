@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -256,9 +257,13 @@ class TestOutOfRangeOptions:
         y = default_grid(0.0, n=64).nodes
         rows = [f"{yy:.17g},{aa:.17g},0" for yy, aa in zip(y, y * np.exp(-y ** 2))]
         (tmp_path / "state.csv").write_text("\n".join(["y,re,im"] + rows))
-        code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
         assert code == 2
         assert err.startswith("config error:")
+        # pytest captures warnings, so each one counts as the stderr line it would print
+        assert len(err.splitlines()) + len(caught) == 1
         assert out == ""
 
     def test_unread_flag_named(self, tmp_path, capsys):

@@ -7,9 +7,9 @@ import pytest
 from scipy.integrate import quad
 
 from sqdisp import (ConfigError, CutoffTooSmall, GroupElement, IDENTITY,
-                    concentration_profile,
+                    QuadratureGrid, concentration_profile,
                     hermite_functions, make_pointer, pointer_overlap,
-                    raw_pointer_coefficients)
+                    raw_pointer_coefficients, two_mode)
 from sqdisp.errors import GridMismatch
 
 # oracle: quad of sqrt(|y|) h_0(y)^2 / sqrt(pi); closed form
@@ -19,11 +19,12 @@ C00 = 0.32800194866687643
 
 class TestHermiteFunctions:
     def test_orthonormal_on_grid(self):
-        from sqdisp.two_mode import _pointer_grid
-        grid = _pointer_grid(60)
-        H = hermite_functions(60, grid.nodes)
-        gram = (H * grid.dy) @ H.T
-        assert np.max(np.abs(gram - np.eye(61))) < 1e-8
+        # beyond n ~ 700, h_n oscillates where e^{-y^2} is below the normal range
+        for n_max in (60, 1000):
+            grid = two_mode._pointer_grid(n_max)
+            H = hermite_functions(n_max, grid.nodes)
+            gram = (H * grid.dy) @ H.T
+            assert np.max(np.abs(gram - np.eye(n_max + 1))) < 1e-8
 
     def test_ground_state_form(self):
         y = np.linspace(-2, 2, 11)
@@ -190,3 +191,16 @@ class TestConcentrationProfile:
                                    for p in (prof.plus, prof.minus))
                                for r in m.r_nodes] for x in m.x_nodes])
         assert np.max(np.abs(m.values - pointwise) / pointwise) <= 1e-12
+
+
+def test_large_cutoff_profile_converged(monkeypatch):
+    # at n_max 1000, h_n oscillates out to |y| ~ 31, where e^{-y^2} underflows,
+    # and the pointer grid takes 8192 nodes
+    window = (-1.5, 1.5, -1.5, 1.5)
+    base = concentration_profile(0.999, 1000, window, 16, tail_tol=None).map.values
+    grid = two_mode._pointer_grid
+    monkeypatch.setattr(two_mode, "_pointer_grid",
+                        lambda n_max: QuadratureGrid(grid(n_max).y_max, 2 * grid(n_max).n))
+    monkeypatch.setattr(two_mode, "COEFF_QUAD_NODES", 2 * two_mode.COEFF_QUAD_NODES)
+    doubled = concentration_profile(0.999, 1000, window, 16, tail_tol=None).map.values
+    assert np.max(np.abs(doubled - base) / base) < 1e-9

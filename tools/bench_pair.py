@@ -1,0 +1,200 @@
+"""Before/after record of the benchmark's scan, profile and oracle jobs, as one JSON file.
+
+    python3 tools/bench_pair.py --parent OLD_SRC [--repeats N] [--out FILE]
+
+OLD_SRC is the ``src`` directory of the checkout to compare against, for
+example ``git archive <commit> src | tar -x -C /tmp/old`` and then
+``--parent /tmp/old/src``; the tree this script sits in is the change.  Both
+packages are imported into one process, as ``sqdisp_parent`` and ``sqdisp``,
+and ``perfbench/workloads.py`` once for each, its ``sqdisp`` read as that
+side's package, so each side builds scan states with ``ScanWorkload.build_state``
+and runs oracle jobs with ``OracleWorkload.run`` as the benchmark does.  The
+sides are timed in alternation, so machine load falls on both.
+
+Per side, best-of-N seconds: ``row_s``, one ``fourier_at`` call on one scan row
+(128 x against 4096 and 8192 nodes); ``scan_s``, ``distribution.scan`` of each
+scan slot at the middle of every range (the seed built outside the timing),
+and ``scan_row_s``, that over its rows; ``profile_s``, the ``sqdisp two-mode``
+default profile (n_max 60, 96 x 96 over +-1.5) for each workload lambda;
+``job_s``, each oracle slot with every parameter at the point u = 0.1, 0.5 or
+0.9 of its range, and ``total_s``, their sum.  ``minflt`` is the median number
+of minor page faults of each scan, profile or oracle call.
+
+Deviations of the change from the parent, top-level keys ending in ``_dev``:
+``max_rel_dev`` and ``max_abs_dev``, the largest |change - parent| of a scan map
+over the parent on nodes at or above 1e-3 of the peak, and over the peak;
+``profile_max_rel_dev`` and ``profile_max_abs_dev``, the same for a profile;
+``oracle_max_rel_dev`` and ``closed_form_rel_dev``, |change - parent| / |parent|
+of an oracle value and of a group average's closed form; ``oracle_max_abs_dev``,
+|change - parent| of the cross-sector block, which is round-off.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import importlib.util
+import json
+import os
+import pkgutil
+import platform
+import resource
+import statistics
+import sys
+import time
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+ROW_NODES = (4096, 8192)
+ROW_X = 128
+PROFILE = (60, (-1.5, 1.5, -1.5, 1.5), 96)  # n_max, window, resolution
+POINTS = (0.1, 0.5, 0.9)
+
+
+def load(name: str, src: Path) -> dict:
+    """The package under ``src/sqdisp`` imported as ``name``, its modules by
+    name, and under "workloads" a new import of ``perfbench/workloads.py``
+    whose ``from sqdisp import ...`` reads that package."""
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(
+            name, src / "sqdisp" / "__init__.py",
+            submodule_search_locations=[str(src / "sqdisp")])
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    package = sys.modules[name]
+    modules = {info.name: importlib.import_module(f"{name}.{info.name}")
+               for info in pkgutil.iter_modules([str(src / "sqdisp")])}
+    own = {key: sys.modules.pop(key) for key in list(sys.modules)
+           if key.split(".")[0] == "sqdisp"}
+    sys.modules["sqdisp"] = package
+    sys.modules.update({f"sqdisp.{mod}": module for mod, module in modules.items()})
+    try:
+        spec = importlib.util.spec_from_file_location(f"{name}_workloads",
+                                                      ROOT / "perfbench" / "workloads.py")
+        modules["workloads"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(modules["workloads"])
+    finally:
+        for key in [key for key in sys.modules if key.split(".")[0] == "sqdisp"]:
+            del sys.modules[key]
+        sys.modules.update(own)
+    return modules
+
+
+def alternate(calls, repeats):
+    """Run each side's call ``repeats`` times, the sides in turn.  Per side: the
+    last output, the best time, and the median minor page faults of a run."""
+    outs, times, faults = {}, {side: [] for side in calls}, {side: [] for side in calls}
+    for _ in range(repeats):
+        for side, call in calls.items():
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            start = time.perf_counter()
+            outs[side] = call()
+            times[side].append(time.perf_counter() - start)
+            faults[side].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    return (outs, {side: min(t) for side, t in times.items()},
+            {side: statistics.median(f) for side, f in faults.items()})
+
+
+def row_call(pkg, n):
+    """One scan row of the vacuum on n nodes: x' = -e^{-r} x at r = 0.3."""
+    y = pkg["grids"].QuadratureGrid(10.0, n).nodes
+    x = -np.exp(-0.3) * np.linspace(-3.0, 3.0, ROW_X)
+    h = np.exp(-y ** 2 - np.exp(-0.6) * y ** 2) * (2.0 * y[1] - 2.0 * y[0])
+    return lambda: pkg["grids"].fourier_at(x, y, h)
+
+
+def map_devs(prefix, old, new):
+    old, new = old.values, new.values
+    bulk = old >= 1e-3 * old.max()
+    return {prefix + "max_rel_dev": float(np.max(np.abs(new - old)[bulk] / old[bulk])),
+            prefix + "max_abs_dev": float(np.max(np.abs(new - old)) / old.max())}
+
+
+def oracle_devs(kind, old, new):
+    if kind == "cross":
+        return {"oracle_max_abs_dev": abs(new[0] - old[0])}
+    devs = {"oracle_max_rel_dev": abs(new[0] - old[0]) / abs(old[0])}
+    if kind == "ga":
+        devs["closed_form_rel_dev"] = abs(new[1] - old[1]) / abs(old[1])
+    return devs
+
+
+def cases(sides, repeats):
+    """Every timed case: its time key, name, repeats, call by side, and the
+    deviations of the change's output from the parent's (None: not compared)."""
+    for n in ROW_NODES:
+        yield "row_s", str(n), 20 * repeats, {s: row_call(pkg, n) for s, pkg in sides.items()}, None
+    scans = {side: pkg["workloads"].ScanWorkload(seed=0, workdir=".", n_blocks=1)
+             for side, pkg in sides.items()}
+    for slot in scans["change"].slots:
+        job = getattr(scans["change"], f"gen_{slot}")((0.5, 0.5, 0.5))
+        calls = {}
+        for side, pkg in sides.items():
+            psi = scans[side].build_state(job)
+            seed = pkg["povm"].build_ml_seed(psi)
+            calls[side] = partial(pkg["distribution"].scan, seed, psi, job["window"], job["res"])
+        yield "scan_s", slot, repeats, calls, partial(map_devs, "")
+    n_max, window, resolution = PROFILE
+    for lam in sides["change"]["workloads"].LAMBDAS:
+        calls = {side: lambda pkg=pkg, lam=lam: pkg["two_mode"].concentration_profile(
+                     lam, n_max, window, resolution, tail_tol=None).map
+                 for side, pkg in sides.items()}
+        yield "profile_s", f"profile_{lam}", repeats, calls, partial(map_devs, "profile_")
+    oracles = {side: pkg["workloads"].OracleWorkload(seed=0, workdir=".", n_blocks=1)
+               for side, pkg in sides.items()}
+    for workload in oracles.values():
+        workload.warm_up()
+    for slot in dict.fromkeys(oracles["change"].slots):
+        for u in POINTS:
+            job = getattr(oracles["change"], f"gen_{slot}")((u, u, u))
+            calls = {side: partial(w.run, job) for side, w in oracles.items()}
+            yield "job_s", f"{slot}@{u}", repeats, calls, partial(oracle_devs, job["kind"])
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, type=Path,
+                        help="src directory of the checkout to compare against")
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_pair.json")
+    args = parser.parse_args(argv)
+
+    sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
+             "change": load("sqdisp", ROOT / "src")}
+    keys = ("row_s", "scan_s", "scan_row_s", "profile_s", "job_s", "minflt")
+    record = {side: {key: {} for key in keys} for side in sides}
+    deviation = {}
+    for key, case, repeats, calls, devs in cases(sides, args.repeats):
+        outs, best, faults = alternate(calls, repeats)
+        for side in sides:
+            record[side][key][case] = best[side]
+            if key == "scan_s":
+                record[side]["scan_row_s"][case] = best[side] / len(outs[side].r_nodes)
+            if devs is not None:
+                record[side]["minflt"][case] = faults[side]
+        if devs is not None:
+            for name, value in devs(outs["parent"], outs["change"]).items():
+                deviation.setdefault(name, {})[case] = value
+    for side in sides:
+        record[side]["total_s"] = sum(record[side]["job_s"].values())
+
+    result = {"script": "tools/bench_pair.py", "repeats": args.repeats, "points": POINTS,
+              "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
+                          "python": platform.python_version(), "numpy": np.__version__},
+              **record, **deviation}
+    args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+    for key in ("row_s", "scan_s", "profile_s", "job_s"):
+        for case, old in record["parent"][key].items():
+            new = record["change"][key][case]
+            print(f"{key:9s} {case:22s} {old:10.4g} -> {new:10.4g} s  ({new / old:5.2f}x)")
+    print(f"total_s {record['parent']['total_s']:.3f} -> {record['change']['total_s']:.3f}")
+    for key, values in deviation.items():
+        print(f"{key} {max(values.values()):.3g}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
