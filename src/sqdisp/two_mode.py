@@ -11,7 +11,7 @@ Fock amplitudes geometrically,
 with h_n the oscillator eigenfunctions in the quadrature scaling
 (h_0(y) = (2/pi)^{1/4} e^{-y^2}), generated by the stable three-term
 recurrence.  Parity forces c_nm = 0 for odd n + m, and the sign flip obeys
-c^-_nm = (-1)^m c^+_nm.
+c^-_nm = (-1)^m c^+_nm, applied to the one + table by ``make_pointer``.
 
 The truncated coefficient mass drops like sqrt(k) lambda^{2k} across total
 degree k = n + m, so cutting at n_max drops an estimable geometric tail;
@@ -84,8 +84,6 @@ def _pointer_grid(n_max: int) -> QuadratureGrid:
 class TwoModePointer:
     """lambda-regularized entangled pointer in a truncated two-mode Fock basis."""
 
-    lam: float
-    sign: int
     n_max: int
     coeffs: np.ndarray  # normalized N_lambda lambda^{n+m} c_nm, (n_max+1)^2
 
@@ -100,8 +98,8 @@ class TwoModePointer:
         return float((_degrees(self.n_max) * self.coeffs ** 2).sum())
 
 
-def raw_pointer_coefficients(n_max: int, sign: int = +1) -> np.ndarray:
-    """c_nm = (1/sqrt(pi)) integral sqrt(|y|) h_n(y) h_m(sign y) dy.
+def raw_pointer_coefficients(n_max: int) -> np.ndarray:
+    """c_nm = (1/sqrt(pi)) integral sqrt(|y|) h_n(y) h_m(y) dy, the + table.
 
     Parity reduces this to 2/sqrt(pi) times the half-line integral for even
     n + m (exactly zero otherwise); the substitution y = t^2 removes the
@@ -119,9 +117,12 @@ def raw_pointer_coefficients(n_max: int, sign: int = +1) -> np.ndarray:
     Ht = hermite_functions(n_max, t * t)
     C = (4.0 / math.sqrt(math.pi)) * (Ht * (t * t * dt)) @ Ht.T
     C[_degrees(n_max) % 2 == 1] = 0.0
-    if sign < 0:
-        C = C * (-1.0) ** np.arange(n_max + 1)
     return C
+
+
+def _flipped(coeffs: np.ndarray) -> np.ndarray:
+    """The other sign's table, c^-_nm = (-1)^m c^+_nm: C_- = C_+ diag((-1)^m)."""
+    return coeffs * (-1.0) ** np.arange(coeffs.shape[-1])
 
 
 def _tail_estimate(shell_mass: np.ndarray) -> float:
@@ -154,9 +155,8 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
         raise ValueError(f"n_max must be at least {MIN_N_MAX}")
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    C = raw_pointer_coefficients(n_max, sign)
     degrees = _degrees(n_max)
-    A = lam ** degrees * C
+    A = lam ** degrees * raw_pointer_coefficients(n_max)
     mass = A ** 2
     total = float(mass.sum())
     if total == 0.0:
@@ -169,8 +169,7 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
             f"estimated dropped tail {tail:.3e} exceeds {tail_tol:.1e} for "
             f"lambda={lam}, n_max={n_max}")
 
-    return TwoModePointer(lam=lam, sign=sign, n_max=n_max,
-                          coeffs=(1.0 / math.sqrt(total)) * A)
+    return TwoModePointer(n_max, (1.0 / math.sqrt(total)) * (A if sign > 0 else _flipped(A)))
 
 
 def pointer_overlap(p1: TwoModePointer, g: GroupElement,
@@ -218,12 +217,12 @@ def concentration_profile(lam: float, n_max: int,
     """
     nx, nr = _map_shape(window, resolution)
     p_plus = make_pointer(lam, +1, n_max, tail_tol=tail_tol)
-    p_minus = make_pointer(lam, -1, n_max, tail_tol=tail_tol)
+    p_minus = TwoModePointer(n_max, _flipped(p_plus.coeffs))
     grid = p_plus.grid
     y = grid.nodes
-    H = hermite_functions(n_max, y)
-    # sum_m bra_sm(y) ket_m(e^r y) = sum_k h_k(e^r y) G_sk(y), G_s = C_+ C_s^T H
-    G = np.stack([p_plus.coeffs @ (p.coeffs.T @ H) for p in (p_plus, p_minus)], axis=1)
+    # sum_m bra_sm(y) ket_m(e^r y) = sum_k h_k(e^r y) G_sk(y), G_s = C_+ C_s^T H = C_s C_+^T H
+    W = p_plus.coeffs.T @ hermite_functions(n_max, y)
+    G = np.stack([p.coeffs @ W for p in (p_plus, p_minus)], axis=1)
 
     def rows_at(r):
         Hs = hermite_functions(n_max, np.outer(np.exp(r), y))  # one table per chunk

@@ -36,7 +36,7 @@ def test_install_wraps_every_target_and_uninstall_restores():
     for record in tracer.records():
         spans.setdefault(record["name"], []).append(record["work"])
     assert spans["two_mode.concentration_profile"] == [len(prof.map.r_nodes)]
-    assert len(spans["two_mode.make_pointer"]) == 2
+    assert len(spans["two_mode.make_pointer"]) == 1
 
 
 def test_oracles_take_r_resolution():

@@ -345,10 +345,11 @@ class TestTwoModeCommand:
         code, out, err = run(capsys, "two-mode", "--lam", "0.95", "--n-max", "40",
                              "--resolution", "16")
         assert code == 0
-        assert calls == {"make_pointer": 2, "raw_pointer_coefficients": 2}
+        assert calls == {"make_pointer": 1, "raw_pointer_coefficients": 1}
         monkeypatch.undo()
         ref = two_mode.make_pointer(0.95, +1, 40, tail_tol=None)
         assert np.array_equal(profiles[0].plus.coeffs, ref.coeffs)
+        assert np.array_equal(profiles[0].minus.coeffs, ref.coeffs * (-1.0) ** np.arange(41))
         assert json.loads(out)["mean_energy"] == ref.mean_energy
 
     def test_resolution_honoured(self, tmp_path, capsys):

@@ -13,35 +13,43 @@ with beta = s (1 + e^{2r'}), gamma = 2 a s (1 + e^{r'}) - 2 i x' and
 w the Faddeeva function (DLMF 7.2).  The coefficients are c_s = 1/sqrt(pi w_s)
 with the sector weights w_- = sigma phi(t) (1 - t sqrt(pi/2) erfcx(t / sqrt 2)),
 sigma = e^{-z}/2, t = a / sigma, and w_+ = a + w_-; a sector with w_s below
-SECTOR_THRESHOLD is dropped, as the library does.
+SECTOR_THRESHOLD is dropped, as the library does.  The parity seed
+eta = c |y| psi has the same form with c_+ = c_- = c = 1/sqrt(pi (w_+ + w_-)).
 
 The midpoint sum of ``density_at`` misses this value by the Euler-Maclaurin
 term of the seed's kink at the cell edge y = 0: the amplitude is off by
 delta = (dy^2 / 24)(c_+ + c_-) |psi(0)|^2 e^{r'/2} + O(dy^4).  The tests
-check the reference against 30-digit mpmath, density_at against the
-reference once delta is taken out, and that the O(dy^2) term is still there.
+check the reference against 30-digit mpmath, density_at (ML and parity
+seeds) and ``scan`` against the reference once delta is taken out, and that
+the O(dy^2) term is still there.
 """
 
 import math
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfcx, wofz
 
-from sqdisp import (GroupElement, build_ml_seed, density_at, inverse,
-                    make_displaced_squeezed)
+from sqdisp import (GroupElement, build_ml_seed, build_parity_seed, density_at, inverse,
+                    make_displaced_squeezed, scan)
+from sqdisp.distribution import _refine_for_window
 from sqdisp.povm import SECTOR_THRESHOLD
 
 
-def exact_coeffs(a, z):
-    """c_s = 1/sqrt(pi w_s) of the populated sectors, a >= 0."""
+def exact_coeffs(a, z, parity=False):
+    """c_s = 1/sqrt(pi w_s) of the populated sectors, a >= 0; with ``parity``
+    c_+ = c_- = 1/sqrt(pi (w_+ + w_-))."""
     sigma = math.exp(-z) / 2.0
     t = a / sigma
     phi = math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
     w_minus = sigma * phi * (1.0 - t * math.sqrt(math.pi / 2.0) * erfcx(t / math.sqrt(2.0)))
     weights = {+1: a + w_minus, -1: w_minus}
+    if parity:
+        c = 1.0 / math.sqrt(math.pi * (weights[+1] + weights[-1]))
+        return {+1: c, -1: c}
     return {s: 1.0 / math.sqrt(math.pi * w) for s, w in weights.items() if w > SECTOR_THRESHOLD}
 
 
@@ -53,13 +61,13 @@ def _j(beta, gamma):
     return (1.0 + gamma * i0) / (2.0 * beta)
 
 
-def exact_amplitude(a, z, g):
-    """<eta| U_{g^{-1}} |psi> for the ML seed of psi = dsq(a, z)."""
+def exact_amplitude(a, z, g, parity=False):
+    """<eta| U_{g^{-1}} |psi> for the ML (or ``parity``) seed of psi = dsq(a, z)."""
     s = math.exp(2.0 * z)
     gi = inverse(g)
     beta = s * (1.0 + math.exp(2.0 * gi.r))
     gamma = 2.0 * a * s * (1.0 + math.exp(gi.r)) - 2.0j * gi.x
-    total = sum(c * _j(beta, sign * gamma) for sign, c in exact_coeffs(a, z).items())
+    total = sum(c * _j(beta, sign * gamma) for sign, c in exact_coeffs(a, z, parity).items())
     return math.sqrt(2.0 * s / math.pi) * math.exp(gi.r / 2.0 - 2.0 * s * a * a) * total
 
 
@@ -88,11 +96,19 @@ def mpmath_amplitude(a, z, g):
 
 
 def kink_term(seed, psi, g):
-    """delta = (dy^2 / 24)(c_+ + c_-) |psi(0)|^2 e^{r'/2}, the O(dy^2) amplitude error."""
+    """delta = (dy^2 / 24)(c_+ + c_-) |psi(0)|^2 e^{r'/2}, the O(dy^2) amplitude error;
+    a parity seed's full-line c counts on both sides, c_+ + c_- = 2c."""
     coeffs = seed.sector_coeffs
+    jump = coeffs.get(+1, 0.0) + coeffs.get(-1, 0.0) + 2.0 * coeffs.get(0, 0.0)
     psi0 = abs(psi.evaluate_at(np.zeros(1))[0]) ** 2
-    return (psi.grid.dy ** 2 / 24.0 * (coeffs.get(+1, 0.0) + coeffs.get(-1, 0.0))
-            * psi0 * math.exp(inverse(g).r / 2.0))
+    return psi.grid.dy ** 2 / 24.0 * jump * psi0 * math.exp(inverse(g).r / 2.0)
+
+
+def modelled_density(seed, psi, a, z, g):
+    """|exact amplitude + delta|^2, delta the kink term on psi's grid."""
+    amp = exact_amplitude(a, z, g, parity=seed.kind == "ml-parity")
+    delta = kink_term(seed, psi, g)
+    return abs(amp) ** 2 + 2.0 * (np.conj(amp) * delta).real + delta ** 2
 
 
 def test_reference_matches_mpmath():
@@ -122,10 +138,36 @@ def test_density_at_matches_exact_up_to_kink_term(a, z, x, r):
     psi = make_displaced_squeezed(a, z)
     seed = build_ml_seed(psi)
     g = GroupElement(x, r)
-    amp = exact_amplitude(a, z, g)
-    delta = kink_term(seed, psi, g)
-    model = abs(amp) ** 2 + 2.0 * (np.conj(amp) * delta).real + delta ** 2
+    model = modelled_density(seed, psi, a, z, g)
     assert abs(density_at(seed, psi, g) - model) <= 1e-8 * seed.likelihood
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(a=st.floats(0.0, 3.0), z=st.floats(-0.5, 0.5), x=st.floats(-2.0, 2.0),
+       r=st.floats(-1.0, 1.0))
+def test_parity_density_at_matches_exact_up_to_kink_term(a, z, x, r):
+    psi = make_displaced_squeezed(a, z)
+    seed = build_parity_seed(psi)
+    g = GroupElement(x, r)
+    model = modelled_density(seed, psi, a, z, g)
+    assert abs(density_at(seed, psi, g) - model) <= 1e-8 * seed.likelihood
+
+
+@pytest.mark.parametrize("a, z", [(0.0, 0.0), (1.5, 0.3), (3.0, -0.4)])
+def test_scan_matches_exact_up_to_kink_term(a, z):
+    # e^{3.5} |x| resolves on no default grid, so scan samples on a finer
+    # one and its kink term shrinks with that grid's dy
+    window = (-4.0, 4.0, -3.5, 0.5)
+    psi = make_displaced_squeezed(a, z)
+    seed = build_ml_seed(psi)
+    dmap = scan(seed, psi, window, 16)
+    fine_seed, fine_psi = _refine_for_window(seed, psi, window)
+    assert fine_psi.grid.dy < psi.grid.dy
+    for i in range(0, 16, 3):
+        for j in range(0, 16, 3):
+            g = GroupElement(dmap.x_nodes[i], dmap.r_nodes[j])
+            model = modelled_density(fine_seed, fine_psi, a, z, g)
+            assert abs(dmap.values[i, j] - model) <= 1e-8 * seed.likelihood, (i, j)
 
 
 def test_kink_floor_is_present():

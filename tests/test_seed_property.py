@@ -7,19 +7,24 @@ match it, certify <eta_s| D_s |eta_s> = 1 on every kept sector, and
 reproduce its likelihood as the overlap |<eta|psi>|^2.  A displacement D(x)
 multiplies psi by a phase and leaves |psi|^2 unchanged, so the same closed
 form and the same equality hold for the complex input D(x) psi, the
-equality case of the paper's optimality theorem.  The parity-extended
-and square-root-measurement seeds certify <eta_s| D_s |eta_s> = 1 as well.
+equality case of the paper's optimality theorem.  The theorem itself: the
+ML seed of any state chi is an admissible seed, so by Cauchy-Schwarz its
+likelihood for psi, |<eta_chi|psi>|^2, is at most L_opt(psi).  The
+parity-extended and square-root-measurement seeds certify
+<eta_s| D_s |eta_s> = 1 as well.
 """
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqdisp import (GroupElement, act, build_ml_seed, build_parity_seed, build_srm_seed,
-                    make_displaced_squeezed, optimal_likelihood, seed_overlap_likelihood,
-                    srm_likelihood)
+                    make_displaced_squeezed, make_sampled, optimal_likelihood,
+                    seed_overlap_likelihood, srm_likelihood)
+from sqdisp.grids import sector_integral
 
 
 def gaussian_weights(a, z):
@@ -44,6 +49,23 @@ def test_ml_seed_of_displaced_squeezed(a, z, x):
         assert abs(value - 1.0) <= 1e-12
     overlap = seed_overlap_likelihood(seed)
     assert abs(overlap - seed.likelihood) <= 1e-8 * seed.likelihood
+
+
+@settings(max_examples=60, derandomize=True, deadline=None, database=None)
+@given(a=st.floats(-3.0, 3.0), z=st.floats(-0.5, 0.5), center=st.floats(-2.0, 2.0),
+       width=st.floats(0.4, 1.5),
+       cubic=st.lists(st.complex_numbers(max_magnitude=1.0), min_size=3, max_size=3))
+def test_ml_seed_of_any_state_never_beats_optimal(a, z, center, width, cubic):
+    # chi = (1 + c_1 u + c_2 u^2 + c_3 u^3) e^{-u^2}, u = (y - center) / width, is
+    # complex and never zero; the overlap is the seed's own quadrature against psi
+    psi = make_displaced_squeezed(a, z)
+    u = (psi.grid.nodes - center) / width
+    chi = make_sampled(psi.grid, np.polyval(list(cubic[::-1]) + [1.0], u) * np.exp(-u * u))
+    bound = optimal_likelihood(psi)
+    for phi in (chi, psi):
+        overlap = abs(sector_integral(build_ml_seed(phi), psi, 0, 0)[0][-1]) ** 2
+        assert overlap <= bound * (1.0 + 1e-9)
+    assert abs(overlap - bound) <= 1e-8 * bound  # equality at chi = psi
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)

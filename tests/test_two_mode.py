@@ -52,10 +52,18 @@ class TestPointerCoefficients:
         assert np.max(np.abs(C - C.T)) < 1e-14
 
     def test_sign_flip_rule(self):
-        C = raw_pointer_coefficients(40)
-        Cm = raw_pointer_coefficients(40, sign=-1)
-        k = np.arange(41)
-        assert np.array_equal(Cm, C * ((-1.0) ** k)[None, :])
+        # c^-_11 = (1/sqrt(pi)) integral sqrt(|y|) h_1(y) h_1(-y) dy, h_1(y) = 2y h_0(y),
+        # read off the - pointer as coeffs[1, 1] / coeffs[0, 0] = lam^2 c^-_11 / c_00
+        oracle = quad(lambda y: -math.sqrt(abs(y)) * 4 * y * y * math.sqrt(2 / math.pi)
+                      * math.exp(-2 * y * y) / math.sqrt(math.pi),
+                      -20, 20, limit=400)[0]
+        assert oracle < 0
+        for lam in (0.9, 0.95, 0.99):
+            plus = make_pointer(lam, +1, 40, tail_tol=None)
+            minus = make_pointer(lam, -1, 40, tail_tol=None)
+            assert np.array_equal(minus.coeffs, plus.coeffs * (-1.0) ** np.arange(41))
+            c11 = minus.coeffs[1, 1] / minus.coeffs[0, 0] * C00 / lam ** 2
+            assert c11 == pytest.approx(oracle, abs=1e-10)
 
 
 class TestMakePointer:
