@@ -350,7 +350,7 @@ def run_two_mode(cfg: RunConfig) -> int:
     plus = prof.plus
     # coeffs = N lambda^{n+m} c_nm, so odd n + m is as exactly zero as c_nm
     parity_max = float(np.max(np.abs(plus.coeffs[two_mode._degrees(cfg.n_max) % 2 == 1])))
-    cross = abs(two_mode.pointer_overlap(prof.minus, two_mode.GroupElement(0.0, 0.0), plus))
+    cross = abs(float(np.sum(two_mode._flipped(plus.coeffs) * plus.coeffs)))  # <<Phi_-|Phi_+>>
     if cfg.out_csv:
         write_csv(cfg.out_csv, prof.map)
     write_json(cfg.out_json, {

@@ -67,12 +67,16 @@ class SummaryStats:
 
 
 def _check_window(window: Tuple[float, float, float, float]) -> None:
-    """ValueError for a non-finite or unordered window (x_lo, x_hi, r_lo, r_hi)."""
+    """ValueError for a non-finite or unordered window (x_lo, x_hi, r_lo, r_hi),
+    ConfigError for |r| > ln MAX_NODES, where e^{|r|} exceeds the largest grid."""
     x_lo, x_hi, r_lo, r_hi = window
     if not all(math.isfinite(v) for v in window):
         raise ValueError("window must be finite")
     if not (x_lo < x_hi and r_lo < r_hi):
         raise ValueError("window must satisfy x_lo < x_hi and r_lo < r_hi")
+    if max(-r_lo, r_hi) > math.log(MAX_NODES):
+        raise ConfigError(f"window r must lie in [-ln {MAX_NODES}, ln {MAX_NODES}] = "
+                          f"±{math.log(MAX_NODES):.4g}")
 
 
 def _map_shape(window: Tuple[float, float, float, float], resolution) -> Tuple[int, int]:
@@ -308,8 +312,8 @@ def normalization_check(seed: PovmSeed, psi_test: StateVector,
     p(g) = |<psi_test|U_g|eta>|^2, the group average of |eta><eta| taken in
     h = g^{-1} (``_group_slices``, sigma = -1), so the seed keeps its grid.
     ValueError for a non-finite or unordered window or r_resolution < 2,
-    ConfigError for r_resolution > MAX_NODES.  Tends to 1 on generous
-    windows for states in the span probed by the seed."""
+    ConfigError for r_resolution > MAX_NODES or |r| > ln MAX_NODES.  Tends to
+    1 on generous windows for states in the span probed by the seed."""
     return _group_slices(psi_test, psi_test, seed.eta, seed.eta, window, r_resolution,
                          -1).real
 
@@ -320,8 +324,8 @@ def group_average_sandwich(psi: StateVector, phi: StateVector,
                            r_resolution: int = 128) -> complex:
     """Brute-force  integral d_L g <u|U_g|psi> <phi|U_g^dag|v>  over the window
     (``_group_slices``, sigma = +1).  ValueError for a non-finite or unordered
-    window or r_resolution < 2, ConfigError for r_resolution > MAX_NODES,
-    both before the screen.  The closed-form target is
+    window or r_resolution < 2, ConfigError for r_resolution > MAX_NODES or
+    |r| > ln MAX_NODES, all before the screen.  The closed-form target is
     sum_s pi <phi| theta(sY)/|Y| |psi> <u| theta(sY) |v>.
     Raises DivergenceDetected (via the cross-sector screen) for inadmissible
     pairs, i.e. when <phi| theta(sY)/|Y| |psi> fails the growth test.  The

@@ -11,7 +11,8 @@ Fock amplitudes geometrically,
 with h_n the oscillator eigenfunctions in the quadrature scaling
 (h_0(y) = (2/pi)^{1/4} e^{-y^2}), generated by the stable three-term
 recurrence.  Parity forces c_nm = 0 for odd n + m, and the sign flip obeys
-c^-_nm = (-1)^m c^+_nm, applied to the one + table by ``make_pointer``.
+c^-_nm = (-1)^m c^+_nm (``make_pointer`` flips the one + table), so a two-mode
+run builds only Phi_+: the profile sums its even and odd mode-2 halves.
 
 The truncated coefficient mass drops like sqrt(k) lambda^{2k} across total
 degree k = n + m, so cutting at n_max drops an estimable geometric tail;
@@ -29,7 +30,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, CutoffTooSmall, GridMismatch
+from .errors import (ConfigError, CutoffTooSmall, GridMismatch, GridTooNarrow,
+                     InsufficientMass)
 from .distribution import DensityMap, _map_shape, _marginals, _row_map
 from .grids import MAX_NODES, QuadratureGrid
 from .group import GroupElement
@@ -159,8 +161,6 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
     A = lam ** degrees * raw_pointer_coefficients(n_max)
     mass = A ** 2
     total = float(mass.sum())
-    if total == 0.0:
-        raise ValueError("pointer coefficients vanished")
 
     shell_mass = np.bincount(degrees.ravel(), mass.ravel())[:n_max + 1]  # complete shells only
     tail = _tail_estimate(shell_mass)
@@ -196,13 +196,12 @@ def pointer_overlap(p1: TwoModePointer, g: GroupElement,
 @dataclass
 class ConcentrationProfile:
     """Self-overlap profile of the pointer pair with its second-moment widths,
-    and the pair ``plus`` and ``minus`` it was computed from."""
+    and the pointer ``plus`` it was computed from (Phi_- is ``_flipped`` Phi_+)."""
 
     map: DensityMap
     width_x: float
     width_r: float
     plus: TwoModePointer
-    minus: TwoModePointer
 
 
 def concentration_profile(lam: float, n_max: int,
@@ -213,25 +212,33 @@ def concentration_profile(lam: float, n_max: int,
     Widths are the second moments of the profile about the origin over the
     window, under dx dr; ``map.mass`` integrates it under d_L g = e^{-r} dx dr.
     The widths shrink monotonically as lambda -> 1 (delta concentration).
-    ``window`` and ``resolution`` are checked as ``scan`` checks them.
+    ``window`` and ``resolution`` are checked as ``scan`` checks them;
+    GridTooNarrow for |x| beyond pi/(8 dy) of the pointer grid (16 nodes per
+    period of e^{-2i x y}, as ``scan`` resolves its phase), InsufficientMass
+    for a window that captures none of the profile.
     """
     nx, nr = _map_shape(window, resolution)
+    grid, x_max = _pointer_grid(n_max), max(-window[0], window[1])
+    if x_max > math.pi / (8.0 * grid.dy):
+        raise GridTooNarrow(f"|x| up to {x_max:.4g} exceeds pi/(8 dy) = "
+                            f"{math.pi / (8.0 * grid.dy):.4g} of the n_max {n_max} pointer grid")
     p_plus = make_pointer(lam, +1, n_max, tail_tol=tail_tol)
-    p_minus = TwoModePointer(n_max, _flipped(p_plus.coeffs))
-    grid = p_plus.grid
-    y = grid.nodes
-    # sum_m bra_sm(y) ket_m(e^r y) = sum_k h_k(e^r y) G_sk(y), G_s = C_+ C_s^T H = C_s C_+^T H
-    W = p_plus.coeffs.T @ hermite_functions(n_max, y)
-    G = np.stack([p.coeffs @ W for p in (p_plus, p_minus)], axis=1)
+    y, C = grid.nodes, p_plus.coeffs
+    # f_m = sum_n c_nm h_n; the Phi_s overlap is E + s O, E and O the sums of <f_m|U|f_m> over
+    # even and odd m (the (-1)^m of _flipped): sum_s |.|^2 = 2(|E|^2 + |O|^2), G_j = C_j C_j^T H
+    H = hermite_functions(n_max, y)
+    G = np.stack([C[:, j::2] @ (C[:, j::2].T @ H) for j in (0, 1)], axis=1)
 
     def rows_at(r):
         Hs = hermite_functions(n_max, np.outer(np.exp(r), y))  # one table per chunk
-        kernels = np.einsum("kjy,ksy,j->yjs", Hs, G, np.exp(r / 2.0) * grid.dy)
+        kernels = np.einsum("kjy,ksy,j->yjs", Hs, G, math.sqrt(2.0) * np.exp(r / 2.0) * grid.dy)
         return np.ones(len(r)), kernels.reshape(len(y), -1)
 
     dmap = _row_map(window, nx, nr, y, rows_at, per_row=2)
     px, pr = _marginals(dmap, 1.0)
-    width_x, width_r = (math.sqrt(float((p * nodes ** 2).sum()) / float(px.sum()))
+    total = float(px.sum())
+    if total == 0.0:
+        raise InsufficientMass("window captures none of the profile")
+    width_x, width_r = (math.sqrt(float((p * nodes ** 2).sum()) / total)
                         for p, nodes in ((px, dmap.x_nodes), (pr, dmap.r_nodes)))
-    return ConcentrationProfile(map=dmap, width_x=width_x, width_r=width_r,
-                                plus=p_plus, minus=p_minus)
+    return ConcentrationProfile(map=dmap, width_x=width_x, width_r=width_r, plus=p_plus)

@@ -330,7 +330,7 @@ class TestTwoModeCommand:
 
     def test_one_pointer_build_per_run(self, capsys, monkeypatch):
         from sqdisp import two_mode
-        calls = {"make_pointer": 0, "raw_pointer_coefficients": 0}
+        calls = {"make_pointer": 0, "raw_pointer_coefficients": 0, "pointer_overlap": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(two_mode, name), **kwargs):
                 calls[_name] += 1
@@ -345,12 +345,24 @@ class TestTwoModeCommand:
         code, out, err = run(capsys, "two-mode", "--lam", "0.95", "--n-max", "40",
                              "--resolution", "16")
         assert code == 0
-        assert calls == {"make_pointer": 1, "raw_pointer_coefficients": 1}
+        assert calls == {"make_pointer": 1, "raw_pointer_coefficients": 1, "pointer_overlap": 0}
         monkeypatch.undo()
         ref = two_mode.make_pointer(0.95, +1, 40, tail_tol=None)
         assert np.array_equal(profiles[0].plus.coeffs, ref.coeffs)
-        assert np.array_equal(profiles[0].minus.coeffs, ref.coeffs * (-1.0) ** np.arange(41))
         assert json.loads(out)["mean_energy"] == ref.mean_energy
+
+    @pytest.mark.parametrize("argv, error", [
+        (("--x-lo", "-1.5", "--x-hi", "1.5", "--r-lo", "12", "--r-hi", "13"),
+         "InsufficientMass"),
+        (("--x-lo", "-1000", "--x-hi", "1000", "--r-lo", "-1", "--r-hi", "1", "--n-max", "20"),
+         "GridTooNarrow"),
+    ], ids=["no-mass", "x-beyond-pointer-grid"])
+    def test_window_numeric_failure(self, capsys, argv, error):
+        code, out, err = run(capsys, "two-mode", *argv, "--resolution", "16")
+        assert code == 3
+        assert err.startswith(f"numeric failure: {error}:")
+        assert len(err.splitlines()) == 1
+        assert out == ""
 
     def test_resolution_honoured(self, tmp_path, capsys):
         csv = tmp_path / "map.csv"

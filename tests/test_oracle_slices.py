@@ -55,8 +55,9 @@ class TestOracleInputs:
         ((-12.0, 12.0, -8.0, 8.0), 0, ValueError),
         ((-12.0, 12.0, -8.0, 8.0), 1, ValueError),
         ((-12.0, 12.0, -8.0, 8.0), grids.MAX_NODES + 1, ConfigError),
+        ((-1.0, 1.0, -1e6, 1e6), 16, ConfigError),
     ], ids=["reversed-r", "reversed-x", "empty-r", "nan", "inf", "r_resolution-0",
-            "r_resolution-1", "r_resolution-2^20+1"])
+            "r_resolution-1", "r_resolution-2^20+1", "r-above-ln-2^20"])
     def test_rejected_before_screen(self, monkeypatch, vacuum_seed, oracle, window,
                                     r_resolution, error):
         call = oracle(vacuum_seed)

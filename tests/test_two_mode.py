@@ -106,6 +106,8 @@ class TestPointerOverlap:
         val = abs(pointer_overlap(m, IDENTITY, p))
         assert val <= 0.05
         assert val == pytest.approx(0.0088937, abs=2e-4)  # frozen regression
+        # at the identity the overlap is the Fock sum that `sqdisp two-mode` prints
+        assert abs(float(np.sum(m.coeffs * p.coeffs))) == pytest.approx(val, rel=1e-12)
 
     def test_concentration_with_lambda(self):
         g = GroupElement(0.3, 0.2)
@@ -125,18 +127,19 @@ class TestPointerOverlap:
             concentration_profile(0.9, 20, (-1.5, 1.5, -1.5, 1.5), (1024, 1025),
                                   tail_tol=None)
 
-    @pytest.mark.parametrize("window, resolution", [
-        ((1.5, -1.5, -1.5, 1.5), 16),
-        ((-1.5, 1.5, -1.5, math.inf), 16),
-        ((-1.5, math.nan, -1.5, 1.5), 16),
-        ((-1.5, 1.5, -1.5, 1.5), 15),
-    ], ids=["reversed", "infinite", "nan", "resolution-15"])
-    def test_bad_window_rejected_as_scan_rejects_it(self, window, resolution):
+    @pytest.mark.parametrize("window, resolution, error", [
+        ((1.5, -1.5, -1.5, 1.5), 16, ValueError),
+        ((-1.5, 1.5, -1.5, math.inf), 16, ValueError),
+        ((-1.5, math.nan, -1.5, 1.5), 16, ValueError),
+        ((-1.5, 1.5, -1.5, 1.5), 15, ValueError),
+        ((-1.0, 1.0, -1e6, 1e6), 16, ConfigError),
+    ], ids=["reversed", "infinite", "nan", "resolution-15", "r-above-ln-2^20"])
+    def test_bad_window_rejected_as_scan_rejects_it(self, window, resolution, error):
         from sqdisp import build_ml_seed, make_vacuum, scan
         vac = make_vacuum()
-        with pytest.raises(ValueError) as by_scan:
+        with pytest.raises(error) as by_scan:
             scan(build_ml_seed(vac), vac, window, resolution)
-        with pytest.raises(ValueError) as by_profile:
+        with pytest.raises(error) as by_profile:
             concentration_profile(0.9, 20, window, resolution, tail_tol=None)
         assert str(by_profile.value) == str(by_scan.value)
 
@@ -195,8 +198,9 @@ class TestConcentrationProfile:
         nx, nr = resolution
         rows = distribution._SCAN_CHUNK // (2 * _fft_length(nx + prof.plus.grid.n - 1))
         assert rows > 1 and nr % rows != 0
+        minus = make_pointer(lam, -1, n_max, tail_tol=None)
         pointwise = np.array([[sum(abs(pointer_overlap(p, GroupElement(x, r), prof.plus)) ** 2
-                                   for p in (prof.plus, prof.minus))
+                                   for p in (prof.plus, minus))
                                for r in m.r_nodes] for x in m.x_nodes])
         assert np.max(np.abs(m.values - pointwise) / pointwise) <= 1e-12
 

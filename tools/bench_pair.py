@@ -15,7 +15,8 @@ Per side, best-of-N seconds: ``row_s``, one ``fourier_at`` call on one scan row
 (128 x against 4096 and 8192 nodes); ``scan_s``, ``distribution.scan`` of each
 scan slot at the middle of every range (the seed built outside the timing),
 and ``scan_row_s``, that over its rows; ``profile_s``, the ``sqdisp two-mode``
-default profile (n_max 60, 96 x 96 over +-1.5) for each workload lambda;
+default profile (n_max 60, 96 x 96 over +-1.5) for each workload lambda, and
+``profile_0.999_n1000``, lambda 0.999 at n_max 1000 on 16 x 16 over +-1.5;
 ``job_s``, each oracle slot with every parameter at the point u = 0.1, 0.5 or
 0.9 of its range, and ``total_s``, their sum.  ``minflt`` is the median number
 of minor page faults of each scan, profile or oracle call.
@@ -50,7 +51,11 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 ROW_NODES = (4096, 8192)
 ROW_X = 128
-PROFILE = (60, (-1.5, 1.5, -1.5, 1.5), 96)  # n_max, window, resolution
+PROFILE_WINDOW = (-1.5, 1.5, -1.5, 1.5)
+DEFAULT_PROFILE = (60, 96)  # n_max, resolution of `sqdisp two-mode`
+# (case, lambda, n_max, resolution) after the defaults: a large cutoff, where
+# the pointer's (n_max+1)^2 x N matrix products take most of the time
+LARGE_PROFILE = ("profile_0.999_n1000", 0.999, 1000, 16)
 POINTS = (0.1, 0.5, 0.9)
 
 
@@ -137,12 +142,13 @@ def cases(sides, repeats):
             seed = pkg["povm"].build_ml_seed(psi)
             calls[side] = partial(pkg["distribution"].scan, seed, psi, job["window"], job["res"])
         yield "scan_s", slot, repeats, calls, partial(map_devs, "")
-    n_max, window, resolution = PROFILE
-    for lam in sides["change"]["workloads"].LAMBDAS:
-        calls = {side: lambda pkg=pkg, lam=lam: pkg["two_mode"].concentration_profile(
-                     lam, n_max, window, resolution, tail_tol=None).map
+    defaults = [(f"profile_{lam}", lam, *DEFAULT_PROFILE)
+                for lam in sides["change"]["workloads"].LAMBDAS]
+    for case, lam, n_max, resolution in defaults + [LARGE_PROFILE]:
+        calls = {side: lambda pkg=pkg, args=(lam, n_max, PROFILE_WINDOW, resolution):
+                     pkg["two_mode"].concentration_profile(*args, tail_tol=None).map
                  for side, pkg in sides.items()}
-        yield "profile_s", f"profile_{lam}", repeats, calls, partial(map_devs, "profile_")
+        yield "profile_s", case, repeats, calls, partial(map_devs, "profile_")
     oracles = {side: pkg["workloads"].OracleWorkload(seed=0, workdir=".", n_blocks=1)
                for side, pkg in sides.items()}
     for workload in oracles.values():
