@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Tuple
@@ -79,11 +80,22 @@ def _check_window(window: Tuple[float, float, float, float]) -> None:
                           f"±{math.log(MAX_NODES):.4g}")
 
 
+def _size(value, name: str) -> int:
+    """``value`` as an int, by ``operator.index``: ValueError naming ``name`` if
+    it is not integral, so any integer type gives what a Python int gives."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _map_shape(window: Tuple[float, float, float, float], resolution) -> Tuple[int, int]:
-    """(nx, nr) of an int or pair, for a map over ``window``: ``_check_window``,
-    then ConfigError above MAX_NODES cells, then ValueError below 16 per axis."""
+    """(nx, nr) of an integer or pair, for a map over ``window``: ``_check_window``,
+    then ValueError for a size that is not an integer, ConfigError above
+    MAX_NODES cells, then ValueError below 16 per axis."""
     _check_window(window)
-    nx, nr = (resolution, resolution) if isinstance(resolution, int) else resolution
+    pair = (resolution, resolution) if np.ndim(resolution) == 0 else resolution
+    nx, nr = (_size(v, "resolution") for v in pair)
     if nx * nr > MAX_NODES:
         raise ConfigError(f"a {nx} x {nr} map exceeds {MAX_NODES} cells")
     if nx < 16 or nr < 16:
@@ -266,6 +278,7 @@ def _group_slices(psi: StateVector, phi: StateVector, u: StateVector, v: StateVe
     period |x_h| <= pi/(2 dy), times |c| and the r trapezoid weight.
     """
     _check_window(window)
+    r_resolution = _size(r_resolution, "r_resolution")
     if r_resolution < 2:
         raise ValueError("r_resolution must be at least 2")
     if r_resolution > MAX_NODES:
@@ -311,9 +324,10 @@ def normalization_check(seed: PovmSeed, psi_test: StateVector,
     """integral over the window of p(g) e^{-r} dx dr for input psi_test: with
     p(g) = |<psi_test|U_g|eta>|^2, the group average of |eta><eta| taken in
     h = g^{-1} (``_group_slices``, sigma = -1), so the seed keeps its grid.
-    ValueError for a non-finite or unordered window or r_resolution < 2,
-    ConfigError for r_resolution > MAX_NODES or |r| > ln MAX_NODES.  Tends to
-    1 on generous windows for states in the span probed by the seed."""
+    ValueError for a non-finite or unordered window or an r_resolution below 2
+    or not an integer, ConfigError for r_resolution > MAX_NODES or |r| > ln
+    MAX_NODES.  Tends to 1 on generous windows for states in the span probed
+    by the seed."""
     return _group_slices(psi_test, psi_test, seed.eta, seed.eta, window, r_resolution,
                          -1).real
 
@@ -324,9 +338,9 @@ def group_average_sandwich(psi: StateVector, phi: StateVector,
                            r_resolution: int = 128) -> complex:
     """Brute-force  integral d_L g <u|U_g|psi> <phi|U_g^dag|v>  over the window
     (``_group_slices``, sigma = +1).  ValueError for a non-finite or unordered
-    window or r_resolution < 2, ConfigError for r_resolution > MAX_NODES or
-    |r| > ln MAX_NODES, all before the screen.  The closed-form target is
-    sum_s pi <phi| theta(sY)/|Y| |psi> <u| theta(sY) |v>.
+    window or an r_resolution below 2 or not an integer, ConfigError for
+    r_resolution > MAX_NODES or |r| > ln MAX_NODES, all before the screen.  The
+    closed-form target is sum_s pi <phi| theta(sY)/|Y| |psi> <u| theta(sY) |v>.
     Raises DivergenceDetected (via the cross-sector screen) for inadmissible
     pairs, i.e. when <phi| theta(sY)/|Y| |psi> fails the growth test.  The
     screen is kept for the last (phi, psi) pair, so a ``closed_form_sandwich``

@@ -8,11 +8,11 @@ Fock amplitudes geometrically,
     <n, m| Phi(lambda)_s > = N_lambda lambda^{n+m} c_nm,
     c_nm = (1/sqrt(pi)) integral sqrt(|y|) h_n(y) h_m(s y) dy,
 
-with h_n the oscillator eigenfunctions in the quadrature scaling
-(h_0(y) = (2/pi)^{1/4} e^{-y^2}), generated by the stable three-term
-recurrence.  Parity forces c_nm = 0 for odd n + m, and the sign flip obeys
-c^-_nm = (-1)^m c^+_nm (``make_pointer`` flips the one + table), so a two-mode
-run builds only Phi_+: the profile sums its even and odd mode-2 halves.
+with h_n the oscillator eigenfunctions in the quadrature scaling, h_0(y) =
+(2/pi)^{1/4} e^{-y^2}, from one stable three-term recurrence.  Parity forces
+c_nm = 0 for odd n + m, and c^-_nm = (-1)^m c^+_nm (``make_pointer`` flips the
+one + table), so a two-mode run builds only Phi_+: the profile sums its even
+and odd parity blocks, order by order as the recurrence runs along each row.
 
 The truncated coefficient mass drops like sqrt(k) lambda^{2k} across total
 degree k = n + m, so cutting at n_max drops an estimable geometric tail;
@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (ConfigError, CutoffTooSmall, GridMismatch, GridTooNarrow,
                      InsufficientMass)
-from .distribution import DensityMap, _map_shape, _marginals, _row_map
+from .distribution import DensityMap, _map_shape, _marginals, _row_map, _size
 from .grids import MAX_NODES, QuadratureGrid
 from .group import GroupElement
 
@@ -43,28 +43,40 @@ TAIL_TOL = 1e-4
 COEFF_QUAD_NODES = 2048   # midpoint nodes in t for raw_pointer_coefficients
 
 
+def _hermite_orders(n_max: int, y):
+    """Yield the exponents e, then 2^e h_0 .. 2^e h_{n_max} at the points y."""
+    u = math.sqrt(2.0) * np.asarray(y, dtype=float)
+    half_u2 = 0.5 * u * u
+    # e^{-u^2/2} leaves the normal range at |y| ~ 26.5, inside the oscillating region of
+    # h_n for n >~ 700: beyond it the recurrence runs on 2^e h_n, e <= 1000 (|2^e h_n| < 2^1000)
+    e = np.clip((half_u2 - 700.0) // math.log(2.0), 0.0, 1000.0)
+    yield e
+    h_prev, h = 0.0, (2.0 / math.pi) ** 0.25 * np.exp(e * math.log(2.0) - half_u2)
+    yield h
+    for n in range(n_max):
+        h_prev, h = h, math.sqrt(2.0 / (n + 1)) * u * h - math.sqrt(n / (n + 1)) * h_prev
+        yield h
+
+
 def hermite_functions(n_max: int, y: np.ndarray) -> np.ndarray:
     """Oscillator eigenfunctions h_0 .. h_{n_max} at the points y, of any shape.
 
     Quadrature scaling: h_n(y) = 2^{1/4} phi_n(sqrt(2) y) with phi_n the
     standard orthonormal Hermite functions, so that the h_n are orthonormal
-    in integral dy.
+    in integral dy.  The three-term recurrence starts from h_{-1} = 0.
     """
-    u = math.sqrt(2.0) * np.asarray(y, dtype=float)
-    half_u2 = 0.5 * u * u
-    # e^{-u^2/2} leaves the normal range at |y| ~ 26.5, inside the oscillating
-    # region of h_n for n >~ 700: beyond it the recurrence runs on 2^e h_n
-    # (e <= 1000, so |2^e h_n| < 2^1000) and scales back at the end
-    e = np.clip((half_u2 - 700.0) // math.log(2.0), 0.0, 1000.0)
-    H = np.zeros((n_max + 1,) + u.shape)
-    H[0] = (2.0 / math.pi) ** 0.25 * np.exp(e * math.log(2.0) - half_u2)
-    if n_max >= 1:
-        H[1] = math.sqrt(2.0) * u * H[0]
-    for n in range(1, n_max):
-        H[n + 1] = math.sqrt(2.0 / (n + 1)) * u * H[n] - math.sqrt(n / (n + 1)) * H[n - 1]
-    if e.any():
-        H *= np.exp2(-e)
-    return H
+    n_max = _check_n_max(n_max, 0)
+    orders = _hermite_orders(n_max, y)
+    e = next(orders)
+    return np.fromiter(orders, np.dtype((float, e.shape)), n_max + 1) * np.exp2(-e)
+
+
+def _check_n_max(n_max, minimum: int) -> int:
+    """n_max as an int: ValueError if it is not integral or below ``minimum``."""
+    n_max = _size(n_max, "n_max")
+    if n_max < minimum:
+        raise ValueError(f"n_max must be at least {minimum}")
+    return n_max
 
 
 def _degrees(n_max: int) -> np.ndarray:
@@ -111,6 +123,7 @@ def raw_pointer_coefficients(n_max: int) -> np.ndarray:
 
     ConfigError above MAX_NODES coefficients (n_max >= 1024), before any table.
     """
+    n_max = _check_n_max(n_max, 0)
     if (n_max + 1) ** 2 > MAX_NODES:
         raise ConfigError(f"a {n_max + 1}^2 coefficient table exceeds {MAX_NODES} entries")
     y_max = _pointer_grid(n_max).y_max
@@ -153,8 +166,7 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
     """
     if not 0.0 < lam < 1.0:
         raise ValueError("lambda must lie strictly between 0 and 1")
-    if n_max < MIN_N_MAX:
-        raise ValueError(f"n_max must be at least {MIN_N_MAX}")
+    n_max = _check_n_max(n_max, MIN_N_MAX)
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     degrees = _degrees(n_max)
@@ -209,30 +221,34 @@ def concentration_profile(lam: float, n_max: int,
                           resolution, tail_tol: Optional[float] = TAIL_TOL) -> ConcentrationProfile:
     """Map of sum_s |<<Phi(lambda)_s| U_{x,r} (x) 1 |Phi(lambda)_+>>|^2.
 
-    Widths are the second moments of the profile about the origin over the
-    window, under dx dr; ``map.mass`` integrates it under d_L g = e^{-r} dx dr.
-    The widths shrink monotonically as lambda -> 1 (delta concentration).
-    ``window`` and ``resolution`` are checked as ``scan`` checks them;
-    GridTooNarrow for |x| beyond pi/(8 dy) of the pointer grid (16 nodes per
-    period of e^{-2i x y}, as ``scan`` resolves its phase), InsufficientMass
-    for a window that captures none of the profile.
+    Each chunk of map rows runs one Hermite recurrence, adding each order h_n(e^r y)
+    to its parity's row kernel.  Widths, second moments about the origin over the
+    window under dx dr, shrink as lambda -> 1; ``map.mass`` integrates the profile
+    under d_L g = e^{-r} dx dr.  ``window``, ``resolution`` and ``n_max`` are checked
+    as ``scan`` and ``make_pointer`` check them; GridTooNarrow for |x| beyond pi/(8 dy)
+    of the pointer grid (16 nodes per period of e^{-2i x y}, as ``scan`` resolves its
+    phase), InsufficientMass for a window that captures none of the profile.
     """
     nx, nr = _map_shape(window, resolution)
+    n_max = _check_n_max(n_max, MIN_N_MAX)
     grid, x_max = _pointer_grid(n_max), max(-window[0], window[1])
     if x_max > math.pi / (8.0 * grid.dy):
         raise GridTooNarrow(f"|x| up to {x_max:.4g} exceeds pi/(8 dy) = "
                             f"{math.pi / (8.0 * grid.dy):.4g} of the n_max {n_max} pointer grid")
     p_plus = make_pointer(lam, +1, n_max, tail_tol=tail_tol)
     y, C = grid.nodes, p_plus.coeffs
-    # f_m = sum_n c_nm h_n; the Phi_s overlap is E + s O, E and O the sums of <f_m|U|f_m> over
-    # even and odd m (the (-1)^m of _flipped): sum_s |.|^2 = 2(|E|^2 + |O|^2), G_j = C_j C_j^T H
+    # f_m = sum_n c_nm h_n; the Phi_s overlap is E + s O, the sums of <f_m|U|f_m> over even and
+    # odd m: sum_s |.|^2 = 2(|E|^2 + |O|^2), G_j = C_j C_j^T H[j::2] on the blocks C[j::2, j::2]
     H = hermite_functions(n_max, y)
-    G = np.stack([C[:, j::2] @ (C[:, j::2].T @ H) for j in (0, 1)], axis=1)
+    G = [C[j::2, j::2] @ (C[j::2, j::2].T @ H[j::2]) for j in (0, 1)]
 
-    def rows_at(r):
-        Hs = hermite_functions(n_max, np.outer(np.exp(r), y))  # one table per chunk
-        kernels = np.einsum("kjy,ksy,j->yjs", Hs, G, math.sqrt(2.0) * np.exp(r / 2.0) * grid.dy)
-        return np.ones(len(r)), kernels.reshape(len(y), -1)
+    def rows_at(r):  # kernel_j = sum of G_j h_n(e^r y) over the orders n of parity j
+        orders = _hermite_orders(n_max, np.outer(np.exp(r), y))
+        scale = np.exp2(-next(orders)) * (math.sqrt(2.0) * np.exp(r / 2.0) * grid.dy)[:, None]
+        kernels = np.zeros((2,) + scale.shape)  # parity, row, y
+        for n, h in enumerate(orders):
+            kernels[n % 2] += G[n % 2][n // 2] * h
+        return np.ones(len(r)), (kernels * scale).T.reshape(len(y), -1)
 
     dmap = _row_map(window, nx, nr, y, rows_at, per_row=2)
     px, pr = _marginals(dmap, 1.0)

@@ -143,6 +143,22 @@ class TestScanAndArgmax:
         with pytest.raises(ValueError):
             scan(seed, vac, (1, -1, -1, 1), 32)
 
+    @pytest.mark.parametrize("resolution", [np.int64(16), np.int32(16), (np.int64(16), 16),
+                                            np.array([16, 16])],
+                             ids=["int64", "int32", "int64-pair", "array"])
+    def test_resolution_of_any_integer_type(self, vacuum_seed, resolution):
+        seed, vac = vacuum_seed
+        window = (-1.5, 1.5, -1.5, 1.5)
+        assert np.array_equal(scan(seed, vac, window, resolution).values,
+                              scan(seed, vac, window, 16).values)
+
+    @pytest.mark.parametrize("resolution", [16.0, np.float64(16.5), (16, 16.0), "16", None],
+                             ids=["float", "numpy-float", "float-in-pair", "str", "none"])
+    def test_non_integral_resolution_rejected(self, vacuum_seed, resolution):
+        seed, vac = vacuum_seed
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            scan(seed, vac, (-1.5, 1.5, -1.5, 1.5), resolution)
+
     def test_oscillation_auto_refinement(self):
         # a window with large |x| e^{-r} forces the scan to refine the grid;
         # compare against the same scan started from an already fine grid

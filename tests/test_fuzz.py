@@ -4,7 +4,8 @@ Each run draws its options from small pools of edge values: amplitudes and
 log-widths at the ends of their ranges, grids of 2 nodes and of 2^20, windows
 of 1e-12 and 1e6, lambda next to 0 and 1, extreme tolerances and photon
 numbers, and eight sampled-state files, most of them malformed.  Maps stay at
-16 x 16 and pointers at n_max 20.
+16 x 16 and pointers at n_max 20; the library calls take these sizes as a
+Python int, a numpy int or a float (which raises ValueError).
 """
 
 import contextlib
@@ -34,6 +35,7 @@ POOLS = {
 }
 ENDS = ("-1e6", "1e6", "-1e-12", "1e-12")
 FIXED = {"resolution": "16", "n_max": "20"}
+SIZES = {"resolution": (16, np.int64(16), 16.0), "n_max": (20, np.int64(20), 20.0)}
 
 
 def _state_files(directory):
@@ -124,6 +126,7 @@ def library_calls(draw):
     build = draw(st.sampled_from([sqdisp.build_ml_seed, sqdisp.build_srm_seed,
                                   sqdisp.build_parity_seed]))
     sign = draw(st.sampled_from([1, -1]))
+    res, n_max = (draw(st.sampled_from(SIZES[key])) for key in ("resolution", "n_max"))
 
     def state():
         grid = sqdisp.QuadratureGrid(y_max, n)
@@ -143,13 +146,13 @@ def library_calls(draw):
         seed,
         lambda: sqdisp.optimal_likelihood(state()),
         lambda: sqdisp.srm_likelihood(state()),
-        lambda: sqdisp.scan(*seed(), window, 16),
+        lambda: sqdisp.scan(*seed(), window, res),
         lambda: sqdisp.rms_predictions(a, z),
         lambda: sqdisp.separate_optima(a, z),
         lambda: sqdisp.uncertainty_product_ratio(a, z),
         lambda: sqdisp.isotropic_params(nbar),
-        lambda: sqdisp.make_pointer(lam, sign, 20, tail_tol=tol),
-        lambda: sqdisp.concentration_profile(lam, 20, window, 16, tail_tol=tol),
+        lambda: sqdisp.make_pointer(lam, sign, n_max, tail_tol=tol),
+        lambda: sqdisp.concentration_profile(lam, n_max, window, res, tail_tol=tol),
     ]))
 
 

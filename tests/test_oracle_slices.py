@@ -56,8 +56,11 @@ class TestOracleInputs:
         ((-12.0, 12.0, -8.0, 8.0), 1, ValueError),
         ((-12.0, 12.0, -8.0, 8.0), grids.MAX_NODES + 1, ConfigError),
         ((-1.0, 1.0, -1e6, 1e6), 16, ConfigError),
+        ((-12.0, 12.0, -8.0, 8.0), 16.5, ValueError),
+        ((-12.0, 12.0, -8.0, 8.0), np.float64(16.0), ValueError),
     ], ids=["reversed-r", "reversed-x", "empty-r", "nan", "inf", "r_resolution-0",
-            "r_resolution-1", "r_resolution-2^20+1", "r-above-ln-2^20"])
+            "r_resolution-1", "r_resolution-2^20+1", "r-above-ln-2^20", "r_resolution-16.5",
+            "r_resolution-numpy-float"])
     def test_rejected_before_screen(self, monkeypatch, vacuum_seed, oracle, window,
                                     r_resolution, error):
         call = oracle(vacuum_seed)
@@ -72,6 +75,14 @@ class TestOracleInputs:
         with pytest.raises(error):
             call(window, r_resolution)
         assert sums == []
+
+    @pytest.mark.parametrize("oracle", [normalization, group_average],
+                             ids=["normalization", "group_average"])
+    @pytest.mark.parametrize("r_resolution", [np.int64(16), np.int32(16)], ids=["int64", "int32"])
+    def test_r_resolution_of_any_integer_type(self, vacuum_seed, oracle, r_resolution):
+        call = oracle(vacuum_seed)
+        window = (-12.0, 12.0, -8.0, 8.0)
+        assert call(window, r_resolution) == call(window, 16)
 
     def test_inadmissible_pair_with_bad_window_is_value_error(self):
         # the window is checked before the screen would refuse the vacuum

@@ -1,6 +1,7 @@
 """Two-mode entangled pointer: coefficients, overlaps, delta concentration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +31,8 @@ class TestHermiteFunctions:
         y = np.linspace(-2, 2, 11)
         h0 = hermite_functions(0, y)[0]
         assert np.max(np.abs(h0 - (2 / math.pi) ** 0.25 * np.exp(-y ** 2))) < 1e-14
+        # from h_{-1} = 0 the recurrence gives h_1 = sqrt(2) u h_0 = 2 y h_0, u = sqrt(2) y
+        assert np.array_equal(hermite_functions(1, y)[1], math.sqrt(2.0) * (math.sqrt(2.0) * y) * h0)
 
 
 class TestPointerCoefficients:
@@ -216,3 +219,75 @@ def test_large_cutoff_profile_converged(monkeypatch):
     monkeypatch.setattr(two_mode, "COEFF_QUAD_NODES", 2 * two_mode.COEFF_QUAD_NODES)
     doubled = concentration_profile(0.999, 1000, window, 16, tail_tol=None).map.values
     assert np.max(np.abs(doubled - base) / base) < 1e-9
+
+
+class TestProfileRowSums:
+    """The profile's rows run the Hermite recurrence once per chunk and sum each
+    order into its parity's kernel as it comes, with no per-chunk table."""
+
+    N_MAX = 400  # 2048 pointer nodes, 3 rows per chunk of a 16 x 16 map
+
+    def profile(self):
+        return concentration_profile(0.999, self.N_MAX, (-1.5, 1.5, -1.5, 1.5), 16,
+                                     tail_tol=None)
+
+    def test_two_hermite_tables(self, monkeypatch):
+        # the coefficient table's on the t nodes and H's on the pointer grid
+        shapes = []
+        table = two_mode.hermite_functions
+
+        def counting(n_max, y):
+            shapes.append(np.shape(y))
+            return table(n_max, y)
+
+        monkeypatch.setattr(two_mode, "hermite_functions", counting)
+        self.profile()
+        assert shapes == [(two_mode.COEFF_QUAD_NODES,), (two_mode._pointer_grid(self.N_MAX).n,)]
+
+    def test_peak_memory_below_four_tables(self):
+        nodes = two_mode._pointer_grid(self.N_MAX).n
+        assert nodes == 2048
+        tracemalloc.start()
+        try:
+            self.profile()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (self.N_MAX + 1) * nodes * 8
+
+
+_WINDOW = (-1.5, 1.5, -1.5, 1.5)
+N_MAX_ENTRY_POINTS = {
+    "hermite_functions": lambda n_max: hermite_functions(n_max, np.linspace(-30.0, 30.0, 7)),
+    "raw_pointer_coefficients": raw_pointer_coefficients,
+    "make_pointer": lambda n_max: make_pointer(0.9, -1, n_max, tail_tol=None).coeffs,
+    "concentration_profile": lambda n_max: concentration_profile(
+        0.9, n_max, _WINDOW, 16, tail_tol=None).map.values,
+}
+
+
+@pytest.mark.parametrize("entry", N_MAX_ENTRY_POINTS)
+@pytest.mark.parametrize("n_max", [np.int64(20), np.int32(20), np.uint16(20)],
+                         ids=["int64", "int32", "uint16"])
+def test_n_max_of_any_integer_type(entry, n_max):
+    call = N_MAX_ENTRY_POINTS[entry]
+    assert np.array_equal(call(n_max), call(20))
+
+
+@pytest.mark.parametrize("entry", N_MAX_ENTRY_POINTS)
+@pytest.mark.parametrize("n_max, message", [
+    (20.0, "n_max must be an integer"),
+    (np.float64(20.5), "n_max must be an integer"),
+    ("20", "n_max must be an integer"),
+    (-1, "n_max must be at least"),
+], ids=["float", "numpy-float", "str", "negative"])
+def test_bad_n_max_rejected(entry, n_max, message):
+    with pytest.raises(ValueError, match=message):
+        N_MAX_ENTRY_POINTS[entry](n_max)
+
+
+def test_pointer_keeps_int_n_max():
+    # the pointer's grid reads n_max.bit_length(), which numpy integers lack
+    pointer = make_pointer(0.9, +1, np.int64(20), tail_tol=None)
+    assert type(pointer.n_max) is int
+    assert pointer.grid == make_pointer(0.9, +1, 20, tail_tol=None).grid

@@ -19,7 +19,9 @@ default profile (n_max 60, 96 x 96 over +-1.5) for each workload lambda, and
 ``profile_0.999_n1000``, lambda 0.999 at n_max 1000 on 16 x 16 over +-1.5;
 ``job_s``, each oracle slot with every parameter at the point u = 0.1, 0.5 or
 0.9 of its range, and ``total_s``, their sum.  ``minflt`` is the median number
-of minor page faults of each scan, profile or oracle call.
+of minor page faults of each scan, profile or oracle call, and
+``profile_peak_mb`` the tracemalloc peak, in MB, of one untimed profile call
+made after the timed ones.
 
 Deviations of the change from the parent, top-level keys ending in ``_dev``:
 ``max_rel_dev`` and ``max_abs_dev``, the largest |change - parent| of a scan map
@@ -43,6 +45,7 @@ import resource
 import statistics
 import sys
 import time
+import tracemalloc
 from functools import partial
 from pathlib import Path
 
@@ -53,8 +56,9 @@ ROW_NODES = (4096, 8192)
 ROW_X = 128
 PROFILE_WINDOW = (-1.5, 1.5, -1.5, 1.5)
 DEFAULT_PROFILE = (60, 96)  # n_max, resolution of `sqdisp two-mode`
-# (case, lambda, n_max, resolution) after the defaults: a large cutoff, where
-# the pointer's (n_max+1)^2 x N matrix products take most of the time
+# (case, lambda, n_max, resolution) after the defaults: a large cutoff, where the
+# pointer's matrix products and each row's Hermite recurrence over 8192 nodes
+# take the time, and its (n_max+1) x N tables the memory
 LARGE_PROFILE = ("profile_0.999_n1000", 0.999, 1000, 16)
 POINTS = (0.1, 0.5, 0.9)
 
@@ -101,6 +105,16 @@ def alternate(calls, repeats):
             faults[side].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
     return (outs, {side: min(t) for side, t in times.items()},
             {side: statistics.median(f) for side, f in faults.items()})
+
+
+def traced_peak_mb(call) -> float:
+    """Peak traced allocation of one call, in MB (10^6 bytes)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def row_call(pkg, n):
@@ -170,7 +184,7 @@ def main(argv=None) -> int:
 
     sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
              "change": load("sqdisp", ROOT / "src")}
-    keys = ("row_s", "scan_s", "scan_row_s", "profile_s", "job_s", "minflt")
+    keys = ("row_s", "scan_s", "scan_row_s", "profile_s", "job_s", "minflt", "profile_peak_mb")
     record = {side: {key: {} for key in keys} for side in sides}
     deviation = {}
     for key, case, repeats, calls, devs in cases(sides, args.repeats):
@@ -181,6 +195,8 @@ def main(argv=None) -> int:
                 record[side]["scan_row_s"][case] = best[side] / len(outs[side].r_nodes)
             if devs is not None:
                 record[side]["minflt"][case] = faults[side]
+            if key == "profile_s":
+                record[side]["profile_peak_mb"][case] = traced_peak_mb(calls[side])
         if devs is not None:
             for name, value in devs(outs["parent"], outs["change"]).items():
                 deviation.setdefault(name, {})[case] = value
@@ -196,6 +212,8 @@ def main(argv=None) -> int:
         for case, old in record["parent"][key].items():
             new = record["change"][key][case]
             print(f"{key:9s} {case:22s} {old:10.4g} -> {new:10.4g} s  ({new / old:5.2f}x)")
+    for case, old in record["parent"]["profile_peak_mb"].items():
+        print(f"peak_mb   {case:22s} {old:10.4g} -> {record['change']['profile_peak_mb'][case]:10.4g} MB")
     print(f"total_s {record['parent']['total_s']:.3f} -> {record['change']['total_s']:.3f}")
     for key, values in deviation.items():
         print(f"{key} {max(values.values()):.3g}")
