@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Tuple
@@ -32,7 +31,7 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .errors import ConfigError, DivergenceDetected, GridMismatch, InsufficientMass
-from .grids import (MAX_NODES, StateVector, _fft_length, _sector_sum, fourier_at,
+from .grids import (MAX_NODES, StateVector, _fft_length, _sector_sum, _size, fourier_at,
                     phase_resolving_grid, sector_integral)
 from .group import GroupElement, inverse
 from .povm import PovmSeed
@@ -78,15 +77,6 @@ def _check_window(window: Tuple[float, float, float, float]) -> None:
     if max(-r_lo, r_hi) > math.log(MAX_NODES):
         raise ConfigError(f"window r must lie in [-ln {MAX_NODES}, ln {MAX_NODES}] = "
                           f"±{math.log(MAX_NODES):.4g}")
-
-
-def _size(value, name: str) -> int:
-    """``value`` as an int, by ``operator.index``: ValueError naming ``name`` if
-    it is not integral, so any integer type gives what a Python int gives."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _map_shape(window: Tuple[float, float, float, float], resolution) -> Tuple[int, int]:
@@ -145,20 +135,47 @@ def _refine_for_window(seed: PovmSeed, psi: StateVector,
     return seed.on_grid(fine), psi.with_grid(fine)
 
 
+def _support(w: np.ndarray) -> Tuple[int, int]:
+    """(lo, hi) left after dropping the longest head w[:lo] and tail w[hi:] of
+    w >= 0 whose sums together hold at most 2^-53 of sum w; never empty, and
+    all of w if its sum is 0 or not finite."""
+    budget = 2.0 ** -53 * float(np.sum(w))
+    if not 0.0 < budget < math.inf:
+        return 0, len(w)
+    head = np.concatenate([[0.0], np.cumsum(w)])
+    tail = np.concatenate([[0.0], np.cumsum(w[::-1])])
+    i = np.arange(np.searchsorted(head, budget, side="right"))  # heads within budget
+    # the longest tail for each; a head and tail that met would hold all of sum w
+    j = np.searchsorted(tail, budget - head[i], side="right") - 1
+    best = int(np.argmax(i + j))
+    return best, len(w) - int(j[best])
+
+
+def _chunk_rows(nx: int, n: int, per_row: int = 1) -> int:
+    """Rows per chunk of ``_row_map`` on n nodes: max(1, _SCAN_CHUNK // (per_row L)),
+    L = _fft_length(nx + n - 1)."""
+    return max(1, _SCAN_CHUNK // (per_row * _fft_length(nx + n - 1)))
+
+
 def _row_map(window: Tuple[float, float, float, float], nx: int, nr: int,
-             y: np.ndarray, rows_at, per_row: int = 1) -> DensityMap:
+             y: np.ndarray, weight: np.ndarray, rows_at, per_row: int = 1) -> DensityMap:
     """DensityMap of sum_c |sum_k K_kc e^{-2i s x y_k}|^2, c over a row's per_row
-    kernel columns.  ``rows_at(r)`` gives each row's x scale s and the kernels,
-    (len(y), per_row * len(r)), for a chunk of r nodes.  A chunk holds max(1,
-    _SCAN_CHUNK // (per_row L)) rows, L = _fft_length(nx + len(y) - 1), so an FFT
-    array of ``grids.fourier_at`` holds at most _SCAN_CHUNK complex elements or
-    one row; the map depends on neither order nor chunks."""
+    kernel columns.  ``weight`` >= 0 has |K_kc| <= B weight_k for one B over all
+    rows, so the rows run only on keep = slice(*_support(weight)), and what they
+    drop of any amplitude is at most 2^-53 B sum(weight).  ``rows_at(r, keep)``
+    gives each row's x scale s and the kernels, (len(y[keep]), per_row * len(r)),
+    for a chunk of r nodes.  A chunk holds ``_chunk_rows(nx, len(y[keep]),
+    per_row)`` rows, so an FFT array of ``grids.fourier_at`` holds at most
+    _SCAN_CHUNK complex elements or one row; the map depends on neither order
+    nor chunks."""
     x_nodes = np.linspace(*window[:2], nx)
     r_nodes = np.linspace(*window[2:], nr)
     values = np.empty((nx, nr))
-    rows = max(1, _SCAN_CHUNK // (per_row * _fft_length(nx + len(y) - 1)))
+    keep = slice(*_support(weight))
+    y = y[keep]
+    rows = _chunk_rows(nx, len(y), per_row)
     for j in range(0, nr, rows):
-        scale, kernels = rows_at(r_nodes[j:j + rows])
+        scale, kernels = rows_at(r_nodes[j:j + rows], keep)
         amps = fourier_at(np.outer(x_nodes, np.repeat(scale, per_row)), y, kernels)
         values[:, j:j + rows] = (np.abs(amps) ** 2).reshape(nx, -1, per_row).sum(axis=2)
     return DensityMap(x_nodes, r_nodes, values)
@@ -171,20 +188,21 @@ def scan(seed: PovmSeed, psi: StateVector,
 
     ``resolution`` is an int or an (nx, nr) pair, at least 16 per axis and
     at most MAX_NODES cells.  Each r row is a chirp-z transform of length
-    L >= nx + n - 1 on n quadrature nodes, in the row chunks of ``_row_map``.
+    L >= nx + n - 1 on the n quadrature nodes that carry all but 2^-53 of
+    |eta|'s L1 mass, in the row chunks of ``_row_map``.
     """
     nx, nr = _map_shape(window, resolution)
     seed, psi = _refine_for_window(seed, psi, window)
     y = psi.grid.nodes
     eta_conj = np.conj(seed.eta.amplitudes)
 
-    def rows_at(r):
+    def rows_at(r, keep):
         scale = np.exp(-r)  # e^{r'} of the inverse elements
-        base = psi.evaluate_at(np.outer(scale, y)) * eta_conj  # one row per r
+        base = psi.evaluate_at(np.outer(scale, y[keep])) * eta_conj[keep]  # one row per r
         base *= (np.sqrt(scale) * psi.grid.dy)[:, None]
         return -scale, base.T  # x' = -e^{-r} x of the inverse elements
 
-    return _row_map(window, nx, nr, y, rows_at)
+    return _row_map(window, nx, nr, y, np.abs(eta_conj), rows_at)
 
 
 def _quadratic_peak(values: np.ndarray, i: int, j: int,

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
@@ -53,6 +54,15 @@ GROWTH_FACTOR = 1.05
 _CHIRP_BLOCK = 64  # B in the chirps' m = B q + p
 
 
+def _size(value, name: str) -> int:
+    """``value`` as an int, by ``operator.index``: ValueError naming ``name`` if
+    it is not integral, so any integer type gives what a Python int gives."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Midpoint-offset uniform grid on [-y_max, y_max], n even and <= MAX_NODES."""
@@ -63,6 +73,7 @@ class QuadratureGrid:
     def __post_init__(self):
         if not (self.y_max > 0 and math.isfinite(self.y_max)):
             raise ValueError("y_max must be positive and finite")
+        object.__setattr__(self, "n", _size(self.n, "n"))
         if self.n < 2 or self.n % 2 != 0:
             raise ValueError("n must be an even integer >= 2")
         if self.n > MAX_NODES:

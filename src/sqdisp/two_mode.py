@@ -32,8 +32,8 @@ import numpy as np
 
 from .errors import (ConfigError, CutoffTooSmall, GridMismatch, GridTooNarrow,
                      InsufficientMass)
-from .distribution import DensityMap, _map_shape, _marginals, _row_map, _size
-from .grids import MAX_NODES, QuadratureGrid
+from .distribution import DensityMap, _map_shape, _marginals, _row_map
+from .grids import MAX_NODES, QuadratureGrid, _size
 from .group import GroupElement
 
 DEFAULT_TEST_LAMBDAS = (0.9, 0.95, 0.99)
@@ -242,15 +242,16 @@ def concentration_profile(lam: float, n_max: int,
     H = hermite_functions(n_max, y)
     G = [C[j::2, j::2] @ (C[j::2, j::2].T @ H[j::2]) for j in (0, 1)]
 
-    def rows_at(r):  # kernel_j = sum of G_j h_n(e^r y) over the orders n of parity j
-        orders = _hermite_orders(n_max, np.outer(np.exp(r), y))
+    def rows_at(r, keep):  # kernel_j = sum of G_j h_n(e^r y) over the orders n of parity j
+        orders = _hermite_orders(n_max, np.outer(np.exp(r), y[keep]))
         scale = np.exp2(-next(orders)) * (math.sqrt(2.0) * np.exp(r / 2.0) * grid.dy)[:, None]
         kernels = np.zeros((2,) + scale.shape)  # parity, row, y
         for n, h in enumerate(orders):
-            kernels[n % 2] += G[n % 2][n // 2] * h
-        return np.ones(len(r)), (kernels * scale).T.reshape(len(y), -1)
+            kernels[n % 2] += G[n % 2][n // 2, keep] * h
+        return np.ones(len(r)), (kernels * scale).T.reshape(scale.shape[1], -1)
 
-    dmap = _row_map(window, nx, nr, y, rows_at, per_row=2)
+    weight = np.abs(G[0]).sum(axis=0) + np.abs(G[1]).sum(axis=0)  # |h_n| is bounded
+    dmap = _row_map(window, nx, nr, y, weight, rows_at, per_row=2)
     px, pr = _marginals(dmap, 1.0)
     total = float(px.sum())
     if total == 0.0:

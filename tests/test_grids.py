@@ -47,6 +47,24 @@ class TestQuadratureGrid:
         with pytest.raises(ConfigError, match="exceeds"):
             QuadratureGrid(10.0, 2 * MAX_NODES)
 
+    @pytest.mark.parametrize("n", [512.0, np.float64(512.0), 512.5, "512"])
+    def test_non_integral_n_rejected(self, n):
+        # a float n used to pass the parity check and crash in the oracle
+        with pytest.raises(ValueError, match="^n must be an integer"):
+            QuadratureGrid(10.0, n)
+
+    @pytest.mark.parametrize("n", [np.int64(512), np.int32(512), np.uint16(512)])
+    def test_n_of_any_integer_type(self, n):
+        from sqdisp import build_ml_seed, normalization_check
+        grids = [QuadratureGrid(10.0, size) for size in (512, n)]
+        assert grids[0] == grids[1] and type(grids[1].n) is int
+        assert np.array_equal(grids[0].nodes, grids[1].nodes) and grids[0].dy == grids[1].dy
+        checks = []
+        for grid in grids:
+            vac = make_vacuum(grid)
+            checks.append(normalization_check(build_ml_seed(vac), vac, (-1.0, 1.0, -1.0, 1.0), 16))
+        assert checks[0] == checks[1]
+
     def test_default_grid_sizing(self):
         g = default_grid(10.0)
         assert g.y_max == pytest.approx(20.0)

@@ -5,7 +5,9 @@ windows; a coarse base grid (n = 1024) sends some draws through the window
 refinement, so both the direct and the resampled scan are compared with
 ``density_at`` on the grid the scan actually used.  Two fixed cases pin the
 boundaries of the scan's row chunks, and neither the scan nor the two-mode
-profile, which share the row loop, may depend on them.
+profile, which share the row loop, may depend on them.  The rows run only on
+the nodes that carry all but 2^-53 of the seed's L1 mass: the helper that picks
+them, and scans that drop most of a grid or none of it, are tested last.
 """
 
 import numpy as np
@@ -13,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqdisp import (GaussianStateParams, GroupElement, StateVector, build_ml_seed,
-                    concentration_profile, default_grid, density_at, make_vacuum, scan)
+from sqdisp import (GaussianStateParams, GroupElement, QuadratureGrid, StateVector,
+                    build_ml_seed, concentration_profile, default_grid, density_at,
+                    make_coherent, make_sampled, make_vacuum, scan)
 from sqdisp import distribution
 from sqdisp.distribution import _refine_for_window
-from sqdisp.grids import _fft_length
+from sqdisp.grids import fourier_at
 
 RESOLUTION = 16
 
@@ -43,21 +46,46 @@ def assert_scan_equals_density_at(seed, psi, window, resolution):
     return fine_psi.grid.n
 
 
-def chunk_rows(nx, n, per_row=1):
-    return max(1, distribution._SCAN_CHUNK // (per_row * _fft_length(nx + n - 1)))
+def record_chunks(monkeypatch):
+    """(nodes, kernel columns) of each ``fourier_at`` call of the row loop."""
+    calls = []
+
+    def spy(x, y, h):
+        calls.append((len(y), h.shape[1]))
+        return fourier_at(x, y, h)
+
+    monkeypatch.setattr(distribution, "fourier_at", spy)
+    return calls
 
 
-# the chunk boundaries of the row loop: a last chunk shorter than the rest
-# on 4096 nodes, and one-row chunks on a window that refines to 8192 nodes
+def chunk_rows(nx, calls, per_row=1):
+    """Rows per chunk on the nodes the rows ran on, by the library's own rule;
+    every call but the last holds that many."""
+    (nodes,) = {n for n, _ in calls}
+    rows = distribution._chunk_rows(nx, nodes, per_row)
+    assert [c // per_row for _, c in calls[:-1]] == [rows] * (len(calls) - 1)
+    return rows
+
+
+def odd_state(width):
+    grid = QuadratureGrid(10.0, 4096)
+    return make_sampled(grid, grid.nodes * np.exp(-(grid.nodes / width) ** 2))
+
+
+# the chunk boundaries of the row loop: a last chunk shorter than the rest on
+# 4096 nodes (the vacuum's rows run on 2483 of them, in chunks of 6), and one-row
+# chunks on a window that refines to 8192 nodes, for an odd state whose seed
+# fills all but the two outermost
 @pytest.mark.parametrize("window, resolution, nodes", [
     ((-3.0, 3.0, -1.0, 1.0), (40, 17), 4096),
     ((-80.0, 80.0, -0.2, 0.2), (17, 16), 8192),
 ])
-def test_scan_chunk_boundaries(window, resolution, nodes):
-    vac = make_vacuum()
-    rows = chunk_rows(resolution[0], nodes)
+def test_scan_chunk_boundaries(monkeypatch, window, resolution, nodes):
+    psi = make_vacuum() if nodes == 4096 else odd_state(2.5)
+    calls = record_chunks(monkeypatch)
+    assert assert_scan_equals_density_at(build_ml_seed(psi), psi, window, resolution) == nodes
+    rows = chunk_rows(resolution[0], calls)
     assert (rows > 1 and resolution[1] % rows != 0) if nodes == 4096 else rows == 1
-    assert assert_scan_equals_density_at(build_ml_seed(vac), vac, window, resolution) == nodes
 
 
 def test_scan_independent_of_chunking(monkeypatch):
@@ -67,9 +95,61 @@ def test_scan_independent_of_chunking(monkeypatch):
     window = (-4.0, 4.0, -1.2, 0.9)
     maps = (lambda: scan(seed, psi, window, (64, 40)),
             lambda: concentration_profile(0.9, 20, window, (64, 40), tail_tol=None).map)
-    chunked = [make() for make in maps]
-    assert chunk_rows(64, psi.grid.n) > 1 and chunk_rows(64, 2048, per_row=2) > 1
+    chunked = []
+    for make, per_row in zip(maps, (1, 2)):
+        calls = record_chunks(monkeypatch)
+        chunked.append(make())
+        assert chunk_rows(64, calls, per_row) > 1
     monkeypatch.setattr(distribution, "_SCAN_CHUNK", 1)  # one row per chunk
     for make, whole in zip(maps, chunked):
         by_row = make()
         assert np.max(np.abs(by_row.values - whole.values)) <= 1e-13 * np.max(whole.values)
+
+
+# the row loop's support: the rows run on the nodes that carry all but 2^-53
+# of the bound w of their kernels
+def _dropped(w, lo, hi):
+    return w[:lo].sum() + w[hi:].sum()
+
+
+@pytest.mark.parametrize("draw", range(40))
+def test_support_drops_at_most_2_to_minus_53(draw):
+    rng = np.random.default_rng(draw)
+    n = int(rng.integers(1, 40))
+    w = 10.0 ** rng.uniform(-24.0, 0.0, n) * (rng.random(n) < 0.8)
+    if draw == 0:
+        w[:] = 0.0
+    elif draw == 1:
+        w[:] = 0.0
+        w[rng.integers(n)] = 1.0
+    lo, hi = distribution._support(w)
+    assert 0 <= lo < hi <= n
+    budget = 2.0 ** -53 * w.sum()
+    # sums in another order than the helper's: allow their round-off
+    assert _dropped(w, lo, hi) <= budget * (1.0 + 1e-12)
+    if not w.any():
+        assert (lo, hi) == (0, n)
+    else:  # the longest head and tail within the budget, by brute force
+        kept = min(b - a for a in range(n) for b in range(a + 1, n + 1)
+                   if _dropped(w, a, b) <= budget)
+        assert hi - lo == kept
+
+
+def test_scan_rows_on_the_seed_support(monkeypatch):
+    # y_max = |a| + 10 leaves most of the grid to tails below round-off
+    psi = make_coherent(12.0, grid=default_grid(12.0))
+    seed = build_ml_seed(psi)
+    calls = record_chunks(monkeypatch)
+    dmap = scan(seed, psi, (-3.0, 3.0, -1.0, 1.0), RESOLUTION)
+    (nodes,) = {n for n, _ in calls}
+    assert psi.grid.n == 4096 and nodes < psi.grid.n // 2
+    pointwise = np.array([[density_at(seed, psi, GroupElement(x, r)) for r in dmap.r_nodes]
+                          for x in dmap.x_nodes])
+    assert np.max(np.abs(dmap.values - pointwise)) <= 1e-12 * np.max(pointwise)
+
+
+def test_wide_seed_keeps_every_node(monkeypatch):
+    psi = odd_state(2.5)
+    calls = record_chunks(monkeypatch)
+    scan(build_ml_seed(psi), psi, (-3.0, 3.0, -1.0, 1.0), RESOLUTION)
+    assert {n for n, _ in calls} == {psi.grid.n}

@@ -12,6 +12,7 @@ from sqdisp import (ConfigError, CutoffTooSmall, GroupElement, IDENTITY,
                     hermite_functions, make_pointer, pointer_overlap,
                     raw_pointer_coefficients, two_mode)
 from sqdisp.errors import GridMismatch
+from sqdisp.grids import fourier_at
 
 # oracle: quad of sqrt(|y|) h_0(y)^2 / sqrt(pi); closed form
 # sqrt(2)/pi * 2^{-3/4} Gamma(3/4) = 0.32800194866687643
@@ -189,17 +190,25 @@ class TestConcentrationProfile:
         col = m.values[:, j]
         assert np.max(np.abs(col - col[::-1])) < 1e-10 * col.max()
 
-    # both cases end on a short chunk: 23 and 19 rows in chunks of 3
+    # both cases end on a short chunk: 23 and 19 rows in chunks of 3 and 4, on
+    # the 2043 and 1800 of the 2048 pointer nodes the rows run on
     @pytest.mark.parametrize("lam, n_max, resolution", [(0.9, 20, (17, 23)),
                                                          (0.95, 60, (24, 19))])
-    def test_map_equals_pointwise_overlaps(self, lam, n_max, resolution):
+    def test_map_equals_pointwise_overlaps(self, monkeypatch, lam, n_max, resolution):
         from sqdisp import distribution
-        from sqdisp.grids import _fft_length
+        nodes = []
+
+        def spy(x, y, h):
+            nodes.append(len(y))
+            return fourier_at(x, y, h)
+
+        monkeypatch.setattr(distribution, "fourier_at", spy)
         prof = concentration_profile(lam, n_max, (-1.5, 1.5, -1.5, 1.5), resolution,
                                      tail_tol=None)
         m = prof.map
         nx, nr = resolution
-        rows = distribution._SCAN_CHUNK // (2 * _fft_length(nx + prof.plus.grid.n - 1))
+        rows = distribution._chunk_rows(nx, nodes[0], per_row=2)
+        assert len(set(nodes)) == 1 and len(nodes) == -(-nr // rows)
         assert rows > 1 and nr % rows != 0
         minus = make_pointer(lam, -1, n_max, tail_tol=None)
         pointwise = np.array([[sum(abs(pointer_overlap(p, GroupElement(x, r), prof.plus)) ** 2

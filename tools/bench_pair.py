@@ -21,7 +21,9 @@ default profile (n_max 60, 96 x 96 over +-1.5) for each workload lambda, and
 0.9 of its range, and ``total_s``, their sum.  ``minflt`` is the median number
 of minor page faults of each scan, profile or oracle call, and
 ``profile_peak_mb`` the tracemalloc peak, in MB, of one untimed profile call
-made after the timed ones.
+made after the timed ones.  ``scan_nodes`` is, per scan slot, the number of
+nodes its rows run on: len(y) of the ``fourier_at`` calls of one untimed scan
+(a side that runs its rows on the whole grid records the grid's n).
 
 Deviations of the change from the parent, top-level keys ending in ``_dev``:
 ``max_rel_dev`` and ``max_abs_dev``, the largest |change - parent| of a scan map
@@ -125,6 +127,22 @@ def row_call(pkg, n):
     return lambda: pkg["grids"].fourier_at(x, y, h)
 
 
+def row_nodes(pkg, call) -> int:
+    """The largest len(y) that ``call`` hands to the side's ``fourier_at``."""
+    distribution, fourier_at, nodes = pkg["distribution"], pkg["distribution"].fourier_at, []
+
+    def recording(x, y, h):
+        nodes.append(len(y))
+        return fourier_at(x, y, h)
+
+    distribution.fourier_at = recording
+    try:
+        call()
+    finally:
+        distribution.fourier_at = fourier_at
+    return max(nodes)
+
+
 def map_devs(prefix, old, new):
     old, new = old.values, new.values
     bulk = old >= 1e-3 * old.max()
@@ -184,7 +202,8 @@ def main(argv=None) -> int:
 
     sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
              "change": load("sqdisp", ROOT / "src")}
-    keys = ("row_s", "scan_s", "scan_row_s", "profile_s", "job_s", "minflt", "profile_peak_mb")
+    keys = ("row_s", "scan_s", "scan_row_s", "scan_nodes", "profile_s", "job_s", "minflt",
+            "profile_peak_mb")
     record = {side: {key: {} for key in keys} for side in sides}
     deviation = {}
     for key, case, repeats, calls, devs in cases(sides, args.repeats):
@@ -193,6 +212,7 @@ def main(argv=None) -> int:
             record[side][key][case] = best[side]
             if key == "scan_s":
                 record[side]["scan_row_s"][case] = best[side] / len(outs[side].r_nodes)
+                record[side]["scan_nodes"][case] = row_nodes(sides[side], calls[side])
             if devs is not None:
                 record[side]["minflt"][case] = faults[side]
             if key == "profile_s":
@@ -212,6 +232,8 @@ def main(argv=None) -> int:
         for case, old in record["parent"][key].items():
             new = record["change"][key][case]
             print(f"{key:9s} {case:22s} {old:10.4g} -> {new:10.4g} s  ({new / old:5.2f}x)")
+    for case, old in record["parent"]["scan_nodes"].items():
+        print(f"nodes     {case:22s} {old:10d} -> {record['change']['scan_nodes'][case]:10d}")
     for case, old in record["parent"]["profile_peak_mb"].items():
         print(f"peak_mb   {case:22s} {old:10.4g} -> {record['change']['profile_peak_mb'][case]:10.4g} MB")
     print(f"total_s {record['parent']['total_s']:.3f} -> {record['change']['total_s']:.3f}")
