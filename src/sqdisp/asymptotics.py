@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SupportViolation
-from .grids import StateVector, _sector_sum
+from .errors import ConfigError, SupportViolation
+from .grids import StateVector, _check_log_range, _sector_sum
 
 NEG_MASS_TOL = 1e-6
 ASYMPTOTIC_WARN_THRESHOLD = 3.0
@@ -43,7 +43,7 @@ class AsymptoticModel:
 
     def __post_init__(self):
         if not self.a > 0:
-            raise ValueError("a must be positive")
+            raise ConfigError(f"a must be positive, got {self.a}")
 
 
 def model_density(m: AsymptoticModel, x: float, r: float) -> float:
@@ -59,17 +59,17 @@ def rms_predictions(a: float, z: float = 0.0):
     Built as sqrt(2) times the separate-measurement optima so the ratio
     holds exactly in floating point.  Warns outside the asymptotic regime.
     """
+    dx_opt, dr_opt = separate_optima(a, z)
     if a * math.exp(z) < ASYMPTOTIC_WARN_THRESHOLD:
         warnings.warn("a e^z is small; asymptotic error laws are unreliable",
                       stacklevel=2)
-    dx_opt, dr_opt = separate_optima(a, z)
     return math.sqrt(2.0) * dx_opt, math.sqrt(2.0) * dr_opt
 
 
 def separate_optima(a: float, z: float = 0.0):
-    """Optimal separate-measurement errors (Delta x_opt, Delta r_opt), a > 0."""
-    if not a > 0:
-        raise ValueError("a must be positive")
+    """Separate-measurement optima (Delta x_opt, Delta r_opt), a > 0 and |z| <= ln MAX_NODES."""
+    AsymptoticModel(a)  # its check: ConfigError unless a > 0
+    _check_log_range(z=z)
     return math.exp(z) / 2.0, 1.0 / (2.0 * a * math.exp(z))
 
 
@@ -142,7 +142,7 @@ def isotropic_params(nbar: float) -> IsotropicSolution:
     d = e / (a + 5/4 - 1/(4a)), with no cancellation, and z = -log1p(d)/2.
     """
     if not nbar > 1:
-        raise ValueError("nbar must exceed 1")
+        raise ConfigError(f"nbar must exceed 1, got {nbar}")
     m = math.sqrt((nbar + 0.5 + 1.0 / 48.0) / 3.0)
     q = (nbar + 0.5) / 12.0 + 0.25 + 1.0 / 864.0
     e = math.frexp(m)[1]  # q / m^3 scaled by 2^(3e) exactly, so m^3 cannot overflow

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import asymptotics, distribution, two_mode, validate
 from .errors import ConfigError, EstimationError
-from .grids import (MAX_NODES, QuadratureGrid, StateVector, default_grid,
+from .grids import (QuadratureGrid, StateVector, default_grid,
                     make_coherent, make_displaced_squeezed, make_sampled,
                     make_vacuum)
 from .povm import (KIND_ML, KIND_PARITY, KIND_SRM, build_ml_seed,
@@ -71,29 +71,6 @@ class RunConfig:
                 raise ConfigError(f"unknown {f.name} {v!r}")
             if isinstance(v, float) and not math.isfinite(v):
                 raise ConfigError(f"{f.name} must be finite, got {v}")
-        if self.resolution is not None and not 16 <= self.resolution <= math.isqrt(MAX_NODES):
-            raise ConfigError(f"resolution must lie in [16, {math.isqrt(MAX_NODES)}], "
-                              f"a map of at most {MAX_NODES} cells")
-        if not 0.0 < self.lam < 1.0:
-            raise ConfigError("lam must lie strictly between 0 and 1")
-        if self.y_max is not None and not self.y_max > 0:
-            raise ConfigError("y_max must be positive")
-        if self.n is not None and not (2 <= self.n <= MAX_NODES and self.n % 2 == 0):
-            raise ConfigError(f"n must be an even integer in [2, {MAX_NODES}]")
-        if self.tail_tol is not None and not self.tail_tol > 0:
-            raise ConfigError("tail_tol must be positive")
-        if not self.nbar > 1:
-            raise ConfigError("nbar must exceed 1")
-        if not two_mode.MIN_N_MAX <= self.n_max < math.isqrt(MAX_NODES):
-            raise ConfigError(f"n_max must lie in [{two_mode.MIN_N_MAX}, "
-                              f"{math.isqrt(MAX_NODES) - 1}], a coefficient table of at "
-                              f"most {MAX_NODES} entries")
-        for name in ("z", "r_lo", "r_hi"):
-            v = getattr(self, name)
-            if v is not None and abs(v) > math.log(MAX_NODES):
-                # e^{|v|} would exceed the node count of the largest grid
-                raise ConfigError(f"{name} must lie in [-ln {MAX_NODES}, ln {MAX_NODES}] = "
-                                  f"±{math.log(MAX_NODES):.4g}")
         if self.state == "sampled-file":
             if not self.sampled_path:
                 raise ConfigError("sampled-file state requires sampled_path")
@@ -104,8 +81,6 @@ class RunConfig:
         if any(v is not None for v in window):
             if any(v is None for v in window):
                 raise ConfigError("window requires all of x_lo, x_hi, r_lo, r_hi")
-            if not (self.x_lo < self.x_hi and self.r_lo < self.r_hi):
-                raise ConfigError("window must satisfy x_lo < x_hi and r_lo < r_hi")
 
 
 def _base_type(hint) -> type:
@@ -169,6 +144,12 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
     given.update(flags)
     cfg = RunConfig(**given)
     cfg.validate()
+    # the library's checks of a map's and a pointer's size, before any build or --print-config
+    if cfg.resolution is not None:
+        distribution._map_shape(cfg.resolution)
+    if cfg.x_lo is not None:
+        distribution._check_window((cfg.x_lo, cfg.x_hi, cfg.r_lo, cfg.r_hi))
+    two_mode._check_n_max(cfg.n_max, two_mode.MIN_N_MAX)
     return dataclasses.replace(
         cfg, **{k: v for k, v in reads.items() if v is not None and k not in given})
 
@@ -314,17 +295,15 @@ def run_compare(cfg: RunConfig) -> int:
 
 
 def run_asymptotics(cfg: RunConfig) -> int:
-    if not cfg.a > 0:
-        raise ConfigError(f"asymptotics needs a > 0, got {cfg.a}")
     ox, orr = asymptotics.separate_optima(cfg.a, cfg.z)
-    # rms_predictions is sqrt(2) times these and warns for a small a e^z, so the
-    # range of every reported number is checked first: a rejected run prints one line
+    # rms_predictions is sqrt(2) times these and warns for a small a e^z, so every
+    # reported number's range and nbar are checked first: a rejected run prints one line
     root2 = math.sqrt(2.0)
     if not (ox * orr > 0 and math.isfinite((root2 * ox) * (root2 * orr))):
         raise ConfigError(f"a = {cfg.a} puts the error laws at z = {cfg.z} outside "
                           "the floating-point range")
-    dx, dr = asymptotics.rms_predictions(cfg.a, cfg.z)
     iso = asymptotics.isotropic_params(cfg.nbar)
+    dx, dr = asymptotics.rms_predictions(cfg.a, cfg.z)
     payload = {
         "a": cfg.a,
         "z": cfg.z,

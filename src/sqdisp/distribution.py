@@ -31,8 +31,8 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .errors import ConfigError, DivergenceDetected, GridMismatch, InsufficientMass
-from .grids import (MAX_NODES, StateVector, _fft_length, _sector_sum, _size, fourier_at,
-                    phase_resolving_grid, sector_integral)
+from .grids import (MAX_NODES, StateVector, _check_log_range, _fft_length, _sector_sum, _size,
+                    fourier_at, phase_resolving_grid, sector_integral)
 from .group import GroupElement, inverse
 from .povm import PovmSeed
 
@@ -67,29 +67,25 @@ class SummaryStats:
 
 
 def _check_window(window: Tuple[float, float, float, float]) -> None:
-    """ValueError for a non-finite or unordered window (x_lo, x_hi, r_lo, r_hi),
-    ConfigError for |r| > ln MAX_NODES, where e^{|r|} exceeds the largest grid."""
+    """ConfigError for a non-finite or unordered window (x_lo, x_hi, r_lo, r_hi)
+    or |r| > ln MAX_NODES, where e^{|r|} exceeds the largest grid."""
     x_lo, x_hi, r_lo, r_hi = window
     if not all(math.isfinite(v) for v in window):
-        raise ValueError("window must be finite")
+        raise ConfigError(f"window must be finite, got {window}")
     if not (x_lo < x_hi and r_lo < r_hi):
-        raise ValueError("window must satisfy x_lo < x_hi and r_lo < r_hi")
-    if max(-r_lo, r_hi) > math.log(MAX_NODES):
-        raise ConfigError(f"window r must lie in [-ln {MAX_NODES}, ln {MAX_NODES}] = "
-                          f"±{math.log(MAX_NODES):.4g}")
+        raise ConfigError(f"window must satisfy x_lo < x_hi and r_lo < r_hi, got {window}")
+    _check_log_range(r_lo=r_lo, r_hi=r_hi)
 
 
-def _map_shape(window: Tuple[float, float, float, float], resolution) -> Tuple[int, int]:
-    """(nx, nr) of an integer or pair, for a map over ``window``: ``_check_window``,
-    then ValueError for a size that is not an integer, ConfigError above
-    MAX_NODES cells, then ValueError below 16 per axis."""
-    _check_window(window)
+def _map_shape(resolution) -> Tuple[int, int]:
+    """(nx, nr) of an integer or pair: ConfigError for a size that is not an
+    integer, then above MAX_NODES cells, then below 16 per axis."""
     pair = (resolution, resolution) if np.ndim(resolution) == 0 else resolution
     nx, nr = (_size(v, "resolution") for v in pair)
     if nx * nr > MAX_NODES:
-        raise ConfigError(f"a {nx} x {nr} map exceeds {MAX_NODES} cells")
+        raise ConfigError(f"a resolution of {nx} x {nr} exceeds {MAX_NODES} cells")
     if nx < 16 or nr < 16:
-        raise ValueError("resolution must be at least 16 per axis")
+        raise ConfigError(f"resolution must be at least 16 per axis, got {nx} x {nr}")
     return nx, nr
 
 
@@ -191,7 +187,8 @@ def scan(seed: PovmSeed, psi: StateVector,
     L >= nx + n - 1 on the n quadrature nodes that carry all but 2^-53 of
     |eta|'s L1 mass, in the row chunks of ``_row_map``.
     """
-    nx, nr = _map_shape(window, resolution)
+    _check_window(window)
+    nx, nr = _map_shape(resolution)
     seed, psi = _refine_for_window(seed, psi, window)
     y = psi.grid.nodes
     eta_conj = np.conj(seed.eta.amplitudes)
@@ -297,10 +294,8 @@ def _group_slices(psi: StateVector, phi: StateVector, u: StateVector, v: StateVe
     """
     _check_window(window)
     r_resolution = _size(r_resolution, "r_resolution")
-    if r_resolution < 2:
-        raise ValueError("r_resolution must be at least 2")
-    if r_resolution > MAX_NODES:
-        raise ConfigError(f"r_resolution {r_resolution} exceeds {MAX_NODES}")
+    if not 2 <= r_resolution <= MAX_NODES:
+        raise ConfigError(f"r_resolution must lie in [2, {MAX_NODES}], got {r_resolution}")
     for other in (phi, u, v):
         if psi.grid != other.grid:
             raise GridMismatch("oracle states must share a quadrature grid")
@@ -342,10 +337,9 @@ def normalization_check(seed: PovmSeed, psi_test: StateVector,
     """integral over the window of p(g) e^{-r} dx dr for input psi_test: with
     p(g) = |<psi_test|U_g|eta>|^2, the group average of |eta><eta| taken in
     h = g^{-1} (``_group_slices``, sigma = -1), so the seed keeps its grid.
-    ValueError for a non-finite or unordered window or an r_resolution below 2
-    or not an integer, ConfigError for r_resolution > MAX_NODES or |r| > ln
-    MAX_NODES.  Tends to 1 on generous windows for states in the span probed
-    by the seed."""
+    ConfigError for a window that ``_check_window`` refuses or an r_resolution
+    outside [2, MAX_NODES] or not an integer.  Tends to 1 on generous windows
+    for states in the span probed by the seed."""
     return _group_slices(psi_test, psi_test, seed.eta, seed.eta, window, r_resolution,
                          -1).real
 
@@ -355,9 +349,8 @@ def group_average_sandwich(psi: StateVector, phi: StateVector,
                            window: Tuple[float, float, float, float],
                            r_resolution: int = 128) -> complex:
     """Brute-force  integral d_L g <u|U_g|psi> <phi|U_g^dag|v>  over the window
-    (``_group_slices``, sigma = +1).  ValueError for a non-finite or unordered
-    window or an r_resolution below 2 or not an integer, ConfigError for
-    r_resolution > MAX_NODES or |r| > ln MAX_NODES, all before the screen.  The
+    (``_group_slices``, sigma = +1).  ConfigError, before the screen, for
+    the window and r_resolution that ``normalization_check`` refuses.  The
     closed-form target is sum_s pi <phi| theta(sY)/|Y| |psi> <u| theta(sY) |v>.
     Raises DivergenceDetected (via the cross-sector screen) for inadmissible
     pairs, i.e. when <phi| theta(sY)/|Y| |psi> fails the growth test.  The

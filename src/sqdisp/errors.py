@@ -41,5 +41,5 @@ class NoConvergence(EstimationError):
     """Iterative solver failed to converge."""
 
 
-class ConfigError(EstimationError):
-    """Invalid run configuration."""
+class ConfigError(EstimationError, ValueError):
+    """An argument or run setting outside its range; also a ValueError."""

@@ -55,12 +55,20 @@ _CHIRP_BLOCK = 64  # B in the chirps' m = B q + p
 
 
 def _size(value, name: str) -> int:
-    """``value`` as an int, by ``operator.index``: ValueError naming ``name`` if
+    """``value`` as an int, by ``operator.index``: ConfigError naming ``name`` if
     it is not integral, so any integer type gives what a Python int gives."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_log_range(**values):
+    """ConfigError for any |v| > ln MAX_NODES (or NaN): e^{|v|} would exceed the largest grid."""
+    for name, v in values.items():
+        if not abs(v) <= math.log(MAX_NODES):
+            raise ConfigError(f"{name} must lie in [-ln {MAX_NODES}, ln {MAX_NODES}] = "
+                              f"±{math.log(MAX_NODES):.4g}, got {v}")
 
 
 @dataclass(frozen=True)
@@ -72,12 +80,12 @@ class QuadratureGrid:
 
     def __post_init__(self):
         if not (self.y_max > 0 and math.isfinite(self.y_max)):
-            raise ValueError("y_max must be positive and finite")
+            raise ConfigError(f"y_max must be positive and finite, got {self.y_max}")
         object.__setattr__(self, "n", _size(self.n, "n"))
         if self.n < 2 or self.n % 2 != 0:
-            raise ValueError("n must be an even integer >= 2")
+            raise ConfigError(f"n must be an even integer >= 2, got {self.n}")
         if self.n > MAX_NODES:
-            raise ConfigError(f"a grid of {self.n} nodes exceeds {MAX_NODES}")
+            raise ConfigError(f"n = {self.n} nodes exceeds {MAX_NODES}")
         object.__setattr__(self, "dy", 2.0 * self.y_max / self.n)
 
     @functools.cached_property
@@ -129,8 +137,9 @@ def default_grid(center: float = 0.0, log_width: float = 0.0,
     Without ``n`` the node count is the smallest power of two >= DEFAULT_N
     with dy at most the |psi|^2 standard deviation 0.5 e^{-z}.  Above
     MAX_NODES / 2, where refinement could no longer double, that raises
-    GridTooNarrow.
+    GridTooNarrow.  ConfigError for |z| > ln MAX_NODES.
     """
+    _check_log_range(z=log_width)
     amp_std = math.exp(-log_width) / math.sqrt(2.0)
     y_max = abs(center) + 10.0 * max(amp_std, 1.0)
     if n is None:
@@ -156,7 +165,7 @@ class StateVector:
                  evaluator: Optional[GaussianStateParams] = None):
         amplitudes = np.asarray(amplitudes, dtype=complex)
         if amplitudes.shape != (grid.n,):
-            raise ValueError("amplitude array does not match grid")
+            raise ConfigError(f"amplitudes of shape {amplitudes.shape} do not match n = {grid.n}")
         amplitudes = amplitudes.copy()
         amplitudes.flags.writeable = False
         self.grid = grid
@@ -202,7 +211,8 @@ def make_coherent(a: float, grid: Optional[QuadratureGrid] = None) -> StateVecto
 
 def make_displaced_squeezed(a: float, z: float,
                             grid: Optional[QuadratureGrid] = None) -> StateVector:
-    """Displaced squeezed state: (2 e^{2z}/pi)^{1/4} exp(-(y - a)^2 e^{2z})."""
+    """Displaced squeezed state (2 e^{2z}/pi)^{1/4} exp(-(y - a)^2 e^{2z}), |z| <= ln MAX_NODES."""
+    _check_log_range(z=z)
     params = GaussianStateParams(center=a, log_width=z)
     if grid is None:
         grid = default_grid(a, z)
@@ -215,13 +225,11 @@ def make_vacuum(grid: Optional[QuadratureGrid] = None) -> StateVector:
 
 
 def make_sampled(grid: QuadratureGrid, amplitudes: np.ndarray) -> StateVector:
-    """Sampled state with finite ``amplitudes``, normalized; ``StateVector(grid,
+    """Sampled state with finite, not all zero ``amplitudes``, normalized; ``StateVector(grid,
     amplitudes)`` keeps raw samples as given."""
     state = StateVector(grid, amplitudes)
-    if not np.all(np.isfinite(state.amplitudes)):
-        raise ValueError("state amplitudes must be finite")
-    if state.norm_certificate == 0.0:
-        raise ValueError("cannot normalize a zero state")
+    if not (np.all(np.isfinite(state.amplitudes)) and state.norm_certificate > 0.0):
+        raise ConfigError("state amplitudes must be finite and not all zero")
     return StateVector(grid, state.amplitudes / state.norm_certificate)
 
 
@@ -504,7 +512,7 @@ def half_line_moment(psi: StateVector, sign: int, power: int) -> float:
     many for the two doublings the screen needs.
     """
     if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise ConfigError(f"sign must be +1 or -1, got {sign!r}")
     values, grows = sector_integral(psi, psi, sign, power,
                                     growth_floor=1e-12 if power <= -1 else None)
     if grows:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (ConfigError, CutoffTooSmall, GridMismatch, GridTooNarrow,
                      InsufficientMass)
-from .distribution import DensityMap, _map_shape, _marginals, _row_map
+from .distribution import DensityMap, _check_window, _map_shape, _marginals, _row_map
 from .grids import MAX_NODES, QuadratureGrid, _size
 from .group import GroupElement
 
@@ -72,10 +72,13 @@ def hermite_functions(n_max: int, y: np.ndarray) -> np.ndarray:
 
 
 def _check_n_max(n_max, minimum: int) -> int:
-    """n_max as an int: ValueError if it is not integral or below ``minimum``."""
+    """n_max as an int: ConfigError if it is not integral, below ``minimum``, or
+    above 1023, where a (n_max+1)^2 coefficient table exceeds MAX_NODES entries."""
     n_max = _size(n_max, "n_max")
     if n_max < minimum:
-        raise ValueError(f"n_max must be at least {minimum}")
+        raise ConfigError(f"n_max must be at least {minimum}, got {n_max}")
+    if (n_max + 1) ** 2 > MAX_NODES:
+        raise ConfigError(f"n_max {n_max}: a {n_max + 1}^2 table exceeds {MAX_NODES} entries")
     return n_max
 
 
@@ -124,8 +127,6 @@ def raw_pointer_coefficients(n_max: int) -> np.ndarray:
     ConfigError above MAX_NODES coefficients (n_max >= 1024), before any table.
     """
     n_max = _check_n_max(n_max, 0)
-    if (n_max + 1) ** 2 > MAX_NODES:
-        raise ConfigError(f"a {n_max + 1}^2 coefficient table exceeds {MAX_NODES} entries")
     y_max = _pointer_grid(n_max).y_max
     dt = math.sqrt(y_max) / COEFF_QUAD_NODES
     t = (np.arange(COEFF_QUAD_NODES) + 0.5) * dt
@@ -162,13 +163,16 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
 
     ``tail_tol`` bounds the estimated coefficient mass dropped by the
     truncation; pass a larger value (or None) to accept a strongly truncated
-    model, e.g. for lambda close to 1 at moderate n_max.
+    model, e.g. for lambda close to 1 at moderate n_max.  ConfigError for lam
+    outside (0, 1), sign not +1 or -1, tail_tol <= 0 or n_max out of range.
     """
     if not 0.0 < lam < 1.0:
-        raise ValueError("lambda must lie strictly between 0 and 1")
+        raise ConfigError(f"lam must lie strictly between 0 and 1, got {lam}")
     n_max = _check_n_max(n_max, MIN_N_MAX)
     if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise ConfigError(f"sign must be +1 or -1, got {sign!r}")
+    if tail_tol is not None and not tail_tol > 0:
+        raise ConfigError(f"tail_tol must be positive, got {tail_tol}")
     degrees = _degrees(n_max)
     A = lam ** degrees * raw_pointer_coefficients(n_max)
     mass = A ** 2
@@ -229,7 +233,8 @@ def concentration_profile(lam: float, n_max: int,
     of the pointer grid (16 nodes per period of e^{-2i x y}, as ``scan`` resolves its
     phase), InsufficientMass for a window that captures none of the profile.
     """
-    nx, nr = _map_shape(window, resolution)
+    _check_window(window)
+    nx, nr = _map_shape(resolution)
     n_max = _check_n_max(n_max, MIN_N_MAX)
     grid, x_max = _pointer_grid(n_max), max(-window[0], window[1])
     if x_max > math.pi / (8.0 * grid.dy):

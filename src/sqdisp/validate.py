@@ -18,7 +18,7 @@ import numpy as np
 
 from . import asymptotics, distribution, two_mode
 from .errors import DomainViolation, EstimationError
-from .grids import (DEFAULT_N, QuadratureGrid, StateVector, _sector_sum,
+from .grids import (QuadratureGrid, StateVector, _sector_sum,
                     default_grid, inner_product, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum)
 from .group import GroupElement, act, compose, inverse
@@ -62,14 +62,13 @@ def check_grid_symmetry() -> Tuple[bool, str]:
     return worst == 0.0, f"max |y_k + y_(n-1-k)| = {worst:.1e}"
 
 
-def check_quadrature_convergence(n: int) -> Tuple[bool, str]:
-    grid = default_grid(0.0, n=n)
+def check_quadrature_convergence(grid: QuadratureGrid) -> Tuple[bool, str]:
     vac = make_vacuum(grid)
     w1 = _sector_sum(vac, vac, grid, +1, 1)
     w2 = _sector_sum(vac, vac, grid.refined(), +1, 1)
     rel = abs(w2 - w1) / abs(w2)
     ok = rel < 1e-5
-    return ok, f"half-line moment changes {rel:.2e} under doubling (n={n})"
+    return ok, f"half-line moment changes {rel:.2e} under doubling (n={grid.n})"
 
 
 def check_gaussian_overlaps() -> Tuple[bool, str]:
@@ -337,10 +336,10 @@ def check_heisenberg() -> Tuple[bool, str]:
 
 
 def build_checks(n_override: Optional[int] = None) -> List[Tuple[str, CheckFn]]:
-    n = n_override or DEFAULT_N
+    grid = default_grid(0.0, n=n_override)  # ConfigError for a bad n before any check runs
     return [
         ("grid-node-symmetry", check_grid_symmetry),
-        ("quadrature-convergence", lambda: check_quadrature_convergence(n)),
+        ("quadrature-convergence", lambda: check_quadrature_convergence(grid)),
         ("gaussian-overlap-closed-form", check_gaussian_overlaps),
         ("half-line-partition", check_half_line_partition),
         ("group-homomorphism", check_homomorphism),

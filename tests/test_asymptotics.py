@@ -1,12 +1,13 @@
 """Asymptotic Gaussian laws, separate-measurement optima, uncertainty relations."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sqdisp import asymptotics
-from sqdisp import (AsymptoticModel, StateVector, SupportViolation, heisenberg_ratio,
+from sqdisp import (AsymptoticModel, ConfigError, StateVector, SupportViolation, heisenberg_ratio,
                     isotropic_params, make_coherent, make_displaced_squeezed,
                     model_density, rms_predictions, separate_optima,
                     uncertainty_product_ratio)
@@ -51,6 +52,17 @@ class TestErrorLaws:
         dx, dr = rms_predictions(10.0)
         assert dx == pytest.approx(1.0 / math.sqrt(2.0))
         assert dr == pytest.approx(1.0 / math.sqrt(200.0))
+
+    @pytest.mark.parametrize("law", [separate_optima, rms_predictions,
+                                     uncertainty_product_ratio])
+    @pytest.mark.parametrize("a, z", [(1.0, 800.0), (1.0, -14.0), (0.0, 0.0), (-1.0, 0.0)],
+                             ids=["z-800", "z-minus-14", "a-0", "a-negative"])
+    def test_out_of_range_is_config_error(self, law, a, z):
+        # z = 800 used to raise OverflowError; refused before the small-a e^z warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError):
+                law(a, z)
 
     def test_separate_optima_values(self):
         assert separate_optima(10.0) == (0.5, 0.05)

@@ -266,6 +266,51 @@ class TestOutOfRangeOptions:
         assert len(err.splitlines()) + len(caught) == 1
         assert out == ""
 
+    # each range is checked by the library call that reads it; the CLI turns its
+    # ConfigError into exit 2 with one line naming the argument and the bound.
+    # validate builds its grid before any check runs: --n 0 ran on 4096 nodes
+    DSQ = ("--state", "displaced-squeezed", "--a", "5")
+    WINDOW = ("--x-lo", "-1", "--x-hi", "1", "--r-lo", "-1", "--r-hi", "1")
+
+    @pytest.mark.parametrize("argv, named", [
+        (("density", "--resolution", "15"), ("resolution", "16")),
+        (("density", "--resolution", "1025"), ("resolution", "1048576")),
+        (("likelihood", "--n", "3"), ("n must be an even integer", ">= 2")),
+        (("likelihood", "--n", "2097152"), ("n = 2097152", "exceeds 1048576")),
+        (("likelihood", "--y-max", "0"), ("y_max", "positive")),
+        (("two-mode", "--lam", "0"), ("lam", "between 0 and 1")),
+        (("two-mode", "--lam", "1"), ("lam", "between 0 and 1")),
+        (("asymptotics", "--nbar", "1"), ("nbar", "exceed 1")),
+        (("asymptotics", "--a", "1", "--nbar", "0.5"), ("nbar", "exceed 1")),
+        (("two-mode", "--n-max", "19"), ("n_max", "at least 20")),
+        (("two-mode", "--n-max", "1024"), ("n_max", "1048576")),
+        (("two-mode", "--tail-tol", "0"), ("tail_tol", "positive")),
+        (("density", *DSQ, "--z", "14"), ("z must", "ln 1048576")),
+        (("density", *DSQ, "--z", "-14"), ("z must", "ln 1048576")),
+        (("asymptotics", "--z", "14"), ("z must", "ln 1048576")),
+        (("asymptotics", "--z", "-14"), ("z must", "ln 1048576")),
+        (("density", *WINDOW[:4], "--r-lo", "-14", "--r-hi", "1"), ("r_lo", "ln 1048576")),
+        (("density", "--x-lo", "1", "--x-hi", "-1", *WINDOW[4:]), ("x_lo < x_hi", "window")),
+        (("two-mode", *WINDOW[:4], "--r-lo", "1", "--r-hi", "-1"), ("r_lo < r_hi", "window")),
+        (("asymptotics", "--a", "0"), ("a must", "positive")),
+        (("validate", "--n", "0"), ("n must be an even integer", ">= 2")),
+        (("validate", "--n", "3"), ("n must be an even integer", ">= 2")),
+    ], ids=["resolution-15", "resolution-1025", "n-3", "n-2^21", "y-max-0", "lam-0", "lam-1",
+            "nbar-1", "nbar-after-warning", "n-max-19", "n-max-1024", "tail-tol-0",
+            "density-z-14", "density-z-minus-14", "asymptotics-z-14",
+            "asymptotics-z-minus-14", "r-lo-minus-14", "reversed-x", "reversed-r",
+            "asymptotics-a-0", "validate-n-0", "validate-n-3"])
+    def test_library_range_error(self, capsys, argv, named):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert code == 2
+        # pytest captures warnings, so each one counts as the stderr line it would print
+        assert len(err.splitlines()) + len(caught) == 1, (err, caught)
+        assert err.startswith("config error:")
+        assert all(word in err for word in named), err
+        assert out == ""
+
     def test_unread_flag_named(self, tmp_path, capsys):
         csv = tmp_path / "x.csv"
         code, out, err = run(capsys, "likelihood", "--state", "vacuum", "--a", "5",

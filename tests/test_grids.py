@@ -167,6 +167,17 @@ class TestGaussianStates:
             rel = np.abs(got[normal] - ref[normal]) / np.abs(ref[normal])
             assert rel.max() <= 1e-15
 
+    @pytest.mark.parametrize("z", [-14.0, 14.0, -800.0, 800.0, math.nan])
+    def test_log_width_beyond_ln_max_nodes_rejected(self, z):
+        # e^{|z|} would exceed the largest grid's node count; default_grid used to
+        # raise ZeroDivisionError (z = 800) or OverflowError (z = -800) here
+        for grid in (None, QuadratureGrid(10.0, 64)):
+            with pytest.raises(ConfigError, match="^z must lie in"):
+                make_displaced_squeezed(0.0, z, grid=grid)
+        for n in (None, 64):
+            with pytest.raises(ConfigError, match="^z must lie in"):
+                default_grid(0.0, z, n)
+
     def test_amplitudes_read_only(self):
         psi = make_vacuum()
         with pytest.raises(ValueError):
