@@ -180,8 +180,8 @@ def load_sampled_state(path: str) -> StateVector:
         raise ConfigError("sampled state file needs columns y,re[,im]")
     y = data[:, 0]
     n = len(y)
-    if n < 2 or n % 2:
-        raise ConfigError("sampled state needs an even number of rows")
+    if n < 2:  # y[1] sets the spacing; QuadratureGrid checks the rest of n
+        raise ConfigError("sampled state needs at least 2 rows")
     dy = y[1] - y[0]
     y_max = y[-1] + dy / 2.0
     amps = data[:, 1] + (1j * data[:, 2] if data.shape[1] == 3 else 0.0)

@@ -268,12 +268,11 @@ def moments(density_map: DensityMap) -> SummaryStats:
 
 def _band_spectrum(n: int, dy: float, lo: float, hi: float) -> np.ndarray:
     """K with  integral_lo^hi FT[h1] conj(FT[h2]) dx = dy^2 sum_j F1_j conj(F2_j) K_j
-    for FT[h](x) = sum_k h_k e^{-2i x y_k} dy on n uniform nodes and F = fft(h)
-    zero-padded to L = len(K) = _fft_length(2n - 1).  K = ifft(T) of the Toeplitz
-    kernel T(m) = (hi - lo) sinc((hi - lo) m dy / pi) e^{-i (hi + lo) m dy},
-    with [lo, hi] first clipped to one period |x| <= pi/(2 dy) of FT[h].
-    T(-m) = conj(T(m)) and n <= L/2 + 1, so K is the real inverse FFT of
-    T(0 .. n-1) zero-padded, with no mirrored complex buffer."""
+    for FT[h](x) = sum_k h_k e^{-2i x y_k} dy on n uniform nodes (those ``_group_slices``
+    keeps) and F = fft(h) zero-padded to L = len(K) = _fft_length(2n - 1).  K = ifft(T)
+    of the Toeplitz kernel T(m) = (hi - lo) sinc((hi - lo) m dy / pi) e^{-i (hi + lo) m dy},
+    m = j - k, with [lo, hi] first clipped to one period |x| <= pi/(2 dy) of FT[h].
+    T(-m) = conj(T(m)) and n <= L/2 + 1: K is the real inverse FFT of T(0 .. n-1) padded."""
     band = math.pi / (2.0 * dy)
     lo, hi = max(lo, -band), min(hi, band)
     width = max(hi - lo, 0.0)
@@ -290,7 +289,8 @@ def _group_slices(psi: StateVector, phi: StateVector, u: StateVector, v: StateVe
     Node r maps to h = (c x, sigma r), c = sigma e^{(sigma-1) r/2}; its slice is
     the exact integral of FT[conj(u) psi(e^{sigma r} y)] conj(FT[conj(v) phi(...)])
     over the x_h band sorted((c x_lo, c x_hi)), Parseval once that holds the
-    period |x_h| <= pi/(2 dy), times |c| and the r trapezoid weight.
+    period |x_h| <= pi/(2 dy), times |c| and the r trapezoid weight.  Slices run on
+    the n nodes keep = slice(*_support(|u| + |v|)), as |conj(u) psi(...)| <= |u| max|psi|.
     """
     _check_window(window)
     r_resolution = _size(r_resolution, "r_resolution")
@@ -303,13 +303,13 @@ def _group_slices(psi: StateVector, phi: StateVector, u: StateVector, v: StateVe
         _screened_cross_terms(phi, psi)
 
     x_lo, x_hi, r_lo, r_hi = window
-    grid = psi.grid
-    y, dy = grid.nodes, grid.dy
+    keep = slice(*_support(np.abs(u.amplitudes) + np.abs(v.amplitudes)))
+    u_conj, v_conj = np.conj(u.amplitudes[keep]), np.conj(v.amplitudes[keep])
+    y, dy = psi.grid.nodes[keep], psi.grid.dy
     band = math.pi / (2.0 * dy)
     spectrum_of = functools.lru_cache(maxsize=1)(
-        lambda lo, hi: _band_spectrum(grid.n, dy, lo, hi) * dy ** 2)
+        lambda lo, hi: _band_spectrum(len(y), dy, lo, hi) * dy ** 2)
     same = phi is psi and v is u
-    u_conj, v_conj = np.conj(u.amplitudes), np.conj(v.amplitudes)
     r_nodes = np.linspace(r_lo, r_hi, r_resolution)
     total = 0.0 + 0.0j
     for r, wgt in zip(r_nodes, _trapezoid_weights(r_nodes)):

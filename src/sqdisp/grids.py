@@ -211,8 +211,11 @@ def make_coherent(a: float, grid: Optional[QuadratureGrid] = None) -> StateVecto
 
 def make_displaced_squeezed(a: float, z: float,
                             grid: Optional[QuadratureGrid] = None) -> StateVector:
-    """Displaced squeezed state (2 e^{2z}/pi)^{1/4} exp(-(y - a)^2 e^{2z}), |z| <= ln MAX_NODES."""
+    """Displaced squeezed state (2 e^{2z}/pi)^{1/4} exp(-(y - a)^2 e^{2z}), a finite
+    and |z| <= ln MAX_NODES."""
     _check_log_range(z=z)
+    if not math.isfinite(a):
+        raise ConfigError(f"a must be finite, got {a}")
     params = GaussianStateParams(center=a, log_width=z)
     if grid is None:
         grid = default_grid(a, z)

@@ -209,6 +209,19 @@ class TestSampledFile:
         assert "config error" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rows", [1, 3], ids=["one-row", "three-rows"])
+    def test_odd_row_count_is_config_error(self, tmp_path, capsys, rows):
+        # one row gives no spacing; three reach QuadratureGrid's even-n rule
+        y = -1.0 + np.arange(rows)
+        path = tmp_path / "odd_rows.csv"
+        path.write_text("\n".join(["y,re,im"] + [f"{yy:.17g},1,0" for yy in y]))
+        code, out, err = run(capsys, "likelihood", "--state", "sampled-file",
+                             "--sampled-path", str(path))
+        assert code == 2
+        assert err.startswith("config error:")
+        assert ("at least 2 rows" if rows == 1 else "n must be an even integer") in err
+        assert out == ""
+
 
 SAMPLED = ("likelihood", "--state", "sampled-file", "--sampled-path", "{tmp}/state.csv")
 

@@ -178,6 +178,16 @@ class TestGaussianStates:
             with pytest.raises(ConfigError, match="^z must lie in"):
                 default_grid(0.0, z, n)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_displacement_rejected(self, a):
+        # NaN used to build an all-NaN state on a given grid, which build_ml_seed
+        # then refused as EmptySupport; inf ended in GridTooNarrow
+        for grid in (None, QuadratureGrid(10.0, 64)):
+            with pytest.raises(ConfigError, match="^a must be finite"):
+                make_coherent(a, grid=grid)
+            with pytest.raises(ConfigError, match="^a must be finite"):
+                make_displaced_squeezed(a, 0.3, grid=grid)
+
     def test_amplitudes_read_only(self):
         psi = make_vacuum()
         with pytest.raises(ValueError):

@@ -1,14 +1,15 @@
 """The one r-slice loop behind both oracles: its input rule, its shortcuts,
-and normalization_check against an exact reference."""
+the nodes its slices run on, and normalization_check against an exact reference."""
 
 import math
 
 import numpy as np
 import pytest
 
-from sqdisp import (ConfigError, build_ml_seed, default_grid, group_average_sandwich, make_sampled,
-                    make_vacuum, normalization_check)
-from sqdisp import grids
+from sqdisp import (ConfigError, QuadratureGrid, build_ml_seed, default_grid,
+                    group_average_sandwich, make_displaced_squeezed, make_sampled, make_vacuum,
+                    normalization_check)
+from sqdisp import distribution, grids
 from sqdisp.distribution import _group_slices
 from sqdisp.grids import StateVector
 
@@ -173,3 +174,86 @@ class TestSliceShortcuts:
         general = _group_slices(vac, copy, eta,
                                 StateVector(eta.grid, eta.amplitudes), window, 16, -1)
         assert abs(general - fast) <= 1e-13 * abs(fast)
+
+
+def band_sizes(monkeypatch):
+    """The n of every ``distribution._band_spectrum`` call made from here on."""
+    sizes, spectrum = [], distribution._band_spectrum
+
+    def spy(n, *args):
+        sizes.append(n)
+        return spectrum(n, *args)
+
+    monkeypatch.setattr(distribution, "_band_spectrum", spy)
+    return sizes
+
+
+class TestSliceSupport:
+    """Slices run on the nodes that |u| + |v| occupies, trimmed once per call,
+    and give the numbers of a dense Toeplitz sum over the whole grid."""
+
+    GRID = QuadratureGrid(10.0, 512)  # dy = 5/128: the period |x| <= pi/(2 dy) = 40.2
+
+    @staticmethod
+    def dense(psi, phi, u, v, window, r_resolution, sigma):
+        """The slice sums written out: dy^2 conj(h2) T h1 with T[j, k] the
+        integral of e^{-2i x (k - j) dy} over the x_h band clipped to the period."""
+        x_lo, x_hi, r_lo, r_hi = window
+        grid = psi.grid
+        y, dy, n = grid.nodes, grid.dy, grid.n
+        band = math.pi / (2.0 * dy)
+        m_dy = (np.arange(n)[None, :] - np.arange(n)[:, None]) * dy
+        r_nodes = np.linspace(r_lo, r_hi, r_resolution)
+        weights = np.full(r_resolution, r_nodes[1] - r_nodes[0])
+        weights[[0, -1]] /= 2.0
+        total = 0.0
+        for r, wgt in zip(r_nodes, weights):
+            c = sigma * math.exp((sigma - 1) * r / 2.0)
+            lo, hi = sorted((c * x_lo, c * x_hi))
+            lo, hi = max(lo, -band), min(hi, band)
+            kernel = (hi - lo) * np.sinc((hi - lo) * m_dy / math.pi) * np.exp(-1j * (hi + lo) * m_dy)
+            sy = math.exp(sigma * r) * y
+            h1 = np.conj(u.amplitudes) * psi.evaluate_at(sy)
+            h2 = np.conj(v.amplitudes) * phi.evaluate_at(sy)
+            total += wgt * abs(c) * dy ** 2 * (np.conj(h2) @ kernel @ h1)
+        return total
+
+    @pytest.fixture(scope="class")
+    def states(self):
+        y = self.GRID.nodes
+        odd = make_sampled(self.GRID, y * np.exp(-y ** 2))
+        u = make_displaced_squeezed(1.0, 0.5, grid=self.GRID)
+        v = make_displaced_squeezed(-1.5, -0.3, grid=self.GRID)  # wider than u
+        return odd, u, v
+
+    @pytest.mark.parametrize("sigma, window", [
+        (+1, (-12.0, 12.0, -2.0, 2.0)),
+        (+1, (-100.0, 100.0, -2.0, 2.0)),
+        (-1, (-100.0, 100.0, -2.0, 3.0)),
+    ], ids=["plus-band", "plus-period", "minus-both-branches"])
+    @pytest.mark.parametrize("shape", ["same", "cross"])
+    def test_matches_dense_reference(self, monkeypatch, states, sigma, window, shape):
+        odd, u, v = states
+        if shape == "same":
+            v = u
+        sizes = band_sizes(monkeypatch)
+        got = _group_slices(odd, odd, u, v, window, 9, sigma)
+        ref = self.dense(odd, odd, u, v, window, 9, sigma)
+        assert abs(got - ref) <= 1e-13 * abs(ref)
+        assert all(n < self.GRID.n for n in sizes)
+        # on the plus-period window every slice takes the whole-period branch
+        assert bool(sizes) == (window[1] < 40.0 or sigma < 0)
+
+    def test_normalization_runs_on_part_of_the_grid(self, monkeypatch, vacuum_seed):
+        seed, vac = vacuum_seed
+        sizes = band_sizes(monkeypatch)
+        normalization_check(seed, vac, (-1000.0, 1000.0, -8.0, 9.0), r_resolution=16)
+        assert sizes and max(sizes) < vac.grid.n
+
+    def test_wide_state_keeps_every_node(self, monkeypatch):
+        grid = default_grid(0.0)
+        y = grid.nodes
+        wide = make_sampled(grid, y * np.exp(-(y / 2.5) ** 2))
+        sizes = band_sizes(monkeypatch)
+        group_average_sandwich(wide, wide, wide, wide, (-12.0, 12.0, -8.0, 8.0), r_resolution=4)
+        assert sizes == [grid.n]

@@ -24,6 +24,9 @@ of minor page faults of each scan, profile or oracle call, and
 made after the timed ones.  ``scan_nodes`` is, per scan slot, the number of
 nodes its rows run on: len(y) of the ``fourier_at`` calls of one untimed scan
 (a side that runs its rows on the whole grid records the grid's n).
+``oracle_nodes`` is, per oracle case, the largest n handed to
+``distribution._band_spectrum`` in one untimed run: the nodes its band slices
+run on.
 
 Deviations of the change from the parent, top-level keys ending in ``_dev``:
 ``max_rel_dev`` and ``max_abs_dev``, the largest |change - parent| of a scan map
@@ -127,19 +130,20 @@ def row_call(pkg, n):
     return lambda: pkg["grids"].fourier_at(x, y, h)
 
 
-def row_nodes(pkg, call) -> int:
-    """The largest len(y) that ``call`` hands to the side's ``fourier_at``."""
-    distribution, fourier_at, nodes = pkg["distribution"], pkg["distribution"].fourier_at, []
+def nodes_of(pkg, call, name, size) -> int:
+    """The largest ``size(*args)`` of the calls that ``call`` makes to the side's
+    ``distribution.<name>``."""
+    distribution, inner, nodes = pkg["distribution"], getattr(pkg["distribution"], name), []
 
-    def recording(x, y, h):
-        nodes.append(len(y))
-        return fourier_at(x, y, h)
+    def recording(*args):
+        nodes.append(size(*args))
+        return inner(*args)
 
-    distribution.fourier_at = recording
+    setattr(distribution, name, recording)
     try:
         call()
     finally:
-        distribution.fourier_at = fourier_at
+        setattr(distribution, name, inner)
     return max(nodes)
 
 
@@ -202,8 +206,8 @@ def main(argv=None) -> int:
 
     sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
              "change": load("sqdisp", ROOT / "src")}
-    keys = ("row_s", "scan_s", "scan_row_s", "scan_nodes", "profile_s", "job_s", "minflt",
-            "profile_peak_mb")
+    keys = ("row_s", "scan_s", "scan_row_s", "scan_nodes", "profile_s", "job_s",
+            "oracle_nodes", "minflt", "profile_peak_mb")
     record = {side: {key: {} for key in keys} for side in sides}
     deviation = {}
     for key, case, repeats, calls, devs in cases(sides, args.repeats):
@@ -212,7 +216,11 @@ def main(argv=None) -> int:
             record[side][key][case] = best[side]
             if key == "scan_s":
                 record[side]["scan_row_s"][case] = best[side] / len(outs[side].r_nodes)
-                record[side]["scan_nodes"][case] = row_nodes(sides[side], calls[side])
+                record[side]["scan_nodes"][case] = nodes_of(sides[side], calls[side],
+                                                            "fourier_at", lambda x, y, h: len(y))
+            if key == "job_s":
+                record[side]["oracle_nodes"][case] = nodes_of(sides[side], calls[side],
+                                                              "_band_spectrum", lambda n, *_: n)
             if devs is not None:
                 record[side]["minflt"][case] = faults[side]
             if key == "profile_s":
@@ -232,8 +240,9 @@ def main(argv=None) -> int:
         for case, old in record["parent"][key].items():
             new = record["change"][key][case]
             print(f"{key:9s} {case:22s} {old:10.4g} -> {new:10.4g} s  ({new / old:5.2f}x)")
-    for case, old in record["parent"]["scan_nodes"].items():
-        print(f"nodes     {case:22s} {old:10d} -> {record['change']['scan_nodes'][case]:10d}")
+    for key in ("scan_nodes", "oracle_nodes"):
+        for case, old in record["parent"][key].items():
+            print(f"nodes     {case:22s} {old:10d} -> {record['change'][key][case]:10d}")
     for case, old in record["parent"]["profile_peak_mb"].items():
         print(f"peak_mb   {case:22s} {old:10.4g} -> {record['change']['profile_peak_mb'][case]:10.4g} MB")
     print(f"total_s {record['parent']['total_s']:.3f} -> {record['change']['total_s']:.3f}")
