@@ -42,8 +42,8 @@ class AsymptoticModel:
     z: float = 0.0
 
     def __post_init__(self):
-        if not self.a > 0:
-            raise ConfigError(f"a must be positive, got {self.a}")
+        if not 0 < self.a < math.inf:
+            raise ConfigError(f"a must be positive and finite, got {self.a}")
 
 
 def model_density(m: AsymptoticModel, x: float, r: float) -> float:
@@ -67,8 +67,8 @@ def rms_predictions(a: float, z: float = 0.0):
 
 
 def separate_optima(a: float, z: float = 0.0):
-    """Separate-measurement optima (Delta x_opt, Delta r_opt), a > 0 and |z| <= ln MAX_NODES."""
-    AsymptoticModel(a)  # its check: ConfigError unless a > 0
+    """Separate-measurement optima (Delta x_opt, Delta r_opt), finite a > 0, |z| <= ln MAX_NODES."""
+    AsymptoticModel(a)  # its check: ConfigError unless 0 < a < inf
     _check_log_range(z=z)
     return math.exp(z) / 2.0, 1.0 / (2.0 * a * math.exp(z))
 
@@ -85,8 +85,10 @@ def heisenberg_ratio(psi: StateVector, a: float) -> float:
 
     Delta X comes from spectral differentiation X = (i/2) d/dy.  Raises
     SupportViolation when the |psi|^2 mass at y < 0 exceeds NEG_MASS_TOL
-    (the ln|Y| treatment degenerates there).
+    (the ln|Y| treatment degenerates there); ConfigError first unless 0 < a < inf.
     """
+    if not 0 < a < math.inf:
+        raise ConfigError(f"a must be positive and finite, got {a}")
     grid = psi.grid
     y = grid.nodes
     density = psi.probability_density()
@@ -141,8 +143,8 @@ def isotropic_params(nbar: float) -> IsotropicSolution:
     cubic in a, multiply to a + 5/4 - 1/(4a) by Vieta's formulas.  So
     d = e / (a + 5/4 - 1/(4a)), with no cancellation, and z = -log1p(d)/2.
     """
-    if not nbar > 1:
-        raise ConfigError(f"nbar must exceed 1, got {nbar}")
+    if not 1 < nbar < math.inf:
+        raise ConfigError(f"nbar must exceed 1 and be finite, got {nbar}")
     m = math.sqrt((nbar + 0.5 + 1.0 / 48.0) / 3.0)
     q = (nbar + 0.5) / 12.0 + 0.25 + 1.0 / 864.0
     e = math.frexp(m)[1]  # q / m^3 scaled by 2^(3e) exactly, so m^3 cannot overflow

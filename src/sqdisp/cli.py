@@ -32,9 +32,8 @@ import numpy as np
 
 from . import asymptotics, distribution, two_mode, validate
 from .errors import ConfigError, EstimationError
-from .grids import (QuadratureGrid, StateVector, default_grid,
-                    make_coherent, make_displaced_squeezed, make_sampled,
-                    make_vacuum)
+from .grids import (QuadratureGrid, StateVector, default_grid, make_displaced_squeezed,
+                    make_sampled)
 from .povm import (KIND_ML, KIND_PARITY, KIND_SRM, build_ml_seed,
                    build_parity_seed, build_srm_seed, optimal_likelihood,
                    srm_likelihood)
@@ -195,18 +194,16 @@ def load_sampled_state(path: str) -> StateVector:
 
 
 def build_state(cfg: RunConfig) -> StateVector:
+    if cfg.state == "sampled-file":
+        return load_sampled_state(cfg.sampled_path)
+    # the vacuum is a = z = 0 and a coherent state z = 0, as make_vacuum and make_coherent
+    a = cfg.a if cfg.state != "vacuum" else 0.0
+    z = cfg.z if cfg.state == "displaced-squeezed" else 0.0
     grid = None
     if cfg.y_max is not None or cfg.n is not None:
-        base = default_grid(cfg.a if cfg.state != "vacuum" else 0.0,
-                            cfg.z if cfg.state == "displaced-squeezed" else 0.0, cfg.n)
+        base = default_grid(a, z, cfg.n)
         grid = QuadratureGrid(base.y_max if cfg.y_max is None else cfg.y_max, base.n)
-    if cfg.state == "vacuum":
-        return make_vacuum(grid)
-    if cfg.state == "coherent":
-        return make_coherent(cfg.a, grid=grid)
-    if cfg.state == "displaced-squeezed":
-        return make_displaced_squeezed(cfg.a, cfg.z, grid=grid)
-    return load_sampled_state(cfg.sampled_path)
+    return make_displaced_squeezed(a, z, grid)
 
 
 def build_seed(cfg: RunConfig, psi: StateVector):
@@ -229,11 +226,10 @@ def default_window(cfg: RunConfig) -> Tuple[float, float, float, float]:
 
 
 def write_csv(path: str, dmap: distribution.DensityMap):
-    lines = ["x,r,density"]
-    for i, x in enumerate(dmap.x_nodes):
-        for j, r in enumerate(dmap.r_nodes):
-            lines.append(f"{x:.17g},{r:.17g},{dmap.values[i, j]:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    x, r = np.meshgrid(dmap.x_nodes, dmap.r_nodes, indexing="ij")  # x-major, as values
+    with open(path, "w") as out:  # savetxt would compress a path named *.gz
+        np.savetxt(out, np.column_stack([x.ravel(), r.ravel(), dmap.values.ravel()]),
+                   fmt="%.17g", delimiter=",", header="x,r,density", comments="")
 
 
 def write_json(path: Optional[str], payload: dict):

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceDetected, GridMismatch, InsufficientMass
 from .grids import (MAX_NODES, StateVector, _check_log_range, _fft_length, _sector_sum, _size,
                     fourier_at, phase_resolving_grid, sector_integral)
-from .group import GroupElement, inverse
+from .group import GroupElement, _check_element, inverse
 from .povm import PovmSeed
 
 # Relative gap below the maximum within which argmax treats grid nodes as tied.
@@ -106,7 +106,9 @@ def _marginals(density_map: DensityMap, r_weight) -> Tuple[np.ndarray, np.ndarra
 
 
 def density_at(seed: PovmSeed, psi: StateVector, g: GroupElement) -> float:
-    """p(g) = |<eta| U_{g^{-1}} |psi>|^2 at a single group element."""
+    """p(g) = |<eta| U_{g^{-1}} |psi>|^2 at a single group element; ConfigError
+    for a non-finite x or |r| > ln MAX_NODES, as a scan window's r."""
+    _check_element(g)
     if seed.eta.grid != psi.grid:
         raise GridMismatch("seed and state must share a quadrature grid")
     gi = inverse(g)

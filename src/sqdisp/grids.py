@@ -8,14 +8,18 @@ so no node sits at y = 0 and the node set is exactly symmetric under
 reflection.  Integrals are midpoint sums (identical to the trapezoid rule on
 offset nodes), which converge superalgebraically only for integrands that
 are smooth on the whole line and decay inside the window.  Every half-line
-quantity is one sector integral,
+quantity is a sector integral,
 
     integral over s*y > 0 of |y|^p conj(phi(y)) psi(y) dy,
 
-refined by grid doubling (``sector_integral``): the moments w_s of |psi|^2,
-the square-root-measurement values <psi| D_s |psi>, the oracle cross terms
-and the seed certificates <eta_s| D_s |eta_s>, which are adaptive
-quadratures of the seed eta itself.  A half line ends at y = 0, a cell
+and most are refined by grid doubling (``sector_integral``): the moments w_s
+of |psi|^2, the square-root-measurement values <psi| D_s |psi>, the oracle
+cross terms and the seed certificates <eta_s| D_s |eta_s>, which are adaptive
+quadratures of the seed eta itself.  Four are raw midpoint sums on a single
+grid (``_sector_sum``): ``closed_form_sandwich``'s <u| theta(sY) |v>,
+``heisenberg_ratio``'s mass at y < 0, and ``validate``'s
+quadrature-convergence and half-line-partition checks, which test the raw
+sum itself.  A half line ends at y = 0, a cell
 edge, where the integrand f is in general not flat: there the midpoint sum
 differs from the integral by the Euler-Maclaurin endpoint series
 c_2 dy^2 + c_4 dy^4 + ... (c_2 = f'(0)/24 on y > 0), in even powers of dy
@@ -37,6 +41,7 @@ package always refer to the probability (|psi|^2) standard deviation.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import operator
@@ -137,8 +142,10 @@ def default_grid(center: float = 0.0, log_width: float = 0.0,
     Without ``n`` the node count is the smallest power of two >= DEFAULT_N
     with dy at most the |psi|^2 standard deviation 0.5 e^{-z}.  Above
     MAX_NODES / 2, where refinement could no longer double, that raises
-    GridTooNarrow.  ConfigError for |z| > ln MAX_NODES.
+    GridTooNarrow.  ConfigError for a non-finite center or |z| > ln MAX_NODES.
     """
+    if not math.isfinite(center):
+        raise ConfigError(f"center must be finite, got {center}")
     _check_log_range(z=log_width)
     amp_std = math.exp(-log_width) / math.sqrt(2.0)
     y_max = abs(center) + 10.0 * max(amp_std, 1.0)
@@ -261,21 +268,16 @@ def phase_resolving_grid(grid: QuadratureGrid, y_max: float, freq: float) -> Qua
     return QuadratureGrid(y_max, 2 ** math.ceil(math.log2(max(needed, 2.0))))
 
 
-@functools.lru_cache(maxsize=None)
+# Every 2^a 3^b 5^c <= 2^21, sorted: all that _fft_length is asked for, nx + n - 1 <=
+# 2^16 + 2^20 - 1 (``fourier_at``, nx <= 2^16 by distribution._map_shape) and 2n - 1 < 2^21
+# (distribution._band_spectrum).  m << a <= 2^21 for a < bit_length(2^21 // m).
+_FFT_LENGTHS = sorted(m << a for m in (3**b * 5**c for b in range(14) for c in range(10))
+                      for a in range((2**21 // m).bit_length()))
+
+
 def _fft_length(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, a length numpy.fft transforms quickly."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
+    """Smallest 2^a 3^b 5^c >= n, a length numpy.fft transforms quickly; n <= 2^21."""
+    return _FFT_LENGTHS[bisect.bisect_left(_FFT_LENGTHS, n)]
 
 
 @functools.lru_cache(maxsize=64)

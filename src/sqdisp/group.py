@@ -25,9 +25,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import GridTooNarrow
-from .grids import (GaussianStateParams, QuadratureGrid, StateVector, default_grid,
-                    phase_resolving_grid)
+from .errors import ConfigError, GridTooNarrow
+from .grids import (GaussianStateParams, QuadratureGrid, StateVector, _check_log_range,
+                    default_grid, phase_resolving_grid)
 
 SAMPLED_ACTION_RMAX = 3.0
 
@@ -39,6 +39,14 @@ class GroupElement:
 
 
 IDENTITY = GroupElement(0.0, 0.0)
+
+
+def _check_element(g: GroupElement) -> None:
+    """ConfigError for a non-finite x or |r| > ln MAX_NODES, the r a scan window may
+    hold: what ``act``, ``density_at`` and ``pointer_overlap`` check before U_g."""
+    if not math.isfinite(g.x):
+        raise ConfigError(f"x must be finite, got {g.x}")
+    _check_log_range(r=g.r)
 
 
 def compose(g1: GroupElement, g2: GroupElement) -> GroupElement:
@@ -58,7 +66,9 @@ def act(g: GroupElement, psi: StateVector,
     at most the new |psi|^2 std 0.5 e^{-(z + r)} (GridTooNarrow past the
     node cap, as ``default_grid``).  Sampled states are evaluated by cubic
     interpolation at the scaled nodes, with |r| capped per application.
+    ConfigError first for a g that ``_check_element`` refuses.
     """
+    _check_element(g)
     p = psi.evaluator
     if p is not None:
         new = GaussianStateParams(

@@ -55,10 +55,12 @@ class TestErrorLaws:
 
     @pytest.mark.parametrize("law", [separate_optima, rms_predictions,
                                      uncertainty_product_ratio])
-    @pytest.mark.parametrize("a, z", [(1.0, 800.0), (1.0, -14.0), (0.0, 0.0), (-1.0, 0.0)],
-                             ids=["z-800", "z-minus-14", "a-0", "a-negative"])
+    @pytest.mark.parametrize("a, z", [(1.0, 800.0), (1.0, -14.0), (0.0, 0.0), (-1.0, 0.0),
+                                      (math.inf, 0.0)],
+                             ids=["z-800", "z-minus-14", "a-0", "a-negative", "a-inf"])
     def test_out_of_range_is_config_error(self, law, a, z):
-        # z = 800 used to raise OverflowError; refused before the small-a e^z warning
+        # z = 800 used to raise OverflowError; refused before the small-a e^z warning.
+        # a = inf was accepted: Delta r_opt = 0, and the product ratio divided by zero
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError):
@@ -108,6 +110,12 @@ class TestHeisenbergRatio:
         with pytest.raises(SupportViolation):
             heisenberg_ratio(make_coherent(2.0), 2.0)
 
+    @pytest.mark.parametrize("a", [0.0, -4.0, math.nan, math.inf])
+    def test_non_positive_or_non_finite_a_is_config_error(self, a):
+        # these used to warn from log(|y| / a) or return NaN
+        with pytest.raises(ConfigError):
+            heisenberg_ratio(make_coherent(4.0), a)
+
     def test_subasymptotic_ratio_exceeds_one(self, monkeypatch):
         # the inequality is strict away from the asymptotic regime
         monkeypatch.setattr(asymptotics, "NEG_MASS_TOL", 1e-3)
@@ -153,6 +161,12 @@ class TestIsotropicParams:
     def test_rejects_small_nbar(self):
         with pytest.raises(ValueError):
             isotropic_params(0.5)
+
+    @pytest.mark.parametrize("nbar", [math.inf, math.nan])
+    def test_rejects_non_finite_nbar(self, nbar):
+        # inf used to return NaN fields
+        with pytest.raises(ConfigError):
+            isotropic_params(nbar)
 
     @pytest.mark.parametrize("nbar", [1.01, 10.0, 100.0, 4000.0, 1.0001, 1e6, 1e12])
     def test_matches_brentq_root(self, nbar):

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import sqdisp
-from sqdisp.cli import main
+from sqdisp.cli import RunConfig, build_state, main, write_csv
+from sqdisp.distribution import DensityMap
 
 
 def run(capsys, *argv):
@@ -63,6 +64,47 @@ class TestDensity:
                              "--seed-kind", "srm", "--resolution", "24")
         assert code == 3
         assert "DomainViolation" in err
+
+
+class TestWriteCsv:
+    @pytest.mark.parametrize("name", ["map.csv", "map.csv.gz"])
+    def test_bytes_of_the_row_formatter(self, tmp_path, name):
+        # negative, signed-zero, subnormal, tiny and near-overflow values; a *.gz name
+        # is written as plain text, as it always was
+        x = np.array([-1e6, -0.0, 1.0 / 3.0, 2.5e-7])
+        r = np.array([-13.8, 0.1, 7.0])
+        values = np.array([[-1e-17, 5e-324, 1e-300], [0.0, -0.0, 1.7e308],
+                           [2.0 / 3.0, -123456.789, 1e-5], [4.9e-322, 3.0, -2.2e-308]])
+        write_csv(str(tmp_path / name), DensityMap(x, r, values))
+        rows = ["x,r,density"] + [f"{x[i]:.17g},{r[j]:.17g},{values[i, j]:.17g}"
+                                  for i in range(len(x)) for j in range(len(r))]
+        assert (tmp_path / name).read_bytes() == ("\n".join(rows) + "\n").encode()
+
+
+def kind_dispatch(cfg):
+    """The state of each kind from its own constructor, as build_state once chose it."""
+    grid = None
+    if cfg.y_max is not None or cfg.n is not None:
+        base = sqdisp.default_grid(cfg.a if cfg.state != "vacuum" else 0.0,
+                                   cfg.z if cfg.state == "displaced-squeezed" else 0.0, cfg.n)
+        grid = sqdisp.QuadratureGrid(base.y_max if cfg.y_max is None else cfg.y_max, base.n)
+    if cfg.state == "vacuum":
+        return sqdisp.make_vacuum(grid)
+    if cfg.state == "coherent":
+        return sqdisp.make_coherent(cfg.a, grid=grid)
+    return sqdisp.make_displaced_squeezed(cfg.a, cfg.z, grid=grid)
+
+
+class TestBuildState:
+    @pytest.mark.parametrize("state", ["vacuum", "coherent", "displaced-squeezed"])
+    @pytest.mark.parametrize("n", [None, 2048])
+    @pytest.mark.parametrize("y_max", [None, 14.5])
+    def test_same_state_as_kind_dispatch(self, state, n, y_max):
+        cfg = RunConfig(state=state, a=2.5, z=-0.4, n=n, y_max=y_max)
+        got, ref = build_state(cfg), kind_dispatch(cfg)
+        assert got.grid == ref.grid
+        assert got.evaluator == ref.evaluator
+        assert np.array_equal(got.amplitudes, ref.amplitudes)
 
 
 class TestCompareSrm:

@@ -5,13 +5,19 @@ log-widths at the ends of their ranges, grids of 2 nodes and of 2^20, windows
 of 1e-12 and 1e6, lambda next to 0 and 1, extreme tolerances and photon
 numbers, and eight sampled-state files, most of them malformed.  Maps stay at
 16 x 16 and pointers at n_max 20; the library calls take these sizes as a
-Python int, a numpy int or a float (which raises ConfigError).  Every library
-call must return or raise an EstimationError: no untyped error.
+Python int, a numpy int or a float (which raises ConfigError).  Each library
+example runs every public entry point, each drawing its other numbers from the
+pools and from +-inf and NaN.  Every library call must raise an
+EstimationError or return, and a number it returns, or the norm of a state,
+must be finite: no untyped error and no NaN.
 """
 
 import contextlib
+import dataclasses
+import functools
 import io
 import json
+import math
 import warnings
 
 import numpy as np
@@ -35,6 +41,7 @@ POOLS = {
     "nbar": ("1.0000000001", "1e300"),
 }
 ENDS = ("-1e6", "1e6", "-1e-12", "1e-12")
+NON_FINITE = (float("inf"), float("-inf"), float("nan"))  # library calls only
 FIXED = {"resolution": "16", "n_max": "20"}
 SIZES = {"resolution": (16, np.int64(16), 16.0), "n_max": (20, np.int64(20), 20.0)}
 
@@ -110,59 +117,117 @@ def test_cli_edge_values(state_files, data):
         assert len(err.splitlines()) + len(caught) == 1, (err, [str(w.message) for w in caught])
 
 
-def _floats(key):
-    return st.sampled_from([float(v) for v in POOLS[key]])
+def _floats(values):
+    return st.sampled_from([float(v) for v in values] + list(NON_FINITE))
 
 
-WINDOWS = st.tuples(*[st.sampled_from([float(v) for v in ENDS])] * 4)
+WINDOWS = st.tuples(*[_floats(ENDS)] * 4)
 
 
-@st.composite
+@functools.cache
+def _vacuum_seed():
+    """The vacuum on its default grid and its ML seed: a state that every call accepts."""
+    psi = sqdisp.make_vacuum()
+    return sqdisp.build_ml_seed(psi), psi
+
+
+@functools.cache
+def _pointer():
+    """A pointer that make_pointer accepts, so pointer_overlap reads its group element."""
+    return sqdisp.make_pointer(0.5, 1, 20)
+
+
 def library_calls(draw):
-    """A public entry point and its arguments, drawn from the CLI's pools."""
-    a, z, n = draw(_floats("a")), draw(_floats("z")), int(draw(_floats("n")))
-    y_max, nbar = draw(_floats("y_max")), draw(_floats("nbar"))
-    lam, tol, window = draw(_floats("lam")), draw(_floats("tail_tol")), draw(WINDOWS)
-    kind = draw(st.sampled_from(["vacuum", "coherent", "displaced-squeezed"]))
-    build = draw(st.sampled_from([sqdisp.build_ml_seed, sqdisp.build_srm_seed,
-                                  sqdisp.build_parity_seed]))
-    sign = draw(st.sampled_from([1, -1]))
-    res, n_max = (draw(st.sampled_from(SIZES[key])) for key in ("resolution", "n_max"))
+    """Every public entry point by name.  Each call draws its own arguments with
+    ``draw`` as it runs, from the CLI's pools and NON_FINITE; the calls share the
+    first state, seed and pointer that are built."""
+    def num(key):
+        return draw(_floats(POOLS[key]))
 
+    def size(key):
+        return draw(st.sampled_from(SIZES[key]))
+
+    def nodes():
+        return int(draw(st.sampled_from(POOLS["n"])))
+
+    def element():
+        return sqdisp.GroupElement(draw(_floats(ENDS)), draw(_floats(ENDS)))
+
+    @functools.cache
     def state():
-        grid = sqdisp.QuadratureGrid(y_max, n)
+        grid = sqdisp.QuadratureGrid(num("y_max"), nodes())
+        kind = draw(st.sampled_from(["vacuum", "coherent", "displaced-squeezed"]))
         if kind == "vacuum":
             return sqdisp.make_vacuum(grid)
         if kind == "coherent":
-            return sqdisp.make_coherent(a, grid=grid)
-        return sqdisp.make_displaced_squeezed(a, z, grid=grid)
+            return sqdisp.make_coherent(num("a"), grid=grid)
+        return sqdisp.make_displaced_squeezed(num("a"), num("z"), grid=grid)
 
+    @functools.cache
     def seed():
         psi = state()
+        build = draw(st.sampled_from([sqdisp.build_ml_seed, sqdisp.build_srm_seed,
+                                      sqdisp.build_parity_seed]))
         return build(psi), psi
 
-    return draw(st.sampled_from([
-        lambda: sqdisp.default_grid(a, z, n),
-        state,
-        seed,
-        lambda: sqdisp.optimal_likelihood(state()),
-        lambda: sqdisp.srm_likelihood(state()),
-        lambda: sqdisp.scan(*seed(), window, res),
-        lambda: sqdisp.rms_predictions(a, z),
-        lambda: sqdisp.separate_optima(a, z),
-        lambda: sqdisp.uncertainty_product_ratio(a, z),
-        lambda: sqdisp.isotropic_params(nbar),
-        lambda: sqdisp.make_pointer(lam, sign, n_max, tail_tol=tol),
-        lambda: sqdisp.concentration_profile(lam, n_max, window, res, tail_tol=tol),
-    ]))
+    @functools.cache
+    def pointer():
+        return sqdisp.make_pointer(num("lam"), draw(st.sampled_from([1, -1])), size("n_max"),
+                                   tail_tol=num("tail_tol"))
+
+    return {
+        "default_grid": lambda: sqdisp.default_grid(num("a"), num("z"), nodes()),
+        "default_grid without n": lambda: sqdisp.default_grid(num("a"), num("z")),
+        "state": state,
+        "seed": seed,
+        "optimal_likelihood": lambda: sqdisp.optimal_likelihood(state()),
+        "srm_likelihood": lambda: sqdisp.srm_likelihood(state()),
+        "scan": lambda: sqdisp.scan(*seed(), draw(WINDOWS), size("resolution")),
+        "density_at": lambda: sqdisp.density_at(*seed(), element()),
+        "density_at on the vacuum": lambda: sqdisp.density_at(*_vacuum_seed(), element()),
+        "act": lambda: sqdisp.act(element(), state()),
+        "act on the vacuum": lambda: sqdisp.act(element(), _vacuum_seed()[1]),
+        "rms_predictions": lambda: sqdisp.rms_predictions(num("a"), num("z")),
+        "separate_optima": lambda: sqdisp.separate_optima(num("a"), num("z")),
+        "uncertainty_product_ratio": lambda: sqdisp.uncertainty_product_ratio(num("a"),
+                                                                              num("z")),
+        "heisenberg_ratio": lambda: sqdisp.heisenberg_ratio(state(), num("a")),
+        # all but 1e-15 of its mass at y > 0, so the ratio reads a
+        "heisenberg_ratio of a coherent state": lambda: sqdisp.heisenberg_ratio(
+            sqdisp.make_coherent(4.0), num("a")),
+        "isotropic_params": lambda: sqdisp.isotropic_params(num("nbar")),
+        "make_pointer": pointer,
+        "pointer_overlap": lambda: sqdisp.pointer_overlap(pointer(), element(), pointer()),
+        "pointer_overlap of a valid pointer": lambda: sqdisp.pointer_overlap(
+            _pointer(), element(), _pointer()),
+        "concentration_profile": lambda: sqdisp.concentration_profile(
+            num("lam"), size("n_max"), draw(WINDOWS), size("resolution"),
+            tail_tol=num("tail_tol")),
+    }
+
+
+def _finite(result) -> bool:
+    """Whether every number in a result is finite: a float, complex or array, the
+    items of a tuple, the fields of a dataclass, and the norm of a state."""
+    if isinstance(result, sqdisp.StateVector):
+        return math.isfinite(result.norm_certificate)
+    if dataclasses.is_dataclass(result):
+        result = tuple(vars(result).values())
+    if isinstance(result, tuple):
+        return all(_finite(v) for v in result)
+    if isinstance(result, (float, complex, np.ndarray)):
+        return bool(np.all(np.isfinite(result)))
+    return True
 
 
 @settings(max_examples=120, derandomize=True, deadline=None, database=None)
-@given(call=library_calls())
-def test_library_edge_values(call):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            call()
-        except EstimationError:
-            pass
+@given(data=st.data())
+def test_library_edge_values(data):
+    for name, call in library_calls(data.draw).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            try:
+                result = call()
+            except EstimationError:
+                continue
+        assert _finite(result), (name, result)

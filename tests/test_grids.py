@@ -19,8 +19,9 @@ from sqdisp import (ConfigError, DivergenceDetected, GaussianStateParams, GridMi
                     GridTooNarrow, QuadratureGrid, StateVector, default_grid,
                     half_line_moment, inner_product, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum)
-from sqdisp.grids import (MAX_NODES, _chirp, _sector_sum, _solve_141, fourier_at,
-                          refine_by_doubling)
+from sqdisp.distribution import _map_shape
+from sqdisp.grids import (_FFT_LENGTHS, MAX_NODES, _chirp, _fft_length, _sector_sum, _solve_141,
+                          fourier_at, refine_by_doubling)
 
 VACUUM_PEAK = (2.0 / math.pi) ** 0.25           # 0.8932438417380024
 VACUUM_HALF_MOMENT = math.sqrt(2.0 / math.pi) / 4.0  # 0.19947114020071635
@@ -177,6 +178,13 @@ class TestGaussianStates:
         for n in (None, 64):
             with pytest.raises(ConfigError, match="^z must lie in"):
                 default_grid(0.0, z, n)
+
+    @pytest.mark.parametrize("center", [math.nan, math.inf])
+    def test_non_finite_default_grid_center_rejected(self, center):
+        # NaN used to raise a plain ValueError from math.ceil
+        for n in (None, 64):
+            with pytest.raises(ConfigError, match="^center must be finite"):
+                default_grid(center, 0.0, n)
 
     @pytest.mark.parametrize("a", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_displacement_rejected(self, a):
@@ -480,6 +488,42 @@ class TestFourierAt:
         for c in range(3):
             ref = dense_fourier(x[:, c], y, h[:, c])
             assert np.max(np.abs(got[:, c] - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+def smallest_smooth_from(top):
+    """For each m <= top, a 2^a 3^b 5^c itself, the smallest 2^a 3^b 5^c >= m: every
+    integer up to top divided by 2, 3 and 5 while they divide it, 1 left for those."""
+    rest = np.arange(top + 1)
+    rest[0] = 7  # 0 is no product of 2, 3 and 5
+    for p in (2, 3, 5):
+        idx = np.arange(top + 1)
+        while len(idx):
+            idx = idx[rest[idx] % p == 0]
+            rest[idx] //= p
+    smooth = np.where(rest == 1, np.arange(top + 1), top)
+    return np.minimum.accumulate(smooth[::-1])[::-1]
+
+
+class TestFftLength:
+    def test_matches_brute_force(self):
+        smallest = smallest_smooth_from(2**21)
+        n = np.concatenate([np.arange(1, 2**16 + 1),
+                            np.random.default_rng(28).integers(2**16, 2**21, 5000, endpoint=True)])
+        assert [_fft_length(int(k)) for k in n] == smallest[n].tolist()
+
+    def test_table_holds_the_longest_request(self):
+        # _row_map transforms nx + n - 1 with nx nr <= MAX_NODES cells, nr >= 16, on
+        # n <= MAX_NODES nodes; _group_slices 2n - 1 on n <= MAX_NODES nodes
+        nx = MAX_NODES // 16
+        assert _map_shape((nx, 16)) == (nx, 16)
+        with pytest.raises(ConfigError):
+            _map_shape((nx + 1, 16))
+        n = QuadratureGrid(1.0, MAX_NODES).n
+        with pytest.raises(ConfigError):
+            QuadratureGrid(1.0, n + 2)
+        longest = max(nx + n - 1, 2 * n - 1)
+        assert _fft_length(longest) in _FFT_LENGTHS
+        assert _fft_length(longest) >= longest == 2**21 - 1
 
 
 def exact_chirp(alpha, theta, m):

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqdisp import (IDENTITY, GaussianStateParams, GroupElement, QuadratureGrid,
-                    StateVector, act, compose, default_grid, inner_product, inverse,
-                    make_coherent, make_displaced_squeezed, make_sampled,
-                    make_vacuum, parity_act)
+from sqdisp import (IDENTITY, ConfigError, GaussianStateParams, GroupElement, QuadratureGrid,
+                    StateVector, act, build_ml_seed, compose, default_grid, density_at,
+                    inner_product, inverse, make_coherent, make_displaced_squeezed,
+                    make_pointer, make_sampled, make_vacuum, parity_act, pointer_overlap)
+from sqdisp.grids import MAX_NODES
 
 # random Gaussian states (center, log-width, linear phase) and group elements
 gaussians = st.builds(GaussianStateParams, st.floats(-3.0, 3.0), st.floats(-0.5, 0.5),
@@ -188,3 +189,32 @@ class TestParity:
         y = grid.nodes
         psi = make_sampled(grid, y * np.exp(-y ** 2))
         assert np.array_equal(parity_act(psi).amplitudes, psi.amplitudes[::-1])
+
+
+class TestElementChecks:
+    """act, density_at and pointer_overlap refuse a non-finite x or |r| > ln MAX_NODES,
+    the bound a scan window's r has, before they evaluate U_g."""
+
+    @pytest.fixture(scope="class")
+    def operands(self):
+        vac = make_vacuum()
+        sampled = make_sampled(vac.grid, vac.amplitudes)
+        return vac, sampled, build_ml_seed(vac), make_pointer(0.5, 1, 20)
+
+    @pytest.mark.parametrize("x, r", [(1.0, -800.0), (0.0, 800.0), (0.0, 14.0), (0.0, math.nan),
+                                      (math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0)])
+    def test_refused(self, operands, x, r):
+        vac, sampled, seed, pointer = operands
+        g = GroupElement(x, r)
+        for call in (lambda: act(g, vac), lambda: act(g, sampled),
+                     lambda: density_at(seed, vac, g),
+                     lambda: pointer_overlap(pointer, g, pointer)):
+            with pytest.raises(ConfigError):
+                call()
+
+    @pytest.mark.parametrize("r", [-math.log(MAX_NODES), math.log(MAX_NODES)])
+    def test_bound_accepted(self, operands, r):
+        vac, _, seed, pointer = operands
+        g = GroupElement(0.3, r)
+        assert math.isfinite(density_at(seed, vac, g))
+        assert math.isfinite(abs(pointer_overlap(pointer, g, pointer)))

@@ -23,7 +23,9 @@ of minor page faults of each scan, profile or oracle call, and
 ``profile_peak_mb`` the tracemalloc peak, in MB, of one untimed profile call
 made after the timed ones.  ``scan_nodes`` is, per scan slot, the number of
 nodes its rows run on: len(y) of the ``fourier_at`` calls of one untimed scan
-(a side that runs its rows on the whole grid records the grid's n).
+(a side that runs its rows on the whole grid records the grid's n), and
+``scan_grid_n`` that grid's n: the node count that
+``distribution._refine_for_window`` chose in another untimed scan.
 ``oracle_nodes`` is, per oracle case, the largest n handed to
 ``distribution._band_spectrum`` in one untimed run: the nodes its band slices
 run on.
@@ -131,13 +133,14 @@ def row_call(pkg, n):
 
 
 def nodes_of(pkg, call, name, size) -> int:
-    """The largest ``size(*args)`` of the calls that ``call`` makes to the side's
-    ``distribution.<name>``."""
+    """The largest ``size(out, *args)`` of the calls that ``call`` makes to the side's
+    ``distribution.<name>``, out what that call returned."""
     distribution, inner, nodes = pkg["distribution"], getattr(pkg["distribution"], name), []
 
     def recording(*args):
-        nodes.append(size(*args))
-        return inner(*args)
+        out = inner(*args)
+        nodes.append(size(out, *args))
+        return out
 
     setattr(distribution, name, recording)
     try:
@@ -206,7 +209,7 @@ def main(argv=None) -> int:
 
     sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
              "change": load("sqdisp", ROOT / "src")}
-    keys = ("row_s", "scan_s", "scan_row_s", "scan_nodes", "profile_s", "job_s",
+    keys = ("row_s", "scan_s", "scan_row_s", "scan_nodes", "scan_grid_n", "profile_s", "job_s",
             "oracle_nodes", "minflt", "profile_peak_mb")
     record = {side: {key: {} for key in keys} for side in sides}
     deviation = {}
@@ -216,11 +219,13 @@ def main(argv=None) -> int:
             record[side][key][case] = best[side]
             if key == "scan_s":
                 record[side]["scan_row_s"][case] = best[side] / len(outs[side].r_nodes)
-                record[side]["scan_nodes"][case] = nodes_of(sides[side], calls[side],
-                                                            "fourier_at", lambda x, y, h: len(y))
+                record[side]["scan_nodes"][case] = nodes_of(
+                    sides[side], calls[side], "fourier_at", lambda out, x, y, h: len(y))
+                record[side]["scan_grid_n"][case] = nodes_of(
+                    sides[side], calls[side], "_refine_for_window", lambda out, *_: out[1].grid.n)
             if key == "job_s":
-                record[side]["oracle_nodes"][case] = nodes_of(sides[side], calls[side],
-                                                              "_band_spectrum", lambda n, *_: n)
+                record[side]["oracle_nodes"][case] = nodes_of(
+                    sides[side], calls[side], "_band_spectrum", lambda out, n, *_: n)
             if devs is not None:
                 record[side]["minflt"][case] = faults[side]
             if key == "profile_s":
@@ -242,7 +247,11 @@ def main(argv=None) -> int:
             print(f"{key:9s} {case:22s} {old:10.4g} -> {new:10.4g} s  ({new / old:5.2f}x)")
     for key in ("scan_nodes", "oracle_nodes"):
         for case, old in record["parent"][key].items():
-            print(f"nodes     {case:22s} {old:10d} -> {record['change'][key][case]:10d}")
+            line = f"nodes     {case:22s} {old:10d} -> {record['change'][key][case]:10d}"
+            if key == "scan_nodes":
+                line += (f"  of grid n {record['parent']['scan_grid_n'][case]}"
+                         f" -> {record['change']['scan_grid_n'][case]}")
+            print(line)
     for case, old in record["parent"]["profile_peak_mb"].items():
         print(f"peak_mb   {case:22s} {old:10.4g} -> {record['change']['profile_peak_mb'][case]:10.4g} MB")
     print(f"total_s {record['parent']['total_s']:.3f} -> {record['change']['total_s']:.3f}")
