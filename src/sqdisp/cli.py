@@ -159,14 +159,16 @@ def print_config(cfg: RunConfig):
         print(f"{f.name} =" if v is None else f"{f.name} = {v}")
 
 
+def _state_az(cfg: RunConfig) -> Tuple[float, float]:
+    """(a, z) of the state kind: a = 0 for the vacuum, z = 0 but for displaced-squeezed."""
+    return (0.0 if cfg.state == "vacuum" else cfg.a,
+            cfg.z if cfg.state == "displaced-squeezed" else 0.0)
+
+
 def _state_label(cfg: RunConfig) -> str:
-    if cfg.state == "vacuum":
-        return "vacuum"
-    if cfg.state == "coherent":
-        return f"coherent(a={cfg.a:g})"
-    if cfg.state == "displaced-squeezed":
-        return f"displaced-squeezed(a={cfg.a:g}, z={cfg.z:g})"
-    return f"sampled-file({cfg.sampled_path})"
+    a, z = _state_az(cfg)
+    return cfg.state + {"vacuum": "", "coherent": f"(a={a:g})", "displaced-squeezed":
+                        f"(a={a:g}, z={z:g})", "sampled-file": f"({cfg.sampled_path})"}[cfg.state]
 
 
 def load_sampled_state(path: str) -> StateVector:
@@ -196,9 +198,7 @@ def load_sampled_state(path: str) -> StateVector:
 def build_state(cfg: RunConfig) -> StateVector:
     if cfg.state == "sampled-file":
         return load_sampled_state(cfg.sampled_path)
-    # the vacuum is a = z = 0 and a coherent state z = 0, as make_vacuum and make_coherent
-    a = cfg.a if cfg.state != "vacuum" else 0.0
-    z = cfg.z if cfg.state == "displaced-squeezed" else 0.0
+    a, z = _state_az(cfg)
     grid = None
     if cfg.y_max is not None or cfg.n is not None:
         base = default_grid(a, z, cfg.n)
@@ -219,10 +219,9 @@ def default_window(cfg: RunConfig) -> Tuple[float, float, float, float]:
         return (cfg.x_lo, cfg.x_hi, cfg.r_lo, cfg.r_hi)
     if cfg.state == "vacuum":
         return (-3.0, 3.0, -3.0, 3.0)
-    scale = abs(cfg.a) * math.exp(cfg.z if cfg.state == "displaced-squeezed" else 0.0)
-    r_half = 6.0 / max(scale, 1.0)
-    x_half = 4.0 * math.exp(cfg.z) if cfg.state == "displaced-squeezed" else 4.0
-    return (-max(x_half, 2.0), max(x_half, 2.0), -r_half, r_half)
+    a, z = _state_az(cfg)
+    x_half, r_half = max(4.0 * math.exp(z), 2.0), 6.0 / max(abs(a) * math.exp(z), 1.0)
+    return (-x_half, x_half, -r_half, r_half)
 
 
 def write_csv(path: str, dmap: distribution.DensityMap):

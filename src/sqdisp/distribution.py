@@ -31,8 +31,8 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .errors import ConfigError, DivergenceDetected, GridMismatch, InsufficientMass
-from .grids import (MAX_NODES, StateVector, _check_log_range, _fft_length, _sector_sum, _size,
-                    fourier_at, phase_resolving_grid, sector_integral)
+from .grids import (MAX_NODES, StateVector, _check_log_range, _check_phase, _fft_length,
+                    _sector_sum, _size, fourier_at, phase_resolving_grid, sector_integral)
 from .group import GroupElement, _check_element, inverse
 from .povm import PovmSeed
 
@@ -106,13 +106,14 @@ def _marginals(density_map: DensityMap, r_weight) -> Tuple[np.ndarray, np.ndarra
 
 
 def density_at(seed: PovmSeed, psi: StateVector, g: GroupElement) -> float:
-    """p(g) = |<eta| U_{g^{-1}} |psi>|^2 at a single group element; ConfigError
-    for a non-finite x or |r| > ln MAX_NODES, as a scan window's r."""
+    """p(g) = |<eta| U_{g^{-1}} |psi>|^2 at one group element; ConfigError for a non-finite x
+    or |r| > ln MAX_NODES, GridTooNarrow (``_check_phase``) for g^{-1}'s x past pi/(2 dy)."""
     _check_element(g)
     if seed.eta.grid != psi.grid:
         raise GridMismatch("seed and state must share a quadrature grid")
     gi = inverse(g)
     grid = psi.grid
+    _check_phase(gi.x, grid.dy)
     y = grid.nodes
     integrand = (np.conj(seed.eta.amplitudes)
                  * math.exp(gi.r / 2.0)
@@ -158,14 +159,13 @@ def _chunk_rows(nx: int, n: int, per_row: int = 1) -> int:
 def _row_map(window: Tuple[float, float, float, float], nx: int, nr: int,
              y: np.ndarray, weight: np.ndarray, rows_at, per_row: int = 1) -> DensityMap:
     """DensityMap of sum_c |sum_k K_kc e^{-2i s x y_k}|^2, c over a row's per_row
-    kernel columns.  ``weight`` >= 0 has |K_kc| <= B weight_k for one B over all
-    rows, so the rows run only on keep = slice(*_support(weight)), and what they
-    drop of any amplitude is at most 2^-53 B sum(weight).  ``rows_at(r, keep)``
-    gives each row's x scale s and the kernels, (len(y[keep]), per_row * len(r)),
-    for a chunk of r nodes.  A chunk holds ``_chunk_rows(nx, len(y[keep]),
-    per_row)`` rows, so an FFT array of ``grids.fourier_at`` holds at most
-    _SCAN_CHUNK complex elements or one row; the map depends on neither order
-    nor chunks."""
+    kernel columns.  ``weight`` >= 0 has |K_kc| <= B weight_k for one B over all rows, so
+    ``rows_at(r, keep)`` gives each row's x scale s and the kernels, (len(y[keep]),
+    per_row * len(r)), for a chunk of r nodes only on keep = slice(*_support(weight)).  A
+    chunk holds ``_chunk_rows(nx, len(y[keep]), per_row)`` rows, so an FFT array holds at
+    most _SCAN_CHUNK complex elements or one row, and runs ``grids.fourier_at`` only on
+    _support(max_c |K_kc|) of its own kernels: what it drops of any amplitude, all that
+    the map owes to the chunks, is at most 2^-53 sum_k max_c |K_kc| <= 2^-53 B sum(weight)."""
     x_nodes = np.linspace(*window[:2], nx)
     r_nodes = np.linspace(*window[2:], nr)
     values = np.empty((nx, nr))
@@ -174,7 +174,8 @@ def _row_map(window: Tuple[float, float, float, float], nx: int, nr: int,
     rows = _chunk_rows(nx, len(y), per_row)
     for j in range(0, nr, rows):
         scale, kernels = rows_at(r_nodes[j:j + rows], keep)
-        amps = fourier_at(np.outer(x_nodes, np.repeat(scale, per_row)), y, kernels)
+        own = slice(*_support(np.abs(kernels).max(axis=1)))
+        amps = fourier_at(np.outer(x_nodes, np.repeat(scale, per_row)), y[own], kernels[own])
         values[:, j:j + rows] = (np.abs(amps) ** 2).reshape(nx, -1, per_row).sum(axis=2)
     return DensityMap(x_nodes, r_nodes, values)
 
@@ -185,9 +186,9 @@ def scan(seed: PovmSeed, psi: StateVector,
     """Fill a DensityMap with density_at over a tensor grid.
 
     ``resolution`` is an int or an (nx, nr) pair, at least 16 per axis and
-    at most MAX_NODES cells.  Each r row is a chirp-z transform of length
-    L >= nx + n - 1 on the n quadrature nodes that carry all but 2^-53 of
-    |eta|'s L1 mass, in the row chunks of ``_row_map``.
+    at most MAX_NODES cells.  The row kernels are evaluated where |eta| holds all but
+    2^-53 of its L1 mass, and in each chunk of ``_row_map`` a row is a chirp-z transform
+    of length L >= nx + n - 1 on the n nodes that hold all but 2^-53 of the chunk's.
     """
     _check_window(window)
     nx, nr = _map_shape(resolution)

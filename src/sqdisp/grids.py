@@ -125,10 +125,13 @@ class GaussianStateParams:
     def __call__(self, y: np.ndarray) -> np.ndarray:
         s = math.exp(2.0 * self.log_width)
         amp = (2.0 * s / math.pi) ** 0.25
-        wave = np.exp(-s * (y - self.center) ** 2).astype(complex)
-        if self.linear_phase != 0.0:
-            wave = wave * np.exp(-2.0j * self.linear_phase * y)
-        return amp * wave
+        t = y - self.center  # one real temporary, worked in place
+        t *= t
+        t *= -s
+        np.exp(t, out=t)
+        if self.linear_phase != 0.0:  # amp after the phase: amp e^{-s t^2} first rounds otherwise
+            return amp * (t * np.exp(-2.0j * self.linear_phase * y))
+        return np.multiply(t, amp, out=t).astype(complex)
 
     @property
     def probability_std(self) -> float:
@@ -250,6 +253,13 @@ def inner_product(phi: StateVector, psi: StateVector) -> complex:
     return complex(np.sum(np.conj(phi.amplitudes) * psi.amplitudes) * phi.grid.dy)
 
 
+def _check_phase(x: float, dy: float):
+    """GridTooNarrow for |x| > pi/(2 dy), where e^{-2i x y} aliases on nodes dy apart."""
+    if abs(x) > math.pi / (2.0 * dy):
+        raise GridTooNarrow(f"e^(-2ixy) at |x| = {abs(x):.4g} aliases on a grid whose "
+                            f"pi/(2 dy) is {math.pi / (2.0 * dy):.4g}")
+
+
 def phase_resolving_grid(grid: QuadratureGrid, y_max: float, freq: float) -> QuadratureGrid:
     """Grid on [-y_max, y_max] fine enough for both ``grid`` and e^{-2i freq y}.
 
@@ -282,36 +292,36 @@ def _fft_length(n: int) -> int:
 
 @functools.lru_cache(maxsize=64)
 def _chirp_integers(count: int) -> np.ndarray:
-    """What _chirp multiplies alpha by (row 0) and theta by (row 1), read-only."""
+    """What _chirp multiplies the angle by, read-only: for power 2 (row 0) (B q)^2, p^2 and the
+    steps 2 B q, for power 1 (row 1) B q, p and B q again, so each row ends in its block fill."""
     q = _CHIRP_BLOCK * np.arange(-(-count // _CHIRP_BLOCK), dtype=float)
     p = np.arange(_CHIRP_BLOCK, dtype=float)
-    ints = np.array([np.r_[q * q, p * p, 2.0 * q], np.r_[q, p, 0.0 * q]])
+    ints = np.concatenate([[q * q, q], [p * p, p], [2.0 * q, q]], axis=1)
     ints.flags.writeable = False
     return ints
 
 
-def _chirp(alpha, count: int, theta=0.0) -> np.ndarray:
-    """e^{-i (alpha m^2 + theta m)}, m = 0 .. count - 1 < 2^20, a row for each
-    alpha and theta.  For m = B q + p, B = _CHIRP_BLOCK, only the anchors
-    alpha (B q)^2 + theta B q, in-block terms alpha p^2 + theta p and steps
-    2 alpha B q are exponentiated, each phase reduced exactly: c = alpha/2pi
-    or theta/2pi is cut into parts of at most 13 bits, exact times an integer
-    k < 2^40 and so modulo 1, and a rest whose product with k is below 2^4 c.
-    The anchor times step^p is a running product over the block."""
-    alpha, theta = np.broadcast_arrays(alpha, theta)
-    c = np.stack([alpha, theta], axis=-1)[..., None] / (2.0 * math.pi)
-    k = _chirp_integers(count)
+def _chirp(angle, count: int, power: int = 2) -> np.ndarray:
+    """e^{-i angle m^power}, power 2 (a chirp) or 1 (a linear phase), m = 0 .. count - 1 < 2^20,
+    a row for each angle.  For m = B q + p, B = _CHIRP_BLOCK, only the anchors angle (B q)^power,
+    in-block terms angle p^power and, for power 2, steps 2 angle B q are exponentiated, each
+    phase reduced exactly: c = angle/2pi is cut into parts of at most 13 bits, exact times an
+    integer k < 2^40 and so modulo 1, and a rest whose product with k is below 2^4 c.  A chirp is
+    anchor times step^p, a running product over the block; a linear phase anchor times in-block."""
+    c = np.asarray(angle)[..., None] / (2.0 * math.pi)
+    k = _chirp_integers(count)[2 - power]
     scale = np.ldexp(1.0, 12 * np.arange(1, 4).reshape((3,) + (1,) * c.ndim) - np.frexp(c)[1])
     prefix = np.round(c * scale) / scale
     turns = np.concatenate([prefix[:1], np.diff(prefix, axis=0)]) * k
     turns -= np.rint(turns)
-    phase = np.exp(-2j * math.pi * (turns.sum(axis=0) + (c - prefix[-1]) * k).sum(axis=-2))
+    phase = np.exp(-2j * math.pi * (turns.sum(axis=0) + (c - prefix[-1]) * k))
     nq = (phase.shape[-1] - _CHIRP_BLOCK) // 2
     block = np.repeat(phase[..., nq + _CHIRP_BLOCK:, None], _CHIRP_BLOCK, axis=-1)
-    block[..., 0] = phase[..., :nq]
-    np.cumprod(block, axis=-1, out=block)
+    if power == 2:  # steps, to anchor times step^p; power 1 fills the anchors themselves
+        block[..., 0] = phase[..., :nq]
+        np.cumprod(block, axis=-1, out=block)
     block *= phase[..., None, nq:nq + _CHIRP_BLOCK]
-    return block.reshape(alpha.shape + (-1,))[..., :count]
+    return block.reshape(np.shape(angle) + (-1,))[..., :count]
 
 
 def fourier_at(x: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -327,7 +337,7 @@ def fourier_at(x: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
                                          e^{i alpha (j - k)^2},
 
     a convolution by FFTs of length L >= len(x) + len(y) - 1: per column
-    O(L log L) time, O(L) memory and no exponential per node (``_chirp``).
+    O(L log L) time, O(L) memory, one chirp per grid and no exponential per node (``_chirp``).
     """
     y = np.asarray(y, dtype=float)
     h = np.asarray(h)
@@ -337,15 +347,17 @@ def fourier_at(x: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
     alpha = dy * (x[:, -1] - x[:, 0]) / (nx - 1) if nx > 1 else 0.0 * x[:, 0]
     length = _fft_length(nx + n - 1)
     # stage by stage, so at most three length-L arrays per row are alive
-    conv = np.zeros((h.size // n, length), dtype=complex)
-    np.multiply(_chirp(alpha, n, 2.0 * dy * x[:, 0]), h.reshape(n, -1).T, out=conv[:, :n])
-    conv = np.fft.fft(conv)
     chirp = _chirp(alpha, max(nx, n))
+    pre = _chirp(2.0 * dy * x[:, 0], n, power=1) * chirp[:, :n]
+    conv = np.zeros((h.size // n, length), dtype=complex)
+    np.multiply(pre, h.reshape(n, -1).T, out=conv[:, :n])
+    del pre
     lags = np.zeros((len(alpha), length), dtype=complex)  # e^{i alpha m^2}, m = -(n-1) .. nx-1
     np.conjugate(chirp[:, :nx], out=lags[:, :nx])
     np.conjugate(chirp[:, n - 1:0:-1], out=lags[:, length - n + 1:])
     post = np.exp(-2.0j * y[0] * x) * chirp[:, :nx]
     del chirp
+    conv = np.fft.fft(conv)
     conv *= np.fft.fft(lags)
     del lags
     return (np.fft.ifft(conv)[:, :nx] * post).T.reshape((nx,) + h.shape[1:])

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (ConfigError, CutoffTooSmall, GridMismatch, GridTooNarrow,
                      InsufficientMass)
 from .distribution import DensityMap, _check_window, _map_shape, _marginals, _row_map
-from .grids import MAX_NODES, QuadratureGrid, _size
+from .grids import MAX_NODES, QuadratureGrid, _check_phase, _size
 from .group import GroupElement, _check_element
 
 DEFAULT_TEST_LAMBDAS = (0.9, 0.95, 0.99)
@@ -195,12 +195,14 @@ def pointer_overlap(p1: TwoModePointer, g: GroupElement,
     Synthesizes the mode-1 wavefunctions f_m(y) = sum_n coeffs[n, m] h_n(y)
     (``coeffs.T @ H``, one row per mode-2 index m) on the grid, applies the
     affine action to the ket, and contracts over the mode-2 Fock index.  ConfigError
-    for a non-finite x or |r| > ln MAX_NODES, as a scan window's r.
+    for a non-finite x or |r| > ln MAX_NODES, GridTooNarrow (``_check_phase``) for
+    |x| past pi/(2 dy) of the pointer grid.
     """
     _check_element(g)
     if p1.n_max != p2.n_max:
         raise GridMismatch("pointers must share n_max")
     grid = p1.grid
+    _check_phase(g.x, grid.dy)
     y = grid.nodes
     H = hermite_functions(p1.n_max, y)
     Hs = hermite_functions(p1.n_max, math.exp(g.r) * y)

@@ -76,6 +76,17 @@ class TestDensityAt:
         for g in (GroupElement(0.5, -1.0), GroupElement(-2.0, 2.0)):
             assert density_at(seed, vac, g) >= 0.0
 
+    def test_aliased_phase_refused(self, vacuum_seed):
+        # the default vacuum grid has dy = 20/4096 and pi/(2 dy) = 321.7; past it
+        # e^{-2ixy} aliases (x = 640 returned 4.2e-3, x = 320 9.9e-15); the x
+        # checked is that of g^{-1}, -e^{-r} x
+        seed, vac = vacuum_seed
+        for g in (GroupElement(640.0, 0.0), GroupElement(-320.0, -1.0)):
+            with pytest.raises(GridTooNarrow, match="aliases"):
+                density_at(seed, vac, g)
+        for g in (GroupElement(320.0, 0.0), GroupElement(640.0, 1.0)):
+            assert 0.0 <= density_at(seed, vac, g) < 1e-10
+
 
 class TestScanAndArgmax:
     def test_vacuum_peak_off_origin(self, vacuum_map):

@@ -159,6 +159,16 @@ class TestGaussianStates:
             assert got.dtype == complex and got.shape == y.shape
             assert got.tobytes() == self.gaussian_reference(params, y, phase=False).tobytes()
 
+    def test_evaluator_bit_identical_to_its_formula(self):
+        # real arithmetic in place, with the phase and amplitude applied in the order
+        # of the formula as written, so every value rounds as gaussian_reference's
+        rng = np.random.default_rng(26)
+        for draw in range(60):
+            params = GaussianStateParams(rng.uniform(-8, 8), rng.uniform(-3, 3),
+                                         rng.uniform(-5, 5) if draw % 3 else 0.0)
+            y = rng.uniform(-12, 12, size=(3, 257))
+            assert np.array_equal(params(y), self.gaussian_reference(params, y))
+
     def test_evaluator_with_phase(self):
         for params, y in self.scan_chunks():
             ref = self.gaussian_reference(params, y)
@@ -539,21 +549,38 @@ CHIRP_POINTS = [0, 1, 63, 64, 65, 4095, 8191, 2**20 - 1]
 
 
 class TestChirp:
-    # alpha m^2 runs far past 2 pi for the larger alpha and m
+    # alpha m^2 runs far past 2 pi for the larger alpha and m; theta m is the linear
+    # phase that fourier_at multiplies into the chirp, _chirp(theta, count, power=1)
     @pytest.mark.parametrize("alpha", [1e-6, 0.0123456, 0.25, 3.7])
     @pytest.mark.parametrize("theta", [0.0, 0.37, -2.9])
     def test_exact_phase(self, alpha, theta):
-        chirp = _chirp(alpha, 2**20, theta)
-        assert chirp.shape == (2**20,)
+        chirp, linear = _chirp(alpha, 2**20), _chirp(theta, 2**20, power=1)
+        assert chirp.shape == linear.shape == (2**20,)
         for m in CHIRP_POINTS:
-            assert abs(chirp[m] - exact_chirp(alpha, theta, m)) <= 1e-12
+            assert abs(chirp[m] - exact_chirp(alpha, 0.0, m)) <= 1e-12
+            assert abs(linear[m] - exact_chirp(0.0, theta, m)) <= 1e-12
+            assert abs(chirp[m] * linear[m] - exact_chirp(alpha, theta, m)) <= 1e-12
 
     def test_one_row_per_parameter(self):
         alpha = np.array([1e-6, 0.0123456, 0.25, 3.7])
         theta = np.array([0.37, 0.0, -2.9, 1.1])
-        chirp = _chirp(alpha, 8192, theta)
-        assert chirp.shape == (4, 8192)
-        for a, t, row in zip(alpha, theta, chirp):
-            assert np.max(np.abs(row - _chirp(a, 8192, t))) <= 1e-15
+        chirp, linear = _chirp(alpha, 8192), _chirp(theta, 8192, power=1)
+        assert chirp.shape == linear.shape == (4, 8192)
+        for a, t, row, lin in zip(alpha, theta, chirp, linear):
+            assert np.max(np.abs(row - _chirp(a, 8192))) <= 1e-15
+            assert np.max(np.abs(lin - _chirp(t, 8192, power=1))) <= 1e-15
             for m in CHIRP_POINTS[:-1]:
-                assert abs(row[m] - exact_chirp(a, t, m)) <= 1e-12
+                assert abs(row[m] * lin[m] - exact_chirp(a, t, m)) <= 1e-12
+
+    @pytest.mark.parametrize("power", [1, 2])
+    @pytest.mark.parametrize("count", [1, 63, 65, 8191])
+    def test_counts_off_the_block(self, power, count):
+        # a last block of m = B q + p cut short, or the only one
+        angle = np.array([0.37, -2.9])
+        rows = _chirp(angle, count, power)
+        assert rows.shape == (2, count)
+        for a, row in zip(angle, rows):
+            assert np.array_equal(row, _chirp(a, 8192, power)[:count])
+            reference = [exact_chirp(*((a, 0.0) if power == 2 else (0.0, a)), m)
+                         for m in range(count)]
+            assert np.max(np.abs(row - reference)) <= 1e-12

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqdisp import (IDENTITY, ConfigError, GaussianStateParams, GroupElement, QuadratureGrid,
-                    StateVector, act, build_ml_seed, compose, default_grid, density_at,
-                    inner_product, inverse, make_coherent, make_displaced_squeezed,
+from sqdisp import (IDENTITY, ConfigError, GaussianStateParams, GridTooNarrow, GroupElement,
+                    QuadratureGrid, StateVector, act, build_ml_seed, compose, default_grid,
+                    density_at, inner_product, inverse, make_coherent, make_displaced_squeezed,
                     make_pointer, make_sampled, make_vacuum, parity_act, pointer_overlap)
 from sqdisp.grids import MAX_NODES
 
@@ -214,7 +214,12 @@ class TestElementChecks:
 
     @pytest.mark.parametrize("r", [-math.log(MAX_NODES), math.log(MAX_NODES)])
     def test_bound_accepted(self, operands, r):
+        # density_at's phase is that of g^{-1}, x = -e^{-r} 0.3 e^{r} = -0.3 here;
+        # at r = -ln MAX_NODES an x of 0.3 puts it past pi/(2 dy), where it aliases
         vac, _, seed, pointer = operands
         g = GroupElement(0.3, r)
-        assert math.isfinite(density_at(seed, vac, g))
+        assert math.isfinite(density_at(seed, vac, GroupElement(0.3 * math.exp(r), r)))
         assert math.isfinite(abs(pointer_overlap(pointer, g, pointer)))
+        if r < 0:
+            with pytest.raises(GridTooNarrow):
+                density_at(seed, vac, g)

@@ -5,9 +5,11 @@ windows; a coarse base grid (n = 1024) sends some draws through the window
 refinement, so both the direct and the resampled scan are compared with
 ``density_at`` on the grid the scan actually used.  Two fixed cases pin the
 boundaries of the scan's row chunks, and neither the scan nor the two-mode
-profile, which share the row loop, may depend on them.  The rows run only on
-the nodes that carry all but 2^-53 of the seed's L1 mass: the helper that picks
-them, and scans that drop most of a grid or none of it, are tested last.
+profile, which share the row loop, may depend on them.  The rows' kernels are
+evaluated only on the nodes that carry all but 2^-53 of the seed's L1 mass, and
+each chunk runs on the nodes that carry all but 2^-53 of its own kernels: the
+helper that picks them, and scans that drop most of a grid or none of it, are
+tested last.
 """
 
 import numpy as np
@@ -47,24 +49,42 @@ def assert_scan_equals_density_at(seed, psi, window, resolution):
 
 
 def record_chunks(monkeypatch):
-    """(nodes, kernel columns) of each ``fourier_at`` call of the row loop."""
-    calls = []
+    """(nodes, kernel columns) of each ``fourier_at`` call of the row loop, after
+    the (lo, hi) of each ``_support`` call: the row loop's trim by its weight, then
+    one per chunk, of the chunk's own kernels."""
+    calls, support = [], distribution._support
 
     def spy(x, y, h):
         calls.append((len(y), h.shape[1]))
         return fourier_at(x, y, h)
 
+    def record(w):
+        calls.append(support(w))
+        return calls[-1]
+
     monkeypatch.setattr(distribution, "fourier_at", spy)
+    monkeypatch.setattr(distribution, "_support", record)
     return calls
 
 
 def chunk_rows(nx, calls, per_row=1):
-    """Rows per chunk on the nodes the rows ran on, by the library's own rule;
-    every call but the last holds that many."""
-    (nodes,) = {n for n, _ in calls}
-    rows = distribution._chunk_rows(nx, nodes, per_row)
-    assert [c // per_row for _, c in calls[:-1]] == [rows] * (len(calls) - 1)
+    """Rows per chunk on the nodes the weight keeps, by the library's own rule;
+    every chunk but the last holds that many, and each runs on the nodes its
+    own support keeps, no more than the weight's."""
+    (lo, hi), *chunks = calls
+    rows = distribution._chunk_rows(nx, hi - lo, per_row)
+    supports, runs = chunks[0::2], chunks[1::2]
+    assert len(supports) == len(runs) >= 1
+    assert [c // per_row for _, c in runs[:-1]] == [rows] * (len(runs) - 1)
+    assert [n for n, _ in runs] == [b - a for a, b in supports]
+    assert all(n <= hi - lo for n, _ in runs)
     return rows
+
+
+def kept(calls):
+    """Nodes the weight keeps, and those each chunk ran on."""
+    (lo, hi), *chunks = calls
+    return hi - lo, [n for n, _ in chunks[1::2]]
 
 
 def odd_state(width):
@@ -73,7 +93,7 @@ def odd_state(width):
 
 
 # the chunk boundaries of the row loop: a last chunk shorter than the rest on
-# 4096 nodes (the vacuum's rows run on 2483 of them, in chunks of 6), and one-row
+# 4096 nodes (the vacuum's seed keeps 2483 of them, so chunks of 6), and one-row
 # chunks on a window that refines to 8192 nodes, for an odd state whose seed
 # fills all but the two outermost
 @pytest.mark.parametrize("window, resolution, nodes", [
@@ -141,8 +161,9 @@ def test_scan_rows_on_the_seed_support(monkeypatch):
     seed = build_ml_seed(psi)
     calls = record_chunks(monkeypatch)
     dmap = scan(seed, psi, (-3.0, 3.0, -1.0, 1.0), RESOLUTION)
-    (nodes,) = {n for n, _ in calls}
-    assert psi.grid.n == 4096 and nodes < psi.grid.n // 2
+    chunk_rows(RESOLUTION, calls)
+    nodes, runs = kept(calls)
+    assert psi.grid.n == 4096 and max(runs) <= nodes < psi.grid.n // 2
     pointwise = np.array([[density_at(seed, psi, GroupElement(x, r)) for r in dmap.r_nodes]
                           for x in dmap.x_nodes])
     assert np.max(np.abs(dmap.values - pointwise)) <= 1e-12 * np.max(pointwise)
@@ -152,4 +173,43 @@ def test_wide_seed_keeps_every_node(monkeypatch):
     psi = odd_state(2.5)
     calls = record_chunks(monkeypatch)
     scan(build_ml_seed(psi), psi, (-3.0, 3.0, -1.0, 1.0), RESOLUTION)
-    assert {n for n, _ in calls} == {psi.grid.n}
+    chunk_rows(RESOLUTION, calls)
+    assert calls[0] == (0, psi.grid.n)
+
+
+def whole_chunks(monkeypatch):
+    """Keep the row loop's trim by its weight and let every chunk run on all it keeps."""
+    support, calls = distribution._support, []
+
+    def first_only(w):
+        calls.append(len(w))
+        return support(w) if len(calls) == 1 else (0, len(w))
+
+    monkeypatch.setattr(distribution, "_support", first_only)
+    return calls
+
+
+# each chunk's own trim drops at most 2^-53 of its kernels' bound, so it moves a
+# map by round-off only, while on the vacuum's window some chunks run on fewer
+# than half of the nodes its seed keeps
+@pytest.mark.parametrize("case", ["vacuum", "profile"])
+def test_chunk_trim_moves_maps_by_round_off(monkeypatch, case):
+    if case == "vacuum":
+        psi = make_vacuum()
+        seed = build_ml_seed(psi)
+        make, nx, per_row = lambda: scan(seed, psi, (-3.0, 3.0, -3.0, 3.0), 64), 64, 1
+    else:
+        make, nx, per_row = (lambda: concentration_profile(
+            0.95, 60, (-1.5, 1.5, -1.5, 1.5), 48, tail_tol=None).map), 48, 2
+    calls = record_chunks(monkeypatch)
+    trimmed = make()
+    chunk_rows(nx, calls, per_row)
+    nodes, runs = kept(calls)
+    assert min(runs) < nodes / 2 if case == "vacuum" else min(runs) < nodes
+    if case == "vacuum":
+        assert nodes == 2483
+    monkeypatch.undo()
+    whole_calls = whole_chunks(monkeypatch)
+    whole = make()
+    assert len(whole_calls) == 1 + len(runs)
+    assert np.max(np.abs(trimmed.values - whole.values)) <= 1e-13 * np.max(whole.values)

@@ -11,7 +11,7 @@ from sqdisp import (ConfigError, CutoffTooSmall, GroupElement, IDENTITY,
                     QuadratureGrid, concentration_profile,
                     hermite_functions, make_pointer, pointer_overlap,
                     raw_pointer_coefficients, two_mode)
-from sqdisp.errors import GridMismatch
+from sqdisp.errors import GridMismatch, GridTooNarrow
 from sqdisp.grids import fourier_at
 
 # oracle: quad of sqrt(|y|) h_0(y)^2 / sqrt(pi); closed form
@@ -161,6 +161,14 @@ class TestPointerOverlap:
         with pytest.raises(GridMismatch):
             pointer_overlap(p60, IDENTITY, p72)
 
+    def test_aliased_phase_refused(self):
+        # the n_max 20 pointer grid has pi/(2 dy) = 210; past it e^{-2ixy} aliases
+        # (x = 419 returned 0.44, x = 52 2e-16)
+        p = make_pointer(0.5, 1, 20)
+        with pytest.raises(GridTooNarrow, match="aliases"):
+            pointer_overlap(p, GroupElement(419.0, 0.0), p)
+        assert abs(pointer_overlap(p, GroupElement(52.0, 0.0), p)) < 1e-12
+
 
 @pytest.fixture(scope="module")
 def profiles():
@@ -190,25 +198,34 @@ class TestConcentrationProfile:
         col = m.values[:, j]
         assert np.max(np.abs(col - col[::-1])) < 1e-10 * col.max()
 
-    # both cases end on a short chunk: 23 and 19 rows in chunks of 3 and 4, on
-    # the 2043 and 1800 of the 2048 pointer nodes the rows run on
+    # both cases end on a short chunk: 23 and 19 rows in chunks of 3 and 4, by the
+    # 2043 and 1800 of the 2048 pointer nodes the weight keeps; each chunk runs on
+    # the nodes its own kernels keep, no more than those
     @pytest.mark.parametrize("lam, n_max, resolution", [(0.9, 20, (17, 23)),
                                                          (0.95, 60, (24, 19))])
     def test_map_equals_pointwise_overlaps(self, monkeypatch, lam, n_max, resolution):
         from sqdisp import distribution
-        nodes = []
+        nodes, supports, support = [], [], distribution._support
 
         def spy(x, y, h):
             nodes.append(len(y))
             return fourier_at(x, y, h)
 
+        def record(w):
+            supports.append(support(w))
+            return supports[-1]
+
         monkeypatch.setattr(distribution, "fourier_at", spy)
+        monkeypatch.setattr(distribution, "_support", record)
         prof = concentration_profile(lam, n_max, (-1.5, 1.5, -1.5, 1.5), resolution,
                                      tail_tol=None)
         m = prof.map
         nx, nr = resolution
-        rows = distribution._chunk_rows(nx, nodes[0], per_row=2)
-        assert len(set(nodes)) == 1 and len(nodes) == -(-nr // rows)
+        (lo, hi), *own = supports
+        assert hi - lo == {20: 2043, 60: 1800}[n_max]
+        rows = distribution._chunk_rows(nx, hi - lo, per_row=2)
+        assert len(nodes) == -(-nr // rows) and nodes == [b - a for a, b in own]
+        assert max(nodes) <= hi - lo
         assert rows > 1 and nr % rows != 0
         minus = make_pointer(lam, -1, n_max, tail_tol=None)
         pointwise = np.array([[sum(abs(pointer_overlap(p, GroupElement(x, r), prof.plus)) ** 2

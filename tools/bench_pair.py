@@ -22,10 +22,12 @@ default profile (n_max 60, 96 x 96 over +-1.5) for each workload lambda, and
 of minor page faults of each scan, profile or oracle call, and
 ``profile_peak_mb`` the tracemalloc peak, in MB, of one untimed profile call
 made after the timed ones.  ``scan_nodes`` is, per scan slot, the number of
-nodes its rows run on: len(y) of the ``fourier_at`` calls of one untimed scan
-(a side that runs its rows on the whole grid records the grid's n), and
-``scan_grid_n`` that grid's n: the node count that
-``distribution._refine_for_window`` chose in another untimed scan.
+nodes its largest chunk of rows runs on: the largest len(y) of the ``fourier_at``
+calls of one untimed scan (a side that runs its rows on the whole grid records
+the grid's n); ``scan_node_rows`` is the mean of len(y) over the rows of that
+scan, each chunk weighted by its rows, below ``scan_nodes`` when chunks run on
+fewer nodes than the largest; and ``scan_grid_n`` is the grid's n: the node count
+that ``distribution._refine_for_window`` chose in another untimed scan.
 ``oracle_nodes`` is, per oracle case, the largest n handed to
 ``distribution._band_spectrum`` in one untimed run: the nodes its band slices
 run on.
@@ -132,14 +134,14 @@ def row_call(pkg, n):
     return lambda: pkg["grids"].fourier_at(x, y, h)
 
 
-def nodes_of(pkg, call, name, size) -> int:
-    """The largest ``size(out, *args)`` of the calls that ``call`` makes to the side's
+def sizes_of(pkg, call, name, size) -> list:
+    """``size(out, *args)`` of each call that ``call`` makes to the side's
     ``distribution.<name>``, out what that call returned."""
-    distribution, inner, nodes = pkg["distribution"], getattr(pkg["distribution"], name), []
+    distribution, inner, sizes = pkg["distribution"], getattr(pkg["distribution"], name), []
 
     def recording(*args):
         out = inner(*args)
-        nodes.append(size(out, *args))
+        sizes.append(size(out, *args))
         return out
 
     setattr(distribution, name, recording)
@@ -147,7 +149,7 @@ def nodes_of(pkg, call, name, size) -> int:
         call()
     finally:
         setattr(distribution, name, inner)
-    return max(nodes)
+    return sizes
 
 
 def map_devs(prefix, old, new):
@@ -209,8 +211,8 @@ def main(argv=None) -> int:
 
     sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
              "change": load("sqdisp", ROOT / "src")}
-    keys = ("row_s", "scan_s", "scan_row_s", "scan_nodes", "scan_grid_n", "profile_s", "job_s",
-            "oracle_nodes", "minflt", "profile_peak_mb")
+    keys = ("row_s", "scan_s", "scan_row_s", "scan_nodes", "scan_node_rows", "scan_grid_n",
+            "profile_s", "job_s", "oracle_nodes", "minflt", "profile_peak_mb")
     record = {side: {key: {} for key in keys} for side in sides}
     deviation = {}
     for key, case, repeats, calls, devs in cases(sides, args.repeats):
@@ -219,13 +221,16 @@ def main(argv=None) -> int:
             record[side][key][case] = best[side]
             if key == "scan_s":
                 record[side]["scan_row_s"][case] = best[side] / len(outs[side].r_nodes)
-                record[side]["scan_nodes"][case] = nodes_of(
-                    sides[side], calls[side], "fourier_at", lambda out, x, y, h: len(y))
-                record[side]["scan_grid_n"][case] = nodes_of(
-                    sides[side], calls[side], "_refine_for_window", lambda out, *_: out[1].grid.n)
+                chunks = sizes_of(sides[side], calls[side], "fourier_at",
+                                  lambda out, x, y, h: (len(y), h.shape[1]))  # nodes, rows
+                record[side]["scan_nodes"][case] = max(n for n, _ in chunks)
+                record[side]["scan_node_rows"][case] = (sum(n * rows for n, rows in chunks)
+                                                        / sum(rows for _, rows in chunks))
+                record[side]["scan_grid_n"][case] = max(sizes_of(
+                    sides[side], calls[side], "_refine_for_window", lambda out, *_: out[1].grid.n))
             if key == "job_s":
-                record[side]["oracle_nodes"][case] = nodes_of(
-                    sides[side], calls[side], "_band_spectrum", lambda out, n, *_: n)
+                record[side]["oracle_nodes"][case] = max(sizes_of(
+                    sides[side], calls[side], "_band_spectrum", lambda out, n, *_: n))
             if devs is not None:
                 record[side]["minflt"][case] = faults[side]
             if key == "profile_s":
@@ -249,7 +254,9 @@ def main(argv=None) -> int:
         for case, old in record["parent"][key].items():
             line = f"nodes     {case:22s} {old:10d} -> {record['change'][key][case]:10d}"
             if key == "scan_nodes":
-                line += (f"  of grid n {record['parent']['scan_grid_n'][case]}"
+                line += (f"  mean {record['parent']['scan_node_rows'][case]:7.1f}"
+                         f" -> {record['change']['scan_node_rows'][case]:7.1f}"
+                         f"  of grid n {record['parent']['scan_grid_n'][case]}"
                          f" -> {record['change']['scan_grid_n'][case]}")
             print(line)
     for case, old in record["parent"]["profile_peak_mb"].items():
