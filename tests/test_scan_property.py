@@ -205,9 +205,10 @@ def test_chunk_trim_moves_maps_by_round_off(monkeypatch, case):
     trimmed = make()
     chunk_rows(nx, calls, per_row)
     nodes, runs = kept(calls)
-    assert min(runs) < nodes / 2 if case == "vacuum" else min(runs) < nodes
     if case == "vacuum":
-        assert nodes == 2483
+        assert nodes == 2483 and min(runs) < nodes / 2
+    else:
+        assert min(runs) < nodes
     monkeypatch.undo()
     whole_calls = whole_chunks(monkeypatch)
     whole = make()
