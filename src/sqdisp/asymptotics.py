@@ -87,8 +87,7 @@ def heisenberg_ratio(psi: StateVector, a: float) -> float:
     SupportViolation when the |psi|^2 mass at y < 0 exceeds NEG_MASS_TOL
     (the ln|Y| treatment degenerates there); ConfigError first unless 0 < a < inf.
     """
-    if not 0 < a < math.inf:
-        raise ConfigError(f"a must be positive and finite, got {a}")
+    AsymptoticModel(a)  # its check: ConfigError unless 0 < a < inf
     grid = psi.grid
     y = grid.nodes
     density = psi.probability_density()

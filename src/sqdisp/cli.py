@@ -1,14 +1,13 @@
 """Command-line front end.
 
-Subcommands: density, likelihood, compare-srm, asymptotics, two-mode,
-validate.  Each ``RunConfig`` field is one option: the flag ``--`` + its name
-with ``_`` as ``-``, and the key of that name in a flat key=value config file
-(unknown keys rejected).  ``None`` means not given; a flag that ``_READS``
-does not list for the subcommand is rejected.  ``--print-config`` dumps the
-effective configuration, values not given as empty, so the dump fed back
-through ``--config`` reproduces the run.  CSV output carries full double
-precision (17 significant digits) and is bit-identical across runs for a
-fixed configuration.
+Subcommands: density, likelihood, compare-srm, asymptotics, two-mode, validate.  Each
+``RunConfig`` field is one option: the flag ``--`` + its name with ``_`` as ``-``, and the
+key of that name in a flat key=value config file (unknown keys rejected).  ``None`` means
+not given; a flag that ``_READS`` does not list for the subcommand, or that
+``_STATE_IGNORES`` lists for the state, is rejected.  ``--print-config`` dumps the
+effective configuration, values not given as empty, so the dump fed back through
+``--config`` reproduces the run.  CSV output carries full double precision (17
+significant digits) and is bit-identical across runs for a fixed configuration.
 
 Exit codes: 0 success, 1 validation-suite failure, 2 configuration error
 (also a config file or output path that cannot be opened), 3 numeric failure,
@@ -108,6 +107,11 @@ _READS = {
                  "out_json": None},
     "validate": {"n": None},
 }
+# The state options a state kind does not read (a sampled file reads a only as the scale
+# of density's default window); like _READS, applied to flags only.
+_STATE_IGNORES = {"vacuum": ("a", "z", "sampled_path"), "coherent": ("z", "sampled_path"),
+                  "displaced-squeezed": ("sampled_path",), "sampled-file": ("a", "z"),
+                  ("sampled-file", "density"): ("z",)}
 
 
 def load_config_file(path: str) -> dict:
@@ -143,6 +147,12 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
     given.update(flags)
     cfg = RunConfig(**given)
     cfg.validate()
+    if "state" in reads:
+        ignored = _STATE_IGNORES.get((cfg.state, args.command), _STATE_IGNORES[cfg.state])
+        unread = ["--" + key.replace("_", "-") for key in flags if key in ignored]
+        if unread:
+            raise ConfigError(f"{args.command} does not read {', '.join(unread)} "
+                              f"for state {cfg.state}")
     # the library's checks of a map's and a pointer's size, before any build or --print-config
     if cfg.resolution is not None:
         distribution._map_shape(cfg.resolution)

@@ -120,7 +120,9 @@ def _rule(psi: StateVector, kind: str) -> Tuple[Dict[int, float], Dict[int, floa
     if not kept:
         raise EmptySupport(f"<|Y|^{power}> is below threshold on every {kind} sector")
     coeffs, overlap = {}, 0.0
-    for s, m in kept.items():
+    # lightest sector first: a psi(0) != 0 divergence of <D_s> is largest there relative to
+    # its value, so that sector's growth screen refuses soonest
+    for s, m in sorted(kept.items(), key=lambda item: item[1]):
         norm = m
         if 2 * power - 1 != power:
             try:

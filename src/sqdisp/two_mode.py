@@ -14,12 +14,12 @@ c_nm = 0 for odd n + m, and c^-_nm = (-1)^m c^+_nm (``make_pointer`` flips the
 one + table), so a two-mode run builds only Phi_+: the profile sums its even
 and odd parity blocks, order by order as the recurrence runs along each row.
 
-The truncated coefficient mass drops like sqrt(k) lambda^{2k} across total
-degree k = n + m, so cutting at n_max drops an estimable geometric tail;
-``make_pointer`` raises CutoffTooSmall when that estimate exceeds
-``tail_tol``.  Close to lambda = 1 any practical cutoff fails the default
-1e-4 criterion, and callers that accept a truncated model pass a larger
-tolerance (or None) explicitly.
+By Mehler's kernel (DLMF 18.18) the untruncated mass is a bivariate-normal moment, M =
+sum lambda^{2(n+m)} c_nm^2 = Gamma(3/4)^2 sqrt(2(1+rho^2)) F / (2 pi^2 (1-rho^2)^{3/2}) with
+rho = lambda^2, F = 2F1(-1/4, -1/4; 1/2; u) and u = (2 rho/(1+rho^2))^2, a positive series
+that ``_pointer_mass`` sums with a bound on the terms it leaves out.  ``make_pointer`` raises
+CutoffTooSmall when the share of M beyond the complete shells n + m <= n_max exceeds
+``tail_tol``; near lambda = 1 any practical cutoff fails the default 1e-4.
 """
 
 from __future__ import annotations
@@ -141,30 +141,26 @@ def _flipped(coeffs: np.ndarray) -> np.ndarray:
     return coeffs * (-1.0) ** np.arange(coeffs.shape[-1])
 
 
-def _tail_estimate(shell_mass: np.ndarray) -> float:
-    """Dropped-mass fraction beyond the last complete shell, by geometric
-    extrapolation over the trailing even-degree shells."""
-    nz = np.nonzero(shell_mass > 0)[0]
-    if len(nz) < 4:
-        return 0.0
-    trail = nz[-4:]
-    span = trail[-1] - trail[0]
-    q = (shell_mass[trail[-1]] / shell_mass[trail[0]]) ** (1.0 / span)
-    q = min(q, 0.999999)
-    step = trail[-1] - trail[-2]
-    ratio = q ** step
-    tail = shell_mass[trail[-1]] * ratio / (1.0 - ratio)
-    return float(tail / (shell_mass.sum() + tail))
+def _pointer_mass(lam: float) -> float:
+    """M(lambda) of the module docstring.  t_{k+1}/t_k = u (k - 1/4)^2/((k + 1/2)(k + 1)) is at
+    most u (k/(k+1))^2 for k >= 1, so the K terms summed leave out at most t_K min(K, u/(1-u))."""
+    rho2 = lam ** 4
+    u, one_minus_u = (2.0 * lam * lam / (1.0 + rho2)) ** 2, ((1.0 - rho2) / (1.0 + rho2)) ** 2
+    k = np.arange(min(MAX_NODES, math.ceil(40.0 / one_minus_u)))
+    t = np.cumprod(np.append(1.0, u * (k - 0.25) ** 2 / ((k + 0.5) * (k + 1.0))))  # t_0 .. t_K
+    f = t[:-1].sum() + t[-1] * min(len(k), u / one_minus_u)
+    return (math.gamma(0.75) ** 2 * math.sqrt(2.0 * (1.0 + rho2)) * f
+            / (2.0 * math.pi ** 2 * (1.0 - rho2) ** 1.5))
 
 
 def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
                  tail_tol: Optional[float] = TAIL_TOL) -> TwoModePointer:
     """Build the normalized truncated pointer |Phi(lambda)_sign>.
 
-    ``tail_tol`` bounds the estimated coefficient mass dropped by the
-    truncation; pass a larger value (or None) to accept a strongly truncated
-    model, e.g. for lambda close to 1 at moderate n_max.  ConfigError for lam
-    outside (0, 1), sign not +1 or -1, tail_tol <= 0 or n_max out of range.
+    ``tail_tol`` bounds the share of M (``_pointer_mass``) that the shells n + m > n_max
+    hold; pass a larger value to accept a strongly truncated model, or None to skip
+    the tail.  ConfigError for lam outside (0, 1), sign not +1 or -1, tail_tol <= 0 or
+    n_max out of range.
     """
     if not 0.0 < lam < 1.0:
         raise ConfigError(f"lam must lie strictly between 0 and 1, got {lam}")
@@ -178,12 +174,13 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
     mass = A ** 2
     total = float(mass.sum())
 
-    shell_mass = np.bincount(degrees.ravel(), mass.ravel())[:n_max + 1]  # complete shells only
-    tail = _tail_estimate(shell_mass)
-    if tail_tol is not None and tail > tail_tol:
-        raise CutoffTooSmall(
-            f"estimated dropped tail {tail:.3e} exceeds {tail_tol:.1e} for "
-            f"lambda={lam}, n_max={n_max}")
+    if tail_tol is not None:
+        exact = _pointer_mass(lam)
+        tail = 1.0 - float(mass[degrees <= n_max].sum()) / exact  # beyond the complete shells
+        if tail > tail_tol:
+            raise CutoffTooSmall(
+                f"dropped tail {tail:.3e} exceeds {tail_tol:.1e} for lambda={lam}, n_max="
+                f"{n_max}; the whole table drops {1.0 - total / exact:.3e}")
 
     return TwoModePointer(n_max, (1.0 / math.sqrt(total)) * (A if sign > 0 else _flipped(A)))
 

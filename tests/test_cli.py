@@ -268,6 +268,13 @@ class TestSampledFile:
 SAMPLED = ("likelihood", "--state", "sampled-file", "--sampled-path", "{tmp}/state.csv")
 
 
+def write_state(directory):
+    """A valid sampled state.csv in ``directory``: y e^{-y^2} on 64 nodes."""
+    y = sqdisp.default_grid(0.0, n=64).nodes
+    rows = [f"{yy:.17g},{aa:.17g},0" for yy, aa in zip(y, y * np.exp(-y ** 2))]
+    (directory / "state.csv").write_text("\n".join(["y,re,im"] + rows))
+
+
 class TestOutOfRangeOptions:
     # "{tmp}" stands for a fresh directory holding a valid sampled state.csv
     @pytest.mark.parametrize("argv", [
@@ -307,11 +314,7 @@ class TestOutOfRangeOptions:
             "asymptotics-state", "r-above-bound", "two-mode-r-above-bound",
             "r-hi-above-bound", "asymptotics-a-overflow"])
     def test_config_error(self, tmp_path, capsys, argv):
-        import numpy as np
-        from sqdisp import default_grid
-        y = default_grid(0.0, n=64).nodes
-        rows = [f"{yy:.17g},{aa:.17g},0" for yy, aa in zip(y, y * np.exp(-y ** 2))]
-        (tmp_path / "state.csv").write_text("\n".join(["y,re,im"] + rows))
+        write_state(tmp_path)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
@@ -365,6 +368,45 @@ class TestOutOfRangeOptions:
         assert err.startswith("config error:")
         assert all(word in err for word in named), err
         assert out == ""
+
+    @pytest.mark.parametrize("argv, unread", [
+        (("density", "--state", "vacuum", "--a", "3"), "--a"),
+        (("likelihood", "--z", "1"), "--z"),
+        (("compare-srm", "--state", "vacuum", "--a", "3", "--z", "1"), "--a, --z"),
+        (("likelihood", "--state", "coherent", "--a", "3", "--z", "800"), "--z"),
+        (("density", "--state", "coherent", "--a", "3", "--z", "1"), "--z"),
+        (SAMPLED + ("--z", "1"), "--z"),
+        (SAMPLED + ("--a", "3"), "--a"),
+        (("compare-srm",) + SAMPLED[1:] + ("--a", "3"), "--a"),
+        (("density",) + SAMPLED[1:] + ("--z", "1"), "--z"),
+        (("likelihood", "--state", "coherent", "--a", "3", "--sampled-path", "{tmp}/state.csv"),
+         "--sampled-path"),
+        (("density", "--state", "displaced-squeezed", "--sampled-path", "{tmp}/state.csv"),
+         "--sampled-path"),
+    ], ids=["density-vacuum-a", "default-vacuum-z", "compare-vacuum-az", "coherent-z-800",
+            "density-coherent-z", "sampled-z", "sampled-a", "compare-sampled-a",
+            "density-sampled-z", "coherent-path", "dsq-path"])
+    def test_state_option_the_state_does_not_read(self, tmp_path, capsys, argv, unread):
+        write_state(tmp_path)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"config error: {argv[0]} does not read {unread} for state ")
+        assert len(err.splitlines()) == 1
+        assert out == ""
+
+    def test_state_options_the_state_reads(self, tmp_path, capsys):
+        # a sampled file's a scales density's default window; a config file's a and z
+        # are read as --print-config wrote them, whatever the state
+        write_state(tmp_path)
+        path = str(tmp_path / "state.csv")
+        assert run(capsys, "density", "--state", "sampled-file", "--sampled-path", path,
+                   "--a", "2", "--print-config")[0] == 0
+        cfg = tmp_path / "vacuum.cfg"
+        cfg.write_text("state = vacuum\na = 3.0\nz = 1.0\n")
+        code, out, err = run(capsys, "likelihood", "--config", str(cfg), "--print-config")
+        assert (code, err) == (0, "")
+        assert "a = 3.0" in out
 
     def test_unread_flag_named(self, tmp_path, capsys):
         csv = tmp_path / "x.csv"
@@ -463,6 +505,21 @@ class TestTwoModeCommand:
         assert err.startswith(f"numeric failure: {error}:")
         assert len(err.splitlines()) == 1
         assert out == ""
+
+    @pytest.mark.parametrize("lam, code", [("0.95", 3), ("0.9", 0)])
+    def test_tail_tol_gate(self, capsys, lam, code):
+        # the exact tail beyond the shells n + m <= 60 is 5.3e-3 at 0.95 and 9.0e-6 at 0.9
+        got, out, err = run(capsys, "two-mode", "--lam", lam, "--n-max", "60",
+                            "--tail-tol", "1e-4", "--resolution", "16")
+        assert got == code
+        if code:
+            assert err.startswith("numeric failure: CutoffTooSmall: dropped tail 5.297e-03")
+            assert len(err.splitlines()) == 1
+            assert out == ""
+        else:
+            assert set(json.loads(out)) == {"lam", "n_max", "width_x", "width_r", "mean_energy",
+                                            "norm_deviation", "parity_violation",
+                                            "cross_overlap"}
 
     def test_resolution_honoured(self, tmp_path, capsys):
         csv = tmp_path / "map.csv"

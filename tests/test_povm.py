@@ -188,6 +188,16 @@ class TestSeedNodeBudget:
                 srm = self.sector_sums(monkeypatch, srm_likelihood, psi)
                 assert self.sector_sums(monkeypatch, build_srm_seed, psi) == srm + ml, name
 
+    def test_srm_screens_the_lighter_sector_first(self, monkeypatch):
+        # dsq(3, -0.4) holds 2.9e-5 of its mass at y < 0, where psi(0) != 0 makes <D_-> grow
+        # 15 % per doubling; the + sector's <D_+> grows 3e-4 and would run to the cap first
+        def refused(psi):
+            with pytest.raises(DomainViolation, match="diverges on sector -"):
+                build_srm_seed(psi)
+        sums = self.sector_sums(monkeypatch, refused, make_displaced_squeezed(3.0, -0.4))
+        assert sums == [(s, 0, n) for s in (+1, -1) for n in (4096, 8192, 16384)] + [
+            (-1, -1, n) for n in (4096, 8192, 16384)]
+
     def test_gaussian_seeds_converge_by_2_16_nodes(self, monkeypatch):
         for name, psi in _seed_suite(default_grid(0.0)) + srm_admissible_suite():
             if psi.evaluator is None:

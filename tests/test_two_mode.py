@@ -83,6 +83,14 @@ class TestMakePointer:
             make_pointer(0.9, +1, 20)
         make_pointer(0.9, +1, 60)  # tail ~1e-5 passes
 
+    @pytest.mark.parametrize("lam, n_max, tail", [
+        (0.9, 60, 9.029e-6), (0.95, 60, 5.297e-3), (0.99, 60, 0.4768), (0.9, 20, 2.613e-2)])
+    def test_gate_reads_the_exact_tail(self, lam, n_max, tail):
+        # the share of the closed-form mass beyond the shells n + m <= n_max, to 4 digits
+        make_pointer(lam, +1, n_max, tail_tol=tail * 1.0002)
+        with pytest.raises(CutoffTooSmall, match=f"dropped tail {tail:.3e}"):
+            make_pointer(lam, +1, n_max, tail_tol=tail * 0.9998)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             make_pointer(1.2, +1, 60)
@@ -97,6 +105,37 @@ class TestMakePointer:
         energies = [make_pointer(lam, +1, 60, tail_tol=None).mean_energy
                     for lam in (0.9, 0.95, 0.99)]
         assert energies[0] < energies[1] < energies[2]
+
+
+class TestPointerMass:
+    """two_mode._pointer_mass, the untruncated mass sum lambda^{2(n+m)} c_nm^2."""
+
+    @staticmethod
+    def reference(lam):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            rho = mpmath.mpf(lam) ** 2
+            f = mpmath.hyp2f1(-0.25, -0.25, 0.5, (2 * rho / (1 + rho ** 2)) ** 2)
+            return float(mpmath.gamma(0.75) ** 2 * mpmath.sqrt(2 * (1 + rho ** 2)) * f
+                         / (2 * mpmath.pi ** 2 * (1 - rho ** 2) ** 1.5))
+
+    @pytest.mark.parametrize("lam, rel", [
+        *[(lam, 1e-13) for lam in (1e-8, 0.1, 0.3, 0.5, 0.7, 0.9, 0.95, 0.97, 0.99)],
+        # from lambda ~ 0.9969 the series stops at MAX_NODES terms, and the bound on the
+        # terms left out carries the rest
+        (0.995, 1e-8), (0.999, 1e-8), (0.9999, 1e-8)])
+    def test_matches_hypergeometric_reference(self, lam, rel):
+        assert two_mode._pointer_mass(lam) == pytest.approx(self.reference(lam), rel=rel, abs=0)
+
+    @pytest.mark.parametrize("lam", [1e-300, 1.0 - 2.0 ** -52])
+    def test_finite_at_the_ends(self, lam):
+        assert 0.0 < two_mode._pointer_mass(lam) < math.inf
+
+    @pytest.mark.parametrize("lam, n_max", [(0.9, 200), (0.99, 1000)])
+    def test_equals_the_fock_table(self, lam, n_max):
+        # what either table leaves out is below the round-off of its sum
+        A = lam ** two_mode._degrees(n_max) * raw_pointer_coefficients(n_max)
+        assert float((A ** 2).sum()) == pytest.approx(two_mode._pointer_mass(lam), rel=1e-10)
 
 
 class TestPointerOverlap:
