@@ -19,7 +19,8 @@ quadratures of the seed eta itself.  Four are raw midpoint sums on a single
 grid (``_sector_sum``): ``closed_form_sandwich``'s <u| theta(sY) |v>,
 ``heisenberg_ratio``'s mass at y < 0, and ``validate``'s
 quadrature-convergence and half-line-partition checks, which test the raw
-sum itself.  A half line ends at y = 0, a cell
+sum itself.  A sum makes its nodes in passes of 2^15 (``_SUM_PASS``), and
+its temporaries stay below 2 MB at any n.  A half line ends at y = 0, a cell
 edge, where the integrand f is in general not flat: there the midpoint sum
 differs from the integral by the Euler-Maclaurin endpoint series
 c_2 dy^2 + c_4 dy^4 + ... (c_2 = f'(0)/24 on y > 0), in even powers of dy
@@ -94,17 +95,10 @@ class QuadratureGrid:
         object.__setattr__(self, "dy", 2.0 * self.y_max / self.n)
 
     @functools.cached_property
-    def _positive_half(self) -> np.ndarray:
-        """The n/2 nodes above 0, (k + 1/2) dy, read-only."""
-        pos = (np.arange(self.n // 2) + 0.5) * self.dy
-        pos.flags.writeable = False
-        return pos
-
-    @functools.cached_property
     def nodes(self) -> np.ndarray:
         """All n nodes, read-only, built on first use from the positive half
-        mirrored, so y_k = -y_{n-1-k} holds exactly."""
-        pos = self._positive_half
+        (k + 1/2) dy mirrored, so y_k = -y_{n-1-k} holds exactly."""
+        pos = (np.arange(self.n // 2) + 0.5) * self.dy
         nodes = np.concatenate([-pos[::-1], pos])
         nodes.flags.writeable = False
         return nodes
@@ -364,6 +358,7 @@ def fourier_at(x: np.ndarray, y: np.ndarray, h: np.ndarray) -> np.ndarray:
 
 
 _SPLINE_CHUNK = 2**12  # points per pass, so the temporaries stay in cache
+_SUM_PASS = 2**15  # nodes per pass of _sector_sum: a grid of up to 2^16 sums each half in one
 # rho^|m| / (2 sqrt 3), |m| <= 64: the Green's function of (1, 4, 1) on the
 # integers, rho = sqrt(3) - 2 the pole of the recursive cubic-spline prefilter
 # (Unser, IEEE SPM 16(6), 1999).  Later taps are below |rho|^65 < 2e-37.
@@ -491,21 +486,22 @@ def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid]
 
 def _sector_sum(phi, psi, grid: QuadratureGrid, sign: int, power: int):
     """Midpoint sum of |y|^power conj(phi(y)) psi(y) dy over sign*y > 0 on
-    ``grid``, sign 0 the whole line; real when ``phi is psi``.
+    ``grid``, sign 0 the whole line (y < 0, then y > 0); real when ``phi is psi``.
 
     The nodes mirror about y = 0 with none on it, so a half line is exactly
-    one half of them, and psi is evaluated there once.  A half line reads
-    the positive half alone (negated and reversed for sign < 0), so a grid
-    made by doubling never builds its full ``nodes``.
+    one half of them.  It is built and summed in passes of _SUM_PASS nodes,
+    (k + 1/2) dy for a run of k, negated and reversed on y < 0 so that each
+    pass is its slice of ``nodes``, into a running total: no temporary grows
+    with n, and a half line of one pass sums exactly its half of ``nodes``.
     """
-    pos = grid._positive_half
-    y = pos if sign > 0 else -pos[::-1] if sign < 0 else grid.nodes
-    f = psi.evaluate_at(y)
-    f = np.abs(f) ** 2 if phi is psi else np.conj(phi.evaluate_at(y)) * f
-    if power != 0:
-        f = f * np.abs(y) ** power
-    total = np.sum(f) * grid.dy
-    return float(total) if phi is psi else complex(total)
+    half, total = grid.n // 2, 0.0
+    for s in (-1, +1) if sign == 0 else (sign,):
+        for start in range(0, half, _SUM_PASS)[::s]:  # y < 0 from its far end
+            y = s * (np.arange(start, min(start + _SUM_PASS, half)) + 0.5)[::s] * grid.dy
+            f = psi.evaluate_at(y)
+            f = np.abs(f) ** 2 if phi is psi else np.conj(phi.evaluate_at(y)) * f
+            total += np.sum(f * np.abs(y) ** power if power != 0 else f)
+    return float(total * grid.dy) if phi is psi else complex(total * grid.dy)
 
 
 def sector_integral(phi, psi, sign: int, power: int,

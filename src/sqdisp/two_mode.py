@@ -153,13 +153,27 @@ def _pointer_mass(lam: float) -> float:
             / (2.0 * math.pi ** 2 * (1.0 - rho2) ** 1.5))
 
 
+def _tail_bound(lam: float, n_max: int, mass: float) -> float:
+    """A bound on the share of ``mass`` = M(lam) beyond the shells n + m <= n_max, free of the
+    cancellation in 1 - sum/M, which cannot resolve a share below about 1e-15.  Shell N holds
+    lam'^{2N} S_N <= M(lam') for lam' in (lam, 1), so the shells past n_max hold at most
+    M(lam') q^{n_max+1}/(1 - q), q = (lam/lam')^2; lam'^4 = N/(N + 3), N = n_max + 1, balances
+    q^N against M(lam') ~ (1 - lam'^4)^{-3/2}.  inf when that lam' is not above lam."""
+    lam_up = ((n_max + 1) / (n_max + 4)) ** 0.25
+    if lam_up <= lam:
+        return math.inf
+    q = (lam / lam_up) ** 2
+    return _pointer_mass(lam_up) * q ** (n_max + 1) / ((1.0 - q) * mass)
+
+
 def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
                  tail_tol: Optional[float] = TAIL_TOL) -> TwoModePointer:
     """Build the normalized truncated pointer |Phi(lambda)_sign>.
 
     ``tail_tol`` bounds the share of M (``_pointer_mass``) that the shells n + m > n_max
-    hold; pass a larger value to accept a strongly truncated model, or None to skip
-    the tail.  ConfigError for lam outside (0, 1), sign not +1 or -1, tail_tol <= 0 or
+    hold, 1 - (the other shells' mass)/M or, below that difference's round-off, the
+    ``_tail_bound``; pass a larger value to accept a strongly truncated model, or None to
+    skip the tail.  ConfigError for lam outside (0, 1), sign not +1 or -1, tail_tol <= 0 or
     n_max out of range.
     """
     if not 0.0 < lam < 1.0:
@@ -177,7 +191,7 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
     if tail_tol is not None:
         exact = _pointer_mass(lam)
         tail = 1.0 - float(mass[degrees <= n_max].sum()) / exact  # beyond the complete shells
-        if tail > tail_tol:
+        if tail > tail_tol and not _tail_bound(lam, n_max, exact) <= tail_tol:
             raise CutoffTooSmall(
                 f"dropped tail {tail:.3e} exceeds {tail_tol:.1e} for lambda={lam}, n_max="
                 f"{n_max}; the whole table drops {1.0 - total / exact:.3e}")

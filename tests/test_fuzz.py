@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 import sqdisp
 from sqdisp import EstimationError
-from sqdisp.cli import _READS, main
+from sqdisp.cli import _READS, _STATE_IGNORES, RunConfig, main
 
 POOLS = {
     "state": ("vacuum", "coherent", "displaced-squeezed", "sampled-file"),
@@ -79,10 +79,16 @@ def argvs(draw, files):
                                 "two-mode"]))
     reads = _READS[sub]
     argv = [sub]
+    ignored = ()  # the options the drawn state does not read, which the CLI refuses
     for key in reads:
+        if key in ignored:
+            continue
         value = FIXED.get(key)
         if key in POOLS:
             value = draw(st.one_of(st.none(), st.sampled_from(POOLS[key])))
+        if key == "state":
+            state = value or RunConfig.state
+            ignored = _STATE_IGNORES.get((state, sub), _STATE_IGNORES[state])
         if key == "sampled_path" and "sampled-file" in argv:
             value = draw(st.sampled_from(files))
         if value is not None:

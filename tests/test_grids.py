@@ -20,8 +20,8 @@ from sqdisp import (ConfigError, DivergenceDetected, GaussianStateParams, GridMi
                     half_line_moment, inner_product, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum)
 from sqdisp.distribution import _map_shape
-from sqdisp.grids import (_FFT_LENGTHS, MAX_NODES, _chirp, _fft_length, _sector_sum, _solve_141,
-                          fourier_at, refine_by_doubling)
+from sqdisp.grids import (_FFT_LENGTHS, _SUM_PASS, MAX_NODES, _chirp, _fft_length, _sector_sum,
+                          _solve_141, fourier_at, refine_by_doubling)
 
 VACUUM_PEAK = (2.0 / math.pi) ** 0.25           # 0.8932438417380024
 VACUUM_HALF_MOMENT = math.sqrt(2.0 / math.pi) / 4.0  # 0.19947114020071635
@@ -360,12 +360,13 @@ class TestWorkPerGrid:
 
     @pytest.mark.parametrize("kind", ["gaussian", "sampled"])
     def test_half_line_sum_leaves_nodes_unbuilt(self, kind):
-        """A half-line sum on a refined grid reads the halves of ``nodes`` bit
-        for bit, sums to what those halves give, and builds no ``nodes``."""
+        """A half-line sum reads the halves of ``nodes`` bit for bit, in passes of
+        at most _SUM_PASS nodes, and builds no ``nodes``.  It sums to what those
+        halves give: exactly on a refined default grid, whose halves are one pass
+        each, and to round-off on a grid whose halves take one and a half passes."""
         grid = default_grid(0.0)
         psi = (make_displaced_squeezed(1.0, 0.2, grid) if kind == "gaussian"
                else make_sampled(grid, np.exp(-(grid.nodes - 1.0) ** 2)))
-        fine = grid.refined()
         seen = []
         evaluate = psi.evaluate_at
 
@@ -375,14 +376,20 @@ class TestWorkPerGrid:
 
         psi.evaluate_at = recording
         cases = [(s, p) for s in (+1, -1) for p in (1, -1)]
-        sums = [_sector_sum(psi, psi, fine, s, p) for s, p in cases]
-        assert "nodes" not in vars(fine)
-        half = fine.n // 2
-        for (s, p), y, total in zip(cases, seen, sums):
-            part = fine.nodes[half:] if s > 0 else fine.nodes[:half]
-            assert np.array_equal(y, part)
-            f = np.abs(evaluate(part)) ** 2 * np.abs(part) ** p
-            assert total == float(np.sum(f) * fine.dy)
+        for fine, passes, rtol in ((grid.refined(), 1, 0.0),
+                                   (QuadratureGrid(grid.y_max, 3 * _SUM_PASS), 2, 1e-14)):
+            seen.clear()
+            sums = [_sector_sum(psi, psi, fine, s, p) for s, p in cases]
+            assert "nodes" not in vars(fine)
+            half = fine.n // 2
+            for k, ((s, p), total) in enumerate(zip(cases, sums)):
+                part = fine.nodes[half:] if s > 0 else fine.nodes[:half]
+                runs = seen[k * passes:(k + 1) * passes]
+                assert max(len(y) for y in runs) <= _SUM_PASS
+                assert np.array_equal(np.concatenate(runs), part)
+                f = np.abs(evaluate(part)) ** 2 * np.abs(part) ** p
+                assert abs(total - float(np.sum(f) * fine.dy)) <= rtol * abs(total)
+            assert len(seen) == len(cases) * passes
 
 
 class TestSampledStates:

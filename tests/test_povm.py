@@ -1,6 +1,7 @@
 """Optimal, square-root-measurement and parity seeds and their likelihoods."""
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -219,6 +220,19 @@ class TestSeedNodeBudget:
         cap = grids.QuadratureGrid(psi.grid.y_max, grids.MAX_NODES)
         for s in (+1, -1):
             assert half_line_moment(psi, s, -1) == grids._sector_sum(psi, psi, cap, s, -1)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_sums_to_the_cap_keep_memory_bounded(self, sign):
+        # the moment above runs to MAX_NODES nodes, where one full-length pass would hold
+        # 16 MB of temporaries; each sector sum streams its nodes in bounded passes
+        psi = dict(srm_admissible_suite())["two-bump(3)"]
+        tracemalloc.start()
+        try:
+            half_line_moment(psi, sign, -1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6, f"traced peak {peak / 1e6:.2f} MB"
 
     @classmethod
     def refused_powers(cls, monkeypatch, measure, psi):

@@ -91,6 +91,25 @@ class TestMakePointer:
         with pytest.raises(CutoffTooSmall, match=f"dropped tail {tail:.3e}"):
             make_pointer(lam, +1, n_max, tail_tol=tail * 0.9998)
 
+    def test_gate_below_the_round_off_of_the_exact_tail(self):
+        # 1 - sum/M reads 6e-16 ... 9e-16 for these lam, the round-off of the table's
+        # quadrature; the cancellation-free bound puts their tails beyond n + m <= 20 below 2e-20
+        for lam in (1e-300, 1e-12, 1e-6, 1e-3, 0.1, 0.3):
+            assert two_mode._tail_bound(lam, 20, two_mode._pointer_mass(lam)) < 2e-20, lam
+            make_pointer(lam, +1, 20, tail_tol=1e-16)
+        with pytest.raises(CutoffTooSmall, match="dropped tail"):
+            make_pointer(0.5, +1, 20, tail_tol=1e-16)  # exact tail 3.35e-13, bound 3.9e-11
+
+    @pytest.mark.parametrize("lam, n_max", [
+        (0.5, 20), (0.7, 20), (0.7, 40), (0.8, 40), (0.8, 60), (0.9, 60), (0.95, 60)])
+    def test_tail_bound_is_above_the_exact_tail(self, lam, n_max):
+        # where the exact tail, 3.4e-13 ... 0.21, stands above its 1e-15 round-off
+        degrees = two_mode._degrees(n_max)
+        mass = (lam ** degrees * raw_pointer_coefficients(n_max)) ** 2
+        exact = two_mode._pointer_mass(lam)
+        tail = 1.0 - float(mass[degrees <= n_max].sum()) / exact
+        assert 1e-13 < tail <= two_mode._tail_bound(lam, n_max, exact)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             make_pointer(1.2, +1, 60)

@@ -30,7 +30,8 @@ fewer nodes than the largest; and ``scan_grid_n`` is the grid's n: the node coun
 that ``distribution._refine_for_window`` chose in another untimed scan.
 ``oracle_nodes`` is, per oracle case, the largest n handed to
 ``distribution._band_spectrum`` in one untimed run: the nodes its band slices
-run on.
+run on; ``oracle_peak_mb`` is, per oracle case, the tracemalloc peak, in MB, of
+one untimed run.
 
 Deviations of the change from the parent, top-level keys ending in ``_dev``:
 ``max_rel_dev`` and ``max_abs_dev``, the largest |change - parent| of a scan map
@@ -212,7 +213,7 @@ def main(argv=None) -> int:
     sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
              "change": load("sqdisp", ROOT / "src")}
     keys = ("row_s", "scan_s", "scan_row_s", "scan_nodes", "scan_node_rows", "scan_grid_n",
-            "profile_s", "job_s", "oracle_nodes", "minflt", "profile_peak_mb")
+            "profile_s", "job_s", "oracle_nodes", "oracle_peak_mb", "minflt", "profile_peak_mb")
     record = {side: {key: {} for key in keys} for side in sides}
     deviation = {}
     for key, case, repeats, calls, devs in cases(sides, args.repeats):
@@ -231,6 +232,7 @@ def main(argv=None) -> int:
             if key == "job_s":
                 record[side]["oracle_nodes"][case] = max(sizes_of(
                     sides[side], calls[side], "_band_spectrum", lambda out, n, *_: n))
+                record[side]["oracle_peak_mb"][case] = traced_peak_mb(calls[side])
             if devs is not None:
                 record[side]["minflt"][case] = faults[side]
             if key == "profile_s":
@@ -259,8 +261,9 @@ def main(argv=None) -> int:
                          f"  of grid n {record['parent']['scan_grid_n'][case]}"
                          f" -> {record['change']['scan_grid_n'][case]}")
             print(line)
-    for case, old in record["parent"]["profile_peak_mb"].items():
-        print(f"peak_mb   {case:22s} {old:10.4g} -> {record['change']['profile_peak_mb'][case]:10.4g} MB")
+    for key in ("profile_peak_mb", "oracle_peak_mb"):
+        for case, old in record["parent"][key].items():
+            print(f"peak_mb   {case:22s} {old:10.4g} -> {record['change'][key][case]:10.4g} MB")
     print(f"total_s {record['parent']['total_s']:.3f} -> {record['change']['total_s']:.3f}")
     for key, values in deviation.items():
         print(f"{key} {max(values.values()):.3g}")
