@@ -355,16 +355,6 @@ def run_validate(cfg: RunConfig) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _add_common(parser: argparse.ArgumentParser):
-    parser.add_argument("--config", help="flat key=value configuration file")
-    parser.add_argument("--print-config", action="store_true",
-                        help="print the effective configuration and exit")
-    for f in dataclasses.fields(RunConfig):
-        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
-                            type=_FIELD_TYPES[f.name],
-                            choices=f.metadata.get("choices"))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqdisp",
@@ -381,7 +371,12 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         # a value such as -1e6 is a number, not a flag (as argparse reads it from 3.13)
         p._negative_number_matcher = re.compile(r"^-\.?\d")
-        _add_common(p)
+        p.add_argument("--config", help="flat key=value configuration file")
+        p.add_argument("--print-config", action="store_true",
+                       help="print the effective configuration and exit")
+        for f in dataclasses.fields(RunConfig):
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=_FIELD_TYPES[f.name], choices=f.metadata.get("choices"))
     return parser
 
 

@@ -127,10 +127,6 @@ class GaussianStateParams:
             return amp * (t * np.exp(-2.0j * self.linear_phase * y))
         return np.multiply(t, amp, out=t).astype(complex)
 
-    @property
-    def probability_std(self) -> float:
-        return 0.5 * math.exp(-self.log_width)
-
 
 def default_grid(center: float = 0.0, log_width: float = 0.0,
                  n: Optional[int] = None) -> QuadratureGrid:
@@ -201,13 +197,6 @@ class StateVector:
         return np.abs(self.amplitudes) ** 2
 
 
-def _check_state_fits_grid(center: float, prob_std: float, grid: QuadratureGrid):
-    if abs(center) + 6.0 * prob_std > grid.y_max:
-        raise GridTooNarrow(
-            f"state centered at {center} with std {prob_std:.4g} needs "
-            f"y_max >= {abs(center) + 6.0 * prob_std:.4g}, grid has {grid.y_max:.4g}")
-
-
 def make_coherent(a: float, grid: Optional[QuadratureGrid] = None) -> StateVector:
     """Coherent state |i a>: wavefunction (2/pi)^{1/4} exp(-(y - a)^2)."""
     return make_displaced_squeezed(a, 0.0, grid)
@@ -220,11 +209,12 @@ def make_displaced_squeezed(a: float, z: float,
     _check_log_range(z=z)
     if not math.isfinite(a):
         raise ConfigError(f"a must be finite, got {a}")
-    params = GaussianStateParams(center=a, log_width=z)
-    if grid is None:
-        grid = default_grid(a, z)
-    _check_state_fits_grid(a, params.probability_std, grid)
-    return StateVector.from_params(params, grid)
+    grid = default_grid(a, z) if grid is None else grid
+    std = 0.5 * math.exp(-z)  # of |psi|^2
+    if abs(a) + 6.0 * std > grid.y_max:
+        raise GridTooNarrow(f"state centered at {a} with std {std:.4g} needs "
+                            f"y_max >= {abs(a) + 6.0 * std:.4g}, grid has {grid.y_max:.4g}")
+    return StateVector.from_params(GaussianStateParams(center=a, log_width=z), grid)
 
 
 def make_vacuum(grid: Optional[QuadratureGrid] = None) -> StateVector:
@@ -284,32 +274,27 @@ def _fft_length(n: int) -> int:
     return _FFT_LENGTHS[bisect.bisect_left(_FFT_LENGTHS, n)]
 
 
-@functools.lru_cache(maxsize=64)
-def _chirp_integers(count: int) -> np.ndarray:
-    """What _chirp multiplies the angle by, read-only: for power 2 (row 0) (B q)^2, p^2 and the
-    steps 2 B q, for power 1 (row 1) B q, p and B q again, so each row ends in its block fill."""
-    q = _CHIRP_BLOCK * np.arange(-(-count // _CHIRP_BLOCK), dtype=float)
-    p = np.arange(_CHIRP_BLOCK, dtype=float)
-    ints = np.concatenate([[q * q, q], [p * p, p], [2.0 * q, q]], axis=1)
-    ints.flags.writeable = False
-    return ints
+_CHIRP_ANCHORS = _CHIRP_BLOCK * np.arange(MAX_NODES // _CHIRP_BLOCK, dtype=float)
+_CHIRP_OFFSETS = np.arange(_CHIRP_BLOCK, dtype=float)
 
 
 def _chirp(angle, count: int, power: int = 2) -> np.ndarray:
-    """e^{-i angle m^power}, power 2 (a chirp) or 1 (a linear phase), m = 0 .. count - 1 < 2^20,
-    a row for each angle.  For m = B q + p, B = _CHIRP_BLOCK, only the anchors angle (B q)^power,
-    in-block terms angle p^power and, for power 2, steps 2 angle B q are exponentiated, each
-    phase reduced exactly: c = angle/2pi is cut into parts of at most 13 bits, exact times an
+    """e^{-i angle m^power}, power 2 (a chirp) or 1 (a linear phase), m = 0 .. count - 1, a row for
+    each angle; count <= MAX_NODES, the most ``fourier_at`` asks for.  For m = B q + p, only the
+    anchors angle (B q)^power, in-block terms angle p^power and, for power 2, steps 2 angle B q are
+    exponentiated, their integers cut from the fixed _CHIRP_ANCHORS (B q) and _CHIRP_OFFSETS (p),
+    each phase reduced exactly: c = angle/2pi is cut into parts of at most 13 bits, exact times an
     integer k < 2^40 and so modulo 1, and a rest whose product with k is below 2^4 c.  A chirp is
     anchor times step^p, a running product over the block; a linear phase anchor times in-block."""
     c = np.asarray(angle)[..., None] / (2.0 * math.pi)
-    k = _chirp_integers(count)[2 - power]
+    nq = -(-count // _CHIRP_BLOCK)
+    q, p = _CHIRP_ANCHORS[:nq], _CHIRP_OFFSETS
+    k = np.concatenate([q * q, p * p, 2.0 * q] if power == 2 else [q, p, q])
     scale = np.ldexp(1.0, 12 * np.arange(1, 4).reshape((3,) + (1,) * c.ndim) - np.frexp(c)[1])
     prefix = np.round(c * scale) / scale
     turns = np.concatenate([prefix[:1], np.diff(prefix, axis=0)]) * k
     turns -= np.rint(turns)
     phase = np.exp(-2j * math.pi * (turns.sum(axis=0) + (c - prefix[-1]) * k))
-    nq = (phase.shape[-1] - _CHIRP_BLOCK) // 2
     block = np.repeat(phase[..., nq + _CHIRP_BLOCK:, None], _CHIRP_BLOCK, axis=-1)
     if power == 2:  # steps, to anchor times step^p; power 1 fills the anchors themselves
         block[..., 0] = phase[..., :nq]

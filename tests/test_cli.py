@@ -187,6 +187,27 @@ class TestConfigHandling:
         code, out, err = run(capsys, "two-mode", "--lam", "1.5")
         assert code == 2
 
+    @pytest.mark.parametrize("text, message", [
+        ("state = foo\n", "unknown state 'foo'"),
+        ("state coherent\n", "bad.cfg:1: expected key = value"),
+        ("state = coherent\na = abc\n", "bad.cfg:2: could not convert"),
+    ], ids=["unknown-choice", "no-equals", "unparsable-value"])
+    def test_bad_config_file(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        code, out, err = run(capsys, "likelihood", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("config error:") and message in err
+        assert len(err.splitlines()) == 1
+        assert out == ""
+
+    def test_comment_and_blank_lines_skipped(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a coherent state\n\nstate = coherent\na = 4  # its displacement\n")
+        code, out, err = run(capsys, "likelihood", "--config", str(cfg))
+        assert code == 0
+        assert json.loads(out)["state"] == "coherent(a=4)"
+
 
 class TestSampledFile:
     def test_round_trip(self, tmp_path, capsys):
@@ -264,6 +285,28 @@ class TestSampledFile:
         assert ("at least 2 rows" if rows == 1 else "n must be an even integer") in err
         assert out == ""
 
+    @pytest.mark.parametrize("layout, message", [
+        ("one-column", "needs columns y,re[,im]"),
+        ("four-columns", "needs columns y,re[,im]"),
+        ("off-grid", "not a midpoint-offset grid"),
+    ])
+    def test_bad_layout_is_config_error(self, tmp_path, capsys, layout, message):
+        y = sqdisp.default_grid(0.0, n=64).nodes.copy()
+        if layout == "off-grid":
+            y[20] += 0.01
+        amps = y * np.exp(-y ** 2)
+        rows = {"one-column": [f"{yy:.17g}" for yy in y],
+                "four-columns": [f"{yy:.17g},{aa:.17g},0,0" for yy, aa in zip(y, amps)],
+                "off-grid": [f"{yy:.17g},{aa:.17g},0" for yy, aa in zip(y, amps)]}[layout]
+        path = tmp_path / f"{layout}.csv"
+        path.write_text("\n".join(["y,re,im"] + rows))
+        code, out, err = run(capsys, "likelihood", "--state", "sampled-file",
+                             "--sampled-path", str(path))
+        assert code == 2
+        assert err.startswith("config error:") and message in err
+        assert len(err.splitlines()) == 1
+        assert out == ""
+
 
 SAMPLED = ("likelihood", "--state", "sampled-file", "--sampled-path", "{tmp}/state.csv")
 
@@ -306,13 +349,14 @@ class TestOutOfRangeOptions:
         ("density", "--x-lo", "-1", "--x-hi", "1", "--r-lo", "0", "--r-hi", "14",
          "--resolution", "16"),
         ("asymptotics", "--a", "1e-309"),
+        ("density", "--x-lo", "-1"),
     ], ids=["nbar", "n-max", "y-max", "n", "asymptotics-a", "tail-tol",
             "sampled-n", "sampled-y-max", "n-above-cap", "missing-config",
             "out-csv-dir", "out-json-dir", "resolution-above-cap",
             "z-above-bound", "z-below-bound", "asymptotics-z", "n-max-above-cap",
             "likelihood-out-csv", "validate-lam", "compare-seed-kind",
             "asymptotics-state", "r-above-bound", "two-mode-r-above-bound",
-            "r-hi-above-bound", "asymptotics-a-overflow"])
+            "r-hi-above-bound", "asymptotics-a-overflow", "window-in-part"])
     def test_config_error(self, tmp_path, capsys, argv):
         write_state(tmp_path)
         with warnings.catch_warnings(record=True) as caught:
@@ -323,6 +367,18 @@ class TestOutOfRangeOptions:
         # pytest captures warnings, so each one counts as the stderr line it would print
         assert len(err.splitlines()) + len(caught) == 1
         assert out == ""
+
+    # RunConfig.validate names a non-finite value before any library check reads it;
+    # a non-finite tail_tol would pass make_pointer's own check (inf is positive)
+    @pytest.mark.parametrize("argv, message", [
+        (("likelihood", "--state", "coherent", "--a", "nan"), "a must be finite, got nan"),
+        (("two-mode", "--lam", "inf"), "lam must be finite, got inf"),
+        (("two-mode", "--tail-tol", "inf", "--resolution", "16"),
+         "tail_tol must be finite, got inf"),
+    ], ids=["a-nan", "lam-inf", "tail-tol-inf"])
+    def test_non_finite_flag(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
 
     # each range is checked by the library call that reads it; the CLI turns its
     # ConfigError into exit 2 with one line naming the argument and the bound.

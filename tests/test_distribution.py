@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
-from sqdisp import (ConfigError, DivergenceDetected, GridTooNarrow, GroupElement,
+from sqdisp import (ConfigError, DivergenceDetected, GridMismatch, GridTooNarrow, GroupElement,
                     IDENTITY, InsufficientMass, act, argmax, build_ml_seed,
                     closed_form_sandwich, compose, default_grid, density_at,
                     group_average_sandwich, inverse, make_coherent,
@@ -86,6 +86,11 @@ class TestDensityAt:
                 density_at(seed, vac, g)
         for g in (GroupElement(320.0, 0.0), GroupElement(640.0, 1.0)):
             assert 0.0 <= density_at(seed, vac, g) < 1e-10
+
+    def test_grid_mismatch(self, vacuum_seed):
+        seed, _ = vacuum_seed
+        with pytest.raises(GridMismatch):
+            density_at(seed, make_vacuum(grids.QuadratureGrid(10.0, 2048)), IDENTITY)
 
 
 class TestScanAndArgmax:
@@ -370,6 +375,12 @@ class TestNormalization:
         narrow = normalization_check(seed, c2, (-1.0, 1.0, -1.0, 1.0))
         assert narrow < wide
 
+    def test_grid_mismatch(self, vacuum_seed):
+        seed, _ = vacuum_seed
+        with pytest.raises(GridMismatch):
+            normalization_check(seed, make_vacuum(grids.QuadratureGrid(10.0, 2048)),
+                                (-1.0, 1.0, -1.0, 1.0))
+
 
 def band_integral(h1, h2, dy, lo, hi):
     """integral_lo^hi FT[h1] conj(FT[h2]) dx as the oracles evaluate it."""
@@ -498,6 +509,14 @@ class TestGroupAverage:
         vac = make_vacuum()
         with pytest.raises(DivergenceDetected):
             group_average_sandwich(vac, vac, vac, vac, (-12, 12, -8, 8))
+
+    @pytest.mark.parametrize("other", ["phi", "u", "v"])
+    def test_grid_mismatch(self, other):
+        psi = odd_state(default_grid(0.0))
+        states = dict.fromkeys(("phi", "u", "v"), psi)
+        states[other] = odd_state(grids.QuadratureGrid(10.0, 2048))
+        with pytest.raises(GridMismatch):
+            group_average_sandwich(psi, *states.values(), (-12, 12, -8, 8))
 
 
 class TestScreenOncePerPair:

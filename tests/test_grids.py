@@ -211,6 +211,10 @@ class TestGaussianStates:
         with pytest.raises(ValueError):
             psi.amplitudes[0] = 1.0
 
+    def test_amplitudes_of_wrong_length_rejected(self):
+        with pytest.raises(ConfigError, match="do not match n = 64"):
+            StateVector(QuadratureGrid(10.0, 64), np.ones(62))
+
 
 class TestInnerProduct:
     def test_self_overlap(self):
@@ -251,6 +255,11 @@ class TestHalfLineMoments:
         assert oracle == pytest.approx(VACUUM_HALF_MOMENT, rel=1e-10)
         vac = make_vacuum()
         assert half_line_moment(vac, +1, 1) == pytest.approx(oracle, rel=1e-8)
+
+    @pytest.mark.parametrize("sign", [0, 2])
+    def test_sign_other_than_plus_or_minus_one_rejected(self, sign):
+        with pytest.raises(ConfigError, match="^sign must be"):
+            half_line_moment(make_vacuum(), sign, 1)
 
     def test_vacuum_sector_symmetry(self):
         vac = make_vacuum()

@@ -18,15 +18,14 @@ and ``scan_row_s``, that over its rows; ``profile_s``, the ``sqdisp two-mode``
 default profile (n_max 60, 96 x 96 over +-1.5) for each workload lambda, and
 ``profile_0.999_n1000``, lambda 0.999 at n_max 1000 on 16 x 16 over +-1.5;
 ``job_s``, each oracle slot with every parameter at the point u = 0.1, 0.5 or
-0.9 of its range, and ``total_s``, their sum.  ``minflt`` is the median number
-of minor page faults of each scan, profile or oracle call, and
-``profile_peak_mb`` the tracemalloc peak, in MB, of one untimed profile call
-made after the timed ones.  ``scan_nodes`` is, per scan slot, the number of
-nodes its largest chunk of rows runs on: the largest len(y) of the ``fourier_at``
-calls of one untimed scan (a side that runs its rows on the whole grid records
-the grid's n); ``scan_node_rows`` is the mean of len(y) over the rows of that
-scan, each chunk weighted by its rows, below ``scan_nodes`` when chunks run on
-fewer nodes than the largest; and ``scan_grid_n`` is the grid's n: the node count
+0.9 of its range, and ``total_s``, their sum.  ``profile_peak_mb`` is the
+tracemalloc peak, in MB, of one untimed profile call made after the timed ones.
+``scan_nodes`` is, per scan slot, the number of nodes its largest chunk of rows
+runs on: the largest len(y) of the ``fourier_at`` calls of one untimed scan (a
+side that runs its rows on the whole grid records the grid's n);
+``scan_node_rows`` is the mean of len(y) over the rows of that scan, each chunk
+weighted by its rows, below ``scan_nodes`` when chunks run on fewer nodes than
+the largest; and ``scan_grid_n`` is the grid's n: the node count
 that ``distribution._refine_for_window`` chose in another untimed scan.
 ``oracle_nodes`` is, per oracle case, the largest n handed to
 ``distribution._band_spectrum`` in one untimed run: the nodes its band slices
@@ -51,8 +50,6 @@ import json
 import os
 import pkgutil
 import platform
-import resource
-import statistics
 import sys
 import time
 import tracemalloc
@@ -104,17 +101,14 @@ def load(name: str, src: Path) -> dict:
 
 def alternate(calls, repeats):
     """Run each side's call ``repeats`` times, the sides in turn.  Per side: the
-    last output, the best time, and the median minor page faults of a run."""
-    outs, times, faults = {}, {side: [] for side in calls}, {side: [] for side in calls}
+    last output and the best time."""
+    outs, times = {}, {side: [] for side in calls}
     for _ in range(repeats):
         for side, call in calls.items():
-            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
             start = time.perf_counter()
             outs[side] = call()
             times[side].append(time.perf_counter() - start)
-            faults[side].append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
-    return (outs, {side: min(t) for side, t in times.items()},
-            {side: statistics.median(f) for side, f in faults.items()})
+    return outs, {side: min(t) for side, t in times.items()}
 
 
 def traced_peak_mb(call) -> float:
@@ -213,11 +207,11 @@ def main(argv=None) -> int:
     sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
              "change": load("sqdisp", ROOT / "src")}
     keys = ("row_s", "scan_s", "scan_row_s", "scan_nodes", "scan_node_rows", "scan_grid_n",
-            "profile_s", "job_s", "oracle_nodes", "oracle_peak_mb", "minflt", "profile_peak_mb")
+            "profile_s", "job_s", "oracle_nodes", "oracle_peak_mb", "profile_peak_mb")
     record = {side: {key: {} for key in keys} for side in sides}
     deviation = {}
     for key, case, repeats, calls, devs in cases(sides, args.repeats):
-        outs, best, faults = alternate(calls, repeats)
+        outs, best = alternate(calls, repeats)
         for side in sides:
             record[side][key][case] = best[side]
             if key == "scan_s":
@@ -233,8 +227,6 @@ def main(argv=None) -> int:
                 record[side]["oracle_nodes"][case] = max(sizes_of(
                     sides[side], calls[side], "_band_spectrum", lambda out, n, *_: n))
                 record[side]["oracle_peak_mb"][case] = traced_peak_mb(calls[side])
-            if devs is not None:
-                record[side]["minflt"][case] = faults[side]
             if key == "profile_s":
                 record[side]["profile_peak_mb"][case] = traced_peak_mb(calls[side])
         if devs is not None:
