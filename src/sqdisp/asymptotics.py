@@ -36,7 +36,7 @@ ASYMPTOTIC_WARN_THRESHOLD = 3.0
 
 @dataclass(frozen=True)
 class AsymptoticModel:
-    """Parameters of the asymptotic Gaussian estimation density."""
+    """Parameters of the asymptotic Gaussian estimation density, 0 < a < inf, |z| <= ln 2^20."""
 
     a: float
     z: float = 0.0
@@ -44,6 +44,7 @@ class AsymptoticModel:
     def __post_init__(self):
         if not 0 < self.a < math.inf:
             raise ConfigError(f"a must be positive and finite, got {self.a}")
+        _check_log_range(z=self.z)
 
 
 def model_density(m: AsymptoticModel, x: float, r: float) -> float:
@@ -61,16 +62,19 @@ def rms_predictions(a: float, z: float = 0.0):
     """
     dx_opt, dr_opt = separate_optima(a, z)
     if a * math.exp(z) < ASYMPTOTIC_WARN_THRESHOLD:
-        warnings.warn("a e^z is small; asymptotic error laws are unreliable",
-                      stacklevel=2)
+        warnings.warn("a e^z is small; asymptotic error laws are unreliable", stacklevel=2)
     return math.sqrt(2.0) * dx_opt, math.sqrt(2.0) * dr_opt
 
 
 def separate_optima(a: float, z: float = 0.0):
-    """Separate-measurement optima (Delta x_opt, Delta r_opt), finite a > 0, |z| <= ln MAX_NODES."""
-    AsymptoticModel(a)  # its check: ConfigError unless 0 < a < inf
-    _check_log_range(z=z)
-    return math.exp(z) / 2.0, 1.0 / (2.0 * a * math.exp(z))
+    """Separate-measurement optima (Delta x_opt, Delta r_opt): ConfigError for an (a, z) that
+    ``AsymptoticModel`` refuses or whose optima, or joint errors, leave the float range."""
+    AsymptoticModel(a, z)
+    ox, orr = math.exp(z) / 2.0, 1.0 / (2.0 * a * math.exp(z))
+    if not (ox * orr > 0 and math.isfinite((math.sqrt(2.0) * ox) * (math.sqrt(2.0) * orr))):
+        raise ConfigError(f"a = {a} puts the error laws at z = {z} outside "
+                          "the floating-point range")
+    return ox, orr
 
 
 def uncertainty_product_ratio(a: float, z: float = 0.0) -> float:

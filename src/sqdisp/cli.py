@@ -300,13 +300,8 @@ def run_compare(cfg: RunConfig) -> int:
 
 
 def run_asymptotics(cfg: RunConfig) -> int:
+    # a and z, then nbar, are checked before rms_predictions can warn: a refusal is one line
     ox, orr = asymptotics.separate_optima(cfg.a, cfg.z)
-    # rms_predictions is sqrt(2) times these and warns for a small a e^z, so every
-    # reported number's range and nbar are checked first: a rejected run prints one line
-    root2 = math.sqrt(2.0)
-    if not (ox * orr > 0 and math.isfinite((root2 * ox) * (root2 * orr))):
-        raise ConfigError(f"a = {cfg.a} puts the error laws at z = {cfg.z} outside "
-                          "the floating-point range")
     iso = asymptotics.isotropic_params(cfg.nbar)
     dx, dr = asymptotics.rms_predictions(cfg.a, cfg.z)
     payload = {

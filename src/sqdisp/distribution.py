@@ -105,31 +105,32 @@ def _marginals(density_map: DensityMap, r_weight) -> Tuple[np.ndarray, np.ndarra
     return weighted.sum(axis=1), weighted.sum(axis=0)
 
 
+def _row_frequency(seed: PovmSeed, psi: StateVector, x: float, r: float) -> float:
+    """(|x| + |c_psi|) e^{-r} + |c_eta| >= |f| in e^{2i f y} of the row integrand of g = (x, r),
+    conj(eta(y)) psi(e^{-r} y) e^{2i e^{-r} x y}; c: a Gaussian source's ``linear_phase``, or 0."""
+    c = [abs(s.evaluator.linear_phase) if s.evaluator else 0.0 for s in (psi, seed.source)]
+    return (abs(x) + c[0]) * math.exp(-r) + c[1]
+
+
 def density_at(seed: PovmSeed, psi: StateVector, g: GroupElement) -> float:
     """p(g) = |<eta| U_{g^{-1}} |psi>|^2 at one group element; ConfigError for a non-finite x
-    or |r| > ln MAX_NODES, GridTooNarrow (``_check_phase``) for g^{-1}'s x past pi/(2 dy)."""
+    or |r| > ln MAX_NODES, GridTooNarrow for a ``_row_frequency`` past pi/(2 dy)."""
     _check_element(g)
     if seed.eta.grid != psi.grid:
         raise GridMismatch("seed and state must share a quadrature grid")
     gi = inverse(g)
     grid = psi.grid
-    _check_phase(gi.x, grid.dy)
+    _check_phase(_row_frequency(seed, psi, g.x, g.r), grid.dy)
     y = grid.nodes
-    integrand = (np.conj(seed.eta.amplitudes)
-                 * math.exp(gi.r / 2.0)
-                 * np.exp(-2.0j * gi.x * y)
-                 * psi.evaluate_at(math.exp(gi.r) * y))
+    integrand = (np.conj(seed.eta.amplitudes) * math.exp(gi.r / 2.0)
+                 * np.exp(-2.0j * gi.x * y) * psi.evaluate_at(math.exp(gi.r) * y))
     return abs(np.sum(integrand) * grid.dy) ** 2
 
 
-def _refine_for_window(seed: PovmSeed, psi: StateVector,
-                       window: Tuple[float, float, float, float]):
-    """Resample seed and state so the grid resolves scan phase oscillations."""
+def _refine_for_window(seed: PovmSeed, psi: StateVector, window: Tuple[float, float, float, float]):
+    """Resample seed and state so the grid resolves every row's ``_row_frequency``."""
     x_lo, x_hi, r_lo, r_hi = window
-    freq = max(abs(x_lo), abs(x_hi)) * math.exp(max(-r_lo, -r_hi, 0.0))
-    for src in (psi.evaluator, seed.source.evaluator):
-        if src is not None:
-            freq += abs(src.linear_phase)
+    freq = _row_frequency(seed, psi, max(abs(x_lo), abs(x_hi)), min(r_lo, 0.0))
     fine = phase_resolving_grid(psi.grid, psi.grid.y_max, freq)
     return seed.on_grid(fine), psi.with_grid(fine)
 

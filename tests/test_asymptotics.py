@@ -46,6 +46,12 @@ class TestModelDensity:
         with pytest.raises(ValueError):
             AsymptoticModel(-1.0)
 
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf, 1e9])
+    def test_log_width_out_of_range_is_config_error(self, z):
+        # a NaN z was accepted, and model_density then raised OverflowError on the others
+        with pytest.raises(ConfigError, match="z must lie in"):
+            AsymptoticModel(10.0, z)
+
 
 class TestErrorLaws:
     def test_coherent_values(self):
@@ -56,11 +62,14 @@ class TestErrorLaws:
     @pytest.mark.parametrize("law", [separate_optima, rms_predictions,
                                      uncertainty_product_ratio])
     @pytest.mark.parametrize("a, z", [(1.0, 800.0), (1.0, -14.0), (0.0, 0.0), (-1.0, 0.0),
-                                      (math.inf, 0.0)],
-                             ids=["z-800", "z-minus-14", "a-0", "a-negative", "a-inf"])
+                                      (math.inf, 0.0), (1e-309, 0.0), (1e308, -13.0)],
+                             ids=["z-800", "z-minus-14", "a-0", "a-negative", "a-inf",
+                                  "a-1e-309", "a-1e308-z-minus-13"])
     def test_out_of_range_is_config_error(self, law, a, z):
         # z = 800 used to raise OverflowError; refused before the small-a e^z warning.
-        # a = inf was accepted: Delta r_opt = 0, and the product ratio divided by zero
+        # a = inf was accepted: Delta r_opt = 0, and the product ratio divided by zero.
+        # Past the float range separate_optima returned (0.5, inf) for a = 1e-309, whose
+        # product ratio was nan, and (1.13e-6, 0.0) for a = 1e308, z = -13, where 2a overflows
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigError):

@@ -4,7 +4,9 @@ A run with the tree as its own parent records every deviation as 0 whether or
 not the parent side really runs the parent, so the binding is checked here.
 """
 
+import importlib
 import importlib.util
+import pkgutil
 import shutil
 import sys
 from pathlib import Path
@@ -25,6 +27,10 @@ def test_workloads_bound_to_each_side(tmp_path):
     spec.loader.exec_module(bench_pair)
     shutil.copytree(ROOT / "src" / "sqdisp", tmp_path / "sqdisp",
                     ignore=shutil.ignore_patterns("__pycache__"))
+    # load imports every module of the package it is given, so the snapshot does too,
+    # whatever this process imported before
+    for info in pkgutil.iter_modules([str(ROOT / "src" / "sqdisp")]):
+        importlib.import_module(f"sqdisp.{info.name}")
     change = _sqdisp_modules()
     try:
         parent = bench_pair.load("sqdisp_parent", tmp_path)

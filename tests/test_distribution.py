@@ -78,8 +78,8 @@ class TestDensityAt:
 
     def test_aliased_phase_refused(self, vacuum_seed):
         # the default vacuum grid has dy = 20/4096 and pi/(2 dy) = 321.7; past it
-        # e^{-2ixy} aliases (x = 640 returned 4.2e-3, x = 320 9.9e-15); the x
-        # checked is that of g^{-1}, -e^{-r} x
+        # e^{-2ixy} aliases (x = 640 returned 4.2e-3, x = 320 9.9e-15); the frequency
+        # checked is the row's, e^{-r} |x| for a state without a linear phase
         seed, vac = vacuum_seed
         for g in (GroupElement(640.0, 0.0), GroupElement(-320.0, -1.0)):
             with pytest.raises(GridTooNarrow, match="aliases"):
@@ -91,6 +91,37 @@ class TestDensityAt:
         seed, _ = vacuum_seed
         with pytest.raises(GridMismatch):
             density_at(seed, make_vacuum(grids.QuadratureGrid(10.0, 2048)), IDENTITY)
+
+
+class TestRowFrequency:
+    """D(x0)|0> carries the linear phase x0, which a row at r stretches to x0 e^{-r}: its
+    rows need finer grids than e^{-r} |x| alone asks for."""
+
+    def test_density_at_refuses_aliased_row(self):
+        # (0.5 + 60) e^3 + 60 = 1275 > pi/(2 dy) = 321.7 on the 4096 nodes; unrefused,
+        # density_at read 8.09e-9 against 3.07e-12 on 2^19 nodes
+        psi = act(GroupElement(60.0, 0.0), make_vacuum())
+        assert psi.grid.n == 4096
+        with pytest.raises(GridTooNarrow, match="aliases"):
+            density_at(build_ml_seed(psi), psi, GroupElement(0.5, -3.0))
+
+    @pytest.mark.parametrize("x0, window, rtol", [(60.0, (-1.0, 1.0, -3.0, -1.0), 5e-2),
+                                                  (30.0, (-3.0, 3.0, -2.5, 2.5), 1e-5)])
+    def test_scan_matches_fine_density_at(self, x0, window, rtol):
+        # the reference is density_at on 2^19 nodes, at 65 ms a point, so it is read on
+        # every 4th x and r node of the 24^2 map.  Where x0's stretch was ignored the scan
+        # ran on 8192 nodes and was off by 8.9e3 (x0 = 60) and 4.5e-5 (x0 = 30); now on
+        # 65,536 and 32,768 nodes, 2.0e-2 and 2.8e-6 are the kink term at y = 0
+        psi = act(GroupElement(x0, 0.0), make_vacuum())
+        seed = build_ml_seed(psi)
+        m = scan(seed, psi, window, 24)
+        fine = grids.QuadratureGrid(psi.grid.y_max, 2**19)
+        seed, psi = seed.on_grid(fine), psi.with_grid(fine)
+        for i in range(0, 24, 4):
+            for j in range(0, 24, 4):
+                if m.values[i, j] >= 1e-3 * m.values.max():
+                    ref = density_at(seed, psi, GroupElement(m.x_nodes[i], m.r_nodes[j]))
+                    assert m.values[i, j] == pytest.approx(ref, rel=rtol)
 
 
 class TestScanAndArgmax:

@@ -201,6 +201,8 @@ def library_calls(draw):
         # all but 1e-15 of its mass at y > 0, so the ratio reads a
         "heisenberg_ratio of a coherent state": lambda: sqdisp.heisenberg_ratio(
             sqdisp.make_coherent(4.0), num("a")),
+        "model_density": lambda: sqdisp.model_density(
+            sqdisp.AsymptoticModel(num("a"), num("z")), 0.0, 0.0),
         "isotropic_params": lambda: sqdisp.isotropic_params(num("nbar")),
         "make_pointer": pointer,
         "pointer_overlap": lambda: sqdisp.pointer_overlap(pointer(), element(), pointer()),
