@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceDetected, GridMismatch, InsufficientMass
 from .grids import (MAX_NODES, StateVector, _check_log_range, _check_phase, _fft_length,
-                    _sector_sum, _size, fourier_at, phase_resolving_grid, sector_integral)
+                    _sector_sum, _size, fourier_at, phase_dy, resolving_grid, sector_integral)
 from .group import GroupElement, _check_element, inverse
 from .povm import PovmSeed
 
@@ -128,10 +128,13 @@ def density_at(seed: PovmSeed, psi: StateVector, g: GroupElement) -> float:
 
 
 def _refine_for_window(seed: PovmSeed, psi: StateVector, window: Tuple[float, float, float, float]):
-    """Resample seed and state so the grid resolves every row's ``_row_frequency``."""
+    """Resample seed and state so the grid resolves every row's ``_row_frequency`` and, for a
+    Gaussian psi, the narrowest row's |psi(e^{-r} y)|^2 std 0.5 e^{r - z}, as ``act`` does."""
     x_lo, x_hi, r_lo, r_hi = window
-    freq = _row_frequency(seed, psi, max(abs(x_lo), abs(x_hi)), min(r_lo, 0.0))
-    fine = phase_resolving_grid(psi.grid, psi.grid.y_max, freq)
+    r_min, p = min(r_lo, 0.0), psi.evaluator
+    width = 0.5 * math.exp(r_min - p.log_width) if p else math.inf
+    dy = phase_dy(_row_frequency(seed, psi, max(abs(x_lo), abs(x_hi)), r_min))
+    fine = resolving_grid(psi.grid, psi.grid.y_max, min(dy, width))
     return seed.on_grid(fine), psi.with_grid(fine)
 
 
@@ -247,10 +250,12 @@ def argmax(density_map: DensityMap) -> Tuple[float, float, float]:
 
 def window_statistics(density_map: DensityMap) -> SummaryStats:
     """Means, r.m.s. widths and peak under the weight p(x,r) e^{-r} over the
-    scanned window, whatever mass the window captures."""
+    scanned window, whatever mass the window captures; InsufficientMass if it captures none."""
     x, r = density_map.x_nodes, density_map.r_nodes
     px, pr = _marginals(density_map, np.exp(-r))
     total = float(px.sum())
+    if total == 0.0:
+        raise InsufficientMass("window captures none of the density")
     mean_x = float((px * x).sum()) / total
     mean_r = float((pr * r).sum()) / total
     var_x = float((px * (x - mean_x) ** 2).sum()) / total

@@ -142,14 +142,12 @@ def default_grid(center: float = 0.0, log_width: float = 0.0,
     _check_log_range(z=log_width)
     amp_std = math.exp(-log_width) / math.sqrt(2.0)
     y_max = abs(center) + 10.0 * max(amp_std, 1.0)
-    if n is None:
-        needed = 2.0 * y_max / (0.5 * math.exp(-log_width))
-        if needed > MAX_NODES // 2:
-            raise GridTooNarrow(
-                f"state with log-width {log_width:.4g} needs {needed:.3g} nodes on "
-                f"|y| <= {y_max:.4g} to resolve its std, cap is {MAX_NODES // 2}")
-        n = max(DEFAULT_N, 2 ** math.ceil(math.log2(needed)))
-    return QuadratureGrid(y_max, n)
+    if n is not None:
+        return QuadratureGrid(y_max, n)
+    grid = resolving_grid(QuadratureGrid(y_max, DEFAULT_N), y_max, 0.5 * math.exp(-log_width))
+    if grid.n > MAX_NODES // 2:
+        raise GridTooNarrow(f"log-width {log_width:.4g} needs {grid.n} nodes, cap {MAX_NODES // 2}")
+    return grid
 
 
 class StateVector:
@@ -244,21 +242,21 @@ def _check_phase(x: float, dy: float):
                             f"pi/(2 dy) is {math.pi / (2.0 * dy):.4g}")
 
 
-def phase_resolving_grid(grid: QuadratureGrid, y_max: float, freq: float) -> QuadratureGrid:
-    """Grid on [-y_max, y_max] fine enough for both ``grid`` and e^{-2i freq y}.
+def phase_dy(freq: float) -> float:
+    """The spacing e^{-2i freq y} needs, 16 nodes per period: pi / (8 max(1, |freq|))."""
+    return math.pi / (8.0 * max(1.0, abs(freq)))
 
-    The phase needs dy <= pi / (8 max(1, |freq|)), 16 nodes per period.
-    ``grid`` itself is kept when it spans the same window finely enough;
-    otherwise the node count is the next power of two.
-    """
-    dy_req = min(grid.dy, math.pi / (8.0 * max(1.0, abs(freq))))
+
+def resolving_grid(grid: QuadratureGrid, y_max: float, dy: float) -> QuadratureGrid:
+    """``grid`` itself if it spans [-y_max, y_max] with spacing <= ``dy``, else the grid there
+    with the next power of two nodes for min(dy, grid.dy); GridTooNarrow past MAX_NODES."""
+    dy_req = min(grid.dy, dy)
     if y_max == grid.y_max and dy_req == grid.dy:
         return grid
     needed = 2.0 * y_max / dy_req if dy_req > 0 else math.inf
     if needed > MAX_NODES:
-        raise GridTooNarrow(
-            f"resolving phase frequency {freq:.3g} on |y| <= {y_max:.4g} needs "
-            f"{needed:.3g} nodes, cap is {MAX_NODES}")
+        raise GridTooNarrow(f"spacing {dy_req:.3g} on |y| <= {y_max:.4g} needs "
+                            f"{needed:.3g} nodes, cap is {MAX_NODES}")
     return QuadratureGrid(y_max, 2 ** math.ceil(math.log2(max(needed, 2.0))))
 
 

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, GridTooNarrow
 from .grids import (GaussianStateParams, QuadratureGrid, StateVector, _check_log_range,
-                    default_grid, phase_resolving_grid)
+                    default_grid, phase_dy, resolving_grid)
 
 SAMPLED_ACTION_RMAX = 3.0
 
@@ -62,9 +62,9 @@ def act(g: GroupElement, psi: StateVector,
     """Apply U_{x,r} = D(x) S(r) to a state.
 
     Gaussian states transform in closed form, (a, z, c) -> (e^{-r} a, z + r,
-    e^r c + x), with no interpolation, on a grid with dy at most psi's and
-    at most the new |psi|^2 std 0.5 e^{-(z + r)} (GridTooNarrow past the
-    node cap, as ``default_grid``).  Sampled states are evaluated by cubic
+    e^r c + x), with no interpolation, on a grid with dy at most psi's, the
+    new |psi|^2 std 0.5 e^{-(z + r)} and ``phase_dy`` of the new phase
+    (GridTooNarrow past the node cap, as ``default_grid``).  Sampled states are evaluated by cubic
     interpolation at the scaled nodes, with |r| capped per application.
     ConfigError first for a g that ``_check_element`` refuses.
     """
@@ -77,10 +77,9 @@ def act(g: GroupElement, psi: StateVector,
             linear_phase=math.exp(g.r) * p.linear_phase + g.x,
         )
         if grid is None:
-            # keep psi's spacing unless the squeezed state needs a finer one
             target = default_grid(new.center, new.log_width)
-            base = psi.grid if psi.grid.dy <= target.dy else target
-            grid = phase_resolving_grid(base, target.y_max, new.linear_phase)
+            grid = resolving_grid(psi.grid, target.y_max,
+                                  min(target.dy, phase_dy(new.linear_phase)))
         return StateVector.from_params(new, grid)
 
     if abs(g.r) > SAMPLED_ACTION_RMAX:
@@ -89,7 +88,7 @@ def act(g: GroupElement, psi: StateVector,
             "application; compose smaller steps")
     if grid is None:
         y_max = psi.grid.y_max * max(1.0, math.exp(-g.r))
-        grid = phase_resolving_grid(psi.grid, y_max, g.x)
+        grid = resolving_grid(psi.grid, y_max, phase_dy(g.x))
     y = grid.nodes
     amps = math.exp(g.r / 2.0) * np.exp(-2.0j * g.x * y) * psi.evaluate_at(math.exp(g.r) * y)
     return StateVector(grid, amps)

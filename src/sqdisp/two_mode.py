@@ -33,7 +33,7 @@ import numpy as np
 from .errors import (ConfigError, CutoffTooSmall, GridMismatch, GridTooNarrow,
                      InsufficientMass)
 from .distribution import DensityMap, _check_window, _map_shape, _marginals, _row_map
-from .grids import MAX_NODES, QuadratureGrid, _check_phase, _size
+from .grids import MAX_NODES, QuadratureGrid, _check_phase, _size, phase_dy
 from .group import GroupElement, _check_element
 
 DEFAULT_TEST_LAMBDAS = (0.9, 0.95, 0.99)
@@ -244,17 +244,17 @@ def concentration_profile(lam: float, n_max: int,
     to its parity's row kernel.  Widths, second moments about the origin over the
     window under dx dr, shrink as lambda -> 1; ``map.mass`` integrates the profile
     under d_L g = e^{-r} dx dr.  ``window``, ``resolution`` and ``n_max`` are checked
-    as ``scan`` and ``make_pointer`` check them; GridTooNarrow for |x| beyond pi/(8 dy)
-    of the pointer grid (16 nodes per period of e^{-2i x y}, as ``scan`` resolves its
-    phase), InsufficientMass for a window that captures none of the profile.
+    as ``scan`` and ``make_pointer`` check them; GridTooNarrow for a pointer grid coarser
+    than ``phase_dy`` of the window's |x| (the rule ``scan`` refines its grid by),
+    InsufficientMass for a window that captures none of the profile.
     """
     _check_window(window)
     nx, nr = _map_shape(resolution)
     n_max = _check_n_max(n_max, MIN_N_MAX)
     grid, x_max = _pointer_grid(n_max), max(-window[0], window[1])
-    if x_max > math.pi / (8.0 * grid.dy):
-        raise GridTooNarrow(f"|x| up to {x_max:.4g} exceeds pi/(8 dy) = "
-                            f"{math.pi / (8.0 * grid.dy):.4g} of the n_max {n_max} pointer grid")
+    if grid.dy > phase_dy(x_max):
+        raise GridTooNarrow(f"|x| up to {x_max:.4g} needs dy <= {phase_dy(x_max):.4g}, the n_max "
+                            f"{n_max} pointer grid has {grid.dy:.4g}")
     p_plus = make_pointer(lam, +1, n_max, tail_tol=tail_tol)
     y, C = grid.nodes, p_plus.coeffs
     # f_m = sum_n c_nm h_n; the Phi_s overlap is E + s O, the sums of <f_m|U|f_m> over even and

@@ -7,11 +7,16 @@ deleted argument there breaks a traced benchmark run, not the library.
 """
 
 import inspect
+import itertools
 import sys
+
+import pytest
 
 import sqdisp
 import sqdisp.cli
 from perfbench.tracing import CLI_SUBCOMMANDS, LAYER_TARGETS, Tracer
+from perfbench.workloads import ScanWorkload
+from sqdisp.distribution import _refine_for_window
 
 
 def test_install_wraps_every_target_and_uninstall_restores():
@@ -62,3 +67,15 @@ def test_cli_seed_paths_reach_traced_builders(capsys):
     assert names.count("povm.build_seed") == 3
     assert names.count("povm.likelihood") == 2
     assert names.count("grids.half_line_moment") == 14
+
+
+@pytest.mark.parametrize("slot", dict.fromkeys(ScanWorkload.slots))
+def test_scan_slots_keep_their_grids(tmp_path, slot):
+    # the scan gate computes its reference on the slot's ``nodes``, so a grid rule that
+    # moves any state of a slot's ranges off that grid would make the gate miss
+    workload = ScanWorkload(1, tmp_path, 1)
+    for u in itertools.product((0.0, 0.5, 1.0), repeat=2):
+        job = getattr(workload, f"gen_{slot}")(u + (0.5,))
+        psi = workload.build_state(job)
+        _, fine = _refine_for_window(sqdisp.build_ml_seed(psi), psi, job["window"])
+        assert fine.grid.n == job["nodes"], u

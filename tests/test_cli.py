@@ -50,6 +50,21 @@ class TestDensity:
                              "--r-lo", "0", "--r-hi", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("--state", "coherent", "--a", "12", "--x-lo", "-1", "--x-hi", "1",
+         "--r-lo", "-4", "--r-hi", "-3"),
+        ("--state", "displaced-squeezed", "--a", "2.82", "--z", "1.45", "--x-lo", "44.5",
+         "--x-hi", "63.1", "--r-lo", "-3.08", "--r-hi", "-2.21"),
+    ], ids=["coherent-far", "dsq-far"])
+    def test_no_mass_is_numeric_failure(self, capsys, argv):
+        # every map value underflows to 0 there: the window statistics have no mass to
+        # divide by, which used to end in an internal ZeroDivisionError (exit 4)
+        code, out, err = run(capsys, "density", *argv, "--resolution", "16")
+        assert code == 3
+        assert err.startswith("numeric failure: InsufficientMass:")
+        assert len(err.splitlines()) == 1
+        assert out == ""
+
     def test_csv_deterministic(self, tmp_path, capsys):
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for p in paths:

@@ -14,10 +14,10 @@ from sqdisp import (ConfigError, DivergenceDetected, GridMismatch, GridTooNarrow
                     closed_form_sandwich, compose, default_grid, density_at,
                     group_average_sandwich, inverse, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum,
-                    moments, normalization_check, scan)
+                    moments, normalization_check, scan, window_statistics)
 from sqdisp import grids
-from sqdisp.distribution import (_band_spectrum, _quadratic_peak, _screened_cross_terms,
-                                 _trapezoid_weights)
+from sqdisp.distribution import (_band_spectrum, _quadratic_peak, _refine_for_window,
+                                 _screened_cross_terms, _trapezoid_weights)
 from sqdisp.grids import fourier_at
 
 VACUUM_L_OPT = math.sqrt(2.0 / math.pi) / math.pi
@@ -119,6 +119,30 @@ class TestRowFrequency:
         seed, psi = seed.on_grid(fine), psi.with_grid(fine)
         for i in range(0, 24, 4):
             for j in range(0, 24, 4):
+                if m.values[i, j] >= 1e-3 * m.values.max():
+                    ref = density_at(seed, psi, GroupElement(m.x_nodes[i], m.r_nodes[j]))
+                    assert m.values[i, j] == pytest.approx(ref, rel=rtol)
+
+
+class TestRowWidth:
+    """A row at r < 0 samples psi(e^{-r} y), whose |psi|^2 std narrows to 0.5 e^{r - z}: the
+    scan grid must resolve that width as ``act`` does, not only the row frequency."""
+
+    WINDOW = (-0.01, 0.01, -6.0, -5.0)
+
+    @pytest.mark.parametrize("a, nodes, rtol", [(0.0, 16384, 0.1), (3.0, 32768, 0.05)])
+    def test_scan_resolves_narrowest_row(self, a, nodes, rtol):
+        # on the 4096 nodes the phase rule alone kept, the map was off by 1.17 (vacuum) and
+        # 0.26 (coherent 3) on these points; what is left, 0.043 and 0.024, is the kink term
+        # at y = 0.  The 2^18-node reference takes 12 ms a point: every 4th x and r node
+        psi = make_coherent(a)
+        seed = build_ml_seed(psi)
+        assert _refine_for_window(seed, psi, self.WINDOW)[1].grid.n == nodes
+        m = scan(seed, psi, self.WINDOW, 16)
+        fine = grids.QuadratureGrid(psi.grid.y_max, 2**18)
+        seed, psi = seed.on_grid(fine), psi.with_grid(fine)
+        for i in range(0, 16, 4):
+            for j in range(0, 16, 4):
                 if m.values[i, j] >= 1e-3 * m.values.max():
                     ref = density_at(seed, psi, GroupElement(m.x_nodes[i], m.r_nodes[j]))
                     assert m.values[i, j] == pytest.approx(ref, rel=rtol)
@@ -266,6 +290,14 @@ class TestMoments:
     def test_insufficient_mass(self, vacuum_map):
         with pytest.raises(InsufficientMass):
             moments(vacuum_map)  # vacuum over +-3 captures only ~0.83
+
+    def test_window_statistics_of_empty_window(self):
+        # a window the density underflows on everywhere has no mean to divide out;
+        # it used to end in ZeroDivisionError
+        from sqdisp.distribution import DensityMap
+        empty = DensityMap(np.linspace(-1, 1, 16), np.linspace(-4, -3, 16), np.zeros((16, 16)))
+        with pytest.raises(InsufficientMass, match="none"):
+            window_statistics(empty)
 
     def test_model_map_argmax_at_origin(self):
         # analytic Gaussian surface: argmax lands exactly on the 0 node

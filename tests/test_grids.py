@@ -21,7 +21,7 @@ from sqdisp import (ConfigError, DivergenceDetected, GaussianStateParams, GridMi
                     make_displaced_squeezed, make_sampled, make_vacuum)
 from sqdisp.distribution import _map_shape
 from sqdisp.grids import (_FFT_LENGTHS, _SUM_PASS, MAX_NODES, _chirp, _fft_length, _sector_sum,
-                          _solve_141, fourier_at, refine_by_doubling)
+                          _solve_141, fourier_at, phase_dy, refine_by_doubling, resolving_grid)
 
 VACUUM_PEAK = (2.0 / math.pi) ** 0.25           # 0.8932438417380024
 VACUUM_HALF_MOMENT = math.sqrt(2.0 / math.pi) / 4.0  # 0.19947114020071635
@@ -84,6 +84,30 @@ class TestQuadratureGrid:
         with pytest.raises(GridTooNarrow, match="nodes"):
             default_grid(5.0, 9.5)
         assert default_grid(5.0, 9.5, n=4096).n == 4096
+
+    @pytest.mark.parametrize("n", [3000, 4096])
+    def test_resolving_grid_keeps_a_fine_grid(self, n):
+        grid = QuadratureGrid(10.0, n)
+        assert resolving_grid(grid, 10.0, grid.dy) is grid
+        assert resolving_grid(grid, 10.0, 2.0 * grid.dy) is grid
+
+    def test_resolving_grid_takes_next_power_of_two(self):
+        grid = QuadratureGrid(10.0, 3000)
+        assert resolving_grid(grid, 10.0, 0.9 * grid.dy) == QuadratureGrid(10.0, 4096)
+        # a wider window keeps at least grid's spacing: 40 / (20 / 3000) = 6000 nodes
+        assert resolving_grid(grid, 20.0, 1.0) == QuadratureGrid(20.0, 8192)
+        assert resolving_grid(grid, 10.0, 20.0 / 8192) == QuadratureGrid(10.0, 8192)
+
+    def test_resolving_grid_refuses_past_max_nodes(self):
+        grid = QuadratureGrid(10.0, 4096)
+        assert resolving_grid(grid, 10.0, 20.0 / MAX_NODES).n == MAX_NODES
+        with pytest.raises(GridTooNarrow, match="nodes"):
+            resolving_grid(grid, 10.0, 0.99 * 20.0 / MAX_NODES)
+
+    def test_phase_dy_sixteen_nodes_per_period(self):
+        # e^{-2i f y} has period pi / |f|; frequencies below 1 get the spacing of 1
+        assert phase_dy(0.5) == phase_dy(-1.0) == math.pi / 8.0
+        assert phase_dy(-40.0) == math.pi / 320.0
 
 
 class TestGaussianStates:
