@@ -23,6 +23,7 @@ import math
 import re
 import sys
 import typing
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Tuple
@@ -184,15 +185,17 @@ def _state_label(cfg: RunConfig) -> str:
 def load_sampled_state(path: str) -> StateVector:
     """Read a state from CSV with header y,re,im on a midpoint-offset grid."""
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        with warnings.catch_warnings():  # a file with no rows is refused below, in one line
+            warnings.simplefilter("ignore", UserWarning)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot read sampled state: {exc}") from exc
+    n = len(data)
+    if n < 2:  # y[1] sets the spacing; QuadratureGrid checks the rest of n
+        raise ConfigError("sampled state needs at least 2 rows")
     if data.shape[1] not in (2, 3):
         raise ConfigError("sampled state file needs columns y,re[,im]")
     y = data[:, 0]
-    n = len(y)
-    if n < 2:  # y[1] sets the spacing; QuadratureGrid checks the rest of n
-        raise ConfigError("sampled state needs at least 2 rows")
     dy = y[1] - y[0]
     y_max = y[-1] + dy / 2.0
     amps = data[:, 1] + (1j * data[:, 2] if data.shape[1] == 3 else 0.0)

@@ -19,7 +19,7 @@ from sqdisp import (DomainViolation, GroupElement, argmax, build_ml_seed,
                     raw_pointer_coefficients, make_pointer)
 from sqdisp.validate import group_average_suite, srm_admissible_suite
 
-VACUUM_L_OPT = math.sqrt(2.0 / math.pi) / math.pi
+from helpers import VACUUM_L_OPT
 
 
 def report(name, detail):

@@ -11,6 +11,8 @@ import shutil
 import sys
 from pathlib import Path
 
+import pytest
+
 import sqdisp
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -21,10 +23,15 @@ def _sqdisp_modules():
             if name.split(".")[0] == "sqdisp"}
 
 
-def test_workloads_bound_to_each_side(tmp_path):
+def _bench_pair():
     spec = importlib.util.spec_from_file_location("bench_pair", ROOT / "tools" / "bench_pair.py")
     bench_pair = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pair)
+    return bench_pair
+
+
+def test_workloads_bound_to_each_side(tmp_path):
+    bench_pair = _bench_pair()
     shutil.copytree(ROOT / "src" / "sqdisp", tmp_path / "sqdisp",
                     ignore=shutil.ignore_patterns("__pycache__"))
     # load imports every module of the package it is given, so the snapshot does too,
@@ -46,3 +53,11 @@ def test_workloads_bound_to_each_side(tmp_path):
     finally:
         for name in [name for name in sys.modules if name.split(".")[0] == "sqdisp_parent"]:
             del sys.modules[name]
+
+
+def test_repeats_below_one_refused_before_loading(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        _bench_pair().main(["--parent", str(ROOT / "src"), "--repeats", "0"])
+    assert exit_.value.code == 2
+    assert "--repeats must be at least 1" in capsys.readouterr().err
+    assert "sqdisp_parent" not in sys.modules

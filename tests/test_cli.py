@@ -14,6 +14,8 @@ import sqdisp
 from sqdisp.cli import RunConfig, build_state, main, write_csv
 from sqdisp.distribution import DensityMap
 
+from helpers import spy
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -141,6 +143,16 @@ class TestCompareSrm:
                              "displaced-squeezed", "--a", "2", "--z", "3")
         assert code == 0
         assert json.loads(out)["ratio"] == pytest.approx(1.0, abs=0.03)
+
+    def test_ratio_above_one_refused(self, capsys, monkeypatch):
+        # no admissible seed beats the optimal one, so a ratio above 1 is a numeric fault
+        from sqdisp import cli
+        monkeypatch.setattr(cli, "srm_likelihood", lambda psi: 2.0 * cli.optimal_likelihood(psi))
+        code, out, err = run(capsys, "compare-srm", "--state", "coherent", "--a", "6")
+        assert code == 3
+        assert err.startswith("numeric failure: EstimationError: L_srm/L_opt")
+        assert len(err.splitlines()) == 1
+        assert out == ""
 
 
 class TestConfigHandling:
@@ -299,6 +311,19 @@ class TestSampledFile:
         assert err.startswith("config error:")
         assert ("at least 2 rows" if rows == 1 else "n must be an even integer") in err
         assert out == ""
+
+    @pytest.mark.parametrize("text", ["", "y,re,im\n", "y,re,im\n\n\n"],
+                             ids=["empty", "header-only", "header-and-blank-lines"])
+    def test_file_without_rows_is_one_line(self, tmp_path, capsys, text):
+        path = tmp_path / "no_rows.csv"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "likelihood", "--state", "sampled-file",
+                                 "--sampled-path", str(path))
+        assert code == 2
+        assert err == "config error: sampled state needs at least 2 rows\n"
+        assert caught == [] and out == ""
 
     @pytest.mark.parametrize("layout, message", [
         ("one-column", "needs columns y,re[,im]"),
@@ -543,21 +568,13 @@ class TestTwoModeCommand:
 
     def test_one_pointer_build_per_run(self, capsys, monkeypatch):
         from sqdisp import two_mode
-        calls = {"make_pointer": 0, "raw_pointer_coefficients": 0, "pointer_overlap": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(two_mode, name), **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(two_mode, name, counted)
-        profiles = []
-
-        def recorded(*args, _fn=two_mode.concentration_profile, **kwargs):
-            profiles.append(_fn(*args, **kwargs))
-            return profiles[-1]
-        monkeypatch.setattr(two_mode, "concentration_profile", recorded)
+        made = {name: spy(monkeypatch, two_mode, name, lambda *args, **kwargs: None)
+                for name in ("make_pointer", "raw_pointer_coefficients", "pointer_overlap")}
+        profiles = spy(monkeypatch, two_mode, "concentration_profile")
         code, out, err = run(capsys, "two-mode", "--lam", "0.95", "--n-max", "40",
                              "--resolution", "16")
         assert code == 0
+        calls = {name: len(notes) for name, notes in made.items()}
         assert calls == {"make_pointer": 1, "raw_pointer_coefficients": 1, "pointer_overlap": 0}
         monkeypatch.undo()
         ref = two_mode.make_pointer(0.95, +1, 40, tail_tol=None)

@@ -31,22 +31,20 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import erfcx, wofz
+from scipy.special import wofz
 
 from sqdisp import (GroupElement, build_ml_seed, build_parity_seed, density_at, inverse,
                     make_displaced_squeezed, scan)
 from sqdisp.distribution import _refine_for_window
 from sqdisp.povm import SECTOR_THRESHOLD
 
+from helpers import gaussian_weights
+
 
 def exact_coeffs(a, z, parity=False):
     """c_s = 1/sqrt(pi w_s) of the populated sectors, a >= 0; with ``parity``
     c_+ = c_- = 1/sqrt(pi (w_+ + w_-))."""
-    sigma = math.exp(-z) / 2.0
-    t = a / sigma
-    phi = math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
-    w_minus = sigma * phi * (1.0 - t * math.sqrt(math.pi / 2.0) * erfcx(t / math.sqrt(2.0)))
-    weights = {+1: a + w_minus, -1: w_minus}
+    weights = dict(zip((+1, -1), gaussian_weights(a, z)))
     if parity:
         c = 1.0 / math.sqrt(math.pi * (weights[+1] + weights[-1]))
         return {+1: c, -1: c}

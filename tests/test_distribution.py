@@ -13,26 +13,17 @@ from sqdisp import (ConfigError, DivergenceDetected, GridMismatch, GridTooNarrow
                     IDENTITY, InsufficientMass, act, argmax, build_ml_seed,
                     closed_form_sandwich, compose, default_grid, density_at,
                     group_average_sandwich, inverse, make_coherent,
-                    make_displaced_squeezed, make_sampled, make_vacuum,
+                    make_displaced_squeezed, make_vacuum,
                     moments, normalization_check, scan, window_statistics)
 from sqdisp import grids
 from sqdisp.distribution import (_band_spectrum, _quadratic_peak, _refine_for_window,
                                  _screened_cross_terms, _trapezoid_weights)
 from sqdisp.grids import fourier_at
+from sqdisp.validate import _odd_state
 
-VACUUM_L_OPT = math.sqrt(2.0 / math.pi) / math.pi
+from helpers import VACUUM_L_OPT, spy
+
 ASY_COH10_AT_R01 = (10.0 / math.pi) * math.exp(-1.0)  # 1.1709966304863835
-
-
-def odd_state(grid):
-    y = grid.nodes
-    return make_sampled(grid, y * np.exp(-y ** 2))
-
-
-@pytest.fixture(scope="module")
-def vacuum_seed():
-    vac = make_vacuum()
-    return build_ml_seed(vac), vac
 
 
 @pytest.fixture(scope="module")
@@ -542,7 +533,7 @@ class TestBandIntegral:
 class TestGroupAverage:
     def test_odd_state_matches_closed_form(self):
         grid = default_grid(0.0)
-        psi = odd_state(grid)
+        psi = _odd_state(grid)
         num = group_average_sandwich(psi, psi, psi, psi, (-12, 12, -8, 8))
         ref = closed_form_sandwich(psi, psi, psi, psi)
         assert abs(num - ref) / abs(ref) < 0.01
@@ -551,7 +542,7 @@ class TestGroupAverage:
 
     def test_cross_sector_blocks_vanish(self):
         grid = default_grid(0.0)
-        psi = odd_state(grid)
+        psi = _odd_state(grid)
         u = make_displaced_squeezed(3.0, 0.7, grid=grid)
         v = make_displaced_squeezed(-3.0, 0.7, grid=grid)
         val = group_average_sandwich(psi, psi, u, v, (-12, 12, -8, 8))
@@ -559,7 +550,7 @@ class TestGroupAverage:
 
     def test_modular_rescaling(self):
         grid = default_grid(0.0)
-        psi = odd_state(grid)
+        psi = _odd_state(grid)
         window = (-12, 12, -8, 8)
         base = group_average_sandwich(psi, psi, psi, psi, window)
         h = GroupElement(0.0, 0.5)
@@ -575,9 +566,9 @@ class TestGroupAverage:
 
     @pytest.mark.parametrize("other", ["phi", "u", "v"])
     def test_grid_mismatch(self, other):
-        psi = odd_state(default_grid(0.0))
+        psi = _odd_state(default_grid(0.0))
         states = dict.fromkeys(("phi", "u", "v"), psi)
-        states[other] = odd_state(grids.QuadratureGrid(10.0, 2048))
+        states[other] = _odd_state(grids.QuadratureGrid(10.0, 2048))
         with pytest.raises(GridMismatch):
             group_average_sandwich(psi, *states.values(), (-12, 12, -8, 8))
 
@@ -590,24 +581,17 @@ class TestScreenOncePerPair:
     def count_screen_sums(monkeypatch):
         """Grid sizes of the ``_sector_sum`` calls that ``sector_integral``
         makes; the closed form's own <u| theta(sY) |v> sums are not counted."""
-        sizes = []
-        evaluate = grids._sector_sum
-
-        def counting(phi, psi, grid, sign, power):
-            sizes.append((grid.n, sign, power))
-            return evaluate(phi, psi, grid, sign, power)
-
-        monkeypatch.setattr(grids, "_sector_sum", counting)
-        return sizes
+        return spy(monkeypatch, grids, "_sector_sum",
+                   lambda phi, psi, grid, sign, power: (grid.n, sign, power))
 
     def test_oracle_and_closed_form_screen_once(self, monkeypatch):
         grid = default_grid(0.0)
         sizes = self.count_screen_sums(monkeypatch)
-        fresh = odd_state(grid)
+        fresh = _odd_state(grid)
         _screened_cross_terms(fresh, fresh)
         single = list(sizes)
         sizes.clear()
-        psi = odd_state(grid)
+        psi = _odd_state(grid)
         group_average_sandwich(psi, psi, psi, psi, (-12, 12, -8, 8), r_resolution=8)
         closed_form_sandwich(psi, psi, psi, psi)
         assert single and sizes == single
@@ -627,10 +611,10 @@ class TestScreenOncePerPair:
         def screens():  # each screen starts with the + sector on the state's grid
             return sizes.count((grid.n, +1, -1))
 
-        psi = odd_state(grid)
+        psi = _odd_state(grid)
         first = closed_form_sandwich(psi, psi, psi, psi)
         assert closed_form_sandwich(psi, psi, psi, psi) == first and screens() == 1
-        other = odd_state(grid)  # equal samples, another state
+        other = _odd_state(grid)  # equal samples, another state
         assert closed_form_sandwich(other, other, other, other) == first and screens() == 2
         coherent = make_coherent(3.0, grid=grid)
         closed_form_sandwich(psi, coherent, psi, psi)  # the pair (coherent, psi)
@@ -638,7 +622,7 @@ class TestScreenOncePerPair:
         assert screens() == 4
 
     def test_cached_terms_read_only(self):
-        psi = odd_state(default_grid(0.0))
+        psi = _odd_state(default_grid(0.0))
         terms = _screened_cross_terms(psi, psi)
         with pytest.raises(TypeError):
             terms[+1] = 0.0

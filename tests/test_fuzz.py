@@ -29,6 +29,8 @@ import sqdisp
 from sqdisp import EstimationError
 from sqdisp.cli import _READS, _STATE_IGNORES, RunConfig, main
 
+from helpers import vacuum_seed
+
 POOLS = {
     "state": ("vacuum", "coherent", "displaced-squeezed", "sampled-file"),
     "a": ("0", "1e-300", "-4", "1e5"),
@@ -130,11 +132,7 @@ def _floats(values):
 WINDOWS = st.tuples(*[_floats(ENDS)] * 4)
 
 
-@functools.cache
-def _vacuum_seed():
-    """The vacuum on its default grid and its ML seed: a state that every call accepts."""
-    psi = sqdisp.make_vacuum()
-    return sqdisp.build_ml_seed(psi), psi
+_vacuum_seed = functools.cache(vacuum_seed)  # a state that every call accepts
 
 
 @functools.cache

@@ -6,25 +6,16 @@ import math
 import numpy as np
 import pytest
 
-from sqdisp import (ConfigError, QuadratureGrid, build_ml_seed, default_grid,
-                    group_average_sandwich, make_displaced_squeezed, make_sampled, make_vacuum,
-                    normalization_check)
+from sqdisp import (ConfigError, QuadratureGrid, default_grid, group_average_sandwich,
+                    make_displaced_squeezed, make_vacuum, normalization_check)
 from sqdisp import distribution, grids
 from sqdisp.distribution import _group_slices
 from sqdisp.grids import StateVector
+from sqdisp.validate import _odd_state
+
+from helpers import spy
 
 NAN, INF = math.nan, math.inf
-
-
-def odd_state(grid):
-    y = grid.nodes
-    return make_sampled(grid, y * np.exp(-y ** 2))
-
-
-@pytest.fixture(scope="module")
-def vacuum_seed():
-    vac = make_vacuum()
-    return build_ml_seed(vac), vac
 
 
 def normalization(vacuum_seed):
@@ -35,7 +26,7 @@ def normalization(vacuum_seed):
 def group_average(_):
     # a new state per call, so no kept screen hides the screen's own sums
     def call(window, r_resolution):
-        psi = odd_state(default_grid(0.0))
+        psi = _odd_state(default_grid(0.0))
         return group_average_sandwich(psi, psi, psi, psi, window, r_resolution)
     return call
 
@@ -65,14 +56,7 @@ class TestOracleInputs:
     def test_rejected_before_screen(self, monkeypatch, vacuum_seed, oracle, window,
                                     r_resolution, error):
         call = oracle(vacuum_seed)
-        sums = []
-        evaluate = grids._sector_sum
-
-        def counting(*args):
-            sums.append(args[2].n)
-            return evaluate(*args)
-
-        monkeypatch.setattr(grids, "_sector_sum", counting)
+        sums = spy(monkeypatch, grids, "_sector_sum", lambda *args: args[2].n)
         with pytest.raises(error):
             call(window, r_resolution)
         assert sums == []
@@ -156,7 +140,7 @@ class TestSliceShortcuts:
     identity take."""
 
     def test_group_average(self):
-        psi = odd_state(default_grid(0.0))
+        psi = _odd_state(default_grid(0.0))
         phi, v = (StateVector(psi.grid, psi.amplitudes) for _ in range(2))
         window = (-12.0, 12.0, -8.0, 8.0)
         fast = group_average_sandwich(psi, psi, psi, psi, window, r_resolution=16)
@@ -174,18 +158,6 @@ class TestSliceShortcuts:
         general = _group_slices(vac, copy, eta,
                                 StateVector(eta.grid, eta.amplitudes), window, 16, -1)
         assert abs(general - fast) <= 1e-13 * abs(fast)
-
-
-def band_sizes(monkeypatch):
-    """The n of every ``distribution._band_spectrum`` call made from here on."""
-    sizes, spectrum = [], distribution._band_spectrum
-
-    def spy(n, *args):
-        sizes.append(n)
-        return spectrum(n, *args)
-
-    monkeypatch.setattr(distribution, "_band_spectrum", spy)
-    return sizes
 
 
 class TestSliceSupport:
@@ -220,8 +192,7 @@ class TestSliceSupport:
 
     @pytest.fixture(scope="class")
     def states(self):
-        y = self.GRID.nodes
-        odd = make_sampled(self.GRID, y * np.exp(-y ** 2))
+        odd = _odd_state(self.GRID)
         u = make_displaced_squeezed(1.0, 0.5, grid=self.GRID)
         v = make_displaced_squeezed(-1.5, -0.3, grid=self.GRID)  # wider than u
         return odd, u, v
@@ -236,7 +207,7 @@ class TestSliceSupport:
         odd, u, v = states
         if shape == "same":
             v = u
-        sizes = band_sizes(monkeypatch)
+        sizes = spy(monkeypatch, distribution, "_band_spectrum", lambda n, *args: n)
         got = _group_slices(odd, odd, u, v, window, 9, sigma)
         ref = self.dense(odd, odd, u, v, window, 9, sigma)
         assert abs(got - ref) <= 1e-13 * abs(ref)
@@ -246,14 +217,13 @@ class TestSliceSupport:
 
     def test_normalization_runs_on_part_of_the_grid(self, monkeypatch, vacuum_seed):
         seed, vac = vacuum_seed
-        sizes = band_sizes(monkeypatch)
+        sizes = spy(monkeypatch, distribution, "_band_spectrum", lambda n, *args: n)
         normalization_check(seed, vac, (-1000.0, 1000.0, -8.0, 9.0), r_resolution=16)
         assert sizes and max(sizes) < vac.grid.n
 
     def test_wide_state_keeps_every_node(self, monkeypatch):
         grid = default_grid(0.0)
-        y = grid.nodes
-        wide = make_sampled(grid, y * np.exp(-(y / 2.5) ** 2))
-        sizes = band_sizes(monkeypatch)
+        wide = _odd_state(grid, 2.5)
+        sizes = spy(monkeypatch, distribution, "_band_spectrum", lambda n, *args: n)
         group_average_sandwich(wide, wide, wide, wide, (-12.0, 12.0, -8.0, 8.0), r_resolution=4)
         assert sizes == [grid.n]

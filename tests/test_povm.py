@@ -11,21 +11,16 @@ from sqdisp import grids
 from sqdisp import (DomainViolation, EmptySupport, GridTooNarrow, GroupElement,
                     act, build_ml_seed, build_parity_seed, build_srm_seed,
                     default_grid, half_line_moment, make_coherent,
-                    make_displaced_squeezed, make_sampled, make_vacuum,
+                    make_displaced_squeezed, make_vacuum,
                     optimal_likelihood, seed_overlap_likelihood, srm_likelihood)
-from sqdisp.validate import _seed_suite, srm_admissible_suite
+from sqdisp.validate import _odd_state, _seed_suite, srm_admissible_suite
 
-VACUUM_L_OPT = math.sqrt(2.0 / math.pi) / math.pi     # 0.25397454373696393
+from helpers import VACUUM_L_OPT, spy
+
 VACUUM_L_PARITY = VACUUM_L_OPT / 2.0                  # 0.12698727186848196
 ODD_L_OPT = 2.0 * math.sqrt(2.0 / math.pi) / math.pi  # 0.50794908747392786
 ODD_L_SRM = 1.0 / math.sqrt(2.0 * math.pi)            # 0.3989422804014327
 SRM_UNDEFINED = ("vacuum", "dsq(3,-0.4)")  # seed-suite states with psi(0) != 0
-
-
-def odd_state(grid=None):
-    grid = grid or default_grid(0.0)
-    y = grid.nodes
-    return make_sampled(grid, y * np.exp(-y ** 2))
 
 
 class TestMlSeed:
@@ -79,7 +74,7 @@ class TestOptimalLikelihood:
             optimal_likelihood(psi), rel=1e-9)
 
     def test_odd_state_value(self):
-        assert optimal_likelihood(odd_state()) == pytest.approx(
+        assert optimal_likelihood(_odd_state(default_grid(0.0))) == pytest.approx(
             ODD_L_OPT, rel=1e-8)
 
 
@@ -99,7 +94,7 @@ class TestSrmSeed:
         assert srm_likelihood(c6) == pytest.approx(seed.likelihood, rel=1e-10)
 
     def test_odd_state_values(self):
-        psi = odd_state()
+        psi = _odd_state(default_grid(0.0))
         l_srm = srm_likelihood(psi)
         l_opt = optimal_likelihood(psi)
         assert l_srm == pytest.approx(ODD_L_SRM, rel=1e-7)
@@ -162,15 +157,9 @@ class TestSeedNodeBudget:
     @staticmethod
     def sector_sums(monkeypatch, run, psi):
         """(sign, power, grid size) of each sector sum ``run(psi)`` evaluates."""
-        sums = []
-        evaluate = grids._sector_sum
-
-        def counting(phi, chi, grid, sign, power):
-            sums.append((sign, power, grid.n))
-            return evaluate(phi, chi, grid, sign, power)
-
         with monkeypatch.context() as patch:
-            patch.setattr(grids, "_sector_sum", counting)
+            sums = spy(patch, grids, "_sector_sum",
+                       lambda phi, chi, grid, sign, power: (sign, power, grid.n))
             run(psi)
         return sums
 
@@ -277,7 +266,7 @@ class TestSeedSuiteInvariants:
         grid = default_grid(0.0)
         states = [make_vacuum(grid), make_coherent(4.0, grid=grid),
                   make_displaced_squeezed(3.0, -0.4, grid=grid),
-                  odd_state(grid)]
+                  _odd_state(grid)]
         for psi in states:
             for builder in (build_ml_seed, build_parity_seed):
                 for v in builder(psi).certificates.values():
@@ -290,7 +279,7 @@ class TestSeedSuiteInvariants:
         grid = default_grid(10.0)
         states = [make_coherent(4.0, grid=grid), make_coherent(10.0, grid=grid),
                   make_displaced_squeezed(5.0, -0.2, grid=grid),
-                  odd_state(grid)]
+                  _odd_state(grid)]
         for psi in states:
             assert srm_likelihood(psi) <= optimal_likelihood(psi) * (1 + 1e-12)
 

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 
 from sqdisp import (GaussianStateParams, GroupElement, QuadratureGrid, StateVector,
                     build_ml_seed, concentration_profile, default_grid, density_at,
-                    make_coherent, make_sampled, make_vacuum, scan)
+                    make_coherent, make_vacuum, scan)
 from sqdisp import distribution
 from sqdisp.distribution import _refine_for_window
-from sqdisp.grids import fourier_at
+from sqdisp.validate import _odd_state
+
+from helpers import chunk_rows, kept, record_chunks
 
 RESOLUTION = 16
 
@@ -48,50 +50,6 @@ def assert_scan_equals_density_at(seed, psi, window, resolution):
     return fine_psi.grid.n
 
 
-def record_chunks(monkeypatch):
-    """(nodes, kernel columns) of each ``fourier_at`` call of the row loop, after
-    the (lo, hi) of each ``_support`` call: the row loop's trim by its weight, then
-    one per chunk, of the chunk's own kernels."""
-    calls, support = [], distribution._support
-
-    def spy(x, y, h):
-        calls.append((len(y), h.shape[1]))
-        return fourier_at(x, y, h)
-
-    def record(w):
-        calls.append(support(w))
-        return calls[-1]
-
-    monkeypatch.setattr(distribution, "fourier_at", spy)
-    monkeypatch.setattr(distribution, "_support", record)
-    return calls
-
-
-def chunk_rows(nx, calls, per_row=1):
-    """Rows per chunk on the nodes the weight keeps, by the library's own rule;
-    every chunk but the last holds that many, and each runs on the nodes its
-    own support keeps, no more than the weight's."""
-    (lo, hi), *chunks = calls
-    rows = distribution._chunk_rows(nx, hi - lo, per_row)
-    supports, runs = chunks[0::2], chunks[1::2]
-    assert len(supports) == len(runs) >= 1
-    assert [c // per_row for _, c in runs[:-1]] == [rows] * (len(runs) - 1)
-    assert [n for n, _ in runs] == [b - a for a, b in supports]
-    assert all(n <= hi - lo for n, _ in runs)
-    return rows
-
-
-def kept(calls):
-    """Nodes the weight keeps, and those each chunk ran on."""
-    (lo, hi), *chunks = calls
-    return hi - lo, [n for n, _ in chunks[1::2]]
-
-
-def odd_state(width):
-    grid = QuadratureGrid(10.0, 4096)
-    return make_sampled(grid, grid.nodes * np.exp(-(grid.nodes / width) ** 2))
-
-
 # the chunk boundaries of the row loop: a last chunk shorter than the rest on
 # 4096 nodes (the vacuum's seed keeps 2483 of them, so chunks of 6), and one-row
 # chunks on a window that refines to 8192 nodes, for an odd state whose seed
@@ -101,7 +59,7 @@ def odd_state(width):
     ((-80.0, 80.0, -0.2, 0.2), (17, 16), 8192),
 ])
 def test_scan_chunk_boundaries(monkeypatch, window, resolution, nodes):
-    psi = make_vacuum() if nodes == 4096 else odd_state(2.5)
+    psi = make_vacuum() if nodes == 4096 else _odd_state(QuadratureGrid(10.0, 4096), 2.5)
     calls = record_chunks(monkeypatch)
     assert assert_scan_equals_density_at(build_ml_seed(psi), psi, window, resolution) == nodes
     rows = chunk_rows(resolution[0], calls)
@@ -170,7 +128,7 @@ def test_scan_rows_on_the_seed_support(monkeypatch):
 
 
 def test_wide_seed_keeps_every_node(monkeypatch):
-    psi = odd_state(2.5)
+    psi = _odd_state(QuadratureGrid(10.0, 4096), 2.5)
     calls = record_chunks(monkeypatch)
     scan(build_ml_seed(psi), psi, (-3.0, 3.0, -1.0, 1.0), RESOLUTION)
     chunk_rows(RESOLUTION, calls)

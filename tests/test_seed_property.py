@@ -26,13 +26,7 @@ from sqdisp import (GroupElement, act, build_ml_seed, build_parity_seed, build_s
                     seed_overlap_likelihood, srm_likelihood)
 from sqdisp.grids import sector_integral
 
-
-def gaussian_weights(a, z):
-    sigma = 0.5 * math.exp(-z)
-    t = a / sigma
-    density = sigma * math.exp(-0.5 * t * t) / math.sqrt(2.0 * math.pi)
-    return (a * 0.5 * math.erfc(-t / math.sqrt(2.0)) + density,
-            -a * 0.5 * math.erfc(t / math.sqrt(2.0)) + density)
+from helpers import gaussian_weights
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)

@@ -12,7 +12,8 @@ from sqdisp import (ConfigError, CutoffTooSmall, GroupElement, IDENTITY,
                     hermite_functions, make_pointer, pointer_overlap,
                     raw_pointer_coefficients, two_mode)
 from sqdisp.errors import GridMismatch, GridTooNarrow
-from sqdisp.grids import fourier_at
+
+from helpers import chunk_rows, kept, record_chunks, spy
 
 # oracle: quad of sqrt(|y|) h_0(y)^2 / sqrt(pi); closed form
 # sqrt(2)/pi * 2^{-3/4} Gamma(3/4) = 0.32800194866687643
@@ -262,28 +263,15 @@ class TestConcentrationProfile:
     @pytest.mark.parametrize("lam, n_max, resolution", [(0.9, 20, (17, 23)),
                                                          (0.95, 60, (24, 19))])
     def test_map_equals_pointwise_overlaps(self, monkeypatch, lam, n_max, resolution):
-        from sqdisp import distribution
-        nodes, supports, support = [], [], distribution._support
-
-        def spy(x, y, h):
-            nodes.append(len(y))
-            return fourier_at(x, y, h)
-
-        def record(w):
-            supports.append(support(w))
-            return supports[-1]
-
-        monkeypatch.setattr(distribution, "fourier_at", spy)
-        monkeypatch.setattr(distribution, "_support", record)
+        calls = record_chunks(monkeypatch)
         prof = concentration_profile(lam, n_max, (-1.5, 1.5, -1.5, 1.5), resolution,
                                      tail_tol=None)
         m = prof.map
         nx, nr = resolution
-        (lo, hi), *own = supports
-        assert hi - lo == {20: 2043, 60: 1800}[n_max]
-        rows = distribution._chunk_rows(nx, hi - lo, per_row=2)
-        assert len(nodes) == -(-nr // rows) and nodes == [b - a for a, b in own]
-        assert max(nodes) <= hi - lo
+        nodes, runs = kept(calls)
+        assert nodes == {20: 2043, 60: 1800}[n_max]
+        rows = chunk_rows(nx, calls, per_row=2)
+        assert len(runs) == -(-nr // rows)
         assert rows > 1 and nr % rows != 0
         minus = make_pointer(lam, -1, n_max, tail_tol=None)
         pointwise = np.array([[sum(abs(pointer_overlap(p, GroupElement(x, r), prof.plus)) ** 2
@@ -317,14 +305,7 @@ class TestProfileRowSums:
 
     def test_two_hermite_tables(self, monkeypatch):
         # the coefficient table's on the t nodes and H's on the pointer grid
-        shapes = []
-        table = two_mode.hermite_functions
-
-        def counting(n_max, y):
-            shapes.append(np.shape(y))
-            return table(n_max, y)
-
-        monkeypatch.setattr(two_mode, "hermite_functions", counting)
+        shapes = spy(monkeypatch, two_mode, "hermite_functions", lambda n_max, y: np.shape(y))
         self.profile()
         assert shapes == [(two_mode.COEFF_QUAD_NODES,), (two_mode._pointer_grid(self.N_MAX).n,)]
 

@@ -203,6 +203,8 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_pair.json")
     args = parser.parse_args(argv)
+    if args.repeats < 1:  # each side's best time needs at least one run
+        parser.error(f"--repeats must be at least 1, got {args.repeats}")
 
     sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
              "change": load("sqdisp", ROOT / "src")}
