@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, DivergenceDetected, GridMismatch, InsufficientMass
 from .grids import (MAX_NODES, StateVector, _check_log_range, _check_phase, _fft_length,
                     _sector_sum, _size, fourier_at, phase_dy, resolving_grid, sector_integral)
-from .group import GroupElement, _check_element, inverse
+from .group import GroupElement, _act_on_nodes, _check_element, inverse
 from .povm import PovmSeed
 
 # Relative gap below the maximum within which argmax treats grid nodes as tied.
@@ -67,8 +67,10 @@ class SummaryStats:
 
 
 def _check_window(window: Tuple[float, float, float, float]) -> None:
-    """ConfigError for a non-finite or unordered window (x_lo, x_hi, r_lo, r_hi)
-    or |r| > ln MAX_NODES, where e^{|r|} exceeds the largest grid."""
+    """ConfigError for a window that is not 4 values (x_lo, x_hi, r_lo, r_hi), is non-finite
+    or unordered, or has |r| > ln MAX_NODES, where e^{|r|} exceeds the largest grid."""
+    if np.shape(window) != (4,):
+        raise ConfigError(f"window must be 4 values (x_lo, x_hi, r_lo, r_hi), got {window!r}")
     x_lo, x_hi, r_lo, r_hi = window
     if not all(math.isfinite(v) for v in window):
         raise ConfigError(f"window must be finite, got {window}")
@@ -78,9 +80,11 @@ def _check_window(window: Tuple[float, float, float, float]) -> None:
 
 
 def _map_shape(resolution) -> Tuple[int, int]:
-    """(nx, nr) of an integer or pair: ConfigError for a size that is not an
+    """(nx, nr) of an integer or pair: ConfigError for neither, for a size that is not an
     integer, then above MAX_NODES cells, then below 16 per axis."""
     pair = (resolution, resolution) if np.ndim(resolution) == 0 else resolution
+    if np.shape(pair) != (2,):
+        raise ConfigError(f"resolution must be one integer or a pair (nx, nr), got {resolution!r}")
     nx, nr = (_size(v, "resolution") for v in pair)
     if nx * nr > MAX_NODES:
         raise ConfigError(f"a resolution of {nx} x {nr} exceeds {MAX_NODES} cells")
@@ -118,13 +122,9 @@ def density_at(seed: PovmSeed, psi: StateVector, g: GroupElement) -> float:
     _check_element(g)
     if seed.eta.grid != psi.grid:
         raise GridMismatch("seed and state must share a quadrature grid")
-    gi = inverse(g)
-    grid = psi.grid
-    _check_phase(_row_frequency(seed, psi, g.x, g.r), grid.dy)
-    y = grid.nodes
-    integrand = (np.conj(seed.eta.amplitudes) * math.exp(gi.r / 2.0)
-                 * np.exp(-2.0j * gi.x * y) * psi.evaluate_at(math.exp(gi.r) * y))
-    return abs(np.sum(integrand) * grid.dy) ** 2
+    _check_phase(_row_frequency(seed, psi, g.x, g.r), psi.grid.dy)
+    ket = _act_on_nodes(inverse(g), psi.grid, psi.evaluate_at)
+    return abs(np.vdot(seed.eta.amplitudes, ket) * psi.grid.dy) ** 2
 
 
 def _refine_for_window(seed: PovmSeed, psi: StateVector, window: Tuple[float, float, float, float]):

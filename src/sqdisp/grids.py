@@ -507,7 +507,7 @@ def half_line_moment(psi: StateVector, sign: int, power: int) -> float:
     GridTooNarrow when psi's grid has more than MAX_NODES / 4 nodes, too
     many for the two doublings the screen needs.
     """
-    if sign not in (+1, -1):
+    if _size(sign, "sign") not in (+1, -1):
         raise ConfigError(f"sign must be +1 or -1, got {sign!r}")
     values, grows = sector_integral(psi, psi, sign, power,
                                     growth_floor=1e-12 if power <= -1 else None)

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, GridTooNarrow
 from .grids import (GaussianStateParams, QuadratureGrid, StateVector, _check_log_range,
-                    default_grid, phase_dy, resolving_grid)
+                    _check_phase, default_grid, phase_dy, resolving_grid)
 
 SAMPLED_ACTION_RMAX = 3.0
 
@@ -57,16 +57,24 @@ def inverse(g: GroupElement) -> GroupElement:
     return GroupElement(-math.exp(-g.r) * g.x, -g.r)
 
 
+def _act_on_nodes(g: GroupElement, grid: QuadratureGrid, f) -> np.ndarray:
+    """(U_g f)(y) = e^{r/2} e^{-2ixy} f(e^r y) at the grid's nodes y, f called once on all e^r y;
+    GridTooNarrow (``_check_phase``) first for |x| past pi/(2 dy), where the phase aliases."""
+    _check_phase(g.x, grid.dy)
+    y = grid.nodes
+    return math.exp(g.r / 2.0) * np.exp(-2.0j * g.x * y) * f(math.exp(g.r) * y)
+
+
 def act(g: GroupElement, psi: StateVector,
         grid: Optional[QuadratureGrid] = None) -> StateVector:
     """Apply U_{x,r} = D(x) S(r) to a state.
 
-    Gaussian states transform in closed form, (a, z, c) -> (e^{-r} a, z + r,
-    e^r c + x), with no interpolation, on a grid with dy at most psi's, the
-    new |psi|^2 std 0.5 e^{-(z + r)} and ``phase_dy`` of the new phase
-    (GridTooNarrow past the node cap, as ``default_grid``).  Sampled states are evaluated by cubic
-    interpolation at the scaled nodes, with |r| capped per application.
-    ConfigError first for a g that ``_check_element`` refuses.
+    Gaussian states transform in closed form, (a, z, c) -> (e^{-r} a, z + r, e^r c + x), with
+    no interpolation, on a grid with dy at most psi's, the new |psi|^2 std 0.5 e^{-(z + r)} and
+    ``phase_dy`` of the new phase (GridTooNarrow past the node cap, as ``default_grid``).
+    Sampled states are evaluated by cubic interpolation at the scaled nodes (``_act_on_nodes``),
+    with |r| capped per application.  ConfigError first for a g that ``_check_element``
+    refuses, GridTooNarrow (``_check_phase``) for a given grid on which the new phase aliases.
     """
     _check_element(g)
     p = psi.evaluator
@@ -80,6 +88,7 @@ def act(g: GroupElement, psi: StateVector,
             target = default_grid(new.center, new.log_width)
             grid = resolving_grid(psi.grid, target.y_max,
                                   min(target.dy, phase_dy(new.linear_phase)))
+        _check_phase(new.linear_phase, grid.dy)
         return StateVector.from_params(new, grid)
 
     if abs(g.r) > SAMPLED_ACTION_RMAX:
@@ -89,9 +98,7 @@ def act(g: GroupElement, psi: StateVector,
     if grid is None:
         y_max = psi.grid.y_max * max(1.0, math.exp(-g.r))
         grid = resolving_grid(psi.grid, y_max, phase_dy(g.x))
-    y = grid.nodes
-    amps = math.exp(g.r / 2.0) * np.exp(-2.0j * g.x * y) * psi.evaluate_at(math.exp(g.r) * y)
-    return StateVector(grid, amps)
+    return StateVector(grid, _act_on_nodes(g, grid, psi.evaluate_at))
 
 
 def parity_act(psi: StateVector) -> StateVector:

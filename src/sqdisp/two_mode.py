@@ -33,8 +33,8 @@ import numpy as np
 from .errors import (ConfigError, CutoffTooSmall, GridMismatch, GridTooNarrow,
                      InsufficientMass)
 from .distribution import DensityMap, _check_window, _map_shape, _marginals, _row_map
-from .grids import MAX_NODES, QuadratureGrid, _check_phase, _size, phase_dy
-from .group import GroupElement, _check_element
+from .grids import MAX_NODES, QuadratureGrid, _size, phase_dy
+from .group import GroupElement, _act_on_nodes, _check_element
 
 DEFAULT_TEST_LAMBDAS = (0.9, 0.95, 0.99)
 DEFAULT_N_MAX = 60
@@ -173,16 +173,16 @@ def make_pointer(lam: float, sign: int, n_max: int = DEFAULT_N_MAX,
     ``tail_tol`` bounds the share of M (``_pointer_mass``) that the shells n + m > n_max
     hold, 1 - (the other shells' mass)/M or, below that difference's round-off, the
     ``_tail_bound``; pass a larger value to accept a strongly truncated model, or None to
-    skip the tail.  ConfigError for lam outside (0, 1), sign not +1 or -1, tail_tol <= 0 or
-    n_max out of range.
+    skip the tail.  ConfigError for lam outside (0, 1), sign not the integer +1 or -1, tail_tol
+    not in (0, inf) or n_max out of range.
     """
     if not 0.0 < lam < 1.0:
         raise ConfigError(f"lam must lie strictly between 0 and 1, got {lam}")
     n_max = _check_n_max(n_max, MIN_N_MAX)
-    if sign not in (+1, -1):
+    if _size(sign, "sign") not in (+1, -1):
         raise ConfigError(f"sign must be +1 or -1, got {sign!r}")
-    if tail_tol is not None and not tail_tol > 0:
-        raise ConfigError(f"tail_tol must be positive, got {tail_tol}")
+    if tail_tol is not None and not 0 < tail_tol < math.inf:
+        raise ConfigError(f"tail_tol must be positive and finite, got {tail_tol}")
     degrees = _degrees(n_max)
     A = lam ** degrees * raw_pointer_coefficients(n_max)
     mass = A ** 2
@@ -204,24 +204,21 @@ def pointer_overlap(p1: TwoModePointer, g: GroupElement,
     """<<Phi(lambda1)_{s1}| U_g (x) 1 |Phi(lambda2)_{s2}>>.
 
     Synthesizes the mode-1 wavefunctions f_m(y) = sum_n coeffs[n, m] h_n(y)
-    (``coeffs.T @ H``, one row per mode-2 index m) on the grid, applies the
-    affine action to the ket, and contracts over the mode-2 Fock index.  ConfigError
-    for a non-finite x or |r| > ln MAX_NODES, GridTooNarrow (``_check_phase``) for
+    (``coeffs.T @ H``, one row per mode-2 index m) on the grid and applies the affine
+    action (``_act_on_nodes``) to their contraction over the mode-2 Fock index.  ConfigError
+    for a non-finite x or |r| > ln MAX_NODES, GridTooNarrow, before any table, for
     |x| past pi/(2 dy) of the pointer grid.
     """
     _check_element(g)
     if p1.n_max != p2.n_max:
         raise GridMismatch("pointers must share n_max")
     grid = p1.grid
-    _check_phase(g.x, grid.dy)
-    y = grid.nodes
-    H = hermite_functions(p1.n_max, y)
-    Hs = hermite_functions(p1.n_max, math.exp(g.r) * y)
-    bra = p1.coeffs.T @ H
-    ket = p2.coeffs.T @ Hs
-    kernel = (bra * ket).sum(axis=0)  # coefficients are real
-    phase = np.exp(-2.0j * g.x * y)
-    return complex(math.exp(g.r / 2.0) * np.sum(kernel * phase) * grid.dy)
+
+    def kernel(t):  # sum_m f1_m(y) f2_m(t) at t = e^r y; coefficients are real
+        bra = p1.coeffs.T @ hermite_functions(p1.n_max, grid.nodes)
+        return (bra * (p2.coeffs.T @ hermite_functions(p1.n_max, t))).sum(axis=0)
+
+    return complex(np.sum(_act_on_nodes(g, grid, kernel)) * grid.dy)
 
 
 @dataclass

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import sqdisp
+from perfbench.workloads import (ASYMPTOTICS_KEYS, COMPARE_KEYS, DENSITY_KEYS, LIKELIHOOD_KEYS,
+                                 TWO_MODE_KEYS)
 from sqdisp.cli import RunConfig, build_state, main, write_csv
 from sqdisp.distribution import DensityMap
 
@@ -40,9 +42,7 @@ class TestDensity:
                              "--a", "10", "--resolution", "64")
         assert code == 0
         summary = json.loads(out)
-        assert set(summary) == {"likelihood", "argmax_x", "argmax_r", "mean_x",
-                                "mean_r", "delta_x", "delta_r", "mass",
-                                "seed_kind", "state"}
+        assert set(summary) == DENSITY_KEYS
         assert summary["delta_r"] == pytest.approx(0.0707, rel=0.05)
         assert summary["likelihood"] == pytest.approx(10 / math.pi, rel=1e-3)
 
@@ -130,6 +130,7 @@ class TestCompareSrm:
                              "--a", "6")
         assert code == 0
         payload = json.loads(out)
+        assert set(payload) == COMPARE_KEYS
         assert payload["ratio"] < 1.0
         assert payload["l_srm"] < payload["l_opt"]
 
@@ -250,6 +251,7 @@ class TestSampledFile:
                              "--sampled-path", str(path))
         assert code == 0
         payload = json.loads(out)
+        assert set(payload) == LIKELIHOOD_KEYS
         assert payload["likelihood"] == pytest.approx(
             2.0 * math.sqrt(2.0 / math.pi) / math.pi, rel=1e-4)
 
@@ -408,8 +410,7 @@ class TestOutOfRangeOptions:
         assert len(err.splitlines()) + len(caught) == 1
         assert out == ""
 
-    # RunConfig.validate names a non-finite value before any library check reads it;
-    # a non-finite tail_tol would pass make_pointer's own check (inf is positive)
+    # RunConfig.validate names a non-finite value before any library check reads it
     @pytest.mark.parametrize("argv, message", [
         (("likelihood", "--state", "coherent", "--a", "nan"), "a must be finite, got nan"),
         (("two-mode", "--lam", "inf"), "lam must be finite, got inf"),
@@ -540,6 +541,7 @@ class TestAsymptoticsCommand:
                              "--nbar", "100")
         assert code == 0
         payload = json.loads(out)
+        assert set(payload) == ASYMPTOTICS_KEYS
         assert payload["delta_x"] == pytest.approx(1 / math.sqrt(2))
         assert payload["delta_r_opt"] == pytest.approx(0.05)
         assert payload["product_ratio"] == pytest.approx(2.0, abs=1e-12)
@@ -605,9 +607,7 @@ class TestTwoModeCommand:
             assert len(err.splitlines()) == 1
             assert out == ""
         else:
-            assert set(json.loads(out)) == {"lam", "n_max", "width_x", "width_r", "mean_energy",
-                                            "norm_deviation", "parity_violation",
-                                            "cross_overlap"}
+            assert set(json.loads(out)) == TWO_MODE_KEYS
 
     def test_resolution_honoured(self, tmp_path, capsys):
         csv = tmp_path / "map.csv"

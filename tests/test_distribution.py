@@ -11,7 +11,7 @@ from scipy.integrate import trapezoid
 
 from sqdisp import (ConfigError, DivergenceDetected, GridMismatch, GridTooNarrow, GroupElement,
                     IDENTITY, InsufficientMass, act, argmax, build_ml_seed,
-                    closed_form_sandwich, compose, default_grid, density_at,
+                    closed_form_sandwich, compose, concentration_profile, default_grid, density_at,
                     group_average_sandwich, inverse, make_coherent,
                     make_displaced_squeezed, make_vacuum,
                     moments, normalization_check, scan, window_statistics)
@@ -220,6 +220,25 @@ class TestScanAndArgmax:
         seed, vac = vacuum_seed
         with pytest.raises(ValueError, match="resolution must be an integer"):
             scan(seed, vac, (-1.5, 1.5, -1.5, 1.5), resolution)
+
+    @pytest.mark.parametrize("window, resolution, message", [
+        ((-1, 1, -1), 16, "window must be 4 values"),
+        ((-1, 1, -1, 1, 0), 16, "window must be 4 values"),
+        ((-1, 1, -1, 1), (16, 16, 16), "resolution must be one integer or a pair"),
+        ((-1, 1, -1, 1), (16,), "resolution must be one integer or a pair"),
+    ], ids=["window-3", "window-5", "resolution-3", "resolution-1"])
+    def test_malformed_window_or_resolution_is_config_error(self, vacuum_seed, window,
+                                                            resolution, message):
+        # each ended in a raw ValueError from unpacking the tuple
+        seed, vac = vacuum_seed
+        calls = [lambda: scan(seed, vac, window, resolution),
+                 lambda: concentration_profile(0.9, 20, window, resolution, tail_tol=None)]
+        if resolution == 16:  # the oracles take a window only
+            calls += [lambda: normalization_check(seed, vac, window),
+                      lambda: group_average_sandwich(vac, vac, vac, vac, window)]
+        for call in calls:
+            with pytest.raises(ConfigError, match=message):
+                call()
 
     def test_oscillation_auto_refinement(self):
         # a window with large |x| e^{-r} forces the scan to refine the grid;

@@ -280,10 +280,16 @@ class TestHalfLineMoments:
         vac = make_vacuum()
         assert half_line_moment(vac, +1, 1) == pytest.approx(oracle, rel=1e-8)
 
-    @pytest.mark.parametrize("sign", [0, 2])
+    @pytest.mark.parametrize("sign", [0, 2, 1.0, -1.0])
     def test_sign_other_than_plus_or_minus_one_rejected(self, sign):
         with pytest.raises(ConfigError, match="^sign must be"):
             half_line_moment(make_vacuum(), sign, 1)
+
+    @pytest.mark.parametrize("sign", [np.int64(1), np.int32(-1), True],
+                             ids=["int64", "int32", "bool"])
+    def test_sign_of_any_integer_type(self, sign):
+        vac = make_vacuum()
+        assert half_line_moment(vac, sign, 1) == half_line_moment(vac, int(sign), 1)
 
     def test_vacuum_sector_symmetry(self):
         vac = make_vacuum()

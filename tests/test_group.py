@@ -11,7 +11,7 @@ from sqdisp import (IDENTITY, ConfigError, GaussianStateParams, GridTooNarrow, G
                     QuadratureGrid, StateVector, act, build_ml_seed, compose, default_grid,
                     density_at, inner_product, inverse, make_coherent, make_displaced_squeezed,
                     make_pointer, make_sampled, make_vacuum, parity_act, pointer_overlap)
-from sqdisp.grids import MAX_NODES
+from sqdisp.grids import MAX_NODES, phase_dy
 
 # random Gaussian states (center, log-width, linear phase) and group elements
 gaussians = st.builds(GaussianStateParams, st.floats(-3.0, 3.0), st.floats(-0.5, 0.5),
@@ -223,3 +223,17 @@ class TestElementChecks:
         if r < 0:
             with pytest.raises(GridTooNarrow):
                 density_at(seed, vac, g)
+
+    def test_aliasing_phase_refused_on_a_given_grid(self, operands):
+        # pi/(2 dy) is 321.7 on the vacuum's grid, where act returned aliased samples;
+        # with no grid given, act picks one that resolves the phase
+        vac, sampled, seed, pointer = operands
+        g = GroupElement(1000.0, 0.0)
+        for psi in (vac, sampled):
+            with pytest.raises(GridTooNarrow, match="aliases"):
+                act(g, psi, grid=vac.grid)
+            assert act(g, psi).grid.dy <= phase_dy(1000.0)
+        for call in (lambda: density_at(seed, vac, g),
+                     lambda: pointer_overlap(pointer, g, pointer)):
+            with pytest.raises(GridTooNarrow, match="aliases"):
+                call()

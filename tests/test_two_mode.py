@@ -121,6 +121,25 @@ class TestMakePointer:
         with pytest.raises(ConfigError, match="exceeds"):
             make_pointer(0.9, +1, 1024)
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_float_sign_refused(self, sign):
+        # was accepted, as 1.0 == 1, and read as sign > 0
+        with pytest.raises(ConfigError, match="^sign must be an integer"):
+            make_pointer(0.5, sign, 20)
+
+    @pytest.mark.parametrize("sign", [np.int64(-1), True], ids=["int64", "bool"])
+    def test_sign_of_any_integer_type(self, sign):
+        assert np.array_equal(make_pointer(0.5, sign, 20).coeffs,
+                              make_pointer(0.5, int(sign), 20).coeffs)
+
+    @pytest.mark.parametrize("tail_tol", [math.inf, math.nan, 0.0])
+    def test_tail_tol_outside_zero_to_inf_refused(self, tail_tol):
+        # inf was accepted, and then no tail can fire the gate; the CLI refuses it as not finite
+        for call in (lambda: make_pointer(0.9, +1, 60, tail_tol=tail_tol),
+                     lambda: concentration_profile(0.9, 60, _WINDOW, 16, tail_tol=tail_tol)):
+            with pytest.raises(ConfigError, match="^tail_tol must be positive and finite"):
+                call()
+
     def test_energy_increases_with_lambda(self):
         energies = [make_pointer(lam, +1, 60, tail_tol=None).mean_energy
                     for lam in (0.9, 0.95, 0.99)]

@@ -15,8 +15,8 @@ Per side, best-of-N seconds: ``row_s``, one ``fourier_at`` call on one scan row
 (128 x against 4096 and 8192 nodes); ``scan_s``, ``distribution.scan`` of each
 scan slot at the middle of every range (the seed built outside the timing),
 and ``scan_row_s``, that over its rows; ``profile_s``, the ``sqdisp two-mode``
-default profile (n_max 60, 96 x 96 over +-1.5) for each workload lambda, and
-``profile_0.999_n1000``, lambda 0.999 at n_max 1000 on 16 x 16 over +-1.5;
+default profile (the change's ``cli`` n_max, window and resolution) for each workload
+lambda, and ``profile_0.999_n1000``, lambda 0.999 at n_max 1000 on 16 x 16 on that window;
 ``job_s``, each oracle slot with every parameter at the point u = 0.1, 0.5 or
 0.9 of its range, and ``total_s``, their sum.  ``profile_peak_mb`` is the
 tracemalloc peak, in MB, of one untimed profile call made after the timed ones.
@@ -26,7 +26,7 @@ side that runs its rows on the whole grid records the grid's n);
 ``scan_node_rows`` is the mean of len(y) over the rows of that scan, each chunk
 weighted by its rows, below ``scan_nodes`` when chunks run on fewer nodes than
 the largest; and ``scan_grid_n`` is the grid's n: the node count
-that ``distribution._refine_for_window`` chose in another untimed scan.
+that ``distribution._refine_for_window`` chooses for the scan's arguments.
 ``oracle_nodes`` is, per oracle case, the largest n handed to
 ``distribution._band_spectrum`` in one untimed run: the nodes its band slices
 run on; ``oracle_peak_mb`` is, per oracle case, the tracemalloc peak, in MB, of
@@ -61,8 +61,6 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 ROW_NODES = (4096, 8192)
 ROW_X = 128
-PROFILE_WINDOW = (-1.5, 1.5, -1.5, 1.5)
-DEFAULT_PROFILE = (60, 96)  # n_max, resolution of `sqdisp two-mode`
 # (case, lambda, n_max, resolution) after the defaults: a large cutoff, where the
 # pointer's matrix products and each row's Hermite recurrence over 8192 nodes
 # take the time, and its (n_max+1) x N tables the memory
@@ -130,14 +128,12 @@ def row_call(pkg, n):
 
 
 def sizes_of(pkg, call, name, size) -> list:
-    """``size(out, *args)`` of each call that ``call`` makes to the side's
-    ``distribution.<name>``, out what that call returned."""
+    """``size(*args)`` of each call that ``call`` makes to the side's ``distribution.<name>``."""
     distribution, inner, sizes = pkg["distribution"], getattr(pkg["distribution"], name), []
 
     def recording(*args):
-        out = inner(*args)
-        sizes.append(size(out, *args))
-        return out
+        sizes.append(size(*args))
+        return inner(*args)
 
     setattr(distribution, name, recording)
     try:
@@ -178,10 +174,13 @@ def cases(sides, repeats):
             seed = pkg["povm"].build_ml_seed(psi)
             calls[side] = partial(pkg["distribution"].scan, seed, psi, job["window"], job["res"])
         yield "scan_s", slot, repeats, calls, partial(map_devs, "")
-    defaults = [(f"profile_{lam}", lam, *DEFAULT_PROFILE)
+    cli = sides["change"]["cli"]
+    reads = cli._READS["two-mode"]
+    window = tuple(reads[key] for key in ("x_lo", "x_hi", "r_lo", "r_hi"))
+    defaults = [(f"profile_{lam}", lam, cli.RunConfig().n_max, reads["resolution"])
                 for lam in sides["change"]["workloads"].LAMBDAS]
     for case, lam, n_max, resolution in defaults + [LARGE_PROFILE]:
-        calls = {side: lambda pkg=pkg, args=(lam, n_max, PROFILE_WINDOW, resolution):
+        calls = {side: lambda pkg=pkg, args=(lam, n_max, window, resolution):
                      pkg["two_mode"].concentration_profile(*args, tail_tol=None).map
                  for side, pkg in sides.items()}
         yield "profile_s", case, repeats, calls, partial(map_devs, "profile_")
@@ -219,15 +218,15 @@ def main(argv=None) -> int:
             if key == "scan_s":
                 record[side]["scan_row_s"][case] = best[side] / len(outs[side].r_nodes)
                 chunks = sizes_of(sides[side], calls[side], "fourier_at",
-                                  lambda out, x, y, h: (len(y), h.shape[1]))  # nodes, rows
+                                  lambda x, y, h: (len(y), h.shape[1]))  # nodes, rows
                 record[side]["scan_nodes"][case] = max(n for n, _ in chunks)
                 record[side]["scan_node_rows"][case] = (sum(n * rows for n, rows in chunks)
                                                         / sum(rows for _, rows in chunks))
-                record[side]["scan_grid_n"][case] = max(sizes_of(
-                    sides[side], calls[side], "_refine_for_window", lambda out, *_: out[1].grid.n))
+                record[side]["scan_grid_n"][case] = sides[side]["distribution"]._refine_for_window(
+                    *calls[side].args[:3])[1].grid.n  # seed, psi, window
             if key == "job_s":
                 record[side]["oracle_nodes"][case] = max(sizes_of(
-                    sides[side], calls[side], "_band_spectrum", lambda out, n, *_: n))
+                    sides[side], calls[side], "_band_spectrum", lambda n, *_: n))
                 record[side]["oracle_peak_mb"][case] = traced_peak_mb(calls[side])
             if key == "profile_s":
                 record[side]["profile_peak_mb"][case] = traced_peak_mb(calls[side])
