@@ -8,7 +8,9 @@ group element g when the true transformation is the identity,
 a density with respect to the left-invariant measure d_L g = e^{-r} dr dx.
 With this convention the windowed mass  integral p e^{-r} dx dr  tends to 1
 as the window grows (POVM completeness on the span probed by the seed), and
-shifting the input state by h translates the density, p'(g) = p(h^{-1} g).
+shifting the input state by h translates the density, p'(g) = p(h^{-1} g).  ``scan`` of
+an ML or parity seed of a Gaussian and a Gaussian psi is in closed form, other pairs are
+quadrature rows; these and ``density_at``, the reference of both, take out ``_kink_term``.
 
 The asymptotic Gaussian law for excited coherent states approximates the
 measure-weighted density p(g) e^{-r}; pointwise comparisons against that law
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Tuple
@@ -39,6 +42,7 @@ from .povm import PovmSeed
 # Relative gap below the maximum within which argmax treats grid nodes as tied.
 ARGMAX_TIE_RTOL = 1e-12
 _SCAN_CHUNK = 2**14  # complex elements per FFT array of a chunk of map rows
+_FORM_BLOCK = 2**12  # complex elements per array of a block of closed-form map columns
 
 
 @dataclass
@@ -67,9 +71,10 @@ class SummaryStats:
 
 
 def _check_window(window: Tuple[float, float, float, float]) -> None:
-    """ConfigError for a window that is not 4 values (x_lo, x_hi, r_lo, r_hi), is non-finite
-    or unordered, or has |r| > ln MAX_NODES, where e^{|r|} exceeds the largest grid."""
-    if np.shape(window) != (4,):
+    """ConfigError for a window that is not 4 real values (x_lo, x_hi, r_lo, r_hi), is
+    non-finite or unordered, or has |r| > ln MAX_NODES, where e^{|r|} exceeds the largest grid."""
+    if (np.shape(np.array(window, dtype=object)) != (4,)  # ragged too: no ValueError
+            or not all(isinstance(v, numbers.Real) for v in window)):
         raise ConfigError(f"window must be 4 values (x_lo, x_hi, r_lo, r_hi), got {window!r}")
     x_lo, x_hi, r_lo, r_hi = window
     if not all(math.isfinite(v) for v in window):
@@ -82,8 +87,8 @@ def _check_window(window: Tuple[float, float, float, float]) -> None:
 def _map_shape(resolution) -> Tuple[int, int]:
     """(nx, nr) of an integer or pair: ConfigError for neither, for a size that is not an
     integer, then above MAX_NODES cells, then below 16 per axis."""
-    pair = (resolution, resolution) if np.ndim(resolution) == 0 else resolution
-    if np.shape(pair) != (2,):
+    pair = (resolution,) * 2 if np.ndim(np.array(resolution, dtype=object)) == 0 else resolution
+    if np.shape(np.array(pair, dtype=object)) != (2,):
         raise ConfigError(f"resolution must be one integer or a pair (nx, nr), got {resolution!r}")
     nx, nr = (_size(v, "resolution") for v in pair)
     if nx * nr > MAX_NODES:
@@ -124,17 +129,30 @@ def density_at(seed: PovmSeed, psi: StateVector, g: GroupElement) -> float:
         raise GridMismatch("seed and state must share a quadrature grid")
     _check_phase(_row_frequency(seed, psi, g.x, g.r), psi.grid.dy)
     ket = _act_on_nodes(inverse(g), psi.grid, psi.evaluate_at)
-    return abs(np.vdot(seed.eta.amplitudes, ket) * psi.grid.dy) ** 2
+    return abs(np.vdot(seed.eta.amplitudes, ket) * psi.grid.dy - _kink_term(seed, psi, -g.r)) ** 2
 
 
-def _refine_for_window(seed: PovmSeed, psi: StateVector, window: Tuple[float, float, float, float]):
-    """Resample seed and state so the grid resolves every row's ``_row_frequency`` and, for a
-    Gaussian psi, the narrowest row's |psi(e^{-r} y)|^2 std 0.5 e^{r - z}, as ``act`` does."""
+def _kink_term(seed: PovmSeed, psi: StateVector, r_inv):
+    """delta(r') = (dy^2/24)(c_+ + c_- + 2 c_0) conj(source(0)) psi(0) e^{r'/2}: Euler-Maclaurin's
+    O(dy^2) excess of the midpoint <eta|U_{(x', r')}|psi> at a p = 1 seed's kink at y = 0."""
+    c, zero = seed.sector_coeffs, np.zeros(1)
+    jump = c.get(+1, 0.0) + c.get(-1, 0.0) + 2.0 * c.get(0, 0.0) if seed.weight_power == 1 else 0.0
+    edge = jump * np.conj(seed.source.evaluate_at(zero)[0]) * psi.evaluate_at(zero)[0]
+    return psi.grid.dy ** 2 / 24.0 * edge * np.exp(np.asarray(r_inv) / 2.0)
+
+
+def _window_grid(seed: PovmSeed, psi: StateVector, window: Tuple[float, float, float, float]):
+    """The grid resolving each row's ``_row_frequency`` and |psi(e^{-r} y)|^2 std 0.5 e^{r - z}."""
     x_lo, x_hi, r_lo, r_hi = window
     r_min, p = min(r_lo, 0.0), psi.evaluator
     width = 0.5 * math.exp(r_min - p.log_width) if p else math.inf
     dy = phase_dy(_row_frequency(seed, psi, max(abs(x_lo), abs(x_hi)), r_min))
-    fine = resolving_grid(psi.grid, psi.grid.y_max, min(dy, width))
+    return resolving_grid(psi.grid, psi.grid.y_max, min(dy, width))
+
+
+def _refine_for_window(seed: PovmSeed, psi: StateVector, window: Tuple[float, float, float, float]):
+    """Seed and state resampled on ``_window_grid``."""
+    fine = _window_grid(seed, psi, window)
     return seed.on_grid(fine), psi.with_grid(fine)
 
 
@@ -160,12 +178,13 @@ def _chunk_rows(nx: int, n: int, per_row: int = 1) -> int:
     return max(1, _SCAN_CHUNK // (per_row * _fft_length(nx + n - 1)))
 
 
-def _row_map(window: Tuple[float, float, float, float], nx: int, nr: int,
-             y: np.ndarray, weight: np.ndarray, rows_at, per_row: int = 1) -> DensityMap:
-    """DensityMap of sum_c |sum_k K_kc e^{-2i s x y_k}|^2, c over a row's per_row
-    kernel columns.  ``weight`` >= 0 has |K_kc| <= B weight_k for one B over all rows, so
-    ``rows_at(r, keep)`` gives each row's x scale s and the kernels, (len(y[keep]),
-    per_row * len(r)), for a chunk of r nodes only on keep = slice(*_support(weight)).  A
+def _row_map(window: Tuple[float, float, float, float], nx: int, nr: int, y: np.ndarray,
+             weight: np.ndarray, rows_at, per_row: int = 1, shift=None) -> DensityMap:
+    """DensityMap of sum_c |sum_k K_kc e^{-2i s x y_k} - o|^2, c over a row's per_row
+    kernel columns, o ``shift(r)`` of its r or 0.  ``weight`` >= 0 has |K_kc| <= B weight_k
+    for one B over all rows, so ``rows_at(r, keep)`` gives each row's x scale s and the
+    kernels, (len(y[keep]), per_row * len(r)), for a chunk of r nodes only on keep =
+    slice(*_support(weight)).  A
     chunk holds ``_chunk_rows(nx, len(y[keep]), per_row)`` rows, so an FFT array holds at
     most _SCAN_CHUNK complex elements or one row, and runs ``grids.fourier_at`` only on
     _support(max_c |K_kc|) of its own kernels: what it drops of any amplitude, all that
@@ -180,6 +199,8 @@ def _row_map(window: Tuple[float, float, float, float], nx: int, nr: int,
         scale, kernels = rows_at(r_nodes[j:j + rows], keep)
         own = slice(*_support(np.abs(kernels).max(axis=1)))
         amps = fourier_at(np.outer(x_nodes, np.repeat(scale, per_row)), y[own], kernels[own])
+        if shift is not None:
+            amps -= shift(r_nodes[j:j + rows])
         values[:, j:j + rows] = (np.abs(amps) ** 2).reshape(nx, -1, per_row).sum(axis=2)
     return DensityMap(x_nodes, r_nodes, values)
 
@@ -189,11 +210,21 @@ def scan(seed: PovmSeed, psi: StateVector,
          resolution) -> DensityMap:
     """Fill a DensityMap with density_at over a tensor grid.
 
-    ``resolution`` is an int or an (nx, nr) pair, at least 16 per axis and
-    at most MAX_NODES cells.  The row kernels are evaluated where |eta| holds all but
-    2^-53 of its L1 mass, and in each chunk of ``_row_map`` a row is a chirp-z transform
-    of length L >= nx + n - 1 on the n nodes that hold all but 2^-53 of the chunk's.
-    """
+    ``resolution`` is an int or an (nx, nr) pair, at least 16 per axis and at most
+    MAX_NODES cells.  A p = 1 seed of a Gaussian and a Gaussian psi take ``_gaussian_map``,
+    refused where ``_scan_rows``, which every other pair takes, refuses."""
+    if not (seed.weight_power == 1 and seed.source.evaluator and psi.evaluator):
+        return _scan_rows(seed, psi, window, resolution)
+    _check_window(window)
+    nx, nr = _map_shape(resolution)
+    _window_grid(seed, psi, window)  # the rows' GridTooNarrow, with no resampling
+    return _gaussian_map(seed.source.evaluator, psi.evaluator, seed.sector_coeffs, window, nx, nr)
+
+
+def _scan_rows(seed: PovmSeed, psi: StateVector,
+               window: Tuple[float, float, float, float], resolution) -> DensityMap:
+    """``scan`` by quadrature rows on ``_refine_for_window``'s grid less ``_kink_term``: kernels
+    where |eta| holds all but 2^-53 of its L1 mass, ``_row_map``'s chunks on theirs likewise."""
     _check_window(window)
     nx, nr = _map_shape(resolution)
     seed, psi = _refine_for_window(seed, psi, window)
@@ -206,7 +237,46 @@ def scan(seed: PovmSeed, psi: StateVector,
         base *= (np.sqrt(scale) * psi.grid.dy)[:, None]
         return -scale, base.T  # x' = -e^{-r} x of the inverse elements
 
-    return _row_map(window, nx, nr, y, np.abs(eta_conj), rows_at)
+    return _row_map(window, nx, nr, y, np.abs(eta_conj), rows_at,
+                    shift=lambda r: _kink_term(seed, psi, -r))
+
+
+def _faddeeva(z: np.ndarray, n: int = 36) -> np.ndarray:
+    """w(z) = e^{-z^2} erfc(-iz) (DLMF 7.2) for Im z >= 0 by Weideman's rational series in
+    Z = (L + iz)/(L - iz) of degree n - 1 (SIAM J. Numer. Anal. 31(5), 1497-1518, 1994)."""
+    length = math.sqrt(n / math.sqrt(2.0))
+    t = length * np.tan(np.arange(4 * n) * math.pi / (4 * n))  # e^{-t^2} 0 at tan(pi/2)
+    coeffs = np.fft.fft(np.exp(-t * t) * (length ** 2 + t * t)).real[n:0:-1] / (4 * n)
+    inv = 1.0 / (length - 1j * z)
+    p = np.polyval(coeffs, (length + 1j * z) * inv)
+    return (2.0 * p * inv + 1.0 / math.sqrt(math.pi)) * inv
+
+
+def _gaussian_map(p0, p, c, window, nx: int, nr: int) -> DensityMap:
+    """``scan`` of the c_s of a p = 1 seed of a Gaussian (a0, z0, k0) and a Gaussian psi (a, z, k)
+    in blocks of <= _FORM_BLOCK points: at g^{-1} = (x', r') A0 A e^{r'/2} e^delta sum_s c_s J(s
+    gamma), J(g) = integral_0^inf t e^{-beta t^2 + g t} dt, beta = s0 + s e^{2r'}, gamma = 2 s0 a0
+    + 2 s a e^{r'} + 2i (k0 - k e^{r'} - x'), delta = -s0 a0^2 - s a^2, s_i = e^{2 z_i}.  For Re g
+    <= 0, J(g) = (1 + sqrt(pi) u w(-iu)) / 2 beta, u = g / 2 sqrt(beta), and J(-g) = J(g) + the
+    whole line's (-g / 2 beta) sqrt(pi / beta) e^{g^2 / 4 beta}, its exponent folded with delta
+    into one of real part <= 0."""
+    s0, s = math.exp(2.0 * p0.log_width), math.exp(2.0 * p.log_width)
+    c_plus, c_minus = c.get(+1, c.get(0, 0.0)), c.get(-1, c.get(0, 0.0))
+    delta = -s0 * p0.center ** 2 - s * p.center ** 2
+    x_nodes, r_nodes = np.linspace(*window[:2], nx), np.linspace(*window[2:], nr)
+    values, cols = np.empty((nx, nr)), max(1, _FORM_BLOCK // nx)
+    norm = 2.0 * math.sqrt(s0 * s) / math.pi  # (A0 A)^2
+    for j in range(0, nr, cols):
+        e = np.exp(-r_nodes[j:j + cols])  # e^{r'}; x' = -e^{r'} x
+        beta = s0 + s * e * e
+        gamma = 2.0 * (s0 * p0.center + s * p.center * e) + 2j * (
+            p0.linear_phase - p.linear_phase * e + np.outer(x_nodes, e))
+        u = np.where(flip := gamma.real > 0, -gamma, gamma) / (2.0 * np.sqrt(beta))
+        half = (1.0 + math.sqrt(math.pi) * u * _faddeeva(-1j * u)) * math.exp(delta)
+        whole = gamma * np.sqrt(math.pi / beta) * np.exp(delta + gamma * gamma / (4.0 * beta))
+        amp = ((c_plus + c_minus) * half + whole * np.where(flip, c_plus, -c_minus)) / (2.0 * beta)
+        values[:, j:j + cols] = (amp.real ** 2 + amp.imag ** 2) * (norm * e)  # e^{r'/2} squared
+    return DensityMap(x_nodes, r_nodes, values)
 
 
 def _quadratic_peak(values: np.ndarray, i: int, j: int,

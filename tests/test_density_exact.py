@@ -1,30 +1,32 @@
-"""density_at against the exact estimation density of a Gaussian state.
+"""density_at and scan against the exact estimation density of a Gaussian state.
 
-For psi = A e^{-s (y - a)^2}, s = e^{2z}, A^2 = sqrt(2 s / pi), a >= 0, its ML
-seed eta = c_s |y| theta(s y) psi and g^{-1} = (x', r'),
+For psi = A e^{-2i c y} e^{-s (y - a)^2}, s = e^{2z}, A^2 = sqrt(2 s / pi), its ML seed
+eta = c_s |y| theta(s y) psi and g^{-1} = (x', r'),
 
     <eta| U_{g^{-1}} |psi> = A^2 e^{r'/2} e^{-2 s a^2} sum_s c_s J(beta, s gamma),
 
-with beta = s (1 + e^{2r'}), gamma = 2 a s (1 + e^{r'}) - 2 i x' and
+with beta = s (1 + e^{2r'}), gamma = 2 a s (1 + e^{r'}) + 2i (c (1 - e^{r'}) - x') and
 
     J(beta, gamma) = integral_0^inf t e^{-beta t^2 + gamma t} dt
                    = 1/(2 beta) + (gamma / 2 beta) (1/2) sqrt(pi/beta) w(-i gamma / 2 sqrt beta),
 
 w the Faddeeva function (DLMF 7.2).  The coefficients are c_s = 1/sqrt(pi w_s)
 with the sector weights w_- = sigma phi(t) (1 - t sqrt(pi/2) erfcx(t / sqrt 2)),
-sigma = e^{-z}/2, t = a / sigma, and w_+ = a + w_-; a sector with w_s below
-SECTOR_THRESHOLD is dropped, as the library does.  The parity seed
-eta = c |y| psi has the same form with c_+ = c_- = c = 1/sqrt(pi (w_+ + w_-)).
+sigma = e^{-z}/2, t = a / sigma, and w_+ = a + w_- for a >= 0 (the sectors swap for
+a < 0); a sector with w_s below SECTOR_THRESHOLD is dropped, as the library does.
+The parity seed eta = c |y| psi has the same form with c_+ = c_- = c = 1/sqrt(pi (w_+ + w_-)).
 
-The midpoint sum of ``density_at`` misses this value by the Euler-Maclaurin
-term of the seed's kink at the cell edge y = 0: the amplitude is off by
-delta = (dy^2 / 24)(c_+ + c_-) |psi(0)|^2 e^{r'/2} + O(dy^4).  The tests
-check the reference against 30-digit mpmath, density_at (ML and parity
-seeds) and ``scan`` against the reference once delta is taken out, and that
-the O(dy^2) term is still there.
+The raw midpoint sum misses this value by the Euler-Maclaurin term of the seed's
+kink at the cell edge y = 0: the amplitude is off by delta = (dy^2 / 24)(c_+ + c_-)
+|psi(0)|^2 e^{r'/2} + O(dy^4), which density_at and the quadrature rows of scan take
+out.  The tests check the reference against 30-digit mpmath, density_at (ML and
+parity seeds) and the quadrature rows against the reference, that the raw sum
+holds the O(dy^2) term and the corrected one errs at O(dy^4), and that scan's
+closed form for Gaussian pairs matches the reference to round-off.
 """
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -33,9 +35,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import wofz
 
-from sqdisp import (GroupElement, build_ml_seed, build_parity_seed, density_at, inverse,
-                    make_displaced_squeezed, scan)
-from sqdisp.distribution import _refine_for_window
+from sqdisp import (GaussianStateParams, GroupElement, StateVector, act, build_ml_seed,
+                    build_parity_seed, default_grid, density_at, inverse,
+                    make_displaced_squeezed, optimal_likelihood, scan)
+from sqdisp.distribution import _faddeeva, _refine_for_window, _scan_rows
 from sqdisp.povm import SECTOR_THRESHOLD
 
 from helpers import gaussian_weights
@@ -59,21 +62,22 @@ def _j(beta, gamma):
     return (1.0 + gamma * i0) / (2.0 * beta)
 
 
-def exact_amplitude(a, z, g, parity=False):
-    """<eta| U_{g^{-1}} |psi> for the ML (or ``parity``) seed of psi = dsq(a, z)."""
+def exact_amplitude(a, z, g, parity=False, c=0.0):
+    """<eta| U_{g^{-1}} |psi> for the ML (or ``parity``) seed of psi = dsq(a, z) with
+    linear phase ``c``."""
     s = math.exp(2.0 * z)
     gi = inverse(g)
     beta = s * (1.0 + math.exp(2.0 * gi.r))
-    gamma = 2.0 * a * s * (1.0 + math.exp(gi.r)) - 2.0j * gi.x
+    gamma = 2.0 * a * s * (1.0 + math.exp(gi.r)) + 2.0j * (c * (1.0 - math.exp(gi.r)) - gi.x)
     total = sum(c * _j(beta, sign * gamma) for sign, c in exact_coeffs(a, z, parity).items())
     return math.sqrt(2.0 * s / math.pi) * math.exp(gi.r / 2.0 - 2.0 * s * a * a) * total
 
 
-def mpmath_amplitude(a, z, g):
+def mpmath_amplitude(a, z, g, c=0.0):
     """The same amplitude by 30-digit quadrature of its definition."""
     gi = inverse(g)
     with mpmath.workdps(30):
-        a, z, x, r = (mpmath.mpf(v) for v in (a, z, gi.x, gi.r))
+        a, z, x, r, c = (mpmath.mpf(v) for v in (a, z, gi.x, gi.r, c))
         s = mpmath.exp(2 * z)
         amp = (2 * s / mpmath.pi) ** mpmath.mpf(0.25)
         sigma = mpmath.exp(-z) / 2
@@ -82,10 +86,11 @@ def mpmath_amplitude(a, z, g):
                    for sign in (+1, -1)}
 
         def psi(y):
-            return amp * mpmath.exp(-s * (y - a) ** 2)
+            return amp * mpmath.exp(-s * (y - a) ** 2 - 2j * c * y)
 
         def integrand(y):
-            return abs(y) * psi(y) * mpmath.exp(r / 2 - 2j * x * y) * psi(mpmath.exp(r) * y)
+            return (abs(y) * mpmath.conj(psi(y)) * mpmath.exp(r / 2 - 2j * x * y)
+                    * psi(mpmath.exp(r) * y))
 
         halves = {+1: [0, a, mpmath.inf] if a > 0 else [0, mpmath.inf], -1: [-mpmath.inf, 0]}
         total = sum(mpmath.quad(integrand, halves[sign]) / mpmath.sqrt(mpmath.pi * w)
@@ -94,19 +99,16 @@ def mpmath_amplitude(a, z, g):
 
 
 def kink_term(seed, psi, g):
-    """delta = (dy^2 / 24)(c_+ + c_-) |psi(0)|^2 e^{r'/2}, the O(dy^2) amplitude error;
-    a parity seed's full-line c counts on both sides, c_+ + c_- = 2c."""
+    """delta = (dy^2 / 24)(c_+ + c_-) |psi(0)|^2 e^{r'/2}, the O(dy^2) amplitude error of the
+    raw sum; a parity seed's full-line c counts on both sides, c_+ + c_- = 2c."""
     coeffs = seed.sector_coeffs
     jump = coeffs.get(+1, 0.0) + coeffs.get(-1, 0.0) + 2.0 * coeffs.get(0, 0.0)
     psi0 = abs(psi.evaluate_at(np.zeros(1))[0]) ** 2
     return psi.grid.dy ** 2 / 24.0 * jump * psi0 * math.exp(inverse(g).r / 2.0)
 
 
-def modelled_density(seed, psi, a, z, g):
-    """|exact amplitude + delta|^2, delta the kink term on psi's grid."""
-    amp = exact_amplitude(a, z, g, parity=seed.kind == "ml-parity")
-    delta = kink_term(seed, psi, g)
-    return abs(amp) ** 2 + 2.0 * (np.conj(amp) * delta).real + delta ** 2
+def exact_density(seed, a, z, g):
+    return abs(exact_amplitude(a, z, g, parity=seed.kind == "ml-parity")) ** 2
 
 
 def test_reference_matches_mpmath():
@@ -115,6 +117,10 @@ def test_reference_matches_mpmath():
                     (3.0, 0.5, GroupElement(-0.6, 1.0))):
         ref = mpmath_amplitude(a, z, g)
         assert abs(exact_amplitude(a, z, g) - ref) <= 1e-14 * abs(ref), (a, z, g)
+    for a, z, c, g in ((1.5, 0.3, 0.7, GroupElement(-1.2, 0.7)),
+                       (-0.8, -0.2, -1.5, GroupElement(0.4, -0.6))):
+        ref = mpmath_amplitude(a, z, g, c)
+        assert abs(exact_amplitude(a, z, g, c=c) - ref) <= 1e-14 * abs(ref), (a, z, c, g)
 
 
 def test_reference_under_cancellation():
@@ -132,12 +138,12 @@ def test_reference_under_cancellation():
        r=st.floats(-1.0, 1.0))
 @example(a=0.0, z=0.0, x=0.3, r=-1.0)
 def test_density_at_matches_exact_up_to_kink_term(a, z, x, r):
-    # a e^z <= 5, so e^{-2 s a^2} >= e^{-50} cannot underflow
+    # a e^z <= 5, so e^{-2 s a^2} >= e^{-50} cannot underflow; density_at takes
+    # the kink term out, so it meets the exact value itself
     psi = make_displaced_squeezed(a, z)
     seed = build_ml_seed(psi)
     g = GroupElement(x, r)
-    model = modelled_density(seed, psi, a, z, g)
-    assert abs(density_at(seed, psi, g) - model) <= 1e-8 * seed.likelihood
+    assert abs(density_at(seed, psi, g) - exact_density(seed, a, z, g)) <= 1e-8 * seed.likelihood
 
 
 @settings(max_examples=50, derandomize=True, deadline=None, database=None)
@@ -147,30 +153,79 @@ def test_parity_density_at_matches_exact_up_to_kink_term(a, z, x, r):
     psi = make_displaced_squeezed(a, z)
     seed = build_parity_seed(psi)
     g = GroupElement(x, r)
-    model = modelled_density(seed, psi, a, z, g)
-    assert abs(density_at(seed, psi, g) - model) <= 1e-8 * seed.likelihood
+    assert abs(density_at(seed, psi, g) - exact_density(seed, a, z, g)) <= 1e-8 * seed.likelihood
 
 
 @pytest.mark.parametrize("a, z", [(0.0, 0.0), (1.5, 0.3), (3.0, -0.4)])
 def test_scan_matches_exact_up_to_kink_term(a, z):
-    # e^{3.5} |x| resolves on no default grid, so scan samples on a finer
-    # one and its kink term shrinks with that grid's dy
+    # the quadrature rows (a Gaussian pair's scan takes the closed form): e^{3.5} |x|
+    # resolves on no default grid, so the rows sample on a finer one and take out
+    # that grid's kink term
     window = (-4.0, 4.0, -3.5, 0.5)
     psi = make_displaced_squeezed(a, z)
     seed = build_ml_seed(psi)
-    dmap = scan(seed, psi, window, 16)
-    fine_seed, fine_psi = _refine_for_window(seed, psi, window)
-    assert fine_psi.grid.dy < psi.grid.dy
+    dmap = _scan_rows(seed, psi, window, 16)
+    assert _refine_for_window(seed, psi, window)[1].grid.dy < psi.grid.dy
     for i in range(0, 16, 3):
         for j in range(0, 16, 3):
             g = GroupElement(dmap.x_nodes[i], dmap.r_nodes[j])
-            model = modelled_density(fine_seed, fine_psi, a, z, g)
-            assert abs(dmap.values[i, j] - model) <= 1e-8 * seed.likelihood, (i, j)
+            exact = exact_density(seed, a, z, g)
+            assert abs(dmap.values[i, j] - exact) <= 1e-8 * seed.likelihood, (i, j)
 
 
 def test_kink_floor_is_present():
-    # the vacuum's O(dy^2) error at g = (0.3, -1); the kink correction flips this
+    # the vacuum's raw midpoint sum at g = (0.3, -1) holds the O(dy^2) kink term, 3.9e-5
+    # relative on the default grid; with it taken out, density_at errs at O(dy^4), about
+    # 16 times less per doubling of the nodes
     g = GroupElement(0.3, -1.0)
-    psi = make_displaced_squeezed(0.0, 0.0)
-    exact = abs(exact_amplitude(0.0, 0.0, g)) ** 2
-    assert abs(density_at(build_ml_seed(psi), psi, g) - exact) > 1e-6 * exact
+    exact_amp = exact_amplitude(0.0, 0.0, g)
+    exact = abs(exact_amp) ** 2
+    errors = []
+    for n in (512, 1024, 2048, 4096):
+        psi = make_displaced_squeezed(0.0, 0.0, grid=default_grid(n=n))
+        seed = build_ml_seed(psi)
+        errors.append(abs(density_at(seed, psi, g) - exact))
+    ket = act(inverse(g), psi, grid=psi.grid).amplitudes
+    raw = np.vdot(seed.eta.amplitudes, ket) * psi.grid.dy
+    assert abs(abs(raw) ** 2 - exact) > 1e-6 * exact
+    assert abs(raw - exact_amp - kink_term(seed, psi, g)) <= 1e-3 * kink_term(seed, psi, g)
+    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
+    assert all(14.0 < ratio < 18.0 for ratio in ratios), (ratios, errors)
+    assert errors[-1] <= 1e-8 * exact
+
+
+@settings(max_examples=30, derandomize=True, deadline=None, database=None)
+@given(a=st.floats(-4.0, 4.0), z=st.floats(-0.5, 0.5), c=st.floats(-2.0, 2.0),
+       parity=st.booleans(), x_lo=st.floats(-6.0, -0.5), x_hi=st.floats(0.5, 6.0),
+       r_lo=st.floats(-1.5, -0.1), r_hi=st.floats(0.1, 1.5))
+def test_closed_form_scan_matches_exact(a, z, c, parity, x_lo, x_hi, r_lo, r_hi):
+    # an ML or parity seed of a Gaussian state and the state itself: scan's closed form
+    params = GaussianStateParams(center=a, log_width=z, linear_phase=c)
+    psi = StateVector.from_params(params, default_grid(a, z))
+    seed = (build_parity_seed if parity else build_ml_seed)(psi)
+    dmap = scan(seed, psi, (x_lo, x_hi, r_lo, r_hi), 16)
+    exact = np.array([[abs(exact_amplitude(a, z, GroupElement(x, r), parity, c)) ** 2
+                       for r in dmap.r_nodes] for x in dmap.x_nodes])
+    assert np.max(np.abs(dmap.values - exact)) <= 1e-12 * np.max(exact)
+
+
+def test_faddeeva_matches_scipy():
+    rng = np.random.default_rng(7)
+    z = rng.uniform(-30.0, 30.0, 20000) + 1j * rng.uniform(0.0, 30.0, 20000)
+    z = np.concatenate([z, [0.0, 5.0, -5.0, 1e3 + 1j, 1e6 + 1e6j, 1e8j]])
+    ref = wofz(z)
+    assert np.max(np.abs(_faddeeva(z) - ref) / np.abs(ref)) <= 1e-13
+
+
+def test_closed_form_scan_at_large_amplitude():
+    # e^{-2 s a^2} = e^{-3200} underflows and e^{gamma^2 / 4 beta} would overflow; folded
+    # into one exponent they give the map, with no warning, and at the identity, the
+    # window's middle node, the ML seed attains L_opt
+    psi = make_displaced_squeezed(40.0, 0.0)
+    seed = build_ml_seed(psi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dmap = scan(seed, psi, (-1.0, 1.0, -0.5, 0.5), 17)
+    assert np.all(np.isfinite(dmap.values)) and dmap.values.min() >= 0.0
+    assert dmap.x_nodes[8] == dmap.r_nodes[8] == 0.0
+    assert abs(dmap.values[8, 8] - optimal_likelihood(psi)) <= 1e-9 * optimal_likelihood(psi)

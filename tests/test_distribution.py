@@ -226,10 +226,15 @@ class TestScanAndArgmax:
         ((-1, 1, -1, 1, 0), 16, "window must be 4 values"),
         ((-1, 1, -1, 1), (16, 16, 16), "resolution must be one integer or a pair"),
         ((-1, 1, -1, 1), (16,), "resolution must be one integer or a pair"),
-    ], ids=["window-3", "window-5", "resolution-3", "resolution-1"])
+        (((1, 2), 3, 4, 5), 16, "window must be 4 values"),
+        (("-1", "1", "-1", "1"), 16, "window must be 4 values"),
+        ((-1, 1, -1, 1), ((16, 16), 16), "resolution must be an integer"),
+    ], ids=["window-3", "window-5", "resolution-3", "resolution-1", "window-ragged",
+            "window-strings", "resolution-ragged"])
     def test_malformed_window_or_resolution_is_config_error(self, vacuum_seed, window,
                                                             resolution, message):
-        # each ended in a raw ValueError from unpacking the tuple
+        # each ended in a raw ValueError from unpacking the tuple, or from numpy for a
+        # ragged one, or in a TypeError from math.isfinite for strings
         seed, vac = vacuum_seed
         calls = [lambda: scan(seed, vac, window, resolution),
                  lambda: concentration_profile(0.9, 20, window, resolution, tail_tol=None)]

@@ -1,11 +1,14 @@
-"""Property test: every node of a scan equals the pointwise density there.
+"""Property test: every node of a scan's quadrature rows equals the pointwise density there.
 
-Random Gaussian inputs (center a, log-width z, linear phase c) and scan
-windows; a coarse base grid (n = 1024) sends some draws through the window
-refinement, so both the direct and the resampled scan are compared with
-``density_at`` on the grid the scan actually used.  Two fixed cases pin the
-boundaries of the scan's row chunks, and neither the scan nor the two-mode
-profile, which share the row loop, may depend on them.  The rows' kernels are
+A Gaussian pair's ``scan`` takes the closed form (tested against the exact
+density in ``test_density_exact.py``), so these tests call the quadrature row
+path ``distribution._scan_rows`` on the same states.  Random Gaussian inputs
+(center a, log-width z, linear phase c) and scan windows; a coarse base grid
+(n = 1024) sends some draws through the window refinement, so both the direct
+and the resampled rows are compared with ``density_at`` on the grid the rows
+actually used.  Two fixed cases pin the boundaries of the scan's row chunks,
+and neither the scan nor the two-mode profile, which share the row loop, may
+depend on them.  The rows' kernels are
 evaluated only on the nodes that carry all but 2^-53 of the seed's L1 mass, and
 each chunk runs on the nodes that carry all but 2^-53 of its own kernels: the
 helper that picks them, and scans that drop most of a grid or none of it, are
@@ -42,7 +45,7 @@ def test_scan_equals_density_at(a, z, c, x_lo, x_hi, r_lo, r_hi, n):
 
 
 def assert_scan_equals_density_at(seed, psi, window, resolution):
-    dmap = scan(seed, psi, window, resolution)
+    dmap = distribution._scan_rows(seed, psi, window, resolution)
     fine_seed, fine_psi = _refine_for_window(seed, psi, window)
     pointwise = np.array([[density_at(fine_seed, fine_psi, GroupElement(x, r))
                            for r in dmap.r_nodes] for x in dmap.x_nodes])
@@ -71,7 +74,7 @@ def test_scan_independent_of_chunking(monkeypatch):
     psi = StateVector.from_params(GaussianStateParams(1.5, -0.2, 0.7), default_grid(1.5, -0.2))
     seed = build_ml_seed(psi)
     window = (-4.0, 4.0, -1.2, 0.9)
-    maps = (lambda: scan(seed, psi, window, (64, 40)),
+    maps = (lambda: distribution._scan_rows(seed, psi, window, (64, 40)),
             lambda: concentration_profile(0.9, 20, window, (64, 40), tail_tol=None).map)
     chunked = []
     for make, per_row in zip(maps, (1, 2)):
@@ -118,7 +121,7 @@ def test_scan_rows_on_the_seed_support(monkeypatch):
     psi = make_coherent(12.0, grid=default_grid(12.0))
     seed = build_ml_seed(psi)
     calls = record_chunks(monkeypatch)
-    dmap = scan(seed, psi, (-3.0, 3.0, -1.0, 1.0), RESOLUTION)
+    dmap = distribution._scan_rows(seed, psi, (-3.0, 3.0, -1.0, 1.0), RESOLUTION)
     chunk_rows(RESOLUTION, calls)
     nodes, runs = kept(calls)
     assert psi.grid.n == 4096 and max(runs) <= nodes < psi.grid.n // 2
@@ -155,7 +158,8 @@ def test_chunk_trim_moves_maps_by_round_off(monkeypatch, case):
     if case == "vacuum":
         psi = make_vacuum()
         seed = build_ml_seed(psi)
-        make, nx, per_row = lambda: scan(seed, psi, (-3.0, 3.0, -3.0, 3.0), 64), 64, 1
+        make, nx, per_row = (lambda: distribution._scan_rows(seed, psi, (-3.0, 3.0, -3.0, 3.0),
+                                                             64)), 64, 1
     else:
         make, nx, per_row = (lambda: concentration_profile(
             0.95, 60, (-1.5, 1.5, -1.5, 1.5), 48, tail_tol=None).map), 48, 2

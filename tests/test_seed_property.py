@@ -21,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqdisp import (GroupElement, act, build_ml_seed, build_parity_seed, build_srm_seed,
-                    make_displaced_squeezed, make_sampled, optimal_likelihood,
-                    seed_overlap_likelihood, srm_likelihood)
+from sqdisp import (IDENTITY, GroupElement, act, build_ml_seed, build_parity_seed,
+                    build_srm_seed, density_at, make_displaced_squeezed, make_sampled,
+                    optimal_likelihood, seed_overlap_likelihood, srm_likelihood)
 from sqdisp.grids import sector_integral
 
 from helpers import gaussian_weights
@@ -89,3 +89,18 @@ def test_certificates_equal_one(build, a, z):
 def test_srm_certificates_equal_one(scale, z, sign):
     # a e^z >= 4.5: the square-root measurement is defined (see above)
     assert_certified(build_srm_seed(make_displaced_squeezed(sign * scale * math.exp(-z), z)))
+
+
+@pytest.mark.parametrize("build", [build_ml_seed, build_parity_seed], ids=["ml", "ml-parity"])
+@settings(max_examples=24, derandomize=True, deadline=None, database=None)
+@given(a=st.floats(-3.0, 3.0), z=st.floats(-0.5, 0.5))
+def test_density_at_truth_never_beats_optimal(build, a, z):
+    # the paper's optimality theorem at the true value: p(e) = |<eta|psi>|^2 <= L_opt,
+    # with equality for the ML seed; the midpoint sum's kink term at y = 0 alone would
+    # put p(e) up to 1.6e-5 above L_opt on these draws (2.7e-10 with it taken out)
+    psi = make_displaced_squeezed(a, z)
+    bound = optimal_likelihood(psi)
+    density = density_at(build(psi), psi, IDENTITY)
+    assert density <= bound * (1.0 + 1e-9)
+    if build is build_ml_seed:
+        assert density >= bound * (1.0 - 1e-9)

@@ -21,12 +21,19 @@ lambda, and ``profile_0.999_n1000``, lambda 0.999 at n_max 1000 on 16 x 16 on th
 0.9 of its range, and ``total_s``, their sum.  ``profile_peak_mb`` is the
 tracemalloc peak, in MB, of one untimed profile call made after the timed ones.
 ``scan_nodes`` is, per scan slot, the number of nodes its largest chunk of rows
-runs on: the largest len(y) of the ``fourier_at`` calls of one untimed scan (a
-side that runs its rows on the whole grid records the grid's n);
-``scan_node_rows`` is the mean of len(y) over the rows of that scan, each chunk
+runs on: the largest len(y) of the ``fourier_at`` calls of one untimed run of the
+quadrature rows, ``distribution._scan_rows`` (``scan`` on a side that has none),
+which a Gaussian slot's ``scan`` no longer takes (a side that runs its rows on the
+whole grid records the grid's n);
+``scan_node_rows`` is the mean of len(y) over the rows of that run, each chunk
 weighted by its rows, below ``scan_nodes`` when chunks run on fewer nodes than
 the largest; and ``scan_grid_n`` is the grid's n: the node count
 that ``distribution._refine_for_window`` chooses for the scan's arguments.
+``scan_exact_rel_dev`` is, per Gaussian scan slot, the largest |scan - exact| / exact
+on the nodes where the exact density is at least 1e-3 of its peak, and
+``scan_exact_abs_dev`` the largest |scan - exact| over that peak: the exact density
+is ``exact_amplitude`` of ``tests/test_density_exact.py``, itself within about 1e-13
+of the peak of 50-digit values on these slots.
 ``oracle_nodes`` is, per oracle case, the largest n handed to
 ``distribution._band_spectrum`` in one untimed run: the nodes its band slices
 run on; ``oracle_peak_mb`` is, per oracle case, the tracemalloc peak, in MB, of
@@ -143,6 +150,19 @@ def sizes_of(pkg, call, name, size) -> list:
     return sizes
 
 
+def exact_devs(psi, dmap) -> dict:
+    """``scan_exact_rel_dev`` and ``scan_exact_abs_dev`` of one map of the ML seed of a
+    Gaussian psi."""
+    from test_density_exact import GroupElement, exact_amplitude  # on sys.path from main
+    p = psi.evaluator
+    exact = np.array([[abs(exact_amplitude(p.center, p.log_width, GroupElement(x, r),
+                                           c=p.linear_phase)) ** 2
+                       for r in dmap.r_nodes] for x in dmap.x_nodes])
+    bulk, dev = exact >= 1e-3 * exact.max(), np.abs(dmap.values - exact)
+    return {"scan_exact_rel_dev": float(np.max(dev[bulk] / exact[bulk])),
+            "scan_exact_abs_dev": float(np.max(dev) / exact.max())}
+
+
 def map_devs(prefix, old, new):
     old, new = old.values, new.values
     bulk = old >= 1e-3 * old.max()
@@ -207,8 +227,10 @@ def main(argv=None) -> int:
 
     sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
              "change": load("sqdisp", ROOT / "src")}
+    sys.path.insert(0, str(ROOT / "tests"))  # the exact form of exact_devs
     keys = ("row_s", "scan_s", "scan_row_s", "scan_nodes", "scan_node_rows", "scan_grid_n",
-            "profile_s", "job_s", "oracle_nodes", "oracle_peak_mb", "profile_peak_mb")
+            "scan_exact_rel_dev", "scan_exact_abs_dev", "profile_s", "job_s", "oracle_nodes",
+            "oracle_peak_mb", "profile_peak_mb")
     record = {side: {key: {} for key in keys} for side in sides}
     deviation = {}
     for key, case, repeats, calls, devs in cases(sides, args.repeats):
@@ -217,13 +239,20 @@ def main(argv=None) -> int:
             record[side][key][case] = best[side]
             if key == "scan_s":
                 record[side]["scan_row_s"][case] = best[side] / len(outs[side].r_nodes)
-                chunks = sizes_of(sides[side], calls[side], "fourier_at",
+                distribution = sides[side]["distribution"]
+                rows = partial(getattr(distribution, "_scan_rows", distribution.scan),
+                               *calls[side].args)
+                chunks = sizes_of(sides[side], rows, "fourier_at",
                                   lambda x, y, h: (len(y), h.shape[1]))  # nodes, rows
                 record[side]["scan_nodes"][case] = max(n for n, _ in chunks)
                 record[side]["scan_node_rows"][case] = (sum(n * rows for n, rows in chunks)
                                                         / sum(rows for _, rows in chunks))
-                record[side]["scan_grid_n"][case] = sides[side]["distribution"]._refine_for_window(
+                record[side]["scan_grid_n"][case] = distribution._refine_for_window(
                     *calls[side].args[:3])[1].grid.n  # seed, psi, window
+                psi = calls[side].args[1]
+                if psi.evaluator is not None:
+                    for name, value in exact_devs(psi, outs[side]).items():
+                        record[side][name][case] = value
             if key == "job_s":
                 record[side]["oracle_nodes"][case] = max(sizes_of(
                     sides[side], calls[side], "_band_spectrum", lambda n, *_: n))
@@ -254,6 +283,11 @@ def main(argv=None) -> int:
                          f"  of grid n {record['parent']['scan_grid_n'][case]}"
                          f" -> {record['change']['scan_grid_n'][case]}")
             print(line)
+    for case, old in record["parent"]["scan_exact_rel_dev"].items():
+        new = record["change"]["scan_exact_rel_dev"][case]
+        print(f"exact     {case:22s} {old:10.3g} -> {new:10.3g}"
+              f"  of peak {record['parent']['scan_exact_abs_dev'][case]:10.3g}"
+              f" -> {record['change']['scan_exact_abs_dev'][case]:10.3g}")
     for key in ("profile_peak_mb", "oracle_peak_mb"):
         for case, old in record["parent"][key].items():
             print(f"peak_mb   {case:22s} {old:10.4g} -> {record['change'][key][case]:10.4g} MB")
