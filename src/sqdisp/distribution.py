@@ -129,16 +129,17 @@ def density_at(seed: PovmSeed, psi: StateVector, g: GroupElement) -> float:
         raise GridMismatch("seed and state must share a quadrature grid")
     _check_phase(_row_frequency(seed, psi, g.x, g.r), psi.grid.dy)
     ket = _act_on_nodes(inverse(g), psi.grid, psi.evaluate_at)
-    return abs(np.vdot(seed.eta.amplitudes, ket) * psi.grid.dy - _kink_term(seed, psi, -g.r)) ** 2
+    amp = np.vdot(seed.eta.amplitudes, ket) * psi.grid.dy
+    return abs(amp - _kink_term(seed, psi) * np.exp(-g.r / 2.0)) ** 2
 
 
-def _kink_term(seed: PovmSeed, psi: StateVector, r_inv):
-    """delta(r') = (dy^2/24)(c_+ + c_- + 2 c_0) conj(source(0)) psi(0) e^{r'/2}: Euler-Maclaurin's
-    O(dy^2) excess of the midpoint <eta|U_{(x', r')}|psi> at a p = 1 seed's kink at y = 0."""
+def _kink_term(seed: PovmSeed, psi: StateVector) -> complex:
+    """delta(0) of delta(r') = (dy^2/24)(c_+ + c_- + 2 c_0) conj(source(0)) psi(0) e^{r'/2}, the
+    O(dy^2) Euler-Maclaurin excess of the midpoint <eta|U_{(x', r')}|psi> at a p = 1 kink y = 0."""
     c, zero = seed.sector_coeffs, np.zeros(1)
     jump = c.get(+1, 0.0) + c.get(-1, 0.0) + 2.0 * c.get(0, 0.0) if seed.weight_power == 1 else 0.0
     edge = jump * np.conj(seed.source.evaluate_at(zero)[0]) * psi.evaluate_at(zero)[0]
-    return psi.grid.dy ** 2 / 24.0 * edge * np.exp(np.asarray(r_inv) / 2.0)
+    return psi.grid.dy ** 2 / 24.0 * edge
 
 
 def _window_grid(seed: PovmSeed, psi: StateVector, window: Tuple[float, float, float, float]):
@@ -237,18 +238,29 @@ def _scan_rows(seed: PovmSeed, psi: StateVector,
         base *= (np.sqrt(scale) * psi.grid.dy)[:, None]
         return -scale, base.T  # x' = -e^{-r} x of the inverse elements
 
+    kink = _kink_term(seed, psi)
     return _row_map(window, nx, nr, y, np.abs(eta_conj), rows_at,
-                    shift=lambda r: _kink_term(seed, psi, -r))
+                    shift=lambda r: kink * np.exp(-r / 2.0))
+
+
+@functools.lru_cache(maxsize=None)
+def _weideman(n: int):
+    """L and the coefficients, highest degree first, of ``_faddeeva``'s series, on first use."""
+    length = math.sqrt(n / math.sqrt(2.0))
+    t = length * np.tan(np.arange(4 * n) * math.pi / (4 * n))  # e^{-t^2} 0 at tan(pi/2)
+    return length, tuple(np.fft.fft(np.exp(-t * t) * (length ** 2 + t * t)).real[n:0:-1] / (4 * n))
 
 
 def _faddeeva(z: np.ndarray, n: int = 36) -> np.ndarray:
     """w(z) = e^{-z^2} erfc(-iz) (DLMF 7.2) for Im z >= 0 by Weideman's rational series in
     Z = (L + iz)/(L - iz) of degree n - 1 (SIAM J. Numer. Anal. 31(5), 1497-1518, 1994)."""
-    length = math.sqrt(n / math.sqrt(2.0))
-    t = length * np.tan(np.arange(4 * n) * math.pi / (4 * n))  # e^{-t^2} 0 at tan(pi/2)
-    coeffs = np.fft.fft(np.exp(-t * t) * (length ** 2 + t * t)).real[n:0:-1] / (4 * n)
+    length, coeffs = _weideman(n)
     inv = 1.0 / (length - 1j * z)
-    p = np.polyval(coeffs, (length + 1j * z) * inv)
+    big_z = (length + 1j * z) * inv
+    p = np.full_like(big_z, coeffs[0])
+    for c in coeffs[1:]:  # Horner in place, np.polyval's steps
+        p *= big_z
+        p += c
     return (2.0 * p * inv + 1.0 / math.sqrt(math.pi)) * inv
 
 
@@ -259,23 +271,27 @@ def _gaussian_map(p0, p, c, window, nx: int, nr: int) -> DensityMap:
     + 2 s a e^{r'} + 2i (k0 - k e^{r'} - x'), delta = -s0 a0^2 - s a^2, s_i = e^{2 z_i}.  For Re g
     <= 0, J(g) = (1 + sqrt(pi) u w(-iu)) / 2 beta, u = g / 2 sqrt(beta), and J(-g) = J(g) + the
     whole line's (-g / 2 beta) sqrt(pi / beta) e^{g^2 / 4 beta}, its exponent folded with delta
-    into one of real part <= 0."""
+    into one of real part <= 0.  With k0 = k = 0 and x_lo = -x_hi, gamma(-x) = conj gamma(x) makes
+    the map even in x: blocks run on the ceil(nx / 2) nodes x >= 0 and the rest are their mirror."""
     s0, s = math.exp(2.0 * p0.log_width), math.exp(2.0 * p.log_width)
     c_plus, c_minus = c.get(+1, c.get(0, 0.0)), c.get(-1, c.get(0, 0.0))
     delta = -s0 * p0.center ** 2 - s * p.center ** 2
     x_nodes, r_nodes = np.linspace(*window[:2], nx), np.linspace(*window[2:], nr)
-    values, cols = np.empty((nx, nr)), max(1, _FORM_BLOCK // nx)
-    norm = 2.0 * math.sqrt(s0 * s) / math.pi  # (A0 A)^2
+    mirror = p0.linear_phase == 0.0 == p.linear_phase and window[0] == -window[1]
+    xs = x_nodes[nx // 2:] if mirror else x_nodes  # evaluated; the rest mirror them
+    values, cols = np.empty((nx, nr)), max(1, _FORM_BLOCK // len(xs))
+    norm = 2.0 * math.sqrt(s0 * s) / math.pi  # (A0 A)^2, times (e^{r'/2})^2 per column
     for j in range(0, nr, cols):
         e = np.exp(-r_nodes[j:j + cols])  # e^{r'}; x' = -e^{r'} x
         beta = s0 + s * e * e
         gamma = 2.0 * (s0 * p0.center + s * p.center * e) + 2j * (
-            p0.linear_phase - p.linear_phase * e + np.outer(x_nodes, e))
+            p0.linear_phase - p.linear_phase * e + np.outer(xs, e))
         u = np.where(flip := gamma.real > 0, -gamma, gamma) / (2.0 * np.sqrt(beta))
         half = (1.0 + math.sqrt(math.pi) * u * _faddeeva(-1j * u)) * math.exp(delta)
         whole = gamma * np.sqrt(math.pi / beta) * np.exp(delta + gamma * gamma / (4.0 * beta))
         amp = ((c_plus + c_minus) * half + whole * np.where(flip, c_plus, -c_minus)) / (2.0 * beta)
-        values[:, j:j + cols] = (amp.real ** 2 + amp.imag ** 2) * (norm * e)  # e^{r'/2} squared
+        values[nx - len(xs):, j:j + cols] = (amp.real ** 2 + amp.imag ** 2) * (norm * e)
+    values[:nx - len(xs)] = values[::-1][:nx - len(xs)]
     return DensityMap(x_nodes, r_nodes, values)
 
 

@@ -169,7 +169,10 @@ class StateVector:
         self.grid = grid
         self.amplitudes = amplitudes
         self.evaluator = evaluator
-        self.norm_certificate = math.sqrt(float(np.sum(np.abs(amplitudes) ** 2)) * grid.dy)
+        # 2^e > max|a|: squares of |a| / 2^e neither overflow nor vanish, and scale exactly
+        mag = np.abs(amplitudes)
+        scale = math.ldexp(1.0, math.frexp(float(mag.max()))[1])
+        self.norm_certificate = scale * math.sqrt(float(np.sum((mag / scale) ** 2)) * grid.dy)
         self._spline = None
 
     @classmethod
@@ -500,7 +503,8 @@ def sector_integral(phi, psi, sign: int, power: int,
 
 
 def half_line_moment(psi: StateVector, sign: int, power: int) -> float:
-    """integral over sign*y > 0 of |y|^power |psi(y)|^2 dy, by ``sector_integral``.
+    """integral over sign*y > 0 of |y|^power |psi(y)|^2 dy, by ``sector_integral``; power 1 of a
+    Gaussian psi, |psi|^2 normal (a, sigma = e^{-z}/2), is sigma phi(a/sigma) + s a Phi(s a/sigma).
 
     Raises DivergenceDetected for power <= -1 when the grid-doubling growth
     test fires (psi(0) != 0 makes the integral log-divergent), and
@@ -509,6 +513,10 @@ def half_line_moment(psi: StateVector, sign: int, power: int) -> float:
     """
     if _size(sign, "sign") not in (+1, -1):
         raise ConfigError(f"sign must be +1 or -1, got {sign!r}")
+    if power == 1 and psi.evaluator is not None:
+        a, sigma = psi.evaluator.center, 0.5 * math.exp(-psi.evaluator.log_width)
+        return (sigma * math.exp(-0.5 * (a / sigma) ** 2) / math.sqrt(2.0 * math.pi)
+                + sign * a * 0.5 * math.erfc(-sign * a / sigma / math.sqrt(2.0)))
     values, grows = sector_integral(psi, psi, sign, power,
                                     growth_floor=1e-12 if power <= -1 else None)
     if grows:

@@ -657,6 +657,20 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_import_loads_no_numpy_fft():
+    # the Faddeeva coefficients are built on first use, so importing the CLI leaves
+    # numpy.fft as importing numpy does, and CLI processes do not pay for it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sqdisp.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, numpy; loaded = 'numpy.fft' in sys.modules; import sqdisp, sqdisp.cli; "
+         "print(('numpy.fft' in sys.modules) == loaded)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "True"
+
+
 class TestInternalError:
     def test_stray_exception_exits_4_on_one_line(self, capsys, monkeypatch):
         from sqdisp import cli

@@ -36,12 +36,12 @@ from hypothesis import strategies as st
 from scipy.special import wofz
 
 from sqdisp import (GaussianStateParams, GroupElement, StateVector, act, build_ml_seed,
-                    build_parity_seed, default_grid, density_at, inverse,
+                    build_parity_seed, default_grid, density_at, distribution, inverse,
                     make_displaced_squeezed, optimal_likelihood, scan)
 from sqdisp.distribution import _faddeeva, _refine_for_window, _scan_rows
 from sqdisp.povm import SECTOR_THRESHOLD
 
-from helpers import gaussian_weights
+from helpers import gaussian_weights, spy
 
 
 def exact_coeffs(a, z, parity=False):
@@ -207,6 +207,41 @@ def test_closed_form_scan_matches_exact(a, z, c, parity, x_lo, x_hi, r_lo, r_hi)
     exact = np.array([[abs(exact_amplitude(a, z, GroupElement(x, r), parity, c)) ** 2
                        for r in dmap.r_nodes] for x in dmap.x_nodes])
     assert np.max(np.abs(dmap.values - exact)) <= 1e-12 * np.max(exact)
+
+
+@settings(max_examples=20, derandomize=True, deadline=None, database=None)
+@given(a=st.floats(-6.0, 6.0), z=st.floats(-0.6, 0.6), parity=st.booleans(),
+       nx=st.integers(16, 41), x_hi=st.floats(0.5, 8.0), r_lo=st.floats(-1.5, 0.0),
+       r_hi=st.floats(0.1, 1.5))
+def test_mirrored_map_matches_full_evaluation(a, z, parity, nx, x_hi, r_lo, r_hi):
+    # a real psi and seed on x_lo = -x_hi: the map's x < 0 half is the mirror of its
+    # x >= 0 half; moving x_lo one ulp takes the full evaluation on the same nodes
+    psi = make_displaced_squeezed(a, z)
+    seed = (build_parity_seed if parity else build_ml_seed)(psi)
+    mirrored = scan(seed, psi, (-x_hi, x_hi, r_lo, r_hi), (nx, 16)).values
+    full = scan(seed, psi, (np.nextafter(-x_hi, -np.inf), x_hi, r_lo, r_hi), (nx, 16)).values
+    bulk = full >= 1e-3 * full.max()
+    assert np.max(np.abs(mirrored - full)[bulk] / full[bulk]) <= 1e-12
+    assert np.max(np.abs(mirrored - full)) <= 1e-12 * full.max()
+
+
+@pytest.mark.parametrize("nx", [32, 33])
+@pytest.mark.parametrize("window, phases, mirrored", [
+    ((-3.0, 3.0, -1.0, 1.0), (0.0, 0.0), True),
+    ((-3.0, 2.5, -1.0, 1.0), (0.0, 0.0), False),
+    ((-3.0, 3.0, -1.0, 1.0), (0.7, 0.0), False),
+    ((-3.0, 3.0, -1.0, 1.0), (0.0, -0.7), False)], ids=["mirror", "asymmetric",
+                                                         "seed-phase", "state-phase"])
+def test_mirror_only_for_real_states_on_symmetric_windows(monkeypatch, nx, window, phases,
+                                                          mirrored):
+    # Faddeeva points of one map: ceil(nx / 2) columns of x >= 0 for real states on a
+    # symmetric window, all nx otherwise
+    grid = default_grid(1.5, 0.2)
+    source, psi = (StateVector.from_params(GaussianStateParams(1.5, 0.2, k), grid)
+                   for k in phases)
+    points = spy(monkeypatch, distribution, "_faddeeva", lambda z: z.size)
+    scan(build_ml_seed(source), psi, window, (nx, 20))
+    assert sum(points) == (-(-nx // 2) if mirrored else nx) * 20
 
 
 def test_faddeeva_matches_scipy():

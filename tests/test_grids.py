@@ -22,6 +22,7 @@ from sqdisp import (ConfigError, DivergenceDetected, GaussianStateParams, GridMi
 from sqdisp.distribution import _map_shape
 from sqdisp.grids import (_FFT_LENGTHS, _SUM_PASS, MAX_NODES, _chirp, _fft_length, _sector_sum,
                           _solve_141, fourier_at, phase_dy, refine_by_doubling, resolving_grid)
+from sqdisp.validate import _odd_state
 
 VACUUM_PEAK = (2.0 / math.pi) ** 0.25           # 0.8932438417380024
 VACUUM_HALF_MOMENT = math.sqrt(2.0 / math.pi) / 4.0  # 0.19947114020071635
@@ -378,7 +379,8 @@ class TestWorkPerGrid:
         return runs
 
     def test_half_line_moment(self):
-        psi = make_displaced_squeezed(4.0, 0.2)
+        # a sampled state: a Gaussian's power-1 moment is in closed form, with no grid
+        psi = _odd_state(default_grid(0.0))
         runs = self.doubling_runs(psi, lambda: half_line_moment(psi, +1, 1))
         assert len(runs) == 1 and runs[0] >= 2
 

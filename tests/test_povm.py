@@ -2,16 +2,20 @@
 
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from sqdisp import grids
 from sqdisp import (DomainViolation, EmptySupport, GridTooNarrow, GroupElement,
-                    act, build_ml_seed, build_parity_seed, build_srm_seed,
+                    QuadratureGrid, act, build_ml_seed, build_parity_seed, build_srm_seed,
                     default_grid, half_line_moment, make_coherent,
-                    make_displaced_squeezed, make_vacuum,
+                    make_displaced_squeezed, make_sampled, make_vacuum,
                     optimal_likelihood, seed_overlap_likelihood, srm_likelihood)
 from sqdisp.validate import _odd_state, _seed_suite, srm_admissible_suite
 
@@ -77,6 +81,18 @@ class TestOptimalLikelihood:
         assert optimal_likelihood(_odd_state(default_grid(0.0))) == pytest.approx(
             ODD_L_OPT, rel=1e-8)
 
+    @pytest.mark.parametrize("scale", [1e200, 1e154, 1e-160, 1e-200])
+    def test_sampled_state_judged_by_value_not_scale(self, scale):
+        # a state and its multiples are one ray; the squares of such raw samples overflow
+        # (1e200, 1e154), underflow to zero (1e-200) or lose digits as subnormals (1e-160)
+        grid = QuadratureGrid(10.0, 512)
+        amps = grid.nodes * np.exp(-grid.nodes ** 2)
+        unscaled = optimal_likelihood(make_sampled(grid, amps))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scaled = optimal_likelihood(make_sampled(grid, scale * amps))
+        assert abs(scaled - unscaled) <= 1e-12 * unscaled
+
 
 class TestSrmSeed:
     def test_vacuum_domain_violation(self):
@@ -111,6 +127,24 @@ class TestSrmSeed:
 
     def test_positive(self):
         assert srm_likelihood(make_coherent(6.0)) > 0.0
+
+    @settings(max_examples=12, derandomize=True, deadline=None, database=None)
+    @given(k=st.integers(1, 6), u=st.floats(0.0, 1.0))
+    @example(k=6, u=1.0)
+    def test_srm_gap_of_power_gaussians(self, k, u):
+        # psi ~ y^k e^{-y^2/w^2}: each sector's <|Y|^p> is N^2 Gamma(q) (w^2/2)^q / 2 with
+        # q = k + (p+1)/2, so L_srm / L_opt = Gamma(k+1/2)^2 / (Gamma(k) Gamma(k+1)) at every
+        # w, the paper's ML-over-SRM gain as an exact law.  w runs from 0.7, above which the
+        # O(dy^4) error of sampling on 4096 nodes is below 1e-10, to where psi at |y| = 10 is
+        # 1e-15 of its peak at y = w sqrt(k/2)
+        def log_edge_over_peak(w):
+            return (k * math.log(10.0) - 100.0 / w ** 2
+                    - k / 2.0 * math.log(k * w * w / (2.0 * math.e)))
+        w = 0.7 + u * (brentq(lambda w: log_edge_over_peak(w) - math.log(1e-15), 0.7, 5.0) - 0.7)
+        grid = QuadratureGrid(10.0, 4096)
+        psi = make_sampled(grid, grid.nodes ** k * np.exp(-(grid.nodes / w) ** 2))
+        ratio = math.gamma(k + 0.5) ** 2 / (math.gamma(k) * math.gamma(k + 1))
+        assert abs(srm_likelihood(psi) / optimal_likelihood(psi) - ratio) <= 1e-9 * ratio
 
 
 class TestDerivedEta:
@@ -169,10 +203,11 @@ class TestSeedNodeBudget:
 
     def test_no_sector_integral_twice(self, monkeypatch):
         # a likelihood evaluates exactly its seed's sector sums, and the SRM
-        # seed adds only the power-1 half-line weights the ML seed evaluates
+        # seed adds only the power-1 half-line weights the ML seed evaluates,
+        # which a Gaussian's ML seed takes in closed form, with no sum
         for name, psi in _seed_suite(default_grid(0.0)) + srm_admissible_suite():
             ml = self.sector_sums(monkeypatch, build_ml_seed, psi)
-            assert {power for _, power, _ in ml} == {1}
+            assert {power for _, power, _ in ml} == (set() if psi.evaluator else {1}), name
             assert self.sector_sums(monkeypatch, optimal_likelihood, psi) == ml, name
             if name not in SRM_UNDEFINED:
                 srm = self.sector_sums(monkeypatch, srm_likelihood, psi)
@@ -189,16 +224,20 @@ class TestSeedNodeBudget:
             (-1, -1, n) for n in (4096, 8192, 16384)]
 
     def test_gaussian_seeds_converge_by_2_16_nodes(self, monkeypatch):
+        # ML and parity seeds of a Gaussian make no sector sum, their weights in closed
+        # form; the SRM seed sums only powers 0 and -1
         for name, psi in _seed_suite(default_grid(0.0)) + srm_admissible_suite():
             if psi.evaluator is None:
                 continue
-            for build in (build_ml_seed, build_parity_seed, build_srm_seed):
-                if build is build_srm_seed and name in SRM_UNDEFINED:
-                    with pytest.raises(DomainViolation):
-                        build(psi)
-                    continue
-                sizes = self.grid_sizes(monkeypatch, build, psi)
-                assert max(sizes) <= 2**16, (name, build.__name__, sizes)
+            for build in (build_ml_seed, build_parity_seed):
+                assert self.sector_sums(monkeypatch, build, psi) == [], (name, build.__name__)
+            if name in SRM_UNDEFINED:
+                with pytest.raises(DomainViolation):
+                    build_srm_seed(psi)
+                continue
+            sums = self.sector_sums(monkeypatch, build_srm_seed, psi)
+            assert {power for _, power, _ in sums} <= {0, -1}, name
+            assert max(n for _, _, n in sums) <= 2**16, (name, sums)
 
     def test_unsettled_log_divergence_returns_raw_cap_value(self, monkeypatch):
         # two-bump(3) has psi(0) ~ 1e-4: <D_s> is log-divergent with a

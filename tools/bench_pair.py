@@ -14,7 +14,9 @@ sides are timed in alternation, so machine load falls on both.
 Per side, best-of-N seconds: ``row_s``, one ``fourier_at`` call on one scan row
 (128 x against 4096 and 8192 nodes); ``scan_s``, ``distribution.scan`` of each
 scan slot at the middle of every range (the seed built outside the timing),
-and ``scan_row_s``, that over its rows; ``profile_s``, the ``sqdisp two-mode``
+and ``scan_row_s``, that over its rows; ``seed_s``, ``povm.build_ml_seed`` of that slot's
+state, and ``scan_job_s``, ``ScanWorkload.run`` of that job: state, seed, scan, argmax and
+moments, the body the benchmark's ``job_p50_s`` times; ``profile_s``, the ``sqdisp two-mode``
 default profile (the change's ``cli`` n_max, window and resolution) for each workload
 lambda, and ``profile_0.999_n1000``, lambda 0.999 at n_max 1000 on 16 x 16 on that window;
 ``job_s``, each oracle slot with every parameter at the point u = 0.1, 0.5 or
@@ -188,12 +190,15 @@ def cases(sides, repeats):
              for side, pkg in sides.items()}
     for slot in scans["change"].slots:
         job = getattr(scans["change"], f"gen_{slot}")((0.5, 0.5, 0.5))
-        calls = {}
+        calls, seeds = {}, {}
         for side, pkg in sides.items():
             psi = scans[side].build_state(job)
             seed = pkg["povm"].build_ml_seed(psi)
             calls[side] = partial(pkg["distribution"].scan, seed, psi, job["window"], job["res"])
+            seeds[side] = partial(pkg["povm"].build_ml_seed, psi)
         yield "scan_s", slot, repeats, calls, partial(map_devs, "")
+        yield "seed_s", slot, repeats, seeds, None
+        yield "scan_job_s", slot, repeats, {s: partial(scans[s].run, job) for s in sides}, None
     cli = sides["change"]["cli"]
     reads = cli._READS["two-mode"]
     window = tuple(reads[key] for key in ("x_lo", "x_hi", "r_lo", "r_hi"))
@@ -228,9 +233,9 @@ def main(argv=None) -> int:
     sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
              "change": load("sqdisp", ROOT / "src")}
     sys.path.insert(0, str(ROOT / "tests"))  # the exact form of exact_devs
-    keys = ("row_s", "scan_s", "scan_row_s", "scan_nodes", "scan_node_rows", "scan_grid_n",
-            "scan_exact_rel_dev", "scan_exact_abs_dev", "profile_s", "job_s", "oracle_nodes",
-            "oracle_peak_mb", "profile_peak_mb")
+    keys = ("row_s", "scan_s", "scan_row_s", "seed_s", "scan_job_s", "scan_nodes",
+            "scan_node_rows", "scan_grid_n", "scan_exact_rel_dev", "scan_exact_abs_dev",
+            "profile_s", "job_s", "oracle_nodes", "oracle_peak_mb", "profile_peak_mb")
     record = {side: {key: {} for key in keys} for side in sides}
     deviation = {}
     for key, case, repeats, calls, devs in cases(sides, args.repeats):
@@ -270,7 +275,7 @@ def main(argv=None) -> int:
                           "python": platform.python_version(), "numpy": np.__version__},
               **record, **deviation}
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    for key in ("row_s", "scan_s", "profile_s", "job_s"):
+    for key in ("row_s", "scan_s", "seed_s", "scan_job_s", "profile_s", "job_s"):
         for case, old in record["parent"][key].items():
             new = record["change"][key][case]
             print(f"{key:9s} {case:22s} {old:10.4g} -> {new:10.4g} s  ({new / old:5.2f}x)")
