@@ -180,21 +180,25 @@ def srm_admissible_suite():
 
 
 def check_srm_suboptimality() -> Tuple[bool, str]:
-    margins = []
+    """4 of 5 margins 1 - L_srm/L_opt above 1 %, and the odd state's ratio the exact
+    Gamma(3/2)^2 / (Gamma(1) Gamma(2)) = pi/4 of psi ~ y e^{-y^2/w^2} to 1e-8."""
+    margins = {}
     for name, psi in srm_admissible_suite():
         l_opt = optimal_likelihood(psi)
         l_srm = srm_likelihood(psi)
         if l_srm > l_opt * (1 + 1e-12):
             return False, f"L_srm > L_opt for {name}"
-        margins.append((name, 1.0 - l_srm / l_opt))
+        margins[name] = 1.0 - l_srm / l_opt
     try:
         srm_likelihood(make_vacuum())
         return False, "vacuum SRM did not raise DomainViolation"
     except DomainViolation:
         pass
-    strict = sum(1 for _, m in margins if m > 0.01)
-    detail = ", ".join(f"{n}:{m:.3%}" for n, m in margins)
-    return strict >= 4, f"strict margins {strict}/5 ({detail})"
+    strict = sum(1 for m in margins.values() if m > 0.01)
+    odd_off = 1.0 - margins["odd"] - math.pi / 4.0
+    detail = ", ".join(f"{n}:{m:.3%}" for n, m in margins.items())
+    return (strict >= 4 and abs(odd_off) <= 1e-8,
+            f"strict margins {strict}/5 ({detail}), odd ratio - pi/4 {odd_off:.1e}")
 
 
 def check_density_nonnegative() -> Tuple[bool, str]:

@@ -1,13 +1,16 @@
-"""What several test files share: one call spy, the vacuum's reference values, the
-exact half-line weights of a Gaussian and the row loop's chunk records.  pytest puts
-this directory on ``sys.path``; ``conftest.py`` makes ``vacuum_seed`` a fixture."""
+"""What several test files and ``tools/bench_pair.py`` share: one call spy, the vacuum's
+reference values, the exact half-line weights and estimation density of a Gaussian, one
+deviation measure of a map, and the row loop's chunk records.  pytest puts this
+directory on ``sys.path``; ``conftest.py`` makes ``vacuum_seed`` a fixture."""
 
 import math
 
-from scipy.special import erfcx
+import numpy as np
+from scipy.special import erfcx, wofz
 
-from sqdisp import build_ml_seed, make_vacuum
+from sqdisp import GroupElement, build_ml_seed, inverse, make_vacuum
 from sqdisp import distribution
+from sqdisp.povm import SECTOR_THRESHOLD
 
 VACUUM_L_OPT = math.sqrt(2.0 / math.pi) / math.pi  # 0.25397454373696393
 
@@ -46,6 +49,53 @@ def gaussian_weights(a, z):
     phi = math.exp(-t * t / 2.0) / math.sqrt(2.0 * math.pi)
     far = sigma * phi * (1.0 - t * math.sqrt(math.pi / 2.0) * erfcx(t / math.sqrt(2.0)))
     return (abs(a) + far, far) if a >= 0 else (far, abs(a) + far)
+
+
+def exact_coeffs(a, z, parity=False):
+    """c_s = 1/sqrt(pi w_s) of the populated sectors, as the library drops a sector with
+    w_s below SECTOR_THRESHOLD; with ``parity`` c_+ = c_- = 1/sqrt(pi (w_+ + w_-))."""
+    weights = dict(zip((+1, -1), gaussian_weights(a, z)))
+    if parity:
+        c = 1.0 / math.sqrt(math.pi * (weights[+1] + weights[-1]))
+        return {+1: c, -1: c}
+    return {s: 1.0 / math.sqrt(math.pi * w) for s, w in weights.items() if w > SECTOR_THRESHOLD}
+
+
+def _j(beta, gamma):
+    """integral_0^inf t e^{-beta t^2 + gamma t} dt = (1 + gamma i0) / (2 beta), i0 =
+    integral_0^inf e^{-beta t^2 + gamma t} dt, by the Faddeeva function w (DLMF 7.2)."""
+    root = math.sqrt(beta)
+    i0 = 0.5 * math.sqrt(math.pi) / root * wofz(-1j * gamma / (2.0 * root))
+    return (1.0 + gamma * i0) / (2.0 * beta)
+
+
+def exact_amplitude(a, z, g, parity=False, c=0.0):
+    """<eta| U_{g^{-1}} |psi> = A^2 e^{r'/2} e^{-2 s a^2} sum_s c_s _j(beta, s gamma), g^{-1} =
+    (x', r'), for the ML (or ``parity``) seed eta = c_s |y| theta(s y) psi of psi = A e^{-2i c y}
+    e^{-s (y - a)^2}, s = e^{2z}, A^2 = sqrt(2 s / pi): beta = s (1 + e^{2r'}) and gamma =
+    2 a s (1 + e^{r'}) + 2i (c (1 - e^{r'}) - x')."""
+    s = math.exp(2.0 * z)
+    gi = inverse(g)
+    beta = s * (1.0 + math.exp(2.0 * gi.r))
+    gamma = 2.0 * a * s * (1.0 + math.exp(gi.r)) + 2.0j * (c * (1.0 - math.exp(gi.r)) - gi.x)
+    total = sum(cs * _j(beta, sign * gamma) for sign, cs in exact_coeffs(a, z, parity).items())
+    return math.sqrt(2.0 * s / math.pi) * math.exp(gi.r / 2.0 - 2.0 * s * a * a) * total
+
+
+def exact_map(psi, dmap, parity=False):
+    """|exact_amplitude|^2 at every node of ``dmap`` for the ML (or ``parity``) seed of the
+    Gaussian ``psi`` and ``psi`` itself."""
+    p = psi.evaluator
+    return np.array([[abs(exact_amplitude(p.center, p.log_width, GroupElement(x, r), parity,
+                                          p.linear_phase)) ** 2 for r in dmap.r_nodes]
+                     for x in dmap.x_nodes])
+
+
+def map_devs(values, reference):
+    """The largest |values - reference| / reference on the nodes where the reference is at
+    least 1e-3 of its peak, and the largest |values - reference| over that peak."""
+    bulk, dev = reference >= 1e-3 * reference.max(), np.abs(values - reference)
+    return float(np.max(dev[bulk] / reference[bulk])), float(np.max(dev) / reference.max())
 
 
 def record_chunks(monkeypatch):

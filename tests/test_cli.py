@@ -280,6 +280,23 @@ class TestSampledFile:
                        if line.startswith("0,0,")]
         assert at_identity == [pytest.approx(json.loads(out)["likelihood"], rel=1e-3)]
 
+    def test_global_phase_in_file_leaves_likelihood_json(self, tmp_path, capsys):
+        # e^{2i} (re + i im) is the same ray as the file without it
+        from sqdisp import default_grid
+        y = default_grid(0.0, n=512).nodes
+        path, payloads = tmp_path / "state.csv", []
+        for phase in (1.0, np.exp(2.0j)):
+            amp = phase * y * np.exp(-y ** 2)
+            path.write_text("\n".join(["y,re,im"] + [f"{yy:.17g},{aa.real:.17g},{aa.imag:.17g}"
+                                                     for yy, aa in zip(y, amp)]))
+            code, out, err = run(capsys, "likelihood", "--state", "sampled-file",
+                                 "--sampled-path", str(path))
+            assert code == 0 and err == ""
+            payloads.append(json.loads(out))
+        plain, phased = payloads
+        assert phased.pop("certificates") == pytest.approx(plain.pop("certificates"), rel=1e-12)
+        assert phased == pytest.approx(plain, rel=1e-12)
+
     def test_missing_path_rejected(self, capsys):
         code, out, err = run(capsys, "likelihood", "--state", "sampled-file")
         assert code == 2

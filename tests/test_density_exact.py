@@ -1,27 +1,12 @@
 """density_at and scan against the exact estimation density of a Gaussian state.
 
-For psi = A e^{-2i c y} e^{-s (y - a)^2}, s = e^{2z}, A^2 = sqrt(2 s / pi), its ML seed
-eta = c_s |y| theta(s y) psi and g^{-1} = (x', r'),
-
-    <eta| U_{g^{-1}} |psi> = A^2 e^{r'/2} e^{-2 s a^2} sum_s c_s J(beta, s gamma),
-
-with beta = s (1 + e^{2r'}), gamma = 2 a s (1 + e^{r'}) + 2i (c (1 - e^{r'}) - x') and
-
-    J(beta, gamma) = integral_0^inf t e^{-beta t^2 + gamma t} dt
-                   = 1/(2 beta) + (gamma / 2 beta) (1/2) sqrt(pi/beta) w(-i gamma / 2 sqrt beta),
-
-w the Faddeeva function (DLMF 7.2).  The coefficients are c_s = 1/sqrt(pi w_s)
-with the sector weights w_- = sigma phi(t) (1 - t sqrt(pi/2) erfcx(t / sqrt 2)),
-sigma = e^{-z}/2, t = a / sigma, and w_+ = a + w_- for a >= 0 (the sectors swap for
-a < 0); a sector with w_s below SECTOR_THRESHOLD is dropped, as the library does.
-The parity seed eta = c |y| psi has the same form with c_+ = c_- = c = 1/sqrt(pi (w_+ + w_-)).
-
-The raw midpoint sum misses this value by the Euler-Maclaurin term of the seed's
-kink at the cell edge y = 0: the amplitude is off by delta = (dy^2 / 24)(c_+ + c_-)
-|psi(0)|^2 e^{r'/2} + O(dy^4), which density_at and the quadrature rows of scan take
-out.  The tests check the reference against 30-digit mpmath, density_at (ML and
-parity seeds) and the quadrature rows against the reference, that the raw sum
-holds the O(dy^2) term and the corrected one errs at O(dy^4), and that scan's
+The reference is ``helpers.exact_amplitude``, a sum over the seed's sectors of half-line
+Gaussian integrals closed by the Faddeeva function.  The raw midpoint sum misses it by the
+Euler-Maclaurin term of the seed's kink at the cell edge y = 0: the amplitude is off by
+delta = (dy^2 / 24)(c_+ + c_-) |psi(0)|^2 e^{r'/2} + O(dy^4), which density_at and the
+quadrature rows of scan take out.  The tests check the reference against 30-digit mpmath,
+density_at (ML and parity seeds) and the quadrature rows against the reference, that the
+raw sum holds the O(dy^2) term and the corrected one errs at O(dy^4), and that scan's
 closed form for Gaussian pairs matches the reference to round-off.
 """
 
@@ -41,36 +26,7 @@ from sqdisp import (GaussianStateParams, GroupElement, StateVector, act, build_m
 from sqdisp.distribution import _faddeeva, _refine_for_window, _scan_rows
 from sqdisp.povm import SECTOR_THRESHOLD
 
-from helpers import gaussian_weights, spy
-
-
-def exact_coeffs(a, z, parity=False):
-    """c_s = 1/sqrt(pi w_s) of the populated sectors, a >= 0; with ``parity``
-    c_+ = c_- = 1/sqrt(pi (w_+ + w_-))."""
-    weights = dict(zip((+1, -1), gaussian_weights(a, z)))
-    if parity:
-        c = 1.0 / math.sqrt(math.pi * (weights[+1] + weights[-1]))
-        return {+1: c, -1: c}
-    return {s: 1.0 / math.sqrt(math.pi * w) for s, w in weights.items() if w > SECTOR_THRESHOLD}
-
-
-def _j(beta, gamma):
-    """integral_0^inf t e^{-beta t^2 + gamma t} dt = (1 + gamma i0) / (2 beta),
-    i0 = integral_0^inf e^{-beta t^2 + gamma t} dt."""
-    root = math.sqrt(beta)
-    i0 = 0.5 * math.sqrt(math.pi) / root * wofz(-1j * gamma / (2.0 * root))
-    return (1.0 + gamma * i0) / (2.0 * beta)
-
-
-def exact_amplitude(a, z, g, parity=False, c=0.0):
-    """<eta| U_{g^{-1}} |psi> for the ML (or ``parity``) seed of psi = dsq(a, z) with
-    linear phase ``c``."""
-    s = math.exp(2.0 * z)
-    gi = inverse(g)
-    beta = s * (1.0 + math.exp(2.0 * gi.r))
-    gamma = 2.0 * a * s * (1.0 + math.exp(gi.r)) + 2.0j * (c * (1.0 - math.exp(gi.r)) - gi.x)
-    total = sum(c * _j(beta, sign * gamma) for sign, c in exact_coeffs(a, z, parity).items())
-    return math.sqrt(2.0 * s / math.pi) * math.exp(gi.r / 2.0 - 2.0 * s * a * a) * total
+from helpers import exact_amplitude, exact_map, spy
 
 
 def mpmath_amplitude(a, z, g, c=0.0):
@@ -166,11 +122,7 @@ def test_scan_matches_exact_up_to_kink_term(a, z):
     seed = build_ml_seed(psi)
     dmap = _scan_rows(seed, psi, window, 16)
     assert _refine_for_window(seed, psi, window)[1].grid.dy < psi.grid.dy
-    for i in range(0, 16, 3):
-        for j in range(0, 16, 3):
-            g = GroupElement(dmap.x_nodes[i], dmap.r_nodes[j])
-            exact = exact_density(seed, a, z, g)
-            assert abs(dmap.values[i, j] - exact) <= 1e-8 * seed.likelihood, (i, j)
+    assert np.max(np.abs(dmap.values - exact_map(psi, dmap))) <= 1e-8 * seed.likelihood
 
 
 def test_kink_floor_is_present():
@@ -204,8 +156,7 @@ def test_closed_form_scan_matches_exact(a, z, c, parity, x_lo, x_hi, r_lo, r_hi)
     psi = StateVector.from_params(params, default_grid(a, z))
     seed = (build_parity_seed if parity else build_ml_seed)(psi)
     dmap = scan(seed, psi, (x_lo, x_hi, r_lo, r_hi), 16)
-    exact = np.array([[abs(exact_amplitude(a, z, GroupElement(x, r), parity, c)) ** 2
-                       for r in dmap.r_nodes] for x in dmap.x_nodes])
+    exact = exact_map(psi, dmap, parity)
     assert np.max(np.abs(dmap.values - exact)) <= 1e-12 * np.max(exact)
 
 

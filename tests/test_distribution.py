@@ -17,11 +17,11 @@ from sqdisp import (ConfigError, DivergenceDetected, GridMismatch, GridTooNarrow
                     moments, normalization_check, scan, window_statistics)
 from sqdisp import grids
 from sqdisp.distribution import (_band_spectrum, _quadratic_peak, _refine_for_window,
-                                 _screened_cross_terms, _trapezoid_weights)
+                                 _scan_rows, _screened_cross_terms, _trapezoid_weights)
 from sqdisp.grids import fourier_at
 from sqdisp.validate import _odd_state
 
-from helpers import VACUUM_L_OPT, spy
+from helpers import VACUUM_L_OPT, exact_map, map_devs, spy
 
 ASY_COH10_AT_R01 = (10.0 / math.pi) * math.exp(-1.0)  # 1.1709966304863835
 
@@ -96,23 +96,18 @@ class TestRowFrequency:
         with pytest.raises(GridTooNarrow, match="aliases"):
             density_at(build_ml_seed(psi), psi, GroupElement(0.5, -3.0))
 
-    @pytest.mark.parametrize("x0, window, rtol", [(60.0, (-1.0, 1.0, -3.0, -1.0), 5e-2),
-                                                  (30.0, (-3.0, 3.0, -2.5, 2.5), 1e-5)])
-    def test_scan_matches_fine_density_at(self, x0, window, rtol):
-        # the reference is density_at on 2^19 nodes, at 65 ms a point, so it is read on
-        # every 4th x and r node of the 24^2 map.  Where x0's stretch was ignored the scan
-        # ran on 8192 nodes and was off by 8.9e3 (x0 = 60) and 4.5e-5 (x0 = 30); now on
-        # 65,536 and 32,768 nodes, 2.0e-2 and 2.8e-6 are the kink term at y = 0
+    @pytest.mark.parametrize("x0, window, rows_rtol, rtol", [
+        (60.0, (-1.0, 1.0, -3.0, -1.0), 1.5e-3, 8e-11),
+        (30.0, (-3.0, 3.0, -2.5, 2.5), 6e-11, 1.2e-12)], ids=["x0-60", "x0-30"])
+    def test_scan_matches_exact(self, x0, window, rows_rtol, rtol):
+        # on 65,536 and 32,768 nodes the rows are 5.9e-4 and 2.2e-11 off the exact map,
+        # the closed form 2.9e-11 and 4.4e-13; each bound is about 3 times that
         psi = act(GroupElement(x0, 0.0), make_vacuum())
         seed = build_ml_seed(psi)
-        m = scan(seed, psi, window, 24)
-        fine = grids.QuadratureGrid(psi.grid.y_max, 2**19)
-        seed, psi = seed.on_grid(fine), psi.with_grid(fine)
-        for i in range(0, 24, 4):
-            for j in range(0, 24, 4):
-                if m.values[i, j] >= 1e-3 * m.values.max():
-                    ref = density_at(seed, psi, GroupElement(m.x_nodes[i], m.r_nodes[j]))
-                    assert m.values[i, j] == pytest.approx(ref, rel=rtol)
+        rows, m = _scan_rows(seed, psi, window, 24), scan(seed, psi, window, 24)
+        exact = exact_map(psi, m)
+        assert map_devs(rows.values, exact)[0] <= rows_rtol
+        assert map_devs(m.values, exact)[0] <= rtol
 
 
 class TestRowWidth:
@@ -121,22 +116,19 @@ class TestRowWidth:
 
     WINDOW = (-0.01, 0.01, -6.0, -5.0)
 
-    @pytest.mark.parametrize("a, nodes, rtol", [(0.0, 16384, 0.1), (3.0, 32768, 0.05)])
-    def test_scan_resolves_narrowest_row(self, a, nodes, rtol):
-        # on the 4096 nodes the phase rule alone kept, the map was off by 1.17 (vacuum) and
-        # 0.26 (coherent 3) on these points; what is left, 0.043 and 0.024, is the kink term
-        # at y = 0.  The 2^18-node reference takes 12 ms a point: every 4th x and r node
+    @pytest.mark.parametrize("a, nodes, rows_rtol, rtol", [(0.0, 16384, 5e-3, 3e-15),
+                                                            (3.0, 32768, 0.025, 6e-14)],
+                             ids=["vacuum", "coherent-3"])
+    def test_scan_resolves_narrowest_row(self, a, nodes, rows_rtol, rtol):
+        # the rows are 1.8e-3 (vacuum) and 9.1e-3 (coherent 3) off the exact map, the
+        # closed form 1.1e-15 and 1.9e-14; each bound is about 3 times that
         psi = make_coherent(a)
         seed = build_ml_seed(psi)
         assert _refine_for_window(seed, psi, self.WINDOW)[1].grid.n == nodes
-        m = scan(seed, psi, self.WINDOW, 16)
-        fine = grids.QuadratureGrid(psi.grid.y_max, 2**18)
-        seed, psi = seed.on_grid(fine), psi.with_grid(fine)
-        for i in range(0, 16, 4):
-            for j in range(0, 16, 4):
-                if m.values[i, j] >= 1e-3 * m.values.max():
-                    ref = density_at(seed, psi, GroupElement(m.x_nodes[i], m.r_nodes[j]))
-                    assert m.values[i, j] == pytest.approx(ref, rel=rtol)
+        rows, m = _scan_rows(seed, psi, self.WINDOW, 16), scan(seed, psi, self.WINDOW, 16)
+        exact = exact_map(psi, m)
+        assert map_devs(rows.values, exact)[0] <= rows_rtol
+        assert map_devs(m.values, exact)[0] <= rtol
 
 
 class TestScanAndArgmax:
@@ -165,17 +157,23 @@ class TestScanAndArgmax:
             assert np.all(np.isfinite(m.values))
 
     def test_wide_window_memory_bounded(self, vacuum_seed):
-        # (+-20, +-6) refines the vacuum grid to 524288 nodes; a dense phase
-        # matrix would need more than 1 GB per r row
+        # (+-20, +-6) refines the vacuum grid to 524288 nodes; a dense phase matrix
+        # would need more than 1 GB per r row, the rows peak at 59 MB traced.  They are
+        # 6.0e-14 off the exact map, and the closed form 3.1e-13
         seed, vac = vacuum_seed
+        window = (-20.0, 20.0, -6.0, 6.0)
+        assert _refine_for_window(seed, vac, window)[1].grid.n == 524288
         tracemalloc.start()
         try:
-            m = scan(seed, vac, (-20.0, 20.0, -6.0, 6.0), (128, 16))
+            rows = _scan_rows(seed, vac, window, (128, 16))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert np.all(np.isfinite(m.values))
         assert peak < 400 * 2 ** 20
+        m, exact = scan(seed, vac, window, (128, 16)), exact_map(vac, rows)
+        assert np.all(np.isfinite(rows.values)) and np.all(np.isfinite(m.values))
+        assert map_devs(rows.values, exact)[0] <= 1.8e-13
+        assert map_devs(m.values, exact)[0] <= 9e-13
 
     @pytest.mark.parametrize("resolution", [(2048, 1024), 1025])
     def test_map_size_bounded_before_allocation(self, vacuum_seed, resolution):
@@ -246,16 +244,20 @@ class TestScanAndArgmax:
                 call()
 
     def test_oscillation_auto_refinement(self):
-        # a window with large |x| e^{-r} forces the scan to refine the grid;
-        # compare against the same scan started from an already fine grid
-        coarse = make_vacuum(default_grid(0.0, n=1024))
-        fine = make_vacuum(default_grid(0.0, n=16384))
+        # a window with large |x| e^{-r} forces the rows onto a finer grid, without which
+        # they are wrong at O(peak); from 1024 and 16384 nodes they are 2.8e-11 and
+        # 1.8e-12 of the peak off the exact map, the closed form 7.0e-13 relative and
+        # 2.2e-15 of the peak
         window = (-30.0, 30.0, -1.0, 1.0)
-        m_coarse = scan(build_ml_seed(coarse), coarse, window, 24)
-        m_fine = scan(build_ml_seed(fine), fine, window, 24)
-        scale = m_fine.values.max()
-        # without refinement the coarse scan is wrong at O(peak)
-        assert np.max(np.abs(m_coarse.values - m_fine.values)) < 1e-5 * scale
+        for n, refined, rows_peak in ((1024, 8192, 8e-11), (16384, 16384, 5e-12)):
+            vac = make_vacuum(default_grid(0.0, n=n))
+            seed = build_ml_seed(vac)
+            assert _refine_for_window(seed, vac, window)[1].grid.n == refined
+            rows, m = _scan_rows(seed, vac, window, 24), scan(seed, vac, window, 24)
+            exact = exact_map(vac, m)
+            assert map_devs(rows.values, exact)[1] <= rows_peak
+            rel, of_peak = map_devs(m.values, exact)
+            assert rel <= 2e-12 and of_peak <= 6e-15
 
     def test_covariance_under_input_shift(self, vacuum_seed):
         seed, vac = vacuum_seed

@@ -9,7 +9,9 @@ Python int, a numpy int or a float (which raises ConfigError).  Each library
 example runs every public entry point, each drawing its other numbers from the
 pools and from +-inf and NaN.  Every library call must raise an
 EstimationError or return, and a number it returns, or the norm of a state,
-must be finite: no untyped error and no NaN.
+must be finite: no untyped error and no NaN.  A sampled state and any nonzero
+multiple of it, from 1e-300 to 1e300 in modulus at any phase, are one ray and
+give the same likelihoods, seed and map to round-off.
 """
 
 import contextlib
@@ -237,3 +239,32 @@ def test_library_edge_values(data):
             except EstimationError:
                 continue
         assert _finite(result), (name, result)
+
+
+@functools.cache
+def _ray_reference():
+    """y e^{-y^2} on 512 nodes: its grid and samples, and its L_opt, L_srm, ML seed
+    coefficients and 16^2 ML map."""
+    grid = sqdisp.QuadratureGrid(10.0, 512)
+    amps = grid.nodes * np.exp(-grid.nodes ** 2)
+    return grid, amps, _ray_numbers(sqdisp.make_sampled(grid, amps))
+
+
+def _ray_numbers(psi):
+    seed = sqdisp.build_ml_seed(psi)
+    return (sqdisp.optimal_likelihood(psi), sqdisp.srm_likelihood(psi), seed.sector_coeffs,
+            sqdisp.scan(seed, psi, (-2.0, 2.0, -1.0, 1.0), 16).values)
+
+
+@settings(max_examples=25, derandomize=True, deadline=None, database=None)
+@given(log_rho=st.floats(-300.0, 300.0), phi=st.floats(-math.pi, math.pi))
+def test_sampled_ray_invariance(log_rho, phi):
+    # measured: 6.7e-16, 1.1e-15 and 4.4e-16 relative, and 1.1e-15 of the map's peak
+    grid, amps, (l_opt, l_srm, coeffs, values) = _ray_reference()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _ray_numbers(sqdisp.make_sampled(grid, 10.0 ** log_rho * np.exp(1j * phi) * amps))
+    assert abs(got[0] - l_opt) <= 1e-14 * l_opt and abs(got[1] - l_srm) <= 1e-14 * l_srm
+    assert got[2].keys() == coeffs.keys()
+    assert all(abs(got[2][s] - c) <= 1e-14 * c for s, c in coeffs.items())
+    assert np.max(np.abs(got[3] - values)) <= 1e-14 * values.max()

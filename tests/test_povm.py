@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from sqdisp import grids
+from sqdisp import grids, validate
 from sqdisp import (DomainViolation, EmptySupport, GridTooNarrow, GroupElement,
                     QuadratureGrid, act, build_ml_seed, build_parity_seed, build_srm_seed,
                     default_grid, half_line_moment, make_coherent,
@@ -145,6 +145,15 @@ class TestSrmSeed:
         psi = make_sampled(grid, grid.nodes ** k * np.exp(-(grid.nodes / w) ** 2))
         ratio = math.gamma(k + 0.5) ** 2 / (math.gamma(k) * math.gamma(k + 1))
         assert abs(srm_likelihood(psi) / optimal_likelihood(psi) - ratio) <= 1e-9 * ratio
+
+    def test_validate_holds_the_odd_ratio_to_pi_over_4(self, monkeypatch):
+        # every margin moved by 1e-7 keeps 4 of 5 above 1 %, yet the odd state's
+        # L_srm / L_opt, 3.0e-10 from pi/4 on validate's grid, is then 1e-7 from it
+        assert validate.check_srm_suboptimality()[0]
+        monkeypatch.setattr(validate, "srm_likelihood",
+                            lambda psi: srm_likelihood(psi) + 1e-7 * optimal_likelihood(psi))
+        ok, detail = validate.check_srm_suboptimality()
+        assert not ok and "strict margins 4/5" in detail and "pi/4 1.0e-07" in detail
 
 
 class TestDerivedEta:

@@ -33,9 +33,9 @@ the largest; and ``scan_grid_n`` is the grid's n: the node count
 that ``distribution._refine_for_window`` chooses for the scan's arguments.
 ``scan_exact_rel_dev`` is, per Gaussian scan slot, the largest |scan - exact| / exact
 on the nodes where the exact density is at least 1e-3 of its peak, and
-``scan_exact_abs_dev`` the largest |scan - exact| over that peak: the exact density
-is ``exact_amplitude`` of ``tests/test_density_exact.py``, itself within about 1e-13
-of the peak of 50-digit values on these slots.
+``scan_exact_abs_dev`` the largest |scan - exact| over that peak (``map_devs`` of
+``tests/helpers.py``): the exact density is ``exact_map`` of ``tests/helpers.py``, itself
+within about 1e-13 of the peak of 50-digit values on these slots.
 ``oracle_nodes`` is, per oracle case, the largest n handed to
 ``distribution._band_spectrum`` in one untimed run: the nodes its band slices
 run on; ``oracle_peak_mb`` is, per oracle case, the tracemalloc peak, in MB, of
@@ -155,21 +155,15 @@ def sizes_of(pkg, call, name, size) -> list:
 def exact_devs(psi, dmap) -> dict:
     """``scan_exact_rel_dev`` and ``scan_exact_abs_dev`` of one map of the ML seed of a
     Gaussian psi."""
-    from test_density_exact import GroupElement, exact_amplitude  # on sys.path from main
-    p = psi.evaluator
-    exact = np.array([[abs(exact_amplitude(p.center, p.log_width, GroupElement(x, r),
-                                           c=p.linear_phase)) ** 2
-                       for r in dmap.r_nodes] for x in dmap.x_nodes])
-    bulk, dev = exact >= 1e-3 * exact.max(), np.abs(dmap.values - exact)
-    return {"scan_exact_rel_dev": float(np.max(dev[bulk] / exact[bulk])),
-            "scan_exact_abs_dev": float(np.max(dev) / exact.max())}
+    import helpers  # tests/, on sys.path from main
+    return dict(zip(("scan_exact_rel_dev", "scan_exact_abs_dev"),
+                    helpers.map_devs(dmap.values, helpers.exact_map(psi, dmap))))
 
 
 def map_devs(prefix, old, new):
-    old, new = old.values, new.values
-    bulk = old >= 1e-3 * old.max()
-    return {prefix + "max_rel_dev": float(np.max(np.abs(new - old)[bulk] / old[bulk])),
-            prefix + "max_abs_dev": float(np.max(np.abs(new - old)) / old.max())}
+    import helpers
+    return dict(zip((prefix + "max_rel_dev", prefix + "max_abs_dev"),
+                    helpers.map_devs(new.values, old.values)))
 
 
 def oracle_devs(kind, old, new):
@@ -232,7 +226,7 @@ def main(argv=None) -> int:
 
     sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
              "change": load("sqdisp", ROOT / "src")}
-    sys.path.insert(0, str(ROOT / "tests"))  # the exact form of exact_devs
+    sys.path.insert(0, str(ROOT / "tests"))  # helpers, for exact_devs and map_devs
     keys = ("row_s", "scan_s", "scan_row_s", "seed_s", "scan_job_s", "scan_nodes",
             "scan_node_rows", "scan_grid_n", "scan_exact_rel_dev", "scan_exact_abs_dev",
             "profile_s", "job_s", "oracle_nodes", "oracle_peak_mb", "profile_peak_mb")
