@@ -182,24 +182,40 @@ def _chunk_rows(nx: int, n: int, per_row: int = 1) -> int:
 def _row_map(window: Tuple[float, float, float, float], nx: int, nr: int, y: np.ndarray,
              weight: np.ndarray, rows_at, per_row: int = 1, shift=None) -> DensityMap:
     """DensityMap of sum_c |sum_k K_kc e^{-2i s x y_k} - o|^2, c over a row's per_row
-    kernel columns, o ``shift(r)`` of its r or 0.  ``weight`` >= 0 has |K_kc| <= B weight_k
-    for one B over all rows, so ``rows_at(r, keep)`` gives each row's x scale s and the
-    kernels, (len(y[keep]), per_row * len(r)), for a chunk of r nodes only on keep =
-    slice(*_support(weight)).  A
-    chunk holds ``_chunk_rows(nx, len(y[keep]), per_row)`` rows, so an FFT array holds at
-    most _SCAN_CHUNK complex elements or one row, and runs ``grids.fourier_at`` only on
-    _support(max_c |K_kc|) of its own kernels: what it drops of any amplitude, all that
-    the map owes to the chunks, is at most 2^-53 sum_k max_c |K_kc| <= 2^-53 B sum(weight)."""
+    kernel columns, o ``shift(r)`` of its r or 0, y a grid's nodes (y_k = -y_{n-1-k}).
+    ``weight`` >= 0 has |K_kc| <= B weight_k for one B over all rows, so ``rows_at(r, keep)``
+    gives each row's x scale s and the kernels, (len(y[keep]), per_row * len(r)), for a chunk
+    of r nodes only on keep = slice(*_support(weight)).  Each chunk runs ``grids.fourier_at``
+    only on _support(max_c |K_kc|) of its own kernels: what it drops of any amplitude, all
+    that the map owes to the chunks, is at most 2^-53 sum_k max_c |K_kc| <= 2^-53 B sum(weight).
+    Float kernels (``rows_at`` on no rows tells) on a window x_lo = -x_hi fold a chunk whose
+    own nodes straddle y = 0: Z, fourier_at of e + i o on nodes p > 0, e, o = K(p) +- K(-p)
+    and K = 0 off them, gives ((1 - i) Re Z(x) + (1 + i) Re Z(-x))/2, Z(-x) on the x nodes
+    reversed (linspace: antisymmetric to 4e-16 max|x|).  ``_chunk_rows(nx, n, per_row)`` rows
+    per chunk, n = len(y[keep]) or, if the map folds, its longer side of y = 0, keep each FFT
+    array to at most _SCAN_CHUNK complex elements or one row."""
     x_nodes = np.linspace(*window[:2], nx)
     r_nodes = np.linspace(*window[2:], nr)
     values = np.empty((nx, nr))
     keep = slice(*_support(weight))
+    mid, half = len(y) // 2 - keep.start, y[len(y) // 2:]  # the first of y[keep] > 0, the y > 0
     y = y[keep]
-    rows = _chunk_rows(nx, len(y), per_row)
+    fold = (window[0] == -window[1] and 0 < mid < len(y)
+            and not np.iscomplexobj(rows_at(r_nodes[:0], keep)[1]))
+    rows = _chunk_rows(nx, max(mid, len(y) - mid) if fold else len(y), per_row)
     for j in range(0, nr, rows):
         scale, kernels = rows_at(r_nodes[j:j + rows], keep)
-        own = slice(*_support(np.abs(kernels).max(axis=1)))
-        amps = fourier_at(np.outer(x_nodes, np.repeat(scale, per_row)), y[own], kernels[own])
+        lo, hi = _support(np.abs(kernels).max(axis=1))
+        if folds := fold and lo < mid < hi:  # e + i o in place of the kernels, on nodes p > 0
+            z = np.zeros((max(hi - mid, mid - lo), kernels.shape[1]), dtype=complex)
+            z.real[:hi - mid] = z.imag[:hi - mid] = kernels[mid:hi]
+            z.real[:mid - lo] += kernels[lo:mid][::-1]
+            z.imag[:mid - lo] -= kernels[lo:mid][::-1]
+            kernels, lo, hi = z, 0, len(z)
+        amps = fourier_at(np.outer(x_nodes, np.repeat(scale, per_row)),
+                          (half if folds else y)[lo:hi], kernels[lo:hi])
+        if folds:
+            amps = (0.5 - 0.5j) * amps.real + (0.5 + 0.5j) * amps.real[::-1]
         if shift is not None:
             amps -= shift(r_nodes[j:j + rows])
         values[:, j:j + rows] = (np.abs(amps) ** 2).reshape(nx, -1, per_row).sum(axis=2)
@@ -230,13 +246,14 @@ def _scan_rows(seed: PovmSeed, psi: StateVector,
     nx, nr = _map_shape(resolution)
     seed, psi = _refine_for_window(seed, psi, window)
     y = psi.grid.nodes
-    eta_conj = np.conj(seed.eta.amplitudes)
+    real = not (seed.eta.amplitudes.imag.any() or psi.amplitudes.imag.any())  # float kernels
+    eta_conj = seed.eta.amplitudes.real.copy() if real else np.conj(seed.eta.amplitudes)
 
     def rows_at(r, keep):
         scale = np.exp(-r)  # e^{r'} of the inverse elements
         base = psi.evaluate_at(np.outer(scale, y[keep])) * eta_conj[keep]  # one row per r
         base *= (np.sqrt(scale) * psi.grid.dy)[:, None]
-        return -scale, base.T  # x' = -e^{-r} x of the inverse elements
+        return -scale, (base.real if real else base).T  # x' = -e^{-r} x of the inverse elements
 
     kink = _kink_term(seed, psi)
     return _row_map(window, nx, nr, y, np.abs(eta_conj), rows_at,

@@ -52,6 +52,7 @@ def _hermite_orders(n_max: int, y):
     e = np.clip((half_u2 - 700.0) // math.log(2.0), 0.0, 1000.0)
     yield e
     h_prev, h = 0.0, (2.0 / math.pi) ** 0.25 * np.exp(e * math.log(2.0) - half_u2)
+    del e, half_u2  # two arrays the size of y fewer while the orders run
     yield h
     for n in range(n_max):
         h_prev, h = h, math.sqrt(2.0 / (n + 1)) * u * h - math.sqrt(n / (n + 1)) * h_prev
@@ -68,7 +69,8 @@ def hermite_functions(n_max: int, y: np.ndarray) -> np.ndarray:
     n_max = _check_n_max(n_max, 0)
     orders = _hermite_orders(n_max, y)
     e = next(orders)
-    return np.fromiter(orders, np.dtype((float, e.shape)), n_max + 1) * np.exp2(-e)
+    h = np.fromiter(orders, np.dtype((float, e.shape)), n_max + 1)
+    return np.multiply(h, np.exp2(-e), out=h)  # in place: no second table
 
 
 def _check_n_max(n_max, minimum: int) -> int:
@@ -262,10 +264,11 @@ def concentration_profile(lam: float, n_max: int,
     def rows_at(r, keep):  # kernel_j = sum of G_j h_n(e^r y) over the orders n of parity j
         orders = _hermite_orders(n_max, np.outer(np.exp(r), y[keep]))
         scale = np.exp2(-next(orders)) * (math.sqrt(2.0) * np.exp(r / 2.0) * grid.dy)[:, None]
-        kernels = np.zeros((2,) + scale.shape)  # parity, row, y
+        kernels = np.zeros((len(r), 2, scale.shape[1]))  # row, parity, y: columns row-major
         for n, h in enumerate(orders):
-            kernels[n % 2] += G[n % 2][n // 2, keep] * h
-        return np.ones(len(r)), (kernels * scale).T.reshape(scale.shape[1], -1)
+            kernels[:, n % 2] += G[n % 2][n // 2, keep] * h
+        kernels *= scale[:, None]
+        return np.ones(len(r)), kernels.reshape(-1, scale.shape[1]).T
 
     weight = np.abs(G[0]).sum(axis=0) + np.abs(G[1]).sum(axis=0)  # |h_n| is bounded
     dmap = _row_map(window, nx, nr, y, weight, rows_at, per_row=2)

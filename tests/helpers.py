@@ -106,21 +106,26 @@ def record_chunks(monkeypatch):
     return spy(monkeypatch, distribution, "_support", calls=calls)
 
 
-def chunk_rows(nx, calls, per_row=1):
-    """Rows per chunk on the nodes the weight keeps, by the library's own rule;
-    every chunk but the last holds that many, and each runs on the nodes its
-    own support keeps, no more than the weight's."""
+def chunk_rows(nx, calls, per_row=1, grid_n=None):
+    """Rows per chunk by the library's own rule, on the nodes the weight keeps or, for a
+    map that folds (``grid_n``, its grid's node count, given), on the longer side of y = 0
+    of them; every chunk but the last holds that many, and each runs on the nodes its own
+    support keeps or, folded where those straddle y = 0, on their longer side of it, no
+    more than the weight's."""
     (lo, hi), *chunks = calls
-    rows = distribution._chunk_rows(nx, hi - lo, per_row)
+    mid = None if grid_n is None else grid_n // 2 - lo  # the first kept node y > 0
+    folds = mid is not None and 0 < mid < hi - lo
+    rows = distribution._chunk_rows(nx, max(mid, hi - lo - mid) if folds else hi - lo, per_row)
     supports, runs = chunks[0::2], chunks[1::2]
     assert len(supports) == len(runs) >= 1
     assert [c // per_row for _, c in runs[:-1]] == [rows] * (len(runs) - 1)
-    assert [n for n, _ in runs] == [b - a for a, b in supports]
+    assert [n for n, _ in runs] == [max(b - mid, mid - a) if folds and a < mid < b else b - a
+                                    for a, b in supports]
     assert all(n <= hi - lo for n, _ in runs)
     return rows
 
 
 def kept(calls):
-    """Nodes the weight keeps, and those each chunk ran on."""
+    """Nodes the weight keeps, and those each chunk's own support keeps."""
     (lo, hi), *chunks = calls
-    return hi - lo, [n for n, _ in chunks[1::2]]
+    return hi - lo, [b - a for a, b in chunks[0::2]]

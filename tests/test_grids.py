@@ -312,14 +312,17 @@ class TestHalfLineMoments:
     @given(a=st.floats(-12.0, 12.0), z=st.floats(-1.0, 3.0), sign=st.sampled_from([1, -1]))
     def test_displaced_squeezed_first_moment_closed_form(self, a, z, sign):
         # E[|Y|; sY > 0] = sigma phi(a/sigma) + s a Phi(s a/sigma), sigma = e^{-z}/2,
-        # in 40 digits: the two terms cancel deep in the far sector
+        # in 40 digits: the two terms cancel deep in the far sector, where the library
+        # takes Mills' ratio by its continued fraction; what is left, 1.3e-13 at worst
+        # on these draws and 2.5e-13 on 3000 others, is e^{-t^2/2} of the rounded
+        # t = |a|/sigma, about eps t^2 (1.3e-10 here with the direct difference)
         with mpmath.workdps(40):
             sigma = mpmath.exp(-mpmath.mpf(z)) / 2
             t = mpmath.mpf(a) / sigma
             ref = float(sigma * mpmath.npdf(t) + sign * a * mpmath.ncdf(sign * t))
         if ref >= 1e-290:
             value = half_line_moment(make_displaced_squeezed(a, z), sign, 1)
-            assert abs(value - ref) <= 1e-9 * ref, (value, ref)
+            assert abs(value - ref) <= 4e-13 * ref, (value, ref)
 
     @pytest.mark.parametrize("z", [2.0, 4.0])
     def test_squeezed_vacuum_first_moment(self, z):

@@ -6,13 +6,15 @@ path ``distribution._scan_rows`` on the same states.  Random Gaussian inputs
 (center a, log-width z, linear phase c) and scan windows; a coarse base grid
 (n = 1024) sends some draws through the window refinement, so both the direct
 and the resampled rows are compared with ``density_at`` on the grid the rows
-actually used.  Two fixed cases pin the boundaries of the scan's row chunks,
-and neither the scan nor the two-mode profile, which share the row loop, may
-depend on them.  The rows' kernels are
+actually used.  Fixed cases pin the boundaries of the scan's row chunks, folded
+and not, and neither the scan nor the two-mode profile, which share the row
+loop, may depend on them.  The rows' kernels are
 evaluated only on the nodes that carry all but 2^-53 of the seed's L1 mass, and
 each chunk runs on the nodes that carry all but 2^-53 of its own kernels: the
 helper that picks them, and scans that drop most of a grid or none of it, are
-tested last.
+tested next.  Last, real kernels on a symmetric window fold about y = 0: a
+sampled state and its complex multiple give one map, and asymmetric windows
+and one-sided seeds do not fold.
 """
 
 import numpy as np
@@ -21,13 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sqdisp import (GaussianStateParams, GroupElement, QuadratureGrid, StateVector,
-                    build_ml_seed, concentration_profile, default_grid, density_at,
-                    make_coherent, make_vacuum, scan)
-from sqdisp import distribution
+                    build_ml_seed, build_srm_seed, concentration_profile, default_grid,
+                    density_at, make_coherent, make_sampled, make_vacuum, scan)
+from sqdisp import distribution, two_mode
 from sqdisp.distribution import _refine_for_window
 from sqdisp.validate import _odd_state
 
-from helpers import chunk_rows, kept, record_chunks
+from helpers import chunk_rows, kept, map_devs, record_chunks
 
 RESOLUTION = 16
 
@@ -53,20 +55,25 @@ def assert_scan_equals_density_at(seed, psi, window, resolution):
     return fine_psi.grid.n
 
 
-# the chunk boundaries of the row loop: a last chunk shorter than the rest on
-# 4096 nodes (the vacuum's seed keeps 2483 of them, so chunks of 6), and one-row
-# chunks on a window that refines to 8192 nodes, for an odd state whose seed
-# fills all but the two outermost
+# the chunk boundaries of the row loop: a last chunk shorter than the rest, folded,
+# on 4096 nodes (the vacuum's seed keeps 2483 of them, 1244 on the longer side of
+# y = 0, so chunks of 12) and on 8192 for an odd state whose seed fills all but the
+# two outermost (chunks of 3), and not folded, on an asymmetric window (chunks of
+# 6); and one-row chunks, folded, on a window that refines the odd state to 16384
 @pytest.mark.parametrize("window, resolution, nodes", [
     ((-3.0, 3.0, -1.0, 1.0), (40, 17), 4096),
     ((-80.0, 80.0, -0.2, 0.2), (17, 16), 8192),
+    ((-3.0, 2.5, -1.0, 1.0), (40, 17), 4096),
+    ((-160.0, 160.0, -0.2, 0.2), (17, 16), 16384),
 ])
 def test_scan_chunk_boundaries(monkeypatch, window, resolution, nodes):
-    psi = make_vacuum() if nodes == 4096 else _odd_state(QuadratureGrid(10.0, 4096), 2.5)
+    vacuum = window[2] == -1.0
+    psi = make_vacuum() if vacuum else _odd_state(QuadratureGrid(10.0, 4096), 2.5)
     calls = record_chunks(monkeypatch)
     assert assert_scan_equals_density_at(build_ml_seed(psi), psi, window, resolution) == nodes
-    rows = chunk_rows(resolution[0], calls)
-    assert (rows > 1 and resolution[1] % rows != 0) if nodes == 4096 else rows == 1
+    folds = window[0] == -window[1]
+    rows = chunk_rows(resolution[0], calls, grid_n=nodes if folds else None)
+    assert rows == 1 if nodes > 8192 else rows > 1 and resolution[1] % rows != 0
 
 
 def test_scan_independent_of_chunking(monkeypatch):
@@ -79,8 +86,9 @@ def test_scan_independent_of_chunking(monkeypatch):
     chunked = []
     for make, per_row in zip(maps, (1, 2)):
         calls = record_chunks(monkeypatch)
-        chunked.append(make())
-        assert chunk_rows(64, calls, per_row) > 1
+        chunked.append(make())  # a complex kernel's rows, a profile's folded ones
+        grid_n = two_mode._pointer_grid(20).n if per_row == 2 else None
+        assert chunk_rows(64, calls, per_row, grid_n) > 1
     monkeypatch.setattr(distribution, "_SCAN_CHUNK", 1)  # one row per chunk
     for make, whole in zip(maps, chunked):
         by_row = make()
@@ -122,7 +130,7 @@ def test_scan_rows_on_the_seed_support(monkeypatch):
     seed = build_ml_seed(psi)
     calls = record_chunks(monkeypatch)
     dmap = distribution._scan_rows(seed, psi, (-3.0, 3.0, -1.0, 1.0), RESOLUTION)
-    chunk_rows(RESOLUTION, calls)
+    chunk_rows(RESOLUTION, calls, grid_n=psi.grid.n)  # all on y > 0: no chunk folds
     nodes, runs = kept(calls)
     assert psi.grid.n == 4096 and max(runs) <= nodes < psi.grid.n // 2
     pointwise = np.array([[density_at(seed, psi, GroupElement(x, r)) for r in dmap.r_nodes]
@@ -134,7 +142,7 @@ def test_wide_seed_keeps_every_node(monkeypatch):
     psi = _odd_state(QuadratureGrid(10.0, 4096), 2.5)
     calls = record_chunks(monkeypatch)
     scan(build_ml_seed(psi), psi, (-3.0, 3.0, -1.0, 1.0), RESOLUTION)
-    chunk_rows(RESOLUTION, calls)
+    chunk_rows(RESOLUTION, calls, grid_n=psi.grid.n)
     assert calls[0] == (0, psi.grid.n)
 
 
@@ -160,12 +168,14 @@ def test_chunk_trim_moves_maps_by_round_off(monkeypatch, case):
         seed = build_ml_seed(psi)
         make, nx, per_row = (lambda: distribution._scan_rows(seed, psi, (-3.0, 3.0, -3.0, 3.0),
                                                              64)), 64, 1
+        grid_n = psi.grid.n
     else:
         make, nx, per_row = (lambda: concentration_profile(
             0.95, 60, (-1.5, 1.5, -1.5, 1.5), 48, tail_tol=None).map), 48, 2
+        grid_n = two_mode._pointer_grid(60).n
     calls = record_chunks(monkeypatch)
     trimmed = make()
-    chunk_rows(nx, calls, per_row)
+    chunk_rows(nx, calls, per_row, grid_n)
     nodes, runs = kept(calls)
     if case == "vacuum":
         assert nodes == 2483 and min(runs) < nodes / 2
@@ -176,3 +186,50 @@ def test_chunk_trim_moves_maps_by_round_off(monkeypatch, case):
     whole = make()
     assert len(whole_calls) == 1 + len(runs)
     assert np.max(np.abs(trimmed.values - whole.values)) <= 1e-13 * np.max(whole.values)
+
+
+def _sampled(state, phase=1.0):
+    grid = QuadratureGrid(10.0, 4096)
+    y = grid.nodes
+    amp = (np.exp(-(y - 3.0) ** 2) + np.exp(-(y + 3.0) ** 2) if state == "two_bump"
+           else y * np.exp(-(y / 1.6) ** 2))
+    return make_sampled(grid, phase * amp)
+
+
+# a sampled state's float kernels fold every chunk, each straddling y = 0, onto its
+# longer side; its e^{i phi} multiple, the same ray, has complex kernels that do not
+@pytest.mark.parametrize("state", ["two_bump", "odd"])
+def test_folded_rows_equal_complex_rows(monkeypatch, state):
+    maps = []
+    for phase in (1.0, np.exp(0.7j)):
+        psi = _sampled(state, phase)
+        calls = record_chunks(monkeypatch)
+        maps.append(scan(build_ml_seed(psi), psi, (-4.0, 4.0, -1.5, 1.5), (48, 32)).values)
+        monkeypatch.undo()
+        chunk_rows(48, calls, grid_n=psi.grid.n if phase == 1.0 else None)
+        _, own = kept(calls)
+        runs = [n for n, _ in calls[2::2]]
+        assert all(n < b for n, b in zip(runs, own)) if phase == 1.0 else runs == own
+    assert map_devs(maps[0], maps[1])[0] <= 1e-12
+
+
+# float kernels that do not fold: on an asymmetric window, each chunk of a seed that
+# straddles y = 0 runs on its own support as it stands; and an SRM seed of coherent(9),
+# on a symmetric window, lives on y > 0 only
+@pytest.mark.parametrize("case", ["asymmetric", "one_sided"])
+def test_unfolded_real_rows(monkeypatch, case):
+    if case == "asymmetric":
+        psi, window = _sampled("odd"), (-4.0, 3.5, -1.5, 1.5)
+        seed = build_ml_seed(psi)
+    else:
+        psi, window = make_coherent(9.0), (-3.0, 3.0, -0.6, 0.6)
+        seed = build_srm_seed(psi)
+    calls = record_chunks(monkeypatch)
+    dmap = distribution._scan_rows(seed, psi, window, RESOLUTION)
+    chunk_rows(RESOLUTION, calls)
+    lo, hi = calls[0]
+    assert (lo < psi.grid.n // 2 < hi) == (case == "asymmetric")
+    monkeypatch.undo()
+    pointwise = np.array([[density_at(seed, psi, GroupElement(x, r)) for r in dmap.r_nodes]
+                          for x in dmap.x_nodes])
+    assert np.max(np.abs(dmap.values - pointwise)) <= 1e-12 * np.max(pointwise)

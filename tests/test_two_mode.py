@@ -37,6 +37,23 @@ class TestHermiteFunctions:
         assert np.array_equal(hermite_functions(1, y)[1], math.sqrt(2.0) * (math.sqrt(2.0) * y) * h0)
 
 
+    def test_table_scaled_in_place(self):
+        # the 2^-e scaling, e > 0 past |y| ~ 26.5, runs on the table itself, bit for bit
+        # the product it replaces, and the traced peak holds no second table
+        n_max, y = 300, np.linspace(-40.0, 40.0, 4096)
+        orders = two_mode._hermite_orders(n_max, y)
+        e = next(orders)
+        product = np.fromiter(orders, np.dtype((float, e.shape)), n_max + 1) * np.exp2(-e)
+        tracemalloc.start()
+        try:
+            H = hermite_functions(n_max, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert e.max() > 0 and np.array_equal(H, product)
+        assert peak <= 1.25 * H.nbytes
+
+
 class TestPointerCoefficients:
     def test_c00_oracle(self):
         oracle = quad(lambda y: math.sqrt(abs(y)) * math.sqrt(2 / math.pi)
@@ -276,9 +293,9 @@ class TestConcentrationProfile:
         col = m.values[:, j]
         assert np.max(np.abs(col - col[::-1])) < 1e-10 * col.max()
 
-    # both cases end on a short chunk: 23 and 19 rows in chunks of 3 and 4, by the
-    # 2043 and 1800 of the 2048 pointer nodes the weight keeps; each chunk runs on
-    # the nodes its own kernels keep, no more than those
+    # both cases end on a short chunk: 23 and 19 rows in folded chunks of 7 and 8, by
+    # the longer side of y = 0 of the 2043 and 1800 of the 2048 pointer nodes the
+    # weight keeps; each chunk folds the nodes its own kernels keep, no more than those
     @pytest.mark.parametrize("lam, n_max, resolution", [(0.9, 20, (17, 23)),
                                                          (0.95, 60, (24, 19))])
     def test_map_equals_pointwise_overlaps(self, monkeypatch, lam, n_max, resolution):
@@ -289,7 +306,7 @@ class TestConcentrationProfile:
         nx, nr = resolution
         nodes, runs = kept(calls)
         assert nodes == {20: 2043, 60: 1800}[n_max]
-        rows = chunk_rows(nx, calls, per_row=2)
+        rows = chunk_rows(nx, calls, per_row=2, grid_n=2048)
         assert len(runs) == -(-nr // rows)
         assert rows > 1 and nr % rows != 0
         minus = make_pointer(lam, -1, n_max, tail_tol=None)
@@ -316,7 +333,7 @@ class TestProfileRowSums:
     """The profile's rows run the Hermite recurrence once per chunk and sum each
     order into its parity's kernel as it comes, with no per-chunk table."""
 
-    N_MAX = 400  # 2048 pointer nodes, 3 rows per chunk of a 16 x 16 map
+    N_MAX = 400  # 2048 pointer nodes, 7 folded rows per chunk of a 16 x 16 map
 
     def profile(self):
         return concentration_profile(0.999, self.N_MAX, (-1.5, 1.5, -1.5, 1.5), 16,

@@ -22,14 +22,16 @@ lambda, and ``profile_0.999_n1000``, lambda 0.999 at n_max 1000 on 16 x 16 on th
 ``job_s``, each oracle slot with every parameter at the point u = 0.1, 0.5 or
 0.9 of its range, and ``total_s``, their sum.  ``profile_peak_mb`` is the
 tracemalloc peak, in MB, of one untimed profile call made after the timed ones.
-``scan_nodes`` is, per scan slot, the number of nodes its largest chunk of rows
-runs on: the largest len(y) of the ``fourier_at`` calls of one untimed run of the
-quadrature rows, ``distribution._scan_rows`` (``scan`` on a side that has none),
-which a Gaussian slot's ``scan`` no longer takes (a side that runs its rows on the
-whole grid records the grid's n);
-``scan_node_rows`` is the mean of len(y) over the rows of that run, each chunk
-weighted by its rows, below ``scan_nodes`` when chunks run on fewer nodes than
-the largest; and ``scan_grid_n`` is the grid's n: the node count
+``scan_nodes`` is, per scan slot, the number of nodes its largest chunk's kernels
+span: the largest hi - lo of the chunks' own ``distribution._support`` in one untimed
+run of the quadrature rows, ``distribution._scan_rows`` (``scan`` on a side that has
+none), which a Gaussian slot's ``scan`` no longer takes (a side that runs its rows on
+the whole grid records the grid's n);
+``scan_node_rows`` is the mean of hi - lo over the rows of that run, each chunk
+weighted by its rows, below ``scan_nodes`` when chunks span fewer nodes than
+the largest; ``scan_folded`` is the share of that run's chunks that fold about
+y = 0, whose ``fourier_at`` runs on fewer nodes than their kernels span; and
+``scan_grid_n`` is the grid's n: the node count
 that ``distribution._refine_for_window`` chooses for the scan's arguments.
 ``scan_exact_rel_dev`` is, per Gaussian scan slot, the largest |scan - exact| / exact
 on the nodes where the exact density is at least 1e-3 of its peak, and
@@ -136,19 +138,24 @@ def row_call(pkg, n):
     return lambda: pkg["grids"].fourier_at(x, y, h)
 
 
-def sizes_of(pkg, call, name, size) -> list:
-    """``size(*args)`` of each call that ``call`` makes to the side's ``distribution.<name>``."""
-    distribution, inner, sizes = pkg["distribution"], getattr(pkg["distribution"], name), []
+def sizes_of(pkg, call, **sizes_by_name) -> list:
+    """``size(result, *args)`` of each call that ``call`` makes to the side's
+    ``distribution.<name>``, for each name and size of ``sizes_by_name``, in call order."""
+    distribution, sizes = pkg["distribution"], []
+    inner = {name: getattr(distribution, name) for name in sizes_by_name}
 
-    def recording(*args):
-        sizes.append(size(*args))
-        return inner(*args)
+    def recording(name, *args):
+        result = inner[name](*args)
+        sizes.append(sizes_by_name[name](result, *args))
+        return result
 
-    setattr(distribution, name, recording)
+    for name in sizes_by_name:
+        setattr(distribution, name, partial(recording, name))
     try:
         call()
     finally:
-        setattr(distribution, name, inner)
+        for name, function in inner.items():
+            setattr(distribution, name, function)
     return sizes
 
 
@@ -228,8 +235,9 @@ def main(argv=None) -> int:
              "change": load("sqdisp", ROOT / "src")}
     sys.path.insert(0, str(ROOT / "tests"))  # helpers, for exact_devs and map_devs
     keys = ("row_s", "scan_s", "scan_row_s", "seed_s", "scan_job_s", "scan_nodes",
-            "scan_node_rows", "scan_grid_n", "scan_exact_rel_dev", "scan_exact_abs_dev",
-            "profile_s", "job_s", "oracle_nodes", "oracle_peak_mb", "profile_peak_mb")
+            "scan_node_rows", "scan_folded", "scan_grid_n", "scan_exact_rel_dev",
+            "scan_exact_abs_dev", "profile_s", "job_s", "oracle_nodes", "oracle_peak_mb",
+            "profile_peak_mb")
     record = {side: {key: {} for key in keys} for side in sides}
     deviation = {}
     for key, case, repeats, calls, devs in cases(sides, args.repeats):
@@ -241,11 +249,16 @@ def main(argv=None) -> int:
                 distribution = sides[side]["distribution"]
                 rows = partial(getattr(distribution, "_scan_rows", distribution.scan),
                                *calls[side].args)
-                chunks = sizes_of(sides[side], rows, "fourier_at",
-                                  lambda x, y, h: (len(y), h.shape[1]))  # nodes, rows
-                record[side]["scan_nodes"][case] = max(n for n, _ in chunks)
-                record[side]["scan_node_rows"][case] = (sum(n * rows for n, rows in chunks)
-                                                        / sum(rows for _, rows in chunks))
+                _, *calls_made = sizes_of(  # the weight's trim, then (lo, hi), (n, rows) a chunk
+                    sides[side], rows, _support=lambda kept, w: kept,
+                    fourier_at=lambda _, x, y, h: (len(y), h.shape[1]))
+                chunks = [(hi - lo, n, rows) for (lo, hi), (n, rows)
+                          in zip(calls_made[0::2], calls_made[1::2])]
+                record[side]["scan_nodes"][case] = max(span for span, _, _ in chunks)
+                record[side]["scan_node_rows"][case] = (sum(span * rows for span, _, rows in chunks)
+                                                        / sum(rows for _, _, rows in chunks))
+                record[side]["scan_folded"][case] = (sum(n < span for span, n, _ in chunks)
+                                                     / len(chunks))
                 record[side]["scan_grid_n"][case] = distribution._refine_for_window(
                     *calls[side].args[:3])[1].grid.n  # seed, psi, window
                 psi = calls[side].args[1]
@@ -254,7 +267,7 @@ def main(argv=None) -> int:
                         record[side][name][case] = value
             if key == "job_s":
                 record[side]["oracle_nodes"][case] = max(sizes_of(
-                    sides[side], calls[side], "_band_spectrum", lambda n, *_: n))
+                    sides[side], calls[side], _band_spectrum=lambda _, n, *__: n))
                 record[side]["oracle_peak_mb"][case] = traced_peak_mb(calls[side])
             if key == "profile_s":
                 record[side]["profile_peak_mb"][case] = traced_peak_mb(calls[side])
@@ -279,6 +292,8 @@ def main(argv=None) -> int:
             if key == "scan_nodes":
                 line += (f"  mean {record['parent']['scan_node_rows'][case]:7.1f}"
                          f" -> {record['change']['scan_node_rows'][case]:7.1f}"
+                         f"  folded {record['parent']['scan_folded'][case]:4.2f}"
+                         f" -> {record['change']['scan_folded'][case]:4.2f}"
                          f"  of grid n {record['parent']['scan_grid_n'][case]}"
                          f" -> {record['change']['scan_grid_n'][case]}")
             print(line)
