@@ -9,8 +9,9 @@ a density with respect to the left-invariant measure d_L g = e^{-r} dr dx.
 With this convention the windowed mass  integral p e^{-r} dx dr  tends to 1
 as the window grows (POVM completeness on the span probed by the seed), and
 shifting the input state by h translates the density, p'(g) = p(h^{-1} g).  ``scan`` of
-an ML or parity seed of a Gaussian and a Gaussian psi is in closed form, other pairs are
-quadrature rows; these and ``density_at``, the reference of both, take out ``_kink_term``.
+an ML or parity seed of a Gaussian and a Gaussian psi is in closed form; other pairs are
+quadrature rows, a sampled state's on the halving of the grid that its end rows pick, and
+these and ``density_at``, the reference of both, take out the kink's O(dy^2) and O(dy^4) terms.
 
 The asymptotic Gaussian law for excited coherent states approximates the
 measure-weighted density p(g) e^{-r}; pointwise comparisons against that law
@@ -34,8 +35,9 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .errors import ConfigError, DivergenceDetected, GridMismatch, InsufficientMass
-from .grids import (MAX_NODES, StateVector, _check_log_range, _check_phase, _fft_length,
-                    _sector_sum, _size, fourier_at, phase_dy, resolving_grid, sector_integral)
+from .grids import (ADAPTIVE_RTOL, MAX_NODES, QuadratureGrid, StateVector, _check_log_range,
+                    _check_phase, _fft_length, _sector_sum, _settled, _size, fourier_at,
+                    phase_dy, resolving_grid, sector_integral)
 from .group import GroupElement, _act_on_nodes, _check_element, inverse
 from .povm import PovmSeed
 
@@ -43,6 +45,7 @@ from .povm import PovmSeed
 ARGMAX_TIE_RTOL = 1e-12
 _SCAN_CHUNK = 2**14  # complex elements per FFT array of a chunk of map rows
 _FORM_BLOCK = 2**12  # complex elements per array of a block of closed-form map columns
+_PROBE_RTOL = 1e-10  # of the end rows' peak, within which a sampled scan's rows halve their grid
 
 
 @dataclass
@@ -130,16 +133,29 @@ def density_at(seed: PovmSeed, psi: StateVector, g: GroupElement) -> float:
     _check_phase(_row_frequency(seed, psi, g.x, g.r), psi.grid.dy)
     ket = _act_on_nodes(inverse(g), psi.grid, psi.evaluate_at)
     amp = np.vdot(seed.eta.amplitudes, ket) * psi.grid.dy
-    return abs(amp - _kink_term(seed, psi) * np.exp(-g.r / 2.0)) ** 2
+    return abs(amp - _kink_term(seed, psi)(g.x, g.r, psi.grid.dy)) ** 2
 
 
-def _kink_term(seed: PovmSeed, psi: StateVector) -> complex:
-    """delta(0) of delta(r') = (dy^2/24)(c_+ + c_- + 2 c_0) conj(source(0)) psi(0) e^{r'/2}, the
-    O(dy^2) Euler-Maclaurin excess of the midpoint <eta|U_{(x', r')}|psi> at a p = 1 kink y = 0."""
-    c, zero = seed.sector_coeffs, np.zeros(1)
+def _kink_term(seed: PovmSeed, psi: StateVector):
+    """delta(x, r, dy) = J [(dy^2/24) G(0) - (7 dy^4/1920) G''(0)], J = c_+ + c_- + 2 c_0 for p = 1
+    (else 0), G(y) = conj(source(y)) e^{r'/2} psi(e^{r'} y) e^{-2i x' y}, (x', r') = (x, r)^{-1}:
+    the Euler-Maclaurin excess of the midpoint <eta|U_{(x', r')}|psi>, nodes dy apart, at the kink
+    y = 0 of f = c_s |y| G, [f'] = J G(0), [f'''] = 3 J G''(0).  Source and psi to second order at
+    0 by five-point stencils of step psi.grid.dy / 4, exact on a spline's cubic on the cell at 0."""
+    c, h = seed.sector_coeffs, psi.grid.dy / 4.0
     jump = c.get(+1, 0.0) + c.get(-1, 0.0) + 2.0 * c.get(0, 0.0) if seed.weight_power == 1 else 0.0
-    edge = jump * np.conj(seed.source.evaluate_at(zero)[0]) * psi.evaluate_at(zero)[0]
-    return psi.grid.dy ** 2 / 24.0 * edge
+    stencil = np.array([[0, 0, 12, 0, 0], [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1]]) / (
+        12.0 * h ** np.arange(3)[:, None])
+    t = h * np.arange(-2.0, 3.0)
+    s0, s1, s2 = stencil @ np.conj(seed.source.evaluate_at(t))
+    p0, p1, p2 = stencil @ psi.evaluate_at(t)
+
+    def delta(x, r, dy):
+        e = np.exp(-r)  # e^{r'}, and x' = -e x
+        a0, a1, a2 = s0 * p0, s1 * p0 + e * s0 * p1, s2 * p0 + e * (2.0 * s1 * p1 + e * s0 * p2)
+        g2 = a2 + 4j * e * x * a1 - 4.0 * (e * x) ** 2 * a0  # G''(0) e^{-r'/2}
+        return jump * np.sqrt(e) * (dy ** 2 / 24.0 * a0 - 7.0 * dy ** 4 / 1920.0 * g2)
+    return delta
 
 
 def _window_grid(seed: PovmSeed, psi: StateVector, window: Tuple[float, float, float, float]):
@@ -216,8 +232,9 @@ def _row_map(window: Tuple[float, float, float, float], nx: int, nr: int, y: np.
                           (half if folds else y)[lo:hi], kernels[lo:hi])
         if folds:
             amps = (0.5 - 0.5j) * amps.real + (0.5 + 0.5j) * amps.real[::-1]
+        kernels = z = None  # freed before rows_at builds the next chunk
         if shift is not None:
-            amps -= shift(r_nodes[j:j + rows])
+            amps -= shift(x_nodes[:, None], r_nodes[j:j + rows])
         values[:, j:j + rows] = (np.abs(amps) ** 2).reshape(nx, -1, per_row).sum(axis=2)
     return DensityMap(x_nodes, r_nodes, values)
 
@@ -240,24 +257,43 @@ def scan(seed: PovmSeed, psi: StateVector,
 
 def _scan_rows(seed: PovmSeed, psi: StateVector,
                window: Tuple[float, float, float, float], resolution) -> DensityMap:
-    """``scan`` by quadrature rows on ``_refine_for_window``'s grid less ``_kink_term``: kernels
-    where |eta| holds all but 2^-53 of its L1 mass, ``_row_map``'s chunks on theirs likewise."""
+    """``scan`` by quadrature rows less ``_kink_term``, on ``_refine_for_window``'s grid or, for a
+    sampled psi or seed source, its coarsest halving that ``_check_phase`` admits for every row and
+    whose end rows r_lo, r_hi agree with the next finer grid's to _PROBE_RTOL of their peak, seed
+    and psi evaluated there; not if rows r < 0 see a sampled psi jump to 0 past its ends from over
+    ADAPTIVE_RTOL of max|psi|, which the end rows do not bound.  Kernels where |eta| holds all but
+    2^-53 of its L1 mass, ``_row_map``'s chunks on theirs likewise."""
     _check_window(window)
     nx, nr = _map_shape(resolution)
+    a = psi.amplitudes  # as given: resampled on a finer grid, psi is 0 past these ends
+    cut = not psi.evaluator and window[2] < 0 and (
+        max(abs(a[[0, -1]])) > ADAPTIVE_RTOL * abs(a).max())
     seed, psi = _refine_for_window(seed, psi, window)
-    y = psi.grid.nodes
-    real = not (seed.eta.amplitudes.imag.any() or psi.amplitudes.imag.any())  # float kernels
-    eta_conj = seed.eta.amplitudes.real.copy() if real else np.conj(seed.eta.amplitudes)
 
-    def rows_at(r, keep):
-        scale = np.exp(-r)  # e^{r'} of the inverse elements
-        base = psi.evaluate_at(np.outer(scale, y[keep])) * eta_conj[keep]  # one row per r
-        base *= (np.sqrt(scale) * psi.grid.dy)[:, None]
-        return -scale, (base.real if real else base).T  # x' = -e^{-r} x of the inverse elements
+    def rows(count, grid):  # the map on count rows, on the nodes of grid
+        y = grid.nodes
+        eta_conj = np.conj(seed.evaluate_at(y))
+        if real := not (eta_conj.imag.any() or psi.amplitudes.imag.any()):  # float kernels
+            eta_conj = np.ascontiguousarray(eta_conj.real)
 
-    kink = _kink_term(seed, psi)
-    return _row_map(window, nx, nr, y, np.abs(eta_conj), rows_at,
-                    shift=lambda r: kink * np.exp(-r / 2.0))
+        def rows_at(r, keep):
+            scale = np.exp(-r)  # e^{r'} of the inverse elements
+            base = psi.evaluate_at(np.outer(scale, y[keep])) * eta_conj[keep]  # one row per r
+            base *= (np.sqrt(scale) * grid.dy)[:, None]
+            return -scale, (base.real if real else base).T  # x' = -e^{-r} x of the inverse g
+
+        return _row_map(window, nx, count, y, np.abs(eta_conj), rows_at,
+                        shift=lambda x, r: kink(x, r, grid.dy))
+
+    grid, kink = psi.grid, _kink_term(seed, psi)
+    if not (psi.evaluator and seed.source.evaluator or cut):
+        freq = _row_frequency(seed, psi, max(abs(window[0]), abs(window[1])), window[2])
+        ends = rows(2, grid).values
+        while grid.n >= 4 and freq <= math.pi * grid.n / (8.0 * grid.y_max) and _settled(
+                new := rows(2, half := QuadratureGrid(grid.y_max, grid.n // 2)).values, ends,
+                _PROBE_RTOL * ends.max()):
+            grid, ends = half, new
+    return rows(nr, grid)
 
 
 @functools.lru_cache(maxsize=None)

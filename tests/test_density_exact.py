@@ -2,12 +2,13 @@
 
 The reference is ``helpers.exact_amplitude``, a sum over the seed's sectors of half-line
 Gaussian integrals closed by the Faddeeva function.  The raw midpoint sum misses it by the
-Euler-Maclaurin term of the seed's kink at the cell edge y = 0: the amplitude is off by
-delta = (dy^2 / 24)(c_+ + c_-) |psi(0)|^2 e^{r'/2} + O(dy^4), which density_at and the
-quadrature rows of scan take out.  The tests check the reference against 30-digit mpmath,
-density_at (ML and parity seeds) and the quadrature rows against the reference, that the
-raw sum holds the O(dy^2) term and the corrected one errs at O(dy^4), and that scan's
-closed form for Gaussian pairs matches the reference to round-off.
+Euler-Maclaurin terms of the seed's kink at the cell edge y = 0: the amplitude is off by
+delta = (dy^2 / 24)(c_+ + c_-) |psi(0)|^2 e^{r'/2} + O(dy^4), whose O(dy^2) term and O(dy^4)
+term density_at and the quadrature rows of scan take out.  The tests check the reference
+against 30-digit mpmath, density_at (ML and parity seeds) and the quadrature rows against the
+reference, that the raw sum holds the O(dy^2) term, that without it the sum errs at O(dy^4)
+and density_at at O(dy^6), and that scan's closed form for Gaussian pairs matches the
+reference to round-off.
 """
 
 import math
@@ -116,34 +117,38 @@ def test_parity_density_at_matches_exact_up_to_kink_term(a, z, x, r):
 def test_scan_matches_exact_up_to_kink_term(a, z):
     # the quadrature rows (a Gaussian pair's scan takes the closed form): e^{3.5} |x|
     # resolves on no default grid, so the rows sample on a finer one and take out
-    # that grid's kink term
+    # that grid's kink terms: at most 3.4e-12 of L off (2.6e-10 with the O(dy^2) term alone)
     window = (-4.0, 4.0, -3.5, 0.5)
     psi = make_displaced_squeezed(a, z)
     seed = build_ml_seed(psi)
     dmap = _scan_rows(seed, psi, window, 16)
     assert _refine_for_window(seed, psi, window)[1].grid.dy < psi.grid.dy
-    assert np.max(np.abs(dmap.values - exact_map(psi, dmap))) <= 1e-8 * seed.likelihood
+    assert np.max(np.abs(dmap.values - exact_map(psi, dmap))) <= 1e-11 * seed.likelihood
 
 
 def test_kink_floor_is_present():
     # the vacuum's raw midpoint sum at g = (0.3, -1) holds the O(dy^2) kink term, 3.9e-5
-    # relative on the default grid; with it taken out, density_at errs at O(dy^4), about
-    # 16 times less per doubling of the nodes
+    # relative on the default grid; with it taken out, the sum errs at O(dy^4), about 16
+    # times less per doubling of the nodes, and density_at, which takes out the O(dy^4)
+    # term too, at O(dy^6), about 64 times less (64.3, 64.1 and 63.6; 9.7e-14 relative on 4096)
     g = GroupElement(0.3, -1.0)
     exact_amp = exact_amplitude(0.0, 0.0, g)
     exact = abs(exact_amp) ** 2
-    errors = []
+    errors, dy2_errors = [], []
     for n in (512, 1024, 2048, 4096):
         psi = make_displaced_squeezed(0.0, 0.0, grid=default_grid(n=n))
         seed = build_ml_seed(psi)
         errors.append(abs(density_at(seed, psi, g) - exact))
-    ket = act(inverse(g), psi, grid=psi.grid).amplitudes
-    raw = np.vdot(seed.eta.amplitudes, ket) * psi.grid.dy
+        ket = act(inverse(g), psi, grid=psi.grid).amplitudes
+        raw = np.vdot(seed.eta.amplitudes, ket) * psi.grid.dy
+        dy2_errors.append(abs(abs(raw - kink_term(seed, psi, g)) ** 2 - exact))
     assert abs(abs(raw) ** 2 - exact) > 1e-6 * exact
     assert abs(raw - exact_amp - kink_term(seed, psi, g)) <= 1e-3 * kink_term(seed, psi, g)
-    ratios = [coarse / fine for coarse, fine in zip(errors, errors[1:])]
-    assert all(14.0 < ratio < 18.0 for ratio in ratios), (ratios, errors)
-    assert errors[-1] <= 1e-8 * exact
+    for low, high, errs in ((14.0, 18.0, dy2_errors), (60.0, 68.0, errors)):
+        ratios = [coarse / fine for coarse, fine in zip(errs, errs[1:])]
+        assert all(low < ratio < high for ratio in ratios), (ratios, errs)
+    assert dy2_errors[-1] <= 1e-8 * exact
+    assert errors[-1] <= 3e-13 * exact
 
 
 @settings(max_examples=30, derandomize=True, deadline=None, database=None)

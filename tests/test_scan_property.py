@@ -12,9 +12,11 @@ loop, may depend on them.  The rows' kernels are
 evaluated only on the nodes that carry all but 2^-53 of the seed's L1 mass, and
 each chunk runs on the nodes that carry all but 2^-53 of its own kernels: the
 helper that picks them, and scans that drop most of a grid or none of it, are
-tested next.  Last, real kernels on a symmetric window fold about y = 0: a
+tested next.  Then, real kernels on a symmetric window fold about y = 0: a
 sampled state and its complex multiple give one map, and asymmetric windows
-and one-sided seeds do not fold.
+and one-sided seeds do not fold.  Last, a sampled state's rows run on the
+halving of the window's grid that their end rows pick, within 1e-10 of the peak
+of ``density_at`` on the window's grid, while a Gaussian pair's keep that grid.
 """
 
 import numpy as np
@@ -24,9 +26,11 @@ from hypothesis import strategies as st
 
 from sqdisp import (GaussianStateParams, GroupElement, QuadratureGrid, StateVector,
                     build_ml_seed, build_srm_seed, concentration_profile, default_grid,
-                    density_at, make_coherent, make_sampled, make_vacuum, scan)
-from sqdisp import distribution, two_mode
+                    density_at, make_coherent, make_displaced_squeezed, make_sampled,
+                    make_vacuum, scan)
+from sqdisp import cli, distribution, two_mode
 from sqdisp.distribution import _refine_for_window
+from sqdisp.grids import _check_phase
 from sqdisp.validate import _odd_state
 
 from helpers import chunk_rows, kept, map_devs, record_chunks
@@ -59,7 +63,9 @@ def assert_scan_equals_density_at(seed, psi, window, resolution):
 # on 4096 nodes (the vacuum's seed keeps 2483 of them, 1244 on the longer side of
 # y = 0, so chunks of 12) and on 8192 for an odd state whose seed fills all but the
 # two outermost (chunks of 3), and not folded, on an asymmetric window (chunks of
-# 6); and one-row chunks, folded, on a window that refines the odd state to 16384
+# 6); and one-row chunks, folded, on a window that refines the odd state to 16384.
+# The rows run on the grid the window refines to: the vacuum is Gaussian, and the
+# odd state at width 2.5 holds 1.1e-6 of its peak at the ends of its file
 @pytest.mark.parametrize("window, resolution, nodes", [
     ((-3.0, 3.0, -1.0, 1.0), (40, 17), 4096),
     ((-80.0, 80.0, -0.2, 0.2), (17, 16), 8192),
@@ -69,8 +75,10 @@ def assert_scan_equals_density_at(seed, psi, window, resolution):
 def test_scan_chunk_boundaries(monkeypatch, window, resolution, nodes):
     vacuum = window[2] == -1.0
     psi = make_vacuum() if vacuum else _odd_state(QuadratureGrid(10.0, 4096), 2.5)
-    calls = record_chunks(monkeypatch)
+    grid_ns = []
+    calls = record_chunks(monkeypatch, grid_ns)
     assert assert_scan_equals_density_at(build_ml_seed(psi), psi, window, resolution) == nodes
+    assert grid_ns == [nodes]
     folds = window[0] == -window[1]
     rows = chunk_rows(resolution[0], calls, grid_n=nodes if folds else None)
     assert rows == 1 if nodes > 8192 else rows > 1 and resolution[1] % rows != 0
@@ -197,16 +205,21 @@ def _sampled(state, phase=1.0):
 
 
 # a sampled state's float kernels fold every chunk, each straddling y = 0, onto its
-# longer side; its e^{i phi} multiple, the same ray, has complex kernels that do not
-@pytest.mark.parametrize("state", ["two_bump", "odd"])
-def test_folded_rows_equal_complex_rows(monkeypatch, state):
+# longer side; its e^{i phi} multiple, the same ray, has complex kernels that do not.
+# Both scans probe their end rows first, pick the same grid below the file's 4096
+# nodes (256 and 1024) and record only the map's own chunks
+@pytest.mark.parametrize("state, rows_n", [("two_bump", 256), ("odd", 1024)],
+                         ids=["two_bump", "odd"])
+def test_folded_rows_equal_complex_rows(monkeypatch, state, rows_n):
     maps = []
     for phase in (1.0, np.exp(0.7j)):
         psi = _sampled(state, phase)
-        calls = record_chunks(monkeypatch)
+        grid_ns = []
+        calls = record_chunks(monkeypatch, grid_ns)
         maps.append(scan(build_ml_seed(psi), psi, (-4.0, 4.0, -1.5, 1.5), (48, 32)).values)
         monkeypatch.undo()
-        chunk_rows(48, calls, grid_n=psi.grid.n if phase == 1.0 else None)
+        assert grid_ns[-1] == rows_n and len(grid_ns) > 1
+        chunk_rows(48, calls, grid_n=rows_n if phase == 1.0 else None)
         _, own = kept(calls)
         runs = [n for n, _ in calls[2::2]]
         assert all(n < b for n, b in zip(runs, own)) if phase == 1.0 else runs == own
@@ -215,7 +228,8 @@ def test_folded_rows_equal_complex_rows(monkeypatch, state):
 
 # float kernels that do not fold: on an asymmetric window, each chunk of a seed that
 # straddles y = 0 runs on its own support as it stands; and an SRM seed of coherent(9),
-# on a symmetric window, lives on y > 0 only
+# on a symmetric window, lives on y > 0 only.  A probe tolerance of 0 keeps the sampled
+# state's rows on its own grid, where density_at is their reference to round-off
 @pytest.mark.parametrize("case", ["asymmetric", "one_sided"])
 def test_unfolded_real_rows(monkeypatch, case):
     if case == "asymmetric":
@@ -224,12 +238,64 @@ def test_unfolded_real_rows(monkeypatch, case):
     else:
         psi, window = make_coherent(9.0), (-3.0, 3.0, -0.6, 0.6)
         seed = build_srm_seed(psi)
-    calls = record_chunks(monkeypatch)
+    monkeypatch.setattr(distribution, "_PROBE_RTOL", 0.0)
+    grid_ns = []
+    calls = record_chunks(monkeypatch, grid_ns)
     dmap = distribution._scan_rows(seed, psi, window, RESOLUTION)
     chunk_rows(RESOLUTION, calls)
     lo, hi = calls[0]
+    assert grid_ns[-1] == psi.grid.n
     assert (lo < psi.grid.n // 2 < hi) == (case == "asymmetric")
     monkeypatch.undo()
     pointwise = np.array([[density_at(seed, psi, GroupElement(x, r)) for r in dmap.r_nodes]
                           for x in dmap.x_nodes])
     assert np.max(np.abs(dmap.values - pointwise)) <= 1e-12 * np.max(pointwise)
+
+
+def rows_grid_n(seed, psi, window, make=distribution._scan_rows):
+    """The map of ``make`` and the node count of the grid its own rows ran on: the last
+    ``distribution._row_map`` call's, after any end-row maps of the probe."""
+    grid_ns = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        record_chunks(monkeypatch, grid_ns)
+        dmap = make(seed, psi, window, RESOLUTION)
+    return dmap, grid_ns[-1]
+
+
+# sampled states on the window ``sqdisp density`` picks for a file: the rows run on a
+# power-of-two fraction of the window's grid that the row phase still resolves, within
+# 1e-10 of the peak of density_at on the window's grid (2.6e-11 at worst over the two
+# families; a probe tolerance of 1e-8 in place of 1e-10 fails it)
+@settings(max_examples=16, derandomize=True, deadline=None, database=None)
+@given(state=st.sampled_from(["odd", "two_bump"]), u=st.floats(0.0, 1.0), a=st.floats(2.0, 4.0))
+def test_sampled_rows_on_a_probed_halving(state, u, a):
+    grid = QuadratureGrid(10.0, 4096)
+    y = grid.nodes
+    if state == "odd":
+        width = 0.7 + 1.8 * u  # [0.7, 2.5]
+        psi = make_sampled(grid, y * np.exp(-(y / width) ** 2))
+    else:
+        b = 2.5 + 1.5 * u  # [2.5, 4]
+        psi = make_sampled(grid, np.exp(-(y - b) ** 2) + np.exp(-(y + b) ** 2))
+    seed = build_ml_seed(psi)
+    window = cli.default_window(cli.RunConfig(state="sampled-file", a=a))
+    dmap, n = rows_grid_n(seed, psi, window, scan)
+    ref_seed, ref_psi = _refine_for_window(seed, psi, window)
+    halvings = ref_psi.grid.n // n
+    assert halvings * n == ref_psi.grid.n and halvings & (halvings - 1) == 0
+    freq = distribution._row_frequency(seed, psi, max(-window[0], window[1]), window[2])
+    _check_phase(freq, 2.0 * grid.y_max / n)
+    pointwise = np.array([[density_at(ref_seed, ref_psi, GroupElement(x, r))
+                           for r in dmap.r_nodes] for x in dmap.x_nodes])
+    assert np.max(np.abs(dmap.values - pointwise)) <= 1e-10 * np.max(pointwise)
+
+
+# Gaussian pairs, ML and SRM seeds, keep the rows on the window's grid
+@settings(max_examples=12, derandomize=True, deadline=None, database=None)
+@given(a=st.floats(4.5, 6.0), z=st.floats(0.0, 0.5), srm=st.booleans())
+def test_gaussian_rows_keep_the_window_grid(a, z, srm):
+    psi = make_displaced_squeezed(a, z)
+    seed = (build_srm_seed if srm else build_ml_seed)(psi)
+    window = cli.default_window(cli.RunConfig(state="displaced-squeezed", a=a, z=z))
+    _, n = rows_grid_n(seed, psi, window)
+    assert n == _refine_for_window(seed, psi, window)[1].grid.n

@@ -26,7 +26,9 @@ tracemalloc peak, in MB, of one untimed profile call made after the timed ones.
 span: the largest hi - lo of the chunks' own ``distribution._support`` in one untimed
 run of the quadrature rows, ``distribution._scan_rows`` (``scan`` on a side that has
 none), which a Gaussian slot's ``scan`` no longer takes (a side that runs its rows on
-the whole grid records the grid's n);
+the whole grid records the grid's n); only the map's own ``distribution._row_map``
+call counts, the last, not the end-row maps a sampled state's probe runs before it;
+``scan_rows_n`` is the node count of the grid that map's rows ran on;
 ``scan_node_rows`` is the mean of hi - lo over the rows of that run, each chunk
 weighted by its rows, below ``scan_nodes`` when chunks span fewer nodes than
 the largest; ``scan_folded`` is the share of that run's chunks that fold about
@@ -140,12 +142,13 @@ def row_call(pkg, n):
 
 def sizes_of(pkg, call, **sizes_by_name) -> list:
     """``size(result, *args)`` of each call that ``call`` makes to the side's
-    ``distribution.<name>``, for each name and size of ``sizes_by_name``, in call order."""
+    ``distribution.<name>``, for each name and size of ``sizes_by_name``, in the order the
+    calls return: a call that makes others is noted after them."""
     distribution, sizes = pkg["distribution"], []
     inner = {name: getattr(distribution, name) for name in sizes_by_name}
 
-    def recording(name, *args):
-        result = inner[name](*args)
+    def recording(name, *args, **kwargs):
+        result = inner[name](*args, **kwargs)
         sizes.append(sizes_by_name[name](result, *args))
         return result
 
@@ -157,6 +160,13 @@ def sizes_of(pkg, call, **sizes_by_name) -> list:
         for name, function in inner.items():
             setattr(distribution, name, function)
     return sizes
+
+
+def last_map(sizes) -> tuple:
+    """The grid's node count of the last map in ``sizes``, a record of ``sizes_of`` with
+    ``_row_map`` noted as ("map", n) once it returns, and the sizes of that map's own calls."""
+    ends = [i for i, size in enumerate(sizes) if size[0] == "map"]
+    return sizes[ends[-1]][1], sizes[ends[-2] + 1 if len(ends) > 1 else 0:ends[-1]]
 
 
 def exact_devs(psi, dmap) -> dict:
@@ -235,9 +245,9 @@ def main(argv=None) -> int:
              "change": load("sqdisp", ROOT / "src")}
     sys.path.insert(0, str(ROOT / "tests"))  # helpers, for exact_devs and map_devs
     keys = ("row_s", "scan_s", "scan_row_s", "seed_s", "scan_job_s", "scan_nodes",
-            "scan_node_rows", "scan_folded", "scan_grid_n", "scan_exact_rel_dev",
-            "scan_exact_abs_dev", "profile_s", "job_s", "oracle_nodes", "oracle_peak_mb",
-            "profile_peak_mb")
+            "scan_node_rows", "scan_folded", "scan_grid_n", "scan_rows_n",
+            "scan_exact_rel_dev", "scan_exact_abs_dev", "profile_s", "job_s", "oracle_nodes",
+            "oracle_peak_mb", "profile_peak_mb")
     record = {side: {key: {} for key in keys} for side in sides}
     deviation = {}
     for key, case, repeats, calls, devs in cases(sides, args.repeats):
@@ -249,9 +259,12 @@ def main(argv=None) -> int:
                 distribution = sides[side]["distribution"]
                 rows = partial(getattr(distribution, "_scan_rows", distribution.scan),
                                *calls[side].args)
-                _, *calls_made = sizes_of(  # the weight's trim, then (lo, hi), (n, rows) a chunk
+                # the map's own calls: the weight's trim, then (lo, hi), (n, rows) a chunk
+                rows_n, (_, *calls_made) = last_map(sizes_of(
                     sides[side], rows, _support=lambda kept, w: kept,
-                    fourier_at=lambda _, x, y, h: (len(y), h.shape[1]))
+                    fourier_at=lambda _, x, y, h: (len(y), h.shape[1]),
+                    _row_map=lambda _, window, nx, nr, y, *__: ("map", len(y))))
+                record[side]["scan_rows_n"][case] = rows_n
                 chunks = [(hi - lo, n, rows) for (lo, hi), (n, rows)
                           in zip(calls_made[0::2], calls_made[1::2])]
                 record[side]["scan_nodes"][case] = max(span for span, _, _ in chunks)
@@ -295,7 +308,9 @@ def main(argv=None) -> int:
                          f"  folded {record['parent']['scan_folded'][case]:4.2f}"
                          f" -> {record['change']['scan_folded'][case]:4.2f}"
                          f"  of grid n {record['parent']['scan_grid_n'][case]}"
-                         f" -> {record['change']['scan_grid_n'][case]}")
+                         f" -> {record['change']['scan_grid_n'][case]}"
+                         f"  rows on {record['parent']['scan_rows_n'][case]}"
+                         f" -> {record['change']['scan_rows_n'][case]}")
             print(line)
     for case, old in record["parent"]["scan_exact_rel_dev"].items():
         new = record["change"]["scan_exact_rel_dev"][case]
