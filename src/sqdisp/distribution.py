@@ -35,9 +35,9 @@ from typing import Mapping, Tuple
 import numpy as np
 
 from .errors import ConfigError, DivergenceDetected, GridMismatch, InsufficientMass
-from .grids import (ADAPTIVE_RTOL, MAX_NODES, QuadratureGrid, StateVector, _check_log_range,
-                    _check_phase, _fft_length, _sector_sum, _settled, _size, fourier_at,
-                    phase_dy, resolving_grid, sector_integral)
+from .grids import (MAX_NODES, QuadratureGrid, StateVector, _check_log_range, _check_phase,
+                    _fft_length, _sector_sum, _size, fourier_at, phase_dy, resolving_grid,
+                    sector_integral)
 from .group import GroupElement, _act_on_nodes, _check_element, inverse
 from .povm import PovmSeed
 
@@ -46,6 +46,8 @@ ARGMAX_TIE_RTOL = 1e-12
 _SCAN_CHUNK = 2**14  # complex elements per FFT array of a chunk of map rows
 _FORM_BLOCK = 2**12  # complex elements per array of a block of closed-form map columns
 _PROBE_RTOL = 1e-10  # of the end rows' peak, within which a sampled scan's rows halve their grid
+# of max|psi| at a file's ends, past which its rows r < 0 keep their grid (odd width >= 2.08)
+_EDGE_RTOL = 1e-9
 
 
 @dataclass
@@ -198,12 +200,13 @@ def _chunk_rows(nx: int, n: int, per_row: int = 1) -> int:
 def _row_map(window: Tuple[float, float, float, float], nx: int, nr: int, y: np.ndarray,
              weight: np.ndarray, rows_at, per_row: int = 1, shift=None) -> DensityMap:
     """DensityMap of sum_c |sum_k K_kc e^{-2i s x y_k} - o|^2, c over a row's per_row
-    kernel columns, o ``shift(r)`` of its r or 0, y a grid's nodes (y_k = -y_{n-1-k}).
-    ``weight`` >= 0 has |K_kc| <= B weight_k for one B over all rows, so ``rows_at(r, keep)``
-    gives each row's x scale s and the kernels, (len(y[keep]), per_row * len(r)), for a chunk
-    of r nodes only on keep = slice(*_support(weight)).  Each chunk runs ``grids.fourier_at``
-    only on _support(max_c |K_kc|) of its own kernels: what it drops of any amplitude, all
-    that the map owes to the chunks, is at most 2^-53 sum_k max_c |K_kc| <= 2^-53 B sum(weight).
+    kernel columns, o ``shift(x, r)`` of each x and r of a chunk or 0, y a grid's nodes (y_k =
+    -y_{n-1-k}).  ``weight`` >= 0 has |K_kc| <= B weight_k for one B over all rows, so
+    ``rows_at(r, keep)`` gives each row's x scale s and the kernels, (len(y[keep]), per_row *
+    len(r)), for a chunk of r nodes only on keep = slice(*_support(weight)).  Each chunk runs
+    ``grids.fourier_at`` only on _support(max_c |K_kc|) of its own kernels: what it drops of
+    any amplitude, all that the map owes to the chunks, is at most 2^-53 sum_k max_c |K_kc|
+    <= 2^-53 B sum(weight).
     Float kernels (``rows_at`` on no rows tells) on a window x_lo = -x_hi fold a chunk whose
     own nodes straddle y = 0: Z, fourier_at of e + i o on nodes p > 0, e, o = K(p) +- K(-p)
     and K = 0 off them, gives ((1 - i) Re Z(x) + (1 + i) Re Z(-x))/2, Z(-x) on the x nodes
@@ -258,42 +261,50 @@ def scan(seed: PovmSeed, psi: StateVector,
 def _scan_rows(seed: PovmSeed, psi: StateVector,
                window: Tuple[float, float, float, float], resolution) -> DensityMap:
     """``scan`` by quadrature rows less ``_kink_term``, on ``_refine_for_window``'s grid or, for a
-    sampled psi or seed source, its coarsest halving that ``_check_phase`` admits for every row and
-    whose end rows r_lo, r_hi agree with the next finer grid's to _PROBE_RTOL of their peak, seed
-    and psi evaluated there; not if rows r < 0 see a sampled psi jump to 0 past its ends from over
-    ADAPTIVE_RTOL of max|psi|, which the end rows do not bound.  Kernels where |eta| holds all but
-    2^-53 of its L1 mass, ``_row_map``'s chunks on theirs likewise."""
+    sampled psi or seed source, its coarsest halving to an even n that ``_check_phase`` admits
+    and whose end rows r_lo, r_hi, each one FFT, agree with the next finer grid's to _PROBE_RTOL
+    of their peak; not if rows r < 0 see a sampled psi jump to 0 past its ends, unbounded by them."""
     _check_window(window)
     nx, nr = _map_shape(resolution)
     a = psi.amplitudes  # as given: resampled on a finer grid, psi is 0 past these ends
-    cut = not psi.evaluator and window[2] < 0 and (
-        max(abs(a[[0, -1]])) > ADAPTIVE_RTOL * abs(a).max())
+    cut = not psi.evaluator and window[2] < 0 and max(abs(a[[0, -1]])) > _EDGE_RTOL * abs(a).max()
     seed, psi = _refine_for_window(seed, psi, window)
+    kink = _kink_term(seed, psi)
 
-    def rows(count, grid):  # the map on count rows, on the nodes of grid
-        y = grid.nodes
-        eta_conj = np.conj(seed.evaluate_at(y))
+    def rows_on(grid):  # |eta| and ``rows_at`` of the map's rows on the nodes of grid
+        eta_conj = np.conj(seed.on_grid(grid).eta.amplitudes)  # through the seed's own spline
         if real := not (eta_conj.imag.any() or psi.amplitudes.imag.any()):  # float kernels
-            eta_conj = np.ascontiguousarray(eta_conj.real)
+            eta_conj = eta_conj.real.copy()
 
-        def rows_at(r, keep):
+        def rows_at(r, keep=slice(None)):
             scale = np.exp(-r)  # e^{r'} of the inverse elements
-            base = psi.evaluate_at(np.outer(scale, y[keep])) * eta_conj[keep]  # one row per r
+            base = psi.evaluate_at(np.outer(scale, grid.nodes[keep])) * eta_conj[keep]  # row per r
             base *= (np.sqrt(scale) * grid.dy)[:, None]
             return -scale, (base.real if real else base).T  # x' = -e^{-r} x of the inverse g
+        return np.abs(eta_conj), rows_at
 
-        return _row_map(window, nx, count, y, np.abs(eta_conj), rows_at,
-                        shift=lambda x, r: kink(x, r, grid.dy))
+    # the end rows at the DFT bins 2 s x = pi m / y_max next to the map's x nodes, m (nx, 2),
+    # where sum_k K_k e^{-2i s x y_k} = (-1)^m e^{-i pi m / n} FFT(K)_m on every halving
+    r = np.array(window[2:])
+    per_x = -2.0 * psi.grid.y_max * np.exp(-r) / math.pi  # m / x
+    m = np.rint(np.outer(np.linspace(*window[:2], nx), per_x)).astype(int)
 
-    grid, kink = psi.grid, _kink_term(seed, psi)
+    def end_rows(grid):
+        spectra = np.fft.fft(rows_on(grid)[1](r)[1].T).T[m % grid.n, [0, 1]]
+        amps = np.exp(1j * math.pi * m * (1.0 - 1.0 / grid.n)) * spectra
+        return np.abs(amps - kink(m / per_x, r, grid.dy)) ** 2
+
+    grid = psi.grid
     if not (psi.evaluator and seed.source.evaluator or cut):
         freq = _row_frequency(seed, psi, max(abs(window[0]), abs(window[1])), window[2])
-        ends = rows(2, grid).values
-        while grid.n >= 4 and freq <= math.pi * grid.n / (8.0 * grid.y_max) and _settled(
-                new := rows(2, half := QuadratureGrid(grid.y_max, grid.n // 2)).values, ends,
-                _PROBE_RTOL * ends.max()):
+        ends = end_rows(grid)
+        while grid.n % 4 == 0 and freq <= math.pi * grid.n / (8.0 * grid.y_max):
+            new = end_rows(half := QuadratureGrid(grid.y_max, grid.n // 2))
+            if np.max(np.abs(new - ends)) > _PROBE_RTOL * ends.max():
+                break
             grid, ends = half, new
-    return rows(nr, grid)
+    return _row_map(window, nx, nr, grid.nodes, *rows_on(grid),
+                    shift=lambda x, r: kink(x, r, grid.dy))
 
 
 @functools.lru_cache(maxsize=None)

@@ -427,11 +427,6 @@ class _NotAKnotSpline:
         return out.reshape(y.shape)
 
 
-def _settled(new, old, tol: float) -> bool:
-    """Whether values on two successive grids agree: every |new - old| <= tol + 1e-300."""
-    return bool(np.max(np.abs(new - old)) <= tol + 1e-300)
-
-
 def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid], complex],
                        growth_floor: Optional[float] = None) -> Tuple[List[complex], bool]:
     """Limit of ``evaluate(grid)`` under doubling n at fixed y_max.
@@ -470,7 +465,8 @@ def refine_by_doubling(grid: QuadratureGrid, evaluate: Callable[[QuadratureGrid]
             if size[0] >= growth_floor and all(
                     later > earlier * GROWTH_FACTOR for earlier, later in zip(size, size[1:])):
                 return values, True
-        if len(values) >= first_test and _settled(new[-1], row[-1], ADAPTIVE_RTOL * abs(new[-1])):
+        if (len(values) >= first_test
+                and abs(new[-1] - row[-1]) <= ADAPTIVE_RTOL * abs(new[-1]) + 1e-300):
             values[-1] = new[-1]
             return values, False
         if grid.n * 2 > MAX_NODES:

@@ -101,19 +101,14 @@ def map_devs(values, reference):
 def record_chunks(monkeypatch, grid_ns=None):
     """(nodes, kernel columns) of each ``fourier_at`` call of the row loop, after
     the (lo, hi) of each ``_support`` call: the row loop's trim by its weight, then
-    one per chunk, of the chunk's own kernels.  Each ``distribution._row_map`` call
-    starts the record anew, so it holds the last map's chunks only: a sampled scan's
-    own, after the end-row maps that picked its grid.  ``grid_ns``, a list if given,
-    gets the node count of each map's grid."""
+    one per chunk, of the chunk's own kernels.  A sampled scan's end-row probe calls
+    neither.  ``grid_ns``, a list if given, gets the node count of the grid of each
+    ``distribution._row_map`` call, one per map."""
     calls = spy(monkeypatch, distribution, "fourier_at", lambda x, y, h: (len(y), h.shape[1]))
-    spy(monkeypatch, distribution, "_support", calls=calls)
-
-    def restart(window, nx, nr, y, *_, **__):
-        calls.clear()
-        return len(y)
-
-    spy(monkeypatch, distribution, "_row_map", restart, grid_ns)
-    return calls
+    if grid_ns is not None:
+        spy(monkeypatch, distribution, "_row_map", lambda window, nx, nr, y, *_, **__: len(y),
+            grid_ns)
+    return spy(monkeypatch, distribution, "_support", calls=calls)
 
 
 def chunk_rows(nx, calls, per_row=1, grid_n=None):

@@ -206,8 +206,8 @@ def _sampled(state, phase=1.0):
 
 # a sampled state's float kernels fold every chunk, each straddling y = 0, onto its
 # longer side; its e^{i phi} multiple, the same ray, has complex kernels that do not.
-# Both scans probe their end rows first, pick the same grid below the file's 4096
-# nodes (256 and 1024) and record only the map's own chunks
+# Both scans probe their end rows first, by FFTs and not by maps, and run their one
+# map on the same grid below the file's 4096 nodes (256 and 1024)
 @pytest.mark.parametrize("state, rows_n", [("two_bump", 256), ("odd", 1024)],
                          ids=["two_bump", "odd"])
 def test_folded_rows_equal_complex_rows(monkeypatch, state, rows_n):
@@ -218,7 +218,7 @@ def test_folded_rows_equal_complex_rows(monkeypatch, state, rows_n):
         calls = record_chunks(monkeypatch, grid_ns)
         maps.append(scan(build_ml_seed(psi), psi, (-4.0, 4.0, -1.5, 1.5), (48, 32)).values)
         monkeypatch.undo()
-        assert grid_ns[-1] == rows_n and len(grid_ns) > 1
+        assert grid_ns == [rows_n]
         chunk_rows(48, calls, grid_n=rows_n if phase == 1.0 else None)
         _, own = kept(calls)
         runs = [n for n, _ in calls[2::2]]
@@ -253,22 +253,31 @@ def test_unfolded_real_rows(monkeypatch, case):
 
 
 def rows_grid_n(seed, psi, window, make=distribution._scan_rows):
-    """The map of ``make`` and the node count of the grid its own rows ran on: the last
-    ``distribution._row_map`` call's, after any end-row maps of the probe."""
+    """The map of ``make`` and the node count of the grid its rows ran on."""
     grid_ns = []
     with pytest.MonkeyPatch.context() as monkeypatch:
         record_chunks(monkeypatch, grid_ns)
         dmap = make(seed, psi, window, RESOLUTION)
-    return dmap, grid_ns[-1]
+    assert len(grid_ns) == 1
+    return dmap, grid_ns[0]
 
 
-# sampled states on the window ``sqdisp density`` picks for a file: the rows run on a
-# power-of-two fraction of the window's grid that the row phase still resolves, within
-# 1e-10 of the peak of density_at on the window's grid (2.6e-11 at worst over the two
-# families; a probe tolerance of 1e-8 in place of 1e-10 fails it)
-@settings(max_examples=16, derandomize=True, deadline=None, database=None)
-@given(state=st.sampled_from(["odd", "two_bump"]), u=st.floats(0.0, 1.0), a=st.floats(2.0, 4.0))
-def test_sampled_rows_on_a_probed_halving(state, u, a):
+def assert_near_density_at(seed, psi, dmap, rtol):
+    """The map within rtol of the peak of density_at on the grid of ``psi``."""
+    pointwise = np.array([[density_at(seed, psi, GroupElement(x, r)) for r in dmap.r_nodes]
+                          for x in dmap.x_nodes])
+    assert np.max(np.abs(dmap.values - pointwise)) <= rtol * np.max(pointwise)
+
+
+# sampled states on the window ``sqdisp density`` picks for a file, as it is or moved in
+# x so that it is not symmetric and the rows do not fold: the rows run on a power-of-two
+# fraction of the window's grid that the row phase still resolves, within 1e-10 of the
+# peak of density_at on the window's grid (4.0e-11 at worst over these draws, 2.8e-11 on
+# a moved window; a probe tolerance of 1e-8 in place of 1e-10 fails it)
+@settings(max_examples=24, derandomize=True, deadline=None, database=None)
+@given(state=st.sampled_from(["odd", "two_bump"]), u=st.floats(0.0, 1.0), a=st.floats(2.0, 4.0),
+       skew=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+def test_sampled_rows_on_a_probed_halving(state, u, a, skew):
     grid = QuadratureGrid(10.0, 4096)
     y = grid.nodes
     if state == "odd":
@@ -278,16 +287,47 @@ def test_sampled_rows_on_a_probed_halving(state, u, a):
         b = 2.5 + 1.5 * u  # [2.5, 4]
         psi = make_sampled(grid, np.exp(-(y - b) ** 2) + np.exp(-(y + b) ** 2))
     seed = build_ml_seed(psi)
-    window = cli.default_window(cli.RunConfig(state="sampled-file", a=a))
+    x_lo, x_hi, r_lo, r_hi = cli.default_window(cli.RunConfig(state="sampled-file", a=a))
+    window = (x_lo + skew, x_hi + skew, r_lo, r_hi)
     dmap, n = rows_grid_n(seed, psi, window, scan)
     ref_seed, ref_psi = _refine_for_window(seed, psi, window)
     halvings = ref_psi.grid.n // n
     assert halvings * n == ref_psi.grid.n and halvings & (halvings - 1) == 0
-    freq = distribution._row_frequency(seed, psi, max(-window[0], window[1]), window[2])
+    freq = distribution._row_frequency(seed, psi, max(-window[0], window[1]), r_lo)
     _check_phase(freq, 2.0 * grid.y_max / n)
-    pointwise = np.array([[density_at(ref_seed, ref_psi, GroupElement(x, r))
-                           for r in dmap.r_nodes] for x in dmap.x_nodes])
-    assert np.max(np.abs(dmap.values - pointwise)) <= 1e-10 * np.max(pointwise)
+    assert_near_density_at(ref_seed, ref_psi, dmap, 1e-10)
+
+
+# a sampled vacuum, whose kink term at y = 0 is about dy^2/24 = 1e-6 of its rows'
+# amplitudes (odd states and two-bumps with b >= 2.5 have next to none there): its end
+# rows agree on a halving only with that term taken out at their own x, the DFT bins'
+# phases included, and its rows run on 2048 nodes, symmetric window or not
+@pytest.mark.parametrize("window", [(-4.0, 4.0, -1.5, 1.5), (-3.0, 5.0, -1.0, 2.0)])
+def test_sampled_vacuum_rows_halve_with_the_kink_term_out(window):
+    grid = QuadratureGrid(10.0, 4096)
+    psi = make_sampled(grid, np.exp(-grid.nodes ** 2 / 2.0))
+    seed = build_ml_seed(psi)
+    dmap, n = rows_grid_n(seed, psi, window, scan)
+    assert n == 2048
+    assert_near_density_at(seed, psi, dmap, 1e-10)
+
+
+# files of an even node count that is not a power of two, whose own grid the window keeps:
+# the probe halves only to an even count, none of 1000 or 1002 nodes (the first halving
+# moves the end rows past the tolerance) and twice of 3000, to 750, and the rows stay
+# within 1e-9 of the peak of density_at on the file's grid (1.1e-10 on 750 nodes)
+@pytest.mark.parametrize("n, a, rows_n", [(1000, 6.0, 1000), (1002, 6.0, 1002),
+                                          (3000, 4.0, 750)])
+def test_sampled_rows_on_files_of_any_even_size(n, a, rows_n):
+    grid = QuadratureGrid(10.0, n)
+    y = grid.nodes
+    psi = make_sampled(grid, np.exp(-(y - 3.0) ** 2) + np.exp(-(y + 3.0) ** 2))
+    seed = build_ml_seed(psi)
+    window = cli.default_window(cli.RunConfig(state="sampled-file", a=a))
+    assert _refine_for_window(seed, psi, window)[1].grid == grid
+    dmap, rows = rows_grid_n(seed, psi, window, scan)
+    assert rows == rows_n
+    assert_near_density_at(seed, psi, dmap, 1e-9)
 
 
 # Gaussian pairs, ML and SRM seeds, keep the rows on the window's grid

@@ -26,9 +26,8 @@ tracemalloc peak, in MB, of one untimed profile call made after the timed ones.
 span: the largest hi - lo of the chunks' own ``distribution._support`` in one untimed
 run of the quadrature rows, ``distribution._scan_rows`` (``scan`` on a side that has
 none), which a Gaussian slot's ``scan`` no longer takes (a side that runs its rows on
-the whole grid records the grid's n); only the map's own ``distribution._row_map``
-call counts, the last, not the end-row maps a sampled state's probe runs before it;
-``scan_rows_n`` is the node count of the grid that map's rows ran on;
+the whole grid records the grid's n; a sampled state's end-row probe calls none of
+these); ``scan_rows_n`` is the node count of the grid that the rows ran on;
 ``scan_node_rows`` is the mean of hi - lo over the rows of that run, each chunk
 weighted by its rows, below ``scan_nodes`` when chunks span fewer nodes than
 the largest; ``scan_folded`` is the share of that run's chunks that fold about
@@ -162,13 +161,6 @@ def sizes_of(pkg, call, **sizes_by_name) -> list:
     return sizes
 
 
-def last_map(sizes) -> tuple:
-    """The grid's node count of the last map in ``sizes``, a record of ``sizes_of`` with
-    ``_row_map`` noted as ("map", n) once it returns, and the sizes of that map's own calls."""
-    ends = [i for i, size in enumerate(sizes) if size[0] == "map"]
-    return sizes[ends[-1]][1], sizes[ends[-2] + 1 if len(ends) > 1 else 0:ends[-1]]
-
-
 def exact_devs(psi, dmap) -> dict:
     """``scan_exact_rel_dev`` and ``scan_exact_abs_dev`` of one map of the ML seed of a
     Gaussian psi."""
@@ -259,11 +251,11 @@ def main(argv=None) -> int:
                 distribution = sides[side]["distribution"]
                 rows = partial(getattr(distribution, "_scan_rows", distribution.scan),
                                *calls[side].args)
-                # the map's own calls: the weight's trim, then (lo, hi), (n, rows) a chunk
-                rows_n, (_, *calls_made) = last_map(sizes_of(
+                # the weight's trim, then (lo, hi), (n, rows) a chunk; last, the map's grid n
+                _, *calls_made, rows_n = sizes_of(
                     sides[side], rows, _support=lambda kept, w: kept,
                     fourier_at=lambda _, x, y, h: (len(y), h.shape[1]),
-                    _row_map=lambda _, window, nx, nr, y, *__: ("map", len(y))))
+                    _row_map=lambda _, window, nx, nr, y, *__: len(y))
                 record[side]["scan_rows_n"][case] = rows_n
                 chunks = [(hi - lo, n, rows) for (lo, hi), (n, rows)
                           in zip(calls_made[0::2], calls_made[1::2])]
