@@ -143,7 +143,9 @@ def _kink_term(seed: PovmSeed, psi: StateVector):
     (else 0), G(y) = conj(source(y)) e^{r'/2} psi(e^{r'} y) e^{-2i x' y}, (x', r') = (x, r)^{-1}:
     the Euler-Maclaurin excess of the midpoint <eta|U_{(x', r')}|psi>, nodes dy apart, at the kink
     y = 0 of f = c_s |y| G, [f'] = J G(0), [f'''] = 3 J G''(0).  Source and psi to second order at
-    0 by five-point stencils of step psi.grid.dy / 4, exact on a spline's cubic on the cell at 0."""
+    0 by five-point stencils of step psi.grid.dy / 4, exact on a spline's cubic on the cell at 0.
+    A p = 0 (SRM) seed needs none: it is built only where psi(0) = 0, so G(0) = G'(0) = 0 and f
+    does not jump at 0; a jump term matters only for a call pairing it with a psi not its source."""
     c, h = seed.sector_coeffs, psi.grid.dy / 4.0
     jump = c.get(+1, 0.0) + c.get(-1, 0.0) + 2.0 * c.get(0, 0.0) if seed.weight_power == 1 else 0.0
     stencil = np.array([[0, 0, 12, 0, 0], [1, -8, 0, 8, -1], [-1, 16, -30, 16, -1]]) / (
@@ -263,12 +265,13 @@ def _scan_rows(seed: PovmSeed, psi: StateVector,
     """``scan`` by quadrature rows less ``_kink_term``, on ``_refine_for_window``'s grid or, for a
     sampled psi or seed source, its coarsest halving to an even n that ``_check_phase`` admits
     and whose end rows r_lo, r_hi, each one FFT, agree with the next finer grid's to _PROBE_RTOL
-    of their peak; not if rows r < 0 see a sampled psi jump to 0 past its ends, unbounded by them."""
+    of their peak, as must, if that grid resamples psi's, the row nearest r = 0 of its own peak;
+    not if rows r < 0 see a sampled psi jump to 0 past its ends, unbounded by them."""
     _check_window(window)
     nx, nr = _map_shape(resolution)
     a = psi.amplitudes  # as given: resampled on a finer grid, psi is 0 past these ends
     cut = not psi.evaluator and window[2] < 0 and max(abs(a[[0, -1]])) > _EDGE_RTOL * abs(a).max()
-    seed, psi = _refine_for_window(seed, psi, window)
+    own, (seed, psi) = psi.grid, _refine_for_window(seed, psi, window)
     kink = _kink_term(seed, psi)
 
     def rows_on(grid):  # |eta| and ``rows_at`` of the map's rows on the nodes of grid
@@ -283,14 +286,16 @@ def _scan_rows(seed: PovmSeed, psi: StateVector,
             return -scale, (base.real if real else base).T  # x' = -e^{-r} x of the inverse g
         return np.abs(eta_conj), rows_at
 
-    # the end rows at the DFT bins 2 s x = pi m / y_max next to the map's x nodes, m (nx, 2),
+    # the probe rows at the DFT bins 2 s x = pi m / y_max next to the map's x nodes, m (nx, rows),
     # where sum_k K_k e^{-2i s x y_k} = (-1)^m e^{-i pi m / n} FFT(K)_m on every halving
     r = np.array(window[2:])
+    if psi.grid != own:  # resampled, the end rows do not bound the rows near r = 0: probe one
+        r = np.append(r, min(np.linspace(*window[2:], nr), key=abs))
     per_x = -2.0 * psi.grid.y_max * np.exp(-r) / math.pi  # m / x
     m = np.rint(np.outer(np.linspace(*window[:2], nx), per_x)).astype(int)
 
     def end_rows(grid):
-        spectra = np.fft.fft(rows_on(grid)[1](r)[1].T).T[m % grid.n, [0, 1]]
+        spectra = np.fft.fft(rows_on(grid)[1](r)[1].T).T[m % grid.n, np.arange(len(r))]
         amps = np.exp(1j * math.pi * m * (1.0 - 1.0 / grid.n)) * spectra
         return np.abs(amps - kink(m / per_x, r, grid.dy)) ** 2
 
@@ -300,7 +305,9 @@ def _scan_rows(seed: PovmSeed, psi: StateVector,
         ends = end_rows(grid)
         while grid.n % 4 == 0 and freq <= math.pi * grid.n / (8.0 * grid.y_max):
             new = end_rows(half := QuadratureGrid(grid.y_max, grid.n // 2))
-            if np.max(np.abs(new - ends)) > _PROBE_RTOL * ends.max():
+            peaks = ends.max(axis=0)
+            peaks[:2] = peaks[:2].max()
+            if np.any(np.abs(new - ends) > _PROBE_RTOL * peaks):
                 break
             grid, ends = half, new
     return _row_map(window, nx, nr, grid.nodes, *rows_on(grid),

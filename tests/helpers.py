@@ -1,9 +1,11 @@
 """What several test files and ``tools/bench_pair.py`` share: one call spy, the vacuum's
 reference values, the exact half-line weights and estimation density of a Gaussian, one
-deviation measure of a map, and the row loop's chunk records.  pytest puts this
-directory on ``sys.path``; ``conftest.py`` makes ``vacuum_seed`` a fixture."""
+deviation measure of a map, the row loop's chunk records and one traced-memory peak.  These
+are the only code that observes the library's internals.  pytest puts this directory on
+``sys.path``; ``conftest.py`` makes ``vacuum_seed`` a fixture."""
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.special import erfcx, wofz
@@ -61,33 +63,38 @@ def exact_coeffs(a, z, parity=False):
     return {s: 1.0 / math.sqrt(math.pi * w) for s, w in weights.items() if w > SECTOR_THRESHOLD}
 
 
-def _j(beta, gamma):
-    """integral_0^inf t e^{-beta t^2 + gamma t} dt = (1 + gamma i0) / (2 beta), i0 =
-    integral_0^inf e^{-beta t^2 + gamma t} dt, by the Faddeeva function w (DLMF 7.2)."""
+def _j0(beta, gamma):
+    """J_0 = integral_0^inf e^{-beta t^2 + gamma t} dt, by the Faddeeva function w (DLMF 7.2)."""
     root = math.sqrt(beta)
-    i0 = 0.5 * math.sqrt(math.pi) / root * wofz(-1j * gamma / (2.0 * root))
-    return (1.0 + gamma * i0) / (2.0 * beta)
+    return 0.5 * math.sqrt(math.pi) / root * wofz(-1j * gamma / (2.0 * root))
 
 
-def exact_amplitude(a, z, g, parity=False, c=0.0):
+def _j(beta, gamma):
+    """integral_0^inf t e^{-beta t^2 + gamma t} dt = (1 + gamma J_0) / (2 beta)."""
+    return (1.0 + gamma * _j0(beta, gamma)) / (2.0 * beta)
+
+
+def exact_amplitude(a, z, g, parity=False, c=0.0, srm=None):
     """<eta| U_{g^{-1}} |psi> = A^2 e^{r'/2} e^{-2 s a^2} sum_s c_s _j(beta, s gamma), g^{-1} =
     (x', r'), for the ML (or ``parity``) seed eta = c_s |y| theta(s y) psi of psi = A e^{-2i c y}
     e^{-s (y - a)^2}, s = e^{2z}, A^2 = sqrt(2 s / pi): beta = s (1 + e^{2r'}) and gamma =
-    2 a s (1 + e^{r'}) + 2i (c (1 - e^{r'}) - x')."""
+    2 a s (1 + e^{r'}) + 2i (c (1 - e^{r'}) - x').  With ``srm``, the c_s of an SRM seed
+    eta = c_s theta(s y) psi, the sum is of c_s _j0(beta, s gamma)."""
     s = math.exp(2.0 * z)
     gi = inverse(g)
     beta = s * (1.0 + math.exp(2.0 * gi.r))
     gamma = 2.0 * a * s * (1.0 + math.exp(gi.r)) + 2.0j * (c * (1.0 - math.exp(gi.r)) - gi.x)
-    total = sum(cs * _j(beta, sign * gamma) for sign, cs in exact_coeffs(a, z, parity).items())
+    j, coeffs = (_j, exact_coeffs(a, z, parity)) if srm is None else (_j0, srm)
+    total = sum(cs * j(beta, sign * gamma) for sign, cs in coeffs.items())
     return math.sqrt(2.0 * s / math.pi) * math.exp(gi.r / 2.0 - 2.0 * s * a * a) * total
 
 
-def exact_map(psi, dmap, parity=False):
-    """|exact_amplitude|^2 at every node of ``dmap`` for the ML (or ``parity``) seed of the
-    Gaussian ``psi`` and ``psi`` itself."""
+def exact_map(psi, dmap, parity=False, srm=None):
+    """|exact_amplitude|^2 at every node of ``dmap`` for the ML (or ``parity``, or with
+    ``srm`` its c_s, SRM) seed of the Gaussian ``psi`` and ``psi`` itself."""
     p = psi.evaluator
     return np.array([[abs(exact_amplitude(p.center, p.log_width, GroupElement(x, r), parity,
-                                          p.linear_phase)) ** 2 for r in dmap.r_nodes]
+                                          p.linear_phase, srm)) ** 2 for r in dmap.r_nodes]
                      for x in dmap.x_nodes])
 
 
@@ -98,17 +105,17 @@ def map_devs(values, reference):
     return float(np.max(dev[bulk] / reference[bulk])), float(np.max(dev) / reference.max())
 
 
-def record_chunks(monkeypatch, grid_ns=None):
+def record_chunks(monkeypatch, grid_ns=None, module=distribution):
     """(nodes, kernel columns) of each ``fourier_at`` call of the row loop, after
     the (lo, hi) of each ``_support`` call: the row loop's trim by its weight, then
-    one per chunk, of the chunk's own kernels.  A sampled scan's end-row probe calls
+    one per chunk, of the chunk's own kernels.  A sampled scan's probe rows call
     neither.  ``grid_ns``, a list if given, gets the node count of the grid of each
-    ``distribution._row_map`` call, one per map."""
-    calls = spy(monkeypatch, distribution, "fourier_at", lambda x, y, h: (len(y), h.shape[1]))
+    ``_row_map`` call, one per map.  ``module`` is the ``distribution`` watched, another
+    copy of the package's for a before/after record."""
+    calls = spy(monkeypatch, module, "fourier_at", lambda x, y, h: (len(y), h.shape[1]))
     if grid_ns is not None:
-        spy(monkeypatch, distribution, "_row_map", lambda window, nx, nr, y, *_, **__: len(y),
-            grid_ns)
-    return spy(monkeypatch, distribution, "_support", calls=calls)
+        spy(monkeypatch, module, "_row_map", lambda window, nx, nr, y, *_, **__: len(y), grid_ns)
+    return spy(monkeypatch, module, "_support", calls=calls)
 
 
 def chunk_rows(nx, calls, per_row=1, grid_n=None):
@@ -134,3 +141,12 @@ def kept(calls):
     """Nodes the weight keeps, and those each chunk's own support keeps."""
     (lo, hi), *chunks = calls
     return hi - lo, [b - a for a, b in chunks[0::2]]
+
+
+def traced(call):
+    """``call()`` and the tracemalloc peak of that call, in bytes."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

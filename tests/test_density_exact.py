@@ -7,8 +7,9 @@ delta = (dy^2 / 24)(c_+ + c_-) |psi(0)|^2 e^{r'/2} + O(dy^4), whose O(dy^2) term
 term density_at and the quadrature rows of scan take out.  The tests check the reference
 against 30-digit mpmath, density_at (ML and parity seeds) and the quadrature rows against the
 reference, that the raw sum holds the O(dy^2) term, that without it the sum errs at O(dy^4)
-and density_at at O(dy^6), and that scan's closed form for Gaussian pairs matches the
-reference to round-off.
+and density_at at O(dy^6), that scan's closed form for Gaussian pairs matches the
+reference to round-off, and that an SRM seed's quadrature rows, which need no kink term,
+match the reference's J_0 sum.
 """
 
 import math
@@ -22,12 +23,12 @@ from hypothesis import strategies as st
 from scipy.special import wofz
 
 from sqdisp import (GaussianStateParams, GroupElement, StateVector, act, build_ml_seed,
-                    build_parity_seed, default_grid, density_at, distribution, inverse,
-                    make_displaced_squeezed, optimal_likelihood, scan)
+                    build_parity_seed, build_srm_seed, cli, default_grid, density_at,
+                    distribution, inverse, make_displaced_squeezed, optimal_likelihood, scan)
 from sqdisp.distribution import _faddeeva, _refine_for_window, _scan_rows
 from sqdisp.povm import SECTOR_THRESHOLD
 
-from helpers import exact_amplitude, exact_map, spy
+from helpers import exact_amplitude, exact_map, map_devs, spy
 
 
 def mpmath_amplitude(a, z, g, c=0.0):
@@ -163,6 +164,19 @@ def test_closed_form_scan_matches_exact(a, z, c, parity, x_lo, x_hi, r_lo, r_hi)
     dmap = scan(seed, psi, (x_lo, x_hi, r_lo, r_hi), 16)
     exact = exact_map(psi, dmap, parity)
     assert np.max(np.abs(dmap.values - exact)) <= 1e-12 * np.max(exact)
+
+
+# an SRM seed c_s theta(s y) psi is built only where psi(0) = 0, so its rows need no kink
+# term: on each state's default window they match the exact sum of c_s J_0 over the
+# seed's own c_s (6.5e-14 to 1.9e-13 relative on bulk nodes, 9.4e-14 of the peak at most)
+@pytest.mark.parametrize("a, z", [(4.5, 0.0), (6.0, 0.0), (5.0, -0.2), (5.0, 0.5), (8.0, 0.0)])
+def test_srm_rows_match_exact(a, z):
+    psi = make_displaced_squeezed(a, z)
+    seed = build_srm_seed(psi)
+    window = cli.default_window(cli.RunConfig(state="displaced-squeezed", a=a, z=z))
+    dmap = scan(seed, psi, window, 48)
+    rel, of_peak = map_devs(dmap.values, exact_map(psi, dmap, srm=seed.sector_coeffs))
+    assert rel <= 6e-13 and of_peak <= 3e-13
 
 
 @settings(max_examples=20, derandomize=True, deadline=None, database=None)

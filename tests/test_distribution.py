@@ -1,7 +1,6 @@
 """Estimation densities, scans, moments, normalization, group-average oracle."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from sqdisp.distribution import (_band_spectrum, _quadratic_peak, _refine_for_wi
 from sqdisp.grids import fourier_at
 from sqdisp.validate import _odd_state
 
-from helpers import VACUUM_L_OPT, exact_map, map_devs, spy
+from helpers import VACUUM_L_OPT, exact_map, map_devs, spy, traced
 
 ASY_COH10_AT_R01 = (10.0 / math.pi) * math.exp(-1.0)  # 1.1709966304863835
 
@@ -163,12 +162,7 @@ class TestScanAndArgmax:
         seed, vac = vacuum_seed
         window = (-20.0, 20.0, -6.0, 6.0)
         assert _refine_for_window(seed, vac, window)[1].grid.n == 524288
-        tracemalloc.start()
-        try:
-            rows = _scan_rows(seed, vac, window, (128, 16))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        rows, peak = traced(lambda: _scan_rows(seed, vac, window, (128, 16)))
         assert peak < 400 * 2 ** 20
         m, exact = scan(seed, vac, window, (128, 16)), exact_map(vac, rows)
         assert np.all(np.isfinite(rows.values)) and np.all(np.isfinite(m.values))
@@ -179,14 +173,11 @@ class TestScanAndArgmax:
     def test_map_size_bounded_before_allocation(self, vacuum_seed, resolution):
         # more than MAX_NODES = 2^20 cells; the map alone would take 8 MB or more
         seed, vac = vacuum_seed
-        tracemalloc.start()
-        try:
+
+        def refused():
             with pytest.raises(ConfigError, match="exceeds 1048576 cells"):
                 scan(seed, vac, (-3.0, 3.0, -3.0, 3.0), resolution)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 ** 20
+        assert traced(refused)[1] < 2 ** 20
 
     def test_mass_bounded_and_monotone(self, vacuum_seed, vacuum_map):
         seed, vac = vacuum_seed

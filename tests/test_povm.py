@@ -1,7 +1,6 @@
 """Optimal, square-root-measurement and parity seeds and their likelihoods."""
 
 import math
-import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -19,7 +18,7 @@ from sqdisp import (DomainViolation, EmptySupport, GridTooNarrow, GroupElement,
                     optimal_likelihood, seed_overlap_likelihood, srm_likelihood)
 from sqdisp.validate import _odd_state, _seed_suite, srm_admissible_suite
 
-from helpers import VACUUM_L_OPT, spy
+from helpers import VACUUM_L_OPT, spy, traced
 
 VACUUM_L_PARITY = VACUUM_L_OPT / 2.0                  # 0.12698727186848196
 ODD_L_OPT = 2.0 * math.sqrt(2.0 / math.pi) / math.pi  # 0.50794908747392786
@@ -263,12 +262,7 @@ class TestSeedNodeBudget:
         # the moment above runs to MAX_NODES nodes, where one full-length pass would hold
         # 16 MB of temporaries; each sector sum streams its nodes in bounded passes
         psi = dict(srm_admissible_suite())["two-bump(3)"]
-        tracemalloc.start()
-        try:
-            half_line_moment(psi, sign, -1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced(lambda: half_line_moment(psi, sign, -1))
         assert peak < 4e6, f"traced peak {peak / 1e6:.2f} MB"
 
     @classmethod

@@ -15,8 +15,9 @@ helper that picks them, and scans that drop most of a grid or none of it, are
 tested next.  Then, real kernels on a symmetric window fold about y = 0: a
 sampled state and its complex multiple give one map, and asymmetric windows
 and one-sided seeds do not fold.  Last, a sampled state's rows run on the
-halving of the window's grid that their end rows pick, within 1e-10 of the peak
-of ``density_at`` on the window's grid, while a Gaussian pair's keep that grid.
+halving of the window's grid that their end rows pick, with the row nearest r = 0
+when that grid resamples the file's, within 1e-10 of the peak of ``density_at`` on
+the window's grid, while a Gaussian pair's keep that grid.
 """
 
 import numpy as np
@@ -339,3 +340,21 @@ def test_gaussian_rows_keep_the_window_grid(a, z, srm):
     window = cli.default_window(cli.RunConfig(state="displaced-squeezed", a=a, z=z))
     _, n = rows_grid_n(seed, psi, window)
     assert n == _refine_for_window(seed, psi, window)[1].grid.n
+
+
+# files resampled to the window's 4096 nodes: their end rows do not bound the rows near
+# r = 0, so the probe also judges the r node nearest 0 on its own peak, and the rows stay
+# on 2048 nodes within 1e-10 of the peak of density_at on the window's grid (2.1e-11 at
+# worst; without that row 1000, 1002 and 1004 nodes run on 1024, up to 1.0e-9 off)
+@pytest.mark.parametrize("n", [1000, 1002, 1004, 1008])
+def test_resampled_files_probe_the_row_nearest_r0(n):
+    grid = QuadratureGrid(10.0, n)
+    y = grid.nodes
+    psi = make_sampled(grid, np.exp(-(y - 2.5) ** 2) + np.exp(-(y + 2.5) ** 2))
+    seed = build_ml_seed(psi)
+    window = cli.default_window(cli.RunConfig(state="sampled-file", a=2.5))
+    ref_seed, ref_psi = _refine_for_window(seed, psi, window)
+    assert ref_psi.grid.n == 4096
+    dmap, rows = rows_grid_n(seed, psi, window, scan)
+    assert rows == 2048
+    assert_near_density_at(ref_seed, ref_psi, dmap, 1e-10)

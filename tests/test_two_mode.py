@@ -1,7 +1,6 @@
 """Two-mode entangled pointer: coefficients, overlaps, delta concentration."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,7 +12,7 @@ from sqdisp import (ConfigError, CutoffTooSmall, GroupElement, IDENTITY,
                     raw_pointer_coefficients, two_mode)
 from sqdisp.errors import GridMismatch, GridTooNarrow
 
-from helpers import chunk_rows, kept, record_chunks, spy
+from helpers import chunk_rows, kept, record_chunks, spy, traced
 
 # oracle: quad of sqrt(|y|) h_0(y)^2 / sqrt(pi); closed form
 # sqrt(2)/pi * 2^{-3/4} Gamma(3/4) = 0.32800194866687643
@@ -44,12 +43,7 @@ class TestHermiteFunctions:
         orders = two_mode._hermite_orders(n_max, y)
         e = next(orders)
         product = np.fromiter(orders, np.dtype((float, e.shape)), n_max + 1) * np.exp2(-e)
-        tracemalloc.start()
-        try:
-            H = hermite_functions(n_max, y)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        H, peak = traced(lambda: hermite_functions(n_max, y))
         assert e.max() > 0 and np.array_equal(H, product)
         assert peak <= 1.25 * H.nbytes
 
@@ -348,13 +342,7 @@ class TestProfileRowSums:
     def test_peak_memory_below_four_tables(self):
         nodes = two_mode._pointer_grid(self.N_MAX).n
         assert nodes == 2048
-        tracemalloc.start()
-        try:
-            self.profile()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * (self.N_MAX + 1) * nodes * 8
+        assert traced(self.profile)[1] < 4 * (self.N_MAX + 1) * nodes * 8
 
 
 _WINDOW = (-1.5, 1.5, -1.5, 1.5)

@@ -11,46 +11,12 @@ side's package, so each side builds scan states with ``ScanWorkload.build_state`
 and runs oracle jobs with ``OracleWorkload.run`` as the benchmark does.  The
 sides are timed in alternation, so machine load falls on both.
 
-Per side, best-of-N seconds: ``row_s``, one ``fourier_at`` call on one scan row
-(128 x against 4096 and 8192 nodes); ``scan_s``, ``distribution.scan`` of each
-scan slot at the middle of every range (the seed built outside the timing),
-and ``scan_row_s``, that over its rows; ``seed_s``, ``povm.build_ml_seed`` of that slot's
-state, and ``scan_job_s``, ``ScanWorkload.run`` of that job: state, seed, scan, argmax and
-moments, the body the benchmark's ``job_p50_s`` times; ``profile_s``, the ``sqdisp two-mode``
-default profile (the change's ``cli`` n_max, window and resolution) for each workload
-lambda, and ``profile_0.999_n1000``, lambda 0.999 at n_max 1000 on 16 x 16 on that window;
-``job_s``, each oracle slot with every parameter at the point u = 0.1, 0.5 or
-0.9 of its range, and ``total_s``, their sum.  ``profile_peak_mb`` is the
-tracemalloc peak, in MB, of one untimed profile call made after the timed ones.
-``scan_nodes`` is, per scan slot, the number of nodes its largest chunk's kernels
-span: the largest hi - lo of the chunks' own ``distribution._support`` in one untimed
-run of the quadrature rows, ``distribution._scan_rows`` (``scan`` on a side that has
-none), which a Gaussian slot's ``scan`` no longer takes (a side that runs its rows on
-the whole grid records the grid's n; a sampled state's end-row probe calls none of
-these); ``scan_rows_n`` is the node count of the grid that the rows ran on;
-``scan_node_rows`` is the mean of hi - lo over the rows of that run, each chunk
-weighted by its rows, below ``scan_nodes`` when chunks span fewer nodes than
-the largest; ``scan_folded`` is the share of that run's chunks that fold about
-y = 0, whose ``fourier_at`` runs on fewer nodes than their kernels span; and
-``scan_grid_n`` is the grid's n: the node count
-that ``distribution._refine_for_window`` chooses for the scan's arguments.
-``scan_exact_rel_dev`` is, per Gaussian scan slot, the largest |scan - exact| / exact
-on the nodes where the exact density is at least 1e-3 of its peak, and
-``scan_exact_abs_dev`` the largest |scan - exact| over that peak (``map_devs`` of
-``tests/helpers.py``): the exact density is ``exact_map`` of ``tests/helpers.py``, itself
-within about 1e-13 of the peak of 50-digit values on these slots.
-``oracle_nodes`` is, per oracle case, the largest n handed to
-``distribution._band_spectrum`` in one untimed run: the nodes its band slices
-run on; ``oracle_peak_mb`` is, per oracle case, the tracemalloc peak, in MB, of
-one untimed run.
-
-Deviations of the change from the parent, top-level keys ending in ``_dev``:
-``max_rel_dev`` and ``max_abs_dev``, the largest |change - parent| of a scan map
-over the parent on nodes at or above 1e-3 of the peak, and over the peak;
-``profile_max_rel_dev`` and ``profile_max_abs_dev``, the same for a profile;
-``oracle_max_rel_dev`` and ``closed_form_rel_dev``, |change - parent| / |parent|
-of an oracle value and of a group average's closed form; ``oracle_max_abs_dev``,
-|change - parent| of the cross-sector block, which is round-off.
+Node counts and traced peaks are observed through ``tests/helpers.py``
+(``record_chunks``, ``spy`` and ``traced``), bound to each side's own
+``distribution``.  README.md, "Before/after records", describes every key: per
+side, best-of-N seconds (``*_s``), node counts (``scan_*``, ``oracle_nodes``),
+traced peaks (``*_peak_mb``) and deviations from exact maps (``scan_exact_*``);
+at the top level, the change's deviations from the parent (``*_dev``).
 """
 
 from __future__ import annotations
@@ -64,13 +30,16 @@ import pkgutil
 import platform
 import sys
 import time
-import tracemalloc
 from functools import partial
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]  # the change's sqdisp, then helpers
+import helpers  # noqa: E402
+
 ROW_NODES = (4096, 8192)
 ROW_X = 128
 # (case, lambda, n_max, resolution) after the defaults: a large cutoff, where the
@@ -121,16 +90,6 @@ def alternate(calls, repeats):
     return outs, {side: min(t) for side, t in times.items()}
 
 
-def traced_peak_mb(call) -> float:
-    """Peak traced allocation of one call, in MB (10^6 bytes)."""
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-
-
 def row_call(pkg, n):
     """One scan row of the vacuum on n nodes: x' = -e^{-r} x at r = 0.3."""
     y = pkg["grids"].QuadratureGrid(10.0, n).nodes
@@ -139,38 +98,38 @@ def row_call(pkg, n):
     return lambda: pkg["grids"].fourier_at(x, y, h)
 
 
-def sizes_of(pkg, call, **sizes_by_name) -> list:
-    """``size(result, *args)`` of each call that ``call`` makes to the side's
-    ``distribution.<name>``, for each name and size of ``sizes_by_name``, in the order the
-    calls return: a call that makes others is noted after them."""
-    distribution, sizes = pkg["distribution"], []
-    inner = {name: getattr(distribution, name) for name in sizes_by_name}
+def scan_record(distribution, args, dmap) -> dict:
+    """The ``scan_*`` node counts of one scan slot, ``scan(*args)``, from an untimed run of
+    ``distribution._scan_rows(*args)``, and for a Gaussian psi the deviations of its map
+    ``dmap`` from the exact map of its ML seed."""
+    grid_ns = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = helpers.record_chunks(monkeypatch, grid_ns, distribution)
+        distribution._scan_rows(*args)
+    _, spans = helpers.kept(calls)
+    runs = calls[2::2]  # (nodes, rows) of each chunk's fourier_at
+    (rows_n,) = grid_ns
+    seed, psi, window, _ = args
+    record = {"scan_nodes": max(spans), "scan_rows_n": rows_n,
+              "scan_node_rows": sum(span * rows for span, (_, rows) in zip(spans, runs))
+              / sum(rows for _, rows in runs),
+              "scan_folded": sum(n < span for span, (n, _) in zip(spans, runs)) / len(runs),
+              "scan_grid_n": distribution._refine_for_window(seed, psi, window)[1].grid.n}
+    if psi.evaluator is not None:
+        record.update(zip(("scan_exact_rel_dev", "scan_exact_abs_dev"),
+                          helpers.map_devs(dmap.values, helpers.exact_map(psi, dmap))))
+    return record
 
-    def recording(name, *args, **kwargs):
-        result = inner[name](*args, **kwargs)
-        sizes.append(sizes_by_name[name](result, *args))
-        return result
 
-    for name in sizes_by_name:
-        setattr(distribution, name, partial(recording, name))
-    try:
+def oracle_nodes(distribution, call) -> int:
+    """The largest n of the ``distribution._band_spectrum`` calls of one untimed ``call()``."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        nodes = helpers.spy(monkeypatch, distribution, "_band_spectrum", lambda n, *_: n)
         call()
-    finally:
-        for name, function in inner.items():
-            setattr(distribution, name, function)
-    return sizes
-
-
-def exact_devs(psi, dmap) -> dict:
-    """``scan_exact_rel_dev`` and ``scan_exact_abs_dev`` of one map of the ML seed of a
-    Gaussian psi."""
-    import helpers  # tests/, on sys.path from main
-    return dict(zip(("scan_exact_rel_dev", "scan_exact_abs_dev"),
-                    helpers.map_devs(dmap.values, helpers.exact_map(psi, dmap))))
+    return max(nodes)
 
 
 def map_devs(prefix, old, new):
-    import helpers
     return dict(zip((prefix + "max_rel_dev", prefix + "max_abs_dev"),
                     helpers.map_devs(new.values, old.values)))
 
@@ -235,7 +194,6 @@ def main(argv=None) -> int:
 
     sides = {"parent": load("sqdisp_parent", args.parent.resolve()),
              "change": load("sqdisp", ROOT / "src")}
-    sys.path.insert(0, str(ROOT / "tests"))  # helpers, for exact_devs and map_devs
     keys = ("row_s", "scan_s", "scan_row_s", "seed_s", "scan_job_s", "scan_nodes",
             "scan_node_rows", "scan_folded", "scan_grid_n", "scan_rows_n",
             "scan_exact_rel_dev", "scan_exact_abs_dev", "profile_s", "job_s", "oracle_nodes",
@@ -246,36 +204,16 @@ def main(argv=None) -> int:
         outs, best = alternate(calls, repeats)
         for side in sides:
             record[side][key][case] = best[side]
+            distribution = sides[side]["distribution"]
             if key == "scan_s":
                 record[side]["scan_row_s"][case] = best[side] / len(outs[side].r_nodes)
-                distribution = sides[side]["distribution"]
-                rows = partial(getattr(distribution, "_scan_rows", distribution.scan),
-                               *calls[side].args)
-                # the weight's trim, then (lo, hi), (n, rows) a chunk; last, the map's grid n
-                _, *calls_made, rows_n = sizes_of(
-                    sides[side], rows, _support=lambda kept, w: kept,
-                    fourier_at=lambda _, x, y, h: (len(y), h.shape[1]),
-                    _row_map=lambda _, window, nx, nr, y, *__: len(y))
-                record[side]["scan_rows_n"][case] = rows_n
-                chunks = [(hi - lo, n, rows) for (lo, hi), (n, rows)
-                          in zip(calls_made[0::2], calls_made[1::2])]
-                record[side]["scan_nodes"][case] = max(span for span, _, _ in chunks)
-                record[side]["scan_node_rows"][case] = (sum(span * rows for span, _, rows in chunks)
-                                                        / sum(rows for _, _, rows in chunks))
-                record[side]["scan_folded"][case] = (sum(n < span for span, n, _ in chunks)
-                                                     / len(chunks))
-                record[side]["scan_grid_n"][case] = distribution._refine_for_window(
-                    *calls[side].args[:3])[1].grid.n  # seed, psi, window
-                psi = calls[side].args[1]
-                if psi.evaluator is not None:
-                    for name, value in exact_devs(psi, outs[side]).items():
-                        record[side][name][case] = value
+                for name, value in scan_record(distribution, calls[side].args, outs[side]).items():
+                    record[side][name][case] = value
             if key == "job_s":
-                record[side]["oracle_nodes"][case] = max(sizes_of(
-                    sides[side], calls[side], _band_spectrum=lambda _, n, *__: n))
-                record[side]["oracle_peak_mb"][case] = traced_peak_mb(calls[side])
-            if key == "profile_s":
-                record[side]["profile_peak_mb"][case] = traced_peak_mb(calls[side])
+                record[side]["oracle_nodes"][case] = oracle_nodes(distribution, calls[side])
+            if key in ("job_s", "profile_s"):
+                peak_key = "oracle_peak_mb" if key == "job_s" else "profile_peak_mb"
+                record[side][peak_key][case] = helpers.traced(calls[side])[1] / 1e6
         if devs is not None:
             for name, value in devs(outs["parent"], outs["change"]).items():
                 deviation.setdefault(name, {})[case] = value
