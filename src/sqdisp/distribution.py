@@ -434,16 +434,18 @@ def moments(density_map: DensityMap) -> SummaryStats:
 
 def _band_spectrum(n: int, dy: float, lo: float, hi: float) -> np.ndarray:
     """K with  integral_lo^hi FT[h1] conj(FT[h2]) dx = dy^2 sum_j F1_j conj(F2_j) K_j
-    for FT[h](x) = sum_k h_k e^{-2i x y_k} dy on n uniform nodes (those ``_group_slices``
-    keeps) and F = fft(h) zero-padded to L = len(K) = _fft_length(2n - 1).  K = ifft(T)
-    of the Toeplitz kernel T(m) = (hi - lo) sinc((hi - lo) m dy / pi) e^{-i (hi + lo) m dy},
-    m = j - k, with [lo, hi] first clipped to one period |x| <= pi/(2 dy) of FT[h].
-    T(-m) = conj(T(m)) and n <= L/2 + 1: K is the real inverse FFT of T(0 .. n-1) padded."""
+    for FT[h](x) = sum_k h_k e^{-2i x y_k} dy on at most n uniform nodes and F = fft(h)
+    zero-padded to L = len(K) = _fft_length(2n - 1).  K = ifft(T) of the Toeplitz kernel
+    T(m) = (hi - lo) sinc((hi - lo) m dy / pi) e^{-i (hi + lo) m dy}, m = j - k, with [lo, hi]
+    first clipped to one period |x| <= pi/(2 dy) of FT[h]; the exponential is 1, and skipped,
+    on a band hi + lo = 0.  T(-m) = conj(T(m)) and n <= L/2 + 1: K is the real inverse FFT
+    of T(0 .. n-1) padded."""
     band = math.pi / (2.0 * dy)
     lo, hi = max(lo, -band), min(hi, band)
     width = max(hi - lo, 0.0)
     m_dy = np.arange(n) * dy
-    lags = width * np.sinc(width * m_dy / math.pi) * np.exp(-1j * (hi + lo) * m_dy)
+    shift = np.exp(-1j * (hi + lo) * m_dy) if hi + lo else 1.0
+    lags = width * np.sinc(width * m_dy / math.pi) * shift
     return np.fft.irfft(lags, _fft_length(2 * n - 1))
 
 
@@ -456,8 +458,14 @@ def _group_slices(psi: StateVector, phi: StateVector, u: StateVector, v: StateVe
     the exact integral of FT[conj(u) psi(e^{sigma r} y)] conj(FT[conj(v) phi(...)])
     over the x_h band sorted((c x_lo, c x_hi)), Parseval once that holds the
     period |x_h| <= pi/(2 dy), times |c| and the r trapezoid weight.  Slices run on
-    the n nodes keep = slice(*_support(|u| + |v|)), as |conj(u) psi(...)| <= |u| max|psi|.
-    """
+    the nodes keep = slice(*_support(|u| + |v|)), as |conj(u) psi(...)| <= |u| max|psi|,
+    each on its span there: the y with e^{sigma r} y between the first and last nodes of
+    _support(|psi|) and _support(|phi|), past which each holds at most 2^-53 of its own
+    sum.  An empty span adds 0; the others widen to a power of two of nodes (<= len(keep)).
+    sigma = +1 has one band for all r, so it keeps a band spectrum per size; sigma = -1 keeps
+    one.  Real factors take rfft, and K folds to even_j = K_j + K_{L-j}, odd_j = K_j - K_{L-j}
+    (K_j where L - j is no other rfft bin), so a slice is sum_j Re(F1_j conj F2_j) even_j +
+    i Im(...) odd_j; sums are einsum, as BLAS dot kernels would add pages to resident memory."""
     _check_window(window)
     r_resolution = _size(r_resolution, "r_resolution")
     if not 2 <= r_resolution <= MAX_NODES:
@@ -471,28 +479,50 @@ def _group_slices(psi: StateVector, phi: StateVector, u: StateVector, v: StateVe
     x_lo, x_hi, r_lo, r_hi = window
     keep = slice(*_support(np.abs(u.amplitudes) + np.abs(v.amplitudes)))
     u_conj, v_conj = np.conj(u.amplitudes[keep]), np.conj(v.amplitudes[keep])
+    if real := not any(s.amplitudes.imag.any() for s in (psi, phi, u, v)):
+        u_conj, v_conj = u_conj.real, v_conj.real
     y, dy = psi.grid.nodes[keep], psi.grid.dy
+    spans = [_support(np.abs(s.amplitudes)) for s in {psi, phi}]
+    y_lo, y_hi = psi.grid.nodes[[min(spans)[0], max(b for _, b in spans) - 1]]
     band = math.pi / (2.0 * dy)
-    spectrum_of = functools.lru_cache(maxsize=1)(
-        lambda lo, hi: _band_spectrum(len(y), dy, lo, hi) * dy ** 2)
+    fft, part = (np.fft.rfft, np.real) if real else (np.fft.fft, np.asarray)
+
+    @functools.lru_cache(maxsize=None if sigma > 0 else 1)
+    def spectrum_of(size, lo, hi):
+        k = _band_spectrum(size, dy, lo, hi) * dy ** 2
+        if not real:
+            return k, k
+        mirror = np.zeros(len(k) // 2 + 1)
+        mirror[1:(len(k) + 1) // 2] = k[:len(k) // 2:-1]  # K_{L-j} where 0 < j < L - j
+        return k[:len(mirror)] + mirror, k[:len(mirror)] - mirror
+
     same = phi is psi and v is u
     r_nodes = np.linspace(r_lo, r_hi, r_resolution)
+    starts, ends = (np.searchsorted(y, np.exp(-sigma * r_nodes) * end, side).tolist()
+                    for end, side in ((y_lo, "left"), (y_hi, "right")))
     total = 0.0 + 0.0j
-    for r, wgt in zip(r_nodes, _trapezoid_weights(r_nodes)):
+    for r, wgt, a, b in zip(r_nodes, _trapezoid_weights(r_nodes), starts, ends):
+        if a >= b:
+            continue
+        # numpy keeps freed buffers under 1 kB by size: spans of every size would hold 0.4 MB
+        size = min(1 << (b - a - 1).bit_length(), len(y))
+        a = min(a, len(y) - size)
+        b = a + size
         c = sigma * math.exp((sigma - 1) * r / 2.0)
         lo, hi = sorted((c * x_lo, c * x_hi))
-        sy = math.exp(sigma * r) * y
-        f = psi.evaluate_at(sy)
-        h1 = u_conj * f
-        h2 = h1 if same else v_conj * (f if phi is psi else phi.evaluate_at(sy))
+        sy = math.exp(sigma * r) * y[a:b]
+        f = part(psi.evaluate_at(sy))
+        h1 = u_conj[a:b] * f
+        h2 = h1 if same else v_conj[a:b] * (f if phi is psi else part(phi.evaluate_at(sy)))
         if lo <= -band and hi >= band:
             # the whole period, where T(m) = (pi/dy) delta_m0
-            slice_val = math.pi * dy * complex(np.vdot(h2, h1))
+            slice_val = math.pi * dy * complex(np.einsum("j,j", np.conj(h2), h1))
         else:
-            spectrum = spectrum_of(lo, hi)
-            f1 = np.fft.fft(h1, len(spectrum))
-            f2 = f1 if same else np.fft.fft(h2, len(spectrum))
-            slice_val = complex(np.vdot(f2, f1 * spectrum))
+            even, odd = spectrum_of(size, lo, hi)
+            length = _fft_length(2 * size - 1)
+            f1 = fft(h1, length)
+            p = f1 * np.conj(f1 if same else fft(h2, length))
+            slice_val = complex(np.einsum("j,j", p.real, even), np.einsum("j,j", p.imag, odd))
         total += wgt * abs(c) * slice_val
     return total
 

@@ -11,6 +11,7 @@ from sqdisp import (ConfigError, QuadratureGrid, default_grid, group_average_san
 from sqdisp import distribution, grids
 from sqdisp.distribution import _group_slices
 from sqdisp.grids import StateVector
+from sqdisp.group import GroupElement, act
 from sqdisp.validate import _odd_state
 
 from helpers import spy
@@ -161,8 +162,9 @@ class TestSliceShortcuts:
 
 
 class TestSliceSupport:
-    """Slices run on the nodes that |u| + |v| occupies, trimmed once per call,
-    and give the numbers of a dense Toeplitz sum over the whole grid."""
+    """Slices run on the nodes that |u| + |v| occupies, trimmed once per call, and of
+    those on the span where psi(e^{sigma r} y) lives, and give the numbers of a dense
+    Toeplitz sum over the whole grid."""
 
     GRID = QuadratureGrid(10.0, 512)  # dy = 5/128: the period |x| <= pi/(2 dy) = 40.2
 
@@ -201,12 +203,18 @@ class TestSliceSupport:
         (+1, (-12.0, 12.0, -2.0, 2.0)),
         (+1, (-100.0, 100.0, -2.0, 2.0)),
         (-1, (-100.0, 100.0, -2.0, 3.0)),
-    ], ids=["plus-band", "plus-period", "minus-both-branches"])
-    @pytest.mark.parametrize("shape", ["same", "cross"])
+        (+1, (-5.0, 20.0, -2.0, 2.0)),
+    ], ids=["plus-band", "plus-period", "minus-both-branches", "plus-asymmetric-band"])
+    @pytest.mark.parametrize("shape", ["same", "cross", "phase"])
     def test_matches_dense_reference(self, monkeypatch, states, sigma, window, shape):
+        # "phase": u and v with a linear phase take the complex FFT; real factors take rfft,
+        # whose folded spectrum has an odd part on a band with x_lo != -x_hi
         odd, u, v = states
         if shape == "same":
             v = u
+        if shape == "phase":
+            u, v = (act(GroupElement(x, 0.0), s, self.GRID) for x, s in ((1.5, u), (-0.7, v)))
+            assert u.amplitudes.imag.any() and v.amplitudes.imag.any()
         sizes = spy(monkeypatch, distribution, "_band_spectrum", lambda n, *args: n)
         got = _group_slices(odd, odd, u, v, window, 9, sigma)
         ref = self.dense(odd, odd, u, v, window, 9, sigma)
@@ -221,9 +229,41 @@ class TestSliceSupport:
         normalization_check(seed, vac, (-1000.0, 1000.0, -8.0, 9.0), r_resolution=16)
         assert sizes and max(sizes) < vac.grid.n
 
+    @staticmethod
+    def slice_nodes(monkeypatch, state, window, r_resolution):
+        """The node count of each slice, in r order, of the group average of |state><state|
+        between copies of itself: the length of its one evaluation of state per slice."""
+        group_average_sandwich(state, state, state, state, window, r_resolution)  # screened
+        sizes = spy(monkeypatch, state, "evaluate_at", lambda y: len(y))
+        group_average_sandwich(state, state, state, state, window, r_resolution)
+        assert len(sizes) == r_resolution
+        return sizes
+
     def test_wide_state_keeps_every_node(self, monkeypatch):
+        # psi fills the grid, and psi(e^r y) at r <= 0 is wider still: those slices run on
+        # every node
         grid = default_grid(0.0)
-        wide = _odd_state(grid, 2.5)
-        sizes = spy(monkeypatch, distribution, "_band_spectrum", lambda n, *args: n)
-        group_average_sandwich(wide, wide, wide, wide, (-12.0, 12.0, -8.0, 8.0), r_resolution=4)
-        assert sizes == [grid.n]
+        sizes = self.slice_nodes(monkeypatch, _odd_state(grid, 2.5), (-12.0, 12.0, -8.0, 8.0), 4)
+        assert sizes[:2] == [grid.n] * 2
+
+    def test_narrow_state_shrinks_its_slices_at_positive_r(self, monkeypatch):
+        # r = -2, -1, 0 run on every kept node, r = 1, 2 on at most 2 e^{-r} of them
+        sizes = self.slice_nodes(monkeypatch, _odd_state(self.GRID), (-12.0, 12.0, -2.0, 2.0), 5)
+        assert sizes[0] == sizes[1] == sizes[2] < self.GRID.n
+        assert sizes[2] > sizes[3] > sizes[4]
+
+    @pytest.mark.parametrize("center, evaluated", [(-3.0, 0), (1.0, 7)], ids=["all", "some"])
+    def test_slice_off_the_kept_nodes_adds_zero(self, monkeypatch, center, evaluated):
+        # psi(e^{-r} y) lives on y in e^r [0.84, 5.14], u on [-5.2, -0.8] or [-1.2, 3.2]: at
+        # center 1 the slices r = 1.5, 2 miss it, and at center -3 every slice does
+        psi = make_displaced_squeezed(3.0, 1.0, grid=self.GRID)
+        u = make_displaced_squeezed(center, 1.0, grid=self.GRID)
+        window = (-12.0, 12.0, -2.0, 2.0)
+        ref = self.dense(psi, psi, u, u, window, 9, -1)
+        sizes = spy(monkeypatch, psi, "evaluate_at", lambda y: len(y))
+        got = _group_slices(psi, psi, u, u, window, 9, -1)
+        assert len(sizes) == evaluated
+        if evaluated:
+            assert abs(got - ref) <= 1e-13 * abs(ref)
+        else:  # exactly 0, where the whole grid's sum is negligible
+            assert got == 0.0 and abs(ref) < 1e-70
