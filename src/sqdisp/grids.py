@@ -20,15 +20,18 @@ grid (``_sector_sum``): ``closed_form_sandwich``'s <u| theta(sY) |v>,
 ``heisenberg_ratio``'s mass at y < 0, and ``validate``'s
 quadrature-convergence and half-line-partition checks, which test the raw
 sum itself.  A sum makes its nodes in passes of 2^15 (``_SUM_PASS``), and
-its temporaries stay below 2 MB at any n.  A half line ends at y = 0, a cell
-edge, where the integrand f is in general not flat: there the midpoint sum
-differs from the integral by the Euler-Maclaurin endpoint series
-c_2 dy^2 + c_4 dy^4 + ... (c_2 = f'(0)/24 on y > 0), in even powers of dy
-only.  ``refine_by_doubling`` therefore Richardson-extrapolates the doubling
-sequence, two Romberg columns deep, and stops when the extrapolated values
-agree.  Negative powers are screened by a grid-doubling growth test on the
-raw values: a value that keeps growing by more than ``GROWTH_FACTOR`` per
-doubling is reported as divergent rather than returned.
+its temporaries stay below 2 MB at any n.  On its window with m n nodes, m
+even, a sampled state's spline has m nodes at the same offsets in each
+interval, so sums and ``with_grid`` read it as a polyphase filter (Unser 1999,
+``_GREEN``), each cubic on one shared u (``_NotAKnotSpline.on_refined``).  A
+half line ends at y = 0, a cell edge, where the integrand f is in general not
+flat: there the midpoint sum differs from the integral by the Euler-Maclaurin
+endpoint series c_2 dy^2 + c_4 dy^4 + ... (c_2 = f'(0)/24 on y > 0), in even
+powers of dy only.  ``refine_by_doubling`` therefore Richardson-extrapolates
+the doubling sequence, two Romberg columns deep, and stops when the
+extrapolated values agree.  Negative powers are screened by a grid-doubling
+growth test on the raw values: a value that keeps growing by more than
+``GROWTH_FACTOR`` per doubling is reported as divergent rather than returned.
 
 The Gaussian family used throughout is
 
@@ -150,6 +153,18 @@ def default_grid(center: float = 0.0, log_width: float = 0.0,
     return grid
 
 
+def _samples(grid: QuadratureGrid, amplitudes) -> Tuple[np.ndarray, float]:
+    """``amplitudes``, one per node of ``grid``, as a read-only complex copy, and sqrt(sum |a|^2 dy)
+    by 2^e > max|a|: squares of |a| / 2^e neither overflow nor vanish, and scale exactly."""
+    amplitudes = np.array(amplitudes, dtype=complex)
+    if amplitudes.shape != (grid.n,):
+        raise ConfigError(f"amplitudes of shape {amplitudes.shape} do not match n = {grid.n}")
+    amplitudes.flags.writeable = False
+    mag = np.abs(amplitudes)
+    scale = math.ldexp(1.0, math.frexp(float(mag.max()))[1])
+    return amplitudes, scale * math.sqrt(float(np.sum((mag / scale) ** 2)) * grid.dy)
+
+
 class StateVector:
     """A pure single-mode state sampled on a quadrature grid.
 
@@ -161,19 +176,12 @@ class StateVector:
 
     def __init__(self, grid: QuadratureGrid, amplitudes: np.ndarray,
                  evaluator: Optional[GaussianStateParams] = None):
-        amplitudes = np.asarray(amplitudes, dtype=complex)
-        if amplitudes.shape != (grid.n,):
-            raise ConfigError(f"amplitudes of shape {amplitudes.shape} do not match n = {grid.n}")
-        amplitudes = amplitudes.copy()
-        amplitudes.flags.writeable = False
         self.grid = grid
-        self.amplitudes = amplitudes
+        self.amplitudes, self.norm_certificate = _samples(grid, amplitudes)
         self.evaluator = evaluator
-        # 2^e > max|a|: squares of |a| / 2^e neither overflow nor vanish, and scale exactly
-        mag = np.abs(amplitudes)
-        scale = math.ldexp(1.0, math.frexp(float(mag.max()))[1])
-        self.norm_certificate = scale * math.sqrt(float(np.sum((mag / scale) ** 2)) * grid.dy)
-        self._spline = None
+        if self.norm_certificate > math.sqrt(np.finfo(float).max) * math.sqrt(grid.dy):
+            raise ConfigError(f"the squares of amplitudes up to {np.abs(self.amplitudes).max():.4g}"
+                              " overflow; make_sampled normalizes them")
 
     @classmethod
     def from_params(cls, params: GaussianStateParams, grid: QuadratureGrid) -> "StateVector":
@@ -186,14 +194,25 @@ class StateVector:
         y = np.asarray(y, dtype=float)
         if self.evaluator is not None:
             return self.evaluator(y)
-        if self._spline is None:
-            self._spline = _NotAKnotSpline(self.grid, self.amplitudes)
         return self._spline(y)
+
+    @functools.cached_property
+    def _spline(self) -> "_NotAKnotSpline":
+        return _NotAKnotSpline(self.grid, self.amplitudes)
+
+    def _at_nodes(self, y: np.ndarray, grid: QuadratureGrid, j0: int) -> np.ndarray:
+        """``evaluate_at(y)``, y the nodes j0, j0 + 1, ... of ``grid``: when that is a sampled
+        state's own grid or m n nodes on its window, m even, by its spline's ``on_refined``."""
+        m, rest = divmod(grid.n, self.grid.n)
+        if (self.evaluator is None and grid.y_max == self.grid.y_max and not rest
+                and (m == 1 or m % 2 == 0)):
+            return self._spline.on_refined(m, j0, j0 + len(y))
+        return self.evaluate_at(y)
 
     def with_grid(self, grid: QuadratureGrid) -> "StateVector":
         if grid == self.grid:
             return self
-        return StateVector(grid, self.evaluate_at(grid.nodes), evaluator=self.evaluator)
+        return StateVector(grid, self._at_nodes(grid.nodes, grid, 0), evaluator=self.evaluator)
 
     def probability_density(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
@@ -226,10 +245,10 @@ def make_vacuum(grid: Optional[QuadratureGrid] = None) -> StateVector:
 def make_sampled(grid: QuadratureGrid, amplitudes: np.ndarray) -> StateVector:
     """Sampled state with finite, not all zero ``amplitudes``, normalized; ``StateVector(grid,
     amplitudes)`` keeps raw samples as given."""
-    state = StateVector(grid, amplitudes)
-    if not (np.all(np.isfinite(state.amplitudes)) and state.norm_certificate > 0.0):
+    amplitudes, norm = _samples(grid, amplitudes)
+    if not (np.all(np.isfinite(amplitudes)) and norm > 0.0):
         raise ConfigError("state amplitudes must be finite and not all zero")
-    return StateVector(grid, state.amplitudes / state.norm_certificate)
+    return StateVector(grid, amplitudes / norm)
 
 
 def inner_product(phi: StateVector, psi: StateVector) -> complex:
@@ -405,6 +424,30 @@ class _NotAKnotSpline:
         self.nodes = grid.nodes
         self.dy = grid.dy
 
+    def on_refined(self, m: int, j0: int, j1: int) -> np.ndarray:
+        """Values at nodes j0 .. j1 - 1 of the m n-node grid on the same window, m even or 1 (the
+        samples).  Node j is in interval i = (j - m/2) // m at u = ((j - m/2) mod m + 1/2) / m, so
+        each block of (intervals x offsets), a part interval, whole ones or a part one, runs Horner
+        in place in ``__call__``'s order on one u; intervals off 0 .. n - 2 give 0."""
+        if m == 1:
+            return self.c0[j0:j1].copy()
+        out = np.zeros(j1 - j0, dtype=self.c0.dtype)
+        t, stop = max(j0 - m // 2, 0), min(j1 - m // 2, (len(self.c0) - 1) * m)
+        while t < stop:
+            i, p = divmod(t, m)
+            rows, w = (1, min(m - p, stop - t)) if p or stop - t < m else ((stop - t) // m, m)
+            block = out[t + m // 2 - j0:][:rows * w].reshape(rows, w)
+            cells, u = slice(i, i + rows), np.arange(p, p + w, dtype=float)
+            u += 0.5
+            u /= m
+            np.multiply(self.c3[cells, None], u, out=block)
+            for c in (self.c2, self.c1):
+                block += c[cells, None]
+                block *= u
+            block += self.c0[cells, None]
+            t += rows * w
+        return out
+
     def __call__(self, y: np.ndarray) -> np.ndarray:
         flat = y.ravel()
         out = np.empty(flat.shape, dtype=self.c0.dtype)
@@ -484,14 +527,21 @@ def _sector_sum(phi, psi, grid: QuadratureGrid, sign: int, power: int):
     (k + 1/2) dy for a run of k, negated and reversed on y < 0 so that each
     pass is its slice of ``nodes``, into a running total: no temporary grows
     with n, and a half line of one pass sums exactly its half of ``nodes``.
+    Factors read a pass by its node indices (``_at_nodes``), a sampled state or its
+    seed at its spline's fixed offsets: bit for bit ``evaluate_at`` where dy / m is exact.
     """
     half, total = grid.n // 2, 0.0
     for s in (-1, +1) if sign == 0 else (sign,):
         for start in range(0, half, _SUM_PASS)[::s]:  # y < 0 from its far end
-            y = s * (np.arange(start, min(start + _SUM_PASS, half)) + 0.5)[::s] * grid.dy
-            f = psi.evaluate_at(y)
-            f = np.abs(f) ** 2 if phi is psi else np.conj(phi.evaluate_at(y)) * f
-            total += np.sum(f * np.abs(y) ** power if power != 0 else f)
+            y = np.arange(start, min(start + _SUM_PASS, half), dtype=float)[::s]
+            y += 0.5
+            y *= s * grid.dy
+            j0 = half + start if s > 0 else half - start - len(y)
+            f = psi._at_nodes(y, grid, j0)
+            f = np.abs(f) ** 2 if phi is psi else np.conj(phi._at_nodes(y, grid, j0)) * f
+            if power != 0:
+                f *= np.abs(y) ** power
+            total += np.sum(f)
     return float(total * grid.dy) if phi is psi else complex(total * grid.dy)
 
 
@@ -500,7 +550,7 @@ def sector_integral(phi, psi, sign: int, power: int,
     """integral over sign*y > 0 (sign 0: the whole line) of
     |y|^power conj(phi(y)) psi(y) dy, by ``refine_by_doubling`` from psi.grid.
 
-    ``phi`` and ``psi`` are states or seeds, anything with ``evaluate_at``
+    ``phi`` and ``psi`` are states or seeds, anything with ``_at_nodes``
     and ``grid``.  Returns refine_by_doubling's (values, grows).
     """
     return refine_by_doubling(psi.grid, lambda g: _sector_sum(phi, psi, g, sign, power),

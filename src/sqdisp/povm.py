@@ -102,6 +102,9 @@ class PovmSeed:
         y = np.asarray(y, dtype=float)
         return self.multiplier(y) * self.source.evaluate_at(y)
 
+    def _at_nodes(self, y: np.ndarray, grid, j0: int) -> np.ndarray:
+        return self.multiplier(y) * self.source._at_nodes(y, grid, j0)
+
     def on_grid(self, grid) -> "PovmSeed":
         """Same seed resampled on another grid (exact for Gaussian sources)."""
         if grid == self.grid:

@@ -16,7 +16,7 @@ import pytest
 
 import sqdisp
 
-from helpers import record_chunks
+from helpers import record_chunks, spy
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,6 +76,24 @@ def test_recorder_watches_the_side_it_is_given(parent_src, monkeypatch):
     assert record["scan_rows_n"] == record["scan_grid_n"] == 4096
     assert 0 < record["scan_node_rows"] <= record["scan_nodes"] < 4096
     assert record["scan_folded"] == 1.0 and record["scan_exact_rel_dev"] <= 1e-10  # 3.9e-11
+
+
+def test_screen_call_reruns_the_sides_own_screen(parent_src, monkeypatch):
+    # bound to a copied parent package, the fresh screen of a group-average job is that
+    # package's screen of the job's state, recomputed on every call, and none of the change's
+    bench_pair = _bench_pair()
+    change_screens = spy(monkeypatch, sqdisp.distribution, "_screened_cross_terms")
+    parent = bench_pair.load("sqdisp_parent", parent_src)
+    workload = parent["workloads"].OracleWorkload(seed=0, workdir=".", n_blocks=1)
+    workload.warm_up()
+    job = workload.gen_ga_odd((0.5, 0.5, 0.5))
+    screen = parent["distribution"]._screened_cross_terms
+    fresh = bench_pair.screen_call(parent["distribution"], lambda: workload.run(job))
+    terms = []
+    for _ in range(2):
+        terms.append(fresh())
+        assert screen.cache_info()[:2] == (0, 1)  # no hit: computed anew
+    assert set(terms[0]) == {+1, -1} and terms[0] == terms[1] and change_screens == []
 
 
 def test_repeats_below_one_refused_before_loading(capsys):

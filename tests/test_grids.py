@@ -6,6 +6,7 @@ the package's midpoint quadrature.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -18,11 +19,14 @@ from scipy.integrate import quad
 from sqdisp import (ConfigError, DivergenceDetected, GaussianStateParams, GridMismatch,
                     GridTooNarrow, QuadratureGrid, StateVector, default_grid,
                     half_line_moment, inner_product, make_coherent,
-                    make_displaced_squeezed, make_sampled, make_vacuum)
+                    make_displaced_squeezed, make_sampled, make_vacuum, optimal_likelihood)
 from sqdisp.distribution import _map_shape
-from sqdisp.grids import (_FFT_LENGTHS, _SUM_PASS, MAX_NODES, _chirp, _fft_length, _sector_sum,
-                          _solve_141, fourier_at, phase_dy, refine_by_doubling, resolving_grid)
+from sqdisp.grids import (_FFT_LENGTHS, _SUM_PASS, MAX_NODES, _chirp, _fft_length,
+                          _NotAKnotSpline, _sector_sum, _solve_141, fourier_at, phase_dy,
+                          refine_by_doubling, resolving_grid)
 from sqdisp.validate import _odd_state
+
+from helpers import spy, traced
 
 VACUUM_PEAK = (2.0 / math.pi) ** 0.25           # 0.8932438417380024
 VACUUM_HALF_MOMENT = math.sqrt(2.0 / math.pi) / 4.0  # 0.19947114020071635
@@ -361,15 +365,9 @@ class TestWorkPerGrid:
     of the nodes: n/2, n, 2n, ... points for a start grid of n nodes."""
 
     @staticmethod
-    def doubling_runs(psi, call):
-        sizes = []
-        evaluate = psi.evaluate_at
-
-        def counting(y):
-            sizes.append(np.size(y))
-            return evaluate(y)
-
-        psi.evaluate_at = counting
+    def doubling_runs(psi, sizes, call):
+        """The doubling runs in ``sizes``, where a spy notes the point count of each
+        evaluation of psi that ``call()`` makes."""
         call()
         half = psi.grid.n // 2
         runs = []
@@ -381,16 +379,21 @@ class TestWorkPerGrid:
                 runs[-1] += 1
         return runs
 
-    def test_half_line_moment(self):
-        # a sampled state: a Gaussian's power-1 moment is in closed form, with no grid
+    def test_half_line_moment(self, monkeypatch):
+        # a sampled state: a Gaussian's power-1 moment is in closed form, with no grid;
+        # each grid reads the spline at its nodes' offsets, none evaluates it pointwise
         psi = _odd_state(default_grid(0.0))
-        runs = self.doubling_runs(psi, lambda: half_line_moment(psi, +1, 1))
+        sizes = spy(monkeypatch, _NotAKnotSpline, "on_refined", lambda _, m, j0, j1: j1 - j0)
+        pointwise = spy(monkeypatch, psi, "evaluate_at", np.size)
+        runs = self.doubling_runs(psi, sizes, lambda: half_line_moment(psi, +1, 1))
         assert len(runs) == 1 and runs[0] >= 2
+        assert max(sizes) <= _SUM_PASS and pointwise == []
 
-    def test_cross_terms(self):
+    def test_cross_terms(self, monkeypatch):
         from sqdisp.distribution import _screened_cross_terms
         psi = make_displaced_squeezed(4.0, 0.2)
-        runs = self.doubling_runs(psi, lambda: _screened_cross_terms(psi, psi))
+        sizes = spy(monkeypatch, psi, "evaluate_at", np.size)
+        runs = self.doubling_runs(psi, sizes, lambda: _screened_cross_terms(psi, psi))
         assert len(runs) == 2 and min(runs) >= 2
 
     def test_no_grid_above_the_cap(self):
@@ -403,37 +406,120 @@ class TestWorkPerGrid:
 
 
     @pytest.mark.parametrize("kind", ["gaussian", "sampled"])
-    def test_half_line_sum_leaves_nodes_unbuilt(self, kind):
+    def test_half_line_sum_leaves_nodes_unbuilt(self, kind, monkeypatch):
         """A half-line sum reads the halves of ``nodes`` bit for bit, in passes of
-        at most _SUM_PASS nodes, and builds no ``nodes``.  It sums to what those
-        halves give: exactly on a refined default grid, whose halves are one pass
+        at most _SUM_PASS nodes, and builds no ``nodes``: a Gaussian evaluates them, a
+        sampled state reads its spline at their indices (``on_refined``).  It sums to what
+        those halves give: exactly on a refined default grid, whose halves are one pass
         each, and to round-off on a grid whose halves take one and a half passes."""
         grid = default_grid(0.0)
         psi = (make_displaced_squeezed(1.0, 0.2, grid) if kind == "gaussian"
                else make_sampled(grid, np.exp(-(grid.nodes - 1.0) ** 2)))
-        seen = []
         evaluate = psi.evaluate_at
-
-        def recording(y):
-            seen.append(np.array(y))
-            return evaluate(y)
-
-        psi.evaluate_at = recording
+        if kind == "gaussian":
+            seen = spy(monkeypatch, psi, "evaluate_at", np.array)
+        else:
+            seen = spy(monkeypatch, _NotAKnotSpline, "on_refined",
+                       lambda _, m, j0, j1: range(j0, j1))
         cases = [(s, p) for s in (+1, -1) for p in (1, -1)]
         for fine, passes, rtol in ((grid.refined(), 1, 0.0),
                                    (QuadratureGrid(grid.y_max, 3 * _SUM_PASS), 2, 1e-14)):
             seen.clear()
             sums = [_sector_sum(psi, psi, fine, s, p) for s, p in cases]
             assert "nodes" not in vars(fine)
+            read = [y if kind == "gaussian" else fine.nodes[y] for y in seen]
             half = fine.n // 2
             for k, ((s, p), total) in enumerate(zip(cases, sums)):
                 part = fine.nodes[half:] if s > 0 else fine.nodes[:half]
-                runs = seen[k * passes:(k + 1) * passes]
+                runs = read[k * passes:(k + 1) * passes]
                 assert max(len(y) for y in runs) <= _SUM_PASS
                 assert np.array_equal(np.concatenate(runs), part)
                 f = np.abs(evaluate(part)) ** 2 * np.abs(part) ** p
                 assert abs(total - float(np.sum(f) * fine.dy)) <= rtol * abs(total)
             assert len(seen) == len(cases) * passes
+
+
+class TestSplineOnRefinedNodes:
+    """``_NotAKnotSpline.on_refined`` reads a sampled state at the nodes of the grid with m n
+    nodes on its window by each interval's fixed offsets: what ``evaluate_at`` gives there."""
+
+    @staticmethod
+    def state(grid, imaginary):
+        y = grid.nodes
+        a = np.exp(-(y - 1.0) ** 2) + 0.5 * y * np.exp(-y ** 2)
+        return StateVector(grid, a + 0.5j * np.exp(-(y + 1.0) ** 2) if imaginary else a)
+
+    @pytest.mark.parametrize("imaginary", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("m", [2, 4, 64, 256])
+    @pytest.mark.parametrize("grid", [QuadratureGrid(10.0, 4096), QuadratureGrid(10.0, 2),
+                                      QuadratureGrid(3.0, 6)], ids=lambda g: f"n{g.n}")
+    def test_bit_identical_on_dyadic_grids(self, grid, m, imaginary):
+        # dy / m exact in binary: every refined node, every y - y_k and so every u of
+        # __call__ is exact, and on_refined's Horner runs in __call__'s order
+        psi = self.state(grid, imaginary)
+        fine = QuadratureGrid(grid.y_max, m * grid.n)
+        ref = psi.evaluate_at(fine.nodes)
+        got = psi._spline.on_refined(m, 0, fine.n)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+        half, n = fine.n // 2, fine.n
+        # both end intervals with the nodes outside the file, the interval at y = 0, a run
+        # from inside one interval to inside another, and single nodes
+        for j0, j1 in ((0, m + 1), (n - m - 1, n), (half - m // 2, half + m // 2),
+                       (half - 1, half + 1), (m // 2 + 1, n - m // 2 - 1), (m - 1, m),
+                       (half, half + 1)):
+            assert np.array_equal(psi._spline.on_refined(m, j0, j1), ref[j0:j1])
+        assert np.array_equal(psi.with_grid(fine).amplitudes, ref)
+
+    @pytest.mark.parametrize("grid", [QuadratureGrid(10.0, 4096), QuadratureGrid(10.0, 2)],
+                             ids=lambda g: f"n{g.n}")
+    def test_own_nodes_are_the_samples(self, grid):
+        psi = self.state(grid, True)
+        assert np.array_equal(psi._spline.on_refined(1, 0, grid.n), psi.amplitudes)
+        assert np.array_equal(psi._at_nodes(grid.nodes, grid, 0), psi.evaluate_at(grid.nodes))
+
+    @pytest.mark.parametrize("imaginary", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("grid, m", [(QuadratureGrid(7.3, 1002), 2),
+                                         (QuadratureGrid(7.3, 3000), 256),
+                                         (QuadratureGrid(10.7, 1002), 64),
+                                         (QuadratureGrid(10.7, 3000), 4),
+                                         (QuadratureGrid(10.0, 4096), 24)],
+                             ids=lambda v: f"n{v.n}_{v.y_max}" if isinstance(v, QuadratureGrid)
+                             else f"m{v}")
+    def test_within_rounding_elsewhere(self, grid, m, imaginary):
+        # off dyadic grids __call__ rounds u = (y - y_k)/dy from rounded nodes, while
+        # on_refined rounds (p + 1/2)/m once; m = 24 is the 3 _SUM_PASS grid of 4096 nodes
+        # (measured at most 3.3e-16 of max|a| on these states)
+        psi = self.state(grid, imaginary)
+        fine = QuadratureGrid(grid.y_max, m * grid.n)
+        ref = psi.evaluate_at(fine.nodes)
+        bound = 4e-16 * np.max(np.abs(psi.amplitudes))
+        assert np.max(np.abs(psi._spline.on_refined(m, 0, fine.n) - ref)) <= bound
+        assert np.max(np.abs(psi.with_grid(fine).amplitudes - ref)) <= bound
+
+    @pytest.mark.parametrize("grid", [QuadratureGrid(10.0, 2), QuadratureGrid(10.0, 4),
+                                      QuadratureGrid(3.0, 6)], ids=lambda g: f"n{g.n}")
+    def test_tiny_grids_cut_their_blocks_inside_an_interval(self, grid, monkeypatch):
+        # refined to the largest same-window grid, m = 2^19, 2^18 and 2^17 nodes per
+        # interval, more than a pass: each block is the part of an interval that its pass
+        # reads, so one sum stays under the 2 MB of every other grid, and on these dyadic
+        # grids it is the pointwise spline sum bit for bit
+        m = 2 ** (MAX_NODES // grid.n).bit_length() // 2
+        fine = QuadratureGrid(grid.y_max, m * grid.n)
+        rng = np.random.default_rng(grid.n)
+        phi, psi = (StateVector(grid, rng.normal(size=grid.n) + 1j * rng.normal(size=grid.n))
+                    for _ in range(2))
+        phi._spline, psi._spline  # built outside the traced sums
+        cases = [(a, b, s, p) for a, b in ((psi, psi), (phi, psi))
+                 for s, p in ((+1, -1), (-1, 1), (0, 0))]
+        sizes = spy(monkeypatch, _NotAKnotSpline, "on_refined", lambda _, m, j0, j1: j1 - j0)
+        sums = []
+        for a, b, s, p in cases:
+            total, peak = traced(lambda: _sector_sum(a, b, fine, s, p))
+            assert peak < 2e6
+            sums.append(total)
+        assert m > _SUM_PASS and max(sizes) == _SUM_PASS
+        monkeypatch.setattr(StateVector, "_at_nodes", lambda self, y, *_: self.evaluate_at(y))
+        assert sums == [_sector_sum(a, b, fine, s, p) for a, b, s, p in cases]
 
 
 class TestSampledStates:
@@ -453,6 +539,22 @@ class TestSampledStates:
         grid = QuadratureGrid(5.0, 512)
         psi = make_sampled(grid, np.exp(-grid.nodes ** 2))
         assert psi.evaluate_at(np.array([7.0]))[0] == 0.0
+
+    def test_overflowing_raw_samples_refused(self):
+        # the squares of 1e200-scaled samples overflow: a raw state refuses them where it
+        # reads them, rather than sum them to inf and nan; make_sampled scales them first,
+        # and the squares of 1e150-scaled raw samples still sum finitely
+        grid = QuadratureGrid(10.0, 512)
+        a = grid.nodes * np.exp(-grid.nodes ** 2)
+        with pytest.raises(ConfigError, match="overflow"):
+            optimal_likelihood(StateVector(grid, 1e200 * a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            np.testing.assert_allclose(make_sampled(grid, 1e200 * a).amplitudes,
+                                       make_sampled(grid, a).amplitudes, rtol=1e-15, atol=0.0)
+            raw = optimal_likelihood(StateVector(grid, 1e150 * a))
+            assert raw == pytest.approx(1e300 * optimal_likelihood(StateVector(grid, a)),
+                                        rel=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
     def test_non_finite_amplitudes_rejected(self, bad):

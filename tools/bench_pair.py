@@ -11,7 +11,7 @@ side's package, so each side builds scan states with ``ScanWorkload.build_state`
 and runs oracle jobs with ``OracleWorkload.run`` as the benchmark does.  The
 sides are timed in alternation, so machine load falls on both.
 
-Node counts and traced peaks are observed through ``tests/helpers.py``
+Node counts, screened pairs and traced peaks are observed through ``tests/helpers.py``
 (``record_chunks``, ``spy`` and ``traced``), bound to each side's own
 ``distribution``.  README.md, "Before/after records", describes every key: per
 side, best-of-N seconds (``*_s``), node counts (``scan_*``, ``oracle_nodes``),
@@ -129,6 +129,24 @@ def oracle_nodes(distribution, call) -> int:
     return max(nodes)
 
 
+def screen_call(distribution, call):
+    """A fresh cross-term screen, its cache cleared first, of the pair that one untimed
+    ``call()`` screens first (``distribution._screened_cross_terms``)."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        pairs = helpers.spy(monkeypatch, distribution, "_screened_cross_terms", lambda *pair: pair)
+        call()
+    screen = distribution._screened_cross_terms
+
+    def fresh():
+        screen.cache_clear()
+        return screen(*pairs[0])
+    return fresh
+
+
+def screen_devs(old, new):
+    return {"screen_max_rel_dev": max(abs(new[s] - old[s]) / abs(old[s]) for s in old)}
+
+
 def map_devs(prefix, old, new):
     return dict(zip((prefix + "max_rel_dev", prefix + "max_abs_dev"),
                     helpers.map_devs(new.values, old.values)))
@@ -180,6 +198,10 @@ def cases(sides, repeats):
             job = getattr(oracles["change"], f"gen_{slot}")((u, u, u))
             calls = {side: partial(w.run, job) for side, w in oracles.items()}
             yield "job_s", f"{slot}@{u}", repeats, calls, partial(oracle_devs, job["kind"])
+            if job["kind"] in ("ga", "cross"):
+                screens = {side: screen_call(sides[side]["distribution"], call)
+                           for side, call in calls.items()}
+                yield "screen_s", f"{slot}@{u}", repeats, screens, screen_devs
 
 
 def main(argv=None) -> int:
@@ -196,8 +218,8 @@ def main(argv=None) -> int:
              "change": load("sqdisp", ROOT / "src")}
     keys = ("row_s", "scan_s", "scan_row_s", "seed_s", "scan_job_s", "scan_nodes",
             "scan_node_rows", "scan_folded", "scan_grid_n", "scan_rows_n",
-            "scan_exact_rel_dev", "scan_exact_abs_dev", "profile_s", "job_s", "oracle_nodes",
-            "oracle_peak_mb", "profile_peak_mb")
+            "scan_exact_rel_dev", "scan_exact_abs_dev", "profile_s", "job_s", "screen_s",
+            "oracle_nodes", "oracle_peak_mb", "profile_peak_mb")
     record = {side: {key: {} for key in keys} for side in sides}
     deviation = {}
     for key, case, repeats, calls, devs in cases(sides, args.repeats):
@@ -225,7 +247,7 @@ def main(argv=None) -> int:
                           "python": platform.python_version(), "numpy": np.__version__},
               **record, **deviation}
     args.out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-    for key in ("row_s", "scan_s", "seed_s", "scan_job_s", "profile_s", "job_s"):
+    for key in ("row_s", "scan_s", "seed_s", "scan_job_s", "profile_s", "job_s", "screen_s"):
         for case, old in record["parent"][key].items():
             new = record["change"][key][case]
             print(f"{key:9s} {case:22s} {old:10.4g} -> {new:10.4g} s  ({new / old:5.2f}x)")
