@@ -3,7 +3,7 @@
 from .errors import (ConfigError, CutoffTooSmall, DivergenceDetected,
                      DomainViolation, EmptySupport, EstimationError,
                      GridMismatch, GridTooNarrow, InsufficientMass,
-                     NoConvergence, SupportViolation)
+                     SupportViolation)
 from .grids import (GaussianStateParams, QuadratureGrid, StateVector,
                     default_grid, half_line_moment, inner_product, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum)

@@ -29,15 +29,14 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DivergenceDetected, GridMismatch, InsufficientMass
+from .errors import ConfigError, GridMismatch, InsufficientMass
 from .grids import (MAX_NODES, QuadratureGrid, StateVector, _check_log_range, _check_phase,
-                    _fft_length, _sector_sum, _size, fourier_at, phase_dy, resolving_grid,
-                    sector_integral)
+                    _fft_length, _sector_sum, _size, check_log_part, fourier_at, phase_dy,
+                    resolving_grid, sector_integral)
 from .group import GroupElement, _act_on_nodes, _check_element, inverse
 from .povm import PovmSeed
 
@@ -549,9 +548,7 @@ def group_average_sandwich(psi: StateVector, phi: StateVector,
     the window and r_resolution that ``normalization_check`` refuses.  The
     closed-form target is sum_s pi <phi| theta(sY)/|Y| |psi> <u| theta(sY) |v>.
     Raises DivergenceDetected (via the cross-sector screen) for inadmissible
-    pairs, i.e. when <phi| theta(sY)/|Y| |psi> fails the growth test.  The
-    screen is kept for the last (phi, psi) pair, so a ``closed_form_sandwich``
-    of the same pair that follows does not repeat it.
+    pairs, i.e. when a log divergence of <phi| theta(sY)/|Y| |psi> is material.
 
     A kinked psi, phi (a seed) has Fourier tails past the band |x| <= pi/(2 dy)
     that alias on wider x windows: the vacuum's ML seed on (-1000, 1000, -8, 9)
@@ -561,24 +558,14 @@ def group_average_sandwich(psi: StateVector, phi: StateVector,
     return _group_slices(psi, phi, u, v, window, r_resolution, +1)
 
 
-@functools.lru_cache(maxsize=1)
-def _screened_cross_terms(phi: StateVector, psi: StateVector) -> Mapping[int, complex]:
-    """Both sector cross terms <phi| theta(sY)/|Y| |psi> under grid doubling,
-    flagging divergence only where it is material relative to the dominant
-    sector (1e-6 relative floor).
-
-    Kept for the last (phi, psi) pair: states are immutable and hash by
-    identity, and the cache's reference keeps an id from being reused.  The
-    result is read-only; a DivergenceDetected is raised again on every call.
-    """
-    terms = {s: sector_integral(phi, psi, s, -1, growth_floor=0.0) for s in (+1, -1)}
-    scale = max(abs(values[-1]) for values, _ in terms.values())
-    for s, (values, grows) in terms.items():
-        if grows and abs(values[-1]) > max(1e-6 * scale, 1e-9):
-            raise DivergenceDetected(
-                f"cross-sector <theta({'+' if s > 0 else '-'}Y)/|Y|> grows under "
-                f"grid doubling (magnitude {abs(values[-1]):.4g}); states inadmissible")
-    return MappingProxyType({s: values[-1] for s, (values, _) in terms.items()})
+def _screened_cross_terms(phi: StateVector, psi: StateVector) -> Dict[int, complex]:
+    """Both sector cross terms <phi| theta(sY)/|Y| |psi> (``grids.sector_integral``);
+    DivergenceDetected when a sector's log part exceeds LOG_SHARE of the larger term."""
+    terms = {s: sector_integral(phi, psi, s, -1) for s in (+1, -1)}
+    scale = max(abs(value) for value, _ in terms.values())
+    for s, (_, log_part) in terms.items():
+        check_log_part(log_part, scale, f"cross-sector <theta({'+' if s > 0 else '-'}Y)/|Y|>")
+    return {s: value for s, (value, _) in terms.items()}
 
 
 def closed_form_sandwich(psi: StateVector, phi: StateVector,

@@ -14,7 +14,7 @@ class GridMismatch(EstimationError):
 
 
 class DivergenceDetected(EstimationError):
-    """Grid-doubling growth test flagged a logarithmically divergent quadrature."""
+    """A sector integral of |y|^-1 whose log divergence at y = 0 is material."""
 
 
 class EmptySupport(EstimationError):
@@ -35,10 +35,6 @@ class InsufficientMass(EstimationError):
 
 class CutoffTooSmall(EstimationError):
     """Fock-space truncation drops more amplitude than the configured tolerance."""
-
-
-class NoConvergence(EstimationError):
-    """Iterative solver failed to converge."""
 
 
 class ConfigError(EstimationError, ValueError):

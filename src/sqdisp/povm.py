@@ -21,8 +21,8 @@ lines, so <|Y|> = w_+ + w_-.  A sector with <|Y|^p>_s <= SECTOR_THRESHOLD
 is left out; the square-root measurement is defined only when each kept
 <D_s> is finite.  Every c_s is real and positive, for complex inputs too,
 so the ML seed attains L_opt for every psi.  The normalization certificates
-<eta_s| D_s |eta_s> are derived on first read like eta, each an adaptive
-quadrature of eta itself (``grids.sector_integral`` through
+<eta_s| D_s |eta_s> are derived on first read like eta, each a sector
+integral of eta itself (``grids.sector_integral`` through
 ``PovmSeed.evaluate_at``): they check the seed as built rather than
 restating pi c_s^2 <|Y|^(2p-1)>_s = 1.
 """
@@ -82,8 +82,8 @@ class PovmSeed:
     @functools.cached_property
     def certificates(self) -> Dict[str, float]:
         """<eta_s| D_s |eta_s> per sector, the sector integral of
-        pi |eta|^2 / |y| refined like the weights, derived on first read."""
-        return {_SECTOR_LABELS[s]: math.pi * sector_integral(self, self, s, -1)[0][-1]
+        pi |eta|^2 / |y| taken like the weights, derived on first read."""
+        return {_SECTOR_LABELS[s]: math.pi * sector_integral(self, self, s, -1)[0]
                 for s in self.sector_coeffs}
 
     @property
@@ -101,9 +101,6 @@ class PovmSeed:
     def evaluate_at(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=float)
         return self.multiplier(y) * self.source.evaluate_at(y)
-
-    def _at_nodes(self, y: np.ndarray, grid, j0: int) -> np.ndarray:
-        return self.multiplier(y) * self.source._at_nodes(y, grid, j0)
 
     def on_grid(self, grid) -> "PovmSeed":
         """Same seed resampled on another grid (exact for Gaussian sources)."""
@@ -124,7 +121,7 @@ def _rule(psi: StateVector, kind: str) -> Tuple[Dict[int, float], Dict[int, floa
         raise EmptySupport(f"<|Y|^{power}> is below threshold on every {kind} sector")
     coeffs, overlap = {}, 0.0
     # lightest sector first: a psi(0) != 0 divergence of <D_s> is largest there relative to
-    # its value, so that sector's growth screen refuses soonest
+    # its value, so that sector's verdict refuses soonest
     for s, m in sorted(kept.items(), key=lambda item: item[1]):
         norm = m
         if 2 * power - 1 != power:
@@ -160,7 +157,7 @@ def optimal_likelihood(psi: StateVector) -> float:
 
 def build_srm_seed(psi: StateVector) -> PovmSeed:
     """Square-root-measurement seed, each sector divided by sqrt(<D_s>);
-    DomainViolation when the growth test finds a kept <D_s> divergent."""
+    DomainViolation when the log-divergence verdict finds a kept <D_s> divergent."""
     return _seed(psi, KIND_SRM)
 
 
@@ -175,6 +172,6 @@ def build_parity_seed(psi: StateVector) -> PovmSeed:
 
 
 def seed_overlap_likelihood(seed: PovmSeed) -> float:
-    """|<eta|psi>|^2 for the seed's source psi, recomputed by adaptive
-    quadrature (consistency oracle)."""
-    return abs(sector_integral(seed, seed.source, 0, 0)[0][-1]) ** 2
+    """|<eta|psi>|^2 for the seed's source psi, recomputed as a sector integral
+    (consistency oracle)."""
+    return abs(sector_integral(seed, seed.source, 0, 0)[0]) ** 2

@@ -1,8 +1,9 @@
 """What several test files and ``tools/bench_pair.py`` share: one call spy, the vacuum's
 reference values, the exact half-line weights and estimation density of a Gaussian, one
-deviation measure of a map, the row loop's chunk records and one traced-memory peak.  These
-are the only code that observes the library's internals.  pytest puts this directory on
-``sys.path``; ``conftest.py`` makes ``vacuum_seed`` a fixture."""
+deviation measure of a map, the row loop's chunk records, a grid-doubling reference for
+sector integrals and one traced-memory peak.  These are the only code that observes the
+library's internals.  pytest puts this directory on ``sys.path``; ``conftest.py`` makes
+``vacuum_seed`` a fixture."""
 
 import math
 import tracemalloc
@@ -11,7 +12,7 @@ import numpy as np
 from scipy.special import erfcx, wofz
 
 from sqdisp import GroupElement, build_ml_seed, inverse, make_vacuum
-from sqdisp import distribution
+from sqdisp import distribution, grids
 from sqdisp.povm import SECTOR_THRESHOLD
 
 VACUUM_L_OPT = math.sqrt(2.0 / math.pi) / math.pi  # 0.25397454373696393
@@ -141,6 +142,24 @@ def kept(calls):
     """Nodes the weight keeps, and those each chunk's own support keeps."""
     (lo, hi), *chunks = calls
     return hi - lo, [b - a for a, b in chunks[0::2]]
+
+
+def romberg_sector_integral(phi, psi, sign, power, rtol=1e-9):
+    """The integral of |y|^power conj(phi) psi over sign*y > 0 by grid doubling: raw midpoint
+    sums (``grids._sector_sum``) on psi's grid and its doublings, a sampled state read by its
+    spline, extrapolated two Romberg columns deep (weights (4, -1)/3, then (16, -1)/15), until
+    two successive rows agree to ``rtol``, or the raw value on MAX_NODES nodes.  An independent
+    reference for ``grids.sector_integral`` where the integrand is smooth on the half line."""
+    grid, row = psi.grid, []
+    while True:
+        new = [grids._sector_sum(phi, psi, grid, sign, power)]
+        for j, prev in enumerate(row[:2]):
+            new.append(new[j] + (new[j] - prev) / (4 ** (j + 1) - 1))
+        if row and abs(new[-1] - row[-1]) <= rtol * abs(new[-1]):
+            return new[-1]
+        if 2 * grid.n > grids.MAX_NODES:
+            return new[0]
+        row, grid = new, grids.QuadratureGrid(grid.y_max, 2 * grid.n)
 
 
 def traced(call):

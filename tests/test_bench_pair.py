@@ -5,6 +5,7 @@ not the parent side really runs the parent, so the binding is checked here, and
 so is the binding of its recorder, ``helpers.record_chunks``, to the side's rows.
 """
 
+import functools
 import importlib
 import importlib.util
 import pkgutil
@@ -78,22 +79,40 @@ def test_recorder_watches_the_side_it_is_given(parent_src, monkeypatch):
     assert record["scan_folded"] == 1.0 and record["scan_exact_rel_dev"] <= 1e-10  # 3.9e-11
 
 
+def _fresh_screens(bench_pair, parent_src, monkeypatch, cached):
+    """Two fresh screens of a group-average job by ``screen_call`` on a copied parent package,
+    its screen wrapped in a cache if ``cached``, as an older parent's is; asserts that each call
+    sums both sectors anew."""
+    parent = bench_pair.load("sqdisp_parent", parent_src)
+    distribution = parent["distribution"]
+    if cached:
+        monkeypatch.setattr(distribution, "_screened_cross_terms",
+                            functools.lru_cache(maxsize=1)(distribution._screened_cross_terms))
+    workload = parent["workloads"].OracleWorkload(seed=0, workdir=".", n_blocks=1)
+    workload.warm_up()
+    job = workload.gen_ga_odd((0.5, 0.5, 0.5))
+    integrals = spy(monkeypatch, distribution, "sector_integral", lambda *args: args[2:])
+    fresh = bench_pair.screen_call(distribution, lambda: workload.run(job))
+    terms = []
+    for _ in range(2):
+        integrals.clear()
+        terms.append(fresh())
+        assert integrals == [(+1, -1), (-1, -1)]  # computed anew
+    return terms
+
+
 def test_screen_call_reruns_the_sides_own_screen(parent_src, monkeypatch):
     # bound to a copied parent package, the fresh screen of a group-average job is that
     # package's screen of the job's state, recomputed on every call, and none of the change's
     bench_pair = _bench_pair()
     change_screens = spy(monkeypatch, sqdisp.distribution, "_screened_cross_terms")
-    parent = bench_pair.load("sqdisp_parent", parent_src)
-    workload = parent["workloads"].OracleWorkload(seed=0, workdir=".", n_blocks=1)
-    workload.warm_up()
-    job = workload.gen_ga_odd((0.5, 0.5, 0.5))
-    screen = parent["distribution"]._screened_cross_terms
-    fresh = bench_pair.screen_call(parent["distribution"], lambda: workload.run(job))
-    terms = []
-    for _ in range(2):
-        terms.append(fresh())
-        assert screen.cache_info()[:2] == (0, 1)  # no hit: computed anew
+    terms = _fresh_screens(bench_pair, parent_src, monkeypatch, cached=False)
     assert set(terms[0]) == {+1, -1} and terms[0] == terms[1] and change_screens == []
+
+
+def test_screen_call_clears_a_cached_parent_screen(parent_src, monkeypatch):
+    terms = _fresh_screens(_bench_pair(), parent_src, monkeypatch, cached=True)
+    assert terms[0] == terms[1]
 
 
 def test_repeats_below_one_refused_before_loading(capsys):

@@ -148,6 +148,18 @@ class TestCompareSrm:
         assert code == 0
         assert json.loads(out)["ratio"] == pytest.approx(1.0, abs=0.03)
 
+    @pytest.mark.parametrize("left", ["1", "-1"], ids=["constant", "odd"])
+    def test_two_node_file_refused(self, tmp_path, capsys, left):
+        # one node per half line: the one-sided Taylor data at y = 0 are that node's sample,
+        # so psi(0) reads as psi(+-1) != 0 and ln 2 |psi|^2 dy is 0.35 of <D_s>, the constant
+        # file's and the odd file's alike
+        path = tmp_path / "two.csv"
+        path.write_text(f"y,re,im\n-1,{left},0\n1,1,0\n")
+        code, out, err = run(capsys, "compare-srm", "--state", "sampled-file",
+                             "--sampled-path", str(path))
+        assert code == 3 and out == ""
+        assert err.startswith("numeric failure: DomainViolation:")
+
     def test_ratio_above_one_refused(self, capsys, monkeypatch):
         # no admissible seed beats the optimal one, so a ratio above 1 is a numeric fault
         from sqdisp import cli
@@ -543,6 +555,16 @@ class TestGridLimits:
         assert code == 3
         assert err.startswith("numeric failure: GridTooNarrow:")
         assert out == ""
+
+    def test_squeezing_summed_at_the_cap(self, capsys):
+        # z = 7: the certificates sum on a sigma/16 grid of MAX_NODES nodes with the
+        # Euler-Maclaurin terms at y = 0
+        code, out, err = run(capsys, "likelihood", "--state", "displaced-squeezed",
+                             "--a", "0", "--z", "7")
+        assert code == 0 and err == ""
+        certificates = json.loads(out)["certificates"]
+        assert set(certificates) == {"+", "-"}
+        assert all(abs(value - 1.0) <= 1e-9 for value in certificates.values())
 
     @pytest.mark.parametrize("x", ["1e308", "1e300"])
     def test_unresolvable_window(self, capsys, x):

@@ -591,61 +591,36 @@ class TestGroupAverage:
 
 
 class TestScreenOncePerPair:
-    """group_average_sandwich keeps its admissibility screen for the last
-    (phi, psi) pair, so closed_form_sandwich of that pair does not repeat it."""
+    """group_average_sandwich and closed_form_sandwich each screen their (phi, psi) pair
+    once per call: one sum per sector of <phi| theta(sY)/|Y| |psi>, on the pair's grid."""
 
     @staticmethod
     def count_screen_sums(monkeypatch):
-        """Grid sizes of the ``_sector_sum`` calls that ``sector_integral``
-        makes; the closed form's own <u| theta(sY) |v> sums are not counted."""
+        """(grid size, sign, power) of each ``grids._sector_sum`` call that
+        ``sector_integral`` makes; the closed form's own <u| theta(sY) |v> sums are not
+        counted."""
         return spy(monkeypatch, grids, "_sector_sum",
                    lambda phi, psi, grid, sign, power: (grid.n, sign, power))
 
     def test_oracle_and_closed_form_screen_once(self, monkeypatch):
         grid = default_grid(0.0)
         sizes = self.count_screen_sums(monkeypatch)
-        fresh = _odd_state(grid)
-        _screened_cross_terms(fresh, fresh)
-        single = list(sizes)
-        sizes.clear()
         psi = _odd_state(grid)
+        screen = [(grid.n, +1, -1), (grid.n, -1, -1)]
         group_average_sandwich(psi, psi, psi, psi, (-12, 12, -8, 8), r_resolution=8)
-        closed_form_sandwich(psi, psi, psi, psi)
-        assert single and sizes == single
+        assert sizes == screen
+        sizes.clear()
+        closed = closed_form_sandwich(psi, psi, psi, psi)
+        assert sizes == screen
+        assert closed.real == pytest.approx(math.sqrt(2.0 * math.pi), rel=1e-6)
 
     def test_screen_refused_on_the_cap(self, monkeypatch):
-        # a start on the cap leaves no doubling for the growth screen
+        # a pair on the cap is screened there, with no grid above it, and the vacuum refused
         sizes = self.count_screen_sums(monkeypatch)
         psi = make_vacuum(grids.QuadratureGrid(10.0, grids.MAX_NODES))
-        with pytest.raises(GridTooNarrow, match="screening"):
+        with pytest.raises(DivergenceDetected):
             _screened_cross_terms(psi, psi)
-        assert sizes == []
-
-    def test_new_state_or_pair_screens_again(self, monkeypatch):
-        grid = default_grid(0.0)
-        sizes = self.count_screen_sums(monkeypatch)
-
-        def screens():  # each screen starts with the + sector on the state's grid
-            return sizes.count((grid.n, +1, -1))
-
-        psi = _odd_state(grid)
-        first = closed_form_sandwich(psi, psi, psi, psi)
-        assert closed_form_sandwich(psi, psi, psi, psi) == first and screens() == 1
-        other = _odd_state(grid)  # equal samples, another state
-        assert closed_form_sandwich(other, other, other, other) == first and screens() == 2
-        coherent = make_coherent(3.0, grid=grid)
-        closed_form_sandwich(psi, coherent, psi, psi)  # the pair (coherent, psi)
-        closed_form_sandwich(coherent, psi, psi, psi)  # and (psi, coherent)
-        assert screens() == 4
-
-    def test_cached_terms_read_only(self):
-        psi = _odd_state(default_grid(0.0))
-        terms = _screened_cross_terms(psi, psi)
-        with pytest.raises(TypeError):
-            terms[+1] = 0.0
-        assert _screened_cross_terms(psi, psi) is terms
-        assert closed_form_sandwich(psi, psi, psi, psi).real == pytest.approx(
-            math.sqrt(2.0 * math.pi), rel=1e-6)
+        assert sizes == [(grids.MAX_NODES, +1, -1), (grids.MAX_NODES, -1, -1)]
 
     def test_divergence_raised_on_every_call(self):
         vac = make_vacuum()

@@ -17,16 +17,16 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from sqdisp import (ConfigError, DivergenceDetected, GaussianStateParams, GridMismatch,
-                    GridTooNarrow, QuadratureGrid, StateVector, default_grid,
+                    GridTooNarrow, QuadratureGrid, StateVector, build_ml_seed, default_grid,
                     half_line_moment, inner_product, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum, optimal_likelihood)
-from sqdisp.distribution import _map_shape
+from sqdisp.distribution import _map_shape, _screened_cross_terms
 from sqdisp.grids import (_FFT_LENGTHS, _SUM_PASS, MAX_NODES, _chirp, _fft_length,
-                          _NotAKnotSpline, _sector_sum, _solve_141, fourier_at, phase_dy,
-                          refine_by_doubling, resolving_grid)
+                          _NotAKnotSpline, _sector_sum, _solve_141, _taylor_weights, fourier_at,
+                          phase_dy, resolving_grid, sector_integral)
 from sqdisp.validate import _odd_state
 
-from helpers import spy, traced
+from helpers import romberg_sector_integral, spy, traced
 
 VACUUM_PEAK = (2.0 / math.pi) ** 0.25           # 0.8932438417380024
 VACUUM_HALF_MOMENT = math.sqrt(2.0 / math.pi) / 4.0  # 0.19947114020071635
@@ -330,7 +330,7 @@ class TestHalfLineMoments:
 
     @pytest.mark.parametrize("z", [2.0, 4.0])
     def test_squeezed_vacuum_first_moment(self, z):
-        # the O(dy^2) endpoint error at y = 0 is extrapolated away below the cap
+        # in closed form, with no sum on a grid
         sigma = 0.5 * math.exp(-z)
         value = half_line_moment(make_displaced_squeezed(0.0, z), +1, 1)
         assert value == pytest.approx(sigma / math.sqrt(2.0 * math.pi), rel=1e-9)
@@ -352,6 +352,40 @@ class TestHalfLineMoments:
                       limit=200)[0]
         assert val == pytest.approx(oracle, rel=1e-6)
 
+    @pytest.mark.parametrize("name, power", [
+        ("odd", -1), ("odd", 0), ("odd", 1), ("odd w=2", -1), ("two-bump(3.5)", 0),
+        ("two-bump(3.5)", 1), ("dsq(4,0.2)", 0), ("dsq(4,0.2)", 1), ("coherent(1)", 0),
+        ("odd ML seed", -1)])
+    def test_one_grid_matches_grid_doubling(self, name, power):
+        # the one sum plus Euler-Maclaurin terms against the Romberg-extrapolated doubling of
+        # raw sums (tests/helpers.py), which reads a sampled state by its spline; the two
+        # rules differ by the spline's error, 4.2e-11 at most here (odd, power -1)
+        grid = default_grid(0.0)
+        y = grid.nodes
+        psi = {"odd": _odd_state(grid), "odd w=2": _odd_state(grid, 2.0),
+               "two-bump(3.5)": make_sampled(grid, np.exp(-(y - 3.5) ** 2)
+                                             + np.exp(-(y + 3.5) ** 2)),
+               "dsq(4,0.2)": make_displaced_squeezed(4.0, 0.2, grid),
+               "coherent(1)": make_coherent(1.0, grid),
+               "odd ML seed": build_ml_seed(_odd_state(grid))}[name]
+        for sign in (+1, -1):
+            if power == -1 and name == "dsq(4,0.2)" and sign < 0:
+                continue
+            value, log = sector_integral(psi, psi, sign, power)
+            ref = romberg_sector_integral(psi, psi, sign, power)
+            assert abs(value - ref) <= 1e-10 * abs(ref), (sign, value, ref)
+            assert log <= 1e-12 * abs(value)  # psi(0) = 0, or far below LOG_SHARE
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_taylor_weights_reproduce_polynomials(self, m):
+        # through m nodes t_k = k + 1/2 the weights return the coefficients of any polynomial
+        # of degree below m, and 0 past it, to rounding of the largest value
+        coeffs = np.random.default_rng(m).normal(size=m)
+        values = np.polyval(coeffs[::-1], np.arange(m) + 0.5)
+        got = _taylor_weights(m) @ values
+        assert np.allclose(got, np.concatenate([coeffs, np.zeros(7)])[:7], rtol=0,
+                           atol=1e-14 * np.max(np.abs(values)))
+
     def test_doubling_stability(self):
         vac = make_vacuum()
         finer = make_vacuum(default_grid(0.0, n=8192))
@@ -360,78 +394,110 @@ class TestHalfLineMoments:
         assert a == pytest.approx(b, rel=1e-8)
 
 
-class TestWorkPerGrid:
-    """A doubling sequence evaluates psi once per grid, on the sector's half
-    of the nodes: n/2, n, 2n, ... points for a start grid of n nodes."""
+class TestDivergenceVerdict:
+    """A sector integral of |y|^-1 is refused when its log part |c| ln n, c = conj(phi) psi at
+    0, exceeds LOG_SHARE of its scale: a moment's own value, and for the oracle's cross terms
+    the larger sector's.  The shares of the benchmark's slots and of the states whose verdict
+    is pinned bracket LOG_SHARE (README.md, "Conventions")."""
 
     @staticmethod
-    def doubling_runs(psi, sizes, call):
-        """The doubling runs in ``sizes``, where a spy notes the point count of each
-        evaluation of psi that ``call()`` makes."""
-        call()
-        half = psi.grid.n // 2
-        runs = []
-        for size in sizes:
-            if size == half:
-                runs.append(1)
-            else:
-                assert runs and size == half * 2 ** runs[-1], sizes
-                runs[-1] += 1
-        return runs
+    def cross_share(psi):
+        """The larger sector's log part of <psi| theta(sY)/|Y| |psi> over the larger term."""
+        terms = [sector_integral(psi, psi, s, -1) for s in (+1, -1)]
+        return max(log for _, log in terms) / max(abs(value) for value, _ in terms)
+
+    @staticmethod
+    def moment_share(psi, sign):
+        value, log = sector_integral(psi, psi, sign, -1)
+        return log / value
+
+    @pytest.mark.parametrize("b, share", [(2.5, 2.36e-4), (3.0, 1.18e-6), (4.0, 1.32e-12)])
+    def test_two_bump_cross_terms_admitted(self, b, share):
+        # the oracle's ga_two_bump slot, b in [2.5, 4]
+        grid = default_grid(0.0)
+        psi = make_sampled(grid, np.exp(-(grid.nodes - b) ** 2) + np.exp(-(grid.nodes + b) ** 2))
+        assert self.cross_share(psi) == pytest.approx(share, rel=0.01)
+        _screened_cross_terms(psi, psi)
+
+    def test_displaced_squeezed_cross_terms_admitted(self):
+        # the oracle's ga_dsq_wide and ga_dsq_narrow slots: a e^z >= 3, largest at coherent(3),
+        # and coherent(2.5) below them
+        grid = default_grid(0.0)
+        slots = [(a, z) for z in np.linspace(-0.4, 0.4, 9) for a in np.linspace(2.5, 5.0, 11)
+                 if a >= 3.0 * math.exp(-z)]
+        worst = max(self.cross_share(make_displaced_squeezed(a, z, grid)) for a, z in slots)
+        assert worst == pytest.approx(2.94e-7, rel=0.01)
+        assert self.cross_share(make_coherent(2.5, grid)) == pytest.approx(5.91e-5, rel=0.01)
+        _screened_cross_terms(*[make_coherent(2.5, grid)] * 2)
+
+    def test_srm_slots_admitted(self):
+        # the cli workload's SRM states, a in [4.5, 8] and z in [0, 0.5]: only y > 0 is kept
+        shares = [self.moment_share(make_displaced_squeezed(a, z), +1)
+                  for a in np.linspace(4.5, 8.0, 8) for z in np.linspace(0.0, 0.5, 6)]
+        assert max(shares) <= 1e-16
+
+    def test_states_with_material_psi_at_zero_refused(self):
+        grid = default_grid(0.0)
+        dsq = make_displaced_squeezed(3.0, -0.4, grid)
+        assert self.cross_share(dsq) == pytest.approx(3.79e-3, rel=0.01)
+        assert self.moment_share(dsq, -1) == pytest.approx(1.67, rel=0.01)
+        assert self.moment_share(make_vacuum(), +1) == pytest.approx(1.25, rel=0.01)
+        light = [self.moment_share(make_coherent(a), -1) for a in (0.5, 1.0, 2.0, 3.0)]
+        assert min(light) == pytest.approx(1.46, rel=0.01)
+        with pytest.raises(DivergenceDetected):
+            _screened_cross_terms(dsq, dsq)
+        for psi, sign in ((dsq, -1), (make_vacuum(), +1), (make_coherent(3.0), -1)):
+            with pytest.raises(DivergenceDetected, match="log part"):
+                half_line_moment(psi, sign, -1)
+
+
+class TestWorkPerGrid:
+    """A sector integral evaluates psi on one grid: once on the sector's half of its nodes,
+    in passes of at most _SUM_PASS, and once on the min(8, n/2) points of its Taylor data."""
 
     def test_half_line_moment(self, monkeypatch):
-        # a sampled state: a Gaussian's power-1 moment is in closed form, with no grid;
-        # each grid reads the spline at its nodes' offsets, none evaluates it pointwise
+        # a sampled state: a Gaussian's power-1 moment is in closed form, with no grid
         psi = _odd_state(default_grid(0.0))
-        sizes = spy(monkeypatch, _NotAKnotSpline, "on_refined", lambda _, m, j0, j1: j1 - j0)
-        pointwise = spy(monkeypatch, psi, "evaluate_at", np.size)
-        runs = self.doubling_runs(psi, sizes, lambda: half_line_moment(psi, +1, 1))
-        assert len(runs) == 1 and runs[0] >= 2
-        assert max(sizes) <= _SUM_PASS and pointwise == []
+        sizes = spy(monkeypatch, psi, "evaluate_at", np.size)
+        half_line_moment(psi, +1, 1)
+        assert sizes == [8, psi.grid.n // 2]
 
     def test_cross_terms(self, monkeypatch):
-        from sqdisp.distribution import _screened_cross_terms
         psi = make_displaced_squeezed(4.0, 0.2)
         sizes = spy(monkeypatch, psi, "evaluate_at", np.size)
-        runs = self.doubling_runs(psi, sizes, lambda: _screened_cross_terms(psi, psi))
-        assert len(runs) == 2 and min(runs) >= 2
+        _screened_cross_terms(psi, psi)
+        assert sizes == [8, psi.grid.n // 2] * 2
 
-    def test_no_grid_above_the_cap(self):
-        # off the powers of two, the sequence stops where a doubling would
-        # pass MAX_NODES, rather than evaluating a grid above it
-        sizes = []
-        refine_by_doubling(QuadratureGrid(1.0, 3 * 2**18),
-                           lambda grid: sizes.append(grid.n) or float(grid.n))
-        assert sizes == [3 * 2**18]
-
+    def test_no_grid_above_the_cap(self, monkeypatch):
+        # dsq(0.5, 8) starts on 2^17 nodes, and its sigma/16 grid would need 1.9e6: refused
+        # before any evaluation
+        psi = make_displaced_squeezed(0.5, 8.0)
+        sizes = spy(monkeypatch, psi, "evaluate_at", np.size)
+        with pytest.raises(GridTooNarrow, match="cap is"):
+            sector_integral(psi, psi, +1, 0)
+        assert psi.grid.n == 2**17 and sizes == []
 
     @pytest.mark.parametrize("kind", ["gaussian", "sampled"])
     def test_half_line_sum_leaves_nodes_unbuilt(self, kind, monkeypatch):
         """A half-line sum reads the halves of ``nodes`` bit for bit, in passes of
-        at most _SUM_PASS nodes, and builds no ``nodes``: a Gaussian evaluates them, a
-        sampled state reads its spline at their indices (``on_refined``).  It sums to what
-        those halves give: exactly on a refined default grid, whose halves are one pass
-        each, and to round-off on a grid whose halves take one and a half passes."""
+        at most _SUM_PASS nodes, and builds no ``nodes``; a sampled state reads its
+        spline there.  It sums to what those halves give: exactly on a grid whose halves
+        are one pass each, and to round-off on one whose halves take one and a half."""
         grid = default_grid(0.0)
         psi = (make_displaced_squeezed(1.0, 0.2, grid) if kind == "gaussian"
                else make_sampled(grid, np.exp(-(grid.nodes - 1.0) ** 2)))
         evaluate = psi.evaluate_at
-        if kind == "gaussian":
-            seen = spy(monkeypatch, psi, "evaluate_at", np.array)
-        else:
-            seen = spy(monkeypatch, _NotAKnotSpline, "on_refined",
-                       lambda _, m, j0, j1: range(j0, j1))
+        seen = spy(monkeypatch, psi, "evaluate_at", np.array)
         cases = [(s, p) for s in (+1, -1) for p in (1, -1)]
-        for fine, passes, rtol in ((grid.refined(), 1, 0.0),
+        for fine, passes, rtol in ((QuadratureGrid(grid.y_max, 2 * grid.n), 1, 0.0),
                                    (QuadratureGrid(grid.y_max, 3 * _SUM_PASS), 2, 1e-14)):
             seen.clear()
             sums = [_sector_sum(psi, psi, fine, s, p) for s, p in cases]
             assert "nodes" not in vars(fine)
-            read = [y if kind == "gaussian" else fine.nodes[y] for y in seen]
             half = fine.n // 2
             for k, ((s, p), total) in enumerate(zip(cases, sums)):
                 part = fine.nodes[half:] if s > 0 else fine.nodes[:half]
-                runs = read[k * passes:(k + 1) * passes]
+                runs = seen[k * passes:(k + 1) * passes]
                 assert max(len(y) for y in runs) <= _SUM_PASS
                 assert np.array_equal(np.concatenate(runs), part)
                 f = np.abs(evaluate(part)) ** 2 * np.abs(part) ** p
@@ -440,8 +506,9 @@ class TestWorkPerGrid:
 
 
 class TestSplineOnRefinedNodes:
-    """``_NotAKnotSpline.on_refined`` reads a sampled state at the nodes of the grid with m n
-    nodes on its window by each interval's fixed offsets: what ``evaluate_at`` gives there."""
+    """A sampled state read at the nodes of the grid with m n nodes on its window, m even,
+    as ``with_grid`` reads it: there each interval holds m nodes at the fixed offsets
+    u = (p + 1/2)/m, and ``evaluate_at`` is each cubic's Horner at those u (``fixed_offsets``)."""
 
     @staticmethod
     def state(grid, imaginary):
@@ -449,33 +516,39 @@ class TestSplineOnRefinedNodes:
         a = np.exp(-(y - 1.0) ** 2) + 0.5 * y * np.exp(-y ** 2)
         return StateVector(grid, a + 0.5j * np.exp(-(y + 1.0) ** 2) if imaginary else a)
 
+    @staticmethod
+    def fixed_offsets(psi, m):
+        """The spline at the m n nodes: node j is in interval i = (j - m/2) // m at
+        u = ((j - m/2) mod m + 1/2) / m, in ``__call__``'s Horner order; the nodes outside
+        the end samples give 0."""
+        spline, n = psi._spline, psi.grid.n
+        u = (np.arange(m) + 0.5) / m
+        cells = slice(0, n - 1)
+        c0, c1, c2, c3 = (c[cells, None] for c in (spline.c0, spline.c1, spline.c2, spline.c3))
+        out = np.zeros(m * n, dtype=spline.c0.dtype)
+        out[m // 2:m // 2 + (n - 1) * m] = (c0 + u * (c1 + u * (c2 + u * c3))).ravel()
+        return out
+
     @pytest.mark.parametrize("imaginary", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("m", [2, 4, 64, 256])
     @pytest.mark.parametrize("grid", [QuadratureGrid(10.0, 4096), QuadratureGrid(10.0, 2),
                                       QuadratureGrid(3.0, 6)], ids=lambda g: f"n{g.n}")
     def test_bit_identical_on_dyadic_grids(self, grid, m, imaginary):
         # dy / m exact in binary: every refined node, every y - y_k and so every u of
-        # __call__ is exact, and on_refined's Horner runs in __call__'s order
+        # __call__ is exact
         psi = self.state(grid, imaginary)
         fine = QuadratureGrid(grid.y_max, m * grid.n)
-        ref = psi.evaluate_at(fine.nodes)
-        got = psi._spline.on_refined(m, 0, fine.n)
+        ref = self.fixed_offsets(psi, m)
+        got = psi.evaluate_at(fine.nodes)
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
-        half, n = fine.n // 2, fine.n
-        # both end intervals with the nodes outside the file, the interval at y = 0, a run
-        # from inside one interval to inside another, and single nodes
-        for j0, j1 in ((0, m + 1), (n - m - 1, n), (half - m // 2, half + m // 2),
-                       (half - 1, half + 1), (m // 2 + 1, n - m // 2 - 1), (m - 1, m),
-                       (half, half + 1)):
-            assert np.array_equal(psi._spline.on_refined(m, j0, j1), ref[j0:j1])
         assert np.array_equal(psi.with_grid(fine).amplitudes, ref)
 
     @pytest.mark.parametrize("grid", [QuadratureGrid(10.0, 4096), QuadratureGrid(10.0, 2)],
                              ids=lambda g: f"n{g.n}")
     def test_own_nodes_are_the_samples(self, grid):
         psi = self.state(grid, True)
-        assert np.array_equal(psi._spline.on_refined(1, 0, grid.n), psi.amplitudes)
-        assert np.array_equal(psi._at_nodes(grid.nodes, grid, 0), psi.evaluate_at(grid.nodes))
+        assert np.array_equal(psi.evaluate_at(grid.nodes), psi.amplitudes)
+        assert psi.with_grid(grid) is psi
 
     @pytest.mark.parametrize("imaginary", [False, True], ids=["real", "complex"])
     @pytest.mark.parametrize("grid, m", [(QuadratureGrid(7.3, 1002), 2),
@@ -486,23 +559,20 @@ class TestSplineOnRefinedNodes:
                              ids=lambda v: f"n{v.n}_{v.y_max}" if isinstance(v, QuadratureGrid)
                              else f"m{v}")
     def test_within_rounding_elsewhere(self, grid, m, imaginary):
-        # off dyadic grids __call__ rounds u = (y - y_k)/dy from rounded nodes, while
-        # on_refined rounds (p + 1/2)/m once; m = 24 is the 3 _SUM_PASS grid of 4096 nodes
-        # (measured at most 3.3e-16 of max|a| on these states)
+        # off dyadic grids __call__ rounds u = (y - y_k)/dy from rounded nodes, while the
+        # fixed offsets round (p + 1/2)/m once (measured at most 3.3e-16 of max|a| on these
+        # states)
         psi = self.state(grid, imaginary)
         fine = QuadratureGrid(grid.y_max, m * grid.n)
-        ref = psi.evaluate_at(fine.nodes)
         bound = 4e-16 * np.max(np.abs(psi.amplitudes))
-        assert np.max(np.abs(psi._spline.on_refined(m, 0, fine.n) - ref)) <= bound
-        assert np.max(np.abs(psi.with_grid(fine).amplitudes - ref)) <= bound
+        assert np.max(np.abs(psi.with_grid(fine).amplitudes - self.fixed_offsets(psi, m))) <= bound
 
     @pytest.mark.parametrize("grid", [QuadratureGrid(10.0, 2), QuadratureGrid(10.0, 4),
                                       QuadratureGrid(3.0, 6)], ids=lambda g: f"n{g.n}")
     def test_tiny_grids_cut_their_blocks_inside_an_interval(self, grid, monkeypatch):
-        # refined to the largest same-window grid, m = 2^19, 2^18 and 2^17 nodes per
-        # interval, more than a pass: each block is the part of an interval that its pass
-        # reads, so one sum stays under the 2 MB of every other grid, and on these dyadic
-        # grids it is the pointwise spline sum bit for bit
+        # read on the largest same-window grid, m = 2^19, 2^18 and 2^17 nodes per interval,
+        # more than a pass: each pass of a sum is a block of the spline inside one interval
+        # (or outside the end samples), so one sum stays under the 2 MB of every other grid
         m = 2 ** (MAX_NODES // grid.n).bit_length() // 2
         fine = QuadratureGrid(grid.y_max, m * grid.n)
         rng = np.random.default_rng(grid.n)
@@ -511,15 +581,14 @@ class TestSplineOnRefinedNodes:
         phi._spline, psi._spline  # built outside the traced sums
         cases = [(a, b, s, p) for a, b in ((psi, psi), (phi, psi))
                  for s, p in ((+1, -1), (-1, 1), (0, 0))]
-        sizes = spy(monkeypatch, _NotAKnotSpline, "on_refined", lambda _, m, j0, j1: j1 - j0)
-        sums = []
+        def interval(y):  # of the first and last point, -1 and n - 1 past the end samples
+            return np.floor((y[[0, -1]] - grid.nodes[0]) / grid.dy).clip(-1, grid.n - 1)
+        blocks = spy(monkeypatch, _NotAKnotSpline, "__call__", lambda _, y: interval(y))
         for a, b, s, p in cases:
-            total, peak = traced(lambda: _sector_sum(a, b, fine, s, p))
+            _, peak = traced(lambda: _sector_sum(a, b, fine, s, p))
             assert peak < 2e6
-            sums.append(total)
-        assert m > _SUM_PASS and max(sizes) == _SUM_PASS
-        monkeypatch.setattr(StateVector, "_at_nodes", lambda self, y, *_: self.evaluate_at(y))
-        assert sums == [_sector_sum(a, b, fine, s, p) for a, b, s, p in cases]
+        assert m > _SUM_PASS and len(blocks) == 12 * (fine.n // 2 // _SUM_PASS)  # a factor a pass
+        assert all(first == last for first, last in blocks)
 
 
 class TestSampledStates:

@@ -232,8 +232,10 @@ class TestSliceSupport:
     @staticmethod
     def slice_nodes(monkeypatch, state, window, r_resolution):
         """The node count of each slice, in r order, of the group average of |state><state|
-        between copies of itself: the length of its one evaluation of state per slice."""
+        between copies of itself: the length of its one evaluation of state per slice, in a
+        second call whose cross-term screen, passed by the first, is left out."""
         group_average_sandwich(state, state, state, state, window, r_resolution)  # screened
+        monkeypatch.setattr(distribution, "_screened_cross_terms", lambda phi, psi: None)
         sizes = spy(monkeypatch, state, "evaluate_at", lambda y: len(y))
         group_average_sandwich(state, state, state, state, window, r_resolution)
         assert len(sizes) == r_resolution

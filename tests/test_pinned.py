@@ -22,6 +22,13 @@ stopped at its 2^20-node cap before the O(dy^2) endpoint error at y = 0 had
 fallen below 1e-9, and its values lay 4e-9 to 1e-7 relative from the limit.
 Each new value is the closed form E[|Y|; Y < 0] = sigma phi(a/sigma) -
 a Phi(-a/sigma), sigma = e^{-z}/2, evaluated with mpmath at 40 digits.
+
+The srm_suite's two-bump(3) rows gave way to y^2 e^{-y^2} when sector integrals
+became one sum on one grid with a divergence verdict.  two-bump(3) has
+psi(0) = 2 e^{-9}, outside the square-root measurement's domain, and its
+L_srm, 1.8533294547686987, was the raw grid-doubling value at the 2^20-node
+cap.  The y^2 e^{-y^2} rows are closed forms: on each sector <|Y|> =
+<|Y|^-1> = 4 / (3 sqrt(2 pi)), mass 1/2, and every certificate 1.
 """
 
 import pytest
@@ -84,11 +91,11 @@ SEEDS = {
         {'full': 1.0000000000000004}),
     ('srm_suite', 'odd', 'srm'): (0.3989422802679738, 0.3989422803456896, 0.3989422803456896,
         {'+': 0.9999999999999999, '-': 0.9999999999999999}),
-    ('srm_suite', 'two-bump(3)', 'ml'): (1.9098592918305406, 1.4999999801512576, 1.4999999801512576,
-        {'+': 0.9999999999999999, '-': 0.9999999999999999}),
-    ('srm_suite', 'two-bump(3)', 'ml-parity'): (0.9549296459152702, 1.4999999801512576, 1.4999999801512576,
-        {'full': 1.0000000000000002}),
-    ('srm_suite', 'two-bump(3)', 'srm'): (1.8533294547686987, 1.4999999801512576, 1.4999999801512576,
+    ('srm_suite', 'y^2 gauss', 'ml'): (0.677265449965237, 0.5319230405352435, 0.5319230405352435,
+        {'+': 1.0, '-': 1.0}),
+    ('srm_suite', 'y^2 gauss', 'ml-parity'): (0.3386327249826185, 0.5319230405352435,
+        0.5319230405352435, {'full': 1.0}),
+    ('srm_suite', 'y^2 gauss', 'srm'): (0.598413420602149, 0.5319230405352435, 0.5319230405352435,
         {'+': 1.0, '-': 1.0}),
 }
 
@@ -102,7 +109,7 @@ LIKELIHOODS = {
     ('srm_suite', 'coherent(4)'): (1.2732395447351625, 1.2526682605104988),
     ('srm_suite', 'dsq(5,-0.2)'): (1.5915494309189537, 1.567038205529678),
     ('srm_suite', 'odd'): (0.5079490874029534, 0.3989422802679738),
-    ('srm_suite', 'two-bump(3)'): (1.9098592918305406, 1.8533294547686987),
+    ('srm_suite', 'y^2 gauss'): (0.677265449965237, 0.598413420602149),
 }
 
 # r_resolution = 64; the wide window covers the whole band |x| <= pi/(2 dy)

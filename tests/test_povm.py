@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from sqdisp import grids, validate
-from sqdisp import (DomainViolation, EmptySupport, GridTooNarrow, GroupElement,
-                    QuadratureGrid, act, build_ml_seed, build_parity_seed, build_srm_seed,
-                    default_grid, half_line_moment, make_coherent,
+from sqdisp import (DivergenceDetected, DomainViolation, EmptySupport, GridTooNarrow,
+                    GroupElement, QuadratureGrid, act, build_ml_seed, build_parity_seed,
+                    build_srm_seed, default_grid, half_line_moment, make_coherent,
                     make_displaced_squeezed, make_sampled, make_vacuum,
                     optimal_likelihood, seed_overlap_likelihood, srm_likelihood)
 from sqdisp.validate import _odd_state, _seed_suite, srm_admissible_suite
@@ -128,26 +128,29 @@ class TestSrmSeed:
         assert srm_likelihood(make_coherent(6.0)) > 0.0
 
     @settings(max_examples=12, derandomize=True, deadline=None, database=None)
-    @given(k=st.integers(1, 6), u=st.floats(0.0, 1.0))
-    @example(k=6, u=1.0)
-    def test_srm_gap_of_power_gaussians(self, k, u):
+    @given(k=st.integers(1, 6), u=st.floats(0.0, 1.0), kinked=st.booleans())
+    @example(k=6, u=1.0, kinked=False)
+    @example(k=1, u=0.5, kinked=True)
+    def test_srm_gap_of_power_gaussians(self, k, u, kinked):
         # psi ~ y^k e^{-y^2/w^2}: each sector's <|Y|^p> is N^2 Gamma(q) (w^2/2)^q / 2 with
         # q = k + (p+1)/2, so L_srm / L_opt = Gamma(k+1/2)^2 / (Gamma(k) Gamma(k+1)) at every
         # w, the paper's ML-over-SRM gain as an exact law.  w runs from 0.7, above which the
         # O(dy^4) error of sampling on 4096 nodes is below 1e-10, to where psi at |y| = 10 is
-        # 1e-15 of its peak at y = w sqrt(k/2)
+        # 1e-15 of its peak at y = w sqrt(k/2).  The even |y|^k e^{-y^2/w^2}, kinked at 0 for
+        # odd k, has the same |psi|^2 and so the same law: pi/4 at k = 1 as for y e^{-y^2/w^2}
         def log_edge_over_peak(w):
             return (k * math.log(10.0) - 100.0 / w ** 2
                     - k / 2.0 * math.log(k * w * w / (2.0 * math.e)))
         w = 0.7 + u * (brentq(lambda w: log_edge_over_peak(w) - math.log(1e-15), 0.7, 5.0) - 0.7)
         grid = QuadratureGrid(10.0, 4096)
-        psi = make_sampled(grid, grid.nodes ** k * np.exp(-(grid.nodes / w) ** 2))
+        power = np.abs(grid.nodes) ** k if kinked else grid.nodes ** k
+        psi = make_sampled(grid, power * np.exp(-(grid.nodes / w) ** 2))
         ratio = math.gamma(k + 0.5) ** 2 / (math.gamma(k) * math.gamma(k + 1))
         assert abs(srm_likelihood(psi) / optimal_likelihood(psi) - ratio) <= 1e-9 * ratio
 
     def test_validate_holds_the_odd_ratio_to_pi_over_4(self, monkeypatch):
         # every margin moved by 1e-7 keeps 4 of 5 above 1 %, yet the odd state's
-        # L_srm / L_opt, 3.0e-10 from pi/4 on validate's grid, is then 1e-7 from it
+        # L_srm / L_opt, 6.2e-13 from pi/4 on validate's grid, is then 1e-7 from it
         assert validate.check_srm_suboptimality()[0]
         monkeypatch.setattr(validate, "srm_likelihood",
                             lambda psi: srm_likelihood(psi) + 1e-7 * optimal_likelihood(psi))
@@ -185,7 +188,7 @@ class TestParitySeed:
         # <|Y|> is built as w_+ + w_-; the full-line quadrature must agree
         for name, psi in _seed_suite(default_grid(0.0)) + srm_admissible_suite():
             seed = build_parity_seed(psi)
-            full = grids.sector_integral(psi, psi, 0, 1)[0][-1]
+            full = grids.sector_integral(psi, psi, 0, 1)[0]
             assert seed.likelihood == pytest.approx(full / math.pi, rel=1e-12), name
             t = seed.w_plus + seed.w_minus
             assert seed.sector_coeffs[0] == 1.0 / math.sqrt(math.pi * t), name
@@ -222,14 +225,14 @@ class TestSeedNodeBudget:
                 assert self.sector_sums(monkeypatch, build_srm_seed, psi) == srm + ml, name
 
     def test_srm_screens_the_lighter_sector_first(self, monkeypatch):
-        # dsq(3, -0.4) holds 2.9e-5 of its mass at y < 0, where psi(0) != 0 makes <D_-> grow
-        # 15 % per doubling; the + sector's <D_+> grows 3e-4 and would run to the cap first
+        # dsq(3, -0.4) holds 2.9e-5 of its mass at y < 0, where psi(0) != 0 puts 1.7 of <D_->
+        # in its log part; the + sector's share is 3.8e-3, also refused, but after the - sector.
+        # Each sector integral is one sum, on the state's own grid
         def refused(psi):
             with pytest.raises(DomainViolation, match="diverges on sector -"):
                 build_srm_seed(psi)
         sums = self.sector_sums(monkeypatch, refused, make_displaced_squeezed(3.0, -0.4))
-        assert sums == [(s, 0, n) for s in (+1, -1) for n in (4096, 8192, 16384)] + [
-            (-1, -1, n) for n in (4096, 8192, 16384)]
+        assert sums == [(+1, 0, 4096), (-1, 0, 4096), (-1, -1, 4096)]
 
     def test_gaussian_seeds_converge_by_2_16_nodes(self, monkeypatch):
         # ML and parity seeds of a Gaussian make no sector sum, their weights in closed
@@ -247,60 +250,53 @@ class TestSeedNodeBudget:
             assert {power for _, power, _ in sums} <= {0, -1}, name
             assert max(n for _, _, n in sums) <= 2**16, (name, sums)
 
-    def test_unsettled_log_divergence_returns_raw_cap_value(self, monkeypatch):
-        # two-bump(3) has psi(0) ~ 1e-4: <D_s> is log-divergent with a
-        # coefficient below the growth screen, so no extrapolation settles
-        psi = dict(srm_admissible_suite())["two-bump(3)"]
-        sizes = self.grid_sizes(monkeypatch, build_srm_seed, psi)
-        assert max(sizes) == grids.MAX_NODES
-        cap = grids.QuadratureGrid(psi.grid.y_max, grids.MAX_NODES)
-        for s in (+1, -1):
-            assert half_line_moment(psi, s, -1) == grids._sector_sum(psi, psi, cap, s, -1)
-
     @pytest.mark.parametrize("sign", [+1, -1])
     def test_sums_to_the_cap_keep_memory_bounded(self, sign):
-        # the moment above runs to MAX_NODES nodes, where one full-length pass would hold
-        # 16 MB of temporaries; each sector sum streams its nodes in bounded passes
-        psi = dict(srm_admissible_suite())["two-bump(3)"]
+        # dsq(3, 7) sums on its sigma/16 grid of MAX_NODES nodes, where one full-length pass
+        # would hold 16 MB of temporaries; each sector sum streams its nodes in bounded passes
+        psi = make_displaced_squeezed(3.0, 7.0)
+        assert grids._sum_grid(psi, psi)[0].n == grids.MAX_NODES
         _, peak = traced(lambda: half_line_moment(psi, sign, -1))
         assert peak < 4e6, f"traced peak {peak / 1e6:.2f} MB"
 
     @classmethod
     def refused_powers(cls, monkeypatch, measure, psi):
-        """Powers of the sector sums ``measure(psi)`` runs before the growth
-        screen refuses psi's grid with GridTooNarrow."""
+        """Powers of the sector sums ``measure(psi)`` runs before GridTooNarrow refuses the
+        sigma/16 grid that psi's sums need."""
         def refused(psi):
-            with pytest.raises(GridTooNarrow, match="screening"):
+            with pytest.raises(GridTooNarrow, match="cap is"):
                 measure(psi)
         return [power for _, power, _ in cls.sector_sums(monkeypatch, refused, psi)]
 
     @pytest.mark.parametrize("measure", [srm_likelihood,
                                          lambda psi: half_line_moment(psi, +1, -1)],
                              ids=["srm_likelihood", "half_line_moment"])
-    def test_screened_doubling_stays_within_cap(self, monkeypatch, measure):
-        # dsq(5, 9) starts on 2^19 nodes, so the growth screen's third value
-        # would need a 2^21-node grid: refused before any power -1 sum
+    def test_sigma_grid_stays_within_cap(self, monkeypatch, measure):
+        # dsq(5, 9) starts on 2^19 nodes, and its sigma/16 grid would need 7.8e6: refused
+        # before any sum
         psi = make_displaced_squeezed(5.0, 9.0)
         assert psi.grid.n == grids.MAX_NODES // 2
-        assert -1 not in self.refused_powers(monkeypatch, measure, psi)
+        assert self.refused_powers(monkeypatch, measure, psi) == []
 
     def test_divergence_screened_within_cap(self, monkeypatch):
-        # dsq(0, 9) also starts on 2^19 nodes, where <D_+> diverges; with one
-        # doubling left under the cap it is refused, not screened
+        # dsq(0, 9), where <D_+> diverges, is refused for its grid, as above, before any sum
         psi = make_displaced_squeezed(0.0, 9.0)
         assert psi.grid.n == grids.MAX_NODES // 2
-        assert -1 not in self.refused_powers(monkeypatch, srm_likelihood, psi)
+        assert self.refused_powers(monkeypatch, srm_likelihood, psi) == []
 
     def test_screen_refused_on_the_cap(self, monkeypatch):
-        # a start on the cap leaves no doubling for the growth screen
-        psi = make_vacuum(grids.QuadratureGrid(10.0, grids.MAX_NODES))
+        # a start on the cap sums there, one sum per sector integral, and no grid above it:
+        # the vacuum's <D_s> is refused as divergent
 
         def refused(psi):
-            with pytest.raises(GridTooNarrow, match="screening"):
+            with pytest.raises(DomainViolation):
                 srm_likelihood(psi)
-            with pytest.raises(GridTooNarrow, match="screening"):
+            with pytest.raises(DivergenceDetected):
                 half_line_moment(psi, +1, -1)
-        assert set(self.grid_sizes(monkeypatch, refused, psi)) == {grids.MAX_NODES}
+        psi = make_vacuum(grids.QuadratureGrid(10.0, grids.MAX_NODES))
+        sums = self.sector_sums(monkeypatch, refused, psi)
+        assert sums == [(+1, 0, grids.MAX_NODES), (-1, 0, grids.MAX_NODES),
+                        (+1, -1, grids.MAX_NODES), (+1, -1, grids.MAX_NODES)]
 
 
 class TestSeedSuiteInvariants:

@@ -130,21 +130,25 @@ def oracle_nodes(distribution, call) -> int:
 
 
 def screen_call(distribution, call):
-    """A fresh cross-term screen, its cache cleared first, of the pair that one untimed
-    ``call()`` screens first (``distribution._screened_cross_terms``)."""
+    """A fresh cross-term screen of the pair that one untimed ``call()`` screens first
+    (``distribution._screened_cross_terms``), its cache cleared first on a side that keeps one."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         pairs = helpers.spy(monkeypatch, distribution, "_screened_cross_terms", lambda *pair: pair)
         call()
     screen = distribution._screened_cross_terms
+    clear = getattr(screen, "cache_clear", lambda: None)
 
     def fresh():
-        screen.cache_clear()
+        clear()
         return screen(*pairs[0])
     return fresh
 
 
 def screen_devs(old, new):
-    return {"screen_max_rel_dev": max(abs(new[s] - old[s]) / abs(old[s]) for s in old)}
+    """The largest change of a sector's cross term over the larger term, the screen's scale: a
+    light sector's term of a Gaussian is the grid's regularization of a log divergence."""
+    scale = max(abs(value) for value in old.values())
+    return {"screen_max_rel_dev": max(abs(new[s] - old[s]) for s in old) / scale}
 
 
 def map_devs(prefix, old, new):
